@@ -21,7 +21,7 @@ import numpy as np
 from .env import EnvironmentSpec, sample_environment
 from .errors import CheckFailure, ConfigurationError, SolverError
 from .kernels import build_quadrature
-from .operators import Box, ExteriorRule, extremal_of_function
+from .operators import Box, ExteriorRule, extremal
 from .solve import (
     DirichletProblem, OperatorHandle, solve_dirichlet, solve_obstacle,
 )
@@ -34,6 +34,11 @@ from .homog import (
 from .solve import _lattice
 
 SCHEMA_VERSION = 1
+
+# abp gates: doubling the forcing doubles the amplitude to within this
+# tolerance, and the support slope stays above sigma/2 minus this margin
+ABP_RATIO_TOL = 0.05
+ABP_SLOPE_MARGIN = 0.15
 
 KINDS = ("solve", "obstacle", "mbar", "effective", "corrector",
          "converge", "abp", "cmi")
@@ -516,10 +521,10 @@ def run_checks(resolved, spec, fam, summary):
                        f"gap={summary['translation_gap']!r}"))
     elif kind == "abp":
         ratios = summary["amplitude_ratios"]
-        ok = all(abs(r - 2.0) <= 0.05 for r in ratios)
+        ok = all(abs(r - 2.0) <= ABP_RATIO_TOL for r in ratios)
         checks.append(("amplitude-doubling-linear", ok,
                        f"ratios={[f'{r:.4f}' for r in ratios]}"))
-        floor = fam.sigma / 2.0 - 0.15
+        floor = fam.sigma / 2.0 - ABP_SLOPE_MARGIN
         checks.append(("support-slope-floor",
                        summary["support_slope"] >= floor,
                        f"slope={summary['support_slope']:.4f} floor={floor:.2f}"))
@@ -572,8 +577,8 @@ def _suite_invariants():
     nprof = TestFunction.make([[-1.7]], p=[-0.3], center=[0.2])
     worst = 0.0
     for x in (-0.3, 0.0, 0.7):
-        plus = extremal_of_function(prof, x, +1, fam, quad)
-        dual = -extremal_of_function(nprof, x, -1, fam, quad)
+        plus = extremal(prof, x, +1, fam, quad)
+        dual = -extremal(nprof, x, -1, fam, quad)
         worst = max(worst, abs(plus - dual))
     checks.append(("extremal-duality-exact", worst == 0.0, f"gap={worst!r}"))
 
@@ -607,9 +612,9 @@ def _suite_abp():
     checks = []
     ratios = rep["amplitude_ratios"]
     checks.append(("amplitude-doubling-linear",
-                   all(abs(r - 2.0) <= 0.05 for r in ratios),
+                   all(abs(r - 2.0) <= ABP_RATIO_TOL for r in ratios),
                    f"ratios={[f'{r:.4f}' for r in ratios]}"))
-    floor = fam.sigma / 2.0 - 0.15
+    floor = fam.sigma / 2.0 - ABP_SLOPE_MARGIN
     checks.append(("support-slope-floor", rep["support_slope"] >= floor,
                    f"slope={rep['support_slope']:.4f} floor={floor:.2f}"))
     return checks

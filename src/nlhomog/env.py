@@ -23,7 +23,6 @@ __all__ = [
     "Environment",
     "sample_environment",
     "translate",
-    "coefficient_at",
     "multiplier_field",
     "matrix_field",
     "forcing_field",
@@ -313,16 +312,3 @@ def _check_branch(env, alpha, beta):
             f"branch ({alpha},{beta}) outside index sets "
             f"{env.spec.n_alpha}x{env.spec.n_beta}"
         )
-
-
-def coefficient_at(env: Environment, alpha: int, beta: int, x):
-    """Coefficient data of one branch at a single point x.
-
-    Returns (multiplier, forcing): multiplier is a scalar except for the
-    2d matrix class, where it is a symmetric (2,2) array.
-    """
-    pt = np.atleast_1d(np.asarray(x, dtype=np.float64))[None, :]
-    f = float(forcing_field(env, alpha, beta, pt)[0])
-    if env.spec.kernel_class == "a" and env.dim == 2:
-        return matrix_field(env, alpha, beta, pt)[0], f
-    return float(multiplier_field(env, alpha, beta, pt)[0]), f

@@ -158,7 +158,11 @@ def worker_count(requested=None):
     if requested is not None and requested > 0:
         return int(requested)
     if envval:
-        return max(1, int(envval))
+        try:
+            return max(1, int(envval))
+        except ValueError:
+            raise ConfigurationError(
+                f"NONLOCAL_HOMOG_WORKERS must be an integer, got {envval!r}") from None
     return os.cpu_count() or 1
 
 

@@ -160,16 +160,13 @@ def build_quadrature(dim: int, sigma: float, h: float, r_out: float) -> Quadratu
             float(np.sum(SX * SY * envv)),
         )
 
-    for ix in range(2 * J + 1):
-        for iy in range(2 * J + 1):
-            if not inside[ix, iy]:
-                continue
-            cx, cy = JX[ix, iy] * h, JY[ix, iy] * h
-            nsub = 16 if max(abs(JX[ix, iy]), abs(JY[ix, iy])) <= 4 else 1
-            mxx, myy, mxy = cell_moments(cx, cy, nsub)
-            kxx[ix, iy] = mxx
-            kyy[ix, iy] = myy
-            kxy[ix, iy] = mxy
+    # single midpoint everywhere, then the refined cells |jx|, |jy| <= 4
+    cx, cy = JX[inside] * h, JY[inside] * h
+    envv = (cx**2 + cy**2) ** (-(2.0 + sigma + 2.0) / 2.0) * h**2
+    kxx[inside], kyy[inside], kxy[inside] = cx * cx * envv, cy * cy * envv, cx * cy * envv
+    near = inside & (np.maximum(np.abs(JX), np.abs(JY)) <= 4)
+    for ix, iy in zip(*np.nonzero(near)):
+        kxx[ix, iy], kyy[ix, iy], kxy[ix, iy] = cell_moments(JX[ix, iy] * h, JY[ix, iy] * h, 16)
     # Second moment over the singular square cell, fine midpoint grid; the
     # integrand |y|^(-sigma) stays integrable so midpoint converges.
     s = (np.arange(128) + 0.5) / 128 - 0.5

@@ -35,7 +35,6 @@ __all__ = [
     "evaluate_F",
     "evaluate_frozen",
     "extremal",
-    "extremal_of_function",
     "extremal_from_moment",
     "unit_moment",
 ]
@@ -475,8 +474,3 @@ def extremal(u, x, sign: int, fam: KernelFamily, quad: QuadratureTable) -> float
     core += quad.c_near * (hi * dnear if dnear > 0 else lo * dnear)
     core += quad.tail * (hi * dfar if dfar > 0 else lo * dfar)
     return core
-
-
-def extremal_of_function(u, x, sign: int, fam: KernelFamily, quad: QuadratureTable) -> float:
-    """Alias of `extremal` for analytic profiles; kept for clarity at call sites."""
-    return extremal(u, x, sign, fam, quad)

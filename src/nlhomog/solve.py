@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import toeplitz
 
 from .env import Environment, forcing_field, matrix_field, multiplier_field
 from .errors import ConfigurationError, SolverError
@@ -156,7 +155,44 @@ def default_quadrature(fam: KernelFamily, box: Box, r_out_factor: float = 8.0) -
     return build_quadrature(fam.dim, fam.sigma, box.h, r_out_factor * diam)
 
 
-class _Lattice1D:
+class _SweepEngine:
+    """Red-black damped sweeps and the certified residual, shared by both lattices.
+
+    Subclasses provide `active`, `rhs` and `operator_values`.
+    """
+
+    def residual(self, vals, obstacle):
+        F, _ = self.operator_values(vals)
+        r = F - self.rhs
+        if obstacle:
+            r = np.maximum(r, -vals)
+        return float(np.max(np.abs(r)[self.active]))
+
+    def sweep_solve(self, init, obstacle, tol, max_iter, damping, fixed_sweeps=None):
+        vals = np.zeros(self.active.shape) if init is None else np.array(init, dtype=np.float64)
+        parity = np.indices(self.active.shape).sum(axis=0) % 2
+        colors = [self.active & (parity == 0), self.active & (parity == 1)]
+        res = np.inf
+        sweeps = fixed_sweeps if fixed_sweeps is not None else max_iter
+        check_every = 8
+        it = 0
+        for it in range(1, sweeps + 1):
+            for color in colors:
+                F, diag = self.operator_values(vals)
+                step = damping * (F - self.rhs) / diag
+                new = vals[color] + step[color]
+                if obstacle:
+                    new = np.maximum(new, 0.0)
+                vals[color] = new
+            if fixed_sweeps is None and (it % check_every == 0 or it == sweeps):
+                res = self.residual(vals, obstacle)
+                if res <= tol:
+                    return vals, it, res, True
+        res = self.residual(vals, obstacle)
+        return vals, it, res, res <= tol
+
+
+class _Lattice1D(_SweepEngine):
     """Precomputed residual pipeline for one 1d problem."""
 
     def __init__(self, problem: DirichletProblem, quad: QuadratureTable):
@@ -294,39 +330,6 @@ class _Lattice1D:
         F = inner.min(axis=0)  # inf over alpha
         return F, self.diag
 
-    def residual(self, vals, obstacle):
-        F, _ = self.operator_values(vals)
-        r = F - self.rhs
-        if obstacle:
-            r = np.maximum(r, -vals)
-        r = np.abs(r)
-        return float(np.max(r[self.active])) if self.n_active else 0.0
-
-    # -- engines ---------------------------------------------------------
-
-    def sweep_solve(self, init, obstacle, tol, max_iter, damping, fixed_sweeps=None):
-        vals = np.zeros(self.m) if init is None else np.array(init, dtype=np.float64)
-        idx = np.arange(self.m)
-        colors = [self.active & (idx % 2 == 0), self.active & (idx % 2 == 1)]
-        res = np.inf
-        sweeps = fixed_sweeps if fixed_sweeps is not None else max_iter
-        check_every = 8
-        it = 0
-        for it in range(1, sweeps + 1):
-            for color in colors:
-                F, diag = self.operator_values(vals)
-                step = damping * (F - self.rhs) / diag
-                new = vals[color] + step[color]
-                if obstacle:
-                    new = np.maximum(new, 0.0)
-                vals[color] = new
-            if fixed_sweeps is None and (it % check_every == 0 or it == sweeps):
-                res = self.residual(vals, obstacle)
-                if res <= tol:
-                    return vals, it, res, True
-        res = self.residual(vals, obstacle)
-        return vals, it, res, res <= tol
-
     def assemble(self):
         """Dense coupling of the unit moment to interior nodes.
 
@@ -338,7 +341,8 @@ class _Lattice1D:
         J = min(self.J, self.m - 1)
         col[1:J + 1] = 2.0 * self.quad.w[:J]
         col[1] += self.quad.c_near / self.h**2
-        T = toeplitz(col)
+        # symmetric Toeplitz matrix with first column col
+        T = sliding_window_view(np.concatenate((col[::-1], col[1:])), self.m)[::-1].copy()
         if not np.all(self.active):
             T = T * self.active[None, :]
         Eext = self.E.copy()
@@ -425,7 +429,7 @@ class _Lattice1D:
         return vals, outer, res, res <= tol
 
 
-class _Lattice2D:
+class _Lattice2D(_SweepEngine):
     """Sweep-only pipeline for 2d problems (desk scale, small grids)."""
 
     def __init__(self, problem: DirichletProblem, quad: QuadratureTable):
@@ -434,9 +438,6 @@ class _Lattice2D:
             raise ConfigurationError("_Lattice2D is two-dimensional")
         if abs(quad.h - problem.domain.h) > 1e-15:
             raise ConfigurationError("quadrature table does not match the grid")
-        from scipy.signal import correlate as _corr
-
-        self._corr = _corr
         self.problem = problem
         self.quad = quad
         box = problem.domain
@@ -466,11 +467,23 @@ class _Lattice2D:
         self.sign = handle.extremal_sign
         self.lam, self.lam_big = handle.fam.lam, handle.fam.lam_big
         self.is_matrix = handle.fam.kind == "a"
-        self._kw = dict(mode="valid", method="auto")
         self.D0 = 2.0 * quad.w_total + 2.0 * quad.c_near / self.h**2 + 2.0 * quad.tail
         sxx = float(np.sum(quad.kxx))
         syy = float(np.sum(quad.kyy))
         sxy_abs = float(np.sum(np.abs(quad.kxy)))
+        self.sums = (sxx, syy, float(np.sum(quad.kxy)))
+        # Only the active cells change between evaluations.  The correlation
+        # of the rest (ghost nodes and inactive cells) is read once, and the
+        # active values, zero-padded by q, only ever meet the central
+        # (2q+1)^2 offsets of the stencils.
+        kern = np.stack([quad.kxx, quad.kyy, quad.kxy])
+        fixed = self.E.copy()
+        fixed[self.inner][self.active] = 0.0
+        self.fixed_corr = _correlate(fixed, kern)
+        q = min(self.J, self.m - 1)
+        self.near_kern = kern[:, self.J - q:self.J + q + 1, self.J - q:self.J + q + 1]
+        self.vals_pad = np.zeros((self.m + 2 * q, self.m + 2 * q))
+        self.vals_inner = (slice(q, q + self.m), slice(q, q + self.m))
         dxx = 2.0 * sxx + quad.c_near / self.h**2 + quad.tail
         dyy = 2.0 * syy + quad.c_near / self.h**2 + quad.tail
         self._slopes = (dxx, dyy, sxy_abs)
@@ -516,12 +529,9 @@ class _Lattice2D:
 
     def moments(self, E):
         u = E[self.inner]
-        cxx = self._corr(E, self.quad.kxx, **self._kw)
-        cyy = self._corr(E, self.quad.kyy, **self._kw)
-        cxy = self._corr(E, self.quad.kxy, **self._kw)
-        sxx = float(np.sum(self.quad.kxx))
-        syy = float(np.sum(self.quad.kyy))
-        sxy = float(np.sum(self.quad.kxy))
+        self.vals_pad[self.vals_inner] = np.where(self.active, u, 0.0)
+        cxx, cyy, cxy = self.fixed_corr + _correlate(self.vals_pad, self.near_kern)
+        sxx, syy, sxy = self.sums
         nx = (E[self.pad + 1:self.pad + self.m + 1, self.pad:self.pad + self.m]
               + E[self.pad - 1:self.pad + self.m - 1, self.pad:self.pad + self.m] - 2 * u)
         ny = (E[self.pad:self.pad + self.m, self.pad + 1:self.pad + self.m + 1]
@@ -562,34 +572,10 @@ class _Lattice2D:
         F = branch.max(axis=1).min(axis=0)
         return F, self.diag
 
-    def residual(self, vals, obstacle):
-        F, _ = self.operator_values(vals)
-        r = F - self.rhs
-        if obstacle:
-            r = np.maximum(r, -vals)
-        return float(np.max(np.abs(r)[self.active]))
 
-    def sweep_solve(self, init, obstacle, tol, max_iter, damping, fixed_sweeps=None):
-        vals = np.zeros((self.m, self.m)) if init is None else np.array(init, dtype=np.float64)
-        ii, jj = np.meshgrid(np.arange(self.m), np.arange(self.m), indexing="ij")
-        colors = [self.active & ((ii + jj) % 2 == 0), self.active & ((ii + jj) % 2 == 1)]
-        sweeps = fixed_sweeps if fixed_sweeps is not None else max_iter
-        res = np.inf
-        it = 0
-        for it in range(1, sweeps + 1):
-            for color in colors:
-                F, diag = self.operator_values(vals)
-                step = damping * (F - self.rhs) / diag
-                new = vals[color] + step[color]
-                if obstacle:
-                    new = np.maximum(new, 0.0)
-                vals[color] = new
-            if fixed_sweeps is None and (it % 8 == 0 or it == sweeps):
-                res = self.residual(vals, obstacle)
-                if res <= tol:
-                    return vals, it, res, True
-        res = self.residual(vals, obstacle)
-        return vals, it, res, res <= tol
+def _correlate(a, kern):
+    """Valid-mode correlation of a 2d array with each stencil of kern[k]."""
+    return np.einsum("ijab,kab->kij", sliding_window_view(a, kern.shape[1:]), kern)
 
 
 def _lattice(problem: DirichletProblem, quad: QuadratureTable | None):

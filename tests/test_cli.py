@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlhomog
 from nlhomog.cli import main
 
 
@@ -213,3 +218,32 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 3
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err["error"]["type"] == "SolverError"
+
+
+def test_runs_load_no_scipy(tmp_path):
+    # a 2d solve and a 1d obstacle solve in one fresh interpreter
+    solve_2d = write_config(
+        tmp_path, name="solve2d.json",
+        environment={"dim": 2, "kernel_class": "a", "n_alpha": 2, "n_beta": 2,
+                     "coeff_law": "uniform", "forcing_law": "uniform"},
+        numerics={"eps_list": [0.5], "h": 0.125, "seeds": [0]},
+        experiment={"exterior": "cosine", "eps": 0.5, "seed": 0},
+        out_dir=str(tmp_path / "out2d"))
+    obstacle_1d = write_config(tmp_path, name="obstacle.json", kind="obstacle",
+                               experiment={"rhs": 0.05},
+                               out_dir=str(tmp_path / "out1d"))
+    script = (
+        "import json, sys\n"
+        "from nlhomog.cli import main\n"
+        "codes = [main(['run', path]) for path in sys.argv[1:]]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy')]))\n"
+    )
+    src = str(Path(nlhomog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(solve_2d), str(obstacle_1d)],
+                          capture_output=True, text=True, env=env, check=True)
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert scipy_modules == []

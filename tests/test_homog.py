@@ -272,6 +272,9 @@ def test_worker_count_resolution(monkeypatch):
     assert worker_count() == 2
     # an explicit request wins over the environment override
     assert worker_count(5) == 5
+    monkeypatch.setenv("NONLOCAL_HOMOG_WORKERS", "two")
+    with pytest.raises(ConfigurationError):
+        worker_count()
 
 
 def test_fam_of_maps_spec_fields():

@@ -159,6 +159,27 @@ def test_weights_nonnegative_and_symmetric_2d():
     assert np.all(np.abs(q.kxy) <= np.sqrt(q.kxx * q.kyy) + 1e-15)
 
 
+def test_2d_table_matches_per_cell_midpoint_loop():
+    h, sigma, r_out = 2.0**-3, 1.0, 2.0
+    q = build_quadrature(2, sigma, h, r_out)
+    J = q.n_offsets
+    want = np.zeros((3, 2 * J + 1, 2 * J + 1))
+    for ix in range(-J, J + 1):
+        for iy in range(-J, J + 1):
+            if ix == iy == 0 or np.hypot(ix, iy) * h > r_out + 1e-12:
+                continue
+            # cells within four of the origin are refined 16 x 16
+            nsub = 16 if max(abs(ix), abs(iy)) <= 4 else 1
+            s = (np.arange(nsub) + 0.5) / nsub - 0.5
+            SX, SY = np.meshgrid(ix * h + s * h, iy * h + s * h, indexing="ij")
+            env = (SX**2 + SY**2) ** (-(2.0 + sigma + 2.0) / 2.0) * (h / nsub) ** 2
+            want[:, ix + J, iy + J] = [np.sum(SX * SX * env), np.sum(SY * SY * env),
+                                       np.sum(SX * SY * env)]
+    assert np.array_equal(q.kxx, want[0])
+    assert np.array_equal(q.kyy, want[1])
+    assert np.array_equal(q.kxy, want[2])
+
+
 def test_2d_trace_mass_sandwiched_by_annuli():
     # the union of stencil cells contains the annulus between the origin
     # cell's circumradius and r_eff minus a cell circumradius, and sits

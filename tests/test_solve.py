@@ -12,7 +12,7 @@ import pytest
 from nlhomog.env import EnvironmentSpec, sample_environment, translate
 from nlhomog.errors import ConfigurationError, SolverError
 from nlhomog.kernels import KernelFamily, build_quadrature
-from nlhomog.operators import Box, ExteriorRule
+from nlhomog.operators import Box, ExteriorRule, GridFunction, evaluate_F
 from nlhomog.solve import (
     Bump,
     DirichletProblem,
@@ -141,6 +141,34 @@ def test_dirichlet_2d_smoke():
     assert diag.converged and diag.residual <= 1e-6
     r = residual_field(prob, u, quad=quad)
     assert np.max(np.abs(r.values)) <= 1e-6
+
+
+@pytest.mark.parametrize("shape", ["cube", "ball"])
+@pytest.mark.parametrize("r_out", [2.0, 0.5])
+def test_lattice_2d_matrix_class_matches_pointwise_operator(shape, r_out):
+    # r_out 2.0 reaches past the box (J > m - 1); r_out 0.5 does not
+    spec = EnvironmentSpec(dim=2, n_alpha=2, n_beta=2, kernel_class="a",
+                           coeff_law="uniform", forcing_law="uniform", f_bound=1.0)
+    env = sample_environment(spec, seed=5)
+    fam = KernelFamily(kind="a", dim=2, sigma=1.0, lam=1.0, lam_big=2.0)
+    h = 1.0 / 8
+    box = Box((0.0, 0.0), 0.5, h)
+    quad = build_quadrature(2, 1.0, h, r_out)
+    ext = ExteriorRule.from_function(
+        lambda pts: np.cos(2.0 * pts[:, 0] - pts[:, 1]), far=0.3)
+    prob = DirichletProblem(handle=OperatorHandle(fam=fam, env=env, eps=1.0),
+                            domain=box, rhs=0.0, exterior=ext, shape=shape)
+    nodes = box.nodes()
+    active = np.ones(box.m * box.m, dtype=bool)
+    if shape == "ball":
+        active = np.sum(nodes**2, axis=1) < box.half**2
+        assert not np.all(active)
+    rng = np.random.default_rng(11)
+    vals = np.where(active, rng.standard_normal(box.m * box.m), ext.fn(nodes))
+    u = GridFunction(box, vals.reshape(box.m, box.m), ext)
+    F = residual_field(prob, u, quad=quad).values.ravel()
+    want = np.array([evaluate_F(u, x, env, fam, quad) for x in nodes[active]])
+    assert np.max(np.abs(F[active] - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
