@@ -27,9 +27,9 @@ from .solve import (
 )
 from .homog import (
     CSV_COLUMNS, ExtractionConfig, RowLog, abp_scaling_experiment,
-    comparison_measurable_experiment, convergence_experiment,
-    corrector_decay_profile, effective_value, estimate_mbar,
-    fam_of, quadratic_bank, worker_count, _exterior_from_tag,
+    check_translation_shift, comparison_measurable_experiment,
+    convergence_experiment, corrector_decay_profile, effective_value,
+    estimate_mbar, fam_of, quadratic_bank, worker_count, _exterior_from_tag,
 )
 from .solve import _lattice
 
@@ -89,6 +89,23 @@ def _reject_unknown(block, allowed, where):
         raise ConfigurationError(f"unknown keys in {where}: {unknown}")
 
 
+def _number(value, where, cast=float):
+    """A finite number read from the config, or a ConfigurationError."""
+    try:
+        x = cast(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
+    return x
+
+
+def _numbers(values, where):
+    if not isinstance(values, list):
+        raise ConfigurationError(f"{where} must be a list of numbers, got {values!r}")
+    return [_number(v, where) for v in values]
+
+
 def _dict_block(raw, name):
     block = raw.get(name, {})
     if not isinstance(block, dict):
@@ -126,6 +143,9 @@ def load_config(path):
     env_block = _dict_block(raw, "environment")
     spec_fields = tuple(EnvironmentSpec.__dataclass_fields__)
     _reject_unknown(env_block, spec_fields, "environment")
+    for key, value in env_block.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"environment.{key} must be finite, got {value!r}")
     try:
         spec = EnvironmentSpec(**env_block).validate()
     except TypeError as exc:
@@ -133,7 +153,7 @@ def load_config(path):
 
     ker_block = _dict_block(raw, "kernel")
     _reject_unknown(ker_block, ("sigma",), "kernel")
-    sigma = float(ker_block.get("sigma", 1.0))
+    sigma = _number(ker_block.get("sigma", 1.0), "kernel.sigma")
     if not (0.0 < sigma < 2.0):
         raise ConfigurationError(f"sigma must lie in (0, 2), got {sigma}")
     fam = fam_of(spec, sigma)
@@ -142,7 +162,7 @@ def load_config(path):
     num_block = _dict_block(raw, "numerics")
     _reject_unknown(num_block, tuple(num), "numerics")
     num.update(num_block)
-    eps_list = [float(e) for e in num["eps_list"]]
+    eps_list = _numbers(num["eps_list"], "numerics.eps_list")
     if not eps_list or any(not (0.0 < e <= 1.0) for e in eps_list):
         raise ConfigurationError("eps_list entries must lie in (0, 1]")
     num["eps_list"] = eps_list
@@ -151,21 +171,21 @@ def load_config(path):
             or any((not isinstance(s, int)) or s < 0 for s in seeds)):
         raise ConfigurationError("seeds must be a nonempty list of nonnegative ints")
     if num["h"] is not None:
-        h = float(num["h"])
+        h = _number(num["h"], "numerics.h")
         if not (0.0 < h <= min(eps_list) / 4.0 + 1e-12):
             raise ConfigurationError(
                 f"h={h} violates h <= eps_min/4 = {min(eps_list) / 4.0}"
             )
         num["h"] = h
     for key in ("r_out_factor", "solver_tol", "bisect_tol"):
-        num[key] = float(num[key])
+        num[key] = _number(num[key], f"numerics.{key}")
         if num[key] <= 0.0:
             raise ConfigurationError(f"numerics.{key} must be positive")
     if num["theta"] is not None:
-        num["theta"] = float(num["theta"])
+        num["theta"] = _number(num["theta"], "numerics.theta")
         if not (0.0 < num["theta"] < 1.0):
             raise ConfigurationError("theta must lie in (0, 1)")
-    num["max_steps"] = int(num["max_steps"])
+    num["max_steps"] = _number(num["max_steps"], "numerics.max_steps", int)
     if num["max_steps"] < 1:
         raise ConfigurationError("max_steps must be >= 1")
     if num["method"] not in ("auto", "sweeps", "newton"):
@@ -181,7 +201,7 @@ def load_config(path):
             raise ConfigurationError(f"experiment.{key} is required for kind={kind}")
     if "phi_index" in exp and exp["phi_index"] is not None:
         bank = quadratic_bank(spec.dim)
-        idx = int(exp["phi_index"])
+        idx = _number(exp["phi_index"], "experiment.phi_index", int)
         if not (0 <= idx < len(bank)):
             raise ConfigurationError(
                 f"phi_index {idx} outside the bank (size {len(bank)})"
@@ -189,19 +209,30 @@ def load_config(path):
         exp["phi_index"] = idx
     if "x0" in exp:
         x0 = exp["x0"] if exp["x0"] is not None else [0.0] * spec.dim
-        if len(x0) != spec.dim:
+        exp["x0"] = _numbers(x0, "experiment.x0")
+        if len(exp["x0"]) != spec.dim:
             raise ConfigurationError(f"x0 must have {spec.dim} entries")
-        exp["x0"] = [float(v) for v in x0]
+    for key in ("rhs", "level", "domain_half", "translation_shift", "base_support"):
+        if exp.get(key) is not None:
+            exp[key] = _number(exp[key], f"experiment.{key}")
+    for key in ("amplitudes", "supports", "sizes"):
+        if key in exp:
+            exp[key] = _numbers(exp[key], f"experiment.{key}")
     if "seed" in exp:
-        exp["seed"] = int(exp["seed"]) if exp["seed"] is not None else seeds[0]
+        exp["seed"] = (_number(exp["seed"], "experiment.seed", int)
+                       if exp["seed"] is not None else seeds[0])
     if "eps" in exp:
-        exp["eps"] = float(exp["eps"]) if exp["eps"] is not None else eps_list[0]
+        exp["eps"] = (_number(exp["eps"], "experiment.eps")
+                      if exp["eps"] is not None else eps_list[0])
         if num["h"] is not None and num["h"] > exp["eps"] / 4.0 + 1e-12:
             raise ConfigurationError("h violates h <= eps/4 for the solve eps")
     if "exterior" in exp and exp["exterior"] not in ("zero", "cosine"):
         raise ConfigurationError(f"unknown exterior tag {exp['exterior']!r}")
     if "shape" in exp and exp["shape"] not in ("cube", "ball"):
         raise ConfigurationError(f"unknown domain shape {exp['shape']!r}")
+    if kind == "converge":
+        check_translation_shift(eps_list, _grid_h(num, min(eps_list)),
+                                exp["translation_shift"])
     if kind == "cmi" and fam.kind == "cs" and not exp["conjecture_cs"]:
         raise ConfigurationError(
             "cmi on the scalar class needs experiment.conjecture_cs=true"
@@ -209,7 +240,7 @@ def load_config(path):
 
     workers = raw.get("workers")
     if workers is not None:
-        workers = int(workers)
+        workers = _number(workers, "workers", int)
         if workers < 1:
             raise ConfigurationError("workers must be >= 1")
     out_dir = raw.get("out_dir", os.path.join("runs", kind))

@@ -52,6 +52,7 @@ __all__ = [
     "comparison_measurable_experiment",
     "abp_scaling_experiment",
     "convergence_experiment",
+    "check_translation_shift",
     "worker_count",
 ]
 
@@ -592,6 +593,15 @@ def _exterior_from_tag(tag, dim, offset=0.0):
     raise ConfigurationError(f"unknown exterior data tag {tag!r}")
 
 
+def check_translation_shift(eps_list, h, shift):
+    """The translated route runs at the largest eps: eps * shift must be whole cells."""
+    if (shift * max(eps_list)) % h != 0.0:
+        raise ConfigurationError(
+            f"translation shift {shift} times eps {max(eps_list)} must be a whole "
+            f"number of cells of width {h}"
+        )
+
+
 def convergence_experiment(exterior_tag, eps_list, seeds,
                            spec: EnvironmentSpec, fam: KernelFamily, *,
                            domain_half=0.5, h=None, tol=1e-7, method="auto",
@@ -619,10 +629,7 @@ def convergence_experiment(exterior_tag, eps_list, seeds,
                           tol, method, r_out_factor, None))
     # translated route for the largest eps, first seed
     shift = translation_shift
-    if (shift * min(eps_list)) % he != 0.0:
-        raise ConfigurationError(
-            "translation shift times eps must be a whole number of cells"
-        )
+    check_translation_shift(eps_list, he, shift)
     items.append((spec, sigma, seeds[0], eps_list[0], he, box_args,
                   exterior_tag, tol, method, r_out_factor, shift))
     out = _run_items(items, _converge_item, workers)

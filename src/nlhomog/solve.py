@@ -12,12 +12,15 @@ sweeps   damped projected point relaxation (red-black ordering).  Each
          with all other values frozen, clamping at the obstacle.  The
          update map is monotone even in floating point (direct summation,
          nonnegative weights, fixed order), which several exact ordering
-         tests rely on.
-newton   1d accelerator: policy iteration over the branch min/max plus a
-         primal active set for the obstacle, each step a dense solve.
-         Contact values are assigned exactly zero.  Falls back to sweeps
-         if the policy loop stalls; the final residual is always
-         certified with the same evaluation used by the sweep engine.
+         tests rely on.  A solve whose residual stagnates stops early.
+newton   1d linear engine.  Every branch slot is increasing and linear in
+         the unit moment I(u) = e - K u, with K a fixed M-matrix, so
+         F(u) = rhs exactly where I(u) equals a pointwise threshold t.  A
+         Dirichlet solve is one dense solve of K u = e - t; an obstacle
+         solve is the complementarity problem K u >= e - t, u >= 0, solved
+         by the primal-dual active-set method with exact zeros on contact.
+         There is no fallback: a solve that misses the tolerance raises.
+         The residual is certified with the sweep engine's evaluation.
 
 Scaled problems read their coefficients at x / eps; the grid must resolve
 the environment cells (h <= eps/4) or construction fails.
@@ -155,6 +158,10 @@ def default_quadrature(fam: KernelFamily, box: Box, r_out_factor: float = 8.0) -
     return build_quadrature(fam.dim, fam.sigma, box.h, r_out_factor * diam)
 
 
+CHECK_EVERY = 8     # sweeps between residual checks
+STALL_CHECKS = 64   # checks in the stagnation window (512 sweeps)
+
+
 class _SweepEngine:
     """Red-black damped sweeps and the certified residual, shared by both lattices.
 
@@ -169,12 +176,18 @@ class _SweepEngine:
         return float(np.max(np.abs(r)[self.active]))
 
     def sweep_solve(self, init, obstacle, tol, max_iter, damping, fixed_sweeps=None):
+        """Returns (vals, sweeps, residuals); the last residual is the final one.
+
+        Unless fixed_sweeps pins the work, the residual is checked every
+        CHECK_EVERY sweeps, and the solve stops early once the best of the
+        last STALL_CHECKS checks is not 1% below the best before them.
+        """
         vals = np.zeros(self.active.shape) if init is None else np.array(init, dtype=np.float64)
         parity = np.indices(self.active.shape).sum(axis=0) % 2
         colors = [self.active & (parity == 0), self.active & (parity == 1)]
-        res = np.inf
         sweeps = fixed_sweeps if fixed_sweeps is not None else max_iter
-        check_every = 8
+        trail = []
+        best_before = np.inf
         it = 0
         for it in range(1, sweeps + 1):
             for color in colors:
@@ -184,12 +197,17 @@ class _SweepEngine:
                 if obstacle:
                     new = np.maximum(new, 0.0)
                 vals[color] = new
-            if fixed_sweeps is None and (it % check_every == 0 or it == sweeps):
-                res = self.residual(vals, obstacle)
-                if res <= tol:
-                    return vals, it, res, True
-        res = self.residual(vals, obstacle)
-        return vals, it, res, res <= tol
+            if fixed_sweeps is None and (it % CHECK_EVERY == 0 or it == sweeps):
+                trail.append(self.residual(vals, obstacle))
+                if trail[-1] <= tol:
+                    break
+                if len(trail) > STALL_CHECKS:
+                    best_before = min(best_before, trail[-STALL_CHECKS - 1])
+                    if min(trail[-STALL_CHECKS:]) >= 0.99 * best_before:
+                        break
+        if not trail or fixed_sweeps is not None:
+            trail.append(self.residual(vals, obstacle))
+        return vals, it, trail
 
 
 class _Lattice1D(_SweepEngine):
@@ -242,9 +260,6 @@ class _Lattice1D(_SweepEngine):
         self.D0 = 2.0 * quad.w_total + 2.0 * quad.c_near / self.h**2 + 2.0 * quad.tail
         # branch data at x / eps
         self.kind = "extremal" if handle.extremal_sign != 0 else "branch"
-        self.sign = handle.extremal_sign
-        self.lam = handle.fam.lam
-        self.lam_big = handle.fam.lam_big
         if self.kind == "branch":
             env = handle.env
             xs = (self.x / handle.eps)[:, None]
@@ -265,7 +280,10 @@ class _Lattice1D(_SweepEngine):
             # coordinate, which the exact comparison tests require
             self.diag = self.mult.max(axis=(0, 1)) * self.D0
         else:
-            self.diag = np.full(self.m, self.lam_big * self.D0)
+            lam, lam_big = handle.fam.lam, handle.fam.lam_big
+            # slopes of the extremal operator in positive / negative moments
+            self.up, self.down = (lam_big, lam) if handle.extremal_sign > 0 else (lam, lam_big)
+            self.diag = np.full(self.m, lam_big * self.D0)
         rhs = problem.rhs
         if np.ndim(rhs) == 0:
             self.rhs = np.full(self.m, float(rhs))
@@ -310,41 +328,45 @@ class _Lattice1D(_SweepEngine):
     def operator_values(self, vals):
         """F at every node, with the dominating diagonal slope field."""
         E = self.fill(vals)
+        if self.cs_split:
+            pos, neg = self.split_moments(E)
+            return self.up * pos - self.down * neg, self.diag
+        return self.infsup(self.unit_moments(E)), self.diag
+
+    def infsup(self, I):
+        """F as a function of the unit moment I (all but the pointwise extremal)."""
         if self.kind == "extremal":
-            if self.cs_split:
-                pos, neg = self.split_moments(E)
-                if self.sign > 0:
-                    F = self.lam_big * pos - self.lam * neg
-                else:
-                    F = self.lam * pos - self.lam_big * neg
-                return F, self.diag
-            I = self.unit_moments(E)
-            if self.sign > 0:
-                F = np.where(I > 0, self.lam_big * I, self.lam * I)
-            else:
-                F = np.where(I > 0, self.lam * I, self.lam_big * I)
-            return F, self.diag
-        I = self.unit_moments(E)
+            return np.where(I > 0, self.up * I, self.down * I)
         branch = self.forc + self.mult * (self.frozen_moment + I)[None, None, :]
         inner = branch.max(axis=1)  # sup over beta
-        F = inner.min(axis=0)  # inf over alpha
-        return F, self.diag
+        return inner.min(axis=0)  # inf over alpha
+
+    def threshold(self):
+        """Moment level t with F = rhs exactly where I = t.
+
+        Every slot is strictly increasing and linear in I, so the inf-sup
+        is too, and F - rhs has the sign of I - t.
+        """
+        if self.kind == "extremal":
+            return np.where(self.rhs > 0, self.rhs / self.up, self.rhs / self.down)
+        return ((self.rhs - self.forc) / self.mult).min(axis=1).max(axis=0) - self.frozen_moment
 
     def assemble(self):
-        """Dense coupling of the unit moment to interior nodes.
+        """The moment as an affine map of the active values: I(u) = e - K u.
 
-        Returns (T, e): unit moment I(u) = T u - D0 u + e, with T the
-        nonnegative coupling into active cells and e the frozen load from
-        ghost nodes and inactive interior cells.
+        K = D0 Id - T on the active rows and columns, with T the
+        nonnegative Toeplitz coupling, is a strictly diagonally dominant
+        M-matrix; e is the frozen load from ghost nodes and inactive cells.
         """
         col = np.zeros(self.m)
         J = min(self.J, self.m - 1)
         col[1:J + 1] = 2.0 * self.quad.w[:J]
         col[1] += self.quad.c_near / self.h**2
-        # symmetric Toeplitz matrix with first column col
-        T = sliding_window_view(np.concatenate((col[::-1], col[1:])), self.m)[::-1].copy()
+        # negated symmetric Toeplitz matrix with first column col
+        K = -sliding_window_view(np.concatenate((col[::-1], col[1:])), self.m)[::-1]
+        K[np.diag_indices(self.m)] += self.D0
         if not np.all(self.active):
-            T = T * self.active[None, :]
+            K = K[np.ix_(self.active, self.active)]
         Eext = self.E.copy()
         Eext[self.pad:self.pad + self.m][self.active] = 0.0
         corr = np.correlate(Eext, self.wsym, mode="valid")
@@ -352,81 +374,38 @@ class _Lattice1D(_SweepEngine):
                 + Eext[self.pad - 1:self.pad + self.m - 1])
         e = 2.0 * corr + self.quad.c_near * near / self.h**2
         e = e + self.quad.tail * 2.0 * self.far
-        return T, e
+        return K, e
 
-    def newton_solve(self, init, obstacle, tol, max_iter):
+    def newton_solve(self, obstacle, max_iter):
+        """Dirichlet: K u = e - t.  Obstacle: K u >= e - t, u >= 0, complementary.
+
+        The obstacle problem runs the primal-dual active-set method from
+        the Dirichlet solution; each step solves on the free set and
+        writes exact zeros on the contact set, until the set repeats.
+        """
         if self.cs_split:
             raise ConfigurationError(
                 "pointwise extremal operators have no dense linearization; use sweeps"
             )
-        T, e = self.assemble()
-        idx = np.arange(self.m)
-        vals = np.zeros(self.m) if init is None else np.array(init, dtype=np.float64)
-        # inactive cells carry exterior data and never change
-        vals[~self.active] = self.E[self.pad:self.pad + self.m][~self.active]
-        contact = np.zeros(self.m, dtype=bool)
+        K, e = self.assemble()
+        b = (e - self.threshold())[self.active]
+        u = np.linalg.solve(K, b)
+        steps = 1
         if obstacle:
-            vals[self.active] = np.maximum(vals[self.active], 0.0)
-            # feasible at zero (operator already at or below the level)
-            F0, _ = self.operator_values(vals)
-            contact = self.active & (vals == 0.0) & (F0 - self.rhs <= 0.0)
-        seen = set()
-        outer = 0
-        for outer in range(1, max_iter + 1):
-            if obstacle:
-                vals = np.where(self.active & contact, 0.0, vals)
-            # select branches / slopes at the current iterate
-            E = self.fill(vals)
-            I = self.unit_moments(E)
-            if self.kind == "branch":
-                branch = self.forc + self.mult * (self.frozen_moment + I)[None, None, :]
-                inner = branch.max(axis=1)
-                a_star = inner.argmin(axis=0)
-                b_star = branch.argmax(axis=1)
-                bsel = np.take_along_axis(b_star, a_star[None, :], axis=0)[0]
-                mult_act = self.mult[a_star, bsel, idx]
-                forc_act = self.forc[a_star, bsel, idx]
-                fro = self.frozen_moment
-                key = (a_star.tobytes(), bsel.tobytes(), contact.tobytes())
-            else:
-                up = self.sign > 0
-                mult_act = np.where(I > 0,
-                                    self.lam_big if up else self.lam,
-                                    self.lam if up else self.lam_big)
-                forc_act = np.zeros(self.m)
-                fro = 0.0
-                key = ((I > 0).tobytes(), contact.tobytes())
-            # solve forc + mult*(fro + T u - D0 u + e) = rhs on equation
-            # cells, with u pinned to zero on contact cells
-            eq = np.where(self.active & ~contact)[0]
-            new_vals = vals.copy()
-            if eq.size:
-                A = mult_act[eq, None] * T[np.ix_(eq, eq)]
-                A[np.arange(eq.size), np.arange(eq.size)] -= mult_act[eq] * self.D0
-                load = self.rhs[eq] - forc_act[eq] - mult_act[eq] * (fro + e[eq])
-                con = np.where(self.active & contact)[0]
-                if con.size:
-                    load = load - mult_act[eq] * (T[np.ix_(eq, con)] @ new_vals[con])
-                new_vals[eq] = np.linalg.solve(A, load)
-            if obstacle:
-                new_vals[self.active & contact] = 0.0
-                # grow where the solve dips below the obstacle, release
-                # where the pinned cell violates the level from above
-                proj = np.where(self.active, np.maximum(new_vals, 0.0), new_vals)
-                Fp, _ = self.operator_values(proj)
-                grow = self.active & (new_vals < 0.0)
-                release = contact & (Fp - self.rhs > 0.0)
-                contact = (contact | grow) & ~release
-                new_vals = proj
-            vals = new_vals
-            res = self.residual(vals, obstacle)
-            if res <= tol:
-                return vals, outer, res, True
-            if key in seen:
-                break
-            seen.add(key)
-        res = self.residual(vals, obstacle)
-        return vals, outer, res, res <= tol
+            contact = np.zeros(u.size, dtype=bool)
+            while steps < max_iter:
+                new = np.where(contact, K @ u - b > 0.0, u < 0.0)
+                if np.array_equal(new, contact):
+                    break
+                contact = new
+                free = ~contact
+                u = np.zeros(u.size)
+                if free.any():
+                    u[free] = np.linalg.solve(K[np.ix_(free, free)], b[free])
+                steps += 1
+        vals = self.E[self.pad:self.pad + self.m].copy()
+        vals[self.active] = u
+        return vals, steps, [self.residual(vals, obstacle)]
 
 
 class _Lattice2D(_SweepEngine):
@@ -597,20 +576,20 @@ def _run(problem, quad, obstacle, tol, max_iter, damping, method, init, fixed_sw
     if chosen == "newton" and problem.domain.dim != 1:
         raise ConfigurationError("newton engine is one-dimensional; use sweeps")
     if chosen == "newton":
-        vals, its, res, ok = lat.newton_solve(init, obstacle, tol, max_iter=60)
-        if not ok:
-            vals, its2, res, ok = lat.sweep_solve(vals, obstacle, tol, max_iter, damping)
-            its += its2
-            chosen = "newton+sweeps"
+        vals, its, trail = lat.newton_solve(obstacle, max_iter=60)
     elif chosen == "sweeps":
-        vals, its, res, ok = lat.sweep_solve(init, obstacle, tol, max_iter, damping, fixed_sweeps)
+        vals, its, trail = lat.sweep_solve(init, obstacle, tol, max_iter, damping, fixed_sweeps)
     else:
         raise ConfigurationError(f"unknown solver method {method!r}")
     wall = (time.perf_counter() - t0) * 1e3
+    res = trail[-1]
+    ok = res <= tol
     diag = SolveDiagnostics(iterations=its, residual=res, wall_ms=wall, method=chosen, converged=ok)
     if not ok and fixed_sweeps is None:
+        recent = ", ".join(f"{r:.3e}" for r in trail[-4:])
         raise SolverError(
-            f"solver did not reach tol={tol} (residual {res:.3e} after {its} iterations)",
+            f"{chosen} solver did not reach tol={tol} (residual {res:.3e} after "
+            f"{its} iterations; last residuals checked: {recent})",
             residual=res, iterations=its,
         )
     return lat, vals, diag

@@ -176,6 +176,60 @@ def test_bad_configs_exit_2(tmp_path, capsys, overrides):
     assert err["error"]["type"] == "ConfigurationError"
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("overrides", [
+    {"kernel": {"sigma": "abc"}},
+    {"numerics": {"eps_list": 0.5}},
+    {"numerics": {"eps_list": [0.25, "x"]}},
+    {"numerics": {"solver_tol": NAN}},
+    {"numerics": {"solver_tol": INF}},
+    {"numerics": {"bisect_tol": NAN}},
+    {"numerics": {"r_out_factor": INF}},
+    {"numerics": {"h": NAN}},
+    {"numerics": {"max_steps": "x"}},
+    {"numerics": {"max_steps": INF}},
+    {"experiment": {"rhs": NAN}},
+    {"experiment": {"rhs": -INF}},
+    {"experiment": {"rhs": "high"}},
+    {"experiment": {"eps": INF}},
+    {"experiment": {"seed": "x"}},
+    {"kind": "mbar", "experiment": {"phi_index": 4, "level": NAN}},
+    {"kind": "effective", "experiment": {"phi_index": "x"}},
+    {"kind": "effective", "experiment": {"phi_index": 4, "x0": [NAN]}},
+    {"kind": "effective", "experiment": {"phi_index": 4, "x0": 0.0}},
+    {"kind": "abp", "experiment": {"amplitudes": [1.0, INF]}},
+    {"environment": {"forcing_value": NAN}},
+    {"environment": {"lam_big": INF}},
+    {"workers": "two"},
+], ids=[
+    "sigma-string", "eps-list-scalar", "eps-list-string-entry", "solver-tol-nan",
+    "solver-tol-inf", "bisect-tol-nan", "r-out-factor-inf", "h-nan",
+    "max-steps-string", "max-steps-inf", "rhs-nan", "rhs-minus-inf",
+    "rhs-string", "eps-inf", "seed-string", "level-nan", "phi-index-string",
+    "x0-nan", "x0-scalar", "amplitude-inf", "forcing-value-nan",
+    "lam-big-inf", "workers-string",
+])
+def test_malformed_numbers_exit_2(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["type"] == "ConfigurationError"
+
+
+def test_translation_shift_checked_at_the_eps_it_runs(tmp_path, capsys):
+    # the translated route runs at the largest eps: 0.25 * 0.1 is not a
+    # whole number of cells of width 0.0625 / 4, although 0.25 * 0.0625 is
+    cfg = write_config(tmp_path, kind="converge",
+                       numerics={"eps_list": [0.1, 0.0625], "seeds": [0, 1]})
+    assert main(["run", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+    assert err["type"] == "ConfigurationError"
+    assert "translation" in err["message"]
+
+
 def test_phi_index_bounds_checked(tmp_path, capsys):
     cfg = write_config(tmp_path, kind="effective",
                        experiment={"phi_index": 99})

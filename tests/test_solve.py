@@ -8,11 +8,13 @@ orderings hold without any floating-point slack.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlhomog.env import EnvironmentSpec, sample_environment, translate
 from nlhomog.errors import ConfigurationError, SolverError
 from nlhomog.kernels import KernelFamily, build_quadrature
 from nlhomog.operators import Box, ExteriorRule, GridFunction, evaluate_F
+from nlhomog import solve
 from nlhomog.solve import (
     Bump,
     DirichletProblem,
@@ -27,6 +29,7 @@ from nlhomog.solve import (
 )
 
 FAM = KernelFamily(kind="cs", dim=1, sigma=1.0, lam=1.0, lam_big=2.0)
+FAM_A = KernelFamily(kind="a", dim=1, sigma=1.0, lam=1.0, lam_big=2.0)
 
 
 def const_env(a=1.0, f=0.0):
@@ -127,6 +130,56 @@ def test_newton_matches_sweeps():
     assert np.max(np.abs(u1.values - u2.values)) <= 1e-9
 
 
+@pytest.mark.parametrize("sign", [0, +1, -1])
+def test_newton_dirichlet_is_one_linear_solve(sign):
+    box = Box((0.0,), 0.5, 1.0 / 16)
+    if sign:
+        # forced extremal operator of the "a" class: no pointwise split
+        x = box.axis_nodes(0)
+        prob = DirichletProblem(handle=OperatorHandle(fam=FAM_A, extremal_sign=sign),
+                                domain=box, rhs=np.where(np.abs(x) < 0.25, -1.0, 0.5),
+                                exterior=ExteriorRule.zero())
+    else:
+        prob = mixed_problem(0.05)
+    u1, d1 = solve_dirichlet(prob, tol=1e-10, quad=QUAD16, method="newton")
+    u2, d2 = solve_dirichlet(prob, tol=1e-10, quad=QUAD16, method="sweeps")
+    assert d1.method == "newton" and d1.iterations == 1
+    assert d1.residual <= 1e-10
+    assert np.max(np.abs(u1.values - u2.values)) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       na=st.integers(min_value=1, max_value=3),
+       nb=st.integers(min_value=1, max_value=3),
+       sign=st.sampled_from([0, +1, -1]))
+def test_threshold_is_the_root_of_the_infsup(seed, na, nb, sign):
+    # every slot is strictly increasing and linear in the unit moment I, so
+    # the inf-sup equals rhs at I = t and F - rhs has the sign of I - t
+    rng = np.random.default_rng(seed)
+    box = Box((0.0,), 0.5, 1.0 / 16)
+    rhs = rng.uniform(-3.0, 3.0, box.m)
+    handle = (OperatorHandle(fam=FAM_A, extremal_sign=sign) if sign
+              else OperatorHandle(fam=FAM, env=mixed_env(), eps=0.25))
+    lat = solve._Lattice1D(DirichletProblem(handle=handle, domain=box, rhs=rhs,
+                                            exterior=ExteriorRule.zero()), QUAD16)
+    if sign:
+        lam = rng.uniform(0.5, 1.5)
+        lam_big = lam * rng.uniform(1.0, 3.0)
+        lat.up, lat.down = (lam_big, lam) if sign > 0 else (lam, lam_big)
+        slope = lam_big
+    else:
+        lat.mult = rng.uniform(0.5, 2.0, (na, nb, box.m))
+        lat.forc = rng.uniform(-1.0, 1.0, (na, nb, box.m))
+        lat.frozen_moment = rng.uniform(-2.0, 2.0)
+        slope = float(np.max(lat.mult))
+    t = lat.threshold()
+    scale = 1.0 + np.abs(rhs) + slope * (np.abs(t) + 2.0)
+    assert np.all(np.abs(lat.infsup(t) - rhs) <= 1e-14 * scale)
+    d = rng.choice([-1.0, 1.0], box.m) * rng.uniform(1e-6, 10.0, box.m)
+    assert np.array_equal(np.sign(lat.infsup(t + d) - rhs), np.sign(d))
+
+
 def test_dirichlet_2d_smoke():
     spec = EnvironmentSpec(dim=2, kernel_class="a", coeff_law="uniform",
                            forcing_law="uniform", f_bound=1.0)
@@ -218,6 +271,26 @@ def test_obstacle_dominates_dirichlet_solution():
     sol = solve_obstacle(prob, tol=1e-9, quad=QUAD16)
     u, _ = solve_dirichlet(prob, tol=1e-9, quad=QUAD16)
     assert np.min(sol.u.values - u.values) >= -1e-8
+
+
+@pytest.mark.parametrize("shape", ["cube", "ball"])
+def test_newton_obstacle_matches_sweeps_across_contact_transition(shape):
+    h, tol = 1.0 / 32, 1e-10
+    quad = build_quadrature(1, 1.0, h, 8.0)
+    counts = []
+    for level in np.linspace(-0.2, 0.4, 13):
+        prob = DirichletProblem(handle=OperatorHandle(fam=FAM, env=mixed_env(), eps=0.25),
+                                domain=Box((0.0,), 0.5, h), rhs=level,
+                                exterior=ExteriorRule.zero(), shape=shape)
+        a = solve_obstacle(prob, tol=tol, quad=quad, method="newton")
+        b = solve_obstacle(prob, tol=tol, quad=quad, method="sweeps")
+        assert a.diagnostics.residual <= tol
+        assert int(np.sum(a.contact)) == int(np.sum(b.contact))
+        assert np.max(np.abs(a.u.values - b.u.values)) <= tol
+        counts.append(int(np.sum(a.contact)))
+    # the levels run from no contact to full contact
+    assert counts[0] == 0 and counts[-1] == prob.domain.m
+    assert all(c1 <= c2 for c1, c2 in zip(counts, counts[1:]))
 
 
 def test_obstacle_level_monotone_exact_coupling():
@@ -326,6 +399,29 @@ def test_solver_error_carries_diagnostics():
                         method="sweeps")
     assert exc.value.iterations == 8
     assert exc.value.residual > 1e-15
+
+
+def test_stagnating_sweeps_fail_fast():
+    prob = mixed_problem(0.05)
+    for run in (solve_dirichlet, solve_obstacle):
+        with pytest.raises(SolverError) as exc:
+            run(prob, tol=1e-300, quad=QUAD16, method="sweeps")
+        # the residual floors at roundoff within a few hundred sweeps; the
+        # stagnation window stops the solve long before max_iter
+        assert exc.value.iterations <= 5000
+        assert "last residuals" in str(exc.value)
+
+
+@pytest.mark.parametrize("run", [solve_dirichlet, solve_obstacle])
+def test_newton_missing_tol_raises_without_sweeps(run, monkeypatch):
+    def no_sweeps(*args, **kwargs):
+        raise AssertionError("the linear engine has no sweep fallback")
+
+    monkeypatch.setattr(solve._SweepEngine, "sweep_solve", no_sweeps)
+    with pytest.raises(SolverError) as exc:
+        run(mixed_problem(0.05), tol=1e-300, quad=QUAD16, method="newton")
+    assert exc.value.iterations <= 60
+    assert exc.value.residual > 1e-300
 
 
 def test_fixed_sweeps_never_raises():
