@@ -31,7 +31,6 @@ from .homog import (
     convergence_experiment, corrector_decay_profile, effective_value,
     estimate_mbar, fam_of, quadratic_bank, worker_count, _exterior_from_tag,
 )
-from .solve import _lattice
 
 SCHEMA_VERSION = 1
 
@@ -72,6 +71,9 @@ _EXPERIMENT_DEFAULTS = {
     "cmi": {"sizes": [2.0**-1, 2.0**-3, 2.0**-5, 2.0**-7, 2.0**-9],
             "conjecture_cs": False},
 }
+
+# environment fields that size arrays: JSON integers only, never 2.0 or true
+_ENV_INT_FIELDS = ("dim", "n_alpha", "n_beta", "period")
 
 _REQUIRED = {
     "mbar": ("phi_index", "level"),
@@ -144,6 +146,8 @@ def load_config(path):
     spec_fields = tuple(EnvironmentSpec.__dataclass_fields__)
     _reject_unknown(env_block, spec_fields, "environment")
     for key, value in env_block.items():
+        if isinstance(value, bool) or (key in _ENV_INT_FIELDS and not isinstance(value, int)):
+            raise ConfigurationError(f"environment.{key} has the wrong type, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigurationError(f"environment.{key} must be finite, got {value!r}")
     try:
@@ -168,7 +172,7 @@ def load_config(path):
     num["eps_list"] = eps_list
     seeds = num["seeds"]
     if (not isinstance(seeds, list) or not seeds
-            or any((not isinstance(s, int)) or s < 0 for s in seeds)):
+            or any(not isinstance(s, int) or isinstance(s, bool) or s < 0 for s in seeds)):
         raise ConfigurationError("seeds must be a nonempty list of nonnegative ints")
     if num["h"] is not None:
         h = _number(num["h"], "numerics.h")
@@ -212,8 +216,10 @@ def load_config(path):
         exp["x0"] = _numbers(x0, "experiment.x0")
         if len(exp["x0"]) != spec.dim:
             raise ConfigurationError(f"x0 must have {spec.dim} entries")
+    # present keys are numbers: a required `level` was checked above, and an
+    # explicit null must not stand in for a numeric default
     for key in ("rhs", "level", "domain_half", "translation_shift", "base_support"):
-        if exp.get(key) is not None:
+        if key in exp:
             exp[key] = _number(exp[key], f"experiment.{key}")
     for key in ("amplitudes", "supports", "sizes"):
         if key in exp:
@@ -320,8 +326,8 @@ def _run_mbar(resolved, spec, fam, log, workers):
     phi, x0 = _phi(spec, exp)
     est = estimate_mbar(phi, x0, exp["level"], num["eps_list"], num["seeds"],
                         spec, fam, h=num["h"], tol=num["solver_tol"],
-                        method=num["method"], richardson=num["richardson"],
-                        workers=workers, log=log)
+                        method=num["method"], r_out_factor=num["r_out_factor"],
+                        richardson=num["richardson"], workers=workers, log=log)
     return {
         "level": est.level,
         "estimate": est.estimate,
@@ -496,17 +502,12 @@ def _direct_frozen_constant(resolved, spec, fam):
     Constant-coefficient environments make this level exact, so the
     extraction must land within twice its bisection tolerance of it.
     """
-    from .homog import _frozen_problem
+    from .homog import _FrozenSystems
     num, exp = resolved["numerics"], resolved["experiment"]
     phi, x0 = _phi(spec, exp)
-    eps = min(num["eps_list"])
-    he = _grid_h(num, eps)
-    env = sample_environment(spec, seed=num["seeds"][0])
-    prob = _frozen_problem(phi, x0, 0.0, eps, env, fam, he)
-    quad = _quad_for(fam, prob.domain.half, he, num["r_out_factor"])
-    lat = _lattice(prob, quad)
-    F0, _ = lat.operator_values(np.zeros(lat.rhs.shape))
-    return float(np.max(np.asarray(F0)[lat.active]))
+    systems = _FrozenSystems(phi, x0, spec, fam, num["h"], num["r_out_factor"],
+                             num["solver_tol"], num["method"])
+    return systems.bounds((min(num["eps_list"]), num["seeds"][0]))[1]
 
 
 def run_checks(resolved, spec, fam, summary):
@@ -711,7 +712,7 @@ def cmd_run(args):
         resolved["workers"] = args.workers
     if args.out is not None:
         resolved["out_dir"] = args.out
-    workers = worker_count(resolved["workers"])
+    workers = worker_count(args.workers, resolved["workers"])
     summary, log, solution = run_experiment(resolved, spec, fam, workers)
     write_outputs(resolved["out_dir"], resolved, summary, log, solution)
     print(f"wrote {resolved['out_dir']}/rows.csv "
@@ -746,7 +747,7 @@ def build_parser():
     pr = sub.add_parser("run", help="run one experiment config")
     pr.add_argument("config", help="path to a JSON run config")
     pr.add_argument("--workers", type=int, default=None,
-                    help="worker processes (default: config, env var, or CPU count)")
+                    help="worker processes (default: env var, config, or CPU count)")
     pr.add_argument("--out", default=None, help="output directory override")
     pr.add_argument("--check", action="store_true",
                     help="enforce kind-specific acceptance thresholds (exit 4)")

@@ -9,32 +9,43 @@ The obstacle statistic is exact in three discrete senses that tests rely
 on: contact masks are literal zero sets, fractions are ratios of integer
 counts, and the fixed-sweep engine preserves orderings (in level, in
 forcing, in domain inclusion) without floating-point leakage.  All
-Monte Carlo work is a deterministic fold over (eps, seed, level) items,
-and the optional process pool cannot change any reported number.
+Monte Carlo work is a deterministic fold over (eps, seed, level) items.
+The frozen problems of one m-bar estimate or one effective-level bisection
+share their level-free parts: per eps the quadrature table, the frozen
+moment and the linear engine's (K, e); per (eps, seed) the lattice.  These
+are built on first use and dropped when the call returns; each level only
+recomputes its threshold and runs the active set, started from the contact
+set the same (eps, seed) item returned at the previous level.  That warm
+start travels with the item, so the optional process pool, which lives for
+the whole bisection, cannot change any reported number.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .env import Environment, EnvironmentSpec, sample_environment, translate
 from .errors import ConfigurationError, SolverError
 from .kernels import KernelFamily, QuadratureTable, build_quadrature
-from .operators import Box, ExteriorRule, GridFunction, TestFunction
+from .operators import Box, ExteriorRule, GridFunction, TestFunction, unit_moment
 from .solve import (
     Bump,
     DirichletProblem,
     OperatorHandle,
     barrier_threshold,
+    default_quadrature,
     solve_dirichlet,
     solve_obstacle,
+    _engine,
     _lattice,
 )
 
@@ -153,17 +164,24 @@ class ExtractionConfig:
     workers: int = 1
 
 
-def worker_count(requested=None):
-    """Resolve a worker count: explicit arg, env override, else all cores."""
-    envval = os.environ.get("NONLOCAL_HOMOG_WORKERS")
+def worker_count(requested=None, config=None):
+    """Resolve a worker count.
+
+    Precedence: the explicit request (`--workers`), then the
+    NONLOCAL_HOMOG_WORKERS environment variable, then the config's
+    `workers`, else all cores.
+    """
     if requested is not None and requested > 0:
         return int(requested)
+    envval = os.environ.get("NONLOCAL_HOMOG_WORKERS")
     if envval:
         try:
             return max(1, int(envval))
         except ValueError:
             raise ConfigurationError(
                 f"NONLOCAL_HOMOG_WORKERS must be an integer, got {envval!r}") from None
+    if config is not None and config > 0:
+        return int(config)
     return os.cpu_count() or 1
 
 
@@ -210,45 +228,134 @@ def _frozen_problem(phi, x0, level, eps, env, fam, h, *, domain_half=0.5,
                             exterior=ExteriorRule.zero(), shape=shape)
 
 
-def _contact_solve(phi, x0, level, eps, env, fam, h, *, quad=None,
-                   tol=1e-7, method="auto", fixed_sweeps=None, init=None):
-    prob = _frozen_problem(phi, x0, level, eps, env, fam, h)
-    if quad is None:
-        quad = build_quadrature(fam.dim, fam.sigma, h,
-                                8.0 * 2.0 * prob.domain.half * (1 if fam.dim == 1 else math.sqrt(2)))
-    sol = solve_obstacle(prob, tol=tol, quad=quad, method=method,
-                         fixed_sweeps=fixed_sweeps, init=init)
-    return sol, quad
-
-
 def contact_statistic(phi, x0, level, eps, env, fam: KernelFamily,
-                      h: float | None = None, **kw) -> float:
+                      h: float | None = None, *, tol=1e-7, method="auto",
+                      **kw) -> float:
     """Contact fraction of the frozen-operator obstacle problem.
 
     Least nonnegative supersolution at the given level on the unit box
     around the (translated-away) center, coefficients read at grid/eps;
-    returns the fraction of interior cells in exact contact.
+    returns the fraction of interior cells in exact contact.  Further
+    keywords (`quad`, `fixed_sweeps`, `init`) go to `solve_obstacle`.
     """
     if h is None:
         h = eps / 4.0
-    sol, _ = _contact_solve(phi, x0, level, eps, env, fam, h, **kw)
-    return sol.fraction
+    prob = _frozen_problem(phi, x0, level, eps, env, fam, h)
+    return solve_obstacle(prob, tol=tol, method=method, **kw).fraction
+
+
+class _FrozenSystems:
+    """Level-free parts of the frozen problems of one extraction, built on first use.
+
+    Per eps: the grid spacing, the quadrature table, the frozen moment and,
+    when the newton engine runs, the pair (K, e) -- all seed-independent,
+    since they depend on the grid, the table and the zero exterior only.
+    Per (eps, seed): the lattice with its environment fields, built at
+    level zero.  Bracket ends and solves at any level read from here.
+    """
+
+    def __init__(self, phi, x0, spec, fam, h, r_out_factor, tol, method):
+        self.phi, self.x0, self.spec, self.fam = phi, x0, spec, fam
+        self.h, self.r_out_factor = h, r_out_factor
+        self.tol, self.method = tol, method
+        self.tables = {}     # eps -> (quadrature table, frozen moment)
+        self.linear = {}     # eps -> (K, e) of the newton engine
+        self.lattices = {}   # (eps, seed) -> lattice at level 0
+
+    def lattice(self, eps, seed):
+        lat = self.lattices.get((eps, seed))
+        if lat is not None:
+            return lat
+        he = (eps / 4.0) if self.h is None else self.h
+        env = sample_environment(self.spec, seed=seed)
+        prob = _frozen_problem(self.phi, self.x0, 0.0, eps, env, self.fam, he)
+        if eps not in self.tables:
+            quad = default_quadrature(self.fam, prob.domain, self.r_out_factor)
+            phi, x0 = prob.handle.frozen
+            self.tables[eps] = (quad, unit_moment(phi, x0, quad))
+        lat = self.lattices[(eps, seed)] = _lattice(prob, *self.tables[eps])
+        return lat
+
+    def bounds(self, key):
+        """(barrier level, zero-function level) of one (eps, seed) problem.
+
+        At or below the first the positive bump is a subsolution, so there
+        is no contact; at or above the second the zero function already
+        satisfies the level, so contact is total.
+        """
+        lat = self.lattice(*key)
+        lo = barrier_threshold(lat.problem, +1, quad=lat.quad)
+        F0, _ = lat.operator_values(np.zeros(lat.rhs.shape))
+        return lo, float(np.max(np.asarray(F0)[lat.active]))
+
+    def solve(self, item):
+        """Obstacle solve of one (eps, seed) problem at a level, warm-started.
+
+        item = (eps, seed, level, warm), with warm the solution this item
+        returned at the previous level, or None.  Returns the row fields and
+        the next warm start.  Only the newton engine takes a warm start:
+        sweeps always start from zero.
+        """
+        eps, seed, level, warm = item
+        lat = self.lattice(eps, seed)
+        newton = _engine(lat, self.method) == "newton"
+        if newton and eps not in self.linear:
+            self.linear[eps] = lat.assemble()
+        t0 = time.perf_counter()
+        sol = solve_obstacle(replace(lat.problem, rhs=level), tol=self.tol,
+                             method=self.method, init=warm if newton else None,
+                             lattice=lat, system=self.linear.get(eps))
+        wall = (time.perf_counter() - t0) * 1e3
+        d = sol.diagnostics
+        return (eps, seed, sol.fraction, float(np.max(np.abs(sol.u.values))),
+                d.iterations, d.residual, wall, sol.u.values if newton else None)
+
+
+# Set only inside pool workers, by the pool's initializer; it lives and dies
+# with the pool of one _Fold, so no state outlasts the call that made it.
+_WORKER_SYSTEMS = None
+
+
+def _start_worker(args):
+    global _WORKER_SYSTEMS
+    _WORKER_SYSTEMS = _FrozenSystems(*args)
+
+
+def _on_worker(fn, item):
+    return fn(_WORKER_SYSTEMS, item)
+
+
+class _Fold:
+    """Maps `_FrozenSystems` methods over items, in process or on one pool.
+
+    With one worker the systems live here; with more, each pool worker
+    builds the systems it is handed from the same arguments, and the pool
+    lives until the fold closes.  Either way every item runs the same
+    method on the same arguments, so results do not depend on the worker
+    count.  `warm` holds the last warm start of each (eps, seed).
+    """
+
+    def __init__(self, args, workers):
+        self.warm = {}
+        self.systems = _FrozenSystems(*args) if workers <= 1 else None
+        self.pool = None if workers <= 1 else ProcessPoolExecutor(
+            max_workers=workers, initializer=_start_worker, initargs=(args,))
+
+    def map(self, fn, items):
+        if self.pool is None:
+            return [fn(self.systems, it) for it in items]
+        return list(self.pool.map(functools.partial(_on_worker, fn), items, chunksize=1))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pool is not None:
+            self.pool.shutdown()
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo m-bar and the effective level
-
-def _mbar_item(args):
-    (spec, fam, seed, phi, x0, level, eps, h, tol, method) = args
-    env = sample_environment(spec, seed=seed)
-    t0 = time.perf_counter()
-    sol, _ = _contact_solve(phi, x0, level, eps, env, fam, h,
-                            tol=tol, method=method)
-    wall = (time.perf_counter() - t0) * 1e3
-    d = sol.diagnostics
-    return (eps, seed, sol.fraction, float(np.max(np.abs(sol.u.values))),
-            d.iterations, d.residual, wall)
-
 
 def fam_of(spec: EnvironmentSpec, sigma: float | None = None) -> KernelFamily:
     """Kernel family matching an environment spec (sigma defaults to 1)."""
@@ -266,27 +373,33 @@ def _run_items(items, fn, workers):
 
 def estimate_mbar(phi, x0, level, eps_list, seeds, spec: EnvironmentSpec,
                   fam: KernelFamily, *, h=None, tol=1e-7, method="auto",
-                  richardson=False, workers=1, log: RowLog | None = None,
-                  experiment_id="mbar") -> MbarEstimate:
+                  r_out_factor=8.0, richardson=False, workers=1,
+                  log: RowLog | None = None, experiment_id="mbar",
+                  fold: _Fold | None = None) -> MbarEstimate:
     """Seed-averaged contact fractions per eps, extrapolated in eps.
 
     The default extrapolation takes the smallest-eps average (no rate is
     available to justify more); Richardson on the last two eps values is
     offered as an experimental alternative.  Seed spread per eps is the
-    self-averaging diagnostic.
+    self-averaging diagnostic.  `fold` carries the systems and warm starts
+    of a bisection across levels (it must be built from the same problem
+    arguments); without it the estimate builds its own and starts cold.
     """
     eps_list = tuple(sorted(set(eps_list), reverse=True))
     if len(seeds) < 1:
         raise ConfigurationError("estimate_mbar needs at least one seed")
-    items = []
-    for eps in eps_list:
-        he = (eps / 4.0) if h is None else h
-        for seed in seeds:
-            items.append((spec, fam, seed, phi, np.atleast_1d(x0), level, eps,
-                          he, tol, method))
-    out = _run_items(items, _mbar_item, workers)
+    if fold is None:
+        scope = _Fold((phi, x0, spec, fam, h, r_out_factor, tol, method), workers)
+    else:
+        scope = nullcontext(fold)
+    with scope as f:
+        items = [(eps, seed, level, f.warm.get((eps, seed)))
+                 for eps in eps_list for seed in seeds]
+        out = f.map(_FrozenSystems.solve, items)
+        for eps, seed, *_, warm in out:
+            f.warm[(eps, seed)] = warm
     fractions, means, spreads = {}, {}, {}
-    for eps, seed, frac, sup, its, res, wall in out:
+    for eps, seed, frac, sup, its, res, wall, _ in out:
         fractions[(eps, seed)] = frac
         if log is not None:
             log.add(experiment_id, eps=eps, seed=seed, l=level,
@@ -314,29 +427,19 @@ def estimate_mbar(phi, x0, level, eps_list, seeds, spec: EnvironmentSpec,
                         extrapolation=mode).validate()
 
 
-def _bracket(phi, x0, cfg: ExtractionConfig, spec, fam):
+def _bracket(fold, cfg: ExtractionConfig):
     """Certified starting bracket for the level bisection.
 
     Low end: below min F(P+) over every (eps, seed) the positive bump is
     a subsolution, so the least supersolution dominates it and the
     contact fraction is zero.  High end: above max F(0) the zero function
-    already satisfies the level, so contact is total.
+    already satisfies the level, so contact is total.  The solves of the
+    bisection use the same tables, so the certificates hold for them.
     """
-    lo = math.inf
-    hi = -math.inf
-    for eps in cfg.eps_list:
-        he = (eps / 4.0) if cfg.h is None else cfg.h
-        for seed in cfg.seeds:
-            env = sample_environment(spec, seed=seed)
-            prob = _frozen_problem(phi, x0, 0.0, eps, env, fam, he)
-            quad = build_quadrature(fam.dim, fam.sigma, he,
-                                    cfg.r_out_factor * 2.0 * prob.domain.half
-                                    * (1 if fam.dim == 1 else math.sqrt(2)))
-            lo = min(lo, barrier_threshold(prob, +1, quad=quad))
-            lat = _lattice(prob, quad)
-            z = np.zeros(lat.rhs.shape)
-            F0, _ = lat.operator_values(z)
-            hi = max(hi, float(np.max(np.asarray(F0)[lat.active])))
+    keys = [(eps, seed) for eps in cfg.eps_list for seed in cfg.seeds]
+    ends = fold.map(_FrozenSystems.bounds, keys)
+    lo = min(b[0] for b in ends)
+    hi = max(b[1] for b in ends)
     margin = max(1e-9, 1e-6 * (abs(lo) + abs(hi)))
     return lo - margin, hi + margin
 
@@ -352,34 +455,32 @@ def effective_value(phi, x0, cfg: ExtractionConfig, spec: EnvironmentSpec,
     level makes the bisection sound.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
-    lo, hi = _bracket(phi, x0, cfg, spec, fam)
-    if not lo < hi:
-        raise SolverError(f"degenerate effective-value bracket [{lo}, {hi}]")
     smallest = min(cfg.eps_list)
     he = (smallest / 4.0) if cfg.h is None else cfg.h
     cells = int(round(1.0 / he)) ** spec.dim  # interior cells of the unit box
     theta = cfg.theta if cfg.theta is not None else 2.0 / cells
-    certificates = {"lo": ("barrier", lo), "hi": ("zero-function", hi)}
     steps = []
-
-    def mbar_at(level):
-        est = estimate_mbar(phi, x0, level, cfg.eps_list, cfg.seeds, spec, fam,
-                            h=cfg.h, tol=cfg.solver_tol, method=cfg.method,
-                            richardson=cfg.richardson, workers=cfg.workers,
-                            log=log, experiment_id=experiment_id)
-        return est.estimate
-
-    for _ in range(cfg.max_steps):
-        if hi - lo <= cfg.tol:
-            break
-        mid = 0.5 * (lo + hi)
-        m = mbar_at(mid)
-        if m <= theta:
-            steps.append((mid, m, "zero"))
-            lo = mid
-        else:
-            steps.append((mid, m, "positive"))
-            hi = mid
+    args = (phi, x0, spec, fam, cfg.h, cfg.r_out_factor, cfg.solver_tol, cfg.method)
+    with _Fold(args, cfg.workers) as fold:
+        lo, hi = _bracket(fold, cfg)
+        if not lo < hi:
+            raise SolverError(f"degenerate effective-value bracket [{lo}, {hi}]")
+        certificates = {"lo": ("barrier", lo), "hi": ("zero-function", hi)}
+        for _ in range(cfg.max_steps):
+            if hi - lo <= cfg.tol:
+                break
+            mid = 0.5 * (lo + hi)
+            m = estimate_mbar(phi, x0, mid, cfg.eps_list, cfg.seeds, spec, fam,
+                              h=cfg.h, tol=cfg.solver_tol, method=cfg.method,
+                              r_out_factor=cfg.r_out_factor,
+                              richardson=cfg.richardson, log=log,
+                              experiment_id=experiment_id, fold=fold).estimate
+            if m <= theta:
+                steps.append((mid, m, "zero"))
+                lo = mid
+            else:
+                steps.append((mid, m, "positive"))
+                hi = mid
     value = 0.5 * (lo + hi)
     return EffectiveSample(phi=phi, x0=tuple(x0), bracket=(lo, hi), value=value,
                            theta=theta, eps_list=tuple(cfg.eps_list),

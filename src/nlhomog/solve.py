@@ -19,8 +19,15 @@ newton   1d linear engine.  Every branch slot is increasing and linear in
          Dirichlet solve is one dense solve of K u = e - t; an obstacle
          solve is the complementarity problem K u >= e - t, u >= 0, solved
          by the primal-dual active-set method with exact zeros on contact.
-         There is no fallback: a solve that misses the tolerance raises.
-         The residual is certified with the sweep engine's evaluation.
+         Its `init`, when given, only seeds the first contact set (its
+         zeros on active cells); the final set, and so the solution, does
+         not depend on it.  There is no fallback: a solve that misses the
+         tolerance raises.  The residual is certified with the sweep
+         engine's evaluation.
+
+Repeated solves of one problem at several levels can hand `solve_obstacle`
+the level-free parts built once: the lattice (environment fields, exterior
+data, frozen moment) and, for the newton engine, the pair (K, e).
 
 Scaled problems read their coefficients at x / eps; the grid must resolve
 the environment cells (h <= eps/4) or construction fails.
@@ -28,8 +35,9 @@ the environment cells (h <= eps/4) or construction fails.
 
 from __future__ import annotations
 
+import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -168,6 +176,21 @@ class _SweepEngine:
     Subclasses provide `active`, `rhs` and `operator_values`.
     """
 
+    def _rhs_grid(self, rhs):
+        if np.ndim(rhs) == 0:
+            return np.full(self.active.shape, float(rhs))
+        rhs = np.asarray(rhs, dtype=np.float64)
+        if rhs.size != self.active.size:
+            raise ConfigurationError("rhs grid must match the domain grid")
+        return rhs.reshape(self.active.shape)
+
+    def at_level(self, rhs):
+        """This lattice with another right-hand side; every other array is shared."""
+        lat = copy.copy(self)
+        lat.problem = replace(self.problem, rhs=rhs)
+        lat.rhs = self._rhs_grid(rhs)
+        return lat
+
     def residual(self, vals, obstacle):
         F, _ = self.operator_values(vals)
         r = F - self.rhs
@@ -213,7 +236,8 @@ class _SweepEngine:
 class _Lattice1D(_SweepEngine):
     """Precomputed residual pipeline for one 1d problem."""
 
-    def __init__(self, problem: DirichletProblem, quad: QuadratureTable):
+    def __init__(self, problem: DirichletProblem, quad: QuadratureTable,
+                 frozen_moment=None):
         problem.validate()
         if problem.domain.dim != 1:
             raise ConfigurationError("_Lattice1D is one-dimensional")
@@ -272,7 +296,9 @@ class _Lattice1D(_SweepEngine):
                     self.forc[a, b] = forcing_field(env, a, b, xs)
             if handle.frozen is not None:
                 phi, x0 = handle.frozen
-                self.frozen_moment = float(unit_moment(phi, np.atleast_1d(x0), quad))
+                if frozen_moment is None:
+                    frozen_moment = unit_moment(phi, np.atleast_1d(x0), quad)
+                self.frozen_moment = float(frozen_moment)
             else:
                 self.frozen_moment = 0.0
             # sweep diagonal dominates every branch slope, not just the
@@ -284,14 +310,7 @@ class _Lattice1D(_SweepEngine):
             # slopes of the extremal operator in positive / negative moments
             self.up, self.down = (lam_big, lam) if handle.extremal_sign > 0 else (lam, lam_big)
             self.diag = np.full(self.m, lam_big * self.D0)
-        rhs = problem.rhs
-        if np.ndim(rhs) == 0:
-            self.rhs = np.full(self.m, float(rhs))
-        else:
-            rhs = np.asarray(rhs, dtype=np.float64)
-            if rhs.shape != (self.m,):
-                raise ConfigurationError("rhs grid must match the domain grid")
-            self.rhs = rhs
+        self.rhs = self._rhs_grid(problem.rhs)
         self.cs_split = self.kind == "extremal" and handle.fam.kind == "cs"
 
     # -- residual pieces ------------------------------------------------
@@ -376,42 +395,56 @@ class _Lattice1D(_SweepEngine):
         e = e + self.quad.tail * 2.0 * self.far
         return K, e
 
-    def newton_solve(self, obstacle, max_iter):
+    def newton_solve(self, obstacle, max_iter, init=None, system=None):
         """Dirichlet: K u = e - t.  Obstacle: K u >= e - t, u >= 0, complementary.
 
-        The obstacle problem runs the primal-dual active-set method from
-        the Dirichlet solution; each step solves on the free set and
-        writes exact zeros on the contact set, until the set repeats.
+        The obstacle problem runs the primal-dual active-set method.  Its
+        first contact set is the zeros of `init` on active cells, or empty
+        (the Dirichlet solve) without it; each step solves on the free set
+        and writes exact zeros on the contact set, until the set repeats.
+        K is an M-matrix, so the method converges from any first set.
+        `system` is the pair (K, e) of `assemble()`, when the caller holds it.
         """
         if self.cs_split:
             raise ConfigurationError(
                 "pointwise extremal operators have no dense linearization; use sweeps"
             )
-        K, e = self.assemble()
+        K, e = self.assemble() if system is None else system
         b = (e - self.threshold())[self.active]
-        u = np.linalg.solve(K, b)
+        contact = np.zeros(b.size, dtype=bool)
+        if obstacle and init is not None:
+            contact = np.asarray(init)[self.active] == 0.0
+        u = _free_solve(K, b, contact)
         steps = 1
         if obstacle:
-            contact = np.zeros(u.size, dtype=bool)
             while steps < max_iter:
                 new = np.where(contact, K @ u - b > 0.0, u < 0.0)
                 if np.array_equal(new, contact):
                     break
                 contact = new
-                free = ~contact
-                u = np.zeros(u.size)
-                if free.any():
-                    u[free] = np.linalg.solve(K[np.ix_(free, free)], b[free])
+                u = _free_solve(K, b, contact)
                 steps += 1
         vals = self.E[self.pad:self.pad + self.m].copy()
         vals[self.active] = u
         return vals, steps, [self.residual(vals, obstacle)]
 
 
+def _free_solve(K, b, contact):
+    """Solution of K u = b on the free rows, with exact zeros on contact."""
+    if not contact.any():
+        return np.linalg.solve(K, b)
+    u = np.zeros(b.size)
+    free = ~contact
+    if free.any():
+        u[free] = np.linalg.solve(K[np.ix_(free, free)], b[free])
+    return u
+
+
 class _Lattice2D(_SweepEngine):
     """Sweep-only pipeline for 2d problems (desk scale, small grids)."""
 
-    def __init__(self, problem: DirichletProblem, quad: QuadratureTable):
+    def __init__(self, problem: DirichletProblem, quad: QuadratureTable,
+                 frozen_moment=None):
         problem.validate()
         if problem.domain.dim != 2 or quad.dim != 2:
             raise ConfigurationError("_Lattice2D is two-dimensional")
@@ -483,7 +516,9 @@ class _Lattice2D(_SweepEngine):
                     self.forc[a, b] = forcing_field(env, a, b, P).reshape(self.m, self.m)
             if handle.frozen is not None:
                 phi, x0 = handle.frozen
-                self.frozen_moment = unit_moment(phi, np.atleast_1d(x0), quad)
+                if frozen_moment is None:
+                    frozen_moment = unit_moment(phi, np.atleast_1d(x0), quad)
+                self.frozen_moment = frozen_moment
             else:
                 self.frozen_moment = np.zeros((2, 2))
             dxx, dyy, sxy_abs = self._slopes
@@ -495,11 +530,7 @@ class _Lattice2D(_SweepEngine):
                 self.diag = self.mult.max(axis=(0, 1)) * self.D0
         else:
             self.diag = np.full((self.m, self.m), self.lam_big * self.D0)
-        rhs = problem.rhs
-        if np.ndim(rhs) == 0:
-            self.rhs = np.full((self.m, self.m), float(rhs))
-        else:
-            self.rhs = np.asarray(rhs, dtype=np.float64).reshape(self.m, self.m)
+        self.rhs = self._rhs_grid(problem.rhs)
 
     def fill(self, vals):
         inner = self.E[self.inner]
@@ -557,30 +588,38 @@ def _correlate(a, kern):
     return np.einsum("ijab,kab->kij", sliding_window_view(a, kern.shape[1:]), kern)
 
 
-def _lattice(problem: DirichletProblem, quad: QuadratureTable | None):
+def _lattice(problem: DirichletProblem, quad: QuadratureTable | None,
+             frozen_moment=None):
+    """Lattice of a problem; frozen_moment, if given, is unit_moment of its frozen profile on quad."""
     if quad is None:
         quad = default_quadrature(problem.handle.fam, problem.domain)
     if problem.domain.dim == 1:
-        return _Lattice1D(problem, quad)
-    return _Lattice2D(problem, quad)
+        return _Lattice1D(problem, quad, frozen_moment)
+    return _Lattice2D(problem, quad, frozen_moment)
 
 
-def _run(problem, quad, obstacle, tol, max_iter, damping, method, init, fixed_sweeps):
-    lat = _lattice(problem, quad)
-    t0 = time.perf_counter()
-    chosen = method
+def _engine(lat, method, fixed_sweeps=None):
+    """The engine `method` runs on this lattice: "newton" or "sweeps"."""
     if method == "auto":
-        dense_ok = (problem.domain.dim == 1 and lat.m <= 2048
+        dense_ok = (lat.active.ndim == 1 and lat.m <= 2048
                     and fixed_sweeps is None and not getattr(lat, "cs_split", False))
-        chosen = "newton" if dense_ok else "sweeps"
-    if chosen == "newton" and problem.domain.dim != 1:
+        return "newton" if dense_ok else "sweeps"
+    if method == "newton" and lat.active.ndim != 1:
         raise ConfigurationError("newton engine is one-dimensional; use sweeps")
-    if chosen == "newton":
-        vals, its, trail = lat.newton_solve(obstacle, max_iter=60)
-    elif chosen == "sweeps":
-        vals, its, trail = lat.sweep_solve(init, obstacle, tol, max_iter, damping, fixed_sweeps)
-    else:
+    if method not in ("newton", "sweeps"):
         raise ConfigurationError(f"unknown solver method {method!r}")
+    return method
+
+
+def _run(problem, quad, obstacle, tol, max_iter, damping, method, init, fixed_sweeps,
+         lattice=None, system=None):
+    lat = _lattice(problem, quad) if lattice is None else lattice.at_level(problem.rhs)
+    t0 = time.perf_counter()
+    chosen = _engine(lat, method, fixed_sweeps)
+    if chosen == "newton":
+        vals, its, trail = lat.newton_solve(obstacle, 60, init, system)
+    else:
+        vals, its, trail = lat.sweep_solve(init, obstacle, tol, max_iter, damping, fixed_sweeps)
     wall = (time.perf_counter() - t0) * 1e3
     res = trail[-1]
     ok = res <= tol
@@ -610,13 +649,18 @@ def solve_dirichlet(problem: DirichletProblem, tol: float = 1e-6, max_iter: int 
 
 def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6, max_iter: int = 200000,
                    damping: float = 0.8, method: str = "auto", quad: QuadratureTable | None = None,
-                   init=None, fixed_sweeps=None) -> ObstacleSolution:
+                   init=None, fixed_sweeps=None, lattice=None, system=None) -> ObstacleSolution:
     """Least nonnegative supersolution: max(F(U) - rhs, -U) = 0.
 
     Every projection writes exact zeros, so the contact mask is literally
-    {U == 0} on active cells and contact counts are integers.
+    {U == 0} on active cells and contact counts are integers.  `init` is
+    the sweeps' first iterate; the newton engine takes only its contact
+    set.  `lattice` (from `_lattice` for this problem at any level) and
+    `system` (its (K, e)) skip rebuilding them when the level is all that
+    changed.
     """
-    lat, vals, diag = _run(problem, quad, True, tol, max_iter, damping, method, init, fixed_sweeps)
+    lat, vals, diag = _run(problem, quad, True, tol, max_iter, damping, method, init,
+                           fixed_sweeps, lattice, system)
     active_mask = lat.active
     contact = active_mask & (vals == 0.0)
     fraction = float(np.sum(contact)) / float(np.sum(active_mask))

@@ -1,17 +1,24 @@
 """End-to-end command tests: configs in, artifacts and exit codes out."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nlhomog
+from nlhomog import cli
 from nlhomog.cli import main
+from nlhomog.env import EnvironmentSpec
+from nlhomog.homog import RowLog
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -77,14 +84,12 @@ def test_replay_pins_timings_off(tmp_path):
     assert replay["schema_version"] == 1
 
 
-def test_replay_reproduces_run_byte_for_byte(tmp_path):
-    cfg = write_config(
-        tmp_path, kind="mbar",
-        environment={"n_alpha": 2, "n_beta": 2, "coeff_law": "uniform",
-                     "forcing_law": "uniform", "f_bound": 1.0},
-        numerics={"eps_list": [0.25], "seeds": [0, 1, 2]},
-        experiment={"phi_index": 4, "level": 12.0},
-    )
+MIXED_ENV = {"n_alpha": 2, "n_beta": 2, "coeff_law": "uniform",
+             "forcing_law": "uniform", "f_bound": 1.0}
+
+
+def replay_at_one_worker(tmp_path, cfg):
+    """Run cfg on two workers, replay it on one; returns the first run's rows."""
     assert main(["run", str(cfg), "--workers", "2"]) == 0
     out1 = tmp_path / "out"
     out2 = tmp_path / "out2"
@@ -92,6 +97,67 @@ def test_replay_reproduces_run_byte_for_byte(tmp_path):
                  "--workers", "1"]) == 0
     for fname in ("rows.csv", "summary.json"):
         assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
+    return read_rows(out1)
+
+
+def test_replay_reproduces_run_byte_for_byte(tmp_path):
+    cfg = write_config(
+        tmp_path, kind="mbar", environment=MIXED_ENV,
+        numerics={"eps_list": [0.25], "seeds": [0, 1, 2]},
+        experiment={"phi_index": 4, "level": 12.0},
+    )
+    replay_at_one_worker(tmp_path, cfg)
+
+
+def test_effective_replay_is_worker_invariant(tmp_path):
+    # warm starts make `iterations` depend on the level history, which the
+    # pool must reproduce exactly
+    cfg = write_config(
+        tmp_path, kind="effective", environment=MIXED_ENV,
+        numerics={"eps_list": [0.25, 0.125], "seeds": [0, 1, 2],
+                  "bisect_tol": 2.0**-4},
+        experiment={"phi_index": 4},
+    )
+    rows = replay_at_one_worker(tmp_path, cfg)
+    assert len(rows) > 1 + 6  # header plus more than one level of 6 solves
+
+
+def test_environment_worker_count_beats_config(tmp_path, monkeypatch):
+    seen = []
+
+    def record(resolved, spec, fam, workers):
+        seen.append(workers)
+        return {}, RowLog(), None
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    cfg = write_config(tmp_path, workers=1)
+    monkeypatch.setenv("NONLOCAL_HOMOG_WORKERS", "2")
+    assert main(["run", str(cfg)]) == 0
+    assert main(["run", str(cfg), "--workers", "3"]) == 0
+    monkeypatch.delenv("NONLOCAL_HOMOG_WORKERS")
+    assert main(["run", str(cfg)]) == 0
+    assert seen == [2, 3, 1]
+
+
+def test_certified_bracket_holds_for_its_table(tmp_path):
+    # with a non-default table radius, every solve at the certified high
+    # end is in full contact and none at the low end touches
+    numerics = {"eps_list": [0.0625], "seeds": list(range(8)), "r_out_factor": 2.0}
+    cfg = write_config(tmp_path, kind="effective", environment=MIXED_ENV,
+                       numerics={**numerics, "max_steps": 1, "bisect_tol": 1e3},
+                       experiment={"phi_index": 4})
+    assert main(["run", str(cfg)]) == 0
+    certificates = json.loads((tmp_path / "out" / "summary.json").read_text())["certificates"]
+    for end, fraction in (("hi", "1.0"), ("lo", "0.0")):
+        level = certificates[end][1]
+        out = tmp_path / end
+        cfg = write_config(tmp_path, kind="mbar", environment=MIXED_ENV,
+                           numerics=numerics, out_dir=str(out),
+                           experiment={"phi_index": 4, "level": level})
+        assert main(["run", str(cfg)]) == 0
+        rows = read_rows(out)[1:]
+        assert len(rows) == 8
+        assert all(row[4] == fraction for row in rows)
 
 
 def test_effective_run_with_check_gate(tmp_path):
@@ -203,13 +269,19 @@ NAN, INF = float("nan"), float("inf")
     {"environment": {"forcing_value": NAN}},
     {"environment": {"lam_big": INF}},
     {"workers": "two"},
+    {"environment": {"n_alpha": 3.0}},
+    {"environment": {"dim": True}},
+    {"environment": {"lam": True}},
+    {"numerics": {"seeds": [True]}},
+    {"experiment": {"rhs": None}},
 ], ids=[
     "sigma-string", "eps-list-scalar", "eps-list-string-entry", "solver-tol-nan",
     "solver-tol-inf", "bisect-tol-nan", "r-out-factor-inf", "h-nan",
     "max-steps-string", "max-steps-inf", "rhs-nan", "rhs-minus-inf",
     "rhs-string", "eps-inf", "seed-string", "level-nan", "phi-index-string",
     "x0-nan", "x0-scalar", "amplitude-inf", "forcing-value-nan",
-    "lam-big-inf", "workers-string",
+    "lam-big-inf", "workers-string", "n-alpha-float", "dim-bool", "lam-bool",
+    "seed-bool", "rhs-null",
 ])
 def test_malformed_numbers_exit_2(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -301,3 +373,76 @@ def test_runs_load_no_scipy(tmp_path):
     codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0]
     assert scipy_modules == []
+
+
+# ---------------------------------------------------------------------------
+# fuzzed configs: every input ends in a documented exit code
+
+_FUZZ_BASE = {
+    "solve": ({}, {"rhs": 0.05}),
+    "obstacle": ({}, {"rhs": 0.05}),
+    "mbar": ({"seeds": [0, 1]}, {"phi_index": 4, "level": 12.0}),
+    "effective": ({"seeds": [0, 1], "bisect_tol": 0.125}, {"phi_index": 4}),
+    "corrector": ({"eps_list": [0.25, 0.125]}, {"phi_index": 4, "level": 12.0}),
+    "converge": ({"eps_list": [0.25, 0.125], "seeds": [0, 1]}, {}),
+    "abp": ({"h": 2.0**-5}, {"amplitudes": [1.0, 2.0], "supports": [0.5, 0.125]}),
+    "cmi": ({"h": 2.0**-5}, {"sizes": [0.5, 0.125]}),
+}
+_FUZZ_KEYS = {
+    None: ["schema_version", "kind", "workers", "timings", "bogus"],
+    "environment": list(EnvironmentSpec.__dataclass_fields__),
+    "kernel": ["sigma"],
+    "numerics": list(cli._NUMERIC_DEFAULTS),
+    "experiment": sorted({k for d in cli._EXPERIMENT_DEFAULTS.values() for k in d}),
+}
+# small values only: a valid draw must stay a desk-second run, so no 2d
+# (dim 2), no sweeps method and no tiny tolerances or grids
+_FUZZ_VALUES = [None, True, -1, 0, 0.5, 3, 3.0, float("nan"), float("inf"), "x",
+                "newton", [], [0.25], [0.25, 0.125], {}]
+_DELETE = object()
+
+
+@st.composite
+def fuzz_configs(draw):
+    kind = draw(st.sampled_from(sorted(_FUZZ_BASE)))
+    numerics, experiment = _FUZZ_BASE[kind]
+    cfg = {
+        "schema_version": 1, "kind": kind,
+        "environment": {"dim": 1, "kernel_class": "a" if kind in ("abp", "cmi") else "cs",
+                        **MIXED_ENV},
+        "kernel": {"sigma": 1.0},
+        "numerics": {"eps_list": [0.25], "seeds": [0], **numerics},
+        "experiment": dict(experiment),
+        "workers": 1,
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        block = draw(st.sampled_from(sorted(_FUZZ_KEYS, key=str)))
+        key = draw(st.sampled_from(_FUZZ_KEYS[block]))
+        value = draw(st.sampled_from(_FUZZ_VALUES + [_DELETE]))
+        target = cfg if block is None else cfg[block]
+        if not isinstance(target, dict):
+            continue
+        if value is _DELETE:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    return cfg
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fuzz_configs())
+def test_fuzzed_configs_exit_cleanly(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg["out_dir"] = os.path.join(tmp, "out")
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["run", path])
+    assert rc in (0, 2, 3, 4)
+    if rc != 0:
+        report = json.loads(err.getvalue().splitlines()[-1])
+        assert set(report) == {"error"}
+        assert isinstance(report["error"]["type"], str)
+        assert isinstance(report["error"]["message"], str)

@@ -90,6 +90,33 @@ def test_effective_value_bisection_record():
     assert len(log.rows) == len(s.steps)
 
 
+def test_effective_value_builds_each_system_once(monkeypatch):
+    # one lattice per (eps, seed) for the solves plus one per barrier, and
+    # one table per eps; nothing is rebuilt per level
+    from nlhomog import homog, kernels, solve
+    counts = {"lattice": 0, "quad": 0}
+    init = solve._Lattice1D.__init__
+
+    def counted_init(self, *args, **kwargs):
+        counts["lattice"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_quad(*args, **kwargs):
+        counts["quad"] += 1
+        return build_quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(solve._Lattice1D, "__init__", counted_init)
+    for module in (homog, kernels, solve):
+        monkeypatch.setattr(module, "build_quadrature", counted_quad)
+    eps_list, seeds = (0.25, 0.125), (0, 1, 2)
+    cfg = ExtractionConfig(eps_list=eps_list, seeds=seeds, tol=2.0**-5)
+    s = effective_value(PHI, np.zeros(1), cfg, MIXED_SPEC, fam_of(MIXED_SPEC))
+    assert len(s.steps) >= 5
+    n = len(eps_list) * len(seeds)
+    assert counts["lattice"] <= 2 * n
+    assert counts["quad"] <= len(eps_list) + n
+
+
 # ---------------------------------------------------------------------------
 # contact statistic and its Monte Carlo average
 
@@ -268,13 +295,21 @@ def test_worker_count_resolution(monkeypatch):
     monkeypatch.delenv("NONLOCAL_HOMOG_WORKERS", raising=False)
     assert worker_count(3) == 3
     assert worker_count() >= 1
+    # without the environment variable the config decides
+    assert worker_count(config=4) == 4
+    assert worker_count(3, config=4) == 3
     monkeypatch.setenv("NONLOCAL_HOMOG_WORKERS", "2")
     assert worker_count() == 2
     # an explicit request wins over the environment override
     assert worker_count(5) == 5
+    # the environment variable wins over the config
+    assert worker_count(config=4) == 2
+    assert worker_count(5, config=4) == 5
     monkeypatch.setenv("NONLOCAL_HOMOG_WORKERS", "two")
     with pytest.raises(ConfigurationError):
         worker_count()
+    with pytest.raises(ConfigurationError):
+        worker_count(config=4)
 
 
 def test_fam_of_maps_spec_fields():

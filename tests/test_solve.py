@@ -293,6 +293,42 @@ def test_newton_obstacle_matches_sweeps_across_contact_transition(shape):
     assert all(c1 <= c2 for c1, c2 in zip(counts, counts[1:]))
 
 
+def test_newton_warm_start_is_exact():
+    # the active set reaches the same final contact set from any first set,
+    # so a warm start changes the step count and nothing else
+    prob = mixed_problem(0.1)
+    cold = solve_obstacle(prob, tol=1e-10, quad=QUAD16, method="newton")
+    contact = cold.contact
+    n = int(np.sum(contact))
+    assert 0 < n < contact.size
+    cells = np.arange(contact.size)
+    superset = contact | (cells % 3 == 0)
+    subset = contact & (cells % 2 == 0)
+    assert superset.sum() > n and subset.sum() < n
+    for first in (superset, subset, contact):
+        warm = solve_obstacle(prob, tol=1e-10, quad=QUAD16, method="newton",
+                              init=np.where(first, 0.0, 1.0))
+        assert np.array_equal(warm.u.values, cold.u.values)
+        assert int(np.sum(warm.contact)) == n
+    # started from the final contact set, one step confirms it
+    exact = solve_obstacle(prob, tol=1e-10, quad=QUAD16, method="newton",
+                           init=cold.u.values)
+    assert exact.diagnostics.iterations == 1 < cold.diagnostics.iterations
+
+
+def test_prebuilt_lattice_and_system_match_a_fresh_solve():
+    lat = solve._lattice(mixed_problem(0.0), QUAD16)
+    system = lat.assemble()
+    for level in (-0.05, 0.1, 0.4):
+        fresh = solve_obstacle(mixed_problem(level), tol=1e-10, quad=QUAD16)
+        reused = solve_obstacle(mixed_problem(level), tol=1e-10, quad=QUAD16,
+                                lattice=lat, system=system)
+        assert np.array_equal(fresh.u.values, reused.u.values)
+        assert fresh.diagnostics.residual == reused.diagnostics.residual
+    # the shared lattice keeps its own level
+    assert np.all(lat.rhs == 0.0)
+
+
 def test_obstacle_level_monotone_exact_coupling():
     lo = mixed_problem(0.05)
     hi = mixed_problem(0.35)
