@@ -23,7 +23,8 @@ from .errors import CheckFailure, ConfigurationError, SolverError
 from .kernels import build_quadrature
 from .operators import Box, ExteriorRule, extremal
 from .solve import (
-    DirichletProblem, OperatorHandle, solve_dirichlet, solve_obstacle,
+    DirichletProblem, OperatorHandle, default_quadrature, solve_dirichlet,
+    solve_obstacle,
 )
 from .homog import (
     CSV_COLUMNS, ExtractionConfig, RowLog, abp_scaling_experiment,
@@ -51,7 +52,6 @@ _NUMERIC_DEFAULTS = {
     "bisect_tol": 2.0**-6,
     "theta": None,
     "max_steps": 48,
-    "method": "auto",
     "richardson": False,
 }
 
@@ -91,15 +91,22 @@ def _reject_unknown(block, allowed, where):
         raise ConfigurationError(f"unknown keys in {where}: {unknown}")
 
 
-def _number(value, where, cast=float):
+def _number(value, where):
     """A finite number read from the config, or a ConfigurationError."""
     try:
-        x = cast(value)
+        x = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x):
         raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
     return x
+
+
+def _integer(value, where):
+    """A JSON integer read from the config (never true or 4.5), or a ConfigurationError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
 def _numbers(values, where):
@@ -189,11 +196,9 @@ def load_config(path):
         num["theta"] = _number(num["theta"], "numerics.theta")
         if not (0.0 < num["theta"] < 1.0):
             raise ConfigurationError("theta must lie in (0, 1)")
-    num["max_steps"] = _number(num["max_steps"], "numerics.max_steps", int)
+    num["max_steps"] = _integer(num["max_steps"], "numerics.max_steps")
     if num["max_steps"] < 1:
         raise ConfigurationError("max_steps must be >= 1")
-    if num["method"] not in ("auto", "sweeps", "newton"):
-        raise ConfigurationError(f"unknown method {num['method']!r}")
     num["richardson"] = bool(num["richardson"])
 
     exp = dict(_EXPERIMENT_DEFAULTS[kind])
@@ -205,7 +210,7 @@ def load_config(path):
             raise ConfigurationError(f"experiment.{key} is required for kind={kind}")
     if "phi_index" in exp and exp["phi_index"] is not None:
         bank = quadratic_bank(spec.dim)
-        idx = _number(exp["phi_index"], "experiment.phi_index", int)
+        idx = _integer(exp["phi_index"], "experiment.phi_index")
         if not (0 <= idx < len(bank)):
             raise ConfigurationError(
                 f"phi_index {idx} outside the bank (size {len(bank)})"
@@ -224,8 +229,12 @@ def load_config(path):
     for key in ("amplitudes", "supports", "sizes"):
         if key in exp:
             exp[key] = _numbers(exp[key], f"experiment.{key}")
+    # the scaling probes fit logs of measures and ratios of amplitudes
+    for key in ("base_support", "amplitudes", "supports", "sizes"):
+        if key in exp and any(v <= 0.0 for v in np.atleast_1d(exp[key])):
+            raise ConfigurationError(f"experiment.{key} must be positive, got {exp[key]!r}")
     if "seed" in exp:
-        exp["seed"] = (_number(exp["seed"], "experiment.seed", int)
+        exp["seed"] = (_integer(exp["seed"], "experiment.seed")
                        if exp["seed"] is not None else seeds[0])
     if "eps" in exp:
         exp["eps"] = (_number(exp["eps"], "experiment.eps")
@@ -246,7 +255,7 @@ def load_config(path):
 
     workers = raw.get("workers")
     if workers is not None:
-        workers = _number(workers, "workers", int)
+        workers = _integer(workers, "workers")
         if workers < 1:
             raise ConfigurationError("workers must be >= 1")
     out_dir = raw.get("out_dir", os.path.join("runs", kind))
@@ -274,11 +283,6 @@ def _grid_h(num, eps):
     return num["h"] if num["h"] is not None else eps / 4.0
 
 
-def _quad_for(fam, half, h, r_out_factor):
-    diam = 2.0 * half * (1 if fam.dim == 1 else math.sqrt(2))
-    return build_quadrature(fam.dim, fam.sigma, h, r_out_factor * diam)
-
-
 def _phi(spec, exp):
     return quadratic_bank(spec.dim)[exp["phi_index"]], np.asarray(exp["x0"])
 
@@ -293,15 +297,13 @@ def _run_solve(kind, resolved, spec, fam, log):
     prob = DirichletProblem(handle=handle, domain=box, rhs=exp["rhs"],
                             exterior=_exterior_from_tag(exp["exterior"], spec.dim),
                             shape=exp["shape"])
-    quad = _quad_for(fam, exp["domain_half"], h, num["r_out_factor"])
+    quad = default_quadrature(fam, box, num["r_out_factor"])
     t0 = time.perf_counter()
     if kind == "solve":
-        u, d = solve_dirichlet(prob, tol=num["solver_tol"], quad=quad,
-                               method=num["method"])
+        u, d = solve_dirichlet(prob, tol=num["solver_tol"], quad=quad)
         fraction = ""
     else:
-        sol = solve_obstacle(prob, tol=num["solver_tol"], quad=quad,
-                             method=num["method"])
+        sol = solve_obstacle(prob, tol=num["solver_tol"], quad=quad)
         u, d, fraction = sol.u, sol.diagnostics, sol.fraction
     wall = (time.perf_counter() - t0) * 1e3
     sup = float(np.max(np.abs(u.values)))
@@ -326,7 +328,7 @@ def _run_mbar(resolved, spec, fam, log, workers):
     phi, x0 = _phi(spec, exp)
     est = estimate_mbar(phi, x0, exp["level"], num["eps_list"], num["seeds"],
                         spec, fam, h=num["h"], tol=num["solver_tol"],
-                        method=num["method"], r_out_factor=num["r_out_factor"],
+                        r_out_factor=num["r_out_factor"],
                         richardson=num["richardson"], workers=workers, log=log)
     return {
         "level": est.level,
@@ -349,7 +351,7 @@ def _run_effective(resolved, spec, fam, log, workers):
                            max_steps=num["max_steps"],
                            solver_tol=num["solver_tol"],
                            r_out_factor=num["r_out_factor"],
-                           method=num["method"], richardson=num["richardson"],
+                           richardson=num["richardson"],
                            workers=workers)
     es = effective_value(phi, x0, cfg, spec, fam, log=log)
     return {
@@ -369,7 +371,7 @@ def _run_corrector(resolved, spec, fam, log):
     phi, x0 = _phi(spec, exp)
     sups = corrector_decay_profile(phi, x0, exp["level"], num["eps_list"],
                                    exp["seed"], spec, fam, h=num["h"],
-                                   tol=num["solver_tol"], method=num["method"],
+                                   tol=num["solver_tol"],
                                    r_out_factor=num["r_out_factor"], log=log)
     eps_sorted = sorted(set(num["eps_list"]), reverse=True)
     return {
@@ -386,7 +388,7 @@ def _run_converge(resolved, spec, fam, log, workers):
     rep = convergence_experiment(exp["exterior"], num["eps_list"],
                                  num["seeds"], spec, fam,
                                  domain_half=exp["domain_half"], h=num["h"],
-                                 tol=num["solver_tol"], method=num["method"],
+                                 tol=num["solver_tol"],
                                  r_out_factor=num["r_out_factor"],
                                  translation_shift=exp["translation_shift"],
                                  workers=workers, log=log)
@@ -408,7 +410,7 @@ def _run_abp(resolved, spec, fam, log):
                                  amplitudes=tuple(exp["amplitudes"]),
                                  supports=tuple(exp["supports"]),
                                  base_support=exp["base_support"],
-                                 tol=num["solver_tol"], method=num["method"],
+                                 tol=num["solver_tol"],
                                  r_out_factor=num["r_out_factor"], log=log)
     return rep, None
 
@@ -421,7 +423,6 @@ def _run_cmi(resolved, spec, fam, log):
                                            fam, h=h,
                                            conjecture_cs=exp["conjecture_cs"],
                                            tol=num["solver_tol"],
-                                           method=num["method"],
                                            r_out_factor=num["r_out_factor"],
                                            log=log)
     return rep, None
@@ -506,8 +507,21 @@ def _direct_frozen_constant(resolved, spec, fam):
     num, exp = resolved["numerics"], resolved["experiment"]
     phi, x0 = _phi(spec, exp)
     systems = _FrozenSystems(phi, x0, spec, fam, num["h"], num["r_out_factor"],
-                             num["solver_tol"], num["method"])
+                             num["solver_tol"])
     return systems.bounds((min(num["eps_list"]), num["seeds"][0]))[1]
+
+
+def _abp_checks(fam, report):
+    """The abp gates: linear amplitude doubling and the support-slope floor."""
+    ratios = report["amplitude_ratios"]
+    floor = fam.sigma / 2.0 - ABP_SLOPE_MARGIN
+    return [
+        ("amplitude-doubling-linear",
+         all(abs(r - 2.0) <= ABP_RATIO_TOL for r in ratios),
+         f"ratios={[f'{r:.4f}' for r in ratios]}"),
+        ("support-slope-floor", report["support_slope"] >= floor,
+         f"slope={report['support_slope']:.4f} floor={floor:.2f}"),
+    ]
 
 
 def run_checks(resolved, spec, fam, summary):
@@ -552,14 +566,7 @@ def run_checks(resolved, spec, fam, summary):
                        summary["translation_gap"] == 0.0,
                        f"gap={summary['translation_gap']!r}"))
     elif kind == "abp":
-        ratios = summary["amplitude_ratios"]
-        ok = all(abs(r - 2.0) <= ABP_RATIO_TOL for r in ratios)
-        checks.append(("amplitude-doubling-linear", ok,
-                       f"ratios={[f'{r:.4f}' for r in ratios]}"))
-        floor = fam.sigma / 2.0 - ABP_SLOPE_MARGIN
-        checks.append(("support-slope-floor",
-                       summary["support_slope"] >= floor,
-                       f"slope={summary['support_slope']:.4f} floor={floor:.2f}"))
+        checks.extend(_abp_checks(fam, summary))
     elif kind == "cmi":
         sups = [r["sup_v"] for r in summary["rows"]]
         checks.append(("sup-monotone-in-measure",
@@ -640,16 +647,7 @@ def _suite_invariants():
 def _suite_abp():
     from .kernels import KernelFamily
     fam = KernelFamily(kind="a", dim=1, sigma=1.0, lam=1.0, lam_big=2.0)
-    rep = abp_scaling_experiment(fam)
-    checks = []
-    ratios = rep["amplitude_ratios"]
-    checks.append(("amplitude-doubling-linear",
-                   all(abs(r - 2.0) <= ABP_RATIO_TOL for r in ratios),
-                   f"ratios={[f'{r:.4f}' for r in ratios]}"))
-    floor = fam.sigma / 2.0 - ABP_SLOPE_MARGIN
-    checks.append(("support-slope-floor", rep["support_slope"] >= floor,
-                   f"slope={rep['support_slope']:.4f} floor={floor:.2f}"))
-    return checks
+    return _abp_checks(fam, abp_scaling_experiment(fam))
 
 
 def _suite_converge_desk(workers):

@@ -10,6 +10,8 @@ on: contact masks are literal zero sets, fractions are ratios of integer
 counts, and the fixed-sweep engine preserves orderings (in level, in
 forcing, in domain inclusion) without floating-point leakage.  All
 Monte Carlo work is a deterministic fold over (eps, seed, level) items.
+Each problem runs the engine its lattice picks (see `solve`), on a table
+from `default_quadrature`.
 The frozen problems of one m-bar estimate or one effective-level bisection
 share their level-free parts: per eps the quadrature table, the frozen
 moment and the linear engine's (K, e); per (eps, seed) the lattice.  These
@@ -29,23 +31,21 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .env import Environment, EnvironmentSpec, sample_environment, translate
+from .env import EnvironmentSpec, sample_environment, translate
 from .errors import ConfigurationError, SolverError
-from .kernels import KernelFamily, QuadratureTable, build_quadrature
-from .operators import Box, ExteriorRule, GridFunction, TestFunction, unit_moment
+from .kernels import KernelFamily
+from .operators import Box, ExteriorRule, TestFunction, unit_moment
 from .solve import (
-    Bump,
     DirichletProblem,
     OperatorHandle,
     barrier_threshold,
     default_quadrature,
     solve_dirichlet,
     solve_obstacle,
-    _engine,
     _lattice,
 )
 
@@ -159,7 +159,6 @@ class ExtractionConfig:
     max_steps: int = 48
     solver_tol: float = 1e-7
     r_out_factor: float = 8.0
-    method: str = "auto"
     richardson: bool = False         # experimental extrapolation in eps
     workers: int = 1
 
@@ -229,8 +228,7 @@ def _frozen_problem(phi, x0, level, eps, env, fam, h, *, domain_half=0.5,
 
 
 def contact_statistic(phi, x0, level, eps, env, fam: KernelFamily,
-                      h: float | None = None, *, tol=1e-7, method="auto",
-                      **kw) -> float:
+                      h: float | None = None, *, tol=1e-7, **kw) -> float:
     """Contact fraction of the frozen-operator obstacle problem.
 
     Least nonnegative supersolution at the given level on the unit box
@@ -241,25 +239,25 @@ def contact_statistic(phi, x0, level, eps, env, fam: KernelFamily,
     if h is None:
         h = eps / 4.0
     prob = _frozen_problem(phi, x0, level, eps, env, fam, h)
-    return solve_obstacle(prob, tol=tol, method=method, **kw).fraction
+    return solve_obstacle(prob, tol=tol, **kw).fraction
 
 
 class _FrozenSystems:
     """Level-free parts of the frozen problems of one extraction, built on first use.
 
     Per eps: the grid spacing, the quadrature table, the frozen moment and,
-    when the newton engine runs, the pair (K, e) -- all seed-independent,
-    since they depend on the grid, the table and the zero exterior only.
+    when the lattice runs the linear engine, the pair (K, e) -- all
+    seed-independent, since they depend on the grid, the table and the zero
+    exterior only.
     Per (eps, seed): the lattice with its environment fields, built at
     level zero.  Bracket ends and solves at any level read from here.
     """
 
-    def __init__(self, phi, x0, spec, fam, h, r_out_factor, tol, method):
+    def __init__(self, phi, x0, spec, fam, h, r_out_factor, tol):
         self.phi, self.x0, self.spec, self.fam = phi, x0, spec, fam
-        self.h, self.r_out_factor = h, r_out_factor
-        self.tol, self.method = tol, method
+        self.h, self.r_out_factor, self.tol = h, r_out_factor, tol
         self.tables = {}     # eps -> (quadrature table, frozen moment)
-        self.linear = {}     # eps -> (K, e) of the newton engine
+        self.assembled = {}  # eps -> (K, e) of the linear engine
         self.lattices = {}   # (eps, seed) -> lattice at level 0
 
     def lattice(self, eps, seed):
@@ -293,22 +291,21 @@ class _FrozenSystems:
 
         item = (eps, seed, level, warm), with warm the solution this item
         returned at the previous level, or None.  Returns the row fields and
-        the next warm start.  Only the newton engine takes a warm start:
+        the next warm start.  Only the linear engine takes a warm start:
         sweeps always start from zero.
         """
         eps, seed, level, warm = item
         lat = self.lattice(eps, seed)
-        newton = _engine(lat, self.method) == "newton"
-        if newton and eps not in self.linear:
-            self.linear[eps] = lat.assemble()
+        if lat.linear and eps not in self.assembled:
+            self.assembled[eps] = lat.assemble()
         t0 = time.perf_counter()
         sol = solve_obstacle(replace(lat.problem, rhs=level), tol=self.tol,
-                             method=self.method, init=warm if newton else None,
-                             lattice=lat, system=self.linear.get(eps))
+                             init=warm if lat.linear else None,
+                             lattice=lat, system=self.assembled.get(eps))
         wall = (time.perf_counter() - t0) * 1e3
         d = sol.diagnostics
         return (eps, seed, sol.fraction, float(np.max(np.abs(sol.u.values))),
-                d.iterations, d.residual, wall, sol.u.values if newton else None)
+                d.iterations, d.residual, wall, sol.u.values if lat.linear else None)
 
 
 # Set only inside pool workers, by the pool's initializer; it lives and dies
@@ -372,8 +369,8 @@ def _run_items(items, fn, workers):
 
 
 def estimate_mbar(phi, x0, level, eps_list, seeds, spec: EnvironmentSpec,
-                  fam: KernelFamily, *, h=None, tol=1e-7, method="auto",
-                  r_out_factor=8.0, richardson=False, workers=1,
+                  fam: KernelFamily, *, h=None, tol=1e-7, r_out_factor=8.0,
+                  richardson=False, workers=1,
                   log: RowLog | None = None, experiment_id="mbar",
                   fold: _Fold | None = None) -> MbarEstimate:
     """Seed-averaged contact fractions per eps, extrapolated in eps.
@@ -389,7 +386,7 @@ def estimate_mbar(phi, x0, level, eps_list, seeds, spec: EnvironmentSpec,
     if len(seeds) < 1:
         raise ConfigurationError("estimate_mbar needs at least one seed")
     if fold is None:
-        scope = _Fold((phi, x0, spec, fam, h, r_out_factor, tol, method), workers)
+        scope = _Fold((phi, x0, spec, fam, h, r_out_factor, tol), workers)
     else:
         scope = nullcontext(fold)
     with scope as f:
@@ -460,7 +457,7 @@ def effective_value(phi, x0, cfg: ExtractionConfig, spec: EnvironmentSpec,
     cells = int(round(1.0 / he)) ** spec.dim  # interior cells of the unit box
     theta = cfg.theta if cfg.theta is not None else 2.0 / cells
     steps = []
-    args = (phi, x0, spec, fam, cfg.h, cfg.r_out_factor, cfg.solver_tol, cfg.method)
+    args = (phi, x0, spec, fam, cfg.h, cfg.r_out_factor, cfg.solver_tol)
     with _Fold(args, cfg.workers) as fold:
         lo, hi = _bracket(fold, cfg)
         if not lo < hi:
@@ -471,7 +468,7 @@ def effective_value(phi, x0, cfg: ExtractionConfig, spec: EnvironmentSpec,
                 break
             mid = 0.5 * (lo + hi)
             m = estimate_mbar(phi, x0, mid, cfg.eps_list, cfg.seeds, spec, fam,
-                              h=cfg.h, tol=cfg.solver_tol, method=cfg.method,
+                              h=cfg.h, tol=cfg.solver_tol,
                               r_out_factor=cfg.r_out_factor,
                               richardson=cfg.richardson, log=log,
                               experiment_id=experiment_id, fold=fold).estimate
@@ -493,30 +490,23 @@ def effective_value(phi, x0, cfg: ExtractionConfig, spec: EnvironmentSpec,
 
 def corrector_decay_profile(phi, x0, level, eps_list, seed,
                             spec: EnvironmentSpec, fam: KernelFamily, *,
-                            h=None, tol=1e-7, method="auto",
-                            r_out_factor=8.0, log: RowLog | None = None,
-                            experiment_id="corrector"):
+                            h=None, tol=1e-7, r_out_factor=8.0,
+                            log: RowLog | None = None, experiment_id="corrector"):
     """Sup norms of the frozen-operator Dirichlet correctors on the unit ball.
 
     At the effective level the sequence should decay as eps shrinks; off
     the effective level it stalls at a positive floor.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
     eps_list = tuple(sorted(set(eps_list), reverse=True))
     env = sample_environment(spec, seed=seed)
     sups = []
     for eps in eps_list:
         he = (eps / 4.0) if h is None else h
-        shifted = phi.shifted(x0) if np.any(x0 != 0.0) else phi
-        handle = OperatorHandle(fam=fam, env=env, eps=eps,
-                                frozen=(shifted, np.zeros(env.dim)))
-        box = Box(center=(0.0,) * env.dim, half=1.0, h=he)
-        prob = DirichletProblem(handle=handle, domain=box, rhs=level,
-                                exterior=ExteriorRule.zero(), shape="ball")
-        diam = 2.0 * box.half * (1 if fam.dim == 1 else math.sqrt(2))
-        quad = build_quadrature(fam.dim, fam.sigma, he, r_out_factor * diam)
+        prob = _frozen_problem(phi, x0, level, eps, env, fam, he, domain_half=1.0,
+                               shape="ball")
+        quad = default_quadrature(fam, prob.domain, r_out_factor)
         t0 = time.perf_counter()
-        w, d = solve_dirichlet(prob, tol=tol, quad=quad, method=method)
+        w, d = solve_dirichlet(prob, tol=tol, quad=quad)
         wall = (time.perf_counter() - t0) * 1e3
         sup = float(np.max(np.abs(w.values)))
         sups.append(sup)
@@ -550,20 +540,29 @@ def _indicator_forcing(box: Box, measure: float):
     return g, (side_cells * box.h) ** 2
 
 
-def _extremal_forced_sup(fam, box, g, *, tol, method, quad, amplitude=1.0):
+def _indicator_forcings(box: Box, measures):
+    """`_indicator_forcing` of each measure, largest first; no two may share a cell count."""
+    forcings = [_indicator_forcing(box, m) for m in sorted(measures, reverse=True)]
+    actual = [m for _, m in forcings]
+    if len(set(actual)) < len(actual):
+        raise ConfigurationError(f"measures {sorted(measures, reverse=True)} snap to "
+                                 f"repeated cell counts at h={box.h}: {actual}")
+    return forcings
+
+
+def _extremal_forced_sup(fam, box, g, *, tol, quad, amplitude=1.0):
     handle = OperatorHandle(fam=fam, extremal_sign=+1)
     prob = DirichletProblem(handle=handle, domain=box, rhs=-amplitude * g,
                             exterior=ExteriorRule.zero(), shape="ball")
     t0 = time.perf_counter()
-    v, d = solve_dirichlet(prob, tol=tol, quad=quad, method=method)
+    v, d = solve_dirichlet(prob, tol=tol, quad=quad)
     wall = (time.perf_counter() - t0) * 1e3
     return float(np.max(v.values)), d, wall
 
 
 def comparison_measurable_experiment(sizes, seed, fam: KernelFamily, *,
                                      h=2.0**-9, conjecture_cs=False, tol=1e-8,
-                                     method="auto", r_out_factor=8.0,
-                                     log: RowLog | None = None,
+                                     r_out_factor=8.0, log: RowLog | None = None,
                                      experiment_id="cmi"):
     """Extremal response to shrinking-support unit forcing.
 
@@ -578,13 +577,10 @@ def comparison_measurable_experiment(sizes, seed, fam: KernelFamily, *,
             "conjecture-conditional; pass conjecture_cs=True to probe it"
         )
     box = Box(center=(0.0,) * fam.dim, half=1.0, h=h)
-    diam = 2.0 * (1 if fam.dim == 1 else math.sqrt(2))
-    quad = build_quadrature(fam.dim, fam.sigma, h, r_out_factor * diam)
+    quad = default_quadrature(fam, box, r_out_factor)
     rows = []
-    for m_req in sorted(sizes, reverse=True):
-        g, m_act = _indicator_forcing(box, m_req)
-        sup, d, wall = _extremal_forced_sup(fam, box, g, tol=tol,
-                                            method=method, quad=quad)
+    for g, m_act in _indicator_forcings(box, sizes):
+        sup, d, wall = _extremal_forced_sup(fam, box, g, tol=tol, quad=quad)
         rows.append({"measure": m_act, "sup_v": sup,
                      "conjecture": fam.kind == "cs"})
         if log is not None:
@@ -600,8 +596,8 @@ def comparison_measurable_experiment(sizes, seed, fam: KernelFamily, *,
 def abp_scaling_experiment(fam: KernelFamily, *, h=2.0**-9,
                            amplitudes=(1.0, 2.0, 4.0, 8.0),
                            supports=(2.0**-1, 2.0**-3, 2.0**-5, 2.0**-7, 2.0**-9),
-                           base_support=2.0**-2, tol=1e-8, method="auto",
-                           r_out_factor=8.0, log: RowLog | None = None,
+                           base_support=2.0**-2, tol=1e-8, r_out_factor=8.0,
+                           log: RowLog | None = None,
                            experiment_id="abp"):
     """Two scaling probes of the extremal forced bound.
 
@@ -614,13 +610,12 @@ def abp_scaling_experiment(fam: KernelFamily, *, h=2.0**-9,
     if fam.kind != "a":
         raise ConfigurationError("the scaling bound is proved for the matrix class only")
     box = Box(center=(0.0,) * fam.dim, half=1.0, h=h)
-    diam = 2.0 * (1 if fam.dim == 1 else math.sqrt(2))
-    quad = build_quadrature(fam.dim, fam.sigma, h, r_out_factor * diam)
+    quad = default_quadrature(fam, box, r_out_factor)
+    forcings = _indicator_forcings(box, supports)
     g0, m0 = _indicator_forcing(box, base_support)
     amp_rows = []
     for c in amplitudes:
-        sup, d, wall = _extremal_forced_sup(fam, box, g0, tol=tol,
-                                            method=method, quad=quad,
+        sup, d, wall = _extremal_forced_sup(fam, box, g0, tol=tol, quad=quad,
                                             amplitude=c)
         amp_rows.append({"amplitude": c, "sup_v": sup})
         if log is not None:
@@ -630,10 +625,8 @@ def abp_scaling_experiment(fam: KernelFamily, *, h=2.0**-9,
               for i in range(len(amp_rows) - 1)
               if amp_rows[i]["sup_v"] > 0]
     sup_rows = []
-    for m_req in sorted(supports, reverse=True):
-        g, m_act = _indicator_forcing(box, m_req)
-        sup, d, wall = _extremal_forced_sup(fam, box, g, tol=tol,
-                                            method=method, quad=quad)
+    for g, m_act in forcings:
+        sup, d, wall = _extremal_forced_sup(fam, box, g, tol=tol, quad=quad)
         sup_rows.append({"measure": m_act, "sup_v": sup})
         if log is not None:
             log.add(experiment_id + "-supp", l=m_act, sup_norm=sup,
@@ -655,8 +648,7 @@ def abp_scaling_experiment(fam: KernelFamily, *, h=2.0**-9,
 # convergence harness
 
 def _converge_item(args):
-    (spec, sigma, seed, eps, h, box_args, far, tol, method, r_out_factor,
-     shift) = args
+    spec, sigma, seed, eps, box_args, far, tol, r_out_factor, shift = args
     env = sample_environment(spec, seed=seed)
     box = Box(*box_args)
     fam = fam_of(spec, sigma)
@@ -669,10 +661,9 @@ def _converge_item(args):
     g = _exterior_from_tag(far, spec.dim, eps * shift if shift is not None else 0.0)
     prob = DirichletProblem(handle=handle, domain=box, rhs=0.0, exterior=g,
                             shape="cube")
-    diam = 2.0 * box.half * (1 if spec.dim == 1 else math.sqrt(2))
-    quad = build_quadrature(spec.dim, sigma, h, r_out_factor * diam)
+    quad = default_quadrature(fam, box, r_out_factor)
     t0 = time.perf_counter()
-    u, d = solve_dirichlet(prob, tol=tol, quad=quad, method=method)
+    u, d = solve_dirichlet(prob, tol=tol, quad=quad)
     wall = (time.perf_counter() - t0) * 1e3
     return u.values, d.iterations, d.residual, wall
 
@@ -705,10 +696,9 @@ def check_translation_shift(eps_list, h, shift):
 
 def convergence_experiment(exterior_tag, eps_list, seeds,
                            spec: EnvironmentSpec, fam: KernelFamily, *,
-                           domain_half=0.5, h=None, tol=1e-7, method="auto",
-                           r_out_factor=8.0, translation_shift=0.25,
-                           workers=1, log: RowLog | None = None,
-                           experiment_id="converge"):
+                           domain_half=0.5, h=None, tol=1e-7, r_out_factor=8.0,
+                           translation_shift=0.25, workers=1,
+                           log: RowLog | None = None, experiment_id="converge"):
     """Scaled Dirichlet solves across eps and seeds, with three diagnostics.
 
     (a) seed discrepancy per eps (sup over seed pairs), (b) Cauchy gaps
@@ -726,17 +716,17 @@ def convergence_experiment(exterior_tag, eps_list, seeds,
     items = []
     for eps in eps_list:
         for seed in seeds:
-            items.append((spec, sigma, seed, eps, he, box_args, exterior_tag,
-                          tol, method, r_out_factor, None))
+            items.append((spec, sigma, seed, eps, box_args, exterior_tag,
+                          tol, r_out_factor, None))
     # translated route for the largest eps, first seed
     shift = translation_shift
     check_translation_shift(eps_list, he, shift)
-    items.append((spec, sigma, seeds[0], eps_list[0], he, box_args,
-                  exterior_tag, tol, method, r_out_factor, shift))
+    items.append((spec, sigma, seeds[0], eps_list[0], box_args,
+                  exterior_tag, tol, r_out_factor, shift))
     out = _run_items(items, _converge_item, workers)
     sols = {}
     for (it, (vals, its, res, wall)) in zip(items, out):
-        eps, seed, shf = it[3], it[2], it[10]
+        eps, seed, shf = it[3], it[2], it[8]
         key = (eps, seed, shf is not None)
         sols[key] = vals
         if log is not None:

@@ -7,13 +7,10 @@ engines below converge to the same solution.
 
 Engines
 -------
-sweeps   damped projected point relaxation (red-black ordering).  Each
-         update moves one value toward the root of its scalar residual
-         with all other values frozen, clamping at the obstacle.  The
-         update map is monotone even in floating point (direct summation,
-         nonnegative weights, fixed order), which several exact ordering
-         tests rely on.  A solve whose residual stagnates stops early.
-newton   1d linear engine.  Every branch slot is increasing and linear in
+The problem picks the engine; there is no way to override it.
+
+newton   1d linear engine, for every 1d operator but the pointwise extremal
+         of the "cs" class.  Every branch slot is increasing and linear in
          the unit moment I(u) = e - K u, with K a fixed M-matrix, so
          F(u) = rhs exactly where I(u) equals a pointwise threshold t.  A
          Dirichlet solve is one dense solve of K u = e - t; an obstacle
@@ -24,6 +21,14 @@ newton   1d linear engine.  Every branch slot is increasing and linear in
          not depend on it.  There is no fallback: a solve that misses the
          tolerance raises.  The residual is certified with the sweep
          engine's evaluation.
+sweeps   damped projected point relaxation (red-black ordering), for 2d
+         operators, the pointwise "cs" extremal and every `fixed_sweeps`
+         solve.  Each update moves one value toward the root of its scalar
+         residual with all other values frozen, clamping at the obstacle.
+         The update map is monotone even in floating point (direct
+         summation, nonnegative weights, fixed order), which several exact
+         ordering tests rely on.  A solve whose residual stagnates stops
+         early and raises.
 
 Repeated solves of one problem at several levels can hand `solve_obstacle`
 the level-free parts built once: the lattice (environment fields, exterior
@@ -166,6 +171,7 @@ def default_quadrature(fam: KernelFamily, box: Box, r_out_factor: float = 8.0) -
     return build_quadrature(fam.dim, fam.sigma, box.h, r_out_factor * diam)
 
 
+DAMPING = 0.8       # fraction of the pointwise Newton step a sweep takes
 CHECK_EVERY = 8     # sweeps between residual checks
 STALL_CHECKS = 64   # checks in the stagnation window (512 sweeps)
 
@@ -173,7 +179,7 @@ STALL_CHECKS = 64   # checks in the stagnation window (512 sweeps)
 class _SweepEngine:
     """Red-black damped sweeps and the certified residual, shared by both lattices.
 
-    Subclasses provide `active`, `rhs` and `operator_values`.
+    Subclasses provide `active`, `rhs`, `operator_values` and `linear`.
     """
 
     def _rhs_grid(self, rhs):
@@ -198,7 +204,7 @@ class _SweepEngine:
             r = np.maximum(r, -vals)
         return float(np.max(np.abs(r)[self.active]))
 
-    def sweep_solve(self, init, obstacle, tol, max_iter, damping, fixed_sweeps=None):
+    def sweep_solve(self, init, obstacle, tol, max_iter, fixed_sweeps=None):
         """Returns (vals, sweeps, residuals); the last residual is the final one.
 
         Unless fixed_sweeps pins the work, the residual is checked every
@@ -215,7 +221,7 @@ class _SweepEngine:
         for it in range(1, sweeps + 1):
             for color in colors:
                 F, diag = self.operator_values(vals)
-                step = damping * (F - self.rhs) / diag
+                step = DAMPING * (F - self.rhs) / diag
                 new = vals[color] + step[color]
                 if obstacle:
                     new = np.maximum(new, 0.0)
@@ -311,7 +317,8 @@ class _Lattice1D(_SweepEngine):
             self.up, self.down = (lam_big, lam) if handle.extremal_sign > 0 else (lam, lam_big)
             self.diag = np.full(self.m, lam_big * self.D0)
         self.rhs = self._rhs_grid(problem.rhs)
-        self.cs_split = self.kind == "extremal" and handle.fam.kind == "cs"
+        # only the pointwise "cs" extremal is not linear in the unit moment
+        self.linear = not (self.kind == "extremal" and handle.fam.kind == "cs")
 
     # -- residual pieces ------------------------------------------------
 
@@ -347,7 +354,7 @@ class _Lattice1D(_SweepEngine):
     def operator_values(self, vals):
         """F at every node, with the dominating diagonal slope field."""
         E = self.fill(vals)
-        if self.cs_split:
+        if not self.linear:
             pos, neg = self.split_moments(E)
             return self.up * pos - self.down * neg, self.diag
         return self.infsup(self.unit_moments(E)), self.diag
@@ -405,10 +412,8 @@ class _Lattice1D(_SweepEngine):
         K is an M-matrix, so the method converges from any first set.
         `system` is the pair (K, e) of `assemble()`, when the caller holds it.
         """
-        if self.cs_split:
-            raise ConfigurationError(
-                "pointwise extremal operators have no dense linearization; use sweeps"
-            )
+        if not self.linear:
+            raise ConfigurationError("the pointwise extremal has no dense linearization")
         K, e = self.assemble() if system is None else system
         b = (e - self.threshold())[self.active]
         contact = np.zeros(b.size, dtype=bool)
@@ -442,6 +447,8 @@ def _free_solve(K, b, contact):
 
 class _Lattice2D(_SweepEngine):
     """Sweep-only pipeline for 2d problems (desk scale, small grids)."""
+
+    linear = False
 
     def __init__(self, problem: DirichletProblem, quad: QuadratureTable,
                  frozen_moment=None):
@@ -598,58 +605,56 @@ def _lattice(problem: DirichletProblem, quad: QuadratureTable | None,
     return _Lattice2D(problem, quad, frozen_moment)
 
 
-def _engine(lat, method, fixed_sweeps=None):
-    """The engine `method` runs on this lattice: "newton" or "sweeps"."""
-    if method == "auto":
-        dense_ok = (lat.active.ndim == 1 and lat.m <= 2048
-                    and fixed_sweeps is None and not getattr(lat, "cs_split", False))
-        return "newton" if dense_ok else "sweeps"
-    if method == "newton" and lat.active.ndim != 1:
-        raise ConfigurationError("newton engine is one-dimensional; use sweeps")
-    if method not in ("newton", "sweeps"):
-        raise ConfigurationError(f"unknown solver method {method!r}")
-    return method
-
-
-def _run(problem, quad, obstacle, tol, max_iter, damping, method, init, fixed_sweeps,
+def _run(problem, quad, obstacle, tol, max_iter, init, fixed_sweeps,
          lattice=None, system=None):
+    """One solve on the engine the lattice picks, returned as the public solves return it."""
     lat = _lattice(problem, quad) if lattice is None else lattice.at_level(problem.rhs)
     t0 = time.perf_counter()
-    chosen = _engine(lat, method, fixed_sweeps)
-    if chosen == "newton":
-        vals, its, trail = lat.newton_solve(obstacle, 60, init, system)
+    if lat.linear and fixed_sweeps is None:
+        method, out = "newton", lat.newton_solve(obstacle, 60, init, system)
     else:
-        vals, its, trail = lat.sweep_solve(init, obstacle, tol, max_iter, damping, fixed_sweeps)
+        method, out = "sweeps", lat.sweep_solve(init, obstacle, tol, max_iter, fixed_sweeps)
     wall = (time.perf_counter() - t0) * 1e3
+    return _result(lat, obstacle, method, out, tol, wall, pinned=fixed_sweeps is not None)
+
+
+def _result(lat, obstacle, method, out, tol, wall_ms=0.0, pinned=False):
+    """(u, diagnostics), or the ObstacleSolution, of an engine's (vals, iterations, residuals).
+
+    A residual above tol raises SolverError, unless `pinned` (fixed_sweeps).
+    """
+    vals, its, trail = out
     res = trail[-1]
-    ok = res <= tol
-    diag = SolveDiagnostics(iterations=its, residual=res, wall_ms=wall, method=chosen, converged=ok)
-    if not ok and fixed_sweeps is None:
+    diag = SolveDiagnostics(iterations=its, residual=res, wall_ms=wall_ms, method=method,
+                            converged=res <= tol)
+    if not diag.converged and not pinned:
         recent = ", ".join(f"{r:.3e}" for r in trail[-4:])
         raise SolverError(
-            f"{chosen} solver did not reach tol={tol} (residual {res:.3e} after "
+            f"{method} solver did not reach tol={tol} (residual {res:.3e} after "
             f"{its} iterations; last residuals checked: {recent})",
             residual=res, iterations=its,
         )
-    return lat, vals, diag
+    u = GridFunction(lat.problem.domain, vals, lat.problem.exterior)
+    if not obstacle:
+        return u, diag
+    contact = lat.active & (vals == 0.0)
+    fraction = float(np.sum(contact)) / float(np.sum(lat.active))
+    return ObstacleSolution(u=u, contact=contact, fraction=fraction, diagnostics=diag)
 
 
 def solve_dirichlet(problem: DirichletProblem, tol: float = 1e-6, max_iter: int = 200000,
-                    damping: float = 0.8, method: str = "auto", quad: QuadratureTable | None = None,
-                    init=None, fixed_sweeps=None):
+                    quad: QuadratureTable | None = None, init=None, fixed_sweeps=None):
     """Solve F(u) = rhs in the domain with exterior data outside.
 
     Returns (GridFunction, SolveDiagnostics).  Raises SolverError if the
     target residual is not reached (unless fixed_sweeps pins the work).
     """
-    lat, vals, diag = _run(problem, quad, False, tol, max_iter, damping, method, init, fixed_sweeps)
-    u = GridFunction(problem.domain, vals, problem.exterior)
-    return u, diag
+    return _run(problem, quad, False, tol, max_iter, init, fixed_sweeps)
 
 
 def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6, max_iter: int = 200000,
-                   damping: float = 0.8, method: str = "auto", quad: QuadratureTable | None = None,
-                   init=None, fixed_sweeps=None, lattice=None, system=None) -> ObstacleSolution:
+                   quad: QuadratureTable | None = None, init=None, fixed_sweeps=None,
+                   lattice=None, system=None) -> ObstacleSolution:
     """Least nonnegative supersolution: max(F(U) - rhs, -U) = 0.
 
     Every projection writes exact zeros, so the contact mask is literally
@@ -659,13 +664,7 @@ def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6, max_iter: int =
     `system` (its (K, e)) skip rebuilding them when the level is all that
     changed.
     """
-    lat, vals, diag = _run(problem, quad, True, tol, max_iter, damping, method, init,
-                           fixed_sweeps, lattice, system)
-    active_mask = lat.active
-    contact = active_mask & (vals == 0.0)
-    fraction = float(np.sum(contact)) / float(np.sum(active_mask))
-    u = GridFunction(problem.domain, vals, problem.exterior)
-    return ObstacleSolution(u=u, contact=contact, fraction=fraction, diagnostics=diag)
+    return _run(problem, quad, True, tol, max_iter, init, fixed_sweeps, lattice, system)
 
 
 def residual_field(problem: DirichletProblem, u: GridFunction,

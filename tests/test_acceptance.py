@@ -142,9 +142,7 @@ def test_acceptance_1_exact_structural_identities():
             domain=Box((0.0,), half, h), rhs=level,
             exterior=ExteriorRule.zero())
         q = quad if half == 0.5 else build_quadrature(1, 1.0, h, 16.0)
-        return solve_obstacle(prob, tol=tol, quad=q,
-                              fixed_sweeps=fixed_sweeps,
-                              method="sweeps" if fixed_sweeps else "auto")
+        return solve_obstacle(prob, tol=tol, quad=q, fixed_sweeps=fixed_sweeps)
 
     lo = obstacle(0.05, fixed_sweeps=240)
     hi = obstacle(0.35, fixed_sweeps=240)

@@ -224,6 +224,7 @@ def test_missing_subcommand_is_an_argparse_error():
     {"numerics": {"seeds": [-1]}},
     {"numerics": {"h": 0.25}},        # violates h <= eps_min / 4
     {"numerics": {"method": "magic"}},
+    {"numerics": {"method": "auto"}},  # the engine follows the problem
     {"numerics": {"theta": 1.5}},
     {"experiment": {"rhs": 0.0, "shape": "triangle"}},
     {"experiment": {"exterior": "noise"}},
@@ -232,8 +233,8 @@ def test_missing_subcommand_is_an_argparse_error():
 ], ids=[
     "unknown-top-key", "schema-version", "unknown-kind", "unknown-env-key",
     "sigma-range", "empty-eps", "eps-above-one", "empty-seeds",
-    "negative-seed", "h-vs-eps", "bad-method", "theta-range", "bad-shape",
-    "bad-exterior", "zero-workers", "empty-out-dir",
+    "negative-seed", "h-vs-eps", "bad-method", "method-key", "theta-range",
+    "bad-shape", "bad-exterior", "zero-workers", "empty-out-dir",
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -274,6 +275,11 @@ NAN, INF = float("nan"), float("inf")
     {"environment": {"lam": True}},
     {"numerics": {"seeds": [True]}},
     {"experiment": {"rhs": None}},
+    {"experiment": {"seed": True}},
+    {"kind": "effective", "experiment": {"phi_index": 4.5}},
+    {"numerics": {"max_steps": True}},
+    {"workers": 4.5},
+    {"kernel": {"sigma": True}},
 ], ids=[
     "sigma-string", "eps-list-scalar", "eps-list-string-entry", "solver-tol-nan",
     "solver-tol-inf", "bisect-tol-nan", "r-out-factor-inf", "h-nan",
@@ -281,7 +287,8 @@ NAN, INF = float("nan"), float("inf")
     "rhs-string", "eps-inf", "seed-string", "level-nan", "phi-index-string",
     "x0-nan", "x0-scalar", "amplitude-inf", "forcing-value-nan",
     "lam-big-inf", "workers-string", "n-alpha-float", "dim-bool", "lam-bool",
-    "seed-bool", "rhs-null",
+    "seed-bool", "rhs-null", "experiment-seed-true", "phi-index-4.5",
+    "max-steps-bool", "workers-4.5", "sigma-bool",
 ])
 def test_malformed_numbers_exit_2(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -300,6 +307,21 @@ def test_translation_shift_checked_at_the_eps_it_runs(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
     assert err["type"] == "ConfigurationError"
     assert "translation" in err["message"]
+
+
+@pytest.mark.parametrize("kind, experiment", [
+    ("abp", {"supports": [0.0, -1.0]}),
+    ("abp", {"amplitudes": [1.0, -2.0]}),
+    ("abp", {"base_support": 0.0}),
+    ("cmi", {"sizes": [0.5, 0.0]}),
+], ids=["abp-supports", "abp-amplitudes", "abp-base-support", "cmi-sizes"])
+def test_nonpositive_forcing_measures_exit_2(tmp_path, capsys, kind, experiment):
+    cfg = write_config(tmp_path, kind=kind, environment={"kernel_class": "a"},
+                       numerics={"h": 2.0**-5}, experiment=experiment)
+    assert main(["run", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+    assert err["type"] == "ConfigurationError"
+    assert "must be positive" in err["message"]
 
 
 def test_phi_index_bounds_checked(tmp_path, capsys):
@@ -334,12 +356,13 @@ def test_unreadable_and_malformed_configs(tmp_path, capsys):
 
 
 def test_solver_failure_exits_3(tmp_path, capsys):
+    # a 2d solve runs sweeps, which stop once the residual stagnates
     cfg = write_config(
         tmp_path,
-        environment={"n_alpha": 2, "n_beta": 2, "coeff_law": "uniform",
-                     "forcing_law": "uniform", "f_bound": 1.0},
-        numerics={"solver_tol": 1e-300, "method": "sweeps"},
-        experiment={"rhs": 0.05},
+        environment={"dim": 2, "kernel_class": "a", "n_alpha": 2, "n_beta": 2,
+                     "coeff_law": "uniform", "forcing_law": "uniform"},
+        numerics={"eps_list": [0.5], "h": 0.125, "solver_tol": 1e-300},
+        experiment={"exterior": "cosine", "eps": 0.5},
     )
     assert main(["run", str(cfg)]) == 3
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
@@ -396,7 +419,7 @@ _FUZZ_KEYS = {
     "experiment": sorted({k for d in cli._EXPERIMENT_DEFAULTS.values() for k in d}),
 }
 # small values only: a valid draw must stay a desk-second run, so no 2d
-# (dim 2), no sweeps method and no tiny tolerances or grids
+# (dim 2, which runs sweeps) and no tiny tolerances or grids
 _FUZZ_VALUES = [None, True, -1, 0, 0.5, 3, 3.0, float("nan"), float("inf"), "x",
                 "newton", [], [0.25], [0.25, 0.125], {}]
 _DELETE = object()

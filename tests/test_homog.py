@@ -92,8 +92,9 @@ def test_effective_value_bisection_record():
 
 def test_effective_value_builds_each_system_once(monkeypatch):
     # one lattice per (eps, seed) for the solves plus one per barrier, and
-    # one table per eps; nothing is rebuilt per level
-    from nlhomog import homog, kernels, solve
+    # one table per eps; nothing is rebuilt per level.  Every table is
+    # built through solve.default_quadrature.
+    from nlhomog import kernels, solve
     counts = {"lattice": 0, "quad": 0}
     init = solve._Lattice1D.__init__
 
@@ -106,7 +107,7 @@ def test_effective_value_builds_each_system_once(monkeypatch):
         return build_quadrature(*args, **kwargs)
 
     monkeypatch.setattr(solve._Lattice1D, "__init__", counted_init)
-    for module in (homog, kernels, solve):
+    for module in (kernels, solve):
         monkeypatch.setattr(module, "build_quadrature", counted_quad)
     eps_list, seeds = (0.25, 0.125), (0, 1, 2)
     cfg = ExtractionConfig(eps_list=eps_list, seeds=seeds, tol=2.0**-5)
@@ -219,6 +220,16 @@ def test_abp_experiment_quick_run():
     sups = [r["sup_v"] for r in out["support_rows"]]
     assert all(a > b for a, b in zip(sups, sups[1:]))
     assert out["support_slope"] > 0.0
+
+
+def test_measures_snapping_to_one_cell_count_are_refused():
+    # at h = 2^-5 both 2^-7 and 2^-9 snap to one cell: a slope fitted
+    # through them would use one measure twice
+    fam = KernelFamily(kind="a", dim=1, sigma=1.0, lam=1.0, lam_big=2.0)
+    with pytest.raises(ConfigurationError, match="snap"):
+        abp_scaling_experiment(fam, h=2.0**-5, supports=(0.5, 2.0**-7, 2.0**-9))
+    with pytest.raises(ConfigurationError, match="snap"):
+        comparison_measurable_experiment((2.0**-7, 2.0**-9), 0, fam, h=2.0**-5)
 
 
 def test_cmi_refuses_scalar_class_without_conjecture_flag():

@@ -58,6 +58,17 @@ def mixed_problem(level, h=1.0 / 16, half=0.5, eps=0.25, seed=3):
                             exterior=ExteriorRule.zero(), shape="cube")
 
 
+def sweeps(prob, quad, obstacle=False, tol=1e-6, max_iter=200000):
+    """The reference sweep engine on any problem, returned and raising as the solves do.
+
+    The solves run the engine the problem picks; every lattice can also
+    sweep, so the engine comparisons reach that path directly.
+    """
+    lat = solve._lattice(prob, quad)
+    out = lat.sweep_solve(None, obstacle, tol, max_iter)
+    return solve._result(lat, obstacle, "sweeps", out, tol)
+
+
 QUAD16 = build_quadrature(1, 1.0, 1.0 / 16, 8.0)
 
 
@@ -124,8 +135,8 @@ def test_newton_matches_sweeps():
     h = 2.0**-6
     prob = sqrt_problem(h)
     quad = build_quadrature(1, 1.0, h, 16.0)
-    u1, d1 = solve_dirichlet(prob, tol=1e-10, quad=quad, method="newton")
-    u2, d2 = solve_dirichlet(prob, tol=1e-10, quad=quad, method="sweeps")
+    u1, d1 = solve_dirichlet(prob, tol=1e-10, quad=quad)
+    u2, d2 = sweeps(prob, quad, tol=1e-10)
     assert d1.method == "newton" and d2.method == "sweeps"
     assert np.max(np.abs(u1.values - u2.values)) <= 1e-9
 
@@ -141,8 +152,8 @@ def test_newton_dirichlet_is_one_linear_solve(sign):
                                 exterior=ExteriorRule.zero())
     else:
         prob = mixed_problem(0.05)
-    u1, d1 = solve_dirichlet(prob, tol=1e-10, quad=QUAD16, method="newton")
-    u2, d2 = solve_dirichlet(prob, tol=1e-10, quad=QUAD16, method="sweeps")
+    u1, d1 = solve_dirichlet(prob, tol=1e-10, quad=QUAD16)
+    u2, d2 = sweeps(prob, QUAD16, tol=1e-10)
     assert d1.method == "newton" and d1.iterations == 1
     assert d1.residual <= 1e-10
     assert np.max(np.abs(u1.values - u2.values)) <= 1e-9
@@ -282,8 +293,8 @@ def test_newton_obstacle_matches_sweeps_across_contact_transition(shape):
         prob = DirichletProblem(handle=OperatorHandle(fam=FAM, env=mixed_env(), eps=0.25),
                                 domain=Box((0.0,), 0.5, h), rhs=level,
                                 exterior=ExteriorRule.zero(), shape=shape)
-        a = solve_obstacle(prob, tol=tol, quad=quad, method="newton")
-        b = solve_obstacle(prob, tol=tol, quad=quad, method="sweeps")
+        a = solve_obstacle(prob, tol=tol, quad=quad)
+        b = sweeps(prob, quad, obstacle=True, tol=tol)
         assert a.diagnostics.residual <= tol
         assert int(np.sum(a.contact)) == int(np.sum(b.contact))
         assert np.max(np.abs(a.u.values - b.u.values)) <= tol
@@ -297,7 +308,7 @@ def test_newton_warm_start_is_exact():
     # the active set reaches the same final contact set from any first set,
     # so a warm start changes the step count and nothing else
     prob = mixed_problem(0.1)
-    cold = solve_obstacle(prob, tol=1e-10, quad=QUAD16, method="newton")
+    cold = solve_obstacle(prob, tol=1e-10, quad=QUAD16)
     contact = cold.contact
     n = int(np.sum(contact))
     assert 0 < n < contact.size
@@ -306,12 +317,12 @@ def test_newton_warm_start_is_exact():
     subset = contact & (cells % 2 == 0)
     assert superset.sum() > n and subset.sum() < n
     for first in (superset, subset, contact):
-        warm = solve_obstacle(prob, tol=1e-10, quad=QUAD16, method="newton",
+        warm = solve_obstacle(prob, tol=1e-10, quad=QUAD16,
                               init=np.where(first, 0.0, 1.0))
         assert np.array_equal(warm.u.values, cold.u.values)
         assert int(np.sum(warm.contact)) == n
     # started from the final contact set, one step confirms it
-    exact = solve_obstacle(prob, tol=1e-10, quad=QUAD16, method="newton",
+    exact = solve_obstacle(prob, tol=1e-10, quad=QUAD16,
                            init=cold.u.values)
     assert exact.diagnostics.iterations == 1 < cold.diagnostics.iterations
 
@@ -332,8 +343,8 @@ def test_prebuilt_lattice_and_system_match_a_fresh_solve():
 def test_obstacle_level_monotone_exact_coupling():
     lo = mixed_problem(0.05)
     hi = mixed_problem(0.35)
-    s1 = solve_obstacle(lo, quad=QUAD16, fixed_sweeps=240, method="sweeps")
-    s2 = solve_obstacle(hi, quad=QUAD16, fixed_sweeps=240, method="sweeps")
+    s1 = solve_obstacle(lo, quad=QUAD16, fixed_sweeps=240)
+    s2 = solve_obstacle(hi, quad=QUAD16, fixed_sweeps=240)
     assert np.all(s1.u.values >= s2.u.values)
 
 
@@ -361,7 +372,7 @@ def test_extremal_forced_subadditive_coupling():
     def forced(g):
         p = DirichletProblem(handle=handle, domain=box, rhs=-g,
                              exterior=ExteriorRule.zero(), shape="ball")
-        u, _ = solve_dirichlet(p, quad=quad, fixed_sweeps=200, method="sweeps")
+        u, _ = solve_dirichlet(p, quad=quad, fixed_sweeps=200)
         return u.values
 
     v1, v2, v12 = forced(g1), forced(g2), forced(g1 + g2)
@@ -431,17 +442,16 @@ def test_barrier_level_bisects_the_certified_amplitude():
 def test_solver_error_carries_diagnostics():
     prob = mixed_problem(0.05)
     with pytest.raises(SolverError) as exc:
-        solve_dirichlet(prob, tol=1e-15, max_iter=8, quad=QUAD16,
-                        method="sweeps")
+        sweeps(prob, QUAD16, tol=1e-15, max_iter=8)
     assert exc.value.iterations == 8
     assert exc.value.residual > 1e-15
 
 
 def test_stagnating_sweeps_fail_fast():
     prob = mixed_problem(0.05)
-    for run in (solve_dirichlet, solve_obstacle):
+    for obstacle in (False, True):
         with pytest.raises(SolverError) as exc:
-            run(prob, tol=1e-300, quad=QUAD16, method="sweeps")
+            sweeps(prob, QUAD16, obstacle, tol=1e-300)
         # the residual floors at roundoff within a few hundred sweeps; the
         # stagnation window stops the solve long before max_iter
         assert exc.value.iterations <= 5000
@@ -455,30 +465,40 @@ def test_newton_missing_tol_raises_without_sweeps(run, monkeypatch):
 
     monkeypatch.setattr(solve._SweepEngine, "sweep_solve", no_sweeps)
     with pytest.raises(SolverError) as exc:
-        run(mixed_problem(0.05), tol=1e-300, quad=QUAD16, method="newton")
+        run(mixed_problem(0.05), tol=1e-300, quad=QUAD16)
     assert exc.value.iterations <= 60
     assert exc.value.residual > 1e-300
 
 
 def test_fixed_sweeps_never_raises():
     prob = mixed_problem(0.05)
-    u, diag = solve_dirichlet(prob, tol=1e-15, quad=QUAD16,
-                              fixed_sweeps=5, method="sweeps")
+    u, diag = solve_dirichlet(prob, tol=1e-15, quad=QUAD16, fixed_sweeps=5)
     assert not diag.converged
     assert u.values.shape == (prob.domain.m,)
 
 
-def test_newton_is_one_dimensional_only():
-    spec = EnvironmentSpec(dim=2, coeff_law="fixed", coeff_value=1.0,
+def test_the_problem_picks_the_engine():
+    # 1d operators but the pointwise "cs" extremal: the linear engine
+    _, d = solve_dirichlet(mixed_problem(0.05), tol=1e-9, quad=QUAD16)
+    assert d.method == "newton"
+    # the "cs" extremal, a 2d problem and any fixed_sweeps solve: sweeps
+    box = Box((0.0,), 0.5, 1.0 / 16)
+    cs_extremal = DirichletProblem(handle=OperatorHandle(fam=FAM, extremal_sign=+1),
+                                   domain=box, rhs=-1.0, exterior=ExteriorRule.zero())
+    _, d = solve_dirichlet(cs_extremal, tol=1e-6, quad=QUAD16)
+    assert d.method == "sweeps"
+    spec = EnvironmentSpec(dim=2, kernel_class="a", coeff_law="fixed", coeff_value=1.0,
                            forcing_law="fixed", forcing_value=0.0)
-    env = sample_environment(spec, seed=0)
-    box = Box((0.0, 0.0), 0.5, 1.0 / 8)
     prob = DirichletProblem(handle=OperatorHandle(fam=KernelFamily(
-        kind="a", dim=2, sigma=1.0, lam=1.0, lam_big=2.0), env=env, eps=0.5),
-        domain=box, rhs=0.0, exterior=ExteriorRule.zero())
-    with pytest.raises(ConfigurationError):
-        solve_dirichlet(prob, method="newton",
-                        quad=build_quadrature(2, 1.0, 1.0 / 8, 4.0))
+        kind="a", dim=2, sigma=1.0, lam=1.0, lam_big=2.0),
+        env=sample_environment(spec, seed=0), eps=0.5),
+        domain=Box((0.0, 0.0), 0.5, 1.0 / 8), rhs=0.0, exterior=ExteriorRule.zero())
+    _, d = solve_dirichlet(prob, quad=build_quadrature(2, 1.0, 1.0 / 8, 4.0))
+    assert d.method == "sweeps"
+    _, d = solve_dirichlet(mixed_problem(0.05), quad=QUAD16, fixed_sweeps=5)
+    assert d.method == "sweeps"
+    sol = solve_obstacle(mixed_problem(0.05), quad=QUAD16, fixed_sweeps=5)
+    assert sol.diagnostics.method == "sweeps"
 
 
 @pytest.mark.parametrize("build", [
