@@ -10,27 +10,28 @@ for bit-identical re-runs).  Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
 from .env import EnvironmentSpec, sample_environment
 from .errors import CheckFailure, ConfigurationError, SolverError
-from .kernels import build_quadrature
-from .operators import Box, ExteriorRule, extremal
+from .kernels import KernelFamily, build_quadrature
+from .operators import Box, ExteriorRule, TestFunction, extremal
 from .solve import (
     DirichletProblem, OperatorHandle, default_quadrature, solve_dirichlet,
     solve_obstacle,
 )
 from .homog import (
-    CSV_COLUMNS, ExtractionConfig, RowLog, abp_scaling_experiment,
+    ExtractionConfig, RowLog, abp_scaling_experiment,
     check_translation_shift, comparison_measurable_experiment,
     convergence_experiment, corrector_decay_profile, effective_value,
     estimate_mbar, fam_of, quadratic_bank, worker_count, _exterior_from_tag,
+    _FrozenSystems,
 )
 
 SCHEMA_VERSION = 1
@@ -106,6 +107,13 @@ def _integer(value, where):
     """A JSON integer read from the config (never true or 4.5), or a ConfigurationError."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _workers(value, where):
+    """A worker count from the config or the command line: an integer >= 1."""
+    if _integer(value, where) < 1:
+        raise ConfigurationError(f"{where} must be >= 1, got {value}")
     return value
 
 
@@ -255,9 +263,7 @@ def load_config(path):
 
     workers = raw.get("workers")
     if workers is not None:
-        workers = _integer(workers, "workers")
-        if workers < 1:
-            raise ConfigurationError("workers must be >= 1")
+        workers = _workers(workers, "workers")
     out_dir = raw.get("out_dir", os.path.join("runs", kind))
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigurationError("out_dir must be a nonempty string")
@@ -298,18 +304,16 @@ def _run_solve(kind, resolved, spec, fam, log):
                             exterior=_exterior_from_tag(exp["exterior"], spec.dim),
                             shape=exp["shape"])
     quad = default_quadrature(fam, box, num["r_out_factor"])
-    t0 = time.perf_counter()
     if kind == "solve":
         u, d = solve_dirichlet(prob, tol=num["solver_tol"], quad=quad)
         fraction = ""
     else:
         sol = solve_obstacle(prob, tol=num["solver_tol"], quad=quad)
         u, d, fraction = sol.u, sol.diagnostics, sol.fraction
-    wall = (time.perf_counter() - t0) * 1e3
     sup = float(np.max(np.abs(u.values)))
     log.add(kind, eps=eps, seed=seed, l=exp["rhs"], contact_fraction=fraction,
             sup_norm=sup, iterations=d.iterations, residual=d.residual,
-            wall_ms=wall)
+            wall_ms=d.wall_ms)
     summary = {
         "sup_norm": sup,
         "min_value": float(np.min(u.values)),
@@ -465,9 +469,8 @@ def _write_solution_csv(path, u):
         for (x, y), v in zip(pts, u.values.ravel()):
             rows.append((repr(float(x)), repr(float(y)), repr(float(v))))
         header = ("x", "y", "u")
-    import csv as _csv
     with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
+        w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
 
@@ -503,7 +506,6 @@ def _direct_frozen_constant(resolved, spec, fam):
     Constant-coefficient environments make this level exact, so the
     extraction must land within twice its bisection tolerance of it.
     """
-    from .homog import _FrozenSystems
     num, exp = resolved["numerics"], resolved["experiment"]
     phi, x0 = _phi(spec, exp)
     systems = _FrozenSystems(phi, x0, spec, fam, num["h"], num["r_out_factor"],
@@ -592,7 +594,6 @@ def _report_checks(checks):
 
 def _suite_invariants():
     """Cheap exactness properties of the solver stack."""
-    from .solve import solve_obstacle as _solve_obs
     checks = []
 
     spec = EnvironmentSpec(dim=1, coeff_law="fixed", coeff_value=1.5,
@@ -611,7 +612,6 @@ def _suite_invariants():
                    f"sup={float(np.max(np.abs(u.values))):.1e}"))
 
     # extremal duality is an arithmetic identity, so it must hold exactly
-    from .operators import TestFunction
     prof = TestFunction.make([[1.7]], p=[0.3], center=[0.2])
     nprof = TestFunction.make([[-1.7]], p=[-0.3], center=[0.2])
     worst = 0.0
@@ -636,8 +636,8 @@ def _suite_invariants():
     prob_hi = DirichletProblem(handle=OperatorHandle(fam=fam, env=env_i, eps=0.25),
                                domain=box, rhs=1.5,
                                exterior=ExteriorRule.zero(), shape="cube")
-    lo = _solve_obs(prob_lo, quad=quad, fixed_sweeps=400)
-    hi = _solve_obs(prob_hi, quad=quad, fixed_sweeps=400)
+    lo = solve_obstacle(prob_lo, quad=quad, fixed_sweeps=400)
+    hi = solve_obstacle(prob_hi, quad=quad, fixed_sweeps=400)
     checks.append(("level-monotone-exact",
                    bool(np.all(lo.u.values >= hi.u.values)),
                    "pointwise at every node"))
@@ -645,7 +645,6 @@ def _suite_invariants():
 
 
 def _suite_abp():
-    from .kernels import KernelFamily
     fam = KernelFamily(kind="a", dim=1, sigma=1.0, lam=1.0, lam_big=2.0)
     return _abp_checks(fam, abp_scaling_experiment(fam))
 
@@ -758,6 +757,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.workers is not None:
+            _workers(args.workers, "--workers")
         if args.command == "run":
             return cmd_run(args)
         return cmd_check(args)

@@ -19,7 +19,8 @@ are built on first use and dropped when the call returns; each level only
 recomputes its threshold and runs the active set, started from the contact
 set the same (eps, seed) item returned at the previous level.  That warm
 start travels with the item, so the optional process pool, which lives for
-the whole bisection, cannot change any reported number.
+the whole bisection, cannot change any reported number.  The convergence
+harness fans its Dirichlet solves out through the same pool path (`_Fold`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import csv
 import functools
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -170,7 +170,7 @@ def worker_count(requested=None, config=None):
     NONLOCAL_HOMOG_WORKERS environment variable, then the config's
     `workers`, else all cores.
     """
-    if requested is not None and requested > 0:
+    if requested is not None:
         return int(requested)
     envval = os.environ.get("NONLOCAL_HOMOG_WORKERS")
     if envval:
@@ -298,49 +298,50 @@ class _FrozenSystems:
         lat = self.lattice(eps, seed)
         if lat.linear and eps not in self.assembled:
             self.assembled[eps] = lat.assemble()
-        t0 = time.perf_counter()
         sol = solve_obstacle(replace(lat.problem, rhs=level), tol=self.tol,
                              init=warm if lat.linear else None,
                              lattice=lat, system=self.assembled.get(eps))
-        wall = (time.perf_counter() - t0) * 1e3
         d = sol.diagnostics
         return (eps, seed, sol.fraction, float(np.max(np.abs(sol.u.values))),
-                d.iterations, d.residual, wall, sol.u.values if lat.linear else None)
+                d.iterations, d.residual, d.wall_ms, sol.u.values if lat.linear else None)
 
 
 # Set only inside pool workers, by the pool's initializer; it lives and dies
 # with the pool of one _Fold, so no state outlasts the call that made it.
-_WORKER_SYSTEMS = None
+_WORKER_STATE = None
 
 
-def _start_worker(args):
-    global _WORKER_SYSTEMS
-    _WORKER_SYSTEMS = _FrozenSystems(*args)
+def _start_worker(make, args):
+    global _WORKER_STATE
+    _WORKER_STATE = make(*args)
 
 
 def _on_worker(fn, item):
-    return fn(_WORKER_SYSTEMS, item)
+    return fn(_WORKER_STATE, item)
 
 
 class _Fold:
-    """Maps `_FrozenSystems` methods over items, in process or on one pool.
+    """Maps fn(state, item) over items, in process or on one pool.
 
-    With one worker the systems live here; with more, each pool worker
-    builds the systems it is handed from the same arguments, and the pool
-    lives until the fold closes.  Either way every item runs the same
-    method on the same arguments, so results do not depend on the worker
-    count.  `warm` holds the last warm start of each (eps, seed).
+    The state is `make(*args)`, the part every item shares.  With one
+    worker it is built here; with more, each pool worker builds its own
+    from the same arguments, once, and the pool lives until the fold
+    closes.  Either way every item runs the same function on equal state,
+    so results do not depend on the worker count.  `make` and `fn` must be
+    module-level names (a class and its methods count), so that the pool
+    can pickle them under any start method.  `warm` holds the last warm
+    start of each (eps, seed) of a `_FrozenSystems` fold.
     """
 
-    def __init__(self, args, workers):
+    def __init__(self, make, args, workers):
         self.warm = {}
-        self.systems = _FrozenSystems(*args) if workers <= 1 else None
+        self.state = make(*args) if workers <= 1 else None
         self.pool = None if workers <= 1 else ProcessPoolExecutor(
-            max_workers=workers, initializer=_start_worker, initargs=(args,))
+            max_workers=workers, initializer=_start_worker, initargs=(make, args))
 
     def map(self, fn, items):
         if self.pool is None:
-            return [fn(self.systems, it) for it in items]
+            return [fn(self.state, it) for it in items]
         return list(self.pool.map(functools.partial(_on_worker, fn), items, chunksize=1))
 
     def __enter__(self):
@@ -361,13 +362,6 @@ def fam_of(spec: EnvironmentSpec, sigma: float | None = None) -> KernelFamily:
                         lam=spec.lam, lam_big=spec.lam_big)
 
 
-def _run_items(items, fn, workers):
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items, chunksize=1))
-
-
 def estimate_mbar(phi, x0, level, eps_list, seeds, spec: EnvironmentSpec,
                   fam: KernelFamily, *, h=None, tol=1e-7, r_out_factor=8.0,
                   richardson=False, workers=1,
@@ -386,7 +380,7 @@ def estimate_mbar(phi, x0, level, eps_list, seeds, spec: EnvironmentSpec,
     if len(seeds) < 1:
         raise ConfigurationError("estimate_mbar needs at least one seed")
     if fold is None:
-        scope = _Fold((phi, x0, spec, fam, h, r_out_factor, tol), workers)
+        scope = _Fold(_FrozenSystems, (phi, x0, spec, fam, h, r_out_factor, tol), workers)
     else:
         scope = nullcontext(fold)
     with scope as f:
@@ -442,8 +436,7 @@ def _bracket(fold, cfg: ExtractionConfig):
 
 
 def effective_value(phi, x0, cfg: ExtractionConfig, spec: EnvironmentSpec,
-                    fam: KernelFamily, *, log: RowLog | None = None,
-                    experiment_id="effective") -> EffectiveSample:
+                    fam: KernelFamily, *, log: RowLog | None = None) -> EffectiveSample:
     """Bisect on the level for the boundary between contact regimes.
 
     Below the effective level the extrapolated contact fraction sits at
@@ -458,7 +451,7 @@ def effective_value(phi, x0, cfg: ExtractionConfig, spec: EnvironmentSpec,
     theta = cfg.theta if cfg.theta is not None else 2.0 / cells
     steps = []
     args = (phi, x0, spec, fam, cfg.h, cfg.r_out_factor, cfg.solver_tol)
-    with _Fold(args, cfg.workers) as fold:
+    with _Fold(_FrozenSystems, args, cfg.workers) as fold:
         lo, hi = _bracket(fold, cfg)
         if not lo < hi:
             raise SolverError(f"degenerate effective-value bracket [{lo}, {hi}]")
@@ -471,7 +464,7 @@ def effective_value(phi, x0, cfg: ExtractionConfig, spec: EnvironmentSpec,
                               h=cfg.h, tol=cfg.solver_tol,
                               r_out_factor=cfg.r_out_factor,
                               richardson=cfg.richardson, log=log,
-                              experiment_id=experiment_id, fold=fold).estimate
+                              experiment_id="effective", fold=fold).estimate
             if m <= theta:
                 steps.append((mid, m, "zero"))
                 lo = mid
@@ -491,7 +484,7 @@ def effective_value(phi, x0, cfg: ExtractionConfig, spec: EnvironmentSpec,
 def corrector_decay_profile(phi, x0, level, eps_list, seed,
                             spec: EnvironmentSpec, fam: KernelFamily, *,
                             h=None, tol=1e-7, r_out_factor=8.0,
-                            log: RowLog | None = None, experiment_id="corrector"):
+                            log: RowLog | None = None):
     """Sup norms of the frozen-operator Dirichlet correctors on the unit ball.
 
     At the effective level the sequence should decay as eps shrinks; off
@@ -505,14 +498,12 @@ def corrector_decay_profile(phi, x0, level, eps_list, seed,
         prob = _frozen_problem(phi, x0, level, eps, env, fam, he, domain_half=1.0,
                                shape="ball")
         quad = default_quadrature(fam, prob.domain, r_out_factor)
-        t0 = time.perf_counter()
         w, d = solve_dirichlet(prob, tol=tol, quad=quad)
-        wall = (time.perf_counter() - t0) * 1e3
         sup = float(np.max(np.abs(w.values)))
         sups.append(sup)
         if log is not None:
-            log.add(experiment_id, eps=eps, seed=seed, l=level, sup_norm=sup,
-                    iterations=d.iterations, residual=d.residual, wall_ms=wall)
+            log.add("corrector", eps=eps, seed=seed, l=level, sup_norm=sup,
+                    iterations=d.iterations, residual=d.residual, wall_ms=d.wall_ms)
     return sups
 
 
@@ -554,16 +545,13 @@ def _extremal_forced_sup(fam, box, g, *, tol, quad, amplitude=1.0):
     handle = OperatorHandle(fam=fam, extremal_sign=+1)
     prob = DirichletProblem(handle=handle, domain=box, rhs=-amplitude * g,
                             exterior=ExteriorRule.zero(), shape="ball")
-    t0 = time.perf_counter()
     v, d = solve_dirichlet(prob, tol=tol, quad=quad)
-    wall = (time.perf_counter() - t0) * 1e3
-    return float(np.max(v.values)), d, wall
+    return float(np.max(v.values)), d
 
 
 def comparison_measurable_experiment(sizes, seed, fam: KernelFamily, *,
                                      h=2.0**-9, conjecture_cs=False, tol=1e-8,
-                                     r_out_factor=8.0, log: RowLog | None = None,
-                                     experiment_id="cmi"):
+                                     r_out_factor=8.0, log: RowLog | None = None):
     """Extremal response to shrinking-support unit forcing.
 
     Solves the upper extremal equation with forcing -g, g an indicator of
@@ -580,12 +568,12 @@ def comparison_measurable_experiment(sizes, seed, fam: KernelFamily, *,
     quad = default_quadrature(fam, box, r_out_factor)
     rows = []
     for g, m_act in _indicator_forcings(box, sizes):
-        sup, d, wall = _extremal_forced_sup(fam, box, g, tol=tol, quad=quad)
+        sup, d = _extremal_forced_sup(fam, box, g, tol=tol, quad=quad)
         rows.append({"measure": m_act, "sup_v": sup,
                      "conjecture": fam.kind == "cs"})
         if log is not None:
-            log.add(experiment_id, seed=seed, l=m_act, sup_norm=sup,
-                    iterations=d.iterations, residual=d.residual, wall_ms=wall)
+            log.add("cmi", seed=seed, l=m_act, sup_norm=sup,
+                    iterations=d.iterations, residual=d.residual, wall_ms=d.wall_ms)
     ms = np.array([r["measure"] for r in rows])
     sv = np.array([max(r["sup_v"], 1e-300) for r in rows])
     slope = float(np.polyfit(np.log(ms), np.log(sv), 1)[0]) if len(rows) >= 2 else math.nan
@@ -597,8 +585,7 @@ def abp_scaling_experiment(fam: KernelFamily, *, h=2.0**-9,
                            amplitudes=(1.0, 2.0, 4.0, 8.0),
                            supports=(2.0**-1, 2.0**-3, 2.0**-5, 2.0**-7, 2.0**-9),
                            base_support=2.0**-2, tol=1e-8, r_out_factor=8.0,
-                           log: RowLog | None = None,
-                           experiment_id="abp"):
+                           log: RowLog | None = None):
     """Two scaling probes of the extremal forced bound.
 
     (i) amplitude sweep at fixed support: sup v must grow at most
@@ -615,22 +602,21 @@ def abp_scaling_experiment(fam: KernelFamily, *, h=2.0**-9,
     g0, m0 = _indicator_forcing(box, base_support)
     amp_rows = []
     for c in amplitudes:
-        sup, d, wall = _extremal_forced_sup(fam, box, g0, tol=tol, quad=quad,
-                                            amplitude=c)
+        sup, d = _extremal_forced_sup(fam, box, g0, tol=tol, quad=quad, amplitude=c)
         amp_rows.append({"amplitude": c, "sup_v": sup})
         if log is not None:
-            log.add(experiment_id + "-amp", l=c, sup_norm=sup,
-                    iterations=d.iterations, residual=d.residual, wall_ms=wall)
+            log.add("abp-amp", l=c, sup_norm=sup,
+                    iterations=d.iterations, residual=d.residual, wall_ms=d.wall_ms)
     ratios = [amp_rows[i + 1]["sup_v"] / amp_rows[i]["sup_v"]
               for i in range(len(amp_rows) - 1)
               if amp_rows[i]["sup_v"] > 0]
     sup_rows = []
     for g, m_act in forcings:
-        sup, d, wall = _extremal_forced_sup(fam, box, g, tol=tol, quad=quad)
+        sup, d = _extremal_forced_sup(fam, box, g, tol=tol, quad=quad)
         sup_rows.append({"measure": m_act, "sup_v": sup})
         if log is not None:
-            log.add(experiment_id + "-supp", l=m_act, sup_norm=sup,
-                    iterations=d.iterations, residual=d.residual, wall_ms=wall)
+            log.add("abp-supp", l=m_act, sup_norm=sup,
+                    iterations=d.iterations, residual=d.residual, wall_ms=d.wall_ms)
     ms = np.array([r["measure"] for r in sup_rows])
     sv = np.array([max(r["sup_v"], 1e-300) for r in sup_rows])
     slope = float(np.polyfit(np.log(ms), np.log(sv), 1)[0]) if len(sup_rows) >= 2 else math.nan
@@ -647,11 +633,16 @@ def abp_scaling_experiment(fam: KernelFamily, *, h=2.0**-9,
 # ---------------------------------------------------------------------------
 # convergence harness
 
-def _converge_item(args):
-    spec, sigma, seed, eps, box_args, far, tol, r_out_factor, shift = args
+def _converge_shared(spec, sigma, box, far, tol, r_out_factor):
+    """What every converge item shares, with its kernel family built once."""
+    return spec, fam_of(spec, sigma), box, far, tol, r_out_factor
+
+
+def _converge_item(shared, item):
+    """Dirichlet solve of one converge item (seed, eps, shift); shift None is the plain route."""
+    spec, fam, box, far, tol, r_out_factor = shared
+    seed, eps, shift = item
     env = sample_environment(spec, seed=seed)
-    box = Box(*box_args)
-    fam = fam_of(spec, sigma)
     if shift is not None:
         # translated route: shifted environment, shifted domain and data
         env = translate(env, np.full(spec.dim, shift))
@@ -662,10 +653,8 @@ def _converge_item(args):
     prob = DirichletProblem(handle=handle, domain=box, rhs=0.0, exterior=g,
                             shape="cube")
     quad = default_quadrature(fam, box, r_out_factor)
-    t0 = time.perf_counter()
     u, d = solve_dirichlet(prob, tol=tol, quad=quad)
-    wall = (time.perf_counter() - t0) * 1e3
-    return u.values, d.iterations, d.residual, wall
+    return u.values, d.iterations, d.residual, d.wall_ms
 
 
 def _exterior_from_tag(tag, dim, offset=0.0):
@@ -698,7 +687,7 @@ def convergence_experiment(exterior_tag, eps_list, seeds,
                            spec: EnvironmentSpec, fam: KernelFamily, *,
                            domain_half=0.5, h=None, tol=1e-7, r_out_factor=8.0,
                            translation_shift=0.25, workers=1,
-                           log: RowLog | None = None, experiment_id="converge"):
+                           log: RowLog | None = None):
     """Scaled Dirichlet solves across eps and seeds, with three diagnostics.
 
     (a) seed discrepancy per eps (sup over seed pairs), (b) Cauchy gaps
@@ -711,26 +700,19 @@ def convergence_experiment(exterior_tag, eps_list, seeds,
     if len(eps_list) < 2:
         raise ConfigurationError("convergence harness needs at least two eps values")
     he = (min(eps_list) / 4.0) if h is None else h
-    box_args = ((0.0,) * spec.dim, domain_half, he)
-    sigma = fam.sigma
-    items = []
-    for eps in eps_list:
-        for seed in seeds:
-            items.append((spec, sigma, seed, eps, box_args, exterior_tag,
-                          tol, r_out_factor, None))
+    check_translation_shift(eps_list, he, translation_shift)
+    box = Box((0.0,) * spec.dim, domain_half, he)
+    items = [(seed, eps, None) for eps in eps_list for seed in seeds]
     # translated route for the largest eps, first seed
-    shift = translation_shift
-    check_translation_shift(eps_list, he, shift)
-    items.append((spec, sigma, seeds[0], eps_list[0], box_args,
-                  exterior_tag, tol, r_out_factor, shift))
-    out = _run_items(items, _converge_item, workers)
+    items.append((seeds[0], eps_list[0], translation_shift))
+    shared = (spec, fam.sigma, box, exterior_tag, tol, r_out_factor)
+    with _Fold(_converge_shared, shared, workers) as fold:
+        out = fold.map(_converge_item, items)
     sols = {}
-    for (it, (vals, its, res, wall)) in zip(items, out):
-        eps, seed, shf = it[3], it[2], it[8]
-        key = (eps, seed, shf is not None)
-        sols[key] = vals
+    for (seed, eps, shift), (vals, its, res, wall) in zip(items, out):
+        sols[(eps, seed, shift is not None)] = vals
         if log is not None:
-            log.add(experiment_id + ("-shift" if shf is not None else ""),
+            log.add("converge-shift" if shift is not None else "converge",
                     eps=eps, seed=seed,
                     sup_norm=float(np.max(np.abs(vals))),
                     iterations=its, residual=res, wall_ms=wall)

@@ -436,6 +436,8 @@ def extremal(u, x, sign: int, fam: KernelFamily, quad: QuadratureTable) -> float
     if fam.kind == "a":
         mom = unit_moment(u, x, quad)
         return extremal_from_moment(mom, sign, fam.lam, fam.lam_big)
+    # the multiplier taken on positive and on negative second differences
+    hi, lo = (fam.lam_big, fam.lam) if sign > 0 else (fam.lam, fam.lam_big)
     if dim == 1:
         z = _as_point(x, 1)
         h = quad.h
@@ -445,14 +447,9 @@ def extremal(u, x, sign: int, fam: KernelFamily, quad: QuadratureTable) -> float
         delta = fn(z[None, :] + offs) + fn(z[None, :] - offs) - 2.0 * uz
         dnear = delta[0] / h**2
         dfar = 2.0 * far - 2.0 * uz
-        if sign > 0:
-            core = 2.0 * float(np.dot(quad.w, np.where(delta > 0, fam.lam_big * delta, fam.lam * delta)))
-            core += quad.c_near * (fam.lam_big * dnear if dnear > 0 else fam.lam * dnear)
-            core += quad.tail * (fam.lam_big * dfar if dfar > 0 else fam.lam * dfar)
-            return core
-        core = 2.0 * float(np.dot(quad.w, np.where(delta > 0, fam.lam * delta, fam.lam_big * delta)))
-        core += quad.c_near * (fam.lam * dnear if dnear > 0 else fam.lam_big * dnear)
-        core += quad.tail * (fam.lam * dfar if dfar > 0 else fam.lam_big * dfar)
+        core = 2.0 * float(np.dot(quad.w, np.where(delta > 0, hi * delta, lo * delta)))
+        core += quad.c_near * (hi * dnear if dnear > 0 else lo * dnear)
+        core += quad.tail * (hi * dfar if dfar > 0 else lo * dfar)
         return core
     # 2d pointwise-in-y optimization against the plain envelope stencil.
     z = _as_point(x, 2)
@@ -469,7 +466,6 @@ def extremal(u, x, sign: int, fam: KernelFamily, quad: QuadratureTable) -> float
     ey = fn(np.array([[z[0], z[1] + h], [z[0], z[1] - h]]))
     dnear = 0.5 * (float(ex[0] + ex[1] - 2 * uz) + float(ey[0] + ey[1] - 2 * uz)) / h**2
     dfar = 2.0 * far - 2.0 * uz
-    hi, lo = (fam.lam_big, fam.lam) if sign > 0 else (fam.lam, fam.lam_big)
     core = float(np.sum(quad.w * np.where(dsym > 0, hi * dsym, lo * dsym)))
     core += quad.c_near * (hi * dnear if dnear > 0 else lo * dnear)
     core += quad.tail * (hi * dfar if dfar > 0 else lo * dfar)

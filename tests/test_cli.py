@@ -10,7 +10,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -122,6 +121,16 @@ def test_effective_replay_is_worker_invariant(tmp_path):
     assert len(rows) > 1 + 6  # header plus more than one level of 6 solves
 
 
+def test_converge_replay_is_worker_invariant(tmp_path):
+    # the converge solves fan out through the same pool as the bisection
+    cfg = write_config(
+        tmp_path, kind="converge", environment=MIXED_ENV,
+        numerics={"eps_list": [0.25, 0.125], "seeds": [0, 1], "h": 2.0**-5},
+    )
+    rows = replay_at_one_worker(tmp_path, cfg)
+    assert [r[0] for r in rows[1:]] == ["converge"] * 4 + ["converge-shift"]
+
+
 def test_environment_worker_count_beats_config(tmp_path, monkeypatch):
     seen = []
 
@@ -201,6 +210,18 @@ def test_unknown_suite_exits_2(capsys):
     assert main(["check", "nonsense"]) == 2
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err["error"]["type"] == "ConfigurationError"
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_nonpositive_worker_flag_exits_2(tmp_path, capsys, command, workers):
+    # a run would otherwise write a replay.json that refuses to replay
+    target = str(write_config(tmp_path)) if command == "run" else "invariants"
+    assert main([command, target, "--workers", workers]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["type"] == "ConfigurationError"
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_subcommand_is_an_argparse_error():
