@@ -14,10 +14,12 @@ Each problem runs the engine its lattice picks (see `solve`), on a table
 from `default_quadrature`.
 The frozen problems of one m-bar estimate or one effective-level bisection
 share their level-free parts: per eps the quadrature table, the frozen
-moment and the linear engine's (K, e); per (eps, seed) the lattice.  These
-are built on first use and dropped when the call returns; each level only
-recomputes its threshold and runs the active set, started from the contact
-set the same (eps, seed) item returned at the previous level.  That warm
+moment and the linear engine's (K, e, G), with G = inv(K); per (eps, seed)
+the lattice, which the barrier bracket also reads.  These are built on
+first use and dropped when the call returns; each level only recomputes its
+threshold and runs the active set, started from the contact set the same
+(eps, seed) item returned at the previous level, and each active-set step
+with less contact than free cells is a Schur step on G.  That warm
 start travels with the item, so the optional process pool, which lives for
 the whole bisection, cannot change any reported number.  The convergence
 harness fans its Dirichlet solves out through the same pool path (`_Fold`).
@@ -168,17 +170,21 @@ def worker_count(requested=None, config=None):
 
     Precedence: the explicit request (`--workers`), then the
     NONLOCAL_HOMOG_WORKERS environment variable, then the config's
-    `workers`, else all cores.
+    `workers`, else all cores.  The environment variable, like the other
+    two, must be an integer >= 1.
     """
     if requested is not None:
         return int(requested)
     envval = os.environ.get("NONLOCAL_HOMOG_WORKERS")
     if envval:
         try:
-            return max(1, int(envval))
+            workers = int(envval)
         except ValueError:
+            workers = 0
+        if workers < 1:
             raise ConfigurationError(
-                f"NONLOCAL_HOMOG_WORKERS must be an integer, got {envval!r}") from None
+                f"NONLOCAL_HOMOG_WORKERS must be an integer >= 1, got {envval!r}")
+        return workers
     if config is not None and config > 0:
         return int(config)
     return os.cpu_count() or 1
@@ -246,18 +252,20 @@ class _FrozenSystems:
     """Level-free parts of the frozen problems of one extraction, built on first use.
 
     Per eps: the grid spacing, the quadrature table, the frozen moment and,
-    when the lattice runs the linear engine, the pair (K, e) -- all
-    seed-independent, since they depend on the grid, the table and the zero
-    exterior only.
-    Per (eps, seed): the lattice with its environment fields, built at
-    level zero.  Bracket ends and solves at any level read from here.
+    when the lattice runs the linear engine, the triple (K, e, G) with
+    G = inv(K) -- all seed-independent, since they depend on the grid, the
+    table and the zero exterior only.  G turns each active-set step with
+    fewer contact than free cells into a matvec and a small Schur solve.
+    Per (eps, seed): the lattice with its environment fields, built once at
+    level zero; the barrier bracket reads the same lattice under the bump
+    exterior.  Bracket ends and solves at any level read from here.
     """
 
     def __init__(self, phi, x0, spec, fam, h, r_out_factor, tol):
         self.phi, self.x0, self.spec, self.fam = phi, x0, spec, fam
         self.h, self.r_out_factor, self.tol = h, r_out_factor, tol
         self.tables = {}     # eps -> (quadrature table, frozen moment)
-        self.assembled = {}  # eps -> (K, e) of the linear engine
+        self.assembled = {}  # eps -> (K, e, inv(K)) of the linear engine
         self.lattices = {}   # (eps, seed) -> lattice at level 0
 
     def lattice(self, eps, seed):
@@ -282,7 +290,7 @@ class _FrozenSystems:
         satisfies the level, so contact is total.
         """
         lat = self.lattice(*key)
-        lo = barrier_threshold(lat.problem, +1, quad=lat.quad)
+        lo = barrier_threshold(lat.problem, +1, quad=lat.quad, lattice=lat)
         F0, _ = lat.operator_values(np.zeros(lat.rhs.shape))
         return lo, float(np.max(np.asarray(F0)[lat.active]))
 
@@ -297,7 +305,8 @@ class _FrozenSystems:
         eps, seed, level, warm = item
         lat = self.lattice(eps, seed)
         if lat.linear and eps not in self.assembled:
-            self.assembled[eps] = lat.assemble()
+            K, e = lat.assemble()
+            self.assembled[eps] = (K, e, np.linalg.inv(K))
         sol = solve_obstacle(replace(lat.problem, rhs=level), tol=self.tol,
                              init=warm if lat.linear else None,
                              lattice=lat, system=self.assembled.get(eps))

@@ -16,6 +16,10 @@ newton   1d linear engine, for every 1d operator but the pointwise extremal
          Dirichlet solve is one dense solve of K u = e - t; an obstacle
          solve is the complementarity problem K u >= e - t, u >= 0, solved
          by the primal-dual active-set method with exact zeros on contact.
+         A caller that holds G = inv(K) across solves gets Schur steps: on
+         a contact set C smaller than the free set F, a step is one matvec
+         with G and a |C| x |C| solve on G[C, C].  Otherwise, and in every
+         one-off solve, a step is one dense solve on K[F, F].
          Its `init`, when given, only seeds the first contact set (its
          zeros on active cells); the final set, and so the solution, does
          not depend on it.  There is no fallback: a solve that misses the
@@ -32,7 +36,9 @@ sweeps   damped projected point relaxation (red-black ordering), for 2d
 
 Repeated solves of one problem at several levels can hand `solve_obstacle`
 the level-free parts built once: the lattice (environment fields, exterior
-data, frozen moment) and, for the newton engine, the pair (K, e).
+data, frozen moment) and, for the newton engine, the triple (K, e, inv(K)).
+A lattice under other exterior data (`with_exterior`, as the barriers use)
+keeps the environment fields and the frozen moment.
 
 Scaled problems read their coefficients at x / eps; the grid must resolve
 the environment cells (h <= eps/4) or construction fails.
@@ -179,7 +185,8 @@ STALL_CHECKS = 64   # checks in the stagnation window (512 sweeps)
 class _SweepEngine:
     """Red-black damped sweeps and the certified residual, shared by both lattices.
 
-    Subclasses provide `active`, `rhs`, `operator_values` and `linear`.
+    Subclasses provide `active`, `rhs`, `operator_values`, `linear` and
+    `_read_exterior`, which sets everything that depends on the exterior data.
     """
 
     def _rhs_grid(self, rhs):
@@ -195,6 +202,14 @@ class _SweepEngine:
         lat = copy.copy(self)
         lat.problem = replace(self.problem, rhs=rhs)
         lat.rhs = self._rhs_grid(rhs)
+        return lat
+
+    def with_exterior(self, exterior):
+        """This lattice with other exterior data; the environment fields,
+        the table and the frozen moment are shared."""
+        lat = copy.copy(self)
+        lat.problem = replace(self.problem, exterior=exterior)
+        lat._read_exterior()
         return lat
 
     def residual(self, vals, obstacle):
@@ -265,23 +280,10 @@ class _Lattice1D(_SweepEngine):
         self.n_active = int(np.sum(self.active))
         if self.n_active == 0:
             raise ConfigurationError("domain has no active cells")
-        # extended lattice: J ghost nodes on both sides hold exterior data,
-        # inactive cells inside the box hold exterior data as well
-        pad = self.J
+        self.pad = self.J
         left = box.center[0] - box.half
-        self.ext_x = left + (np.arange(-pad, self.m + pad) + 0.5) * self.h
-        self.E = np.empty(self.m + 2 * pad)
-        outside = np.concatenate([
-            np.arange(0, pad),
-            np.arange(self.m + pad, self.m + 2 * pad),
-        ])
-        self.E[outside] = problem.exterior.fn(self.ext_x[outside][:, None])
-        inner = np.arange(pad, self.m + pad)
-        off_cells = inner[~self.active]
-        if off_cells.size:
-            self.E[off_cells] = problem.exterior.fn(self.ext_x[off_cells][:, None])
-        self.pad = pad
-        self.far = problem.exterior.far
+        self.ext_x = left + (np.arange(-self.pad, self.m + self.pad) + 0.5) * self.h
+        self._read_exterior()
         # symmetric correlation stencil, center weight zero
         wsym = np.zeros(2 * self.J + 1)
         wsym[self.J + 1:] = quad.w
@@ -319,6 +321,22 @@ class _Lattice1D(_SweepEngine):
         self.rhs = self._rhs_grid(problem.rhs)
         # only the pointwise "cs" extremal is not linear in the unit moment
         self.linear = not (self.kind == "extremal" and handle.fam.kind == "cs")
+
+    def _read_exterior(self):
+        """Extended lattice: the J ghost nodes on both sides and the inactive
+        cells inside the box hold the exterior data."""
+        exterior, pad = self.problem.exterior, self.pad
+        self.E = np.empty(self.m + 2 * pad)
+        outside = np.concatenate([
+            np.arange(0, pad),
+            np.arange(self.m + pad, self.m + 2 * pad),
+        ])
+        self.E[outside] = exterior.fn(self.ext_x[outside][:, None])
+        inner = np.arange(pad, self.m + pad)
+        off_cells = inner[~self.active]
+        if off_cells.size:
+            self.E[off_cells] = exterior.fn(self.ext_x[off_cells][:, None])
+        self.far = exterior.far
 
     # -- residual pieces ------------------------------------------------
 
@@ -410,16 +428,18 @@ class _Lattice1D(_SweepEngine):
         (the Dirichlet solve) without it; each step solves on the free set
         and writes exact zeros on the contact set, until the set repeats.
         K is an M-matrix, so the method converges from any first set.
-        `system` is the pair (K, e) of `assemble()`, when the caller holds it.
+        `system` is the pair (K, e) of `assemble()`, or the triple (K, e, G)
+        with G = inv(K), when the caller holds it across solves.
         """
         if not self.linear:
             raise ConfigurationError("the pointwise extremal has no dense linearization")
-        K, e = self.assemble() if system is None else system
+        K, e, *inverse = self.assemble() if system is None else system
+        G = inverse[0] if inverse else None
         b = (e - self.threshold())[self.active]
         contact = np.zeros(b.size, dtype=bool)
         if obstacle and init is not None:
             contact = np.asarray(init)[self.active] == 0.0
-        u = _free_solve(K, b, contact)
+        u = _free_solve(K, b, contact, G)
         steps = 1
         if obstacle:
             while steps < max_iter:
@@ -427,16 +447,30 @@ class _Lattice1D(_SweepEngine):
                 if np.array_equal(new, contact):
                     break
                 contact = new
-                u = _free_solve(K, b, contact)
+                u = _free_solve(K, b, contact, G)
                 steps += 1
         vals = self.E[self.pad:self.pad + self.m].copy()
         vals[self.active] = u
         return vals, steps, [self.residual(vals, obstacle)]
 
 
-def _free_solve(K, b, contact):
-    """Solution of K u = b on the free rows, with exact zeros on contact."""
-    if not contact.any():
+def _free_solve(K, b, contact, G=None):
+    """Solution of K u = b on the free rows F, with exact zeros on the contact set C.
+
+    With G = inv(K) and |C| < |F| this is a Schur step (Hager, SIAM Rev.
+    1989): with b zeroed on C, x = G b solves K x = b + r for r = 0, and
+    u = x - G[:, C] z, with G[C, C] z = x[C], is zero on C and changes K x
+    only on the rows of C, so K u = b on F.  It costs one matvec and a
+    |C| x |C| solve; otherwise K[F, F] is solved.
+    """
+    n_contact = int(np.count_nonzero(contact))
+    if G is not None and 2 * n_contact < b.size:
+        u = G @ np.where(contact, 0.0, b)
+        if n_contact:
+            u -= G[:, contact] @ np.linalg.solve(G[np.ix_(contact, contact)], u[contact])
+            u[contact] = 0.0
+        return u
+    if not n_contact:
         return np.linalg.solve(K, b)
     u = np.zeros(b.size)
     free = ~contact
@@ -474,13 +508,10 @@ class _Lattice2D(_SweepEngine):
             self.active = np.ones((self.m, self.m), dtype=bool)
         pad = self.J
         self.pad = pad
-        n = self.m + 2 * pad
         gx = box.center[0] - box.half + (np.arange(-pad, self.m + pad) + 0.5) * self.h
         gy = box.center[1] - box.half + (np.arange(-pad, self.m + pad) + 0.5) * self.h
         GX, GY = np.meshgrid(gx, gy, indexing="ij")
-        pts = np.column_stack([GX.ravel(), GY.ravel()])
-        self.E = problem.exterior.fn(pts).reshape(n, n)
-        self.far = problem.exterior.far
+        self.ext_pts = np.column_stack([GX.ravel(), GY.ravel()])
         self.inner = (slice(pad, pad + self.m), slice(pad, pad + self.m))
         self.kind = "extremal" if handle.extremal_sign != 0 else "branch"
         self.sign = handle.extremal_sign
@@ -492,15 +523,13 @@ class _Lattice2D(_SweepEngine):
         sxy_abs = float(np.sum(np.abs(quad.kxy)))
         self.sums = (sxx, syy, float(np.sum(quad.kxy)))
         # Only the active cells change between evaluations.  The correlation
-        # of the rest (ghost nodes and inactive cells) is read once, and the
-        # active values, zero-padded by q, only ever meet the central
-        # (2q+1)^2 offsets of the stencils.
-        kern = np.stack([quad.kxx, quad.kyy, quad.kxy])
-        fixed = self.E.copy()
-        fixed[self.inner][self.active] = 0.0
-        self.fixed_corr = _correlate(fixed, kern)
+        # of the rest (ghost nodes and inactive cells) is read once per
+        # exterior, and the active values, zero-padded by q, only ever meet
+        # the central (2q+1)^2 offsets of the stencils.
+        self.kern = np.stack([quad.kxx, quad.kyy, quad.kxy])
+        self._read_exterior()
         q = min(self.J, self.m - 1)
-        self.near_kern = kern[:, self.J - q:self.J + q + 1, self.J - q:self.J + q + 1]
+        self.near_kern = self.kern[:, self.J - q:self.J + q + 1, self.J - q:self.J + q + 1]
         self.vals_pad = np.zeros((self.m + 2 * q, self.m + 2 * q))
         self.vals_inner = (slice(q, q + self.m), slice(q, q + self.m))
         dxx = 2.0 * sxx + quad.c_near / self.h**2 + quad.tail
@@ -538,6 +567,16 @@ class _Lattice2D(_SweepEngine):
         else:
             self.diag = np.full((self.m, self.m), self.lam_big * self.D0)
         self.rhs = self._rhs_grid(problem.rhs)
+
+    def _read_exterior(self):
+        """Exterior data on the padded grid and the correlation of everything
+        but the active cells."""
+        exterior, n = self.problem.exterior, self.m + 2 * self.pad
+        self.E = exterior.fn(self.ext_pts).reshape(n, n)
+        self.far = exterior.far
+        fixed = self.E.copy()
+        fixed[self.inner][self.active] = 0.0
+        self.fixed_corr = _correlate(fixed, self.kern)
 
     def fill(self, vals):
         inner = self.E[self.inner]
@@ -661,8 +700,11 @@ def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6, max_iter: int =
     {U == 0} on active cells and contact counts are integers.  `init` is
     the sweeps' first iterate; the newton engine takes only its contact
     set.  `lattice` (from `_lattice` for this problem at any level) and
-    `system` (its (K, e)) skip rebuilding them when the level is all that
-    changed.
+    `system` skip rebuilding them when the level is all that changed.
+    `system` is the lattice's (K, e) from `assemble()`, or (K, e, inv(K)):
+    with the inverse, active-set steps on less contact than free cells are
+    Schur steps (a matvec and a solve on the contact block) instead of a
+    solve on the free block.
     """
     return _run(problem, quad, True, tol, max_iter, init, fixed_sweeps, lattice, system)
 
@@ -678,22 +720,25 @@ def residual_field(problem: DirichletProblem, u: GridFunction,
 
 def barrier_threshold(problem: DirichletProblem, side: int,
                       quad: QuadratureTable | None = None,
-                      amp: float = 1.0) -> float:
+                      amp: float = 1.0, lattice=None) -> float:
     """Operator level separating sub/supersolution regimes of the bumps.
 
     side +1: min over active cells of F(amp * P+), with P+ the quartic
     bump on the inscribed ball; any rhs level at or below it makes the
     scaled bump a subsolution.  side -1: max of F(amp * P-); levels at or
-    above make the scaled negative bump a supersolution.
+    above make the scaled negative bump a supersolution.  `lattice`, a
+    lattice of this problem, lends its environment fields and frozen moment
+    to the bump's lattice instead of building them again.
     """
     box = problem.domain
     bump = Bump(center=np.asarray(box.center, dtype=np.float64), r=box.half,
                 sign=float(side), amp=amp)
     vals = bump(box.nodes()).reshape((box.m,) if box.dim == 1 else (box.m, box.m))
     ext = ExteriorRule(fn=bump, far=0.0)
-    pb = DirichletProblem(handle=problem.handle, domain=box, rhs=problem.rhs,
-                          exterior=ext, shape=problem.shape)
-    lat = _lattice(pb, quad)
+    if lattice is not None:
+        lat = lattice.with_exterior(ext)
+    else:
+        lat = _lattice(replace(problem, exterior=ext), quad)
     F, _ = lat.operator_values(vals)
     Fa = F[lat.active]
     return float(np.min(Fa)) if side > 0 else float(np.max(Fa))

@@ -121,6 +121,34 @@ def test_effective_replay_is_worker_invariant(tmp_path):
     assert len(rows) > 1 + 6  # header plus more than one level of 6 solves
 
 
+@pytest.mark.parametrize("kind, numerics, experiment", [
+    ("solve", {"eps_list": [2.0**-6], "seeds": [0], "h": 2.0**-9},
+     {"exterior": "cosine"}),
+    ("mbar", {"eps_list": [2.0**-6], "seeds": [0, 1]},
+     {"phi_index": 4, "level": 12.0}),
+], ids=["solve", "mbar"])
+def test_replay_bytes_do_not_depend_on_blas_threads(tmp_path, kind, numerics, experiment):
+    # a fresh interpreter per run, so that the package sets the BLAS thread
+    # count before numpy loads; a 512-node dense solve and 256-node obstacle
+    # solves are large enough for threaded OpenBLAS to change last bits
+    cfg = write_config(tmp_path, kind=kind, environment=MIXED_ENV,
+                       numerics=numerics, experiment=experiment)
+    src = str(Path(nlhomog.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "NONLOCAL_HOMOG_WORKERS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = {"unset": ({}, "1"), "one": ({"OPENBLAS_NUM_THREADS": "1"}, "1"),
+            "two": ({"OPENBLAS_NUM_THREADS": "2"}, "1"), "pool": ({}, "2")}
+    for name, (threads, workers) in runs.items():
+        subprocess.run([sys.executable, "-m", "nlhomog.cli", "run", str(cfg),
+                        "--out", str(tmp_path / name), "--workers", workers],
+                       env={**base, **threads}, capture_output=True, check=True)
+    for fname in ("rows.csv", "summary.json"):
+        first = (tmp_path / "unset" / fname).read_bytes()
+        for name in runs:
+            assert (tmp_path / name / fname).read_bytes() == first, (name, fname)
+
+
 def test_converge_replay_is_worker_invariant(tmp_path):
     # the converge solves fan out through the same pool as the bisection
     cfg = write_config(
@@ -218,6 +246,20 @@ def test_nonpositive_worker_flag_exits_2(tmp_path, capsys, command, workers):
     # a run would otherwise write a replay.json that refuses to replay
     target = str(write_config(tmp_path)) if command == "run" else "invariants"
     assert main([command, target, "--workers", workers]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["type"] == "ConfigurationError"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_nonpositive_worker_environment_exits_2(tmp_path, capsys, monkeypatch,
+                                                command, workers):
+    # the environment variable obeys the rule of --workers, not a clamp to 1
+    monkeypatch.setenv("NONLOCAL_HOMOG_WORKERS", workers)
+    target = str(write_config(tmp_path)) if command == "run" else "invariants"
+    assert main([command, target]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["error"]["type"] == "ConfigurationError"

@@ -91,9 +91,9 @@ def test_effective_value_bisection_record():
 
 
 def test_effective_value_builds_each_system_once(monkeypatch):
-    # one lattice per (eps, seed) for the solves plus one per barrier, and
-    # one table per eps; nothing is rebuilt per level.  Every table is
-    # built through solve.default_quadrature.
+    # one lattice per (eps, seed), which the barrier reuses, and one table
+    # per eps; nothing is rebuilt per level.  Every table is built through
+    # solve.default_quadrature.
     from nlhomog import kernels, solve
     counts = {"lattice": 0, "quad": 0}
     init = solve._Lattice1D.__init__
@@ -114,7 +114,7 @@ def test_effective_value_builds_each_system_once(monkeypatch):
     s = effective_value(PHI, np.zeros(1), cfg, MIXED_SPEC, fam_of(MIXED_SPEC))
     assert len(s.steps) >= 5
     n = len(eps_list) * len(seeds)
-    assert counts["lattice"] <= 2 * n
+    assert counts["lattice"] == n
     assert counts["quad"] <= len(eps_list) + n
 
 
@@ -316,11 +316,12 @@ def test_worker_count_resolution(monkeypatch):
     # the environment variable wins over the config
     assert worker_count(config=4) == 2
     assert worker_count(5, config=4) == 5
-    monkeypatch.setenv("NONLOCAL_HOMOG_WORKERS", "two")
-    with pytest.raises(ConfigurationError):
-        worker_count()
-    with pytest.raises(ConfigurationError):
-        worker_count(config=4)
+    for bad in ("two", "0", "-3"):
+        monkeypatch.setenv("NONLOCAL_HOMOG_WORKERS", bad)
+        with pytest.raises(ConfigurationError):
+            worker_count()
+        with pytest.raises(ConfigurationError):
+            worker_count(config=4)
 
 
 def test_fam_of_maps_spec_fields():

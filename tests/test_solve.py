@@ -6,6 +6,8 @@ coordinate because the diagonal dominates all branch slopes, so the
 orderings hold without any floating-point slack.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -340,6 +342,41 @@ def test_prebuilt_lattice_and_system_match_a_fresh_solve():
     assert np.all(lat.rhs == 0.0)
 
 
+def test_schur_steps_match_direct_steps_across_contact_transition(monkeypatch):
+    # one frozen problem, its level swept from no contact to full contact:
+    # holding inv(K) changes how each active-set step is solved, never the
+    # contact set or the certificate
+    from nlhomog.homog import _frozen_problem, quadratic_bank
+    prob = _frozen_problem(quadratic_bank(1)[4], np.zeros(1), 0.0, 0.125, mixed_env(),
+                           FAM, 1.0 / 64)
+    lat = solve._lattice(prob, default_quadrature(FAM, prob.domain))
+    K, e = lat.assemble()
+    G = np.linalg.inv(K)
+    steps = []
+    free_solve = solve._free_solve
+
+    def recorded(K, b, contact, G=None):
+        if G is not None:
+            steps.append(int(np.sum(contact)) < int(np.sum(~contact)))
+        return free_solve(K, b, contact, G)
+
+    monkeypatch.setattr(solve, "_free_solve", recorded)
+    tol, counts = 1e-10, []
+    for level in (-12.0, *np.linspace(16.0, 21.5, 12)):
+        level_lat = lat.at_level(level)
+        direct, _, direct_res = level_lat.newton_solve(True, 60, None, (K, e))
+        schur, _, schur_res = level_lat.newton_solve(True, 60, None, (K, e, G))
+        assert direct_res[-1] <= tol and schur_res[-1] <= tol
+        assert np.array_equal(direct == 0.0, schur == 0.0)
+        assert np.min(schur) >= 0.0 and np.min(direct) >= 0.0
+        counts.append(int(np.sum(schur == 0.0)))
+        assert counts[-1] == int(np.sum(direct == 0.0))
+    assert counts[0] == 0 and counts[-1] == lat.m
+    assert any(0 < c < lat.m / 2 for c in counts) and any(c > lat.m / 2 for c in counts)
+    # both step types ran with the inverse held: Schur steps and solves on K[F, F]
+    assert True in steps and False in steps
+
+
 def test_obstacle_level_monotone_exact_coupling():
     lo = mixed_problem(0.05)
     hi = mixed_problem(0.35)
@@ -418,6 +455,29 @@ def test_barrier_check_certifies_extreme_levels():
     assert barrier_check(prob, 1e6, side=-1, quad=QUAD16)
     thr2 = barrier_threshold(prob, -1, quad=QUAD16)
     assert not barrier_check(prob, thr2 - 0.1, side=-1, quad=QUAD16)
+
+
+@pytest.mark.parametrize("dim, shape", [(1, "cube"), (1, "ball"), (2, "cube"), (2, "ball")])
+def test_barrier_threshold_on_a_held_lattice_matches_a_fresh_one(dim, shape):
+    # the bump's lattice copies the problem's and rereads only the exterior
+    if dim == 1:
+        prob, quad = replace(mixed_problem(0.3), shape=shape), QUAD16
+    else:
+        spec = EnvironmentSpec(dim=2, kernel_class="a", n_alpha=2, n_beta=2,
+                               coeff_law="uniform", forcing_law="uniform")
+        fam = KernelFamily(kind="a", dim=2, sigma=1.0, lam=1.0, lam_big=2.0)
+        prob = DirichletProblem(
+            handle=OperatorHandle(fam=fam, env=sample_environment(spec, seed=1), eps=0.5),
+            domain=Box((0.0, 0.0), 0.5, 0.125), rhs=0.3,
+            exterior=ExteriorRule.zero(), shape=shape)
+        quad = build_quadrature(2, 1.0, 0.125, 2.0)
+    lat = solve._lattice(prob, quad)
+    E = lat.E.copy()
+    for side, amp in ((+1, 1.0), (-1, 1.0), (+1, 0.25)):
+        assert (barrier_threshold(prob, side, quad=quad, amp=amp, lattice=lat)
+                == barrier_threshold(prob, side, quad=quad, amp=amp))
+    # the held lattice keeps its own exterior data
+    assert np.array_equal(lat.E, E, equal_nan=True)
 
 
 def test_barrier_level_bisects_the_certified_amplitude():
