@@ -4,7 +4,7 @@ Modules
 -------
 env        lazily sampled random checkerboard environments
 kernels    kernel families and monotone quadrature tables
-operators  grid functions, nonlocal evaluation, extremal bounds
+operators  grid functions, unit moments, extremal bounds
 solve      Dirichlet and obstacle solvers on boxes and balls
 homog      contact statistics, effective levels, experiment drivers
 cli        config-driven runner and check suites

@@ -189,6 +189,9 @@ def load_config(path):
     if (not isinstance(seeds, list) or not seeds
             or any(not isinstance(s, int) or isinstance(s, bool) or s < 0 for s in seeds)):
         raise ConfigurationError("seeds must be a nonempty list of nonnegative ints")
+    if len(set(seeds)) < len(seeds):
+        # a repeated seed would be averaged twice and compared with itself
+        raise ConfigurationError(f"seeds must be distinct, got {seeds}")
     if num["h"] is not None:
         h = _number(num["h"], "numerics.h")
         if not (0.0 < h <= min(eps_list) / 4.0 + 1e-12):

@@ -21,8 +21,12 @@ threshold and runs the active set, started from the contact set the same
 (eps, seed) item returned at the previous level, and each active-set step
 with less contact than free cells is a Schur step on G.  That warm
 start travels with the item, so the optional process pool, which lives for
-the whole bisection, cannot change any reported number.  The convergence
-harness fans its Dirichlet solves out through the same pool path (`_Fold`).
+the whole bisection, cannot change any reported number.
+Dirichlet problems that share a grid are solved as one batch
+(`solve_dirichlet_many`), so each grid's K is factored once: the abp and
+cmi sweeps are one batch each, and the convergence harness makes one batch
+per eps, the translated route joining the largest, and fans the batches out
+through the same pool path (`_Fold`).
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .solve import (
     barrier_threshold,
     default_quadrature,
     solve_dirichlet,
+    solve_dirichlet_many,
     solve_obstacle,
     _lattice,
 )
@@ -305,8 +310,8 @@ class _FrozenSystems:
         eps, seed, level, warm = item
         lat = self.lattice(eps, seed)
         if lat.linear and eps not in self.assembled:
-            K, e = lat.assemble()
-            self.assembled[eps] = (K, e, np.linalg.inv(K))
+            K = lat.matrix()
+            self.assembled[eps] = (K, lat.load(), np.linalg.inv(K))
         sol = solve_obstacle(replace(lat.problem, rhs=level), tol=self.tol,
                              init=warm if lat.linear else None,
                              lattice=lat, system=self.assembled.get(eps))
@@ -550,12 +555,18 @@ def _indicator_forcings(box: Box, measures):
     return forcings
 
 
-def _extremal_forced_sup(fam, box, g, *, tol, quad, amplitude=1.0):
+def _extremal_forced_sups(fam, box, forcings, *, tol, quad):
+    """sup v and diagnostics of the upper extremal equation F(v) = -g per forcing g.
+
+    The problems share the grid, the table and the zero exterior, so they
+    are solved as one batch.
+    """
     handle = OperatorHandle(fam=fam, extremal_sign=+1)
-    prob = DirichletProblem(handle=handle, domain=box, rhs=-amplitude * g,
-                            exterior=ExteriorRule.zero(), shape="ball")
-    v, d = solve_dirichlet(prob, tol=tol, quad=quad)
-    return float(np.max(v.values)), d
+    problems = [DirichletProblem(handle=handle, domain=box, rhs=-g,
+                                 exterior=ExteriorRule.zero(), shape="ball")
+                for g in forcings]
+    return [(float(np.max(v.values)), d)
+            for v, d in solve_dirichlet_many(problems, tol=tol, quad=quad)]
 
 
 def comparison_measurable_experiment(sizes, seed, fam: KernelFamily, *,
@@ -575,9 +586,10 @@ def comparison_measurable_experiment(sizes, seed, fam: KernelFamily, *,
         )
     box = Box(center=(0.0,) * fam.dim, half=1.0, h=h)
     quad = default_quadrature(fam, box, r_out_factor)
+    forcings = _indicator_forcings(box, sizes)
+    sups = _extremal_forced_sups(fam, box, [g for g, _ in forcings], tol=tol, quad=quad)
     rows = []
-    for g, m_act in _indicator_forcings(box, sizes):
-        sup, d = _extremal_forced_sup(fam, box, g, tol=tol, quad=quad)
+    for (_, m_act), (sup, d) in zip(forcings, sups):
         rows.append({"measure": m_act, "sup_v": sup,
                      "conjecture": fam.kind == "cs"})
         if log is not None:
@@ -609,9 +621,11 @@ def abp_scaling_experiment(fam: KernelFamily, *, h=2.0**-9,
     quad = default_quadrature(fam, box, r_out_factor)
     forcings = _indicator_forcings(box, supports)
     g0, m0 = _indicator_forcing(box, base_support)
+    # both sweeps share the grid: one batch, amplitudes first
+    sups = _extremal_forced_sups(fam, box, [c * g0 for c in amplitudes]
+                                 + [g for g, _ in forcings], tol=tol, quad=quad)
     amp_rows = []
-    for c in amplitudes:
-        sup, d = _extremal_forced_sup(fam, box, g0, tol=tol, quad=quad, amplitude=c)
+    for c, (sup, d) in zip(amplitudes, sups):
         amp_rows.append({"amplitude": c, "sup_v": sup})
         if log is not None:
             log.add("abp-amp", l=c, sup_norm=sup,
@@ -620,8 +634,7 @@ def abp_scaling_experiment(fam: KernelFamily, *, h=2.0**-9,
               for i in range(len(amp_rows) - 1)
               if amp_rows[i]["sup_v"] > 0]
     sup_rows = []
-    for g, m_act in forcings:
-        sup, d = _extremal_forced_sup(fam, box, g, tol=tol, quad=quad)
+    for (_, m_act), (sup, d) in zip(forcings, sups[len(amplitudes):]):
         sup_rows.append({"measure": m_act, "sup_v": sup})
         if log is not None:
             log.add("abp-supp", l=m_act, sup_norm=sup,
@@ -643,27 +656,33 @@ def abp_scaling_experiment(fam: KernelFamily, *, h=2.0**-9,
 # convergence harness
 
 def _converge_shared(spec, sigma, box, far, tol, r_out_factor):
-    """What every converge item shares, with its kernel family built once."""
-    return spec, fam_of(spec, sigma), box, far, tol, r_out_factor
+    """What every converge group shares: the kernel family and the table, built once."""
+    fam = fam_of(spec, sigma)
+    return spec, fam, box, far, tol, default_quadrature(fam, box, r_out_factor)
 
 
-def _converge_item(shared, item):
-    """Dirichlet solve of one converge item (seed, eps, shift); shift None is the plain route."""
-    spec, fam, box, far, tol, r_out_factor = shared
-    seed, eps, shift = item
-    env = sample_environment(spec, seed=seed)
-    if shift is not None:
-        # translated route: shifted environment, shifted domain and data
-        env = translate(env, np.full(spec.dim, shift))
-        box = Box(center=tuple(c - eps * shift for c in box.center),
-                  half=box.half, h=box.h)
-    handle = OperatorHandle(fam=fam, env=env, eps=eps)
-    g = _exterior_from_tag(far, spec.dim, eps * shift if shift is not None else 0.0)
-    prob = DirichletProblem(handle=handle, domain=box, rhs=0.0, exterior=g,
-                            shape="cube")
-    quad = default_quadrature(fam, box, r_out_factor)
-    u, d = solve_dirichlet(prob, tol=tol, quad=quad)
-    return u.values, d.iterations, d.residual, d.wall_ms
+def _converge_group(shared, group):
+    """Dirichlet solves of one converge group as one batch.
+
+    The group's items (seed, eps, shift) share the grid, the table and the
+    active mask; shift None is the plain route, else the translated route
+    (shifted environment, shifted domain and data).  Returns (values,
+    iterations, residual, wall_ms) per item.
+    """
+    spec, fam, box, far, tol, quad = shared
+    problems = []
+    for seed, eps, shift in group:
+        env = sample_environment(spec, seed=seed)
+        domain = box
+        if shift is not None:
+            env = translate(env, np.full(spec.dim, shift))
+            domain = Box(center=tuple(c - eps * shift for c in box.center),
+                         half=box.half, h=box.h)
+        g = _exterior_from_tag(far, spec.dim, eps * shift if shift is not None else 0.0)
+        problems.append(DirichletProblem(handle=OperatorHandle(fam=fam, env=env, eps=eps),
+                                         domain=domain, rhs=0.0, exterior=g, shape="cube"))
+    return [(u.values, d.iterations, d.residual, d.wall_ms)
+            for u, d in solve_dirichlet_many(problems, tol=tol, quad=quad)]
 
 
 def _exterior_from_tag(tag, dim, offset=0.0):
@@ -703,7 +722,11 @@ def convergence_experiment(exterior_tag, eps_list, seeds,
     between consecutive eps at shared grid nodes, (c) a translated-route
     replay whose values must land bit-identically after shifting back.
     All solves share one grid (h fixed by the smallest eps), so the
-    comparisons need no interpolation.
+    comparisons need no interpolation, and one table and one K.  The
+    solves of one eps are one batch, with the translated route (largest
+    eps, first seed) in the first; the fold maps over these fixed groups,
+    so no number depends on the worker count.  Rows are logged eps by eps,
+    seeds in order, with the translated route's row last.
     """
     eps_list = tuple(sorted(set(eps_list), reverse=True))
     if len(eps_list) < 2:
@@ -711,14 +734,16 @@ def convergence_experiment(exterior_tag, eps_list, seeds,
     he = (min(eps_list) / 4.0) if h is None else h
     check_translation_shift(eps_list, he, translation_shift)
     box = Box((0.0,) * spec.dim, domain_half, he)
-    items = [(seed, eps, None) for eps in eps_list for seed in seeds]
-    # translated route for the largest eps, first seed
-    items.append((seeds[0], eps_list[0], translation_shift))
+    # one batch per eps; the translated route joins the largest eps
+    groups = [[(seed, eps, None) for seed in seeds] for eps in eps_list]
+    groups[0].append((seeds[0], eps_list[0], translation_shift))
     shared = (spec, fam.sigma, box, exterior_tag, tol, r_out_factor)
     with _Fold(_converge_shared, shared, workers) as fold:
-        out = fold.map(_converge_item, items)
+        out = fold.map(_converge_group, groups)
+    solved = [pair for group, rows in zip(groups, out) for pair in zip(group, rows)]
+    solved.sort(key=lambda pair: pair[0][2] is not None)  # translated route's row last
     sols = {}
-    for (seed, eps, shift), (vals, its, res, wall) in zip(items, out):
+    for (seed, eps, shift), (vals, its, res, wall) in solved:
         sols[(eps, seed, shift is not None)] = vals
         if log is not None:
             log.add("converge-shift" if shift is not None else "converge",

@@ -17,13 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import Environment, matrix_field, multiplier_field
 from .errors import ConfigurationError
 
 __all__ = [
     "KernelFamily",
     "QuadratureTable",
-    "kernel_value",
     "build_quadrature",
     "envelope_integral",
     "second_moment_integral",
@@ -63,26 +61,6 @@ def second_moment_integral(dim: int, sigma: float, r: float) -> float:
     """Integral of |y|^2 * |y|^(-dim-sigma) over the ball |y| < r."""
     surf = 2.0 if dim == 1 else 2.0 * np.pi
     return surf * r ** (2.0 - sigma) / (2.0 - sigma)
-
-
-def kernel_value(fam: KernelFamily, env: Environment, alpha: int, beta: int, x, y) -> float:
-    """Pointwise kernel K(x, y) for one branch. y must be nonzero."""
-    fam.validate()
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    r2 = float(np.dot(y, y))
-    if r2 == 0.0:
-        raise ConfigurationError("kernel is evaluated away from y = 0")
-    n, sig = fam.dim, fam.sigma
-    if fam.kind == "a" and fam.dim == 2:
-        A = matrix_field(env, alpha, beta, x[None, :])[0]
-        quad = float(y @ A @ y)
-        return quad * r2 ** (-(n + sig + 2.0) / 2.0)
-    a = float(multiplier_field(env, alpha, beta, x[None, :] if fam.dim == 2 else x[:, None])[0])
-    if fam.kind == "a":
-        # 1d matrix class: y^2/|y|^(3+sigma) collapses to the scalar envelope.
-        return a * r2 * r2 ** (-(3.0 + sig) / 2.0)
-    return a * r2 ** (-(n + sig) / 2.0)
 
 
 @dataclass(frozen=True)

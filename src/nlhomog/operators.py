@@ -1,4 +1,4 @@
-"""Grid functions, test functions, and pointwise nonlocal operator evaluation.
+"""Grid functions, test functions, unit moments and the extremal bounds.
 
 Conventions used throughout:
 
@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from .env import Environment, forcing_field, matrix_field, multiplier_field
 from .errors import ConfigurationError
 from .kernels import KernelFamily, QuadratureTable
 
@@ -30,10 +29,6 @@ __all__ = [
     "ExteriorRule",
     "GridFunction",
     "TestFunction",
-    "second_difference",
-    "apply_linear",
-    "evaluate_F",
-    "evaluate_frozen",
     "extremal",
     "extremal_from_moment",
     "unit_moment",
@@ -266,15 +261,6 @@ def _sampler(u):
     raise ConfigurationError(f"cannot evaluate object of type {type(u).__name__}")
 
 
-def second_difference(u, x, y) -> float:
-    """d_u(x, y) = u(x+y) + u(x-y) - 2 u(x), honoring the exterior rule."""
-    fn, _, dim = _sampler(u)
-    x = _as_point(x, dim)
-    y = _as_point(y, dim)
-    vals = fn(np.stack([x + y, x - y, x]))
-    return float(vals[0] + vals[1] - 2.0 * vals[2])
-
-
 def unit_moment(u, z, quad: QuadratureTable):
     """Envelope moments of the second differences of u at slot z.
 
@@ -319,81 +305,6 @@ def unit_moment(u, z, quad: QuadratureTable):
     bxx += 0.5 * t
     byy += 0.5 * t
     return np.array([[bxx, bxy], [bxy, byy]])
-
-
-def apply_linear(fam: KernelFamily, env: Environment, alpha: int, beta: int,
-                 z, x, u, quad: QuadratureTable) -> float:
-    """Two-slot linear piece: second differences at z, coefficients at x."""
-    fam.validate()
-    mom = unit_moment(u, z, quad)
-    x = _as_point(x, fam.dim)
-    if fam.kind == "a" and fam.dim == 2:
-        A = matrix_field(env, alpha, beta, x[None, :])[0]
-        return float(np.sum(A * mom))
-    a = float(multiplier_field(env, alpha, beta, x[None, :] if fam.dim == 2 else x[:, None].T)[0])
-    if fam.dim == 2:
-        mom = float(np.trace(mom))
-    return a * mom
-
-
-def _branch_values(fam, env, x, slot_values):
-    """min over alpha of max over beta of (forcing + slot contribution)."""
-    spec = env.spec
-    x = np.asarray(x, dtype=np.float64)
-    pts = x[None, :]
-    best_min = None
-    for a in range(spec.n_alpha):
-        best_max = None
-        for b in range(spec.n_beta):
-            f = float(forcing_field(env, a, b, pts)[0])
-            val = f + slot_values(a, b)
-            best_max = val if best_max is None else max(best_max, val)
-        best_min = best_max if best_min is None else min(best_min, best_max)
-    return best_min
-
-
-def evaluate_F(u, x, env: Environment, fam: KernelFamily, quad: QuadratureTable) -> float:
-    """Full operator at a point: inf over alpha, sup over beta of branches."""
-    fam.validate()
-    _, _, dim = _sampler(u)
-    x = _as_point(x, dim)
-    mom = unit_moment(u, x, quad)
-
-    def slot(a, b):
-        if fam.kind == "a" and fam.dim == 2:
-            A = matrix_field(env, a, b, x[None, :])[0]
-            return float(np.sum(A * mom))
-        mult = float(multiplier_field(env, a, b, x[None, :] if fam.dim == 2 else x[:, None].T)[0])
-        m = float(np.trace(mom)) if fam.dim == 2 else mom
-        return mult * m
-
-    return _branch_values(fam, env, x, slot)
-
-
-def evaluate_frozen(phi, x0, v, x, env: Environment, fam: KernelFamily,
-                    quad: QuadratureTable) -> float:
-    """Operator with the test-function slot frozen at x0.
-
-    Branch value: forcing(x) + [L phi(x0)](x) + [L v(x)](x); both linear
-    pieces read their coefficient at the same point x.
-    """
-    fam.validate()
-    _, _, dim = _sampler(v)
-    x = _as_point(x, dim)
-    x0 = _as_point(x0, dim)
-    mom_phi = unit_moment(phi, x0, quad)
-    mom_v = unit_moment(v, x, quad)
-
-    def slot(a, b):
-        if fam.kind == "a" and fam.dim == 2:
-            A = matrix_field(env, a, b, x[None, :])[0]
-            return float(np.sum(A * (mom_phi + mom_v)))
-        mult = float(multiplier_field(env, a, b, x[None, :] if fam.dim == 2 else x[:, None].T)[0])
-        if fam.dim == 2:
-            return mult * float(np.trace(mom_phi) + np.trace(mom_v))
-        return mult * (mom_phi + mom_v)
-
-    return _branch_values(fam, env, x, slot)
 
 
 def extremal_from_moment(mom, sign: int, lam: float, lam_big: float):

@@ -12,19 +12,22 @@ The problem picks the engine; there is no way to override it.
 newton   1d linear engine, for every 1d operator but the pointwise extremal
          of the "cs" class.  Every branch slot is increasing and linear in
          the unit moment I(u) = e - K u, with K a fixed M-matrix, so
-         F(u) = rhs exactly where I(u) equals a pointwise threshold t.  A
-         Dirichlet solve is one dense solve of K u = e - t; an obstacle
+         F(u) = rhs exactly where I(u) equals a pointwise threshold t.  K
+         depends on the table, the grid and the active mask only, so the
+         Dirichlet problems on one grid (`solve_dirichlet_many`) are the
+         columns of one dense solve K [u_1 ... u_n] = [e_1 - t_1 ...
+         e_n - t_n], and a single problem is a batch of one.  An obstacle
          solve is the complementarity problem K u >= e - t, u >= 0, solved
          by the primal-dual active-set method with exact zeros on contact.
          A caller that holds G = inv(K) across solves gets Schur steps: on
          a contact set C smaller than the free set F, a step is one matvec
          with G and a |C| x |C| solve on G[C, C].  Otherwise, and in every
-         one-off solve, a step is one dense solve on K[F, F].
-         Its `init`, when given, only seeds the first contact set (its
-         zeros on active cells); the final set, and so the solution, does
-         not depend on it.  There is no fallback: a solve that misses the
-         tolerance raises.  The residual is certified with the sweep
-         engine's evaluation.
+         one-off obstacle solve, a step is one dense solve on K[F, F].
+         An obstacle solve's `init`, when given, only seeds the first
+         contact set (its zeros on active cells); the final set, and so
+         the solution, does not depend on it.  There is no fallback: a solve that misses the
+         tolerance raises.  Every residual, each column of a batch's
+         included, is certified with the sweep engine's evaluation.
 sweeps   damped projected point relaxation (red-black ordering), for 2d
          operators, the pointwise "cs" extremal and every `fixed_sweeps`
          solve.  Each update moves one value toward the root of its scalar
@@ -65,6 +68,7 @@ __all__ = [
     "SolveDiagnostics",
     "Bump",
     "solve_dirichlet",
+    "solve_dirichlet_many",
     "solve_obstacle",
     "residual_field",
     "barrier_threshold",
@@ -395,12 +399,13 @@ class _Lattice1D(_SweepEngine):
             return np.where(self.rhs > 0, self.rhs / self.up, self.rhs / self.down)
         return ((self.rhs - self.forc) / self.mult).min(axis=1).max(axis=0) - self.frozen_moment
 
-    def assemble(self):
-        """The moment as an affine map of the active values: I(u) = e - K u.
+    def matrix(self):
+        """K of the moment as an affine map of the active values, I(u) = e - K u.
 
         K = D0 Id - T on the active rows and columns, with T the
         nonnegative Toeplitz coupling, is a strictly diagonally dominant
-        M-matrix; e is the frozen load from ghost nodes and inactive cells.
+        M-matrix.  It depends on the table, the grid and the active mask
+        only, so every problem sharing those shares K.
         """
         col = np.zeros(self.m)
         J = min(self.J, self.m - 1)
@@ -411,47 +416,53 @@ class _Lattice1D(_SweepEngine):
         K[np.diag_indices(self.m)] += self.D0
         if not np.all(self.active):
             K = K[np.ix_(self.active, self.active)]
+        return K
+
+    def load(self):
+        """e of I(u) = e - K u: the frozen load from ghost nodes and inactive cells."""
         Eext = self.E.copy()
         Eext[self.pad:self.pad + self.m][self.active] = 0.0
         corr = np.correlate(Eext, self.wsym, mode="valid")
         near = (Eext[self.pad + 1:self.pad + self.m + 1]
                 + Eext[self.pad - 1:self.pad + self.m - 1])
         e = 2.0 * corr + self.quad.c_near * near / self.h**2
-        e = e + self.quad.tail * 2.0 * self.far
-        return K, e
+        return e + self.quad.tail * 2.0 * self.far
 
-    def newton_solve(self, obstacle, max_iter, init=None, system=None):
-        """Dirichlet: K u = e - t.  Obstacle: K u >= e - t, u >= 0, complementary.
+    def values(self, u):
+        """Grid values: u on the active cells, the exterior data on the rest."""
+        vals = self.E[self.pad:self.pad + self.m].copy()
+        vals[self.active] = u
+        return vals
 
-        The obstacle problem runs the primal-dual active-set method.  Its
-        first contact set is the zeros of `init` on active cells, or empty
-        (the Dirichlet solve) without it; each step solves on the free set
-        and writes exact zeros on the contact set, until the set repeats.
-        K is an M-matrix, so the method converges from any first set.
-        `system` is the pair (K, e) of `assemble()`, or the triple (K, e, G)
-        with G = inv(K), when the caller holds it across solves.
+    def newton_solve(self, max_iter, init=None, system=None):
+        """Obstacle problem K u >= e - t, u >= 0, complementary, by the primal-dual active set.
+
+        The first contact set is the zeros of `init` on active cells, or
+        empty without it; each step solves on the free set and writes exact
+        zeros on the contact set, until the set repeats.  K is an M-matrix,
+        so the method converges from any first set.  `system` is the pair
+        (K, e) of `matrix()` and `load()`, or the triple (K, e, G) with
+        G = inv(K), when the caller holds it across solves.
         """
         if not self.linear:
             raise ConfigurationError("the pointwise extremal has no dense linearization")
-        K, e, *inverse = self.assemble() if system is None else system
+        K, e, *inverse = (self.matrix(), self.load()) if system is None else system
         G = inverse[0] if inverse else None
         b = (e - self.threshold())[self.active]
         contact = np.zeros(b.size, dtype=bool)
-        if obstacle and init is not None:
+        if init is not None:
             contact = np.asarray(init)[self.active] == 0.0
         u = _free_solve(K, b, contact, G)
         steps = 1
-        if obstacle:
-            while steps < max_iter:
-                new = np.where(contact, K @ u - b > 0.0, u < 0.0)
-                if np.array_equal(new, contact):
-                    break
-                contact = new
-                u = _free_solve(K, b, contact, G)
-                steps += 1
-        vals = self.E[self.pad:self.pad + self.m].copy()
-        vals[self.active] = u
-        return vals, steps, [self.residual(vals, obstacle)]
+        while steps < max_iter:
+            new = np.where(contact, K @ u - b > 0.0, u < 0.0)
+            if np.array_equal(new, contact):
+                break
+            contact = new
+            u = _free_solve(K, b, contact, G)
+            steps += 1
+        vals = self.values(u)
+        return vals, steps, [self.residual(vals, True)]
 
 
 def _free_solve(K, b, contact, G=None):
@@ -644,19 +655,6 @@ def _lattice(problem: DirichletProblem, quad: QuadratureTable | None,
     return _Lattice2D(problem, quad, frozen_moment)
 
 
-def _run(problem, quad, obstacle, tol, max_iter, init, fixed_sweeps,
-         lattice=None, system=None):
-    """One solve on the engine the lattice picks, returned as the public solves return it."""
-    t0 = time.perf_counter()  # wall_ms includes building or re-leveling the lattice
-    lat = _lattice(problem, quad) if lattice is None else lattice.at_level(problem.rhs)
-    if lat.linear and fixed_sweeps is None:
-        method, out = "newton", lat.newton_solve(obstacle, 60, init, system)
-    else:
-        method, out = "sweeps", lat.sweep_solve(init, obstacle, tol, max_iter, fixed_sweeps)
-    wall = (time.perf_counter() - t0) * 1e3
-    return _result(lat, obstacle, method, out, tol, wall, pinned=fixed_sweeps is not None)
-
-
 def _result(lat, obstacle, method, out, tol, wall_ms=0.0, pinned=False):
     """(u, diagnostics), or the ObstacleSolution, of an engine's (vals, iterations, residuals).
 
@@ -687,8 +685,61 @@ def solve_dirichlet(problem: DirichletProblem, tol: float = 1e-6, max_iter: int 
 
     Returns (GridFunction, SolveDiagnostics).  Raises SolverError if the
     target residual is not reached (unless fixed_sweeps pins the work).
+    This is `solve_dirichlet_many` of one problem.
     """
-    return _run(problem, quad, False, tol, max_iter, init, fixed_sweeps)
+    return solve_dirichlet_many([problem], tol, max_iter, quad, init, fixed_sweeps)[0]
+
+
+def solve_dirichlet_many(problems, tol: float = 1e-6, max_iter: int = 200000,
+                         quad: QuadratureTable | None = None, init=None, fixed_sweeps=None):
+    """`solve_dirichlet` of each problem, with one factorization for the whole grid.
+
+    The problems must share the grid and the active mask, and are solved
+    on the one table `quad` (the first problem's default when None), or
+    ConfigurationError.  Those on the newton engine share K, so one dense
+    solve takes B = [e_i - t_i]; each column is certified with its own
+    lattice's residual and raises SolverError if it misses tol.  Sweep
+    problems are solved one by one, from `init`.  A newton problem's
+    wall_ms is its own lattice build, load and residual check plus 1/n of
+    assembling and solving the shared system.
+    """
+    problems = list(problems)
+    if not problems:
+        return []
+    if quad is None:
+        quad = default_quadrature(problems[0].handle.fam, problems[0].domain)
+    lats, cols, walls = [], {}, []
+    for i, problem in enumerate(problems):
+        t0 = time.perf_counter()
+        lat = _lattice(problem, quad)
+        if lat.linear and fixed_sweeps is None:
+            cols[i] = (lat.load() - lat.threshold())[lat.active]
+        lats.append(lat)
+        walls.append(time.perf_counter() - t0)
+    first = lats[0]
+    if any(lat.m != first.m or lat.h != first.h or not np.array_equal(lat.active, first.active)
+           for lat in lats):
+        raise ConfigurationError("batched Dirichlet problems must share the grid "
+                                 "and the active mask")
+    solved, share = {}, 0.0
+    if cols:
+        t0 = time.perf_counter()
+        U = np.linalg.solve(lats[next(iter(cols))].matrix(), np.column_stack(list(cols.values())))
+        solved = dict(zip(cols, U.T))
+        share = (time.perf_counter() - t0) / len(cols)
+    results = []
+    for i, lat in enumerate(lats):
+        t0 = time.perf_counter()
+        if i in solved:
+            vals = lat.values(solved[i])
+            method, out = "newton", (vals, 1, [lat.residual(vals, False)])
+            walls[i] += share
+        else:
+            method, out = "sweeps", lat.sweep_solve(init, False, tol, max_iter, fixed_sweeps)
+        wall_ms = (walls[i] + time.perf_counter() - t0) * 1e3
+        results.append(_result(lat, False, method, out, tol, wall_ms,
+                               pinned=fixed_sweeps is not None))
+    return results
 
 
 def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6, max_iter: int = 200000,
@@ -701,12 +752,20 @@ def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6, max_iter: int =
     the sweeps' first iterate; the newton engine takes only its contact
     set.  `lattice` (from `_lattice` for this problem at any level) and
     `system` skip rebuilding them when the level is all that changed.
-    `system` is the lattice's (K, e) from `assemble()`, or (K, e, inv(K)):
-    with the inverse, active-set steps on less contact than free cells are
-    Schur steps (a matvec and a solve on the contact block) instead of a
-    solve on the free block.
+    `system` is the lattice's (K, e) from `matrix()` and `load()`, or
+    (K, e, inv(K)): with the inverse, active-set steps on less contact than
+    free cells are Schur steps (a matvec and a solve on the contact block)
+    instead of a solve on the free block.  wall_ms includes building or
+    re-leveling the lattice.
     """
-    return _run(problem, quad, True, tol, max_iter, init, fixed_sweeps, lattice, system)
+    t0 = time.perf_counter()
+    lat = _lattice(problem, quad) if lattice is None else lattice.at_level(problem.rhs)
+    if lat.linear and fixed_sweeps is None:
+        method, out = "newton", lat.newton_solve(60, init, system)
+    else:
+        method, out = "sweeps", lat.sweep_solve(init, True, tol, max_iter, fixed_sweeps)
+    wall = (time.perf_counter() - t0) * 1e3
+    return _result(lat, True, method, out, tol, wall, pinned=fixed_sweeps is not None)
 
 
 def residual_field(problem: DirichletProblem, u: GridFunction,
@@ -745,9 +804,13 @@ def barrier_threshold(problem: DirichletProblem, side: int,
 
 
 def barrier_check(problem: DirichletProblem, level: float, side: int = +1,
-                  quad: QuadratureTable | None = None, amp: float = 1.0) -> bool:
-    """True when the bump barrier certifies the level on the given side."""
-    thr = barrier_threshold(problem, side, quad, amp=amp)
+                  quad: QuadratureTable | None = None, amp: float = 1.0,
+                  lattice=None) -> bool:
+    """True when the bump barrier certifies the level on the given side.
+
+    `lattice` is lent to `barrier_threshold`.
+    """
+    thr = barrier_threshold(problem, side, quad, amp=amp, lattice=lattice)
     return level <= thr if side > 0 else level >= thr
 
 
@@ -758,16 +821,22 @@ def barrier_level(problem: DirichletProblem, level: float, side: int = +1,
 
     Bisects on the amplitude; returns 0.0 when even a vanishing bump
     fails, in which case no positivity (side +1) or negativity (side -1)
-    floor can be certified this way.
+    floor can be certified this way.  The problem's lattice is built once
+    and lent to every amplitude probe.
     """
-    if not barrier_check(problem, level, side, quad, amp=1e-9):
+    lat = _lattice(problem, quad)
+
+    def certified(amp):
+        return barrier_check(problem, level, side, quad, amp=amp, lattice=lat)
+
+    if not certified(1e-9):
         return 0.0
     lo, hi = 0.0, amp_hi
-    if barrier_check(problem, level, side, quad, amp=hi):
+    if certified(hi):
         return hi
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        if barrier_check(problem, level, side, quad, amp=mid):
+        if certified(mid):
             lo = mid
         else:
             hi = mid

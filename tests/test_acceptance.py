@@ -28,13 +28,12 @@ from nlhomog.homog import (
     fam_of,
     quadratic_bank,
 )
-from nlhomog.kernels import KernelFamily, build_quadrature, kernel_value
+from nlhomog.kernels import KernelFamily, build_quadrature
 from nlhomog.operators import (
     Box,
     ExteriorRule,
     GridFunction,
     TestFunction,
-    evaluate_F,
     extremal,
     extremal_from_moment,
     unit_moment,
@@ -46,6 +45,8 @@ from nlhomog.solve import (
     solve_dirichlet,
     solve_obstacle,
 )
+
+from oracles import evaluate_F, kernel_value
 
 TestFunction.__test__ = False
 

@@ -285,6 +285,7 @@ def test_missing_subcommand_is_an_argparse_error():
     {"numerics": {"eps_list": [4.0]}},
     {"numerics": {"seeds": []}},
     {"numerics": {"seeds": [-1]}},
+    {"numerics": {"seeds": [3, 3]}},
     {"numerics": {"h": 0.25}},        # violates h <= eps_min / 4
     {"numerics": {"method": "magic"}},
     {"numerics": {"method": "auto"}},  # the engine follows the problem
@@ -296,7 +297,7 @@ def test_missing_subcommand_is_an_argparse_error():
 ], ids=[
     "unknown-top-key", "schema-version", "unknown-kind", "unknown-env-key",
     "sigma-range", "empty-eps", "eps-above-one", "empty-seeds",
-    "negative-seed", "h-vs-eps", "bad-method", "method-key", "theta-range",
+    "negative-seed", "repeated-seeds", "h-vs-eps", "bad-method", "method-key", "theta-range",
     "bad-shape", "bad-exterior", "zero-workers", "empty-out-dir",
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, overrides):

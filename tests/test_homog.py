@@ -208,11 +208,14 @@ def test_abp_experiment_matrix_class_only():
         abp_scaling_experiment(cs)
 
 
-def test_abp_experiment_quick_run():
+def test_abp_experiment_quick_run(count_calls):
     fam = KernelFamily(kind="a", dim=1, sigma=1.0, lam=1.0, lam_big=2.0)
+    dense = count_calls(np.linalg, "solve")
     out = abp_scaling_experiment(fam, h=2.0**-7, amplitudes=(1.0, 2.0),
                                  supports=(2.0**-1, 2.0**-3, 2.0**-5),
                                  tol=1e-7)
+    # both sweeps share one grid, so all five problems are one solve
+    assert len(dense) == 1
     assert len(out["amplitude_ratios"]) == 1
     # positive homogeneity: doubling the forcing doubles the bound
     assert out["amplitude_ratios"][0] == pytest.approx(2.0, abs=0.05)
@@ -264,6 +267,20 @@ def test_convergence_flat_environment_is_exactly_trivial():
                                  fam_of(spec))
     assert all(v == 0.0 for v in out["seed_discrepancy"].values())
     assert all(v == 0.0 for v in out["cauchy_gaps"].values())
+    assert out["translation_gap"] == 0.0
+
+
+def test_convergence_solves_each_eps_as_one_system(count_calls):
+    # one table per fold state and one dense solve per eps, the translated
+    # route's included; its values still land bit-exact
+    from nlhomog import solve
+    dense = count_calls(np.linalg, "solve")
+    tables = count_calls(solve, "build_quadrature")
+    eps_list = (0.25, 0.125, 0.0625)
+    out = convergence_experiment("cosine", eps_list, (0, 1, 2), MIXED_SPEC,
+                                 fam_of(MIXED_SPEC))
+    assert len(dense) <= len(eps_list)
+    assert len(tables) == 1
     assert out["translation_gap"] == 0.0
 
 

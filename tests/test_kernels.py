@@ -7,9 +7,10 @@ from scipy.integrate import quad
 from nlhomog.env import EnvironmentSpec, sample_environment
 from nlhomog.errors import ConfigurationError
 from nlhomog.kernels import (
-    KernelFamily, build_quadrature, envelope_integral, kernel_value,
-    second_moment_integral,
+    KernelFamily, build_quadrature, envelope_integral, second_moment_integral,
 )
+
+from oracles import kernel_value
 
 FAM1 = KernelFamily(kind="cs", dim=1, sigma=1.0, lam=1.0, lam_big=2.0)
 ENV1 = sample_environment(

@@ -12,10 +12,11 @@ from nlhomog.env import (
 from nlhomog.errors import ConfigurationError
 from nlhomog.kernels import KernelFamily, build_quadrature
 from nlhomog.operators import (
-    Box, ExteriorRule, GridFunction, TestFunction, apply_linear,
-    evaluate_F, evaluate_frozen, extremal, extremal_from_moment,
-    second_difference, unit_moment,
+    Box, ExteriorRule, GridFunction, TestFunction, extremal,
+    extremal_from_moment, unit_moment,
 )
+
+from oracles import apply_linear, evaluate_F, evaluate_frozen, second_difference
 
 TestFunction.__test__ = False  # imported dataclass, not a pytest class
 

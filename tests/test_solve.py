@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from nlhomog.env import EnvironmentSpec, sample_environment, translate
 from nlhomog.errors import ConfigurationError, SolverError
 from nlhomog.kernels import KernelFamily, build_quadrature
-from nlhomog.operators import Box, ExteriorRule, GridFunction, evaluate_F
+from nlhomog.operators import Box, ExteriorRule, GridFunction
 from nlhomog import solve
 from nlhomog.solve import (
     Bump,
@@ -27,8 +27,11 @@ from nlhomog.solve import (
     default_quadrature,
     residual_field,
     solve_dirichlet,
+    solve_dirichlet_many,
     solve_obstacle,
 )
+
+from oracles import evaluate_F
 
 FAM = KernelFamily(kind="cs", dim=1, sigma=1.0, lam=1.0, lam_big=2.0)
 FAM_A = KernelFamily(kind="a", dim=1, sigma=1.0, lam=1.0, lam_big=2.0)
@@ -159,6 +162,75 @@ def test_newton_dirichlet_is_one_linear_solve(sign):
     assert d1.method == "newton" and d1.iterations == 1
     assert d1.residual <= 1e-10
     assert np.max(np.abs(u1.values - u2.values)) <= 1e-9
+
+
+def grid_batch():
+    """Dirichlet problems on one grid: branch operators over seeds, levels and
+    exterior data, the forced "a" extremal, and the sweep-only "cs" extremal."""
+    box = Box((0.0,), 0.5, 1.0 / 16)
+    x = box.axis_nodes(0)
+    cosine = ExteriorRule(fn=lambda p: np.cos(3.0 * np.asarray(p)[:, 0]), far=0.0)
+    branch = [replace(mixed_problem(level, seed=seed), exterior=ext)
+              for seed, level, ext in ((3, 0.05, ExteriorRule.zero()), (4, -0.2, cosine),
+                                       (5, 0.3, ExteriorRule.constant(0.5)))]
+    extremal = [DirichletProblem(handle=OperatorHandle(fam=fam, extremal_sign=+1),
+                                 domain=box, rhs=np.where(np.abs(x) < 0.25, -1.0, 0.0),
+                                 exterior=ExteriorRule.zero())
+                for fam in (FAM_A, FAM)]
+    return branch + extremal
+
+
+def test_batched_columns_match_per_problem_solves(count_calls):
+    problems, tol = grid_batch(), 1e-9
+    alone = [solve_dirichlet(p, tol=tol, quad=QUAD16) for p in problems]
+    dense = count_calls(np.linalg, "solve")
+    batch = solve_dirichlet_many(problems, tol=tol, quad=QUAD16)
+    # the four problems on the newton engine are the columns of one solve
+    assert len(dense) == 1
+    assert [d.method for _, d in batch] == ["newton"] * 4 + ["sweeps"]
+    for (u, d), (v, e) in zip(batch, alone):
+        assert d.method == e.method and d.iterations == e.iterations
+        assert d.residual <= tol
+        assert np.max(np.abs(u.values - v.values)) <= 1e-14
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_dirichlet_batch_of_one_is_the_single_column_solve(index):
+    # solve_dirichlet is the batch of one; its (m, 1) right-hand side gives
+    # the bits of the one-vector solve the newton engine used to make
+    prob = grid_batch()[index]
+    lat = solve._lattice(prob, QUAD16)
+    u = np.linalg.solve(lat.matrix(), (lat.load() - lat.threshold())[lat.active])
+    want = lat.values(u)
+    got, d = solve_dirichlet(prob, tol=1e-9, quad=QUAD16)
+    assert np.array_equal(got.values, want)
+    assert d.residual == lat.residual(want, False)
+    (many, e), = solve_dirichlet_many([prob], tol=1e-9, quad=QUAD16)
+    assert np.array_equal(many.values, want) and e.residual == d.residual
+
+
+def test_dirichlet_batch_refuses_mixed_grids():
+    prob = mixed_problem(0.05)
+    for other in (replace(prob, domain=Box((0.0,), 1.0, 1.0 / 16)),   # more cells
+                  replace(prob, domain=Box((0.0,), 0.5, 1.0 / 32))):  # not the table's grid
+        with pytest.raises(ConfigurationError):
+            solve_dirichlet_many([prob, other], quad=QUAD16)
+    # in 1d the inscribed ball covers every cell of its box; in 2d it does not
+    spec = EnvironmentSpec(dim=2, kernel_class="a", coeff_law="fixed", coeff_value=1.0,
+                           forcing_law="fixed", forcing_value=0.0)
+    cube = DirichletProblem(handle=OperatorHandle(fam=KernelFamily(
+        kind="a", dim=2, sigma=1.0, lam=1.0, lam_big=2.0),
+        env=sample_environment(spec, seed=0), eps=0.5),
+        domain=Box((0.0, 0.0), 0.5, 1.0 / 8), rhs=0.0, exterior=ExteriorRule.zero())
+    with pytest.raises(ConfigurationError):
+        solve_dirichlet_many([cube, replace(cube, shape="ball")],
+                                   quad=build_quadrature(2, 1.0, 1.0 / 8, 2.0))
+
+
+def test_dirichlet_batch_certifies_every_column():
+    # a column that misses tol raises, as a single solve does
+    with pytest.raises(SolverError):
+        solve_dirichlet_many(grid_batch()[:2], tol=1e-300, quad=QUAD16)
 
 
 @settings(max_examples=60, deadline=None)
@@ -331,7 +403,7 @@ def test_newton_warm_start_is_exact():
 
 def test_prebuilt_lattice_and_system_match_a_fresh_solve():
     lat = solve._lattice(mixed_problem(0.0), QUAD16)
-    system = lat.assemble()
+    system = (lat.matrix(), lat.load())
     for level in (-0.05, 0.1, 0.4):
         fresh = solve_obstacle(mixed_problem(level), tol=1e-10, quad=QUAD16)
         reused = solve_obstacle(mixed_problem(level), tol=1e-10, quad=QUAD16,
@@ -350,7 +422,7 @@ def test_schur_steps_match_direct_steps_across_contact_transition(monkeypatch):
     prob = _frozen_problem(quadratic_bank(1)[4], np.zeros(1), 0.0, 0.125, mixed_env(),
                            FAM, 1.0 / 64)
     lat = solve._lattice(prob, default_quadrature(FAM, prob.domain))
-    K, e = lat.assemble()
+    K, e = lat.matrix(), lat.load()
     G = np.linalg.inv(K)
     steps = []
     free_solve = solve._free_solve
@@ -364,8 +436,8 @@ def test_schur_steps_match_direct_steps_across_contact_transition(monkeypatch):
     tol, counts = 1e-10, []
     for level in (-12.0, *np.linspace(16.0, 21.5, 12)):
         level_lat = lat.at_level(level)
-        direct, _, direct_res = level_lat.newton_solve(True, 60, None, (K, e))
-        schur, _, schur_res = level_lat.newton_solve(True, 60, None, (K, e, G))
+        direct, _, direct_res = level_lat.newton_solve(60, None, (K, e))
+        schur, _, schur_res = level_lat.newton_solve(60, None, (K, e, G))
         assert direct_res[-1] <= tol and schur_res[-1] <= tol
         assert np.array_equal(direct == 0.0, schur == 0.0)
         assert np.min(schur) >= 0.0 and np.min(direct) >= 0.0
@@ -494,6 +566,35 @@ def test_barrier_level_bisects_the_certified_amplitude():
     assert barrier_check(prob, 2.0 * thr1, side=+1, quad=QUAD16, amp=amp)
     # an uncertifiable level returns amplitude zero
     assert barrier_level(prob, 1.0, side=+1, quad=QUAD16) == 0.0
+
+
+def test_barrier_level_builds_one_lattice(count_calls):
+    # every amplitude probe reads the one lattice under its bump exterior,
+    # and lands where probes on fresh lattices land
+    prob = mixed_problem(0.0)
+
+    def fresh_probes(level, side, amp_hi=64.0, steps=30):
+        if not barrier_check(prob, level, side, QUAD16, amp=1e-9):
+            return 0.0
+        lo, hi = 0.0, amp_hi
+        if barrier_check(prob, level, side, QUAD16, amp=hi):
+            return hi
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            if barrier_check(prob, level, side, QUAD16, amp=mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    cases = [(barrier_threshold(prob, side, quad=QUAD16, amp=2.0), side) for side in (+1, -1)]
+    want = [fresh_probes(level, side) for level, side in cases]
+    assert all(0.0 < amp < 64.0 for amp in want)
+    builds = count_calls(solve._Lattice1D, "__init__")
+    for (level, side), amp in zip(cases, want):
+        builds.clear()
+        assert barrier_level(prob, level, side=side, quad=QUAD16) == amp
+        assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------
