@@ -4,10 +4,10 @@ Modules
 -------
 env        lazily sampled random checkerboard environments
 kernels    kernel families and monotone quadrature tables
-operators  grid functions, unit moments, extremal bounds
+operators  grid functions, test functions, unit moments
 solve      Dirichlet and obstacle solvers on boxes and balls
 homog      contact statistics, effective levels, experiment drivers
-cli        config-driven runner and check suites
+cli        config-driven runner with its acceptance checks
 """
 
 import os

@@ -3,7 +3,8 @@
 Every run writes three files into the output directory: rows.csv (one row
 per solve, fixed column order), summary.json (experiment-level results),
 and replay.json (the fully resolved config, timings pinned off, suitable
-for bit-identical re-runs).  Exit codes: 0 success, 2 config error,
+for bit-identical re-runs).  With --check the run then enforces the
+acceptance thresholds of its kind.  Exit codes: 0 success, 2 config error,
 3 solver failure, 4 check failure.
 """
 
@@ -20,8 +21,7 @@ import numpy as np
 
 from .env import EnvironmentSpec, sample_environment
 from .errors import CheckFailure, ConfigurationError, SolverError
-from .kernels import KernelFamily, build_quadrature
-from .operators import Box, ExteriorRule, TestFunction, extremal
+from .operators import Box
 from .solve import (
     DirichletProblem, OperatorHandle, default_quadrature, solve_dirichlet,
     solve_obstacle,
@@ -30,8 +30,7 @@ from .homog import (
     ExtractionConfig, RowLog, abp_scaling_experiment,
     check_translation_shift, comparison_measurable_experiment,
     convergence_experiment, corrector_decay_profile, effective_value,
-    estimate_mbar, fam_of, quadratic_bank, worker_count, _exterior_from_tag,
-    _FrozenSystems,
+    estimate_mbar, fam_of, quadratic_bank, _exterior_from_tag, _FrozenSystems,
 )
 
 SCHEMA_VERSION = 1
@@ -53,7 +52,6 @@ _NUMERIC_DEFAULTS = {
     "bisect_tol": 2.0**-6,
     "theta": None,
     "max_steps": 48,
-    "richardson": False,
 }
 
 _EXPERIMENT_DEFAULTS = {
@@ -107,6 +105,13 @@ def _integer(value, where):
     """A JSON integer read from the config (never true or 4.5), or a ConfigurationError."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _boolean(value, where):
+    """A JSON true or false read from the config (never "false" or 0), or a ConfigurationError."""
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{where} must be true or false, got {value!r}")
     return value
 
 
@@ -210,7 +215,6 @@ def load_config(path):
     num["max_steps"] = _integer(num["max_steps"], "numerics.max_steps")
     if num["max_steps"] < 1:
         raise ConfigurationError("max_steps must be >= 1")
-    num["richardson"] = bool(num["richardson"])
 
     exp = dict(_EXPERIMENT_DEFAULTS[kind])
     exp_block = _dict_block(raw, "experiment")
@@ -259,6 +263,8 @@ def load_config(path):
     if kind == "converge":
         check_translation_shift(eps_list, _grid_h(num, min(eps_list)),
                                 exp["translation_shift"])
+    if "conjecture_cs" in exp:
+        exp["conjecture_cs"] = _boolean(exp["conjecture_cs"], "experiment.conjecture_cs")
     if kind == "cmi" and fam.kind == "cs" and not exp["conjecture_cs"]:
         raise ConfigurationError(
             "cmi on the scalar class needs experiment.conjecture_cs=true"
@@ -280,7 +286,7 @@ def load_config(path):
         "experiment": exp,
         "out_dir": out_dir,
         "workers": workers,
-        "timings": bool(raw.get("timings", False)),
+        "timings": _boolean(raw.get("timings", False), "timings"),
     }
     return resolved, spec, fam
 
@@ -335,13 +341,11 @@ def _run_mbar(resolved, spec, fam, log, workers):
     phi, x0 = _phi(spec, exp)
     est = estimate_mbar(phi, x0, exp["level"], num["eps_list"], num["seeds"],
                         spec, fam, h=num["h"], tol=num["solver_tol"],
-                        r_out_factor=num["r_out_factor"],
-                        richardson=num["richardson"], workers=workers, log=log)
+                        r_out_factor=num["r_out_factor"], workers=workers, log=log)
     return {
         "level": est.level,
         "estimate": est.estimate,
         "stderr": est.stderr,
-        "extrapolation": est.extrapolation,
         "eps_list": list(est.eps_list),
         "seeds": list(num["seeds"]),
         "means": {repr(e): est.means[e] for e in est.eps_list},
@@ -358,7 +362,6 @@ def _run_effective(resolved, spec, fam, log, workers):
                            max_steps=num["max_steps"],
                            solver_tol=num["solver_tol"],
                            r_out_factor=num["r_out_factor"],
-                           richardson=num["richardson"],
                            workers=workers)
     es = effective_value(phi, x0, cfg, spec, fam, log=log)
     return {
@@ -501,7 +504,7 @@ def write_outputs(out_dir, resolved, summary, log, solution=None):
 
 
 # ---------------------------------------------------------------------------
-# threshold checks (--check) and named suites
+# threshold checks (--check)
 
 def _direct_frozen_constant(resolved, spec, fam):
     """Operator value of the frozen test function with zero correction.
@@ -514,19 +517,6 @@ def _direct_frozen_constant(resolved, spec, fam):
     systems = _FrozenSystems(phi, x0, spec, fam, num["h"], num["r_out_factor"],
                              num["solver_tol"])
     return systems.bounds((min(num["eps_list"]), num["seeds"][0]))[1]
-
-
-def _abp_checks(fam, report):
-    """The abp gates: linear amplitude doubling and the support-slope floor."""
-    ratios = report["amplitude_ratios"]
-    floor = fam.sigma / 2.0 - ABP_SLOPE_MARGIN
-    return [
-        ("amplitude-doubling-linear",
-         all(abs(r - 2.0) <= ABP_RATIO_TOL for r in ratios),
-         f"ratios={[f'{r:.4f}' for r in ratios]}"),
-        ("support-slope-floor", report["support_slope"] >= floor,
-         f"slope={report['support_slope']:.4f} floor={floor:.2f}"),
-    ]
 
 
 def run_checks(resolved, spec, fam, summary):
@@ -558,20 +548,33 @@ def run_checks(resolved, spec, fam, summary):
                        f"ratio={summary['decay_ratio']:.4f}"))
     elif kind == "converge":
         sd = list(summary["seed_discrepancy"].values())
-        if len(resolved["numerics"]["seeds"]) >= 2 and spec.layout == "iid":
-            checks.append(("seed-discrepancy-halves",
-                           sd[-1] <= 0.5 * sd[0] + 1e-15,
-                           f"ratio={sd[-1] / sd[0] if sd[0] else math.nan:.4f}"))
-        if spec.layout == "periodic":
-            cg = list(summary["cauchy_gaps"].values())
+        cg = list(summary["cauchy_gaps"].values())
+        if spec.coeff_law == "fixed" and spec.forcing_law == "fixed":
+            # a constant environment: every eps and every seed solve one problem
+            flat = max(sd + cg)
+            checks.append(("trivial-environment-flat", flat == 0.0, f"worst={flat!r}"))
+        elif spec.layout == "periodic":
             checks.append(("cauchy-strictly-decreasing",
                            all(a > b for a, b in zip(cg, cg[1:])),
                            f"gaps={[f'{v:.2e}' for v in cg]}"))
+            # the periodic layout ignores the seed
+            checks.append(("periodic-seed-independent", max(sd) == 0.0,
+                           f"disc={max(sd)!r}"))
+        elif len(resolved["numerics"]["seeds"]) >= 2:
+            checks.append(("seed-discrepancy-halves",
+                           sd[-1] <= 0.5 * sd[0] + 1e-15,
+                           f"ratio={sd[-1] / sd[0] if sd[0] else math.nan:.4f}"))
         checks.append(("translation-bit-exact",
                        summary["translation_gap"] == 0.0,
                        f"gap={summary['translation_gap']!r}"))
     elif kind == "abp":
-        checks.extend(_abp_checks(fam, summary))
+        ratios = summary["amplitude_ratios"]
+        floor = fam.sigma / 2.0 - ABP_SLOPE_MARGIN
+        checks.append(("amplitude-doubling-linear",
+                       all(abs(r - 2.0) <= ABP_RATIO_TOL for r in ratios),
+                       f"ratios={[f'{r:.4f}' for r in ratios]}"))
+        checks.append(("support-slope-floor", summary["support_slope"] >= floor,
+                       f"slope={summary['support_slope']:.4f} floor={floor:.2f}"))
     elif kind == "cmi":
         sups = [r["sup_v"] for r in summary["rows"]]
         checks.append(("sup-monotone-in-measure",
@@ -582,120 +585,6 @@ def run_checks(resolved, spec, fam, summary):
     else:
         checks.append(("no-thresholds", True, "mbar has no gate of its own"))
     return checks
-
-
-def _report_checks(checks):
-    failures = []
-    for name, ok, detail in checks:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        if not ok:
-            failures.append(name)
-    return failures
-
-
-# -- named suites -----------------------------------------------------------
-
-def _suite_invariants():
-    """Cheap exactness properties of the solver stack."""
-    checks = []
-
-    spec = EnvironmentSpec(dim=1, coeff_law="fixed", coeff_value=1.5,
-                           forcing_law="fixed", forcing_value=0.0)
-    fam = fam_of(spec)
-    env = sample_environment(spec, seed=0)
-    h = 2.0**-5
-    box = Box((0.0,), 0.5, h)
-    quad = build_quadrature(1, 1.0, h, 16.0)
-    prob = DirichletProblem(handle=OperatorHandle(fam=fam, env=env, eps=1.0),
-                            domain=box, rhs=0.0,
-                            exterior=ExteriorRule.zero(), shape="cube")
-    u, _ = solve_dirichlet(prob, tol=1e-12, quad=quad)
-    checks.append(("zero-data-zero-solution",
-                   float(np.max(np.abs(u.values))) == 0.0,
-                   f"sup={float(np.max(np.abs(u.values))):.1e}"))
-
-    # extremal duality is an arithmetic identity, so it must hold exactly
-    prof = TestFunction.make([[1.7]], p=[0.3], center=[0.2])
-    nprof = TestFunction.make([[-1.7]], p=[-0.3], center=[0.2])
-    worst = 0.0
-    for x in (-0.3, 0.0, 0.7):
-        plus = extremal(prof, x, +1, fam, quad)
-        dual = -extremal(nprof, x, -1, fam, quad)
-        worst = max(worst, abs(plus - dual))
-    checks.append(("extremal-duality-exact", worst == 0.0, f"gap={worst!r}"))
-
-    spec_i = EnvironmentSpec(dim=1, n_alpha=2, n_beta=2, coeff_law="uniform",
-                             forcing_law="uniform", f_bound=1.0)
-    rep = convergence_experiment("cosine", (2.0**-3, 2.0**-4), (0, 1),
-                                 spec_i, fam_of(spec_i))
-    checks.append(("translation-bit-exact", rep["translation_gap"] == 0.0,
-                   f"gap={rep['translation_gap']!r}"))
-
-    # raising the level can only shrink the least supersolution, exactly
-    env_i = sample_environment(spec_i, seed=3)
-    prob_lo = DirichletProblem(handle=OperatorHandle(fam=fam, env=env_i, eps=0.25),
-                               domain=box, rhs=1.0,
-                               exterior=ExteriorRule.zero(), shape="cube")
-    prob_hi = DirichletProblem(handle=OperatorHandle(fam=fam, env=env_i, eps=0.25),
-                               domain=box, rhs=1.5,
-                               exterior=ExteriorRule.zero(), shape="cube")
-    lo = solve_obstacle(prob_lo, quad=quad, fixed_sweeps=400)
-    hi = solve_obstacle(prob_hi, quad=quad, fixed_sweeps=400)
-    checks.append(("level-monotone-exact",
-                   bool(np.all(lo.u.values >= hi.u.values)),
-                   "pointwise at every node"))
-    return checks
-
-
-def _suite_abp():
-    fam = KernelFamily(kind="a", dim=1, sigma=1.0, lam=1.0, lam_big=2.0)
-    return _abp_checks(fam, abp_scaling_experiment(fam))
-
-
-def _suite_converge_desk(workers):
-    checks = []
-    fam1 = fam_of(EnvironmentSpec(dim=1), 1.0)
-    eps_list = (2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6)
-
-    spec_iid = EnvironmentSpec(dim=1, n_alpha=2, n_beta=2, coeff_law="uniform",
-                               forcing_law="uniform", f_bound=1.0)
-    rep = convergence_experiment("cosine", eps_list, tuple(range(8)),
-                                 spec_iid, fam1, workers=workers)
-    sd = list(rep["seed_discrepancy"].values())
-    checks.append(("iid-seed-discrepancy-halves", sd[-1] <= 0.5 * sd[0],
-                   f"ratio={sd[-1] / sd[0]:.4f}"))
-    checks.append(("iid-translation-bit-exact", rep["translation_gap"] == 0.0,
-                   f"gap={rep['translation_gap']!r}"))
-
-    spec_triv = EnvironmentSpec(dim=1, coeff_law="fixed", coeff_value=1.5,
-                                forcing_law="fixed", forcing_value=0.25)
-    rep_t = convergence_experiment("cosine", eps_list[:2], (0, 1),
-                                   spec_triv, fam1, workers=workers)
-    flat = max(max(rep_t["seed_discrepancy"].values()),
-               max(rep_t["cauchy_gaps"].values()))
-    checks.append(("trivial-environment-flat", flat == 0.0, f"worst={flat!r}"))
-
-    spec_per = EnvironmentSpec(dim=1, n_alpha=2, n_beta=2, coeff_law="uniform",
-                               forcing_law="uniform", f_bound=1.0,
-                               interpolation="constant", layout="periodic",
-                               period=8)
-    rep_p = convergence_experiment("cosine", eps_list, (0, 1),
-                                   spec_per, fam1, workers=workers)
-    cg = list(rep_p["cauchy_gaps"].values())
-    checks.append(("periodic-cauchy-strictly-decreasing",
-                   all(a > b for a, b in zip(cg, cg[1:])),
-                   f"gaps={[f'{v:.2e}' for v in cg]}"))
-    checks.append(("periodic-seed-independent",
-                   max(rep_p["seed_discrepancy"].values()) == 0.0,
-                   f"disc={max(rep_p['seed_discrepancy'].values())!r}"))
-    return checks
-
-
-SUITES = {
-    "invariants": lambda workers: _suite_invariants(),
-    "abp": lambda workers: _suite_abp(),
-    "converge-desk": _suite_converge_desk,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -712,28 +601,20 @@ def cmd_run(args):
         resolved["workers"] = args.workers
     if args.out is not None:
         resolved["out_dir"] = args.out
-    workers = worker_count(args.workers, resolved["workers"])
+    # one rule: --workers, else the config's workers, else one process
+    workers = resolved["workers"] or 1
     summary, log, solution = run_experiment(resolved, spec, fam, workers)
     write_outputs(resolved["out_dir"], resolved, summary, log, solution)
     print(f"wrote {resolved['out_dir']}/rows.csv "
           f"({len(log.rows)} rows), summary.json, replay.json")
     if args.check:
-        failures = _report_checks(run_checks(resolved, spec, fam, summary))
+        failures = []
+        for name, ok, detail in run_checks(resolved, spec, fam, summary):
+            print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+            if not ok:
+                failures.append(name)
         if failures:
             raise CheckFailure(f"checks failed: {failures}")
-    return 0
-
-
-def cmd_check(args):
-    if args.suite not in SUITES:
-        raise ConfigurationError(
-            f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}"
-        )
-    workers = worker_count(args.workers)
-    failures = _report_checks(SUITES[args.suite](workers))
-    if failures:
-        raise CheckFailure(f"suite {args.suite} failed: {failures}")
-    print(f"suite {args.suite}: all checks passed")
     return 0
 
 
@@ -747,13 +628,10 @@ def build_parser():
     pr = sub.add_parser("run", help="run one experiment config")
     pr.add_argument("config", help="path to a JSON run config")
     pr.add_argument("--workers", type=int, default=None,
-                    help="worker processes (default: env var, config, or CPU count)")
+                    help="worker processes (default: the config's workers, else 1)")
     pr.add_argument("--out", default=None, help="output directory override")
     pr.add_argument("--check", action="store_true",
                     help="enforce kind-specific acceptance thresholds (exit 4)")
-    pc = sub.add_parser("check", help="run a named acceptance suite")
-    pc.add_argument("suite", help=f"one of {sorted(SUITES)}")
-    pc.add_argument("--workers", type=int, default=None)
     return p
 
 
@@ -762,9 +640,7 @@ def main(argv=None):
     try:
         if args.workers is not None:
             _workers(args.workers, "--workers")
-        if args.command == "run":
-            return cmd_run(args)
-        return cmd_check(args)
+        return cmd_run(args)
     except ConfigurationError as exc:
         _error_report(exc)
         return 2

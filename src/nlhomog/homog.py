@@ -21,7 +21,9 @@ threshold and runs the active set, started from the contact set the same
 (eps, seed) item returned at the previous level, and each active-set step
 with less contact than free cells is a Schur step on G.  That warm
 start travels with the item, so the optional process pool, which lives for
-the whole bisection, cannot change any reported number.
+the whole bisection, cannot change any reported number.  The functions
+that can fan out take `workers` (default 1: no pool); nothing here reads a
+worker count from anywhere else.
 Dirichlet problems that share a grid are solved as one batch
 (`solve_dirichlet_many`), so each grid's K is factored once: the abp and
 cmi sweeps are one batch each, and the convergence harness makes one batch
@@ -34,7 +36,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -71,7 +72,6 @@ __all__ = [
     "abp_scaling_experiment",
     "convergence_experiment",
     "check_translation_shift",
-    "worker_count",
 ]
 
 CSV_COLUMNS = (
@@ -125,7 +125,6 @@ class MbarEstimate:
     spreads: dict            # eps -> max - min over seeds
     estimate: float
     stderr: float
-    extrapolation: str       # "last" | "richardson"
 
     def validate(self):
         if any(not (0.0 <= f <= 1.0) for f in self.fractions.values()):
@@ -166,33 +165,7 @@ class ExtractionConfig:
     max_steps: int = 48
     solver_tol: float = 1e-7
     r_out_factor: float = 8.0
-    richardson: bool = False         # experimental extrapolation in eps
     workers: int = 1
-
-
-def worker_count(requested=None, config=None):
-    """Resolve a worker count.
-
-    Precedence: the explicit request (`--workers`), then the
-    NONLOCAL_HOMOG_WORKERS environment variable, then the config's
-    `workers`, else all cores.  The environment variable, like the other
-    two, must be an integer >= 1.
-    """
-    if requested is not None:
-        return int(requested)
-    envval = os.environ.get("NONLOCAL_HOMOG_WORKERS")
-    if envval:
-        try:
-            workers = int(envval)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ConfigurationError(
-                f"NONLOCAL_HOMOG_WORKERS must be an integer >= 1, got {envval!r}")
-        return workers
-    if config is not None and config > 0:
-        return int(config)
-    return os.cpu_count() or 1
 
 
 def quadratic_bank(dim: int, r_cut: float = 4.0):
@@ -378,17 +351,15 @@ def fam_of(spec: EnvironmentSpec, sigma: float | None = None) -> KernelFamily:
 
 def estimate_mbar(phi, x0, level, eps_list, seeds, spec: EnvironmentSpec,
                   fam: KernelFamily, *, h=None, tol=1e-7, r_out_factor=8.0,
-                  richardson=False, workers=1,
-                  log: RowLog | None = None, experiment_id="mbar",
+                  workers=1, log: RowLog | None = None, experiment_id="mbar",
                   fold: _Fold | None = None) -> MbarEstimate:
-    """Seed-averaged contact fractions per eps, extrapolated in eps.
+    """Seed-averaged contact fractions per eps; the estimate is the smallest eps's.
 
-    The default extrapolation takes the smallest-eps average (no rate is
-    available to justify more); Richardson on the last two eps values is
-    offered as an experimental alternative.  Seed spread per eps is the
-    self-averaging diagnostic.  `fold` carries the systems and warm starts
-    of a bisection across levels (it must be built from the same problem
-    arguments); without it the estimate builds its own and starts cold.
+    No convergence rate in eps is known, so nothing is extrapolated.  Seed
+    spread per eps is the self-averaging diagnostic.  `fold` carries the
+    systems and warm starts of a bisection across levels (it must be built
+    from the same problem arguments); without it the estimate builds its
+    own and starts cold.
     """
     eps_list = tuple(sorted(set(eps_list), reverse=True))
     if len(seeds) < 1:
@@ -415,21 +386,12 @@ def estimate_mbar(phi, x0, level, eps_list, seeds, spec: EnvironmentSpec,
         means[eps] = float(np.mean(vals))
         spreads[eps] = float(np.max(vals) - np.min(vals))
     smallest = eps_list[-1]
-    if richardson and len(eps_list) >= 2:
-        e1, e2 = eps_list[-2], eps_list[-1]
-        m1, m2 = means[e1], means[e2]
-        est = m2 + (m2 - m1) * e2 / (e1 - e2)
-        est = min(1.0, max(0.0, est))
-        mode = "richardson"
-    else:
-        est = means[smallest]
-        mode = "last"
     vals = [fractions[(smallest, s)] for s in seeds]
     stderr = float(np.std(vals) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return MbarEstimate(phi=phi, x0=tuple(np.atleast_1d(x0)), level=level,
                         eps_list=eps_list, fractions=fractions, means=means,
-                        spreads=spreads, estimate=est, stderr=stderr,
-                        extrapolation=mode).validate()
+                        spreads=spreads, estimate=means[smallest],
+                        stderr=stderr).validate()
 
 
 def _bracket(fold, cfg: ExtractionConfig):
@@ -453,10 +415,10 @@ def effective_value(phi, x0, cfg: ExtractionConfig, spec: EnvironmentSpec,
                     fam: KernelFamily, *, log: RowLog | None = None) -> EffectiveSample:
     """Bisect on the level for the boundary between contact regimes.
 
-    Below the effective level the extrapolated contact fraction sits at
-    or under theta (treated as zero at this resolution); above it the
-    fraction is positive.  Discrete monotonicity of the fraction in the
-    level makes the bisection sound.
+    Below the effective level the seed-averaged contact fraction at the
+    smallest eps sits at or under theta (treated as zero at this
+    resolution); above it the fraction is positive.  Discrete monotonicity
+    of the fraction in the level makes the bisection sound.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
     smallest = min(cfg.eps_list)
@@ -476,8 +438,7 @@ def effective_value(phi, x0, cfg: ExtractionConfig, spec: EnvironmentSpec,
             mid = 0.5 * (lo + hi)
             m = estimate_mbar(phi, x0, mid, cfg.eps_list, cfg.seeds, spec, fam,
                               h=cfg.h, tol=cfg.solver_tol,
-                              r_out_factor=cfg.r_out_factor,
-                              richardson=cfg.richardson, log=log,
+                              r_out_factor=cfg.r_out_factor, log=log,
                               experiment_id="effective", fold=fold).estimate
             if m <= theta:
                 steps.append((mid, m, "zero"))

@@ -1,4 +1,4 @@
-"""Grid functions, test functions, unit moments and the extremal bounds.
+"""Grid functions, test functions and unit moments.
 
 Conventions used throughout:
 
@@ -22,15 +22,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .kernels import KernelFamily, QuadratureTable
+from .kernels import QuadratureTable
 
 __all__ = [
     "Box",
     "ExteriorRule",
     "GridFunction",
     "TestFunction",
-    "extremal",
-    "extremal_from_moment",
     "unit_moment",
 ]
 
@@ -305,79 +303,3 @@ def unit_moment(u, z, quad: QuadratureTable):
     bxx += 0.5 * t
     byy += 0.5 * t
     return np.array([[bxx, bxy], [bxy, byy]])
-
-
-def extremal_from_moment(mom, sign: int, lam: float, lam_big: float):
-    """Extremal value over the admissible coefficient set, given moments.
-
-    Scalar moment (scalar classes): sup over multipliers in [lam, lam_big]
-    of a*mom is lam_big*mom for positive mom and lam*mom otherwise; inf is
-    the mirror image.  Matrix moment (2d matrix class): optimize trace(AB)
-    over symmetric A with 0 <= A <= lam_big and trace(A) >= lam; with a
-    positive eigenvalue present the top is lam_big * (sum of positive
-    eigenvalues), otherwise the trace constraint binds at lam times the
-    largest eigenvalue.  The inf is -sup for -B.
-    """
-    if sign not in (+1, -1):
-        raise ConfigurationError("sign must be +1 or -1")
-    if np.ndim(mom) == 0:
-        m = float(mom)
-        if sign > 0:
-            return lam_big * m if m > 0 else lam * m
-        return lam * m if m > 0 else lam_big * m
-    B = np.asarray(mom, dtype=np.float64)
-    if sign < 0:
-        return -extremal_from_moment(-B, +1, lam, lam_big)
-    mu = np.linalg.eigvalsh(B)
-    if mu[-1] > 0:
-        return lam_big * float(np.sum(mu[mu > 0]))
-    return lam * float(mu[-1])
-
-
-def extremal(u, x, sign: int, fam: KernelFamily, quad: QuadratureTable) -> float:
-    """Extremal bound at a point over the family's admissible kernels.
-
-    "cs" optimizes pointwise in y between the envelope bounds; "a"
-    optimizes the coefficient against the moment of the second
-    differences.  In 1d the "a" form equals the scalar-multiplier
-    restriction of the "cs" form.
-    """
-    fam.validate()
-    fn, far, dim = _sampler(u)
-    if fam.kind == "a":
-        mom = unit_moment(u, x, quad)
-        return extremal_from_moment(mom, sign, fam.lam, fam.lam_big)
-    # the multiplier taken on positive and on negative second differences
-    hi, lo = (fam.lam_big, fam.lam) if sign > 0 else (fam.lam, fam.lam_big)
-    if dim == 1:
-        z = _as_point(x, 1)
-        h = quad.h
-        uz = float(fn(z[:, None].T)[0])
-        J = quad.w.shape[0]
-        offs = (np.arange(1, J + 1, dtype=np.float64) * h)[:, None]
-        delta = fn(z[None, :] + offs) + fn(z[None, :] - offs) - 2.0 * uz
-        dnear = delta[0] / h**2
-        dfar = 2.0 * far - 2.0 * uz
-        core = 2.0 * float(np.dot(quad.w, np.where(delta > 0, hi * delta, lo * delta)))
-        core += quad.c_near * (hi * dnear if dnear > 0 else lo * dnear)
-        core += quad.tail * (hi * dfar if dfar > 0 else lo * dfar)
-        return core
-    # 2d pointwise-in-y optimization against the plain envelope stencil.
-    z = _as_point(x, 2)
-    h = quad.h
-    uz = float(fn(z[None, :])[0])
-    J = quad.n_offsets
-    jj = np.arange(-J, J + 1, dtype=np.float64) * h
-    PX, PY = np.meshgrid(jj, jj, indexing="ij")
-    pts = np.column_stack([PX.ravel() + z[0], PY.ravel() + z[1]])
-    dcen = fn(pts).reshape(PX.shape) - uz
-    # full second difference per cell: pair every offset with its mirror
-    dsym = dcen + dcen[::-1, ::-1]
-    ex = fn(np.array([[z[0] + h, z[1]], [z[0] - h, z[1]]]))
-    ey = fn(np.array([[z[0], z[1] + h], [z[0], z[1] - h]]))
-    dnear = 0.5 * (float(ex[0] + ex[1] - 2 * uz) + float(ey[0] + ey[1] - 2 * uz)) / h**2
-    dfar = 2.0 * far - 2.0 * uz
-    core = float(np.sum(quad.w * np.where(dsym > 0, hi * dsym, lo * dsym)))
-    core += quad.c_near * (hi * dnear if dnear > 0 else lo * dnear)
-    core += quad.tail * (hi * dfar if dfar > 0 else lo * dfar)
-    return core

@@ -72,8 +72,6 @@ __all__ = [
     "solve_obstacle",
     "residual_field",
     "barrier_threshold",
-    "barrier_check",
-    "barrier_level",
     "default_quadrature",
 ]
 
@@ -801,43 +799,3 @@ def barrier_threshold(problem: DirichletProblem, side: int,
     F, _ = lat.operator_values(vals)
     Fa = F[lat.active]
     return float(np.min(Fa)) if side > 0 else float(np.max(Fa))
-
-
-def barrier_check(problem: DirichletProblem, level: float, side: int = +1,
-                  quad: QuadratureTable | None = None, amp: float = 1.0,
-                  lattice=None) -> bool:
-    """True when the bump barrier certifies the level on the given side.
-
-    `lattice` is lent to `barrier_threshold`.
-    """
-    thr = barrier_threshold(problem, side, quad, amp=amp, lattice=lattice)
-    return level <= thr if side > 0 else level >= thr
-
-
-def barrier_level(problem: DirichletProblem, level: float, side: int = +1,
-                  quad: QuadratureTable | None = None, amp_hi: float = 64.0,
-                  steps: int = 30) -> float:
-    """Largest bump amplitude the barrier certifies at the given level.
-
-    Bisects on the amplitude; returns 0.0 when even a vanishing bump
-    fails, in which case no positivity (side +1) or negativity (side -1)
-    floor can be certified this way.  The problem's lattice is built once
-    and lent to every amplitude probe.
-    """
-    lat = _lattice(problem, quad)
-
-    def certified(amp):
-        return barrier_check(problem, level, side, quad, amp=amp, lattice=lat)
-
-    if not certified(1e-9):
-        return 0.0
-    lo, hi = 0.0, amp_hi
-    if certified(hi):
-        return hi
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if certified(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo

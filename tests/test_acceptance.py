@@ -34,8 +34,6 @@ from nlhomog.operators import (
     ExteriorRule,
     GridFunction,
     TestFunction,
-    extremal,
-    extremal_from_moment,
     unit_moment,
 )
 from nlhomog.solve import (
@@ -46,7 +44,7 @@ from nlhomog.solve import (
     solve_obstacle,
 )
 
-from oracles import evaluate_F, kernel_value
+from oracles import evaluate_F, extremal, extremal_from_moment, kernel_value
 
 TestFunction.__test__ = False
 

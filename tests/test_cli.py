@@ -135,7 +135,7 @@ def test_replay_bytes_do_not_depend_on_blas_threads(tmp_path, kind, numerics, ex
                        numerics=numerics, experiment=experiment)
     src = str(Path(nlhomog.__file__).resolve().parents[1])
     base = {k: v for k, v in os.environ.items()
-            if k not in ("OPENBLAS_NUM_THREADS", "NONLOCAL_HOMOG_WORKERS")}
+            if k != "OPENBLAS_NUM_THREADS"}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     runs = {"unset": ({}, "1"), "one": ({"OPENBLAS_NUM_THREADS": "1"}, "1"),
             "two": ({"OPENBLAS_NUM_THREADS": "2"}, "1"), "pool": ({}, "2")}
@@ -159,7 +159,7 @@ def test_converge_replay_is_worker_invariant(tmp_path):
     assert [r[0] for r in rows[1:]] == ["converge"] * 4 + ["converge-shift"]
 
 
-def test_environment_worker_count_beats_config(tmp_path, monkeypatch):
+def test_worker_rule_is_flag_then_config_then_one(tmp_path, monkeypatch):
     seen = []
 
     def record(resolved, spec, fam, workers):
@@ -167,13 +167,17 @@ def test_environment_worker_count_beats_config(tmp_path, monkeypatch):
         return {}, RowLog(), None
 
     monkeypatch.setattr(cli, "run_experiment", record)
-    cfg = write_config(tmp_path, workers=1)
-    monkeypatch.setenv("NONLOCAL_HOMOG_WORKERS", "2")
-    assert main(["run", str(cfg)]) == 0
-    assert main(["run", str(cfg), "--workers", "3"]) == 0
-    monkeypatch.delenv("NONLOCAL_HOMOG_WORKERS")
-    assert main(["run", str(cfg)]) == 0
-    assert seen == [2, 3, 1]
+    # neither the environment nor the core count is a source
+    monkeypatch.setenv("NONLOCAL_HOMOG_WORKERS", "3")
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    configured = write_config(tmp_path, name="configured.json", workers=2)
+    bare = write_config(tmp_path, name="bare.json")
+    assert main(["run", str(configured), "--workers", "4"]) == 0
+    assert main(["run", str(configured)]) == 0
+    assert main(["run", str(bare)]) == 0
+    assert seen == [4, 2, 1]
+    # the replay keeps the unset config value, so it too runs on one worker
+    assert json.loads((tmp_path / "out" / "replay.json").read_text())["workers"] is None
 
 
 def test_certified_bracket_holds_for_its_table(tmp_path):
@@ -227,39 +231,49 @@ def test_check_gate_fails_on_stalled_corrector(tmp_path, capsys):
     assert json.loads(captured.err.splitlines()[-1])["error"]["type"] == "CheckFailure"
 
 
-def test_check_suite_invariants(capsys):
-    assert main(["check", "invariants"]) == 0
-    out = capsys.readouterr().out
-    assert "all checks passed" in out
-    assert "FAIL" not in out
+TRIVIAL_ENV = {"coeff_law": "fixed", "coeff_value": 1.5,
+               "forcing_law": "fixed", "forcing_value": 0.25}
+PERIODIC_ENV = {**MIXED_ENV, "interpolation": "constant", "layout": "periodic",
+                "period": 8}
 
 
-def test_unknown_suite_exits_2(capsys):
-    assert main(["check", "nonsense"]) == 2
-    err = json.loads(capsys.readouterr().err.splitlines()[-1])
-    assert err["error"]["type"] == "ConfigurationError"
+@pytest.mark.parametrize("environment, gate, doctor", [
+    (TRIVIAL_ENV, "trivial-environment-flat", ("cauchy_gaps", "0.25->0.125")),
+    (TRIVIAL_ENV, "trivial-environment-flat", ("seed_discrepancy", "0.0625")),
+    (PERIODIC_ENV, "periodic-seed-independent", ("seed_discrepancy", "0.125")),
+], ids=["trivial-cauchy", "trivial-seeds", "periodic-seeds"])
+def test_converge_checks_hold_seed_and_eps_free_environments_exact(
+        tmp_path, environment, gate, doctor):
+    cfg = write_config(tmp_path, kind="converge", environment=environment,
+                       numerics={"eps_list": [0.25, 0.125, 0.0625], "seeds": [0, 1]})
+    resolved, spec, fam = cli.load_config(cfg)
+    summary = {"seed_discrepancy": {"0.25": 0.0, "0.125": 0.0, "0.0625": 0.0},
+               "cauchy_gaps": {"0.25->0.125": 0.0, "0.125->0.0625": 0.0},
+               "translation_gap": 0.0}
+    if environment is PERIODIC_ENV:
+        summary["cauchy_gaps"] = {"0.25->0.125": 2.4e-3, "0.125->0.0625": 1.6e-3}
+    clean = {name: ok for name, ok, _ in cli.run_checks(resolved, spec, fam, summary)}
+    assert clean[gate] and all(clean.values())
+    group, key = doctor
+    summary[group][key] = 1e-17  # one last bit of seed or eps dependence
+    doctored = {name: ok for name, ok, _ in cli.run_checks(resolved, spec, fam, summary)}
+    assert not doctored[gate]
+    assert all(ok for name, ok in doctored.items() if name != gate)
 
 
-@pytest.mark.parametrize("command", ["run", "check"])
+def test_check_subcommand_is_an_argparse_error():
+    # run is the only subcommand; suites of checks are `run --check` configs
+    for argv in (["check", "invariants"], ["check", "nonsense"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [["run"], ["run", "--check"]], ids=["run", "run-check"])
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_nonpositive_worker_flag_exits_2(tmp_path, capsys, command, workers):
     # a run would otherwise write a replay.json that refuses to replay
-    target = str(write_config(tmp_path)) if command == "run" else "invariants"
-    assert main([command, target, "--workers", workers]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert json.loads(err[0])["error"]["type"] == "ConfigurationError"
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("command", ["run", "check"])
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_nonpositive_worker_environment_exits_2(tmp_path, capsys, monkeypatch,
-                                                command, workers):
-    # the environment variable obeys the rule of --workers, not a clamp to 1
-    monkeypatch.setenv("NONLOCAL_HOMOG_WORKERS", workers)
-    target = str(write_config(tmp_path)) if command == "run" else "invariants"
-    assert main([command, target]) == 2
+    assert main([*command, str(write_config(tmp_path)), "--workers", workers]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["error"]["type"] == "ConfigurationError"
@@ -294,11 +308,20 @@ def test_missing_subcommand_is_an_argparse_error():
     {"experiment": {"exterior": "noise"}},
     {"workers": 0},
     {"out_dir": ""},
+    {"timings": "false"},
+    {"timings": 0},
+    {"kind": "cmi", "experiment": {"conjecture_cs": "false"}},
+    {"kind": "cmi", "environment": {"kernel_class": "a"},
+     "experiment": {"conjecture_cs": 1}},
+    {"numerics": {"richardson": "no"}},
+    {"numerics": {"richardson": False}},  # an old replay file carries the key
 ], ids=[
     "unknown-top-key", "schema-version", "unknown-kind", "unknown-env-key",
     "sigma-range", "empty-eps", "eps-above-one", "empty-seeds",
     "negative-seed", "repeated-seeds", "h-vs-eps", "bad-method", "method-key", "theta-range",
     "bad-shape", "bad-exterior", "zero-workers", "empty-out-dir",
+    "timings-string", "timings-int", "conjecture-cs-string", "conjecture-cs-int",
+    "richardson-string", "richardson-key",
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)

@@ -26,7 +26,6 @@ from nlhomog.homog import (
     estimate_mbar,
     fam_of,
     quadratic_bank,
-    worker_count,
 )
 from nlhomog.kernels import KernelFamily, build_quadrature
 from nlhomog.operators import unit_moment
@@ -152,19 +151,10 @@ def test_estimate_mbar_bookkeeping():
         vals = [est.fractions[(eps, s)] for s in (0, 1, 2)]
         assert est.means[eps] == pytest.approx(np.mean(vals))
         assert est.spreads[eps] == pytest.approx(max(vals) - min(vals))
-    assert est.extrapolation == "last"
     assert est.estimate == est.means[0.125]
     assert len(log.rows) == 6
     with pytest.raises(ConfigurationError):
         estimate_mbar(PHI, np.zeros(1), 12.0, (0.25,), (), MIXED_SPEC, fam)
-
-
-def test_estimate_mbar_richardson_stays_in_unit_interval():
-    fam = fam_of(MIXED_SPEC)
-    est = estimate_mbar(PHI, np.zeros(1), 12.0, (0.25, 0.125), (0, 1),
-                        MIXED_SPEC, fam, richardson=True)
-    assert est.extrapolation == "richardson"
-    assert 0.0 <= est.estimate <= 1.0
 
 
 def test_estimate_mbar_worker_invariance():
@@ -317,28 +307,6 @@ def test_quadratic_bank_shapes():
     assert any(abs(phi.P[0, 1]) > 0.1 for phi in bank2[-2:])
     with pytest.raises(ConfigurationError):
         quadratic_bank(3)
-
-
-def test_worker_count_resolution(monkeypatch):
-    monkeypatch.delenv("NONLOCAL_HOMOG_WORKERS", raising=False)
-    assert worker_count(3) == 3
-    assert worker_count() >= 1
-    # without the environment variable the config decides
-    assert worker_count(config=4) == 4
-    assert worker_count(3, config=4) == 3
-    monkeypatch.setenv("NONLOCAL_HOMOG_WORKERS", "2")
-    assert worker_count() == 2
-    # an explicit request wins over the environment override
-    assert worker_count(5) == 5
-    # the environment variable wins over the config
-    assert worker_count(config=4) == 2
-    assert worker_count(5, config=4) == 5
-    for bad in ("two", "0", "-3"):
-        monkeypatch.setenv("NONLOCAL_HOMOG_WORKERS", bad)
-        with pytest.raises(ConfigurationError):
-            worker_count()
-        with pytest.raises(ConfigurationError):
-            worker_count(config=4)
 
 
 def test_fam_of_maps_spec_fields():

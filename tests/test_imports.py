@@ -1,6 +1,8 @@
-"""Every module under src/ and tests/ uses each name it imports."""
+"""Every module under src/ and tests/ uses each name it imports, and every
+name a package module exports exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,3 +33,14 @@ def test_no_unused_imports():
     assert files
     unused = {str(p.relative_to(ROOT)): found for p in files if (found := unused_imports(p))}
     assert unused == {}
+
+
+def test_every_exported_name_exists():
+    missing = {}
+    for path in sorted(ROOT.glob("src/nlhomog/*.py")):
+        name = "nlhomog" if path.stem == "__init__" else f"nlhomog.{path.stem}"
+        module = importlib.import_module(name)
+        gone = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        if gone:
+            missing[name] = gone
+    assert missing == {}

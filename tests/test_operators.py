@@ -12,11 +12,13 @@ from nlhomog.env import (
 from nlhomog.errors import ConfigurationError
 from nlhomog.kernels import KernelFamily, build_quadrature
 from nlhomog.operators import (
-    Box, ExteriorRule, GridFunction, TestFunction, extremal,
-    extremal_from_moment, unit_moment,
+    Box, ExteriorRule, GridFunction, TestFunction, unit_moment,
 )
 
-from oracles import apply_linear, evaluate_F, evaluate_frozen, second_difference
+from oracles import (
+    apply_linear, evaluate_F, evaluate_frozen, extremal, extremal_from_moment,
+    second_difference,
+)
 
 TestFunction.__test__ = False  # imported dataclass, not a pytest class
 
@@ -257,6 +259,14 @@ def test_extremal_duality_pointwise():
             plus = extremal(-u, x, +1, fam, QUAD1)
             minus = extremal(u, x, -1, fam, QUAD1)
             assert plus == pytest.approx(-minus, abs=1e-12)
+    # on a smooth profile and its negation the duality is an arithmetic
+    # identity, so it holds bit for bit
+    quad = build_quadrature(1, 1.0, 2.0**-5, 16.0)
+    prof = TestFunction.make([[1.7]], p=[0.3], center=[0.2])
+    nprof = TestFunction.make([[-1.7]], p=[-0.3], center=[0.2])
+    for fam in (FAM1, FAM1A):
+        for x in (-0.3, 0.0, 0.7):
+            assert extremal(prof, x, +1, fam, quad) == -extremal(nprof, x, -1, fam, quad)
 
 
 def test_extremal_from_moment_fixed_matrix():
