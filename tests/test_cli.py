@@ -159,7 +159,8 @@ def test_converge_replay_is_worker_invariant(tmp_path):
     assert [r[0] for r in rows[1:]] == ["converge"] * 4 + ["converge-shift"]
 
 
-def test_worker_rule_is_flag_then_config_then_one(tmp_path, monkeypatch):
+def record_worker_counts(monkeypatch):
+    """Stub run_experiment; returns the list of worker counts it is handed."""
     seen = []
 
     def record(resolved, spec, fam, workers):
@@ -167,6 +168,23 @@ def test_worker_rule_is_flag_then_config_then_one(tmp_path, monkeypatch):
         return {}, RowLog(), None
 
     monkeypatch.setattr(cli, "run_experiment", record)
+    return seen
+
+
+def test_worker_rule_is_flag_then_config_then_one(tmp_path, monkeypatch):
+    seen = record_worker_counts(monkeypatch)
+    configured = write_config(tmp_path, name="configured.json", workers=2)
+    bare = write_config(tmp_path, name="bare.json")
+    assert main(["run", str(configured), "--workers", "4"]) == 0
+    assert main(["run", str(configured)]) == 0
+    assert main(["run", str(bare)]) == 0
+    assert seen == [4, 2, 1]
+    # the replay keeps the unset config value, so it too runs on one worker
+    assert json.loads((tmp_path / "out" / "replay.json").read_text())["workers"] is None
+
+
+def test_worker_count_ignores_environment_and_cores(tmp_path, monkeypatch):
+    seen = record_worker_counts(monkeypatch)
     # neither the environment nor the core count is a source
     monkeypatch.setenv("NONLOCAL_HOMOG_WORKERS", "3")
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -176,8 +194,6 @@ def test_worker_rule_is_flag_then_config_then_one(tmp_path, monkeypatch):
     assert main(["run", str(configured)]) == 0
     assert main(["run", str(bare)]) == 0
     assert seen == [4, 2, 1]
-    # the replay keeps the unset config value, so it too runs on one worker
-    assert json.loads((tmp_path / "out" / "replay.json").read_text())["workers"] is None
 
 
 def test_certified_bracket_holds_for_its_table(tmp_path):
