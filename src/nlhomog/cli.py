@@ -269,6 +269,9 @@ def load_config(path):
         raise ConfigurationError(
             "cmi on the scalar class needs experiment.conjecture_cs=true"
         )
+    if kind == "cmi" and fam.kind == "cs" and spec.dim != 1:
+        raise ConfigurationError("cmi on the scalar class is one-dimensional: "
+                                 "the pointwise extremal of the cs class is 1d only")
 
     workers = raw.get("workers")
     if workers is not None:

@@ -538,7 +538,8 @@ def comparison_measurable_experiment(sizes, seed, fam: KernelFamily, *,
     Solves the upper extremal equation with forcing -g, g an indicator of
     prescribed measure, and records sup v per measure.  For the scalar
     multiplier class this probes an unproved comparison and is refused
-    unless the conjecture flag is set.
+    unless the conjecture flag is set; its pointwise extremal exists in 1d
+    only, and a 2d one is refused when the problems are validated.
     """
     if fam.kind == "cs" and not conjecture_cs:
         raise ConfigurationError(

@@ -5,6 +5,19 @@ off-center weight is nonnegative and the center coefficient is strictly
 negative, so the lattice operator is an M-matrix perturbation and both
 engines below converge to the same solution.
 
+Lattices
+--------
+One lattice type holds a problem on its grid in either dimension: the
+active cells, the ghost nodes past each face, the branch fields read at
+x / eps (matrix fields for the 2d "a" class), the frozen moment, the sweep
+diagonal, the extremal slopes and the inf-sup over the branches.  Only
+the moment of the second differences depends on the dimension, so each
+dimension keeps only its stencil and its exterior read: in 1d one
+symmetric correlation, giving the unit moment (and, for the pointwise
+extremal of the "cs" class, the positive and negative moments); in 2d
+three directional stencils, giving the symmetric (2, 2) moment field.
+The pointwise "cs" extremal is 1d only; a 2d one is refused.
+
 Engines
 -------
 The problem picks the engine; there is no way to override it.
@@ -51,7 +64,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -103,6 +116,8 @@ class OperatorHandle:
             raise ConfigurationError("eps must be positive")
         if self.env is not None and self.env.dim != self.fam.dim:
             raise ConfigurationError("environment and family dimensions differ")
+        if self.extremal_sign != 0 and self.fam.kind == "cs" and self.fam.dim != 1:
+            raise ConfigurationError("the pointwise extremal of the cs class is one-dimensional")
         return self
 
 
@@ -149,19 +164,16 @@ class ObstacleSolution:
 
 @dataclass(frozen=True)
 class Bump:
-    """Quartic bump amp * (1 - |x-c|^2/r^2)^2 inside the r-ball, else 0.
+    """Quartic bump (1 - |x-c|^2/r^2)^2 inside the r-ball, else 0.
 
     sign -1 flips it; the positive bump is a subsolution at low levels and
     the negative one a supersolution at high levels, which brackets every
-    effective-level search.  amp rescales the height for the scaled
-    barrier comparisons.
+    effective-level search.
     """
 
     center: np.ndarray
     r: float
     sign: float = 1.0
-    amp: float = 1.0
-    far: float = field(default=0.0, init=False)
 
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=np.float64)
@@ -170,7 +182,7 @@ class Bump:
         c = np.atleast_1d(np.asarray(self.center, dtype=np.float64))
         d2 = np.sum((pts - c) ** 2, axis=1) / self.r**2
         v = np.where(d2 < 1.0, (1.0 - d2) ** 2, 0.0)
-        return self.sign * self.amp * v
+        return self.sign * v
 
 
 def default_quadrature(fam: KernelFamily, box: Box, r_out_factor: float = 8.0) -> QuadratureTable:
@@ -184,12 +196,85 @@ CHECK_EVERY = 8     # sweeps between residual checks
 STALL_CHECKS = 64   # checks in the stagnation window (512 sweeps)
 
 
-class _SweepEngine:
-    """Red-black damped sweeps and the certified residual, shared by both lattices.
+class _Lattice:
+    """One problem on its grid: everything but the moment stencil (see Lattices).
 
-    Subclasses provide `active`, `rhs`, `operator_values`, `linear` and
-    `_read_exterior`, which sets everything that depends on the exterior data.
+    A subclass sets `dim`, builds its stencil in `_stencil`, sets
+    everything that depends on the exterior data in `_read_exterior` and
+    evaluates F in `operator_values`.  This class adds the red-black damped
+    sweeps and the certified residual.
     """
+
+    def __init__(self, problem: DirichletProblem, quad: QuadratureTable,
+                 frozen_moment=None):
+        problem.validate()
+        box, handle = problem.domain, problem.handle
+        if box.dim != self.dim:
+            raise ConfigurationError(f"{type(self).__name__} is {self.dim}-dimensional")
+        if quad.dim != self.dim or abs(quad.h - box.h) > 1e-15:
+            raise ConfigurationError("quadrature table does not match the grid")
+        self.problem = problem
+        self.quad = quad
+        self.m = box.m
+        self.h = box.h
+        self.J = quad.n_offsets
+        nodes = np.meshgrid(*(box.axis_nodes(a) for a in range(self.dim)), indexing="ij")
+        # active cells: whole cube, or strict interior of the ball
+        if problem.shape == "ball":
+            self.active = sum((X - c) ** 2 for X, c in zip(nodes, box.center)) < box.half**2
+        else:
+            self.active = np.ones(nodes[0].shape, dtype=bool)
+        if not self.active.any():
+            raise ConfigurationError("domain has no active cells")
+        # the grid padded by J ghost nodes past each face
+        self.pad = self.J
+        ghost = [c - box.half + (np.arange(-self.pad, self.m + self.pad) + 0.5) * self.h
+                 for c in box.center]
+        self.ext_pts = np.column_stack([G.ravel() for G in np.meshgrid(*ghost, indexing="ij")])
+        self.inner = (slice(self.pad, self.pad + self.m),) * self.dim
+        self._stencil()
+        self._read_exterior()
+        self.D0 = 2.0 * quad.w_total + 2.0 * quad.c_near / self.h**2 + 2.0 * quad.tail
+        self.kind = "extremal" if handle.extremal_sign != 0 else "branch"
+        self.is_matrix = handle.fam.kind == "a" and self.dim == 2
+        shape = self.active.shape
+        if self.kind == "branch":
+            env = handle.env
+            na, nb = env.spec.n_alpha, env.spec.n_beta
+            P = np.column_stack([X.ravel() for X in nodes]) / handle.eps
+            field, per_node = (matrix_field, (2, 2)) if self.is_matrix else (multiplier_field, ())
+            coeff = np.empty((na, nb) + shape + per_node)
+            self.forc = np.empty((na, nb) + shape)
+            for a in range(na):
+                for b in range(nb):
+                    coeff[a, b] = field(env, a, b, P).reshape(shape + per_node)
+                    self.forc[a, b] = forcing_field(env, a, b, P).reshape(shape)
+            if handle.frozen is not None:
+                if frozen_moment is None:
+                    phi, x0 = handle.frozen
+                    frozen_moment = unit_moment(phi, np.atleast_1d(x0), quad)
+            else:
+                frozen_moment = np.zeros((self.dim, self.dim))
+            # sweep diagonal dominates every branch slope, not just the
+            # active one; this keeps the damped update monotone in each
+            # coordinate, which the exact comparison tests require
+            if self.is_matrix:
+                self.A, self.frozen_moment = coeff, frozen_moment
+                dxx, dyy, sxy_abs = self.slopes  # from the 2d stencil
+                bound = (coeff[..., 0, 0] * dxx + coeff[..., 1, 1] * dyy
+                         + 4.0 * np.abs(coeff[..., 0, 1]) * sxy_abs)
+                self.diag = bound.max(axis=(0, 1))
+            else:
+                # the scalar classes pair the multiplier with the trace of the moment
+                self.mult = coeff
+                self.frozen_moment = float(np.trace(np.atleast_2d(frozen_moment)))
+                self.diag = self.mult.max(axis=(0, 1)) * self.D0
+        else:
+            lam, lam_big = handle.fam.lam, handle.fam.lam_big
+            # slopes of the extremal operator in positive / negative moments
+            self.up, self.down = (lam_big, lam) if handle.extremal_sign > 0 else (lam, lam_big)
+            self.diag = np.full(shape, lam_big * self.D0)
+        self.rhs = self._rhs_grid(problem.rhs)
 
     def _rhs_grid(self, rhs):
         if np.ndim(rhs) == 0:
@@ -213,6 +298,17 @@ class _SweepEngine:
         lat.problem = replace(self.problem, exterior=exterior)
         lat._read_exterior()
         return lat
+
+    def fill(self, vals):
+        """The padded grid E with vals on the active cells."""
+        self.E[self.inner][self.active] = vals[self.active]
+        return self.E
+
+    def branch_infsup(self, slot):
+        """Inf over alpha of the sup over beta of forcing + slot, at every node."""
+        branch = self.forc + slot
+        inner = branch.max(axis=1)  # sup over beta
+        return inner.min(axis=0)  # inf over alpha
 
     def residual(self, vals, obstacle):
         F, _ = self.operator_values(vals)
@@ -256,73 +352,22 @@ class _SweepEngine:
         return vals, it, trail
 
 
-class _Lattice1D(_SweepEngine):
-    """Precomputed residual pipeline for one 1d problem."""
+class _Lattice1D(_Lattice):
+    """1d lattice: one symmetric correlation stencil, and the linear engine."""
 
-    def __init__(self, problem: DirichletProblem, quad: QuadratureTable,
-                 frozen_moment=None):
-        problem.validate()
-        if problem.domain.dim != 1:
-            raise ConfigurationError("_Lattice1D is one-dimensional")
-        if quad.dim != 1 or abs(quad.h - problem.domain.h) > 1e-15:
-            raise ConfigurationError("quadrature table does not match the grid")
-        self.problem = problem
-        self.quad = quad
-        box = problem.domain
-        self.m = box.m
-        self.h = box.h
-        self.J = quad.w.shape[0]
-        self.x = box.axis_nodes(0)
-        handle = problem.handle
-        # active cells: whole cube, or strict interior of the ball
-        if problem.shape == "ball":
-            self.active = np.abs(self.x - box.center[0]) < box.half
-        else:
-            self.active = np.ones(self.m, dtype=bool)
-        self.n_active = int(np.sum(self.active))
-        if self.n_active == 0:
-            raise ConfigurationError("domain has no active cells")
-        self.pad = self.J
-        left = box.center[0] - box.half
-        self.ext_x = left + (np.arange(-self.pad, self.m + self.pad) + 0.5) * self.h
-        self._read_exterior()
+    dim = 1
+
+    def _stencil(self):
         # symmetric correlation stencil, center weight zero
         wsym = np.zeros(2 * self.J + 1)
-        wsym[self.J + 1:] = quad.w
-        wsym[: self.J] = quad.w[::-1]
+        wsym[self.J + 1:] = self.quad.w
+        wsym[: self.J] = self.quad.w[::-1]
         self.wsym = wsym
-        self.D0 = 2.0 * quad.w_total + 2.0 * quad.c_near / self.h**2 + 2.0 * quad.tail
-        # branch data at x / eps
-        self.kind = "extremal" if handle.extremal_sign != 0 else "branch"
-        if self.kind == "branch":
-            env = handle.env
-            xs = (self.x / handle.eps)[:, None]
-            na, nb = env.spec.n_alpha, env.spec.n_beta
-            self.mult = np.empty((na, nb, self.m))
-            self.forc = np.empty((na, nb, self.m))
-            for a in range(na):
-                for b in range(nb):
-                    self.mult[a, b] = multiplier_field(env, a, b, xs)
-                    self.forc[a, b] = forcing_field(env, a, b, xs)
-            if handle.frozen is not None:
-                phi, x0 = handle.frozen
-                if frozen_moment is None:
-                    frozen_moment = unit_moment(phi, np.atleast_1d(x0), quad)
-                self.frozen_moment = float(frozen_moment)
-            else:
-                self.frozen_moment = 0.0
-            # sweep diagonal dominates every branch slope, not just the
-            # active one; this keeps the damped update monotone in each
-            # coordinate, which the exact comparison tests require
-            self.diag = self.mult.max(axis=(0, 1)) * self.D0
-        else:
-            lam, lam_big = handle.fam.lam, handle.fam.lam_big
-            # slopes of the extremal operator in positive / negative moments
-            self.up, self.down = (lam_big, lam) if handle.extremal_sign > 0 else (lam, lam_big)
-            self.diag = np.full(self.m, lam_big * self.D0)
-        self.rhs = self._rhs_grid(problem.rhs)
+
+    @property
+    def linear(self):
         # only the pointwise "cs" extremal is not linear in the unit moment
-        self.linear = not (self.kind == "extremal" and handle.fam.kind == "cs")
+        return not (self.kind == "extremal" and self.problem.handle.fam.kind == "cs")
 
     def _read_exterior(self):
         """Extended lattice: the J ghost nodes on both sides and the inactive
@@ -333,19 +378,14 @@ class _Lattice1D(_SweepEngine):
             np.arange(0, pad),
             np.arange(self.m + pad, self.m + 2 * pad),
         ])
-        self.E[outside] = exterior.fn(self.ext_x[outside][:, None])
+        self.E[outside] = exterior.fn(self.ext_pts[outside])
         inner = np.arange(pad, self.m + pad)
         off_cells = inner[~self.active]
         if off_cells.size:
-            self.E[off_cells] = exterior.fn(self.ext_x[off_cells][:, None])
+            self.E[off_cells] = exterior.fn(self.ext_pts[off_cells])
         self.far = exterior.far
 
     # -- residual pieces ------------------------------------------------
-
-    def fill(self, vals):
-        E = self.E
-        E[self.pad:self.pad + self.m][self.active] = vals[self.active]
-        return E
 
     def unit_moments(self, E):
         """Unit-multiplier moment of the current iterate at every node."""
@@ -383,9 +423,7 @@ class _Lattice1D(_SweepEngine):
         """F as a function of the unit moment I (all but the pointwise extremal)."""
         if self.kind == "extremal":
             return np.where(I > 0, self.up * I, self.down * I)
-        branch = self.forc + self.mult * (self.frozen_moment + I)[None, None, :]
-        inner = branch.max(axis=1)  # sup over beta
-        return inner.min(axis=0)  # inf over alpha
+        return self.branch_infsup(self.mult * (self.frozen_moment + I)[None, None, :])
 
     def threshold(self):
         """Moment level t with F = rhs exactly where I = t.
@@ -428,7 +466,7 @@ class _Lattice1D(_SweepEngine):
 
     def values(self, u):
         """Grid values: u on the active cells, the exterior data on the rest."""
-        vals = self.E[self.pad:self.pad + self.m].copy()
+        vals = self.E[self.inner].copy()
         vals[self.active] = u
         return vals
 
@@ -488,94 +526,30 @@ def _free_solve(K, b, contact, G=None):
     return u
 
 
-class _Lattice2D(_SweepEngine):
-    """Sweep-only pipeline for 2d problems (desk scale, small grids)."""
+class _Lattice2D(_Lattice):
+    """2d lattice: three directional stencils, sweeps only (desk scale, small grids)."""
 
+    dim = 2
     linear = False
 
-    def __init__(self, problem: DirichletProblem, quad: QuadratureTable,
-                 frozen_moment=None):
-        problem.validate()
-        if problem.domain.dim != 2 or quad.dim != 2:
-            raise ConfigurationError("_Lattice2D is two-dimensional")
-        if abs(quad.h - problem.domain.h) > 1e-15:
-            raise ConfigurationError("quadrature table does not match the grid")
-        self.problem = problem
-        self.quad = quad
-        box = problem.domain
-        self.m = box.m
-        self.h = box.h
-        self.J = quad.n_offsets
-        xs = box.axis_nodes(0)
-        ys = box.axis_nodes(1)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        self.X, self.Y = X, Y
-        handle = problem.handle
-        if problem.shape == "ball":
-            self.active = (X - box.center[0]) ** 2 + (Y - box.center[1]) ** 2 < box.half**2
-        else:
-            self.active = np.ones((self.m, self.m), dtype=bool)
-        pad = self.J
-        self.pad = pad
-        gx = box.center[0] - box.half + (np.arange(-pad, self.m + pad) + 0.5) * self.h
-        gy = box.center[1] - box.half + (np.arange(-pad, self.m + pad) + 0.5) * self.h
-        GX, GY = np.meshgrid(gx, gy, indexing="ij")
-        self.ext_pts = np.column_stack([GX.ravel(), GY.ravel()])
-        self.inner = (slice(pad, pad + self.m), slice(pad, pad + self.m))
-        self.kind = "extremal" if handle.extremal_sign != 0 else "branch"
-        self.sign = handle.extremal_sign
-        self.lam, self.lam_big = handle.fam.lam, handle.fam.lam_big
-        self.is_matrix = handle.fam.kind == "a"
-        self.D0 = 2.0 * quad.w_total + 2.0 * quad.c_near / self.h**2 + 2.0 * quad.tail
+    def _stencil(self):
+        quad = self.quad
         sxx = float(np.sum(quad.kxx))
         syy = float(np.sum(quad.kyy))
-        sxy_abs = float(np.sum(np.abs(quad.kxy)))
         self.sums = (sxx, syy, float(np.sum(quad.kxy)))
         # Only the active cells change between evaluations.  The correlation
         # of the rest (ghost nodes and inactive cells) is read once per
         # exterior, and the active values, zero-padded by q, only ever meet
         # the central (2q+1)^2 offsets of the stencils.
         self.kern = np.stack([quad.kxx, quad.kyy, quad.kxy])
-        self._read_exterior()
         q = min(self.J, self.m - 1)
         self.near_kern = self.kern[:, self.J - q:self.J + q + 1, self.J - q:self.J + q + 1]
         self.vals_pad = np.zeros((self.m + 2 * q, self.m + 2 * q))
         self.vals_inner = (slice(q, q + self.m), slice(q, q + self.m))
-        dxx = 2.0 * sxx + quad.c_near / self.h**2 + quad.tail
-        dyy = 2.0 * syy + quad.c_near / self.h**2 + quad.tail
-        self._slopes = (dxx, dyy, sxy_abs)
-        if self.kind == "branch":
-            env = handle.env
-            na, nb = env.spec.n_alpha, env.spec.n_beta
-            P = np.column_stack([X.ravel(), Y.ravel()]) / handle.eps
-            if self.is_matrix:
-                self.A = np.empty((na, nb, self.m, self.m, 2, 2))
-            self.mult = np.empty((na, nb, self.m, self.m))
-            self.forc = np.empty((na, nb, self.m, self.m))
-            for a in range(na):
-                for b in range(nb):
-                    if self.is_matrix:
-                        self.A[a, b] = matrix_field(env, a, b, P).reshape(self.m, self.m, 2, 2)
-                    else:
-                        self.mult[a, b] = multiplier_field(env, a, b, P).reshape(self.m, self.m)
-                    self.forc[a, b] = forcing_field(env, a, b, P).reshape(self.m, self.m)
-            if handle.frozen is not None:
-                phi, x0 = handle.frozen
-                if frozen_moment is None:
-                    frozen_moment = unit_moment(phi, np.atleast_1d(x0), quad)
-                self.frozen_moment = frozen_moment
-            else:
-                self.frozen_moment = np.zeros((2, 2))
-            dxx, dyy, sxy_abs = self._slopes
-            if self.is_matrix:
-                bound = (self.A[..., 0, 0] * dxx + self.A[..., 1, 1] * dyy
-                         + 4.0 * np.abs(self.A[..., 0, 1]) * sxy_abs)
-                self.diag = bound.max(axis=(0, 1))
-            else:
-                self.diag = self.mult.max(axis=(0, 1)) * self.D0
-        else:
-            self.diag = np.full((self.m, self.m), self.lam_big * self.D0)
-        self.rhs = self._rhs_grid(problem.rhs)
+        # directional slope bounds, for the matrix-class sweep diagonal
+        self.slopes = (2.0 * sxx + quad.c_near / self.h**2 + quad.tail,
+                       2.0 * syy + quad.c_near / self.h**2 + quad.tail,
+                       float(np.sum(np.abs(quad.kxy))))
 
     def _read_exterior(self):
         """Exterior data on the padded grid and the correlation of everything
@@ -586,11 +560,6 @@ class _Lattice2D(_SweepEngine):
         fixed = self.E.copy()
         fixed[self.inner][self.active] = 0.0
         self.fixed_corr = _correlate(fixed, self.kern)
-
-    def fill(self, vals):
-        inner = self.E[self.inner]
-        inner[self.active] = vals[self.active]
-        return self.E
 
     def moments(self, E):
         u = E[self.inner]
@@ -616,11 +585,12 @@ class _Lattice2D(_SweepEngine):
             disc = np.sqrt(np.maximum((Bxx - Byy) ** 2 + 4 * Bxy**2, 0.0))
             mu1 = 0.5 * (tr + disc)
             mu2 = 0.5 * (tr - disc)
-            if self.sign < 0:
+            fam, sign = self.problem.handle.fam, self.problem.handle.extremal_sign
+            if sign < 0:
                 mu1, mu2 = -mu2, -mu1
             pos = np.maximum(mu1, 0) + np.maximum(mu2, 0)
-            F = np.where(mu1 > 0, self.lam_big * pos, self.lam * mu1)
-            if self.sign < 0:
+            F = np.where(mu1 > 0, fam.lam_big * pos, fam.lam * mu1)
+            if sign < 0:
                 F = -F
             return F, self.diag
         if self.is_matrix:
@@ -631,11 +601,8 @@ class _Lattice2D(_SweepEngine):
                 + 2.0 * self.A[..., 0, 1] * (Bxy + fro[0, 1])[None, None]
             )
         else:
-            fro = float(np.trace(self.frozen_moment)) if self.problem.handle.frozen else 0.0
-            slot = self.mult * (Bxx + Byy + fro)[None, None]
-        branch = self.forc + slot
-        F = branch.max(axis=1).min(axis=0)
-        return F, self.diag
+            slot = self.mult * (Bxx + Byy + self.frozen_moment)[None, None]
+        return self.branch_infsup(slot), self.diag
 
 
 def _correlate(a, kern):
@@ -678,18 +645,18 @@ def _result(lat, obstacle, method, out, tol, wall_ms=0.0, pinned=False):
 
 
 def solve_dirichlet(problem: DirichletProblem, tol: float = 1e-6, max_iter: int = 200000,
-                    quad: QuadratureTable | None = None, init=None, fixed_sweeps=None):
+                    quad: QuadratureTable | None = None, fixed_sweeps=None):
     """Solve F(u) = rhs in the domain with exterior data outside.
 
     Returns (GridFunction, SolveDiagnostics).  Raises SolverError if the
     target residual is not reached (unless fixed_sweeps pins the work).
     This is `solve_dirichlet_many` of one problem.
     """
-    return solve_dirichlet_many([problem], tol, max_iter, quad, init, fixed_sweeps)[0]
+    return solve_dirichlet_many([problem], tol, max_iter, quad, fixed_sweeps)[0]
 
 
 def solve_dirichlet_many(problems, tol: float = 1e-6, max_iter: int = 200000,
-                         quad: QuadratureTable | None = None, init=None, fixed_sweeps=None):
+                         quad: QuadratureTable | None = None, fixed_sweeps=None):
     """`solve_dirichlet` of each problem, with one factorization for the whole grid.
 
     The problems must share the grid and the active mask, and are solved
@@ -697,7 +664,7 @@ def solve_dirichlet_many(problems, tol: float = 1e-6, max_iter: int = 200000,
     ConfigurationError.  Those on the newton engine share K, so one dense
     solve takes B = [e_i - t_i]; each column is certified with its own
     lattice's residual and raises SolverError if it misses tol.  Sweep
-    problems are solved one by one, from `init`.  A newton problem's
+    problems are solved one by one, from zero.  A newton problem's
     wall_ms is its own lattice build, load and residual check plus 1/n of
     assembling and solving the shared system.
     """
@@ -733,7 +700,7 @@ def solve_dirichlet_many(problems, tol: float = 1e-6, max_iter: int = 200000,
             method, out = "newton", (vals, 1, [lat.residual(vals, False)])
             walls[i] += share
         else:
-            method, out = "sweeps", lat.sweep_solve(init, False, tol, max_iter, fixed_sweeps)
+            method, out = "sweeps", lat.sweep_solve(None, False, tol, max_iter, fixed_sweeps)
         wall_ms = (walls[i] + time.perf_counter() - t0) * 1e3
         results.append(_result(lat, False, method, out, tol, wall_ms,
                                pinned=fixed_sweeps is not None))
@@ -776,20 +743,19 @@ def residual_field(problem: DirichletProblem, u: GridFunction,
 
 
 def barrier_threshold(problem: DirichletProblem, side: int,
-                      quad: QuadratureTable | None = None,
-                      amp: float = 1.0, lattice=None) -> float:
+                      quad: QuadratureTable | None = None, lattice=None) -> float:
     """Operator level separating sub/supersolution regimes of the bumps.
 
-    side +1: min over active cells of F(amp * P+), with P+ the quartic
-    bump on the inscribed ball; any rhs level at or below it makes the
-    scaled bump a subsolution.  side -1: max of F(amp * P-); levels at or
-    above make the scaled negative bump a supersolution.  `lattice`, a
+    side +1: min over active cells of F(P+), with P+ the quartic bump on
+    the inscribed ball; any rhs level at or below it makes the bump a
+    subsolution.  side -1: max of F(P-); levels at or above make the
+    negative bump a supersolution.  `lattice`, a
     lattice of this problem, lends its environment fields and frozen moment
     to the bump's lattice instead of building them again.
     """
     box = problem.domain
     bump = Bump(center=np.asarray(box.center, dtype=np.float64), r=box.half,
-                sign=float(side), amp=amp)
+                sign=float(side))
     vals = bump(box.nodes()).reshape((box.m,) if box.dim == 1 else (box.m, box.m))
     ext = ExteriorRule(fn=bump, far=0.0)
     if lattice is not None:

@@ -329,6 +329,8 @@ def test_missing_subcommand_is_an_argparse_error():
     {"kind": "cmi", "experiment": {"conjecture_cs": "false"}},
     {"kind": "cmi", "environment": {"kernel_class": "a"},
      "experiment": {"conjecture_cs": 1}},
+    {"kind": "cmi", "environment": {"dim": 2, "kernel_class": "cs"},
+     "numerics": {"h": 2.0**-4}, "experiment": {"conjecture_cs": True}},
     {"numerics": {"richardson": "no"}},
     {"numerics": {"richardson": False}},  # an old replay file carries the key
 ], ids=[
@@ -336,7 +338,7 @@ def test_missing_subcommand_is_an_argparse_error():
     "sigma-range", "empty-eps", "eps-above-one", "empty-seeds",
     "negative-seed", "repeated-seeds", "h-vs-eps", "bad-method", "method-key", "theta-range",
     "bad-shape", "bad-exterior", "zero-workers", "empty-out-dir",
-    "timings-string", "timings-int", "conjecture-cs-string", "conjecture-cs-int",
+    "timings-string", "timings-int", "conjecture-cs-string", "conjecture-cs-int", "cmi-2d-cs",
     "richardson-string", "richardson-key",
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, overrides):

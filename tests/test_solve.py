@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from nlhomog.env import EnvironmentSpec, sample_environment, translate
 from nlhomog.errors import ConfigurationError, SolverError
 from nlhomog.kernels import KernelFamily, build_quadrature
-from nlhomog.operators import Box, ExteriorRule, GridFunction
+from nlhomog.operators import Box, ExteriorRule, GridFunction, TestFunction
 from nlhomog import solve
 from nlhomog.solve import (
     Bump,
@@ -29,7 +29,9 @@ from nlhomog.solve import (
     solve_obstacle,
 )
 
-from oracles import evaluate_F
+from oracles import evaluate_F, evaluate_frozen, extremal
+
+TestFunction.__test__ = False  # imported dataclass, not a pytest class
 
 FAM = KernelFamily(kind="cs", dim=1, sigma=1.0, lam=1.0, lam_big=2.0)
 FAM_A = KernelFamily(kind="a", dim=1, sigma=1.0, lam=1.0, lam_big=2.0)
@@ -281,19 +283,31 @@ def test_dirichlet_2d_smoke():
 
 @pytest.mark.parametrize("shape", ["cube", "ball"])
 @pytest.mark.parametrize("r_out", [2.0, 0.5])
-def test_lattice_2d_matrix_class_matches_pointwise_operator(shape, r_out):
+@pytest.mark.parametrize("kind, operator", [("cs", "plain"), ("cs", "frozen"),
+                                            ("a", "plain"), ("a", "frozen"),
+                                            ("a", +1), ("a", -1)],
+                         ids=["cs-plain", "cs-frozen", "a-plain", "a-frozen",
+                              "a-upper", "a-lower"])
+def test_lattice_2d_matches_pointwise_operator(kind, operator, shape, r_out):
     # r_out 2.0 reaches past the box (J > m - 1); r_out 0.5 does not
-    spec = EnvironmentSpec(dim=2, n_alpha=2, n_beta=2, kernel_class="a",
+    spec = EnvironmentSpec(dim=2, n_alpha=2, n_beta=2, kernel_class=kind,
                            coeff_law="uniform", forcing_law="uniform", f_bound=1.0)
     env = sample_environment(spec, seed=5)
-    fam = KernelFamily(kind="a", dim=2, sigma=1.0, lam=1.0, lam_big=2.0)
+    fam = KernelFamily(kind=kind, dim=2, sigma=1.0, lam=1.0, lam_big=2.0)
     h = 1.0 / 8
     box = Box((0.0, 0.0), 0.5, h)
     quad = build_quadrature(2, 1.0, h, r_out)
     ext = ExteriorRule.from_function(
         lambda pts: np.cos(2.0 * pts[:, 0] - pts[:, 1]), far=0.3)
-    prob = DirichletProblem(handle=OperatorHandle(fam=fam, env=env, eps=1.0),
-                            domain=box, rhs=0.0, exterior=ext, shape=shape)
+    phi = TestFunction.make(P=[[2.0, 0.5], [0.5, -1.0]], p=[0.3, -0.1], r_cut=1.0)
+    x0 = np.array([0.1, -0.2])
+    if operator == "plain":
+        handle = OperatorHandle(fam=fam, env=env, eps=1.0)
+    elif operator == "frozen":
+        handle = OperatorHandle(fam=fam, env=env, eps=1.0, frozen=(phi, x0))
+    else:
+        handle = OperatorHandle(fam=fam, extremal_sign=operator)
+    prob = DirichletProblem(handle=handle, domain=box, rhs=0.0, exterior=ext, shape=shape)
     nodes = box.nodes()
     active = np.ones(box.m * box.m, dtype=bool)
     if shape == "ball":
@@ -303,7 +317,15 @@ def test_lattice_2d_matrix_class_matches_pointwise_operator(shape, r_out):
     vals = np.where(active, rng.standard_normal(box.m * box.m), ext.fn(nodes))
     u = GridFunction(box, vals.reshape(box.m, box.m), ext)
     F = residual_field(prob, u, quad=quad).values.ravel()
-    want = np.array([evaluate_F(u, x, env, fam, quad) for x in nodes[active]])
+
+    def oracle(x):
+        if operator == "plain":
+            return evaluate_F(u, x, env, fam, quad)
+        if operator == "frozen":
+            return evaluate_frozen(phi, x0, u, x, env, fam, quad)
+        return extremal(u, x, operator, fam, quad)
+
+    want = np.array([oracle(x) for x in nodes[active]])
     assert np.max(np.abs(F[active] - want)) <= 1e-10 * np.max(np.abs(want))
 
 
@@ -524,17 +546,13 @@ def test_barrier_check_certifies_extreme_levels():
     thr = barrier_threshold(prob, +1, quad=QUAD16)
     thr2 = barrier_threshold(prob, -1, quad=QUAD16)
     assert -1e6 <= thr < 1e6 and -1e6 < thr2 <= 1e6
-    # with zero forcing the operator is positively homogeneous, so each
-    # threshold scales linearly in the bump amplitude
+    # with zero forcing, the positive bump's threshold is negative and the
+    # negative bump's positive
     box = Box((0.0,), 0.5, 1.0 / 16)
     flat = DirichletProblem(handle=OperatorHandle(fam=FAM, env=const_env()),
                             domain=box, rhs=0.0, exterior=ExteriorRule.zero())
     for side in (+1, -1):
-        thr1 = barrier_threshold(flat, side, quad=QUAD16)
-        assert side * thr1 < 0.0
-        for amp in (1e-9, 0.5, 2.0, 64.0):
-            assert barrier_threshold(flat, side, quad=QUAD16, amp=amp) == pytest.approx(
-                amp * thr1, rel=1e-12)
+        assert side * barrier_threshold(flat, side, quad=QUAD16) < 0.0
 
 
 @pytest.mark.parametrize("dim, shape", [(1, "cube"), (1, "ball"), (2, "cube"), (2, "ball")])
@@ -553,9 +571,9 @@ def test_barrier_threshold_on_a_held_lattice_matches_a_fresh_one(dim, shape):
         quad = build_quadrature(2, 1.0, 0.125, 2.0)
     lat = solve._lattice(prob, quad)
     E = lat.E.copy()
-    for side, amp in ((+1, 1.0), (-1, 1.0), (+1, 0.25)):
-        assert (barrier_threshold(prob, side, quad=quad, amp=amp, lattice=lat)
-                == barrier_threshold(prob, side, quad=quad, amp=amp))
+    for side in (+1, -1):
+        assert (barrier_threshold(prob, side, quad=quad, lattice=lat)
+                == barrier_threshold(prob, side, quad=quad))
     # the held lattice keeps its own exterior data
     assert np.array_equal(lat.E, E, equal_nan=True)
 
@@ -587,7 +605,7 @@ def test_newton_missing_tol_raises_without_sweeps(run, monkeypatch):
     def no_sweeps(*args, **kwargs):
         raise AssertionError("the linear engine has no sweep fallback")
 
-    monkeypatch.setattr(solve._SweepEngine, "sweep_solve", no_sweeps)
+    monkeypatch.setattr(solve._Lattice, "sweep_solve", no_sweeps)
     with pytest.raises(SolverError) as exc:
         run(mixed_problem(0.05), tol=1e-300, quad=QUAD16)
     assert exc.value.iterations <= 60
@@ -637,6 +655,9 @@ def test_the_problem_picks_the_engine():
                                                    eps=1.0 / 16),
                              domain=Box((0.0,), 0.5, 1.0 / 16), rhs=0.0,
                              exterior=ExteriorRule.zero()).validate(),
+    # the pointwise extremal of the "cs" class is 1d only
+    lambda: OperatorHandle(fam=KernelFamily(kind="cs", dim=2, sigma=1.0, lam=1.0,
+                                            lam_big=2.0), extremal_sign=+1).validate(),
 ])
 def test_configuration_rejections(build):
     with pytest.raises(ConfigurationError):
@@ -667,8 +688,8 @@ def test_bump_profile_shape():
     assert v[0] == 1.0
     assert v[1] == pytest.approx((1.0 - 0.25) ** 2)
     assert v[2] == 0.0 and v[3] == 0.0
-    neg = Bump(center=np.zeros(1), r=0.5, sign=-1.0, amp=3.0)
-    assert np.array_equal(neg(pts), -3.0 * v)
+    neg = Bump(center=np.zeros(1), r=0.5, sign=-1.0)
+    assert np.array_equal(neg(pts), -v)
 
 
 def test_default_quadrature_radius():
