@@ -10,13 +10,14 @@ Lattices
 One lattice type holds a problem on its grid in either dimension: the
 active cells, the ghost nodes past each face, the branch fields read at
 x / eps (matrix fields for the 2d "a" class), the frozen moment, the sweep
-diagonal, the extremal slopes and the inf-sup over the branches.  Only
-the moment of the second differences depends on the dimension, so each
-dimension keeps only its stencil and its exterior read: in 1d one
-symmetric correlation, giving the unit moment (and, for the pointwise
-extremal of the "cs" class, the positive and negative moments); in 2d
-three directional stencils, giving the symmetric (2, 2) moment field.
-The pointwise "cs" extremal is 1d only; a 2d one is refused.
+diagonal, the extremal slopes and the inf-sup over the branches.  The
+correlation of all but the active cells is fixed per exterior and read
+once, so an evaluation correlates only the active values with the
+central taps.  Each dimension keeps its stencil, its correlation and its
+moment formula: in 1d one symmetric stencil, giving the unit moment (and,
+for the pointwise extremal of the "cs" class, the positive and negative
+moments); in 2d three directional stencils, giving the symmetric (2, 2)
+moment field.  The pointwise "cs" extremal is 1d only; a 2d one is refused.
 
 Engines
 -------
@@ -194,15 +195,16 @@ def default_quadrature(fam: KernelFamily, box: Box, r_out_factor: float = 8.0) -
 DAMPING = 0.8       # fraction of the pointwise Newton step a sweep takes
 CHECK_EVERY = 8     # sweeps between residual checks
 STALL_CHECKS = 64   # checks in the stagnation window (512 sweeps)
+MAX_SWEEPS = 200000  # sweeps before a solve gives up
 
 
 class _Lattice:
     """One problem on its grid: everything but the moment stencil (see Lattices).
 
-    A subclass sets `dim`, builds its stencil in `_stencil`, sets
-    everything that depends on the exterior data in `_read_exterior` and
-    evaluates F in `operator_values`.  This class adds the red-black damped
-    sweeps and the certified residual.
+    A subclass sets `dim`, builds its stencil `kern` in `_stencil`,
+    correlates in `_correlate` and evaluates F in `operator_values`.  This
+    class reads the exterior data and adds the red-black damped sweeps and
+    the certified residual.
     """
 
     def __init__(self, problem: DirichletProblem, quad: QuadratureTable,
@@ -233,6 +235,10 @@ class _Lattice:
         self.ext_pts = np.column_stack([G.ravel() for G in np.meshgrid(*ghost, indexing="ij")])
         self.inner = (slice(self.pad, self.pad + self.m),) * self.dim
         self._stencil()
+        # active values, zero-padded by q, only meet the central 2q+1 taps
+        self.q = min(self.J, self.m - 1)
+        taps = slice(self.J - self.q, self.J + self.q + 1)
+        self.near_kern = self.kern[(Ellipsis,) + (taps,) * self.dim]
         self._read_exterior()
         self.D0 = 2.0 * quad.w_total + 2.0 * quad.c_near / self.h**2 + 2.0 * quad.tail
         self.kind = "extremal" if handle.extremal_sign != 0 else "branch"
@@ -299,6 +305,21 @@ class _Lattice:
         lat._read_exterior()
         return lat
 
+    def _read_exterior(self):
+        """Exterior data on the padded grid E, the same with the active cells
+        zeroed (`fixed`), and the correlation of `fixed` with the stencil."""
+        exterior = self.problem.exterior
+        self.E = exterior.fn(self.ext_pts).reshape((self.m + 2 * self.pad,) * self.dim)
+        self.far = exterior.far
+        self.fixed = self.E.copy()
+        self.fixed[self.inner][self.active] = 0.0
+        self.fixed_corr = self._correlate(self.fixed, self.kern)
+
+    def _near_corr(self, u):
+        """Correlation of the active values of u with the central taps;
+        with `fixed_corr`, the correlation of the whole padded grid."""
+        return self._correlate(np.pad(np.where(self.active, u, 0.0), self.q), self.near_kern)
+
     def fill(self, vals):
         """The padded grid E with vals on the active cells."""
         self.E[self.inner][self.active] = vals[self.active]
@@ -359,38 +380,23 @@ class _Lattice1D(_Lattice):
 
     def _stencil(self):
         # symmetric correlation stencil, center weight zero
-        wsym = np.zeros(2 * self.J + 1)
-        wsym[self.J + 1:] = self.quad.w
-        wsym[: self.J] = self.quad.w[::-1]
-        self.wsym = wsym
+        self.kern = np.concatenate((self.quad.w[::-1], [0.0], self.quad.w))
+
+    @staticmethod
+    def _correlate(a, kern):
+        return np.correlate(a, kern, mode="valid")
 
     @property
     def linear(self):
         # only the pointwise "cs" extremal is not linear in the unit moment
         return not (self.kind == "extremal" and self.problem.handle.fam.kind == "cs")
 
-    def _read_exterior(self):
-        """Extended lattice: the J ghost nodes on both sides and the inactive
-        cells inside the box hold the exterior data."""
-        exterior, pad = self.problem.exterior, self.pad
-        self.E = np.empty(self.m + 2 * pad)
-        outside = np.concatenate([
-            np.arange(0, pad),
-            np.arange(self.m + pad, self.m + 2 * pad),
-        ])
-        self.E[outside] = exterior.fn(self.ext_pts[outside])
-        inner = np.arange(pad, self.m + pad)
-        off_cells = inner[~self.active]
-        if off_cells.size:
-            self.E[off_cells] = exterior.fn(self.ext_pts[off_cells])
-        self.far = exterior.far
-
     # -- residual pieces ------------------------------------------------
 
     def unit_moments(self, E):
         """Unit-multiplier moment of the current iterate at every node."""
-        corr = np.correlate(E, self.wsym, mode="valid")
         u = E[self.pad:self.pad + self.m]
+        corr = self.fixed_corr + self._near_corr(u)
         near = (E[self.pad + 1:self.pad + self.m + 1]
                 + E[self.pad - 1:self.pad + self.m - 1] - 2.0 * u)
         I = 2.0 * (corr - self.quad.w_total * u)
@@ -433,7 +439,9 @@ class _Lattice1D(_Lattice):
         """
         if self.kind == "extremal":
             return np.where(self.rhs > 0, self.rhs / self.up, self.rhs / self.down)
-        return ((self.rhs - self.forc) / self.mult).min(axis=1).max(axis=0) - self.frozen_moment
+        # rhs == F(0) gives t == 0 exactly
+        return ((self.rhs - (self.forc + self.mult * self.frozen_moment)) / self.mult
+                ).min(axis=1).max(axis=0)
 
     def matrix(self):
         """K of the moment as an affine map of the active values, I(u) = e - K u.
@@ -456,12 +464,9 @@ class _Lattice1D(_Lattice):
 
     def load(self):
         """e of I(u) = e - K u: the frozen load from ghost nodes and inactive cells."""
-        Eext = self.E.copy()
-        Eext[self.pad:self.pad + self.m][self.active] = 0.0
-        corr = np.correlate(Eext, self.wsym, mode="valid")
-        near = (Eext[self.pad + 1:self.pad + self.m + 1]
-                + Eext[self.pad - 1:self.pad + self.m - 1])
-        e = 2.0 * corr + self.quad.c_near * near / self.h**2
+        near = (self.fixed[self.pad + 1:self.pad + self.m + 1]
+                + self.fixed[self.pad - 1:self.pad + self.m - 1])
+        e = 2.0 * self.fixed_corr + self.quad.c_near * near / self.h**2
         return e + self.quad.tail * 2.0 * self.far
 
     def values(self, u):
@@ -537,34 +542,20 @@ class _Lattice2D(_Lattice):
         sxx = float(np.sum(quad.kxx))
         syy = float(np.sum(quad.kyy))
         self.sums = (sxx, syy, float(np.sum(quad.kxy)))
-        # Only the active cells change between evaluations.  The correlation
-        # of the rest (ghost nodes and inactive cells) is read once per
-        # exterior, and the active values, zero-padded by q, only ever meet
-        # the central (2q+1)^2 offsets of the stencils.
         self.kern = np.stack([quad.kxx, quad.kyy, quad.kxy])
-        q = min(self.J, self.m - 1)
-        self.near_kern = self.kern[:, self.J - q:self.J + q + 1, self.J - q:self.J + q + 1]
-        self.vals_pad = np.zeros((self.m + 2 * q, self.m + 2 * q))
-        self.vals_inner = (slice(q, q + self.m), slice(q, q + self.m))
         # directional slope bounds, for the matrix-class sweep diagonal
         self.slopes = (2.0 * sxx + quad.c_near / self.h**2 + quad.tail,
                        2.0 * syy + quad.c_near / self.h**2 + quad.tail,
                        float(np.sum(np.abs(quad.kxy))))
 
-    def _read_exterior(self):
-        """Exterior data on the padded grid and the correlation of everything
-        but the active cells."""
-        exterior, n = self.problem.exterior, self.m + 2 * self.pad
-        self.E = exterior.fn(self.ext_pts).reshape(n, n)
-        self.far = exterior.far
-        fixed = self.E.copy()
-        fixed[self.inner][self.active] = 0.0
-        self.fixed_corr = _correlate(fixed, self.kern)
+    @staticmethod
+    def _correlate(a, kern):
+        """Valid-mode correlation of a 2d array with each stencil of kern[k]."""
+        return np.einsum("ijab,kab->kij", sliding_window_view(a, kern.shape[1:]), kern)
 
     def moments(self, E):
         u = E[self.inner]
-        self.vals_pad[self.vals_inner] = np.where(self.active, u, 0.0)
-        cxx, cyy, cxy = self.fixed_corr + _correlate(self.vals_pad, self.near_kern)
+        cxx, cyy, cxy = self.fixed_corr + self._near_corr(u)
         sxx, syy, sxy = self.sums
         nx = (E[self.pad + 1:self.pad + self.m + 1, self.pad:self.pad + self.m]
               + E[self.pad - 1:self.pad + self.m - 1, self.pad:self.pad + self.m] - 2 * u)
@@ -605,11 +596,6 @@ class _Lattice2D(_Lattice):
         return self.branch_infsup(slot), self.diag
 
 
-def _correlate(a, kern):
-    """Valid-mode correlation of a 2d array with each stencil of kern[k]."""
-    return np.einsum("ijab,kab->kij", sliding_window_view(a, kern.shape[1:]), kern)
-
-
 def _lattice(problem: DirichletProblem, quad: QuadratureTable | None,
              frozen_moment=None):
     """Lattice of a problem; frozen_moment, if given, is unit_moment of its frozen profile on quad."""
@@ -644,7 +630,7 @@ def _result(lat, obstacle, method, out, tol, wall_ms=0.0, pinned=False):
     return ObstacleSolution(u=u, contact=contact, fraction=fraction, diagnostics=diag)
 
 
-def solve_dirichlet(problem: DirichletProblem, tol: float = 1e-6, max_iter: int = 200000,
+def solve_dirichlet(problem: DirichletProblem, tol: float = 1e-6,
                     quad: QuadratureTable | None = None, fixed_sweeps=None):
     """Solve F(u) = rhs in the domain with exterior data outside.
 
@@ -652,21 +638,22 @@ def solve_dirichlet(problem: DirichletProblem, tol: float = 1e-6, max_iter: int 
     target residual is not reached (unless fixed_sweeps pins the work).
     This is `solve_dirichlet_many` of one problem.
     """
-    return solve_dirichlet_many([problem], tol, max_iter, quad, fixed_sweeps)[0]
+    return solve_dirichlet_many([problem], tol, quad, fixed_sweeps)[0]
 
 
-def solve_dirichlet_many(problems, tol: float = 1e-6, max_iter: int = 200000,
+def solve_dirichlet_many(problems, tol: float = 1e-6,
                          quad: QuadratureTable | None = None, fixed_sweeps=None):
     """`solve_dirichlet` of each problem, with one factorization for the whole grid.
 
     The problems must share the grid and the active mask, and are solved
     on the one table `quad` (the first problem's default when None), or
     ConfigurationError.  Those on the newton engine share K, so one dense
-    solve takes B = [e_i - t_i]; each column is certified with its own
-    lattice's residual and raises SolverError if it misses tol.  Sweep
-    problems are solved one by one, from zero.  A newton problem's
-    wall_ms is its own lattice build, load and residual check plus 1/n of
-    assembling and solving the shared system.
+    solve takes the bitwise-distinct columns of B = [e_i - t_i], so equal
+    columns get equal solutions wherever they sit in the batch.
+    Each column is certified with its own lattice's residual and raises
+    SolverError if it misses tol.  Sweep problems are solved one by one,
+    from zero.  A newton problem's wall_ms is its own lattice build, load
+    and residual check plus 1/n of assembling and solving the shared system.
     """
     problems = list(problems)
     if not problems:
@@ -689,8 +676,13 @@ def solve_dirichlet_many(problems, tol: float = 1e-6, max_iter: int = 200000,
     solved, share = {}, 0.0
     if cols:
         t0 = time.perf_counter()
-        U = np.linalg.solve(lats[next(iter(cols))].matrix(), np.column_stack(list(cols.values())))
-        solved = dict(zip(cols, U.T))
+        # a BLAS kernel may round a column by its position in the batch, so
+        # each bitwise-distinct column is solved once
+        distinct = {b.tobytes(): b for b in cols.values()}
+        where = {key: j for j, key in enumerate(distinct)}
+        U = np.linalg.solve(lats[next(iter(cols))].matrix(),
+                            np.column_stack(list(distinct.values())))
+        solved = {i: U[:, where[b.tobytes()]] for i, b in cols.items()}
         share = (time.perf_counter() - t0) / len(cols)
     results = []
     for i, lat in enumerate(lats):
@@ -700,14 +692,14 @@ def solve_dirichlet_many(problems, tol: float = 1e-6, max_iter: int = 200000,
             method, out = "newton", (vals, 1, [lat.residual(vals, False)])
             walls[i] += share
         else:
-            method, out = "sweeps", lat.sweep_solve(None, False, tol, max_iter, fixed_sweeps)
+            method, out = "sweeps", lat.sweep_solve(None, False, tol, MAX_SWEEPS, fixed_sweeps)
         wall_ms = (walls[i] + time.perf_counter() - t0) * 1e3
         results.append(_result(lat, False, method, out, tol, wall_ms,
                                pinned=fixed_sweeps is not None))
     return results
 
 
-def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6, max_iter: int = 200000,
+def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6,
                    quad: QuadratureTable | None = None, init=None, fixed_sweeps=None,
                    lattice=None, system=None) -> ObstacleSolution:
     """Least nonnegative supersolution: max(F(U) - rhs, -U) = 0.
@@ -728,7 +720,7 @@ def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6, max_iter: int =
     if lat.linear and fixed_sweeps is None:
         method, out = "newton", lat.newton_solve(60, init, system)
     else:
-        method, out = "sweeps", lat.sweep_solve(init, True, tol, max_iter, fixed_sweeps)
+        method, out = "sweeps", lat.sweep_solve(init, True, tol, MAX_SWEEPS, fixed_sweeps)
     wall = (time.perf_counter() - t0) * 1e3
     return _result(lat, True, method, out, tol, wall, pinned=fixed_sweeps is not None)
 

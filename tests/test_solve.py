@@ -329,6 +329,40 @@ def test_lattice_2d_matches_pointwise_operator(kind, operator, shape, r_out):
     assert np.max(np.abs(F[active] - want)) <= 1e-10 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("r_out", [2.0, 0.5])
+@pytest.mark.parametrize("fam, operator", [(FAM, "plain"), (FAM, "frozen"), (FAM_A, +1),
+                                           (FAM_A, -1), (FAM, +1), (FAM, -1)],
+                         ids=["cs-plain", "cs-frozen", "a-upper", "a-lower",
+                              "cs-upper", "cs-lower"])
+def test_lattice_1d_matches_pointwise_operator(fam, operator, r_out):
+    # the lattice correlates the exterior once and the active values per
+    # evaluation; r_out 2.0 reaches past the box (J > m - 1), 0.5 does not
+    box = Box((0.0,), 0.5, 1.0 / 16)
+    quad = build_quadrature(1, 1.0, box.h, r_out)
+    ext = ExteriorRule.from_function(lambda pts: np.cos(3.0 * pts[:, 0]), far=0.3)
+    phi, x0 = TestFunction.make([[1.5]], p=[0.2], r_cut=1.0), np.array([0.1])
+    env = mixed_env()
+    if operator == "plain":
+        handle = OperatorHandle(fam=fam, env=env)
+    elif operator == "frozen":
+        handle = OperatorHandle(fam=fam, env=env, frozen=(phi, x0))
+    else:
+        handle = OperatorHandle(fam=fam, extremal_sign=operator)
+    prob = DirichletProblem(handle=handle, domain=box, rhs=0.0, exterior=ext)
+    u = GridFunction(box, np.random.default_rng(11).standard_normal(box.m), ext)
+    F = residual_field(prob, u, quad=quad).values
+
+    def oracle(x):
+        if operator == "plain":
+            return evaluate_F(u, x, env, fam, quad)
+        if operator == "frozen":
+            return evaluate_frozen(phi, x0, u, x, env, fam, quad)
+        return extremal(u, x, operator, fam, quad)
+
+    want = np.array([oracle(x) for x in box.nodes()])
+    assert np.max(np.abs(F - want)) <= 1e-10 * np.max(np.abs(want))
+
+
 # ---------------------------------------------------------------------------
 # obstacle problem
 
