@@ -484,6 +484,15 @@ def _write_solution_csv(path, u):
         w.writerows(rows)
 
 
+def _check_out_dir(out_dir):
+    """ConfigurationError, before any run, unless out_dir is or can become a directory."""
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigurationError(f"out_dir {out_dir!r}: {path!r} is not a directory")
+
+
 def write_outputs(out_dir, resolved, summary, log, solution=None):
     """rows.csv + summary.json + replay.json (+ solution.csv for solves)."""
     os.makedirs(out_dir, exist_ok=True)
@@ -604,6 +613,7 @@ def cmd_run(args):
         resolved["workers"] = args.workers
     if args.out is not None:
         resolved["out_dir"] = args.out
+    _check_out_dir(resolved["out_dir"])
     # one rule: --workers, else the config's workers, else one process
     workers = resolved["workers"] or 1
     summary, log, solution = run_experiment(resolved, spec, fam, workers)

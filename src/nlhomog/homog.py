@@ -530,6 +530,13 @@ def _extremal_forced_sups(fam, box, forcings, *, tol, quad):
             for v, d in solve_dirichlet_many(problems, tol=tol, quad=quad)]
 
 
+def _loglog_slope(rows):
+    """Least-squares slope of log sup_v against log measure; nan below two rows."""
+    ms = np.array([r["measure"] for r in rows])
+    sv = np.array([max(r["sup_v"], 1e-300) for r in rows])
+    return float(np.polyfit(np.log(ms), np.log(sv), 1)[0]) if len(rows) >= 2 else math.nan
+
+
 def comparison_measurable_experiment(sizes, seed, fam: KernelFamily, *,
                                      h=2.0**-9, conjecture_cs=False, tol=1e-8,
                                      r_out_factor=8.0, log: RowLog | None = None):
@@ -557,10 +564,7 @@ def comparison_measurable_experiment(sizes, seed, fam: KernelFamily, *,
         if log is not None:
             log.add("cmi", seed=seed, l=m_act, sup_norm=sup,
                     iterations=d.iterations, residual=d.residual, wall_ms=d.wall_ms)
-    ms = np.array([r["measure"] for r in rows])
-    sv = np.array([max(r["sup_v"], 1e-300) for r in rows])
-    slope = float(np.polyfit(np.log(ms), np.log(sv), 1)[0]) if len(rows) >= 2 else math.nan
-    return {"rows": rows, "fitted_slope": slope, "sigma": fam.sigma,
+    return {"rows": rows, "fitted_slope": _loglog_slope(rows), "sigma": fam.sigma,
             "class": fam.kind}
 
 
@@ -601,14 +605,11 @@ def abp_scaling_experiment(fam: KernelFamily, *, h=2.0**-9,
         if log is not None:
             log.add("abp-supp", l=m_act, sup_norm=sup,
                     iterations=d.iterations, residual=d.residual, wall_ms=d.wall_ms)
-    ms = np.array([r["measure"] for r in sup_rows])
-    sv = np.array([max(r["sup_v"], 1e-300) for r in sup_rows])
-    slope = float(np.polyfit(np.log(ms), np.log(sv), 1)[0]) if len(sup_rows) >= 2 else math.nan
     return {
         "amplitude_rows": amp_rows,
         "amplitude_ratios": ratios,
         "support_rows": sup_rows,
-        "support_slope": slope,
+        "support_slope": _loglog_slope(sup_rows),
         "sigma": fam.sigma,
         "base_support": m0,
     }

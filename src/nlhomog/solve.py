@@ -8,16 +8,19 @@ engines below converge to the same solution.
 Lattices
 --------
 One lattice type holds a problem on its grid in either dimension: the
-active cells, the ghost nodes past each face, the branch fields read at
-x / eps (matrix fields for the 2d "a" class), the frozen moment, the sweep
-diagonal, the extremal slopes and the inf-sup over the branches.  The
-correlation of all but the active cells is fixed per exterior and read
-once, so an evaluation correlates only the active values with the
-central taps.  Each dimension keeps its stencil, its correlation and its
-moment formula: in 1d one symmetric stencil, giving the unit moment (and,
-for the pointwise extremal of the "cs" class, the positive and negative
-moments); in 2d three directional stencils, giving the symmetric (2, 2)
-moment field.  The pointwise "cs" extremal is 1d only; a 2d one is refused.
+active cells, the branch fields read at x / eps (matrix fields for the 2d
+"a" class), the frozen moment, the sweep diagonal, the extremal slopes and
+the inf-sup over the branches.  It is read-only once built, so the copies
+that other levels and other exterior data make of it share its arrays.  Its
+one padded array holds the exterior data on the grid and J ghost nodes past
+each face, with the active cells zeroed.  The correlation of that array is
+fixed per exterior, so an evaluation, on its own copy of the values,
+correlates only the active values with the central taps.  Each dimension
+keeps its stencil, its correlation and its moment formula: in 1d one
+symmetric stencil, giving the unit moment (and, for the pointwise extremal
+of the "cs" class, the positive and negative moments); in 2d three
+directional stencils, giving the symmetric (2, 2) moment field.  The
+pointwise "cs" extremal is 1d only; a 2d one is refused.
 
 Engines
 -------
@@ -26,20 +29,21 @@ The problem picks the engine; there is no way to override it.
 newton   1d linear engine, for every 1d operator but the pointwise extremal
          of the "cs" class.  Every branch slot is increasing and linear in
          the unit moment I(u) = e - K u, with K a fixed M-matrix, so
-         F(u) = rhs exactly where I(u) equals a pointwise threshold t.  K
-         depends on the table, the grid and the active mask only, so the
-         Dirichlet problems on one grid (`solve_dirichlet_many`) are the
-         columns of one dense solve K [u_1 ... u_n] = [e_1 - t_1 ...
-         e_n - t_n], and a single problem is a batch of one.  An obstacle
-         solve is the complementarity problem K u >= e - t, u >= 0, solved
-         by the primal-dual active-set method with exact zeros on contact.
+         F(u) = rhs exactly where I(u) equals a pointwise threshold t.  A
+         1d ball, like a cube, activates every cell, so K acts on the whole
+         grid and depends on the table and the grid only: the Dirichlet
+         problems on one grid (`solve_dirichlet_many`) are the columns of
+         one dense solve K [u_1 ... u_n] = [e_1 - t_1 ... e_n - t_n], and a
+         single problem is a batch of one.  An obstacle solve is the
+         complementarity problem K u >= e - t, u >= 0, solved by the
+         primal-dual active-set method with exact zeros on contact.
          A caller that holds G = inv(K) across solves gets Schur steps: on
          a contact set C smaller than the free set F, a step is one matvec
          with G and a |C| x |C| solve on G[C, C].  Otherwise, and in every
          one-off obstacle solve, a step is one dense solve on K[F, F].
          An obstacle solve's `init`, when given, only seeds the first
-         contact set (its zeros on active cells); the final set, and so
-         the solution, does not depend on it.  There is no fallback: a solve that misses the
+         contact set (its zeros); the final set, and so the solution, does
+         not depend on it.  There is no fallback: a solve that misses the
          tolerance raises.  Every residual, each column of a batch's
          included, is certified with the sweep engine's evaluation.
 sweeps   damped projected point relaxation (red-black ordering), for 2d
@@ -228,12 +232,6 @@ class _Lattice:
             self.active = np.ones(nodes[0].shape, dtype=bool)
         if not self.active.any():
             raise ConfigurationError("domain has no active cells")
-        # the grid padded by J ghost nodes past each face
-        self.pad = self.J
-        ghost = [c - box.half + (np.arange(-self.pad, self.m + self.pad) + 0.5) * self.h
-                 for c in box.center]
-        self.ext_pts = np.column_stack([G.ravel() for G in np.meshgrid(*ghost, indexing="ij")])
-        self.inner = (slice(self.pad, self.pad + self.m),) * self.dim
         self._stencil()
         # active values, zero-padded by q, only meet the central 2q+1 taps
         self.q = min(self.J, self.m - 1)
@@ -291,28 +289,30 @@ class _Lattice:
         return rhs.reshape(self.active.shape)
 
     def at_level(self, rhs):
-        """This lattice with another right-hand side; every other array is shared."""
+        """This lattice at another right-hand side, sharing every other (read-only) array."""
         lat = copy.copy(self)
         lat.problem = replace(self.problem, rhs=rhs)
         lat.rhs = self._rhs_grid(rhs)
         return lat
 
     def with_exterior(self, exterior):
-        """This lattice with other exterior data; the environment fields,
-        the table and the frozen moment are shared."""
+        """This lattice with other exterior data, read into new arrays; the
+        environment fields, the table and the frozen moment are shared."""
         lat = copy.copy(self)
         lat.problem = replace(self.problem, exterior=exterior)
         lat._read_exterior()
         return lat
 
     def _read_exterior(self):
-        """Exterior data on the padded grid E, the same with the active cells
-        zeroed (`fixed`), and the correlation of `fixed` with the stencil."""
-        exterior = self.problem.exterior
-        self.E = exterior.fn(self.ext_pts).reshape((self.m + 2 * self.pad,) * self.dim)
+        """`fixed`, the exterior data on the grid and J ghost nodes past each
+        face with the active cells zeroed, and its correlation `fixed_corr`."""
+        box, exterior = self.problem.domain, self.problem.exterior
+        ghost = [c - box.half + (np.arange(-self.J, self.m + self.J) + 0.5) * self.h
+                 for c in box.center]
+        pts = np.column_stack([G.ravel() for G in np.meshgrid(*ghost, indexing="ij")])
+        self.fixed = exterior.fn(pts).reshape((self.m + 2 * self.J,) * self.dim)
+        self.fixed[(slice(self.J, self.J + self.m),) * self.dim][self.active] = 0.0
         self.far = exterior.far
-        self.fixed = self.E.copy()
-        self.fixed[self.inner][self.active] = 0.0
         self.fixed_corr = self._correlate(self.fixed, self.kern)
 
     def _near_corr(self, u):
@@ -320,10 +320,12 @@ class _Lattice:
         with `fixed_corr`, the correlation of the whole padded grid."""
         return self._correlate(np.pad(np.where(self.active, u, 0.0), self.q), self.near_kern)
 
-    def fill(self, vals):
-        """The padded grid E with vals on the active cells."""
-        self.E[self.inner][self.active] = vals[self.active]
-        return self.E
+    def padded(self, vals, layers):
+        """A new array of vals on the active cells and the exterior data
+        elsewhere, on the grid padded by `layers` (at most J) ghost nodes."""
+        grid = self.fixed[(slice(self.J - layers, self.J + self.m + layers),) * self.dim].copy()
+        grid[(slice(layers, layers + self.m),) * self.dim][self.active] = vals[self.active]
+        return grid
 
     def branch_infsup(self, slot):
         """Inf over alpha of the sup over beta of forcing + slot, at every node."""
@@ -393,21 +395,20 @@ class _Lattice1D(_Lattice):
 
     # -- residual pieces ------------------------------------------------
 
-    def unit_moments(self, E):
-        """Unit-multiplier moment of the current iterate at every node."""
-        u = E[self.pad:self.pad + self.m]
+    def unit_moments(self, grid):
+        """Unit-multiplier moment at every node of `padded(vals, 1)`."""
+        u = grid[1:-1]
         corr = self.fixed_corr + self._near_corr(u)
-        near = (E[self.pad + 1:self.pad + self.m + 1]
-                + E[self.pad - 1:self.pad + self.m - 1] - 2.0 * u)
+        near = grid[2:] + grid[:-2] - 2.0 * u
         I = 2.0 * (corr - self.quad.w_total * u)
         I += self.quad.c_near * near / self.h**2
         I += self.quad.tail * (2.0 * self.far - 2.0 * u)
         return I
 
-    def split_moments(self, E):
-        """Positive/negative envelope moments for the pointwise extremal."""
-        u = E[self.pad:self.pad + self.m]
-        win = sliding_window_view(E, 2 * self.J + 1)  # row i: offsets around node i
+    def split_moments(self, grid):
+        """Positive/negative envelope moments of `padded(vals, J)` (the pointwise extremal)."""
+        u = grid[self.J:-self.J]
+        win = sliding_window_view(grid, 2 * self.J + 1)  # row i: offsets around node i
         deltas = win[:, self.J + 1:] + win[:, self.J - 1::-1] - 2.0 * u[:, None]
         wpos = (np.maximum(deltas, 0.0) @ self.quad.w) * 2.0
         wneg = (np.maximum(-deltas, 0.0) @ self.quad.w) * 2.0
@@ -419,11 +420,10 @@ class _Lattice1D(_Lattice):
 
     def operator_values(self, vals):
         """F at every node, with the dominating diagonal slope field."""
-        E = self.fill(vals)
         if not self.linear:
-            pos, neg = self.split_moments(E)
+            pos, neg = self.split_moments(self.padded(vals, self.J))
             return self.up * pos - self.down * neg, self.diag
-        return self.infsup(self.unit_moments(E)), self.diag
+        return self.infsup(self.unit_moments(self.padded(vals, 1))), self.diag
 
     def infsup(self, I):
         """F as a function of the unit moment I (all but the pointwise extremal)."""
@@ -444,55 +444,46 @@ class _Lattice1D(_Lattice):
                 ).min(axis=1).max(axis=0)
 
     def matrix(self):
-        """K of the moment as an affine map of the active values, I(u) = e - K u.
+        """K of the moment as an affine map of the grid values, I(u) = e - K u.
 
-        K = D0 Id - T on the active rows and columns, with T the
-        nonnegative Toeplitz coupling, is a strictly diagonally dominant
-        M-matrix.  It depends on the table, the grid and the active mask
-        only, so every problem sharing those shares K.
+        K = D0 Id - T, with T the nonnegative Toeplitz coupling, is a
+        strictly diagonally dominant M-matrix on all m cells (in 1d every
+        cell is active).  It depends on the table and the grid only, so
+        every problem sharing those shares K.
         """
-        col = np.zeros(self.m)
+        col = np.zeros(self.m + 1)
         J = min(self.J, self.m - 1)
         col[1:J + 1] = 2.0 * self.quad.w[:J]
         col[1] += self.quad.c_near / self.h**2
+        col = col[:self.m]  # a single cell has no neighbour on the grid
         # negated symmetric Toeplitz matrix with first column col
         K = -sliding_window_view(np.concatenate((col[::-1], col[1:])), self.m)[::-1]
         K[np.diag_indices(self.m)] += self.D0
-        if not np.all(self.active):
-            K = K[np.ix_(self.active, self.active)]
         return K
 
     def load(self):
-        """e of I(u) = e - K u: the frozen load from ghost nodes and inactive cells."""
-        near = (self.fixed[self.pad + 1:self.pad + self.m + 1]
-                + self.fixed[self.pad - 1:self.pad + self.m - 1])
+        """e of I(u) = e - K u: the frozen load from the ghost nodes."""
+        near = (self.fixed[self.J + 1:self.J + self.m + 1]
+                + self.fixed[self.J - 1:self.J + self.m - 1])
         e = 2.0 * self.fixed_corr + self.quad.c_near * near / self.h**2
         return e + self.quad.tail * 2.0 * self.far
-
-    def values(self, u):
-        """Grid values: u on the active cells, the exterior data on the rest."""
-        vals = self.E[self.inner].copy()
-        vals[self.active] = u
-        return vals
 
     def newton_solve(self, max_iter, init=None, system=None):
         """Obstacle problem K u >= e - t, u >= 0, complementary, by the primal-dual active set.
 
-        The first contact set is the zeros of `init` on active cells, or
-        empty without it; each step solves on the free set and writes exact
-        zeros on the contact set, until the set repeats.  K is an M-matrix,
-        so the method converges from any first set.  `system` is the pair
-        (K, e) of `matrix()` and `load()`, or the triple (K, e, G) with
-        G = inv(K), when the caller holds it across solves.
+        The first contact set is the zeros of `init`, or empty without it;
+        each step solves on the free set and writes exact zeros on the
+        contact set, until the set repeats.  K is an M-matrix, so the
+        method converges from any first set.  `system` is the pair (K, e)
+        of `matrix()` and `load()`, or the triple (K, e, G) with G = inv(K),
+        when the caller holds it across solves.
         """
         if not self.linear:
             raise ConfigurationError("the pointwise extremal has no dense linearization")
         K, e, *inverse = (self.matrix(), self.load()) if system is None else system
         G = inverse[0] if inverse else None
-        b = (e - self.threshold())[self.active]
-        contact = np.zeros(b.size, dtype=bool)
-        if init is not None:
-            contact = np.asarray(init)[self.active] == 0.0
+        b = e - self.threshold()
+        contact = np.zeros(b.size, dtype=bool) if init is None else np.asarray(init) == 0.0
         u = _free_solve(K, b, contact, G)
         steps = 1
         while steps < max_iter:
@@ -502,8 +493,7 @@ class _Lattice1D(_Lattice):
             contact = new
             u = _free_solve(K, b, contact, G)
             steps += 1
-        vals = self.values(u)
-        return vals, steps, [self.residual(vals, True)]
+        return u, steps, [self.residual(u, True)]
 
 
 def _free_solve(K, b, contact, G=None):
@@ -553,14 +543,13 @@ class _Lattice2D(_Lattice):
         """Valid-mode correlation of a 2d array with each stencil of kern[k]."""
         return np.einsum("ijab,kab->kij", sliding_window_view(a, kern.shape[1:]), kern)
 
-    def moments(self, E):
-        u = E[self.inner]
+    def moments(self, grid):
+        """The (2, 2) moment field at every node of `padded(vals, 1)`."""
+        u = grid[1:-1, 1:-1]
         cxx, cyy, cxy = self.fixed_corr + self._near_corr(u)
         sxx, syy, sxy = self.sums
-        nx = (E[self.pad + 1:self.pad + self.m + 1, self.pad:self.pad + self.m]
-              + E[self.pad - 1:self.pad + self.m - 1, self.pad:self.pad + self.m] - 2 * u)
-        ny = (E[self.pad:self.pad + self.m, self.pad + 1:self.pad + self.m + 1]
-              + E[self.pad:self.pad + self.m, self.pad - 1:self.pad + self.m - 1] - 2 * u)
+        nx = grid[2:, 1:-1] + grid[:-2, 1:-1] - 2 * u
+        ny = grid[1:-1, 2:] + grid[1:-1, :-2] - 2 * u
         tailterm = self.quad.tail * (2.0 * self.far - 2.0 * u)
         Bxx = 2.0 * (cxx - sxx * u) + 0.5 * self.quad.c_near * nx / self.h**2 + 0.5 * tailterm
         Byy = 2.0 * (cyy - syy * u) + 0.5 * self.quad.c_near * ny / self.h**2 + 0.5 * tailterm
@@ -568,8 +557,7 @@ class _Lattice2D(_Lattice):
         return Bxx, Byy, Bxy
 
     def operator_values(self, vals):
-        E = self.fill(vals)
-        Bxx, Byy, Bxy = self.moments(E)
+        Bxx, Byy, Bxy = self.moments(self.padded(vals, 1))
         if self.kind == "extremal":
             # eigenvalues of the symmetric 2x2 moment field
             tr = Bxx + Byy
@@ -665,7 +653,7 @@ def solve_dirichlet_many(problems, tol: float = 1e-6,
         t0 = time.perf_counter()
         lat = _lattice(problem, quad)
         if lat.linear and fixed_sweeps is None:
-            cols[i] = (lat.load() - lat.threshold())[lat.active]
+            cols[i] = lat.load() - lat.threshold()
         lats.append(lat)
         walls.append(time.perf_counter() - t0)
     first = lats[0]
@@ -682,13 +670,13 @@ def solve_dirichlet_many(problems, tol: float = 1e-6,
         where = {key: j for j, key in enumerate(distinct)}
         U = np.linalg.solve(lats[next(iter(cols))].matrix(),
                             np.column_stack(list(distinct.values())))
-        solved = {i: U[:, where[b.tobytes()]] for i, b in cols.items()}
+        solved = {i: U[:, where[b.tobytes()]].copy() for i, b in cols.items()}
         share = (time.perf_counter() - t0) / len(cols)
     results = []
     for i, lat in enumerate(lats):
         t0 = time.perf_counter()
         if i in solved:
-            vals = lat.values(solved[i])
+            vals = solved[i]
             method, out = "newton", (vals, 1, [lat.residual(vals, False)])
             walls[i] += share
         else:

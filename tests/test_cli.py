@@ -277,6 +277,40 @@ def test_converge_checks_hold_seed_and_eps_free_environments_exact(
     assert all(ok for name, ok in doctored.items() if name != gate)
 
 
+ONE_D_A = {"dim": 1, "kernel_class": "a"}
+
+
+@pytest.mark.parametrize("kind, environment, experiment, summary, doctors", [
+    ("solve", None, {}, {"residual": 1e-9},
+     {"residual-within-tol": ("residual", 2e-7)}),
+    ("obstacle", None, {}, {"residual": 1e-9, "min_value": 0.0},
+     {"residual-within-tol": ("residual", 2e-7),
+      "solution-nonnegative": ("min_value", -1e-300)}),
+    ("abp", ONE_D_A, {}, {"amplitude_ratios": [2.0, 2.0, 2.0], "support_slope": 0.82},
+     {"amplitude-doubling-linear": ("amplitude_ratios", [2.0, 2.06, 2.0]),
+      "support-slope-floor": ("support_slope", 0.34)}),
+    ("cmi", ONE_D_A, {},
+     {"rows": [{"sup_v": 3.0}, {"sup_v": 2.0}, {"sup_v": 1.0}], "fitted_slope": 0.5},
+     {"sup-monotone-in-measure": ("rows", [{"sup_v": 3.0}, {"sup_v": 1.0}, {"sup_v": 2.0}]),
+      "positive-slope": ("fitted_slope", 0.0)}),
+    ("mbar", None, {"phi_index": 0, "level": 0.0}, {}, {}),
+], ids=["solve", "obstacle", "abp", "cmi", "mbar"])
+def test_checks_pass_clean_summaries_and_fail_only_the_doctored_gate(
+        tmp_path, kind, environment, experiment, summary, doctors):
+    overrides = {"kind": kind, "experiment": experiment}
+    if environment is not None:
+        overrides["environment"] = environment
+    resolved, spec, fam = cli.load_config(write_config(tmp_path, **overrides))
+    clean = {name: ok for name, ok, _ in cli.run_checks(resolved, spec, fam, summary)}
+    assert all(clean.values()) and set(doctors) <= set(clean)
+    if not doctors:  # mbar has no gate of its own
+        assert clean == {"no-thresholds": True}
+    for gate, (key, value) in doctors.items():
+        doctored = {name: ok for name, ok, _ in
+                    cli.run_checks(resolved, spec, fam, {**summary, key: value})}
+        assert doctored == {**clean, gate: False}
+
+
 def test_check_subcommand_is_an_argparse_error():
     # run is the only subcommand; suites of checks are `run --check` configs
     for argv in (["check", "invariants"], ["check", "nonsense"]):
@@ -294,6 +328,21 @@ def test_nonpositive_worker_flag_exits_2(tmp_path, capsys, command, workers):
     assert len(err) == 1
     assert json.loads(err[0])["error"]["type"] == "ConfigurationError"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_dir_blocked_by_a_file_exits_2_before_the_run(tmp_path, capsys, monkeypatch,
+                                                          under):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "sub" if under else taken
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *args: runs.append(args))
+    assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+    assert json.loads(err[0])["error"]["type"] == "ConfigurationError"
+    assert not runs and taken.read_text() == ""
 
 
 def test_missing_subcommand_is_an_argparse_error():

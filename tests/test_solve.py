@@ -200,8 +200,7 @@ def test_dirichlet_batch_of_one_is_the_single_column_solve(index):
     # the bits of the one-vector solve the newton engine used to make
     prob = grid_batch()[index]
     lat = solve._lattice(prob, QUAD16)
-    u = np.linalg.solve(lat.matrix(), (lat.load() - lat.threshold())[lat.active])
-    want = lat.values(u)
+    want = np.linalg.solve(lat.matrix(), lat.load() - lat.threshold())
     got, d = solve_dirichlet(prob, tol=1e-9, quad=QUAD16)
     assert np.array_equal(got.values, want)
     assert d.residual == lat.residual(want, False)
@@ -457,6 +456,8 @@ def test_newton_warm_start_is_exact():
 
 def test_prebuilt_lattice_and_system_match_a_fresh_solve():
     lat = solve._lattice(mixed_problem(0.0), QUAD16)
+    arrays = {k: v.copy() for k, v in vars(lat).items() if isinstance(v, np.ndarray)}
+    assert {"fixed", "fixed_corr", "active", "rhs"} <= set(arrays)
     system = (lat.matrix(), lat.load())
     for level in (-0.05, 0.1, 0.4):
         fresh = solve_obstacle(mixed_problem(level), tol=1e-10, quad=QUAD16)
@@ -464,8 +465,27 @@ def test_prebuilt_lattice_and_system_match_a_fresh_solve():
                                 lattice=lat, system=system)
         assert np.array_equal(fresh.u.values, reused.u.values)
         assert fresh.diagnostics.residual == reused.diagnostics.residual
-    # the shared lattice keeps its own level
+    lat.sweep_solve(None, True, 1e-10, solve.MAX_SWEEPS, fixed_sweeps=16)
+    barrier_threshold(lat.problem, +1, quad=QUAD16, lattice=lat)
+    # the held lattice is read-only: its level, its exterior and every other array
     assert np.all(lat.rhs == 0.0)
+    for name, before in arrays.items():
+        assert np.array_equal(getattr(lat, name), before), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 6), m=st.integers(1, 48), c=st.integers(-64, 64),
+       shape=st.sampled_from(["cube", "ball"]))
+def test_every_1d_lattice_activates_its_whole_grid(k, m, c, shape):
+    # the linear engine works on all m cells without a mask: every cell
+    # centre lies within half - h/2 of the box centre, inside the ball too
+    h = 2.0**-k
+    box = Box((c * 2.0**-4,), m * h / 2.0, h)
+    prob = DirichletProblem(handle=OperatorHandle(fam=FAM_A, extremal_sign=1), domain=box,
+                            rhs=0.0, exterior=ExteriorRule.zero(), shape=shape)
+    lat = solve._lattice(prob, build_quadrature(1, 1.0, h, 4.0 * h))
+    assert lat.linear and lat.active.shape == (m,) and lat.active.all()
+    assert lat.matrix().shape == (m, m)
 
 
 def test_schur_steps_match_direct_steps_across_contact_transition(monkeypatch):
@@ -604,12 +624,12 @@ def test_barrier_threshold_on_a_held_lattice_matches_a_fresh_one(dim, shape):
             exterior=ExteriorRule.zero(), shape=shape)
         quad = build_quadrature(2, 1.0, 0.125, 2.0)
     lat = solve._lattice(prob, quad)
-    E = lat.E.copy()
+    fixed, fixed_corr = lat.fixed.copy(), lat.fixed_corr.copy()
     for side in (+1, -1):
         assert (barrier_threshold(prob, side, quad=quad, lattice=lat)
                 == barrier_threshold(prob, side, quad=quad))
     # the held lattice keeps its own exterior data
-    assert np.array_equal(lat.E, E, equal_nan=True)
+    assert np.array_equal(lat.fixed, fixed) and np.array_equal(lat.fixed_corr, fixed_corr)
 
 
 # ---------------------------------------------------------------------------
