@@ -27,7 +27,7 @@ from .solve import (
     solve_obstacle,
 )
 from .homog import (
-    ExtractionConfig, RowLog, abp_scaling_experiment,
+    RowLog, abp_scaling_experiment,
     check_translation_shift, comparison_measurable_experiment,
     convergence_experiment, corrector_decay_profile, effective_value,
     estimate_mbar, fam_of, quadratic_bank, _exterior_from_tag, _FrozenSystems,
@@ -199,7 +199,10 @@ def load_config(path):
         raise ConfigurationError(f"seeds must be distinct, got {seeds}")
     if num["h"] is not None:
         h = _number(num["h"], "numerics.h")
-        if not (0.0 < h <= min(eps_list) / 4.0 + 1e-12):
+        if not h > 0.0:
+            raise ConfigurationError(f"numerics.h must be positive, got {h}")
+        # abp and cmi take no eps, so no eps bounds their grid
+        if kind not in ("abp", "cmi") and h > min(eps_list) / 4.0 + 1e-12:
             raise ConfigurationError(
                 f"h={h} violates h <= eps_min/4 = {min(eps_list) / 4.0}"
             )
@@ -359,14 +362,11 @@ def _run_mbar(resolved, spec, fam, log, workers):
 def _run_effective(resolved, spec, fam, log, workers):
     num, exp = resolved["numerics"], resolved["experiment"]
     phi, x0 = _phi(spec, exp)
-    cfg = ExtractionConfig(eps_list=tuple(num["eps_list"]),
-                           seeds=tuple(num["seeds"]), h=num["h"],
-                           theta=num["theta"], tol=num["bisect_tol"],
-                           max_steps=num["max_steps"],
-                           solver_tol=num["solver_tol"],
-                           r_out_factor=num["r_out_factor"],
-                           workers=workers)
-    es = effective_value(phi, x0, cfg, spec, fam, log=log)
+    es = effective_value(phi, x0, num["eps_list"], num["seeds"], spec, fam,
+                         h=num["h"], tol=num["solver_tol"],
+                         r_out_factor=num["r_out_factor"], workers=workers,
+                         bisect_tol=num["bisect_tol"], theta=num["theta"],
+                         max_steps=num["max_steps"], log=log)
     return {
         "value": es.value,
         "bracket": list(es.bracket),

@@ -1,4 +1,4 @@
-"""Homogenization pipeline: contact statistics, effective levels, decay.
+"""Homogenization pipeline: contact fractions, effective levels, decay.
 
 Everything here reduces generic centers to the origin by translating the
 test function (phi at x0 becomes phi(. + x0) at 0), so every lattice
@@ -20,10 +20,13 @@ first use and dropped when the call returns; each level only recomputes its
 threshold and runs the active set, started from the contact set the same
 (eps, seed) item returned at the previous level, and each active-set step
 with less contact than free cells is a Schur step on G.  That warm
-start travels with the item, so the optional process pool, which lives for
-the whole bisection, cannot change any reported number.  The functions
-that can fan out take `workers` (default 1: no pool); nothing here reads a
-worker count from anywhere else.
+start (the previous solution, which only the linear engine reads; sweeps
+start from zero) travels with the item, so the optional process pool,
+which lives for the whole bisection, cannot change any reported number.
+The functions that can fan out take `workers` (default 1: no pool, and the
+pool module is not imported); nothing here reads a worker count from
+anywhere else.  `tol` is the solver tolerance wherever it appears; the
+bisection's own stopping width is `bisect_tol`.
 Dirichlet problems that share a grid are solved as one batch
 (`solve_dirichlet_many`), so each grid's K is factored once: the abp and
 cmi sweeps are one batch each, and the convergence harness makes one batch
@@ -36,7 +39,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -60,11 +62,9 @@ from .solve import (
 __all__ = [
     "MbarEstimate",
     "EffectiveSample",
-    "ExtractionConfig",
     "RowLog",
     "CSV_COLUMNS",
     "quadratic_bank",
-    "contact_statistic",
     "estimate_mbar",
     "effective_value",
     "corrector_decay_profile",
@@ -155,19 +155,6 @@ class EffectiveSample:
         return self
 
 
-@dataclass(frozen=True)
-class ExtractionConfig:
-    eps_list: tuple = (2.0**-4,)
-    seeds: tuple = (0, 1, 2, 3)
-    h: float | None = None           # None: eps_min / 4
-    theta: float | None = None       # None: two cells out of the interior count
-    tol: float = 2.0**-6             # bisection stops at this bracket width
-    max_steps: int = 48
-    solver_tol: float = 1e-7
-    r_out_factor: float = 8.0
-    workers: int = 1
-
-
 def quadratic_bank(dim: int, r_cut: float = 4.0):
     """Fixed, reproducible family of capped quadratic test functions.
 
@@ -209,21 +196,6 @@ def _frozen_problem(phi, x0, level, eps, env, fam, h, *, domain_half=0.5,
     box = Box(center=(0.0,) * env.dim, half=domain_half, h=h)
     return DirichletProblem(handle=handle, domain=box, rhs=level,
                             exterior=ExteriorRule.zero(), shape=shape)
-
-
-def contact_statistic(phi, x0, level, eps, env, fam: KernelFamily,
-                      h: float | None = None, *, tol=1e-7, **kw) -> float:
-    """Contact fraction of the frozen-operator obstacle problem.
-
-    Least nonnegative supersolution at the given level on the unit box
-    around the (translated-away) center, coefficients read at grid/eps;
-    returns the fraction of interior cells in exact contact.  Further
-    keywords (`quad`, `fixed_sweeps`, `init`) go to `solve_obstacle`.
-    """
-    if h is None:
-        h = eps / 4.0
-    prob = _frozen_problem(phi, x0, level, eps, env, fam, h)
-    return solve_obstacle(prob, tol=tol, **kw).fraction
 
 
 class _FrozenSystems:
@@ -277,20 +249,19 @@ class _FrozenSystems:
 
         item = (eps, seed, level, warm), with warm the solution this item
         returned at the previous level, or None.  Returns the row fields and
-        the next warm start.  Only the linear engine takes a warm start:
-        sweeps always start from zero.
+        the next warm start, the solution.  Only the linear engine reads a
+        warm start; sweeps start from zero.
         """
         eps, seed, level, warm = item
         lat = self.lattice(eps, seed)
         if lat.linear and eps not in self.assembled:
             K = lat.matrix()
             self.assembled[eps] = (K, lat.load(), np.linalg.inv(K))
-        sol = solve_obstacle(replace(lat.problem, rhs=level), tol=self.tol,
-                             init=warm if lat.linear else None,
+        sol = solve_obstacle(replace(lat.problem, rhs=level), tol=self.tol, init=warm,
                              lattice=lat, system=self.assembled.get(eps))
         d = sol.diagnostics
         return (eps, seed, sol.fraction, float(np.max(np.abs(sol.u.values))),
-                d.iterations, d.residual, d.wall_ms, sol.u.values if lat.linear else None)
+                d.iterations, d.residual, d.wall_ms, sol.u.values)
 
 
 # Set only inside pool workers, by the pool's initializer; it lives and dies
@@ -323,8 +294,12 @@ class _Fold:
     def __init__(self, make, args, workers):
         self.warm = {}
         self.state = make(*args) if workers <= 1 else None
-        self.pool = None if workers <= 1 else ProcessPoolExecutor(
-            max_workers=workers, initializer=_start_worker, initargs=(make, args))
+        self.pool = None
+        if workers > 1:
+            # imported only here, so a run without a pool never loads the module
+            from concurrent.futures import ProcessPoolExecutor
+            self.pool = ProcessPoolExecutor(
+                max_workers=workers, initializer=_start_worker, initargs=(make, args))
 
     def map(self, fn, items):
         if self.pool is None:
@@ -394,7 +369,7 @@ def estimate_mbar(phi, x0, level, eps_list, seeds, spec: EnvironmentSpec,
                         stderr=stderr).validate()
 
 
-def _bracket(fold, cfg: ExtractionConfig):
+def _bracket(fold, eps_list, seeds):
     """Certified starting bracket for the level bisection.
 
     Low end: below min F(P+) over every (eps, seed) the positive bump is
@@ -403,7 +378,7 @@ def _bracket(fold, cfg: ExtractionConfig):
     already satisfies the level, so contact is total.  The solves of the
     bisection use the same tables, so the certificates hold for them.
     """
-    keys = [(eps, seed) for eps in cfg.eps_list for seed in cfg.seeds]
+    keys = [(eps, seed) for eps in eps_list for seed in seeds]
     ends = fold.map(_FrozenSystems.bounds, keys)
     lo = min(b[0] for b in ends)
     hi = max(b[1] for b in ends)
@@ -411,34 +386,38 @@ def _bracket(fold, cfg: ExtractionConfig):
     return lo - margin, hi + margin
 
 
-def effective_value(phi, x0, cfg: ExtractionConfig, spec: EnvironmentSpec,
-                    fam: KernelFamily, *, log: RowLog | None = None) -> EffectiveSample:
+def effective_value(phi, x0, eps_list, seeds, spec: EnvironmentSpec,
+                    fam: KernelFamily, *, h=None, tol=1e-7, r_out_factor=8.0,
+                    workers=1, bisect_tol=2.0**-6, theta=None, max_steps=48,
+                    log: RowLog | None = None) -> EffectiveSample:
     """Bisect on the level for the boundary between contact regimes.
 
     Below the effective level the seed-averaged contact fraction at the
     smallest eps sits at or under theta (treated as zero at this
     resolution); above it the fraction is positive.  Discrete monotonicity
-    of the fraction in the level makes the bisection sound.
+    of the fraction in the level makes the bisection sound.  The problem
+    keywords (`h`, default eps/4; `tol`, the solver tolerance;
+    `r_out_factor`; `workers`) are those of `estimate_mbar`.  The bisection
+    stops once the bracket is at most `bisect_tol` wide, or after
+    `max_steps` steps; theta defaults to two cells of the interior count.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
-    smallest = min(cfg.eps_list)
-    he = (smallest / 4.0) if cfg.h is None else cfg.h
+    he = (min(eps_list) / 4.0) if h is None else h
     cells = int(round(1.0 / he)) ** spec.dim  # interior cells of the unit box
-    theta = cfg.theta if cfg.theta is not None else 2.0 / cells
+    theta = theta if theta is not None else 2.0 / cells
     steps = []
-    args = (phi, x0, spec, fam, cfg.h, cfg.r_out_factor, cfg.solver_tol)
-    with _Fold(_FrozenSystems, args, cfg.workers) as fold:
-        lo, hi = _bracket(fold, cfg)
+    args = (phi, x0, spec, fam, h, r_out_factor, tol)
+    with _Fold(_FrozenSystems, args, workers) as fold:
+        lo, hi = _bracket(fold, eps_list, seeds)
         if not lo < hi:
             raise SolverError(f"degenerate effective-value bracket [{lo}, {hi}]")
         certificates = {"lo": ("barrier", lo), "hi": ("zero-function", hi)}
-        for _ in range(cfg.max_steps):
-            if hi - lo <= cfg.tol:
+        for _ in range(max_steps):
+            if hi - lo <= bisect_tol:
                 break
             mid = 0.5 * (lo + hi)
-            m = estimate_mbar(phi, x0, mid, cfg.eps_list, cfg.seeds, spec, fam,
-                              h=cfg.h, tol=cfg.solver_tol,
-                              r_out_factor=cfg.r_out_factor, log=log,
+            m = estimate_mbar(phi, x0, mid, eps_list, seeds, spec, fam,
+                              h=h, tol=tol, r_out_factor=r_out_factor, log=log,
                               experiment_id="effective", fold=fold).estimate
             if m <= theta:
                 steps.append((mid, m, "zero"))
@@ -448,8 +427,8 @@ def effective_value(phi, x0, cfg: ExtractionConfig, spec: EnvironmentSpec,
                 hi = mid
     value = 0.5 * (lo + hi)
     return EffectiveSample(phi=phi, x0=tuple(x0), bracket=(lo, hi), value=value,
-                           theta=theta, eps_list=tuple(cfg.eps_list),
-                           seeds=tuple(cfg.seeds), certificates=certificates,
+                           theta=theta, eps_list=tuple(eps_list),
+                           seeds=tuple(seeds), certificates=certificates,
                            steps=steps).validate()
 
 

@@ -91,10 +91,6 @@ class ExteriorRule:
     def zero() -> "ExteriorRule":
         return ExteriorRule.constant(0.0)
 
-    @staticmethod
-    def from_function(fn: Callable, far: float) -> "ExteriorRule":
-        return ExteriorRule(fn=fn, far=float(far))
-
 
 @dataclass
 class GridFunction:

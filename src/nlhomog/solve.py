@@ -43,17 +43,19 @@ newton   1d linear engine, for every 1d operator but the pointwise extremal
          one-off obstacle solve, a step is one dense solve on K[F, F].
          An obstacle solve's `init`, when given, only seeds the first
          contact set (its zeros); the final set, and so the solution, does
-         not depend on it.  There is no fallback: a solve that misses the
-         tolerance raises.  Every residual, each column of a batch's
-         included, is certified with the sweep engine's evaluation.
+         not depend on it.  At most MAX_STEPS steps run.  There is no
+         fallback: a solve that misses the tolerance raises.  Every
+         residual, each column of a batch's included, is certified with
+         the sweep engine's evaluation.
 sweeps   damped projected point relaxation (red-black ordering), for 2d
          operators, the pointwise "cs" extremal and every `fixed_sweeps`
          solve.  Each update moves one value toward the root of its scalar
          residual with all other values frozen, clamping at the obstacle.
          The update map is monotone even in floating point (direct
          summation, nonnegative weights, fixed order), which several exact
-         ordering tests rely on.  A solve whose residual stagnates stops
-         early and raises.
+         ordering tests rely on.  Sweeps start from zero in every solve;
+         an obstacle solve's `init` does not reach them.  A solve whose
+         residual stagnates stops early and raises.
 
 Repeated solves of one problem at several levels can hand `solve_obstacle`
 the level-free parts built once: the lattice (environment fields, exterior
@@ -181,9 +183,8 @@ class Bump:
     sign: float = 1.0
 
     def __call__(self, pts):
+        """Values at points (N, dim)."""
         pts = np.asarray(pts, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts[:, None] if np.ndim(self.center) == 0 or len(np.atleast_1d(self.center)) == 1 else pts[None, :]
         c = np.atleast_1d(np.asarray(self.center, dtype=np.float64))
         d2 = np.sum((pts - c) ** 2, axis=1) / self.r**2
         v = np.where(d2 < 1.0, (1.0 - d2) ** 2, 0.0)
@@ -200,6 +201,7 @@ DAMPING = 0.8       # fraction of the pointwise Newton step a sweep takes
 CHECK_EVERY = 8     # sweeps between residual checks
 STALL_CHECKS = 64   # checks in the stagnation window (512 sweeps)
 MAX_SWEEPS = 200000  # sweeps before a solve gives up
+MAX_STEPS = 60      # active-set steps before a newton solve gives up
 
 
 class _Lattice:
@@ -340,14 +342,15 @@ class _Lattice:
             r = np.maximum(r, -vals)
         return float(np.max(np.abs(r)[self.active]))
 
-    def sweep_solve(self, init, obstacle, tol, max_iter, fixed_sweeps=None):
+    def sweep_solve(self, obstacle, tol, max_iter, fixed_sweeps=None):
         """Returns (vals, sweeps, residuals); the last residual is the final one.
 
-        Unless fixed_sweeps pins the work, the residual is checked every
-        CHECK_EVERY sweeps, and the solve stops early once the best of the
-        last STALL_CHECKS checks is not 1% below the best before them.
+        The sweeps start from zero.  Unless fixed_sweeps pins the work, the
+        residual is checked every CHECK_EVERY sweeps, and the solve stops
+        early once the best of the last STALL_CHECKS checks is not 1% below
+        the best before them.
         """
-        vals = np.zeros(self.active.shape) if init is None else np.array(init, dtype=np.float64)
+        vals = np.zeros(self.active.shape)
         parity = np.indices(self.active.shape).sum(axis=0) % 2
         colors = [self.active & (parity == 0), self.active & (parity == 1)]
         sweeps = fixed_sweeps if fixed_sweeps is not None else max_iter
@@ -462,21 +465,19 @@ class _Lattice1D(_Lattice):
         return K
 
     def load(self):
-        """e of I(u) = e - K u: the frozen load from the ghost nodes."""
-        near = (self.fixed[self.J + 1:self.J + self.m + 1]
-                + self.fixed[self.J - 1:self.J + self.m - 1])
-        e = 2.0 * self.fixed_corr + self.quad.c_near * near / self.h**2
-        return e + self.quad.tail * 2.0 * self.far
+        """e of I(u) = e - K u, which is I(0): the moment of the exterior data alone."""
+        return self.unit_moments(self.padded(np.zeros(self.m), 1))
 
-    def newton_solve(self, max_iter, init=None, system=None):
+    def newton_solve(self, init=None, system=None):
         """Obstacle problem K u >= e - t, u >= 0, complementary, by the primal-dual active set.
 
         The first contact set is the zeros of `init`, or empty without it;
         each step solves on the free set and writes exact zeros on the
-        contact set, until the set repeats.  K is an M-matrix, so the
-        method converges from any first set.  `system` is the pair (K, e)
-        of `matrix()` and `load()`, or the triple (K, e, G) with G = inv(K),
-        when the caller holds it across solves.
+        contact set, until the set repeats or MAX_STEPS steps have run.  K
+        is an M-matrix, so the method converges from any first set.
+        `system` is the pair (K, e) of `matrix()` and `load()`, or the
+        triple (K, e, G) with G = inv(K), when the caller holds it across
+        solves.
         """
         if not self.linear:
             raise ConfigurationError("the pointwise extremal has no dense linearization")
@@ -486,7 +487,7 @@ class _Lattice1D(_Lattice):
         contact = np.zeros(b.size, dtype=bool) if init is None else np.asarray(init) == 0.0
         u = _free_solve(K, b, contact, G)
         steps = 1
-        while steps < max_iter:
+        while steps < MAX_STEPS:
             new = np.where(contact, K @ u - b > 0.0, u < 0.0)
             if np.array_equal(new, contact):
                 break
@@ -680,7 +681,7 @@ def solve_dirichlet_many(problems, tol: float = 1e-6,
             method, out = "newton", (vals, 1, [lat.residual(vals, False)])
             walls[i] += share
         else:
-            method, out = "sweeps", lat.sweep_solve(None, False, tol, MAX_SWEEPS, fixed_sweeps)
+            method, out = "sweeps", lat.sweep_solve(False, tol, MAX_SWEEPS, fixed_sweeps)
         wall_ms = (walls[i] + time.perf_counter() - t0) * 1e3
         results.append(_result(lat, False, method, out, tol, wall_ms,
                                pinned=fixed_sweeps is not None))
@@ -693,9 +694,10 @@ def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6,
     """Least nonnegative supersolution: max(F(U) - rhs, -U) = 0.
 
     Every projection writes exact zeros, so the contact mask is literally
-    {U == 0} on active cells and contact counts are integers.  `init` is
-    the sweeps' first iterate; the newton engine takes only its contact
-    set.  `lattice` (from `_lattice` for this problem at any level) and
+    {U == 0} on active cells and contact counts are integers.  `init`,
+    when given, seeds the newton engine's first contact set (its zeros)
+    and changes nothing else; the sweeps ignore it and start from zero.
+    `lattice` (from `_lattice` for this problem at any level) and
     `system` skip rebuilding them when the level is all that changed.
     `system` is the lattice's (K, e) from `matrix()` and `load()`, or
     (K, e, inv(K)): with the inverse, active-set steps on less contact than
@@ -706,9 +708,9 @@ def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6,
     t0 = time.perf_counter()
     lat = _lattice(problem, quad) if lattice is None else lattice.at_level(problem.rhs)
     if lat.linear and fixed_sweeps is None:
-        method, out = "newton", lat.newton_solve(60, init, system)
+        method, out = "newton", lat.newton_solve(init, system)
     else:
-        method, out = "sweeps", lat.sweep_solve(init, True, tol, MAX_SWEEPS, fixed_sweeps)
+        method, out = "sweeps", lat.sweep_solve(True, tol, MAX_SWEEPS, fixed_sweeps)
     wall = (time.perf_counter() - t0) * 1e3
     return _result(lat, True, method, out, tol, wall, pinned=fixed_sweeps is not None)
 

@@ -19,7 +19,6 @@ from nlhomog.env import (
     translate,
 )
 from nlhomog.homog import (
-    ExtractionConfig,
     abp_scaling_experiment,
     comparison_measurable_experiment,
     convergence_experiment,
@@ -297,27 +296,28 @@ def test_acceptance_6_effective_operator_sanity():
     # constant coefficients: extraction must land on the frozen constant
     fixed = EnvironmentSpec(dim=1, coeff_law="fixed", coeff_value=1.5,
                             forcing_law="fixed", forcing_value=0.25)
-    cfg1 = ExtractionConfig(eps_list=(0.125,), seeds=(0,), tol=tol)
-    got = effective_value(phi, np.zeros(1), cfg1, fixed, fam_of(fixed)).value
+    got = effective_value(phi, np.zeros(1), (0.125,), (0,), fixed, fam_of(fixed),
+                          bisect_tol=tol).value
     quad = build_quadrature(1, 1.0, 0.125 / 4.0, 8.0)
     direct = 1.5 * float(unit_moment(phi, np.zeros(1), quad)) + 0.25
     const_gap = abs(got - direct)
 
     # adding a constant forcing shifts the effective level by it
-    cfg = ExtractionConfig(eps_list=(0.125,), seeds=(0, 1, 2, 3), tol=tol)
+    seeds = (0, 1, 2, 3)
     vals = {}
     for f in (0.0, 0.25):
         spec_f = EnvironmentSpec(dim=1, coeff_law="uniform",
                                  forcing_law="fixed", forcing_value=f)
-        vals[f] = effective_value(phi, np.zeros(1), cfg, spec_f,
-                                  fam_of(spec_f)).value
+        vals[f] = effective_value(phi, np.zeros(1), (0.125,), seeds, spec_f,
+                                  fam_of(spec_f), bisect_tol=tol).value
     shift_gap = abs((vals[0.25] - vals[0.0]) - 0.25)
 
     # extremal sandwich of effective differences over bank pairs
     spec_u = EnvironmentSpec(dim=1, coeff_law="uniform", forcing_law="fixed",
                              forcing_value=0.0)
     famu = fam_of(spec_u)
-    fbar = {i: effective_value(BANK[i], np.zeros(1), cfg, spec_u, famu).value
+    fbar = {i: effective_value(BANK[i], np.zeros(1), (0.125,), seeds, spec_u, famu,
+                               bisect_tol=tol).value
             for i in (2, 3, 4)}
     sandwich = True
     margins = []
@@ -351,8 +351,8 @@ def test_acceptance_7_corrector_dichotomy():
     fam = KernelFamily(kind="cs", dim=1, sigma=1.5, lam=1.0, lam_big=2.0)
     phi = BANK[4]
     tol = 2.0**-5
-    cfg = ExtractionConfig(eps_list=(2.0**-5,), seeds=(0,), tol=tol)
-    fbar = effective_value(phi, np.zeros(1), cfg, spec, fam).value
+    fbar = effective_value(phi, np.zeros(1), (2.0**-5,), (0,), spec, fam,
+                           bisect_tol=tol).value
 
     eps_list = (2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6)
     sups_on = corrector_decay_profile(phi, np.zeros(1), fbar, eps_list, 0,

@@ -478,6 +478,22 @@ def test_nonpositive_forcing_measures_exit_2(tmp_path, capsys, kind, experiment)
     assert "must be positive" in err["message"]
 
 
+@pytest.mark.parametrize("kind, experiment, code", [
+    ("abp", {"supports": [0.5, 0.25, 0.125]}, 0),
+    ("cmi", {"sizes": [0.5, 0.25, 0.125]}, 0),
+    ("effective", {"phi_index": 4}, 2),
+], ids=["abp", "cmi", "effective"])
+def test_eps_bounds_h_only_for_kinds_that_take_eps(tmp_path, capsys, kind, experiment, code):
+    # h = 2^-4 is above eps_min/4 = 2^-6, an eps that abp and cmi never read
+    cfg = write_config(tmp_path, kind=kind, environment={"kernel_class": "a"},
+                       numerics={"h": 2.0**-4, "eps_list": [0.0625]},
+                       experiment=experiment)
+    assert main(["run", str(cfg)]) == code
+    if code:
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+        assert err["type"] == "ConfigurationError" and "eps_min/4" in err["message"]
+
+
 def test_phi_index_bounds_checked(tmp_path, capsys):
     cfg = write_config(tmp_path, kind="effective",
                        experiment={"phi_index": 99})
@@ -550,6 +566,18 @@ def test_runs_load_no_scipy(tmp_path):
     codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0]
     assert scipy_modules == []
+
+
+def test_import_loads_no_process_pool():
+    # the pool module is imported only when a run starts a pool
+    script = ("import sys, nlhomog.cli\n"
+              "print('concurrent.futures.process' in sys.modules)\n")
+    src = str(Path(nlhomog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == ["False"]
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from nlhomog.env import EnvironmentSpec, sample_environment
+from nlhomog.env import EnvironmentSpec
 from nlhomog.errors import ConfigurationError
 from nlhomog.homog import (
-    ExtractionConfig,
     RowLog,
     abp_scaling_experiment,
     comparison_measurable_experiment,
-    contact_statistic,
     convergence_experiment,
     corrector_decay_profile,
     effective_value,
@@ -52,8 +50,8 @@ def frozen_constant(spec, phi, eps):
 def test_effective_value_fixed_environment_matches_direct_constant():
     # with fixed coefficient a and forcing f the frozen obstacle problem
     # switches regimes exactly at a * (moment of phi) + f
-    cfg = ExtractionConfig(eps_list=(0.25,), seeds=(0,), tol=2.0**-7)
-    s = effective_value(PHI, np.zeros(1), cfg, FIXED_SPEC, fam_of(FIXED_SPEC))
+    s = effective_value(PHI, np.zeros(1), (0.25,), (0,), FIXED_SPEC, fam_of(FIXED_SPEC),
+                        bisect_tol=2.0**-7)
     direct = frozen_constant(FIXED_SPEC, PHI, 0.25)
     assert s.bracket[1] - s.bracket[0] <= 2.0**-7 + 1e-12
     assert abs(s.value - direct) <= 2.0 * 2.0**-7
@@ -66,18 +64,17 @@ def test_effective_value_harmonic_mean_reference():
     spec = EnvironmentSpec(dim=1, coeff_law="uniform", forcing_law="fixed",
                            forcing_value=0.0, interpolation="constant")
     eps = 2.0**-6
-    cfg = ExtractionConfig(eps_list=(eps,), seeds=(0, 1, 2, 3), tol=2.0**-6)
-    s = effective_value(PHI, np.zeros(1), cfg, spec, fam_of(spec))
+    s = effective_value(PHI, np.zeros(1), (eps,), (0, 1, 2, 3), spec, fam_of(spec),
+                        bisect_tol=2.0**-6)
     quad = build_quadrature(1, 1.0, eps / 4.0, 8.0)
     pred = float(unit_moment(PHI, np.zeros(1), quad)) / math.log(2.0)
     assert abs(s.value - pred) / abs(pred) <= 0.08
 
 
 def test_effective_value_bisection_record():
-    cfg = ExtractionConfig(eps_list=(0.25,), seeds=(0,), tol=2.0**-5)
     log = RowLog()
-    s = effective_value(PHI, np.zeros(1), cfg, FIXED_SPEC, fam_of(FIXED_SPEC),
-                        log=log)
+    s = effective_value(PHI, np.zeros(1), (0.25,), (0,), FIXED_SPEC, fam_of(FIXED_SPEC),
+                        bisect_tol=2.0**-5, log=log)
     lo, hi = s.bracket
     assert lo <= s.value <= hi
     assert s.certificates["lo"][0] == "barrier"
@@ -109,8 +106,8 @@ def test_effective_value_builds_each_system_once(monkeypatch):
     for module in (kernels, solve):
         monkeypatch.setattr(module, "build_quadrature", counted_quad)
     eps_list, seeds = (0.25, 0.125), (0, 1, 2)
-    cfg = ExtractionConfig(eps_list=eps_list, seeds=seeds, tol=2.0**-5)
-    s = effective_value(PHI, np.zeros(1), cfg, MIXED_SPEC, fam_of(MIXED_SPEC))
+    s = effective_value(PHI, np.zeros(1), eps_list, seeds, MIXED_SPEC, fam_of(MIXED_SPEC),
+                        bisect_tol=2.0**-5)
     assert len(s.steps) >= 5
     n = len(eps_list) * len(seeds)
     assert counts["lattice"] == n
@@ -122,11 +119,11 @@ def test_effective_value_builds_each_system_once(monkeypatch):
 
 def test_contact_statistic_extreme_levels():
     fam = fam_of(MIXED_SPEC)
-    env = sample_environment(MIXED_SPEC, seed=2)
     # far below any operator value of the zero function: no contact;
     # far above: total contact
-    assert contact_statistic(PHI, np.zeros(1), -1e4, 0.25, env, fam) == 0.0
-    assert contact_statistic(PHI, np.zeros(1), 1e4, 0.25, env, fam) == 1.0
+    for level, want in ((-1e4, 0.0), (1e4, 1.0)):
+        est = estimate_mbar(PHI, np.zeros(1), level, (0.25,), (2,), MIXED_SPEC, fam)
+        assert est.fractions == {(0.25, 2): want}
 
 
 def test_estimate_mbar_monotone_in_level():

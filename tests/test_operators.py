@@ -76,8 +76,7 @@ def test_second_difference_of_kink():
     # half/h = 16.5 puts a cell center exactly on the kink at 0
     box = Box((0.0,), 8.25, 0.5)
     u = GridFunction(box=box, values=np.abs(box.axis_nodes(0)),
-                     exterior=ExteriorRule.from_function(
-                         lambda p: np.abs(p[:, 0]), far=0.0))
+                     exterior=ExteriorRule(fn=lambda p: np.abs(p[:, 0]), far=0.0))
     assert second_difference(u, 0.0, 2.0) == pytest.approx(4.0, abs=1e-12)
 
 

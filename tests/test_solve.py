@@ -70,7 +70,7 @@ def sweeps(prob, quad, obstacle=False, tol=1e-6, max_iter=200000):
     sweep, so the engine comparisons reach that path directly.
     """
     lat = solve._lattice(prob, quad)
-    out = lat.sweep_solve(None, obstacle, tol, max_iter)
+    out = lat.sweep_solve(obstacle, tol, max_iter)
     return solve._result(lat, obstacle, "sweeps", out, tol)
 
 
@@ -296,8 +296,7 @@ def test_lattice_2d_matches_pointwise_operator(kind, operator, shape, r_out):
     h = 1.0 / 8
     box = Box((0.0, 0.0), 0.5, h)
     quad = build_quadrature(2, 1.0, h, r_out)
-    ext = ExteriorRule.from_function(
-        lambda pts: np.cos(2.0 * pts[:, 0] - pts[:, 1]), far=0.3)
+    ext = ExteriorRule(fn=lambda pts: np.cos(2.0 * pts[:, 0] - pts[:, 1]), far=0.3)
     phi = TestFunction.make(P=[[2.0, 0.5], [0.5, -1.0]], p=[0.3, -0.1], r_cut=1.0)
     x0 = np.array([0.1, -0.2])
     if operator == "plain":
@@ -338,7 +337,7 @@ def test_lattice_1d_matches_pointwise_operator(fam, operator, r_out):
     # evaluation; r_out 2.0 reaches past the box (J > m - 1), 0.5 does not
     box = Box((0.0,), 0.5, 1.0 / 16)
     quad = build_quadrature(1, 1.0, box.h, r_out)
-    ext = ExteriorRule.from_function(lambda pts: np.cos(3.0 * pts[:, 0]), far=0.3)
+    ext = ExteriorRule(fn=lambda pts: np.cos(3.0 * pts[:, 0]), far=0.3)
     phi, x0 = TestFunction.make([[1.5]], p=[0.2], r_cut=1.0), np.array([0.1])
     env = mixed_env()
     if operator == "plain":
@@ -454,6 +453,22 @@ def test_newton_warm_start_is_exact():
     assert exact.diagnostics.iterations == 1 < cold.diagnostics.iterations
 
 
+def test_sweeps_obstacle_solve_ignores_init():
+    # init only seeds the newton contact set; sweeps start from zero
+    spec = EnvironmentSpec(dim=2, kernel_class="a", n_alpha=2, n_beta=2,
+                           coeff_law="uniform", forcing_law="uniform", f_bound=1.0)
+    prob = DirichletProblem(handle=OperatorHandle(fam=KernelFamily(
+        kind="a", dim=2, sigma=1.0, lam=1.0, lam_big=2.0),
+        env=sample_environment(spec, seed=0), eps=0.5),
+        domain=Box((0.0, 0.0), 0.5, 1.0 / 8), rhs=0.1, exterior=ExteriorRule.zero())
+    quad = build_quadrature(2, 1.0, 1.0 / 8, 2.0)
+    cold = solve_obstacle(prob, tol=1e-8, quad=quad)
+    warm = solve_obstacle(prob, tol=1e-8, quad=quad, init=np.full((8, 8), 0.5))
+    assert cold.diagnostics.method == warm.diagnostics.method == "sweeps"
+    assert np.array_equal(warm.u.values, cold.u.values)
+    assert warm.diagnostics.iterations == cold.diagnostics.iterations
+
+
 def test_prebuilt_lattice_and_system_match_a_fresh_solve():
     lat = solve._lattice(mixed_problem(0.0), QUAD16)
     arrays = {k: v.copy() for k, v in vars(lat).items() if isinstance(v, np.ndarray)}
@@ -465,7 +480,7 @@ def test_prebuilt_lattice_and_system_match_a_fresh_solve():
                                 lattice=lat, system=system)
         assert np.array_equal(fresh.u.values, reused.u.values)
         assert fresh.diagnostics.residual == reused.diagnostics.residual
-    lat.sweep_solve(None, True, 1e-10, solve.MAX_SWEEPS, fixed_sweeps=16)
+    lat.sweep_solve(True, 1e-10, solve.MAX_SWEEPS, fixed_sweeps=16)
     barrier_threshold(lat.problem, +1, quad=QUAD16, lattice=lat)
     # the held lattice is read-only: its level, its exterior and every other array
     assert np.all(lat.rhs == 0.0)
@@ -510,8 +525,8 @@ def test_schur_steps_match_direct_steps_across_contact_transition(monkeypatch):
     tol, counts = 1e-10, []
     for level in (-12.0, *np.linspace(16.0, 21.5, 12)):
         level_lat = lat.at_level(level)
-        direct, _, direct_res = level_lat.newton_solve(60, None, (K, e))
-        schur, _, schur_res = level_lat.newton_solve(60, None, (K, e, G))
+        direct, _, direct_res = level_lat.newton_solve(system=(K, e))
+        schur, _, schur_res = level_lat.newton_solve(system=(K, e, G))
         assert direct_res[-1] <= tol and schur_res[-1] <= tol
         assert np.array_equal(direct == 0.0, schur == 0.0)
         assert np.min(schur) >= 0.0 and np.min(direct) >= 0.0
