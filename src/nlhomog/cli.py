@@ -40,9 +40,6 @@ SCHEMA_VERSION = 1
 ABP_RATIO_TOL = 0.05
 ABP_SLOPE_MARGIN = 0.15
 
-KINDS = ("solve", "obstacle", "mbar", "effective", "corrector",
-         "converge", "abp", "cmi")
-
 _NUMERIC_DEFAULTS = {
     "h": None,
     "r_out_factor": 8.0,
@@ -70,6 +67,8 @@ _EXPERIMENT_DEFAULTS = {
     "cmi": {"sizes": [2.0**-1, 2.0**-3, 2.0**-5, 2.0**-7, 2.0**-9],
             "conjecture_cs": False},
 }
+
+KINDS = tuple(_EXPERIMENT_DEFAULTS)
 
 # environment fields that size arrays: JSON integers only, never 2.0 or true
 _ENV_INT_FIELDS = ("dim", "n_alpha", "n_beta", "period")
@@ -308,8 +307,8 @@ def _phi(spec, exp):
     return quadratic_bank(spec.dim)[exp["phi_index"]], np.asarray(exp["x0"])
 
 
-def _run_solve(kind, resolved, spec, fam, log):
-    num, exp = resolved["numerics"], resolved["experiment"]
+def _run_solve(resolved, spec, fam, log, workers):
+    kind, num, exp = resolved["kind"], resolved["numerics"], resolved["experiment"]
     eps, seed = exp["eps"], exp["seed"]
     h = _grid_h(num, eps)
     env = sample_environment(spec, seed=seed)
@@ -379,7 +378,7 @@ def _run_effective(resolved, spec, fam, log, workers):
     }, None
 
 
-def _run_corrector(resolved, spec, fam, log):
+def _run_corrector(resolved, spec, fam, log, workers):
     num, exp = resolved["numerics"], resolved["experiment"]
     phi, x0 = _phi(spec, exp)
     sups = corrector_decay_profile(phi, x0, exp["level"], num["eps_list"],
@@ -416,7 +415,7 @@ def _run_converge(resolved, spec, fam, log, workers):
     }, None
 
 
-def _run_abp(resolved, spec, fam, log):
+def _run_abp(resolved, spec, fam, log, workers):
     num, exp = resolved["numerics"], resolved["experiment"]
     h = num["h"] if num["h"] is not None else 2.0**-9
     rep = abp_scaling_experiment(fam, h=h,
@@ -428,7 +427,7 @@ def _run_abp(resolved, spec, fam, log):
     return rep, None
 
 
-def _run_cmi(resolved, spec, fam, log):
+def _run_cmi(resolved, spec, fam, log, workers):
     num, exp = resolved["numerics"], resolved["experiment"]
     h = num["h"] if num["h"] is not None else 2.0**-9
     rep = comparison_measurable_experiment(tuple(exp["sizes"]),
@@ -441,25 +440,15 @@ def _run_cmi(resolved, spec, fam, log):
     return rep, None
 
 
+_RUNNERS = {"solve": _run_solve, "obstacle": _run_solve, "mbar": _run_mbar,
+            "effective": _run_effective, "corrector": _run_corrector,
+            "converge": _run_converge, "abp": _run_abp, "cmi": _run_cmi}
+
+
 def run_experiment(resolved, spec, fam, workers):
     """Dispatch one resolved config; returns (summary, row log, solution)."""
-    kind = resolved["kind"]
     log = RowLog()
-    solution = None
-    if kind in ("solve", "obstacle"):
-        summary, solution = _run_solve(kind, resolved, spec, fam, log)
-    elif kind == "mbar":
-        summary, _ = _run_mbar(resolved, spec, fam, log, workers)
-    elif kind == "effective":
-        summary, _ = _run_effective(resolved, spec, fam, log, workers)
-    elif kind == "corrector":
-        summary, _ = _run_corrector(resolved, spec, fam, log)
-    elif kind == "converge":
-        summary, _ = _run_converge(resolved, spec, fam, log, workers)
-    elif kind == "abp":
-        summary, _ = _run_abp(resolved, spec, fam, log)
-    else:
-        summary, _ = _run_cmi(resolved, spec, fam, log)
+    summary, solution = _RUNNERS[resolved["kind"]](resolved, spec, fam, log, workers)
     return summary, log, solution
 
 
@@ -467,17 +456,9 @@ def run_experiment(resolved, spec, fam, workers):
 # output writing
 
 def _write_solution_csv(path, u):
-    rows = []
-    if u.box.dim == 1:
-        xs = u.box.axis_nodes(0)
-        for x, v in zip(xs, u.values):
-            rows.append((repr(float(x)), repr(float(v))))
-        header = ("x", "u")
-    else:
-        pts = u.box.nodes()
-        for (x, y), v in zip(pts, u.values.ravel()):
-            rows.append((repr(float(x)), repr(float(y)), repr(float(v))))
-        header = ("x", "y", "u")
+    header = ("x", "y")[:u.box.dim] + ("u",)
+    rows = [[repr(float(c)) for c in x] + [repr(float(v))]
+            for x, v in zip(u.box.nodes(), u.values.ravel())]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -493,6 +474,17 @@ def _check_out_dir(out_dir):
         raise ConfigurationError(f"out_dir {out_dir!r}: {path!r} is not a directory")
 
 
+def _finite(obj):
+    """obj with every non-finite float (nan, inf) replaced by None, JSON null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
 def write_outputs(out_dir, resolved, summary, log, solution=None):
     """rows.csv + summary.json + replay.json (+ solution.csv for solves)."""
     os.makedirs(out_dir, exist_ok=True)
@@ -503,14 +495,12 @@ def write_outputs(out_dir, resolved, summary, log, solution=None):
     log.write(os.path.join(out_dir, "rows.csv"))
     full_summary = {"schema_version": SCHEMA_VERSION,
                     "kind": resolved["kind"], **summary}
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(full_summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     replay = dict(resolved)
     replay["timings"] = False
-    with open(os.path.join(out_dir, "replay.json"), "w") as fh:
-        json.dump(replay, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    for name, obj in (("summary.json", _finite(full_summary)), ("replay.json", replay)):
+        with open(os.path.join(out_dir, name), "w") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
     if solution is not None:
         _write_solution_csv(os.path.join(out_dir, "solution.csv"), solution)
 

@@ -191,8 +191,6 @@ def translate(env: Environment, z) -> Environment:
 def _warp(env, x):
     """Absolute query positions in lattice coordinates, shape (N, dim)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None] if env.dim == 1 else x[None, :]
     if x.ndim != 2 or x.shape[1] != env.dim:
         raise ConfigurationError(f"points must have shape (N, {env.dim})")
     return x + np.asarray(env.shift, dtype=np.float64)

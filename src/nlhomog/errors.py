@@ -15,4 +15,4 @@ class SolverError(RuntimeError):
 
 
 class CheckFailure(AssertionError):
-    """Raised by `check` suites when a gated criterion is violated."""
+    """Raised by `run --check` when a gated criterion is violated."""

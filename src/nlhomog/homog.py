@@ -207,8 +207,8 @@ class _FrozenSystems:
     table and the zero exterior only.  G turns each active-set step with
     fewer contact than free cells into a matvec and a small Schur solve.
     Per (eps, seed): the lattice with its environment fields, built once at
-    level zero; the barrier bracket reads the same lattice under the bump
-    exterior.  Bracket ends and solves at any level read from here.
+    level zero; the barrier bracket evaluates the bump on that lattice.
+    Bracket ends and solves at any level read from here.
     """
 
     def __init__(self, phi, x0, spec, fam, h, r_out_factor, tol):
@@ -284,11 +284,13 @@ class _Fold:
     The state is `make(*args)`, the part every item shares.  With one
     worker it is built here; with more, each pool worker builds its own
     from the same arguments, once, and the pool lives until the fold
-    closes.  Either way every item runs the same function on equal state,
-    so results do not depend on the worker count.  `make` and `fn` must be
-    module-level names (a class and its methods count), so that the pool
-    can pickle them under any start method.  `warm` holds the last warm
-    start of each (eps, seed) of a `_FrozenSystems` fold.
+    closes.  A pool may start all its workers at once, so callers ask for
+    at most one worker per item.  Either way every item runs the same
+    function on equal state, so results do not depend on the worker count.
+    `make` and `fn` must be module-level names (a class and its methods
+    count), so that the pool can pickle them under any start method.
+    `warm` holds the last warm start of each (eps, seed) of a
+    `_FrozenSystems` fold.
     """
 
     def __init__(self, make, args, workers):
@@ -340,7 +342,8 @@ def estimate_mbar(phi, x0, level, eps_list, seeds, spec: EnvironmentSpec,
     if len(seeds) < 1:
         raise ConfigurationError("estimate_mbar needs at least one seed")
     if fold is None:
-        scope = _Fold(_FrozenSystems, (phi, x0, spec, fam, h, r_out_factor, tol), workers)
+        scope = _Fold(_FrozenSystems, (phi, x0, spec, fam, h, r_out_factor, tol),
+                      min(workers, len(eps_list) * len(seeds)))
     else:
         scope = nullcontext(fold)
     with scope as f:
@@ -407,7 +410,7 @@ def effective_value(phi, x0, eps_list, seeds, spec: EnvironmentSpec,
     theta = theta if theta is not None else 2.0 / cells
     steps = []
     args = (phi, x0, spec, fam, h, r_out_factor, tol)
-    with _Fold(_FrozenSystems, args, workers) as fold:
+    with _Fold(_FrozenSystems, args, min(workers, len(set(eps_list)) * len(seeds))) as fold:
         lo, hi = _bracket(fold, eps_list, seeds)
         if not lo < hi:
             raise SolverError(f"degenerate effective-value bracket [{lo}, {hi}]")
@@ -470,19 +473,12 @@ def _indicator_forcing(box: Box, measure: float):
     Returns (values at nodes, actual measure).  Support is a centered
     interval (1d) or square (2d) made of whole cells.
     """
-    if box.dim == 1:
-        k = max(1, int(round(measure / box.h)))
-        m = box.m
-        lo = (m - k) // 2
-        g = np.zeros(m)
-        g[lo:lo + k] = 1.0
-        return g, k * box.h
-    side_cells = max(1, int(round(math.sqrt(measure) / box.h)))
-    m = box.m
-    lo = (m - side_cells) // 2
-    g = np.zeros((m, m))
-    g[lo:lo + side_cells, lo:lo + side_cells] = 1.0
-    return g, (side_cells * box.h) ** 2
+    side = measure if box.dim == 1 else math.sqrt(measure)
+    k = max(1, int(round(side / box.h)))
+    lo = (box.m - k) // 2
+    g = np.zeros((box.m,) * box.dim)
+    g[(slice(lo, lo + k),) * box.dim] = 1.0
+    return g, (k * box.h) ** box.dim
 
 
 def _indicator_forcings(box: Box, measures):
@@ -597,9 +593,8 @@ def abp_scaling_experiment(fam: KernelFamily, *, h=2.0**-9,
 # ---------------------------------------------------------------------------
 # convergence harness
 
-def _converge_shared(spec, sigma, box, far, tol, r_out_factor):
-    """What every converge group shares: the kernel family and the table, built once."""
-    fam = fam_of(spec, sigma)
+def _converge_shared(spec, fam, box, far, tol, r_out_factor):
+    """What every converge group shares: the table, built once, and the problem data."""
     return spec, fam, box, far, tol, default_quadrature(fam, box, r_out_factor)
 
 
@@ -679,8 +674,8 @@ def convergence_experiment(exterior_tag, eps_list, seeds,
     # one batch per eps; the translated route joins the largest eps
     groups = [[(seed, eps, None) for seed in seeds] for eps in eps_list]
     groups[0].append((seeds[0], eps_list[0], translation_shift))
-    shared = (spec, fam.sigma, box, exterior_tag, tol, r_out_factor)
-    with _Fold(_converge_shared, shared, workers) as fold:
+    shared = (spec, fam, box, exterior_tag, tol, r_out_factor)
+    with _Fold(_converge_shared, shared, min(workers, len(groups))) as fold:
         out = fold.map(_converge_group, groups)
     solved = [pair for group, rows in zip(groups, out) for pair in zip(group, rows)]
     solved.sort(key=lambda pair: pair[0][2] is not None)  # translated route's row last

@@ -64,11 +64,9 @@ class Box:
         return self.center[axis] - self.half + (i + 0.5) * self.h
 
     def nodes(self):
-        """All cell centers: (m, 1) in 1d, (m*m, 2) in 2d (row-major)."""
-        if self.dim == 1:
-            return self.axis_nodes(0)[:, None]
-        X, Y = np.meshgrid(self.axis_nodes(0), self.axis_nodes(1), indexing="ij")
-        return np.column_stack([X.ravel(), Y.ravel()])
+        """All cell centers, shape (m**dim, dim), row-major."""
+        grids = np.meshgrid(*(self.axis_nodes(a) for a in range(self.dim)), indexing="ij")
+        return np.column_stack([X.ravel() for X in grids])
 
 
 @dataclass(frozen=True)
@@ -101,8 +99,7 @@ class GridFunction:
     exterior: ExteriorRule
 
     def __post_init__(self):
-        m = self.box.m
-        want = (m,) if self.box.dim == 1 else (m, m)
+        want = (self.box.m,) * self.box.dim
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != want:
             raise ConfigurationError(
@@ -155,9 +152,6 @@ class GridFunction:
                     + self.values[i1, j1] * tx * ty
                 )
         return out
-
-    def __call__(self, pts):
-        return self.sample(pts)
 
     def __neg__(self):
         ext = self.exterior
@@ -268,7 +262,7 @@ def unit_moment(u, z, quad: QuadratureTable):
         raise ConfigurationError("function and quadrature dimensions differ")
     z = _as_point(z, dim)
     h = quad.h
-    uz = float(fn(z[None, :] if dim == 2 else z[:, None].T)[0])
+    uz = float(fn(z[None, :])[0])
     if dim == 1:
         J = quad.w.shape[0]
         offs = (np.arange(1, J + 1, dtype=np.float64) * h)[:, None]

@@ -7,20 +7,20 @@ engines below converge to the same solution.
 
 Lattices
 --------
-One lattice type holds a problem on its grid in either dimension: the
-active cells, the branch fields read at x / eps (matrix fields for the 2d
-"a" class), the frozen moment, the sweep diagonal, the extremal slopes and
-the inf-sup over the branches.  It is read-only once built, so the copies
-that other levels and other exterior data make of it share its arrays.  Its
-one padded array holds the exterior data on the grid and J ghost nodes past
-each face, with the active cells zeroed.  The correlation of that array is
-fixed per exterior, so an evaluation, on its own copy of the values,
-correlates only the active values with the central taps.  Each dimension
-keeps its stencil, its correlation and its moment formula: in 1d one
-symmetric stencil, giving the unit moment (and, for the pointwise extremal
-of the "cs" class, the positive and negative moments); in 2d three
-directional stencils, giving the symmetric (2, 2) moment field.  The
-pointwise "cs" extremal is 1d only; a 2d one is refused.
+One lattice type holds a problem on its grid in either dimension: the active
+cells, the branch fields read at x / eps (matrix fields for the 2d "a"
+class), the frozen moment, the sweep diagonal, the extremal slopes and the
+inf-sup over the branches.  It is read-only once built, so the copies that
+other levels make of it share its arrays.  Its one padded array holds the
+exterior data on the grid and J ghost nodes past each face, with the active
+cells zeroed.  The correlation of that array is fixed per exterior, so an
+evaluation, on its own copy of the values, correlates only the active values
+with the central taps.  Each dimension keeps its stencil, its correlation
+and its moment formula: in 1d one symmetric stencil, giving the unit moment
+(and, for the pointwise extremal of the "cs" class, the positive and
+negative moments); in 2d three directional stencils, giving the symmetric
+(2, 2) moment field.  The pointwise "cs" extremal is 1d only; a 2d one is
+refused.
 
 Engines
 -------
@@ -60,8 +60,9 @@ sweeps   damped projected point relaxation (red-black ordering), for 2d
 Repeated solves of one problem at several levels can hand `solve_obstacle`
 the level-free parts built once: the lattice (environment fields, exterior
 data, frozen moment) and, for the newton engine, the triple (K, e, inv(K)).
-A lattice under other exterior data (`with_exterior`, as the barriers use)
-keeps the environment fields and the frozen moment.
+The bump barriers read that same lattice: a bump vanishes outside its ball,
+which lies in the box, so its exterior data are the zero data of every
+frozen problem.
 
 Scaled problems read their coefficients at x / eps; the grid must resolve
 the environment cells (h <= eps/4) or construction fails.
@@ -193,7 +194,7 @@ class Bump:
 
 def default_quadrature(fam: KernelFamily, box: Box, r_out_factor: float = 8.0) -> QuadratureTable:
     """Table matched to a solve box: radius = factor x box diameter."""
-    diam = 2.0 * box.half * (1.0 if box.dim == 1 else np.sqrt(2.0))
+    diam = 2.0 * box.half * np.sqrt(box.dim)
     return build_quadrature(fam.dim, fam.sigma, box.h, r_out_factor * diam)
 
 
@@ -295,14 +296,6 @@ class _Lattice:
         lat = copy.copy(self)
         lat.problem = replace(self.problem, rhs=rhs)
         lat.rhs = self._rhs_grid(rhs)
-        return lat
-
-    def with_exterior(self, exterior):
-        """This lattice with other exterior data, read into new arrays; the
-        environment fields, the table and the frozen moment are shared."""
-        lat = copy.copy(self)
-        lat.problem = replace(self.problem, exterior=exterior)
-        lat._read_exterior()
         return lat
 
     def _read_exterior(self):
@@ -412,10 +405,15 @@ class _Lattice1D(_Lattice):
         """Positive/negative envelope moments of `padded(vals, J)` (the pointwise extremal)."""
         u = grid[self.J:-self.J]
         win = sliding_window_view(grid, 2 * self.J + 1)  # row i: offsets around node i
-        deltas = win[:, self.J + 1:] + win[:, self.J - 1::-1] - 2.0 * u[:, None]
-        wpos = (np.maximum(deltas, 0.0) @ self.quad.w) * 2.0
-        wneg = (np.maximum(-deltas, 0.0) @ self.quad.w) * 2.0
+        deltas = win[:, self.J + 1:] + win[:, self.J - 1::-1]
+        deltas -= 2.0 * u[:, None]
         dn = deltas[:, 0] / self.h**2
+        # one m x J buffer for both envelope parts
+        part = np.maximum(deltas, 0.0)
+        wpos = (part @ self.quad.w) * 2.0
+        np.negative(deltas, out=deltas)
+        np.maximum(deltas, 0.0, out=part)
+        wneg = (part @ self.quad.w) * 2.0
         df = 2.0 * self.far - 2.0 * u
         pos = wpos + self.quad.c_near * np.maximum(dn, 0.0) + self.quad.tail * np.maximum(df, 0.0)
         neg = wneg + self.quad.c_near * np.maximum(-dn, 0.0) + self.quad.tail * np.maximum(-df, 0.0)
@@ -731,19 +729,22 @@ def barrier_threshold(problem: DirichletProblem, side: int,
     side +1: min over active cells of F(P+), with P+ the quartic bump on
     the inscribed ball; any rhs level at or below it makes the bump a
     subsolution.  side -1: max of F(P-); levels at or above make the
-    negative bump a supersolution.  `lattice`, a
-    lattice of this problem, lends its environment fields and frozen moment
-    to the bump's lattice instead of building them again.
+    negative bump a supersolution.  The bump vanishes outside its ball,
+    which lies in the box, so its exterior data are zero: it is evaluated
+    on `lattice`, a lattice of this problem at any level whose exterior
+    data are zero (else ConfigurationError), or on a new one under zero
+    exterior data.
     """
     box = problem.domain
     bump = Bump(center=np.asarray(box.center, dtype=np.float64), r=box.half,
                 sign=float(side))
-    vals = bump(box.nodes()).reshape((box.m,) if box.dim == 1 else (box.m, box.m))
-    ext = ExteriorRule(fn=bump, far=0.0)
-    if lattice is not None:
-        lat = lattice.with_exterior(ext)
+    vals = bump(box.nodes()).reshape((box.m,) * box.dim)
+    if lattice is None:
+        lat = _lattice(replace(problem, exterior=ExteriorRule.zero()), quad)
+    elif lattice.far != 0.0 or np.any(lattice.fixed):
+        raise ConfigurationError("a bump barrier needs a lattice with zero exterior data")
     else:
-        lat = _lattice(replace(problem, exterior=ext), quad)
+        lat = lattice
     F, _ = lat.operator_values(vals)
     Fa = F[lat.active]
     return float(np.min(Fa)) if side > 0 else float(np.max(Fa))

@@ -10,14 +10,19 @@ import sys
 import tempfile
 from pathlib import Path
 
+import concurrent.futures
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import nlhomog
-from nlhomog import cli
+from nlhomog import cli, homog
 from nlhomog.cli import main
 from nlhomog.env import EnvironmentSpec
-from nlhomog.homog import RowLog
+from nlhomog.homog import RowLog, fam_of, quadratic_bank
+from nlhomog.operators import Box, unit_moment
+from nlhomog.solve import default_quadrature
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -309,6 +314,75 @@ def test_checks_pass_clean_summaries_and_fail_only_the_doctored_gate(
         doctored = {name: ok for name, ok, _ in
                     cli.run_checks(resolved, spec, fam, {**summary, key: value})}
         assert doctored == {**clean, gate: False}
+
+
+def _raise_on_constant(name):
+    raise ValueError(f"summary.json holds the non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("kind, environment, numerics, experiment, key", [
+    # one measure: no slope to fit
+    ("cmi", ONE_D_A, {"h": 0.0625}, {"sizes": [0.5]}, "fitted_slope"),
+    # a constant environment at its exact level: every sup norm is zero
+    ("corrector", TRIVIAL_ENV, {"eps_list": [0.25, 0.125], "h": 2.0**-5, "seeds": [0]},
+     {"phi_index": 4}, "decay_ratio"),
+], ids=["cmi-one-measure", "corrector-at-its-level"])
+def test_non_finite_summary_numbers_are_written_as_null(
+        tmp_path, kind, environment, numerics, experiment, key):
+    if kind == "corrector":
+        spec = EnvironmentSpec(dim=1, **TRIVIAL_ENV)
+        quad = default_quadrature(fam_of(spec), Box((0.0,), 1.0, numerics["h"]), 8.0)
+        moment = unit_moment(quadratic_bank(1)[4], np.zeros(1), quad)
+        experiment = {**experiment, "level": float(1.5 * moment + 0.25)}
+    cfg = write_config(tmp_path, kind=kind, environment=environment,
+                       numerics=numerics, experiment=experiment)
+    assert main(["run", str(cfg)]) == 0
+    strict = {name: json.loads((tmp_path / "out" / name).read_text(),
+                               parse_constant=_raise_on_constant)
+              for name in ("summary.json", "replay.json")}
+    assert strict["summary.json"][key] is None
+    if kind == "corrector":
+        assert strict["summary.json"]["sup_norms"] == [0.0, 0.0]
+
+
+def test_a_pool_asks_for_at_most_one_worker_per_item(tmp_path, monkeypatch):
+    # a fork pool starts all its workers at the first submit, so a fold asks
+    # for no more workers than it has items; the stand-in starts no process
+    asked = []
+
+    class Recorder:
+        def __init__(self, max_workers, initializer, initargs):
+            asked.append(max_workers)
+            initializer(*initargs)
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(homog, "_WORKER_STATE", None)
+    converge = write_config(tmp_path, name="converge.json", kind="converge",
+                            environment=MIXED_ENV,
+                            numerics={"eps_list": [0.25, 0.125], "seeds": [0, 1],
+                                      "h": 2.0**-5})
+    assert main(["run", str(converge), "--workers", "8"]) == 0
+    assert asked == [2]  # two eps, two groups
+    mbar = write_config(tmp_path, name="mbar.json", kind="mbar", environment=MIXED_ENV,
+                        numerics={"eps_list": [0.25], "seeds": [0]},
+                        experiment={"phi_index": 4, "level": 12.0})
+    assert main(["run", str(mbar), "--workers", "2"]) == 0
+    assert asked == [2]  # one item runs in process
+
+
+def test_2d_cmi_passes_its_checks(tmp_path):
+    cfg = write_config(tmp_path, kind="cmi", environment={"dim": 2, "kernel_class": "a"},
+                       numerics={"h": 2.0**-3, "r_out_factor": 2.0},
+                       experiment={"sizes": [1.0, 0.25, 0.0625]})
+    assert main(["run", str(cfg), "--check"]) == 0
+    # squares of 8, 4 and 2 cells a side measure exactly what was asked
+    assert [float(row[3]) for row in read_rows(tmp_path / "out")[1:]] == [1.0, 0.25, 0.0625]
 
 
 def test_check_subcommand_is_an_argparse_error():

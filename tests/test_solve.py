@@ -626,7 +626,8 @@ def test_barrier_check_certifies_extreme_levels():
 
 @pytest.mark.parametrize("dim, shape", [(1, "cube"), (1, "ball"), (2, "cube"), (2, "ball")])
 def test_barrier_threshold_on_a_held_lattice_matches_a_fresh_one(dim, shape):
-    # the bump's lattice copies the problem's and rereads only the exterior
+    # the bump is evaluated on the held lattice itself: its exterior data
+    # are zero, as the bump's are, so it gives the level of a fresh lattice
     if dim == 1:
         prob, quad = replace(mixed_problem(0.3), shape=shape), QUAD16
     else:
@@ -645,6 +646,20 @@ def test_barrier_threshold_on_a_held_lattice_matches_a_fresh_one(dim, shape):
                 == barrier_threshold(prob, side, quad=quad))
     # the held lattice keeps its own exterior data
     assert np.array_equal(lat.fixed, fixed) and np.array_equal(lat.fixed_corr, fixed_corr)
+
+
+@pytest.mark.parametrize("exterior", [
+    ExteriorRule(fn=lambda pts: np.cos(2.0 * pts[:, 0]), far=0.0),
+    ExteriorRule.constant(0.5),
+], ids=["cosine", "constant"])
+def test_barrier_threshold_refuses_a_held_lattice_with_exterior_data(exterior):
+    # the bump's exterior data are zero; a lattice holding other data would
+    # evaluate another function, so it is refused rather than reread
+    prob = replace(mixed_problem(0.3), exterior=exterior)
+    lat = solve._lattice(prob, QUAD16)
+    with pytest.raises(ConfigurationError):
+        barrier_threshold(prob, +1, quad=QUAD16, lattice=lat)
+    barrier_threshold(prob, +1, quad=QUAD16)  # a fresh lattice reads zero data
 
 
 # ---------------------------------------------------------------------------
