@@ -70,6 +70,15 @@ _EXPERIMENT_DEFAULTS = {
 
 KINDS = tuple(_EXPERIMENT_DEFAULTS)
 
+# Largest grid a run may build, counted with its ghost nodes: (m + 2J)^dim
+# points for m cells per axis and a quadrature reaching J cells past each
+# face.  Fixed here, not a config key: the exterior array and the 2d stencils
+# have about this many entries, so a config past it would exhaust memory.
+MAX_GRID_POINTS = 2**22
+
+# grid spacing of abp and cmi, which take no eps, unless numerics.h is given
+PROBE_H = 2.0**-9
+
 # environment fields that size arrays: JSON integers only, never 2.0 or true
 _ENV_INT_FIELDS = ("dim", "n_alpha", "n_beta", "period")
 
@@ -265,6 +274,7 @@ def load_config(path):
     if kind == "converge":
         check_translation_shift(eps_list, _grid_h(num, min(eps_list)),
                                 exp["translation_shift"])
+    _check_grid_sizes(kind, num, exp, spec.dim)
     if "conjecture_cs" in exp:
         exp["conjecture_cs"] = _boolean(exp["conjecture_cs"], "experiment.conjecture_cs")
     if kind == "cmi" and fam.kind == "cs" and not exp["conjecture_cs"]:
@@ -296,11 +306,55 @@ def load_config(path):
     return resolved, spec, fam
 
 
+def _grids(kind, num, exp):
+    """(half-width, spacing) of every grid a run of this kind builds."""
+    if kind in ("abp", "cmi"):
+        return [(1.0, _probe_h(num))]
+    if kind in ("solve", "obstacle"):
+        return [(exp["domain_half"], _grid_h(num, exp["eps"]))]
+    if kind == "converge":
+        return [(exp["domain_half"], _grid_h(num, min(num["eps_list"])))]
+    # one grid per eps: the frozen problems' box, or the corrector's unit ball
+    half = 1.0 if kind == "corrector" else 0.5
+    return [(half, _grid_h(num, eps)) for eps in num["eps_list"]]
+
+
+def _cells(length, h):
+    """round(length / h), or inf for any count past MAX_GRID_POINTS."""
+    n = length / h
+    return float(round(n)) if n <= MAX_GRID_POINTS else math.inf
+
+
+def _points(side, dim):
+    """side**dim, or inf for any side past MAX_GRID_POINTS."""
+    return side**dim if abs(side) <= MAX_GRID_POINTS else math.inf
+
+
+def _check_grid_sizes(kind, num, exp, dim):
+    """ConfigurationError for a grid with more than MAX_GRID_POINTS points,
+    ghost nodes included, before any array is allocated."""
+    for half, h in _grids(kind, num, exp):
+        m = _cells(2.0 * half, h)
+        J = _cells(num["r_out_factor"] * 2.0 * half * math.sqrt(dim), h)  # as default_quadrature
+        padded = _points(m + 2.0 * J, dim)
+        if not padded <= MAX_GRID_POINTS:
+            raise ConfigurationError(
+                f"a grid of {_points(m, dim):.6g} nodes ({m:.6g} per axis) padded by "
+                f"J = {J:.6g} ghost nodes past each face has {padded:.6g} points, more "
+                f"than MAX_GRID_POINTS = {MAX_GRID_POINTS}; use a coarser grid or a smaller "
+                f"numerics.r_out_factor"
+            )
+
+
 # ---------------------------------------------------------------------------
 # experiment dispatch
 
 def _grid_h(num, eps):
     return num["h"] if num["h"] is not None else eps / 4.0
+
+
+def _probe_h(num):
+    return num["h"] if num["h"] is not None else PROBE_H
 
 
 def _phi(spec, exp):
@@ -417,8 +471,7 @@ def _run_converge(resolved, spec, fam, log, workers):
 
 def _run_abp(resolved, spec, fam, log, workers):
     num, exp = resolved["numerics"], resolved["experiment"]
-    h = num["h"] if num["h"] is not None else 2.0**-9
-    rep = abp_scaling_experiment(fam, h=h,
+    rep = abp_scaling_experiment(fam, h=_probe_h(num),
                                  amplitudes=tuple(exp["amplitudes"]),
                                  supports=tuple(exp["supports"]),
                                  base_support=exp["base_support"],
@@ -429,10 +482,9 @@ def _run_abp(resolved, spec, fam, log, workers):
 
 def _run_cmi(resolved, spec, fam, log, workers):
     num, exp = resolved["numerics"], resolved["experiment"]
-    h = num["h"] if num["h"] is not None else 2.0**-9
     rep = comparison_measurable_experiment(tuple(exp["sizes"]),
                                            resolved["numerics"]["seeds"][0],
-                                           fam, h=h,
+                                           fam, h=_probe_h(num),
                                            conjecture_cs=exp["conjecture_cs"],
                                            tol=num["solver_tol"],
                                            r_out_factor=num["r_out_factor"],

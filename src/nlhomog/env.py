@@ -56,18 +56,21 @@ def _absorb(h, word):
 
 
 def _cell_uniforms(seed, cells, alpha, beta, channel):
-    """Uniform [0,1) draw per lattice cell for one (alpha, beta) branch.
+    """Uniform [0,1) draw per lattice cell and (alpha, beta) branch.
 
-    cells: integer array of shape (N, dim).  The hash absorbs the seed,
-    each cell coordinate, the branch indices, and a channel tag, so all
-    streams are mutually independent for practical purposes.
+    cells: integer array of shape (N, dim); alpha, beta: branch indices,
+    integers or arrays of one broadcast shape S, giving draws of shape
+    (N,) + S.  The hash absorbs the seed, each cell coordinate, the branch
+    indices, and a channel tag, so all streams are mutually independent for
+    practical purposes.
     """
     cells = np.ascontiguousarray(cells, dtype=np.int64)
     h = np.full(cells.shape[0], seed, dtype=np.uint64)
     for axis in range(cells.shape[1]):
         h = _absorb(h, cells[:, axis].view(np.uint64))
-    h = _absorb(h, _U64(alpha))
-    h = _absorb(h, _U64(beta + 1024))
+    h = h.reshape(h.shape + (1,) * len(_branch_shape(alpha, beta)))
+    h = _absorb(h, np.asarray(alpha).astype(np.uint64))
+    h = _absorb(h, (np.asarray(beta) + 1024).astype(np.uint64))
     h = _absorb(h, _U64(channel + 4096))
     return (h >> _U64(11)).astype(np.float64) * 2.0**-53
 
@@ -213,22 +216,28 @@ def _draw_scalar(env, alpha, beta, cells, channel, lo, hi):
     return lo + u * (hi - lo)
 
 
+def _branch_shape(alpha, beta):
+    return np.broadcast_shapes(np.shape(alpha), np.shape(beta))
+
+
 def _scalar_cells(env, alpha, beta, cells, which):
-    """Per-cell scalar draws. which: 'coeff' or 'forcing'."""
+    """Per-cell scalar draws, shape (N,) + S. which: 'coeff' or 'forcing'."""
     spec = env.spec
+    shape = cells.shape[:1] + _branch_shape(alpha, beta)
     if which == "coeff":
         if spec.coeff_law == "fixed":
-            return np.full(cells.shape[0], float(spec.coeff_value))
+            return np.full(shape, float(spec.coeff_value))
         return _draw_scalar(env, alpha, beta, cells, _CH_COEFF, spec.lam, spec.lam_big)
     if spec.forcing_law == "fixed":
-        return np.full(cells.shape[0], float(spec.forcing_value))
+        return np.full(shape, float(spec.forcing_value))
     return _draw_scalar(
         env, alpha, beta, cells, _CH_FORCING, -spec.f_bound, spec.f_bound
     )
 
 
 def _matrix_cells(env, alpha, beta, cells):
-    """Per-cell symmetric 2x2 draws for the matrix ("a") class in 2d.
+    """Per-cell symmetric 2x2 draws for the matrix ("a") class in 2d, shape
+    (N,) + S + (2, 2).
 
     Eigenvalues are uniform in [lam/2, lam_big] so the trace is >= lam and
     the top eigenvalue is <= lam_big; the eigenbasis angle is uniform.
@@ -236,20 +245,20 @@ def _matrix_cells(env, alpha, beta, cells):
     spec = env.spec
     if spec.coeff_law == "fixed":
         a = float(spec.coeff_value)
-        out = np.zeros((cells.shape[0], 2, 2))
-        out[:, 0, 0] = a
-        out[:, 1, 1] = a
+        out = np.zeros(cells.shape[:1] + _branch_shape(alpha, beta) + (2, 2))
+        out[..., 0, 0] = a
+        out[..., 1, 1] = a
         return out
     lo = spec.lam / 2.0
     mu1 = _draw_scalar(env, alpha, beta, cells, _CH_COEFF, lo, spec.lam_big)
     mu2 = _draw_scalar(env, alpha, beta, cells, _CH_EIG2, lo, spec.lam_big)
     th = _draw_scalar(env, alpha, beta, cells, _CH_ANGLE, 0.0, np.pi)
     c, s = np.cos(th), np.sin(th)
-    out = np.empty((cells.shape[0], 2, 2))
-    out[:, 0, 0] = mu1 * c * c + mu2 * s * s
-    out[:, 1, 1] = mu1 * s * s + mu2 * c * c
-    out[:, 0, 1] = (mu1 - mu2) * c * s
-    out[:, 1, 0] = out[:, 0, 1]
+    out = np.empty(mu1.shape + (2, 2))
+    out[..., 0, 0] = mu1 * c * c + mu2 * s * s
+    out[..., 1, 1] = mu1 * s * s + mu2 * c * c
+    out[..., 0, 1] = (mu1 - mu2) * c * s
+    out[..., 1, 0] = out[..., 0, 1]
     return out
 
 
@@ -278,34 +287,45 @@ def _interp(env, w, draw):
     return acc
 
 
-def multiplier_field(env: Environment, alpha: int, beta: int, x) -> np.ndarray:
-    """Scalar kernel multipliers at points x, shape (N,).
+# The fields below take the branch (alpha, beta) as two integers, or as two
+# integer arrays of one broadcast shape S for the fields of many branches
+# in one call (a call costs about the same for one branch as for all, so a
+# lattice reads each field once); the values then have shape S + (N,).
+
+def _branches_first(env, alpha, beta, x, draw):
+    """_interp of draw(cells) at x, with the branch axes S moved in front."""
+    _check_branch(env, alpha, beta)
+    vals = _interp(env, _warp(env, x), draw)
+    return np.ascontiguousarray(np.moveaxis(vals, 0, len(_branch_shape(alpha, beta))))
+
+
+def multiplier_field(env: Environment, alpha, beta, x) -> np.ndarray:
+    """Scalar kernel multipliers at points x, shape S + (N,).
 
     Valid for the "cs" class in any dimension and the "a" class in 1d.
     """
-    _check_branch(env, alpha, beta)
-    w = _warp(env, x)
-    return _interp(env, w, lambda cells: _scalar_cells(env, alpha, beta, cells, "coeff"))
+    return _branches_first(env, alpha, beta, x,
+                           lambda cells: _scalar_cells(env, alpha, beta, cells, "coeff"))
 
 
-def matrix_field(env: Environment, alpha: int, beta: int, x) -> np.ndarray:
-    """Symmetric-matrix coefficients at points x, shape (N, 2, 2). 2d "a" class."""
-    _check_branch(env, alpha, beta)
+def matrix_field(env: Environment, alpha, beta, x) -> np.ndarray:
+    """Symmetric-matrix coefficients at points x, shape S + (N, 2, 2). 2d "a" class."""
     if env.spec.kernel_class != "a" or env.dim != 2:
         raise ConfigurationError("matrix_field applies to the 2d matrix class only")
-    w = _warp(env, x)
-    return _interp(env, w, lambda cells: _matrix_cells(env, alpha, beta, cells))
+    return _branches_first(env, alpha, beta, x,
+                           lambda cells: _matrix_cells(env, alpha, beta, cells))
 
 
-def forcing_field(env: Environment, alpha: int, beta: int, x) -> np.ndarray:
-    """Forcing values at points x, shape (N,)."""
-    _check_branch(env, alpha, beta)
-    w = _warp(env, x)
-    return _interp(env, w, lambda cells: _scalar_cells(env, alpha, beta, cells, "forcing"))
+def forcing_field(env: Environment, alpha, beta, x) -> np.ndarray:
+    """Forcing values at points x, shape S + (N,)."""
+    return _branches_first(env, alpha, beta, x,
+                           lambda cells: _scalar_cells(env, alpha, beta, cells, "forcing"))
 
 
 def _check_branch(env, alpha, beta):
-    if not (0 <= alpha < env.spec.n_alpha and 0 <= beta < env.spec.n_beta):
+    alpha, beta = np.asarray(alpha), np.asarray(beta)
+    if not (np.all((0 <= alpha) & (alpha < env.spec.n_alpha))
+            and np.all((0 <= beta) & (beta < env.spec.n_beta))):
         raise ConfigurationError(
             f"branch ({alpha},{beta}) outside index sets "
             f"{env.spec.n_alpha}x{env.spec.n_beta}"

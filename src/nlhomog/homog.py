@@ -28,10 +28,11 @@ pool module is not imported); nothing here reads a worker count from
 anywhere else.  `tol` is the solver tolerance wherever it appears; the
 bisection's own stopping width is `bisect_tol`.
 Dirichlet problems that share a grid are solved as one batch
-(`solve_dirichlet_many`), so each grid's K is factored once: the abp and
-cmi sweeps are one batch each, and the convergence harness makes one batch
-per eps, the translated route joining the largest, and fans the batches out
-through the same pool path (`_Fold`).
+(`solve_dirichlet_many`), so each grid's K is solved once: the abp and cmi
+sweeps are one batch each.  The convergence harness makes one batch of all
+the problems that share K, so a 1d run is one batch and runs in process; a
+sweep-engine (2d) run makes one batch per eps, the translated route joining
+the largest, and fans the batches out through the same pool path (`_Fold`).
 """
 
 from __future__ import annotations
@@ -659,11 +660,12 @@ def convergence_experiment(exterior_tag, eps_list, seeds,
     between consecutive eps at shared grid nodes, (c) a translated-route
     replay whose values must land bit-identically after shifting back.
     All solves share one grid (h fixed by the smallest eps), so the
-    comparisons need no interpolation, and one table and one K.  The
-    solves of one eps are one batch, with the translated route (largest
-    eps, first seed) in the first; the fold maps over these fixed groups,
-    so no number depends on the worker count.  Rows are logged eps by eps,
-    seeds in order, with the translated route's row last.
+    comparisons need no interpolation, and one table.  In 1d they share K
+    too, so every solve is one batch, which runs in process.  The 2d
+    (sweep-engine) solves of one eps are one batch, with the translated
+    route (largest eps, first seed) in the first; the fold maps over these
+    fixed groups, so no number depends on the worker count.  Rows are
+    logged eps by eps, seeds in order, with the translated route's row last.
     """
     eps_list = tuple(sorted(set(eps_list), reverse=True))
     if len(eps_list) < 2:
@@ -671,8 +673,11 @@ def convergence_experiment(exterior_tag, eps_list, seeds,
     he = (min(eps_list) / 4.0) if h is None else h
     check_translation_shift(eps_list, he, translation_shift)
     box = Box((0.0,) * spec.dim, domain_half, he)
-    # one batch per eps; the translated route joins the largest eps
+    # one batch per K: all of a 1d run; per eps in 2d, which has no K.  The
+    # translated route joins the first batch
     groups = [[(seed, eps, None) for seed in seeds] for eps in eps_list]
+    if spec.dim == 1:
+        groups = [[item for group in groups for item in group]]
     groups[0].append((seeds[0], eps_list[0], translation_shift))
     shared = (spec, fam, box, exterior_tag, tol, r_out_factor)
     with _Fold(_converge_shared, shared, min(workers, len(groups))) as fold:

@@ -15,8 +15,10 @@ other levels make of it share its arrays.  Its one padded array holds the
 exterior data on the grid and J ghost nodes past each face, with the active
 cells zeroed.  The correlation of that array is fixed per exterior, so an
 evaluation, on its own copy of the values, correlates only the active values
-with the central taps.  Each dimension keeps its stencil, its correlation
-and its moment formula: in 1d one symmetric stencil, giving the unit moment
+with the central taps.  The lattices of one Dirichlet batch share the 1d
+stencil, and one padded array and correlation per bitwise-distinct array.
+Each dimension keeps its stencil, its correlation and its moment formula:
+in 1d one symmetric stencil, giving the unit moment
 (and, for the pointwise extremal of the "cs" class, the positive and
 negative moments); in 2d three directional stencils, giving the symmetric
 (2, 2) moment field.  The pointwise "cs" extremal is 1d only; a 2d one is
@@ -31,12 +33,14 @@ newton   1d linear engine, for every 1d operator but the pointwise extremal
          the unit moment I(u) = e - K u, with K a fixed M-matrix, so
          F(u) = rhs exactly where I(u) equals a pointwise threshold t.  A
          1d ball, like a cube, activates every cell, so K acts on the whole
-         grid and depends on the table and the grid only: the Dirichlet
-         problems on one grid (`solve_dirichlet_many`) are the columns of
-         one dense solve K [u_1 ... u_n] = [e_1 - t_1 ... e_n - t_n], and a
-         single problem is a batch of one.  An obstacle solve is the
-         complementarity problem K u >= e - t, u >= 0, solved by the
-         primal-dual active-set method with exact zeros on contact.
+         grid and depends on the table and the grid only.  K is symmetric
+         positive-definite Toeplitz, so the Dirichlet problems on one grid
+         (`solve_dirichlet_many`) are the right-hand sides of one Levinson
+         solve of K u_i = e_i - t_i on K's first column, in O(m n) memory
+         and with no m x m matrix; a single problem is a batch of one.
+         An obstacle solve is the complementarity problem K u >= e - t,
+         u >= 0, solved by the primal-dual active-set method on the dense
+         K with exact zeros on contact.
          A caller that holds G = inv(K) across solves gets Schur steps: on
          a contact set C smaller than the free set F, a step is one matvec
          with G and a |C| x |C| solve on G[C, C].  Otherwise, and in every
@@ -215,7 +219,7 @@ class _Lattice:
     """
 
     def __init__(self, problem: DirichletProblem, quad: QuadratureTable,
-                 frozen_moment=None):
+                 frozen_moment=None, shared=None):
         problem.validate()
         box, handle = problem.domain, problem.handle
         if box.dim != self.dim:
@@ -235,12 +239,14 @@ class _Lattice:
             self.active = np.ones(nodes[0].shape, dtype=bool)
         if not self.active.any():
             raise ConfigurationError("domain has no active cells")
-        self._stencil()
+        # `shared` is a dict that the lattices of one table fill and read
+        shared = {} if shared is None else shared
+        self._stencil(shared)
         # active values, zero-padded by q, only meet the central 2q+1 taps
         self.q = min(self.J, self.m - 1)
         taps = slice(self.J - self.q, self.J + self.q + 1)
         self.near_kern = self.kern[(Ellipsis,) + (taps,) * self.dim]
-        self._read_exterior()
+        self._read_exterior(shared)
         self.D0 = 2.0 * quad.w_total + 2.0 * quad.c_near / self.h**2 + 2.0 * quad.tail
         self.kind = "extremal" if handle.extremal_sign != 0 else "branch"
         self.is_matrix = handle.fam.kind == "a" and self.dim == 2
@@ -250,12 +256,9 @@ class _Lattice:
             na, nb = env.spec.n_alpha, env.spec.n_beta
             P = np.column_stack([X.ravel() for X in nodes]) / handle.eps
             field, per_node = (matrix_field, (2, 2)) if self.is_matrix else (multiplier_field, ())
-            coeff = np.empty((na, nb) + shape + per_node)
-            self.forc = np.empty((na, nb) + shape)
-            for a in range(na):
-                for b in range(nb):
-                    coeff[a, b] = field(env, a, b, P).reshape(shape + per_node)
-                    self.forc[a, b] = forcing_field(env, a, b, P).reshape(shape)
+            alpha, beta = np.indices((na, nb))  # every branch in one field call
+            coeff = field(env, alpha, beta, P).reshape((na, nb) + shape + per_node)
+            self.forc = forcing_field(env, alpha, beta, P).reshape((na, nb) + shape)
             if handle.frozen is not None:
                 if frozen_moment is None:
                     phi, x0 = handle.frozen
@@ -298,17 +301,24 @@ class _Lattice:
         lat.rhs = self._rhs_grid(rhs)
         return lat
 
-    def _read_exterior(self):
+    def _read_exterior(self, shared):
         """`fixed`, the exterior data on the grid and J ghost nodes past each
-        face with the active cells zeroed, and its correlation `fixed_corr`."""
+        face with the active cells zeroed, and its correlation `fixed_corr`.
+
+        Lattices of one `shared` dict hold one (fixed, fixed_corr) pair per
+        bitwise-distinct `fixed`, so equal exterior data are correlated once.
+        """
         box, exterior = self.problem.domain, self.problem.exterior
         ghost = [c - box.half + (np.arange(-self.J, self.m + self.J) + 0.5) * self.h
                  for c in box.center]
         pts = np.column_stack([G.ravel() for G in np.meshgrid(*ghost, indexing="ij")])
-        self.fixed = exterior.fn(pts).reshape((self.m + 2 * self.J,) * self.dim)
-        self.fixed[(slice(self.J, self.J + self.m),) * self.dim][self.active] = 0.0
+        fixed = exterior.fn(pts).reshape((self.m + 2 * self.J,) * self.dim)
+        fixed[(slice(self.J, self.J + self.m),) * self.dim][self.active] = 0.0
         self.far = exterior.far
-        self.fixed_corr = self._correlate(self.fixed, self.kern)
+        key = fixed.tobytes()
+        if key not in shared:
+            shared[key] = (fixed, self._correlate(fixed, self.kern))
+        self.fixed, self.fixed_corr = shared[key]
 
     def _near_corr(self, u):
         """Correlation of the active values of u with the central taps;
@@ -376,9 +386,11 @@ class _Lattice1D(_Lattice):
 
     dim = 1
 
-    def _stencil(self):
-        # symmetric correlation stencil, center weight zero
-        self.kern = np.concatenate((self.quad.w[::-1], [0.0], self.quad.w))
+    def _stencil(self, shared):
+        # symmetric correlation stencil, center weight zero; one per table
+        if "stencil" not in shared:
+            shared["stencil"] = np.concatenate((self.quad.w[::-1], [0.0], self.quad.w))
+        self.kern = shared["stencil"]
 
     @staticmethod
     def _correlate(a, kern):
@@ -444,23 +456,28 @@ class _Lattice1D(_Lattice):
         return ((self.rhs - (self.forc + self.mult * self.frozen_moment)) / self.mult
                 ).min(axis=1).max(axis=0)
 
-    def matrix(self):
-        """K of the moment as an affine map of the grid values, I(u) = e - K u.
+    def column(self):
+        """First column of K, the matrix of the moment as an affine map of the
+        grid values, I(u) = e - K u.
 
         K = D0 Id - T, with T the nonnegative Toeplitz coupling, is a
         strictly diagonally dominant M-matrix on all m cells (in 1d every
-        cell is active).  It depends on the table and the grid only, so
-        every problem sharing those shares K.
+        cell is active), and symmetric Toeplitz, so this column is all of
+        it.  It depends on the table and the grid only, so every problem
+        sharing those shares K.
         """
         col = np.zeros(self.m + 1)
         J = min(self.J, self.m - 1)
-        col[1:J + 1] = 2.0 * self.quad.w[:J]
-        col[1] += self.quad.c_near / self.h**2
-        col = col[:self.m]  # a single cell has no neighbour on the grid
-        # negated symmetric Toeplitz matrix with first column col
-        K = -sliding_window_view(np.concatenate((col[::-1], col[1:])), self.m)[::-1]
-        K[np.diag_indices(self.m)] += self.D0
-        return K
+        col[0] = self.D0
+        col[1:J + 1] = -2.0 * self.quad.w[:J]
+        col[1] -= self.quad.c_near / self.h**2
+        return col[:self.m]  # a single cell has no neighbour on the grid
+
+    def matrix(self):
+        """K of `column()` as a dense m x m array, for the obstacle solves."""
+        col = self.column()
+        # row i is col[|i - j|] over j
+        return sliding_window_view(np.concatenate((col[::-1], col[1:])), self.m)[::-1].copy()
 
     def load(self):
         """e of I(u) = e - K u, which is I(0): the moment of the exterior data alone."""
@@ -495,6 +512,39 @@ class _Lattice1D(_Lattice):
         return u, steps, [self.residual(u, True)]
 
 
+def _toeplitz_solve(col, B):
+    """X with K x = b for every row b of B, K the symmetric positive-definite
+    Toeplitz matrix whose first column is col.
+
+    Levinson's recursion (Golub & Van Loan, Matrix Computations, Alg. 4.7.2)
+    on K / col[0]: step k extends every solution of the leading k x k system
+    by one entry, with Durbin's recursion carrying the Yule-Walker vector y
+    alongside.  That is O(m^2) flops per row in O(m n) memory, and stable on
+    positive-definite K (Cybenko, SIAM J. Sci. Stat. Comput. 1, 1980).  Each
+    reduction sums along one row of a C-ordered array in numpy's own loop,
+    not BLAS, so a row's bits depend on that row alone: not on its position,
+    the number of rows or the BLAS kernel.
+    """
+    X = np.array(B, dtype=np.float64) / col[0]  # row k of the loop reads b_k here
+    m = X.shape[1]
+    if m == 1:
+        return X
+    r = col[1:] / col[0]
+    y = np.empty(m - 1)
+    y[0] = alpha = -r[0]
+    beta = 1.0
+    for k in range(1, m):
+        beta *= 1.0 - alpha * alpha
+        mu = (X[:, k] - (X[:, k - 1::-1] * r[:k]).sum(axis=1)) / beta
+        X[:, :k] += mu[:, None] * y[k - 1::-1]
+        X[:, k] = mu
+        if k < m - 1:
+            alpha = -(r[k] + (y[k - 1::-1] * r[:k]).sum()) / beta
+            y[:k] += alpha * y[k - 1::-1]
+            y[k] = alpha
+    return X
+
+
 def _free_solve(K, b, contact, G=None):
     """Solution of K u = b on the free rows F, with exact zeros on the contact set C.
 
@@ -526,7 +576,7 @@ class _Lattice2D(_Lattice):
     dim = 2
     linear = False
 
-    def _stencil(self):
+    def _stencil(self, shared):
         quad = self.quad
         sxx = float(np.sum(quad.kxx))
         syy = float(np.sum(quad.kyy))
@@ -584,13 +634,16 @@ class _Lattice2D(_Lattice):
 
 
 def _lattice(problem: DirichletProblem, quad: QuadratureTable | None,
-             frozen_moment=None):
-    """Lattice of a problem; frozen_moment, if given, is unit_moment of its frozen profile on quad."""
+             frozen_moment=None, shared=None):
+    """Lattice of a problem; frozen_moment, if given, is unit_moment of its frozen profile on quad.
+
+    `shared`, a dict kept by the caller for lattices of this one table, lets
+    them share the 1d stencil and each bitwise-distinct exterior correlation.
+    """
     if quad is None:
         quad = default_quadrature(problem.handle.fam, problem.domain)
-    if problem.domain.dim == 1:
-        return _Lattice1D(problem, quad, frozen_moment)
-    return _Lattice2D(problem, quad, frozen_moment)
+    cls = _Lattice1D if problem.domain.dim == 1 else _Lattice2D
+    return cls(problem, quad, frozen_moment, shared)
 
 
 def _result(lat, obstacle, method, out, tol, wall_ms=0.0, pinned=False):
@@ -630,27 +683,29 @@ def solve_dirichlet(problem: DirichletProblem, tol: float = 1e-6,
 
 def solve_dirichlet_many(problems, tol: float = 1e-6,
                          quad: QuadratureTable | None = None, fixed_sweeps=None):
-    """`solve_dirichlet` of each problem, with one factorization for the whole grid.
+    """`solve_dirichlet` of each problem, with one solve for the whole grid.
 
     The problems must share the grid and the active mask, and are solved
     on the one table `quad` (the first problem's default when None), or
-    ConfigurationError.  Those on the newton engine share K, so one dense
-    solve takes the bitwise-distinct columns of B = [e_i - t_i], so equal
-    columns get equal solutions wherever they sit in the batch.
+    ConfigurationError.  Their lattices share the stencil, and one exterior
+    correlation per bitwise-distinct padded exterior array.  Those on the
+    newton engine share K, so one Levinson solve on K's first column takes
+    each bitwise-distinct column of B = [e_i - t_i] once, in O(m n) memory;
+    equal columns get equal solutions wherever they sit in the batch.
     Each column is certified with its own lattice's residual and raises
     SolverError if it misses tol.  Sweep problems are solved one by one,
     from zero.  A newton problem's wall_ms is its own lattice build, load
-    and residual check plus 1/n of assembling and solving the shared system.
+    and residual check plus 1/n of the shared solve.
     """
     problems = list(problems)
     if not problems:
         return []
     if quad is None:
         quad = default_quadrature(problems[0].handle.fam, problems[0].domain)
-    lats, cols, walls = [], {}, []
+    lats, cols, walls, shared = [], {}, [], {}
     for i, problem in enumerate(problems):
         t0 = time.perf_counter()
-        lat = _lattice(problem, quad)
+        lat = _lattice(problem, quad, shared=shared)
         if lat.linear and fixed_sweeps is None:
             cols[i] = lat.load() - lat.threshold()
         lats.append(lat)
@@ -663,13 +718,10 @@ def solve_dirichlet_many(problems, tol: float = 1e-6,
     solved, share = {}, 0.0
     if cols:
         t0 = time.perf_counter()
-        # a BLAS kernel may round a column by its position in the batch, so
-        # each bitwise-distinct column is solved once
         distinct = {b.tobytes(): b for b in cols.values()}
         where = {key: j for j, key in enumerate(distinct)}
-        U = np.linalg.solve(lats[next(iter(cols))].matrix(),
-                            np.column_stack(list(distinct.values())))
-        solved = {i: U[:, where[b.tobytes()]].copy() for i, b in cols.items()}
+        U = _toeplitz_solve(lats[next(iter(cols))].column(), list(distinct.values()))
+        solved = {i: U[where[b.tobytes()]].copy() for i, b in cols.items()}
         share = (time.perf_counter() - t0) / len(cols)
     results = []
     for i, lat in enumerate(lats):

@@ -20,6 +20,7 @@ import nlhomog
 from nlhomog import cli, homog
 from nlhomog.cli import main
 from nlhomog.env import EnvironmentSpec
+from nlhomog.errors import ConfigurationError
 from nlhomog.homog import RowLog, fam_of, quadratic_bank
 from nlhomog.operators import Box, unit_moment
 from nlhomog.solve import default_quadrature
@@ -363,17 +364,53 @@ def test_a_pool_asks_for_at_most_one_worker_per_item(tmp_path, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     monkeypatch.setattr(homog, "_WORKER_STATE", None)
-    converge = write_config(tmp_path, name="converge.json", kind="converge",
-                            environment=MIXED_ENV,
-                            numerics={"eps_list": [0.25, 0.125], "seeds": [0, 1],
-                                      "h": 2.0**-5})
-    assert main(["run", str(converge), "--workers", "8"]) == 0
+    converge_2d = write_config(tmp_path, name="converge2d.json", kind="converge",
+                               environment={"dim": 2, "kernel_class": "a", **MIXED_ENV},
+                               numerics={"eps_list": [1.0, 0.5], "seeds": [0],
+                                         "h": 2.0**-3, "r_out_factor": 2.0})
+    assert main(["run", str(converge_2d), "--workers", "8"]) == 0
     assert asked == [2]  # two eps, two groups
+    converge_1d = write_config(tmp_path, name="converge.json", kind="converge",
+                               environment=MIXED_ENV,
+                               numerics={"eps_list": [0.25, 0.125], "seeds": [0, 1],
+                                         "h": 2.0**-5})
+    assert main(["run", str(converge_1d), "--workers", "8"]) == 0
+    assert asked == [2]  # one K, one group, in process
     mbar = write_config(tmp_path, name="mbar.json", kind="mbar", environment=MIXED_ENV,
                         numerics={"eps_list": [0.25], "seeds": [0]},
                         experiment={"phi_index": 4, "level": 12.0})
     assert main(["run", str(mbar), "--workers", "2"]) == 0
     assert asked == [2]  # one item runs in process
+
+
+def test_1d_converge_runs_in_process_at_any_worker_count(tmp_path):
+    # every 1d converge problem shares K, so the run is one batch: a fresh
+    # interpreter at 2 workers builds no pool and loads no pool module, and
+    # writes what 1 worker writes
+    cfg = write_config(tmp_path, kind="converge", environment=MIXED_ENV,
+                       numerics={"eps_list": [0.25, 0.125], "seeds": [0, 1], "h": 2.0**-5})
+    script = (
+        "import json, sys, concurrent.futures\n"
+        "built = []\n"
+        "class StandIn:\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        built.append(kwargs.get('max_workers'))\n"
+        "        raise RuntimeError('no pool expected')\n"
+        "concurrent.futures.ProcessPoolExecutor = StandIn\n"
+        "from nlhomog.cli import main\n"
+        "cfg, out = sys.argv[1:]\n"
+        "codes = [main(['run', cfg, '--workers', w, '--out', out + w]) for w in ('2', '1')]\n"
+        "print(json.dumps([codes, built, 'concurrent.futures.process' in sys.modules]))\n"
+    )
+    src = str(Path(nlhomog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path / "w")],
+                          capture_output=True, text=True, env=env, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], [], False]
+    two, one = tmp_path / "w2", tmp_path / "w1"
+    assert [r[:-1] for r in read_rows(two)] == [r[:-1] for r in read_rows(one)]
+    assert (two / "summary.json").read_bytes() == (one / "summary.json").read_bytes()
 
 
 def test_2d_cmi_passes_its_checks(tmp_path):
@@ -469,6 +506,41 @@ def test_bad_configs_exit_2(tmp_path, capsys, overrides):
     assert main(["run", str(cfg)]) == 2
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err["error"]["type"] == "ConfigurationError"
+
+
+@pytest.mark.parametrize("overrides, per_axis", [
+    ({"numerics": {"eps_list": [1e-300]}}, "inf per axis"),          # h = eps / 4
+    ({"numerics": {"r_out_factor": 1e9}}, "J = inf"),                 # the table's reach
+    ({"environment": {"dim": 2, "kernel_class": "a"},
+      "numerics": {"eps_list": [1.0], "h": 2.0**-7}}, "16384 nodes (128 per axis)"),
+    ({"kind": "corrector", "numerics": {"eps_list": [0.25, 2.0**-16]},
+      "experiment": {"phi_index": 4, "level": 1.0}}, "524288 per axis"),
+], ids=["tiny-eps", "huge-r-out-factor", "2d-fine-h", "corrector-one-fine-eps"])
+def test_oversized_grids_exit_2(tmp_path, capsys, overrides, per_axis):
+    # each grid the run would build is counted with its ghost nodes when the
+    # config loads, so none of these allocates or raises a numpy error
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["run", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"]["type"] == "ConfigurationError"
+    assert "MAX_GRID_POINTS" in err["error"]["message"]
+    assert per_axis in err["error"]["message"]
+
+
+def test_grid_limit_is_fixed_and_documented(tmp_path):
+    # the limit is a constant, stated in the README; no config key sets it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"`MAX_GRID_POINTS` = 2^22 = {cli.MAX_GRID_POINTS}" in readme
+    assert cli.MAX_GRID_POINTS == 2**22
+    # the largest desk grids stay under it: m = 2048 in 1d, and a 2d box at h = 2^-5
+    ok = write_config(tmp_path, name="ok.json", kind="effective",
+                      numerics={"eps_list": [2.0**-9]}, experiment={"phi_index": 4})
+    assert cli.load_config(ok)[0]["numerics"]["eps_list"] == [2.0**-9]
+    cli._check_grid_sizes("solve", {"r_out_factor": 8.0, "h": 2.0**-5},
+                          {"domain_half": 0.5, "eps": 0.125}, 2)
+    with pytest.raises(ConfigurationError, match="unknown keys"):
+        cli.load_config(write_config(tmp_path, name="key.json",
+                                     numerics={"max_grid_points": 2**40}))
 
 
 NAN, INF = float("nan"), float("inf")

@@ -68,6 +68,29 @@ def test_forcing_bounds():
     assert np.all(np.abs(vals) <= SPEC1.f_bound)
 
 
+@pytest.mark.parametrize("spec", [
+    SPEC1, SPEC2,
+    EnvironmentSpec(dim=1, n_alpha=3, n_beta=2, interpolation="constant",
+                    layout="periodic", period=4),
+    EnvironmentSpec(dim=2, n_alpha=2, n_beta=3, kernel_class="a", coeff_law="fixed",
+                    coeff_value=1.5, forcing_law="fixed", forcing_value=-0.25),
+], ids=["1d", "2d-matrix", "1d-periodic-constant", "2d-fixed"])
+def test_all_branches_in_one_call_match_each_branch_bit_for_bit(spec):
+    env = sample_environment(spec, seed=5)
+    pts = np.random.default_rng(1).uniform(-20, 20, size=(300, spec.dim))
+    alpha, beta = np.indices((spec.n_alpha, spec.n_beta))
+    fields = [forcing_field, matrix_field if spec.kernel_class == "a" and spec.dim == 2
+              else multiplier_field]
+    for field in fields:
+        every = field(env, alpha, beta, pts)
+        assert every.flags.c_contiguous
+        for a in range(spec.n_alpha):
+            for b in range(spec.n_beta):
+                assert np.array_equal(every[a, b], field(env, a, b, pts))
+    with pytest.raises(ConfigurationError):
+        forcing_field(env, alpha, beta + 1, pts)
+
+
 def test_matrix_field_admissible():
     env = sample_environment(SPEC2, seed=3)
     pts = np.random.default_rng(0).uniform(-10, 10, size=(500, 2))

@@ -183,10 +183,10 @@ def grid_batch():
 def test_batched_columns_match_per_problem_solves(count_calls):
     problems, tol = grid_batch(), 1e-9
     alone = [solve_dirichlet(p, tol=tol, quad=QUAD16) for p in problems]
-    dense = count_calls(np.linalg, "solve")
+    toeplitz = count_calls(solve, "_toeplitz_solve")
     batch = solve_dirichlet_many(problems, tol=tol, quad=QUAD16)
     # the four problems on the newton engine are the columns of one solve
-    assert len(dense) == 1
+    assert len(toeplitz) == 1
     assert [d.method for _, d in batch] == ["newton"] * 4 + ["sweeps"]
     for (u, d), (v, e) in zip(batch, alone):
         assert d.method == e.method and d.iterations == e.iterations
@@ -196,11 +196,10 @@ def test_batched_columns_match_per_problem_solves(count_calls):
 
 @pytest.mark.parametrize("index", range(4))
 def test_dirichlet_batch_of_one_is_the_single_column_solve(index):
-    # solve_dirichlet is the batch of one; its (m, 1) right-hand side gives
-    # the bits of the one-vector solve the newton engine used to make
+    # solve_dirichlet is the batch of one: the Toeplitz solve of its column
     prob = grid_batch()[index]
     lat = solve._lattice(prob, QUAD16)
-    want = np.linalg.solve(lat.matrix(), lat.load() - lat.threshold())
+    want, = solve._toeplitz_solve(lat.column(), [lat.load() - lat.threshold()])
     got, d = solve_dirichlet(prob, tol=1e-9, quad=QUAD16)
     assert np.array_equal(got.values, want)
     assert d.residual == lat.residual(want, False)
@@ -230,6 +229,88 @@ def test_dirichlet_batch_certifies_every_column():
     # a column that misses tol raises, as a single solve does
     with pytest.raises(SolverError):
         solve_dirichlet_many(grid_batch()[:2], tol=1e-300, quad=QUAD16)
+
+
+def extremal_lattice(m):
+    """Lattice of the forced "a" extremal on m cells of the unit box, default table."""
+    box = Box((0.0,), 0.5, 1.0 / m)
+    prob = DirichletProblem(handle=OperatorHandle(fam=FAM_A, extremal_sign=1), domain=box,
+                            rhs=-1.0, exterior=ExteriorRule.zero())
+    return solve._lattice(prob, default_quadrature(FAM_A, box))
+
+
+# Levinson's recursion and LAPACK's LU each err by about cond(K) * m * 2^-52
+# relative, and K is strictly diagonally dominant, so cond(K) is small; the
+# gap between them is about 1.1e-14 at m = 512 and 4e-14 at m = 2048
+TOEPLITZ_REL_TOL = 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 64, 512, 2048])
+def test_toeplitz_solve_agrees_with_a_dense_solve_on_K(m):
+    lat = extremal_lattice(m)
+    B = np.random.default_rng(m).standard_normal((3, m))
+    B[0] = lat.load() - lat.threshold()
+    got = solve._toeplitz_solve(lat.column(), B)
+    want = np.linalg.solve(lat.matrix(), B.T).T
+    assert np.max(np.abs(got - want)) <= TOEPLITZ_REL_TOL * np.max(np.abs(want))
+
+
+def test_toeplitz_solve_gives_equal_rows_equal_bits_anywhere():
+    # each row is reduced on its own, so neither its position nor the
+    # number of rows in the batch reaches its bits
+    col = extremal_lattice(64).column()
+    b, *others = np.random.default_rng(7).standard_normal((4, 64))
+    alone, = solve._toeplitz_solve(col, [b])
+    for rows, at in (([b] + others, 0), (others[:2] + [b], 2), ([others[0], b, b], 1)):
+        got = solve._toeplitz_solve(col, rows)
+        assert np.array_equal(got[at], alone)
+    twice = solve._toeplitz_solve(col, [others[0], b, b])
+    assert np.array_equal(twice[1], twice[2])
+
+
+def test_toeplitz_solve_of_a_zero_row_is_exactly_zero():
+    col = extremal_lattice(64).column()
+    X = solve._toeplitz_solve(col, [np.zeros(64), np.ones(64)])
+    assert np.all(X[0] == 0.0) and np.any(X[1] != 0.0)
+
+
+def test_dirichlet_batch_builds_no_dense_matrix(count_calls):
+    dense = count_calls(solve._Lattice1D, "matrix")
+    lapack = count_calls(np.linalg, "solve")
+    assert [d.method for _, d in solve_dirichlet_many(grid_batch(), tol=1e-9, quad=QUAD16)
+            ][:4] == ["newton"] * 4
+    assert dense == [] and lapack == []
+
+
+def test_a_lattice_reads_each_field_once_for_every_branch(count_calls):
+    # mixed_env has 2 x 2 branches; one call per field returns all four
+    mult = count_calls(solve, "multiplier_field")
+    forc = count_calls(solve, "forcing_field")
+    lat = solve._lattice(mixed_problem(0.05), QUAD16)
+    assert len(mult) == len(forc) == 1
+    assert lat.mult.shape == lat.forc.shape == (2, 2, 16)
+
+
+def test_dirichlet_batch_shares_exterior_correlations(monkeypatch):
+    # grid_batch has zero exterior data in problems 0, 3 and 4, a cosine
+    # in 1 and a constant in 2: three correlations for five lattices
+    built = []
+    lattice = solve._lattice
+
+    def record(*args, **kwargs):
+        built.append(lattice(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(solve, "_lattice", record)
+    solve_dirichlet_many(grid_batch(), tol=1e-9, quad=QUAD16)
+    zero, cosine, constant, *extremal = built
+    for lat in extremal:
+        assert lat.fixed_corr is zero.fixed_corr and lat.fixed is zero.fixed
+    assert len({id(lat.fixed_corr) for lat in built}) == 3
+    assert len({id(lat.kern) for lat in built}) == 1
+    # each distinct exterior still gives its own correlation's bits
+    for lat, prob in zip(built, grid_batch()):
+        assert np.array_equal(lat.fixed_corr, lattice(prob, QUAD16).fixed_corr)
 
 
 @settings(max_examples=60, deadline=None)
