@@ -4,7 +4,9 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -683,6 +685,29 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 3
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err["error"]["type"] == "SolverError"
+
+
+@pytest.mark.parametrize("kind, experiment", [
+    ("mbar", {"phi_index": 4, "level": 12.0}),
+    ("effective", {"phi_index": 4}),
+])
+def test_an_obstacle_batch_failure_names_its_problem(tmp_path, capsys, kind, experiment):
+    # the newton residual floors near 1e-13 here; the batch of one eps must
+    # say which of its problems missed the tolerance
+    cfg = write_config(tmp_path, kind=kind, environment=MIXED_ENV,
+                       numerics={"eps_list": [0.25, 0.125], "seeds": [3, 5],
+                                 "solver_tol": 1e-15},
+                       experiment=experiment)
+    assert main(["run", str(cfg)]) == 3
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+    assert err["type"] == "SolverError"
+    where = re.match(r"eps=(\S+), seed=(\d+), level=(\S+): newton solver did not reach",
+                     err["message"])
+    assert where is not None, err["message"]
+    eps, seed, level = float(where[1]), int(where[2]), float(where[3])
+    assert eps in (0.25, 0.125) and seed in (3, 5) and math.isfinite(level)
+    if kind == "mbar":
+        assert level == 12.0
 
 
 def test_runs_load_no_scipy(tmp_path):
