@@ -9,23 +9,21 @@ The obstacle statistic is exact in three discrete senses that tests rely
 on: contact masks are literal zero sets, fractions are ratios of integer
 counts, and the fixed-sweep engine preserves orderings (in level, in
 forcing, in domain inclusion) without floating-point leakage.  All
-Monte Carlo work is a deterministic fold over items: one (eps, level) item
-holds the problems of every seed of that eps.
+Monte Carlo work is a deterministic fold over (eps, seed, level) items.
 Each problem runs the engine its lattice picks (see `solve`), on a table
 from `default_quadrature`.
 The frozen problems of one m-bar estimate or one effective-level bisection
 share their level-free parts: per eps the quadrature table, the frozen
 moment, one exterior correlation and the linear engine's (K, e, G), with
 G = inv(K); per (eps, seed) the lattice, which the barrier bracket also
-reads.  These are built on first use and dropped when the call returns.
-Each level solves the problems of one eps as one batch
-(`solve_obstacle_many`): one lockstep active set over all seeds, started
-from the contact sets the same eps returned at the previous level, in
-which each step with less contact than free cells is a Schur step on G.
-The warm starts (the previous solutions, which only the linear engine
-reads; sweeps start from zero) travel with the item, so a batch is the
-same whichever process runs it, and the optional process pool, which
-lives for the whole bisection, cannot change any reported number.
+reads.  These are built on first use and dropped when the call returns;
+each level only recomputes its threshold and runs the active set, started
+from the contact set the same (eps, seed) item returned at the previous
+level, and each active-set step with less contact than free cells is a
+Schur step on G.  That warm start (the previous solution, which only the
+linear engine reads; sweeps start from zero) travels with the item, so the
+optional process pool, which lives for the whole bisection, cannot change
+any reported number.
 The functions that can fan out take `workers` (default 1: no pool, and the
 pool module is not imported); nothing here reads a worker count from
 anywhere else.  `tol` is the solver tolerance wherever it appears; the
@@ -44,7 +42,7 @@ import csv
 import functools
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,7 +57,7 @@ from .solve import (
     default_quadrature,
     solve_dirichlet,
     solve_dirichlet_many,
-    solve_obstacle_many,
+    solve_obstacle,
     _lattice,
 )
 
@@ -209,11 +207,12 @@ class _FrozenSystems:
     `shared` dict of its lattices (one stencil and one correlation of the
     zero exterior) and, when the lattice runs the linear engine, the triple
     (K, e, G) with G = inv(K) -- all seed-independent, since they depend on
-    the grid, the table and the zero exterior only.  G turns each active-set
-    step with fewer contact than free cells into a Schur step.  Per (eps,
-    seed): the lattice with its environment fields, built once at level
-    zero; the barrier bracket evaluates the bump on that lattice.  Bracket
-    ends and solves at any level read from here.
+    the grid, the table and the zero exterior only.  G turns each
+    active-set step with fewer contact than free cells into a matvec and a
+    small Schur solve.
+    Per (eps, seed): the lattice with its environment fields, built once at
+    level zero; the barrier bracket evaluates the bump on that lattice.
+    Bracket ends and solves at any level read from here.
     """
 
     def __init__(self, phi, x0, spec, fam, h, r_out_factor, tol):
@@ -250,26 +249,28 @@ class _FrozenSystems:
         return lo, float(np.max(np.asarray(F0)[lat.active]))
 
     def solve(self, item):
-        """Obstacle solves of the problems of one eps at a level, one per
-        seed, as one batch (`solve_obstacle_many`), warm-started.
+        """Obstacle solve of one (eps, seed) problem at a level, warm-started.
 
-        item = (eps, seeds, level, warm), with warm the solutions this eps
-        returned at the previous level, one per seed, or None.  Returns the
-        eps, the row fields of each seed and the next warm start, the
-        solutions.  Only the linear engine reads a warm start; sweeps start
-        from zero.
+        item = (eps, seed, level, warm), with warm the solution this item
+        returned at the previous level, or None.  Returns the row fields and
+        the next warm start, the solution.  Only the linear engine reads a
+        warm start; sweeps start from zero.  A SolverError names the eps,
+        seed and level of the problem that missed the tolerance.
         """
-        eps, seeds, level, warm = item
-        lats = [self.lattice(eps, seed) for seed in seeds]
-        if lats[0].linear and eps not in self.assembled:
-            K = lats[0].matrix()
-            self.assembled[eps] = (K, lats[0].load(), np.linalg.inv(K))
-        sols = solve_obstacle_many(lats, level, tol=self.tol, inits=warm,
-                                   system=self.assembled.get(eps))
-        rows = [(seed, sol.fraction, float(np.max(np.abs(sol.u.values))),
-                 sol.diagnostics.iterations, sol.diagnostics.residual, sol.diagnostics.wall_ms)
-                for seed, sol in zip(seeds, sols)]
-        return eps, rows, [sol.u.values for sol in sols]
+        eps, seed, level, warm = item
+        lat = self.lattice(eps, seed)
+        if lat.linear and eps not in self.assembled:
+            K = lat.matrix()
+            self.assembled[eps] = (K, lat.load(), np.linalg.inv(K))
+        try:
+            sol = solve_obstacle(replace(lat.problem, rhs=level), tol=self.tol, init=warm,
+                                 lattice=lat, system=self.assembled.get(eps))
+        except SolverError as exc:
+            raise SolverError(f"eps={float(eps)!r}, seed={seed}, level={float(level)!r}: {exc}",
+                              residual=exc.residual, iterations=exc.iterations) from exc
+        d = sol.diagnostics
+        return (eps, seed, sol.fraction, float(np.max(np.abs(sol.u.values))),
+                d.iterations, d.residual, d.wall_ms, sol.u.values)
 
 
 # Set only inside pool workers, by the pool's initializer; it lives and dies
@@ -297,8 +298,8 @@ class _Fold:
     function on equal state, so results do not depend on the worker count.
     `make` and `fn` must be module-level names (a class and its methods
     count), so that the pool can pickle them under any start method.
-    `warm` holds the last warm starts of each eps of a `_FrozenSystems`
-    fold.
+    `warm` holds the last warm start of each (eps, seed) of a
+    `_FrozenSystems` fold.
     """
 
     def __init__(self, make, args, workers):
@@ -351,22 +352,22 @@ def estimate_mbar(phi, x0, level, eps_list, seeds, spec: EnvironmentSpec,
         raise ConfigurationError("estimate_mbar needs at least one seed")
     if fold is None:
         scope = _Fold(_FrozenSystems, (phi, x0, spec, fam, h, r_out_factor, tol),
-                      min(workers, len(eps_list)))
+                      min(workers, len(eps_list) * len(seeds)))
     else:
         scope = nullcontext(fold)
     with scope as f:
-        items = [(eps, tuple(seeds), level, f.warm.get(eps)) for eps in eps_list]
+        items = [(eps, seed, level, f.warm.get((eps, seed)))
+                 for eps in eps_list for seed in seeds]
         out = f.map(_FrozenSystems.solve, items)
-        for eps, _, warm in out:
-            f.warm[eps] = warm
+        for eps, seed, *_, warm in out:
+            f.warm[(eps, seed)] = warm
     fractions, means, spreads = {}, {}, {}
-    for eps, rows, _ in out:
-        for seed, frac, sup, its, res, wall in rows:
-            fractions[(eps, seed)] = frac
-            if log is not None:
-                log.add(experiment_id, eps=eps, seed=seed, l=level,
-                        contact_fraction=frac, sup_norm=sup, iterations=its,
-                        residual=res, wall_ms=wall)
+    for eps, seed, frac, sup, its, res, wall, _ in out:
+        fractions[(eps, seed)] = frac
+        if log is not None:
+            log.add(experiment_id, eps=eps, seed=seed, l=level,
+                    contact_fraction=frac, sup_norm=sup, iterations=its,
+                    residual=res, wall_ms=wall)
     for eps in eps_list:
         vals = [fractions[(eps, s)] for s in seeds]
         means[eps] = float(np.mean(vals))
@@ -418,7 +419,7 @@ def effective_value(phi, x0, eps_list, seeds, spec: EnvironmentSpec,
     theta = theta if theta is not None else 2.0 / cells
     steps = []
     args = (phi, x0, spec, fam, h, r_out_factor, tol)
-    with _Fold(_FrozenSystems, args, min(workers, len(set(eps_list)))) as fold:
+    with _Fold(_FrozenSystems, args, min(workers, len(set(eps_list)) * len(seeds))) as fold:
         lo, hi = _bracket(fold, eps_list, seeds)
         if not lo < hi:
             raise SolverError(f"degenerate effective-value bracket [{lo}, {hi}]")

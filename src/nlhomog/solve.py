@@ -40,27 +40,17 @@ newton   1d linear engine, for every 1d operator but the pointwise extremal
          and with no m x m matrix; a single problem is a batch of one.
          An obstacle solve is the complementarity problem K u >= e - t,
          u >= 0, solved by the primal-dual active-set method on the dense
-         K with exact zeros on contact.  The obstacle problems of one
-         level whose lattices differ in their environment only
-         (`solve_obstacle_many`: the frozen problems of one eps, one per
-         seed) run as one lockstep active set on a stack of their
-         lattices: one threshold, one contact test and one batch of
-         block solves per step for all of them; a single problem is a
-         batch of one.  A caller that holds G = inv(K) across solves gets
-         Schur steps: on a contact set C smaller than the free set F, a
-         step is a product with G and a |C| x |C| solve on G[C, C].
-         Otherwise, and in every one-off obstacle solve, a step is one
-         dense solve on K[F, F].  The blocks of a step's rows are solved as
-         one stack padded with identity, so a row's last bits may depend on
-         the other rows of its batch; its contact set, decided by strict
-         sign tests, moves only where a sign sits within those bits.
+         K with exact zeros on contact.
+         A caller that holds G = inv(K) across solves gets Schur steps: on
+         a contact set C smaller than the free set F, a step is one matvec
+         with G and a |C| x |C| solve on G[C, C].  Otherwise, and in every
+         one-off obstacle solve, a step is one dense solve on K[F, F].
          An obstacle solve's `init`, when given, only seeds the first
          contact set (its zeros); the final set, and so the solution, does
          not depend on it.  At most MAX_STEPS steps run.  There is no
          fallback: a solve that misses the tolerance raises.  Every
-         residual, each column or row of a batch's included, is certified
-         with the sweep engine's evaluation, which takes a batch of value
-         arrays on a leading axis.
+         residual, each column of a batch's included, is certified with
+         the sweep engine's evaluation.
 sweeps   damped projected point relaxation (red-black ordering), for 2d
          operators, the pointwise "cs" extremal and every `fixed_sweeps`
          solve.  Each update moves one value toward the root of its scalar
@@ -72,9 +62,8 @@ sweeps   damped projected point relaxation (red-black ordering), for 2d
          residual stagnates stops early and raises.
 
 Repeated solves of one problem at several levels can hand `solve_obstacle`
-and `solve_obstacle_many` the level-free parts built once: the lattice
-(environment fields, exterior data, frozen moment) and, for the newton
-engine, the triple (K, e, inv(K)).
+the level-free parts built once: the lattice (environment fields, exterior
+data, frozen moment) and, for the newton engine, the triple (K, e, inv(K)).
 The bump barriers read that same lattice: a bump vanishes outside its ball,
 which lies in the box, so its exterior data are the zero data of every
 frozen problem.
@@ -106,7 +95,6 @@ __all__ = [
     "solve_dirichlet",
     "solve_dirichlet_many",
     "solve_obstacle",
-    "solve_obstacle_many",
     "residual_field",
     "barrier_threshold",
     "default_quadrature",
@@ -335,35 +323,29 @@ class _Lattice:
     def _near_corr(self, u):
         """Correlation of the active values of u with the central taps;
         with `fixed_corr`, the correlation of the whole padded grid."""
-        lead = u.shape[:u.ndim - self.dim]
-        buf = np.zeros(lead + tuple(n + 2 * self.q for n in self.active.shape))
-        buf[(Ellipsis,) + (slice(self.q, self.q + self.m),) * self.dim] = np.where(self.active, u, 0.0)
+        buf = np.zeros(tuple(n + 2 * self.q for n in self.active.shape))
+        buf[(slice(self.q, self.q + self.m),) * self.dim] = np.where(self.active, u, 0.0)
         return self._correlate(buf, self.near_kern)
 
     def padded(self, vals, layers):
         """A new array of vals on the active cells and the exterior data
-        elsewhere, on the grid padded by `layers` (at most J) ghost nodes.
-        Leading axes of vals (a batch of value arrays) lead the result."""
-        data = self.fixed[(slice(self.J - layers, self.J + self.m + layers),) * self.dim]
-        grid = np.empty(vals.shape[:vals.ndim - self.dim] + data.shape)
-        grid[...] = data
-        grid[(Ellipsis,) + (slice(layers, layers + self.m),) * self.dim][..., self.active] = \
-            vals[..., self.active]
+        elsewhere, on the grid padded by `layers` (at most J) ghost nodes."""
+        grid = self.fixed[(slice(self.J - layers, self.J + self.m + layers),) * self.dim].copy()
+        grid[(slice(layers, layers + self.m),) * self.dim][self.active] = vals[self.active]
         return grid
 
     def branch_infsup(self, slot):
         """Inf over alpha of the sup over beta of forcing + slot, at every node."""
         branch = self.forc + slot
-        inner = branch.max(axis=-1 - self.dim)  # sup over beta
-        return inner.min(axis=-1 - self.dim)  # inf over alpha
+        inner = branch.max(axis=1)  # sup over beta
+        return inner.min(axis=0)  # inf over alpha
 
     def residual(self, vals, obstacle):
-        """Max residual over the active cells; one per row of a batch of values."""
         F, _ = self.operator_values(vals)
         r = F - self.rhs
         if obstacle:
             r = np.maximum(r, -vals)
-        return np.abs(r)[..., self.active].max(axis=-1)
+        return float(np.max(np.abs(r)[self.active]))
 
     def sweep_solve(self, obstacle, tol, max_iter, fixed_sweeps=None):
         """Returns (vals, sweeps, residuals); the last residual is the final one.
@@ -414,9 +396,7 @@ class _Lattice1D(_Lattice):
 
     @staticmethod
     def _correlate(a, kern):
-        """Valid-mode correlation of each row (last axis) of a with kern."""
-        rows = [np.correlate(row, kern, mode="valid") for row in a.reshape(-1, a.shape[-1])]
-        return np.reshape(rows, a.shape[:-1] + (-1,))
+        return np.correlate(a, kern, mode="valid")
 
     @property
     def linear(self):
@@ -427,9 +407,9 @@ class _Lattice1D(_Lattice):
 
     def unit_moments(self, grid):
         """Unit-multiplier moment at every node of `padded(vals, 1)`."""
-        u = grid[..., 1:-1]
+        u = grid[1:-1]
         corr = self.fixed_corr + self._near_corr(u)
-        near = grid[..., 2:] + grid[..., :-2] - 2.0 * u
+        near = grid[2:] + grid[:-2] - 2.0 * u
         I = 2.0 * (corr - self.quad.w_total * u)
         I += self.quad.c_near * near / self.h**2
         I += self.quad.tail * (2.0 * self.far - 2.0 * u)
@@ -464,7 +444,7 @@ class _Lattice1D(_Lattice):
         """F as a function of the unit moment I (all but the pointwise extremal)."""
         if self.kind == "extremal":
             return np.where(I > 0, self.up * I, self.down * I)
-        return self.branch_infsup(self.mult * (self.frozen_moment + I)[..., None, None, :])
+        return self.branch_infsup(self.mult * (self.frozen_moment + I)[None, None, :])
 
     def threshold(self):
         """Moment level t with F = rhs exactly where I = t.
@@ -476,7 +456,7 @@ class _Lattice1D(_Lattice):
             return np.where(self.rhs > 0, self.rhs / self.up, self.rhs / self.down)
         # rhs == F(0) gives t == 0 exactly
         return ((self.rhs - (self.forc + self.mult * self.frozen_moment)) / self.mult
-                ).min(axis=-2).max(axis=-2)
+                ).min(axis=1).max(axis=0)
 
     def column(self):
         """First column of K, the matrix of the moment as an affine map of the
@@ -506,48 +486,32 @@ class _Lattice1D(_Lattice):
         return self.unit_moments(self.padded(np.zeros(self.m), 1))
 
     def newton_solve(self, init=None, system=None):
-        """`newton_batch` of this lattice's one problem: (u, steps, [residual])."""
-        U, steps, res = self.newton_batch(None if init is None else [init], system)
-        return U[0], int(steps[0]), [res[0]]
+        """Obstacle problem K u >= e - t, u >= 0, complementary, by the primal-dual active set.
 
-    def newton_batch(self, inits=None, system=None):
-        """Obstacle problems K u >= e - t, u >= 0, complementary, by one
-        lockstep primal-dual active set: this lattice's problem, or one per
-        row of a stack (`_stack`), whose thresholds t are the rows of
-        `threshold()`.
-
-        The first contact set of a row is the zeros of its entry of `inits`,
-        or empty without it; each step solves on the free set and writes
-        exact zeros on the contact set, until the row's set repeats or
-        MAX_STEPS steps have run on it.  K is an M-matrix, so the method
-        converges from any first set.  Every live row's contact test is one
-        product with K, and every step of the live rows one `_free_solve`.
-        `system` is the pair (K, e) of `matrix()` and `load()`, or the triple
-        (K, e, G) with G = inv(K), when the caller holds it across solves.
-        Returns (U, steps, residuals), one row per problem; the residuals
-        are one evaluation of the batch.
+        The first contact set is the zeros of `init`, or empty without it;
+        each step solves on the free set and writes exact zeros on the
+        contact set, until the set repeats or MAX_STEPS steps have run.  K
+        is an M-matrix, so the method converges from any first set.
+        `system` is the pair (K, e) of `matrix()` and `load()`, or the
+        triple (K, e, G) with G = inv(K), when the caller holds it across
+        solves.
         """
         if not self.linear:
             raise ConfigurationError("the pointwise extremal has no dense linearization")
         K, e, *inverse = (self.matrix(), self.load()) if system is None else system
         G = inverse[0] if inverse else None
-        B = np.atleast_2d(e - self.threshold())
-        contact = np.zeros(B.shape, dtype=bool) if inits is None else np.asarray(inits) == 0.0
-        U = _free_solve(K, B, contact, G)
-        steps = np.ones(len(B), dtype=int)
-        live = np.arange(len(B))
-        while True:
-            live = live[steps[live] < MAX_STEPS]
-            # K is symmetric, so row i of U @ K is K u_i
-            new = np.where(contact[live], U[live] @ K - B[live] > 0.0, U[live] < 0.0)
-            moved = (new != contact[live]).any(axis=1)
-            if not moved.any():
+        b = e - self.threshold()
+        contact = np.zeros(b.size, dtype=bool) if init is None else np.asarray(init) == 0.0
+        u = _free_solve(K, b, contact, G)
+        steps = 1
+        while steps < MAX_STEPS:
+            new = np.where(contact, K @ u - b > 0.0, u < 0.0)
+            if not (new != contact).any():
                 break
-            live = live[moved]
-            contact[live] = new[moved]
-            U[live] = _free_solve(K, B[live], contact[live], G)
-            steps[live] += 1
-        return U, steps, self.residual(U, True)
+            contact = new
+            u = _free_solve(K, b, contact, G)
+            steps += 1
+        return u, steps, [self.residual(u, True)]
 
 
 def _toeplitz_solve(col, B):
@@ -583,56 +547,29 @@ def _toeplitz_solve(col, B):
     return X
 
 
-def _block_solve(A, sets, rhs):
-    """Z with A[s, s] z = rhs[s] on s and zeros elsewhere, for each row
-    (s, rhs) of (sets, rhs): one stacked solve of the blocks A[s, s],
-    padded with identity to the largest s."""
-    Z = np.zeros(rhs.shape)
-    if not sets.any():
-        return Z
-    counts = np.count_nonzero(sets, axis=1)
-    real = np.arange(counts.max()) < counts[:, None]
-    idx = np.zeros(real.shape, dtype=np.intp)  # padded with 0
-    idx[real] = np.nonzero(sets)[1]
-    blocks = A[idx[:, :, None], idx[:, None, :]]
-    blocks[~real] = 0.0  # padding rows
-    np.swapaxes(blocks, 1, 2)[~real] = 0.0  # padding columns
-    row, pad = np.nonzero(~real)
-    blocks[row, pad, pad] = 1.0
-    b = np.where(real, np.take_along_axis(rhs, idx, axis=1), 0.0)
-    z = np.linalg.solve(blocks, b[..., None])[..., 0]
-    Z[np.nonzero(real)[0], idx[real]] = z[real]
-    return Z
+def _free_solve(K, b, contact, G=None):
+    """Solution of K u = b on the free rows F, with exact zeros on the contact set C.
 
-
-def _free_solve(K, B, contact, G=None):
-    """Rows u with K u = b on the free cells F and exact zeros on the contact
-    set C, one per row (b, C) of (B, contact).
-
-    With G = inv(K), a row with |C| < |F| takes a Schur step (Hager, SIAM
-    Rev. 1989): with b zeroed on C, x = G b solves K x = b + r for r = 0,
-    and u = x - G[:, C] z, with G[C, C] z = x[C], is zero on C and changes
-    K x only on the rows of C, so K u = b on F.  The Schur rows take one
-    product with G, one stacked solve of their contact blocks and one
-    product for the corrections; the other rows one stacked solve of their
-    blocks K[F, F].  Each stack is padded with identity to its largest
-    block, so a row's last bits may depend on the other rows.
+    With G = inv(K) and |C| < |F| this is a Schur step (Hager, SIAM Rev.
+    1989): with b zeroed on C, x = G b solves K x = b + r for r = 0, and
+    u = x - G[:, C] z, with G[C, C] z = x[C], is zero on C and changes K x
+    only on the rows of C, so K u = b on F.  It costs one matvec and a
+    |C| x |C| solve; otherwise K[F, F] is solved.
     """
-    U = np.zeros(B.shape)
-    schur = np.zeros(len(B), dtype=bool)
-    if G is not None:
-        schur = 2 * np.count_nonzero(contact, axis=1) < B.shape[1]
-    if schur.any():
-        rows, C = np.flatnonzero(schur), contact[schur]
-        X = np.where(C, 0.0, B[rows]) @ G.T  # row i is (G b_i)^T
-        if C.any():
-            X -= _block_solve(G, C, X) @ G.T
-            X[C] = 0.0
-        U[rows] = X
-    if not schur.all():
-        rows = np.flatnonzero(~schur)
-        U[rows] = _block_solve(K, ~contact[rows], B[rows])
-    return U
+    C = np.flatnonzero(contact)
+    if G is not None and 2 * C.size < b.size:
+        u = G @ np.where(contact, 0.0, b)
+        if C.size:
+            u -= G[:, C] @ np.linalg.solve(G[C[:, None], C], u[C])
+            u[C] = 0.0
+        return u
+    if not C.size:
+        return np.linalg.solve(K, b)
+    u = np.zeros(b.size)
+    F = np.flatnonzero(~contact)
+    if F.size:
+        u[F] = np.linalg.solve(K[F[:, None], F], b[F])
+    return u
 
 
 class _Lattice2D(_Lattice):
@@ -711,20 +648,19 @@ def _lattice(problem: DirichletProblem, quad: QuadratureTable | None,
     return cls(problem, quad, frozen_moment, shared)
 
 
-def _result(lat, obstacle, method, out, tol, wall_ms=0.0, pinned=False, label=""):
+def _result(lat, obstacle, method, out, tol, wall_ms=0.0, pinned=False):
     """(u, diagnostics), or the ObstacleSolution, of an engine's (vals, iterations, residuals).
 
-    A residual above tol raises SolverError, unless `pinned` (fixed_sweeps);
-    its message starts with `label`.
+    A residual above tol raises SolverError, unless `pinned` (fixed_sweeps).
     """
     vals, its, trail = out
-    res = float(trail[-1])
-    diag = SolveDiagnostics(iterations=int(its), residual=res, wall_ms=wall_ms, method=method,
+    res = trail[-1]
+    diag = SolveDiagnostics(iterations=its, residual=res, wall_ms=wall_ms, method=method,
                             converged=res <= tol)
     if not diag.converged and not pinned:
         recent = ", ".join(f"{r:.3e}" for r in trail[-4:])
         raise SolverError(
-            f"{label}{method} solver did not reach tol={tol} (residual {res:.3e} after "
+            f"{method} solver did not reach tol={tol} (residual {res:.3e} after "
             f"{its} iterations; last residuals checked: {recent})",
             residual=res, iterations=its,
         )
@@ -732,7 +668,7 @@ def _result(lat, obstacle, method, out, tol, wall_ms=0.0, pinned=False, label=""
     if not obstacle:
         return u, diag
     contact = lat.active & (vals == 0.0)
-    fraction = float(np.sum(contact)) / float(np.sum(lat.active))
+    fraction = float(np.count_nonzero(contact)) / float(np.count_nonzero(lat.active))
     return ObstacleSolution(u=u, contact=contact, fraction=fraction, diagnostics=diag)
 
 
@@ -817,10 +753,9 @@ def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6,
     `system` skip rebuilding them when the level is all that changed.
     `system` is the lattice's (K, e) from `matrix()` and `load()`, or
     (K, e, inv(K)): with the inverse, active-set steps on less contact than
-    free cells are Schur steps (a product with the inverse and a solve on
-    the contact block) instead of a solve on the free block.  The newton
-    engine runs the active set of `solve_obstacle_many` as a batch of one.
-    wall_ms includes building or re-leveling the lattice.
+    free cells are Schur steps (a matvec and a solve on the contact block)
+    instead of a solve on the free block.  wall_ms includes building or
+    re-leveling the lattice.
     """
     t0 = time.perf_counter()
     lat = _lattice(problem, quad) if lattice is None else lattice.at_level(problem.rhs)
@@ -830,63 +765,6 @@ def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6,
         method, out = "sweeps", lat.sweep_solve(True, tol, MAX_SWEEPS, fixed_sweeps)
     wall = (time.perf_counter() - t0) * 1e3
     return _result(lat, True, method, out, tol, wall, pinned=fixed_sweeps is not None)
-
-
-def _stack(lats, rhs):
-    """The lattices `lats`, of one grid, table and exterior data, as one
-    lattice at level rhs.
-
-    It is the first of them at that level, with the branch fields and the
-    sweep diagonal of all of them stacked on a leading axis, so that its
-    threshold has one row per lattice and its evaluation maps a batch of
-    values, one row per lattice, to a batch of F.  A single lattice is its
-    own stack.  Lattices that share K, the frozen moment and one exterior
-    correlation (`shared`) stack; others raise ConfigurationError.
-    """
-    first = lats[0]
-    lat = first.at_level(rhs)
-    if len(lats) > 1:
-        if any(other.kind != "branch" or other.quad is not first.quad
-               or other.fixed_corr is not first.fixed_corr
-               or other.frozen_moment != first.frozen_moment for other in lats):
-            raise ConfigurationError("stacked lattices must be branch lattices of one table, "
-                                     "frozen moment and exterior correlation")
-        for name in ("forc", "mult", "diag"):
-            setattr(lat, name, np.stack([getattr(other, name) for other in lats]))
-    return lat
-
-
-def solve_obstacle_many(lattices, level, tol: float = 1e-6, inits=None,
-                        system=None) -> list:
-    """`solve_obstacle` of each lattice's problem at one level, as one batch.
-
-    `lattices` (from `_lattice`, at any level) hold problems that differ in
-    their environment only, as the frozen problems of one eps do, one per
-    seed.  On the newton engine they run as one lockstep active set on
-    their stack (`_stack`, `_Lattice1D.newton_batch`), so they must share
-    the table and one exterior correlation (one `shared` dict), or
-    ConfigurationError; `system` is that of `solve_obstacle`, and `inits`,
-    when given, holds one warm start per problem.  Sweep problems are solved
-    one by one, from zero.  Every residual is certified on the batch's own
-    evaluation; a problem that misses tol raises SolverError naming its
-    eps, seed and level.  Each solution's wall_ms is 1/n of the batch.
-    """
-    t0 = time.perf_counter()
-    lats = list(lattices)
-    if lats[0].linear:
-        U, steps, res = _stack(lats, level).newton_batch(inits, system)
-        method, outs = "newton", [(U[i], steps[i], [res[i]]) for i in range(len(lats))]
-    else:
-        method = "sweeps"
-        outs = [lat.at_level(level).sweep_solve(True, tol, MAX_SWEEPS) for lat in lats]
-    wall = (time.perf_counter() - t0) * 1e3 / len(lats)
-    sols = []
-    for lat, out in zip(lats, outs):
-        handle = lat.problem.handle
-        seed = None if handle.env is None else handle.env.seed
-        label = f"eps={float(handle.eps)!r}, seed={seed}, level={float(level)!r}: "
-        sols.append(_result(lat, True, method, out, tol, wall, label=label))
-    return sols
 
 
 def residual_field(problem: DirichletProblem, u: GridFunction,

@@ -691,9 +691,9 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     ("mbar", {"phi_index": 4, "level": 12.0}),
     ("effective", {"phi_index": 4}),
 ])
-def test_an_obstacle_batch_failure_names_its_problem(tmp_path, capsys, kind, experiment):
-    # the newton residual floors near 1e-13 here; the batch of one eps must
-    # say which of its problems missed the tolerance
+def test_a_frozen_solve_failure_names_its_problem(tmp_path, capsys, kind, experiment):
+    # the newton residual floors near 1e-13 here; the error must say which
+    # of the run's problems missed the tolerance
     cfg = write_config(tmp_path, kind=kind, environment=MIXED_ENV,
                        numerics={"eps_list": [0.25, 0.125], "seeds": [3, 5],
                                  "solver_tol": 1e-15},

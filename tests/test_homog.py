@@ -156,30 +156,6 @@ def test_estimate_mbar_bookkeeping():
         estimate_mbar(PHI, np.zeros(1), 12.0, (0.25,), (), MIXED_SPEC, fam)
 
 
-def test_seeds_batched_together_match_each_seed_alone():
-    # the effective-1d environment: the obstacle batch of one eps takes all
-    # eight seeds, or one; contact fractions and step counts may not move,
-    # sup norms only in the last bits of the padded block solves
-    fam = fam_of(MIXED_SPEC)
-    eps_list, seeds = (2.0**-4, 2.0**-5, 2.0**-6), tuple(range(8))
-    fractions = set()
-    for level in (17.6, 18.1, 19.98):
-        together = RowLog()
-        estimate_mbar(PHI, np.zeros(1), level, eps_list, seeds, MIXED_SPEC, fam, log=together)
-        rows = {(row[1], row[2]): row for row in together.rows}
-        for seed in seeds:
-            alone = RowLog()
-            estimate_mbar(PHI, np.zeros(1), level, eps_list, (seed,), MIXED_SPEC, fam,
-                          log=alone)
-            for row in alone.rows:
-                batched = rows[(row[1], row[2])]
-                assert batched[4] == row[4]  # contact fraction
-                assert batched[6] == row[6]  # iterations
-                assert batched[5] == pytest.approx(row[5], rel=1e-12, abs=0.0)
-                fractions.add(row[4])
-    assert any(0.0 < f < 0.5 for f in fractions) and any(0.5 < f < 1.0 for f in fractions)
-
-
 def test_frozen_lattices_of_one_eps_share_one_exterior_correlation():
     systems = _FrozenSystems(PHI, np.zeros(1), MIXED_SPEC, fam_of(MIXED_SPEC), None, 8.0, 1e-7)
     for eps in (0.25, 0.125):

@@ -27,7 +27,6 @@ from nlhomog.solve import (
     solve_dirichlet,
     solve_dirichlet_many,
     solve_obstacle,
-    solve_obstacle_many,
 )
 
 from oracles import evaluate_F, evaluate_frozen, extremal
@@ -598,11 +597,10 @@ def test_schur_steps_match_direct_steps_across_contact_transition(monkeypatch):
     steps = []
     free_solve = solve._free_solve
 
-    def recorded(K, B, contact, G=None):
-        # one step of every live row of the batch
+    def recorded(K, b, contact, G=None):
         if G is not None:
-            steps.extend(np.count_nonzero(contact, axis=1) < np.count_nonzero(~contact, axis=1))
-        return free_solve(K, B, contact, G)
+            steps.append(int(np.sum(contact)) < int(np.sum(~contact)))
+        return free_solve(K, b, contact, G)
 
     monkeypatch.setattr(solve, "_free_solve", recorded)
     tol, counts = 1e-10, []
@@ -619,62 +617,6 @@ def test_schur_steps_match_direct_steps_across_contact_transition(monkeypatch):
     assert any(0 < c < lat.m / 2 for c in counts) and any(c > lat.m / 2 for c in counts)
     # both step types ran with the inverse held: Schur steps and solves on K[F, F]
     assert True in steps and False in steps
-
-
-def frozen_lattices(seeds, eps=0.125, h=1.0 / 64):
-    """Frozen-problem lattices of one eps, one per seed, sharing their table
-    and exterior correlation, with the system (K, e) they share."""
-    from nlhomog.homog import _frozen_problem, quadratic_bank
-    quad, shared, lats = None, {}, []
-    for seed in seeds:
-        prob = _frozen_problem(quadratic_bank(1)[4], np.zeros(1), 0.0, eps, mixed_env(seed),
-                               FAM, h)
-        quad = quad or default_quadrature(FAM, prob.domain)
-        lats.append(solve._lattice(prob, quad, shared=shared))
-    return lats, (lats[0].matrix(), lats[0].load())
-
-
-@pytest.mark.parametrize("inverse", [False, True], ids=["K", "inv(K)"])
-def test_an_obstacle_batch_of_one_is_solve_obstacle(inverse):
-    (lat,), (K, e) = frozen_lattices([3])
-    system = (K, e, np.linalg.inv(K)) if inverse else (K, e)
-    warm, fractions = None, []
-    for level in (-12.0, 16.0, 18.0, 19.0, 20.0, 21.5):
-        got, = solve_obstacle_many([lat], level, tol=1e-10,
-                                   inits=None if warm is None else [warm], system=system)
-        want = solve_obstacle(replace(lat.problem, rhs=level), tol=1e-10, init=warm,
-                              lattice=lat, system=system)
-        assert np.array_equal(got.u.values, want.u.values)
-        assert got.diagnostics.iterations == want.diagnostics.iterations
-        assert got.diagnostics.residual == want.diagnostics.residual
-        fractions.append(got.fraction)
-        warm = want.u.values
-    assert fractions[0] == 0.0 and fractions[-1] == 1.0
-    assert any(0.0 < f < 0.5 for f in fractions) and any(0.5 < f < 1.0 for f in fractions)
-
-
-def test_obstacle_batch_rows_match_their_single_solves():
-    # each row of a batch is its own problem: its contact set and step
-    # count are those of the single solve, its values equal up to the
-    # last bits the batch's padded block solves may move
-    lats, (K, e) = frozen_lattices(range(6))
-    system = (K, e, np.linalg.inv(K))
-    for level in (17.0, 18.5, 20.0):
-        batch = solve_obstacle_many(lats, level, tol=1e-10, system=system)
-        for lat, got in zip(lats, batch):
-            want = solve_obstacle(replace(lat.problem, rhs=level), tol=1e-10, lattice=lat,
-                                  system=system)
-            assert np.array_equal(got.contact, want.contact)
-            assert got.diagnostics.iterations == want.diagnostics.iterations
-            assert np.allclose(got.u.values, want.u.values, rtol=1e-12, atol=1e-14)
-
-
-def test_obstacle_batch_needs_one_exterior_correlation():
-    (a, b), _ = frozen_lattices([0, 1])
-    other = solve._lattice(b.problem, b.quad, shared={})  # equal data, its own correlation
-    with pytest.raises(ConfigurationError, match="exterior correlation"):
-        solve_obstacle_many([a, other], 18.0, tol=1e-10)
-    solve_obstacle_many([a, b], 18.0, tol=1e-10)
 
 
 def test_obstacle_level_monotone_exact_coupling():
