@@ -14,7 +14,7 @@ import os
 
 # One BLAS thread, set before any module here loads numpy: threaded OpenBLAS
 # kernels sum in an order that depends on the thread count, and so would
-# the last bits of every replayed number.  Pool workers inherit the setting.
+# the last bits of every replayed number.  Worker threads share the setting.
 # A host program that loaded numpy first keeps its own BLAS threads.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 

@@ -645,8 +645,12 @@ def run_checks(resolved, spec, fam, summary):
 # entry points
 
 def _error_report(exc):
-    report = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    print(json.dumps(report), file=sys.stderr)
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, SolverError):
+        # null where the failure is not one solve's (a degenerate bracket)
+        error["residual"] = None if exc.residual is None else _finite(float(exc.residual))
+        error["iterations"] = None if exc.iterations is None else int(exc.iterations)
+    print(json.dumps({"error": error}), file=sys.stderr)
 
 
 def cmd_run(args):
@@ -656,7 +660,7 @@ def cmd_run(args):
     if args.out is not None:
         resolved["out_dir"] = args.out
     _check_out_dir(resolved["out_dir"])
-    # one rule: --workers, else the config's workers, else one process
+    # one rule: --workers, else the config's workers, else one thread
     workers = resolved["workers"] or 1
     summary, log, solution = run_experiment(resolved, spec, fam, workers)
     write_outputs(resolved["out_dir"], resolved, summary, log, solution)
@@ -683,7 +687,7 @@ def build_parser():
     pr = sub.add_parser("run", help="run one experiment config")
     pr.add_argument("config", help="path to a JSON run config")
     pr.add_argument("--workers", type=int, default=None,
-                    help="worker processes (default: the config's workers, else 1)")
+                    help="worker threads (default: the config's workers, else 1)")
     pr.add_argument("--out", default=None, help="output directory override")
     pr.add_argument("--check", action="store_true",
                     help="enforce kind-specific acceptance thresholds (exit 4)")

@@ -15,25 +15,26 @@ from `default_quadrature`.
 The frozen problems of one m-bar estimate or one effective-level bisection
 share their level-free parts: per eps the quadrature table, the frozen
 moment, one exterior correlation and the linear engine's (K, e, G), with
-G = inv(K); per (eps, seed) the lattice, which the barrier bracket also
-reads.  These are built on first use and dropped when the call returns;
-each level only recomputes its threshold and runs the active set, started
+G = inv(K), built before any solve; per (eps, seed) the lattice, which
+the barrier bracket also reads.  They are dropped when the call returns.
+Each level only recomputes its threshold and runs the active set, started
 from the contact set the same (eps, seed) item returned at the previous
 level, and each active-set step with less contact than free cells is a
 Schur step on G.  That warm start (the previous solution, which only the
-linear engine reads; sweeps start from zero) travels with the item, so the
-optional process pool, which lives for the whole bisection, cannot change
-any reported number.
-The functions that can fan out take `workers` (default 1: no pool, and the
-pool module is not imported); nothing here reads a worker count from
-anywhere else.  `tol` is the solver tolerance wherever it appears; the
-bisection's own stopping width is `bisect_tol`.
+linear engine reads; sweeps start from zero) belongs to its (eps, seed)
+item, so the worker threads cannot change any reported number.
+The functions that can fan out take `workers`, the number of threads
+(default 1: a plain loop, and the thread-pool module is not imported);
+nothing here reads a worker count from anywhere else.  The threads share
+one process and one copy of the level-free parts (`_map`).  `tol` is the
+solver tolerance wherever it appears; the bisection's own stopping width
+is `bisect_tol`.
 Dirichlet problems that share a grid are solved as one batch
 (`solve_dirichlet_many`), so each grid's K is solved once: the abp and cmi
 sweeps are one batch each.  The convergence harness makes one batch of all
-the problems that share K, so a 1d run is one batch and runs in process; a
-sweep-engine (2d) run makes one batch per eps, the translated route joining
-the largest, and fans the batches out through the same pool path (`_Fold`).
+the problems that share K, so a 1d run is one batch and runs on the
+calling thread; a sweep-engine (2d) run makes one batch per eps, the
+translated route joining the largest, and maps them the same way.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -201,7 +201,7 @@ def _frozen_problem(phi, x0, level, eps, env, fam, h, *, domain_half=0.5,
 
 
 class _FrozenSystems:
-    """Level-free parts of the frozen problems of one extraction, built on first use.
+    """Level-free parts of the frozen problems of one extraction, and its warm starts.
 
     Per eps: the grid spacing, the quadrature table, the frozen moment, the
     `shared` dict of its lattices (one stencil and one correlation of the
@@ -209,18 +209,29 @@ class _FrozenSystems:
     (K, e, G) with G = inv(K) -- all seed-independent, since they depend on
     the grid, the table and the zero exterior only.  G turns each
     active-set step with fewer contact than free cells into a matvec and a
-    small Schur solve.
+    small Schur solve.  For each eps of `eps_list` these are built here,
+    on the calling thread, with the lattice of the first of `seeds`, so the
+    worker threads of a fan-out over those eps only read them.
     Per (eps, seed): the lattice with its environment fields, built once at
-    level zero; the barrier bracket evaluates the bump on that lattice.
-    Bracket ends and solves at any level read from here.
+    level zero by the first item that needs it; the barrier bracket
+    evaluates the bump on that lattice.  Bracket ends and solves at any
+    level read from here.  `warm` holds the solution each (eps, seed)
+    returned at the previous level; `estimate_mbar` updates it between
+    maps, on the calling thread.
     """
 
-    def __init__(self, phi, x0, spec, fam, h, r_out_factor, tol):
+    def __init__(self, phi, x0, spec, fam, h, r_out_factor, tol, eps_list=(), seeds=()):
         self.phi, self.x0, self.spec, self.fam = phi, x0, spec, fam
         self.h, self.r_out_factor, self.tol = h, r_out_factor, tol
         self.tables = {}     # eps -> (quadrature table, frozen moment, shared dict)
         self.assembled = {}  # eps -> (K, e, inv(K)) of the linear engine
         self.lattices = {}   # (eps, seed) -> lattice at level 0
+        self.warm = {}       # (eps, seed) -> solution at the previous level
+        for eps in sorted(set(eps_list)):
+            lat = self.lattice(eps, seeds[0])
+            if lat.linear:
+                K = lat.matrix()
+                self.assembled[eps] = (K, lat.load(), np.linalg.inv(K))
 
     def lattice(self, eps, seed):
         lat = self.lattices.get((eps, seed))
@@ -252,16 +263,14 @@ class _FrozenSystems:
         """Obstacle solve of one (eps, seed) problem at a level, warm-started.
 
         item = (eps, seed, level, warm), with warm the solution this item
-        returned at the previous level, or None.  Returns the row fields and
-        the next warm start, the solution.  Only the linear engine reads a
-        warm start; sweeps start from zero.  A SolverError names the eps,
-        seed and level of the problem that missed the tolerance.
+        returned at the previous level (`self.warm`), or None.  Returns the
+        row fields and the solution, the next warm start.  Only the linear
+        engine reads a warm start; sweeps start from zero.  A SolverError
+        names the eps, seed and level of the problem that missed the
+        tolerance.
         """
         eps, seed, level, warm = item
         lat = self.lattice(eps, seed)
-        if lat.linear and eps not in self.assembled:
-            K = lat.matrix()
-            self.assembled[eps] = (K, lat.load(), np.linalg.inv(K))
         try:
             sol = solve_obstacle(replace(lat.problem, rhs=level), tol=self.tol, init=warm,
                                  lattice=lat, system=self.assembled.get(eps))
@@ -273,56 +282,22 @@ class _FrozenSystems:
                 d.iterations, d.residual, d.wall_ms, sol.u.values)
 
 
-# Set only inside pool workers, by the pool's initializer; it lives and dies
-# with the pool of one _Fold, so no state outlasts the call that made it.
-_WORKER_STATE = None
+def _map(fn, state, items, workers):
+    """[fn(state, item) for item in items], on min(workers, len(items)) threads.
 
-
-def _start_worker(make, args):
-    global _WORKER_STATE
-    _WORKER_STATE = make(*args)
-
-
-def _on_worker(fn, item):
-    return fn(_WORKER_STATE, item)
-
-
-class _Fold:
-    """Maps fn(state, item) over items, in process or on one pool.
-
-    The state is `make(*args)`, the part every item shares.  With one
-    worker it is built here; with more, each pool worker builds its own
-    from the same arguments, once, and the pool lives until the fold
-    closes.  A pool may start all its workers at once, so callers ask for
-    at most one worker per item.  Either way every item runs the same
-    function on equal state, so results do not depend on the worker count.
-    `make` and `fn` must be module-level names (a class and its methods
-    count), so that the pool can pickle them under any start method.
-    `warm` holds the last warm start of each (eps, seed) of a
-    `_FrozenSystems` fold.
+    The threads only read `state`, apart from building each (eps, seed)
+    lattice of a `_FrozenSystems` on its first use.  Every item runs the
+    same function on the same state, so results do not depend on the
+    worker count.  One thread is a plain loop on the calling thread.
     """
-
-    def __init__(self, make, args, workers):
-        self.warm = {}
-        self.state = make(*args) if workers <= 1 else None
-        self.pool = None
-        if workers > 1:
-            # imported only here, so a run without a pool never loads the module
-            from concurrent.futures import ProcessPoolExecutor
-            self.pool = ProcessPoolExecutor(
-                max_workers=workers, initializer=_start_worker, initargs=(make, args))
-
-    def map(self, fn, items):
-        if self.pool is None:
-            return [fn(self.state, it) for it in items]
-        return list(self.pool.map(functools.partial(_on_worker, fn), items, chunksize=1))
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self.pool is not None:
-            self.pool.shutdown()
+    call = functools.partial(fn, state)
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [call(it) for it in items]
+    # imported only here, so a run on one thread never loads the module
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(call, items))
 
 
 # ---------------------------------------------------------------------------
@@ -338,31 +313,26 @@ def fam_of(spec: EnvironmentSpec, sigma: float | None = None) -> KernelFamily:
 def estimate_mbar(phi, x0, level, eps_list, seeds, spec: EnvironmentSpec,
                   fam: KernelFamily, *, h=None, tol=1e-7, r_out_factor=8.0,
                   workers=1, log: RowLog | None = None, experiment_id="mbar",
-                  fold: _Fold | None = None) -> MbarEstimate:
+                  systems: _FrozenSystems | None = None) -> MbarEstimate:
     """Seed-averaged contact fractions per eps; the estimate is the smallest eps's.
 
     No convergence rate in eps is known, so nothing is extrapolated.  Seed
-    spread per eps is the self-averaging diagnostic.  `fold` carries the
-    systems and warm starts of a bisection across levels (it must be built
-    from the same problem arguments); without it the estimate builds its
-    own and starts cold.
+    spread per eps is the self-averaging diagnostic.  `systems` carries the
+    level-free parts and warm starts of a bisection across levels (it must
+    be built from the same problem arguments); without it the estimate
+    builds its own and starts cold.
     """
     eps_list = tuple(sorted(set(eps_list), reverse=True))
     if len(seeds) < 1:
         raise ConfigurationError("estimate_mbar needs at least one seed")
-    if fold is None:
-        scope = _Fold(_FrozenSystems, (phi, x0, spec, fam, h, r_out_factor, tol),
-                      min(workers, len(eps_list) * len(seeds)))
-    else:
-        scope = nullcontext(fold)
-    with scope as f:
-        items = [(eps, seed, level, f.warm.get((eps, seed)))
-                 for eps in eps_list for seed in seeds]
-        out = f.map(_FrozenSystems.solve, items)
-        for eps, seed, *_, warm in out:
-            f.warm[(eps, seed)] = warm
+    if systems is None:
+        systems = _FrozenSystems(phi, x0, spec, fam, h, r_out_factor, tol, eps_list, seeds)
+    items = [(eps, seed, level, systems.warm.get((eps, seed)))
+             for eps in eps_list for seed in seeds]
+    out = _map(_FrozenSystems.solve, systems, items, workers)
     fractions, means, spreads = {}, {}, {}
-    for eps, seed, frac, sup, its, res, wall, _ in out:
+    for eps, seed, frac, sup, its, res, wall, warm in out:
+        systems.warm[(eps, seed)] = warm
         fractions[(eps, seed)] = frac
         if log is not None:
             log.add(experiment_id, eps=eps, seed=seed, l=level,
@@ -381,7 +351,7 @@ def estimate_mbar(phi, x0, level, eps_list, seeds, spec: EnvironmentSpec,
                         stderr=stderr).validate()
 
 
-def _bracket(fold, eps_list, seeds):
+def _bracket(systems, eps_list, seeds, workers):
     """Certified starting bracket for the level bisection.
 
     Low end: below min F(P+) over every (eps, seed) the positive bump is
@@ -391,7 +361,7 @@ def _bracket(fold, eps_list, seeds):
     bisection use the same tables, so the certificates hold for them.
     """
     keys = [(eps, seed) for eps in eps_list for seed in seeds]
-    ends = fold.map(_FrozenSystems.bounds, keys)
+    ends = _map(_FrozenSystems.bounds, systems, keys, workers)
     lo = min(b[0] for b in ends)
     hi = max(b[1] for b in ends)
     margin = max(1e-9, 1e-6 * (abs(lo) + abs(hi)))
@@ -418,25 +388,23 @@ def effective_value(phi, x0, eps_list, seeds, spec: EnvironmentSpec,
     cells = int(round(1.0 / he)) ** spec.dim  # interior cells of the unit box
     theta = theta if theta is not None else 2.0 / cells
     steps = []
-    args = (phi, x0, spec, fam, h, r_out_factor, tol)
-    with _Fold(_FrozenSystems, args, min(workers, len(set(eps_list)) * len(seeds))) as fold:
-        lo, hi = _bracket(fold, eps_list, seeds)
-        if not lo < hi:
-            raise SolverError(f"degenerate effective-value bracket [{lo}, {hi}]")
-        certificates = {"lo": ("barrier", lo), "hi": ("zero-function", hi)}
-        for _ in range(max_steps):
-            if hi - lo <= bisect_tol:
-                break
-            mid = 0.5 * (lo + hi)
-            m = estimate_mbar(phi, x0, mid, eps_list, seeds, spec, fam,
-                              h=h, tol=tol, r_out_factor=r_out_factor, log=log,
-                              experiment_id="effective", fold=fold).estimate
-            if m <= theta:
-                steps.append((mid, m, "zero"))
-                lo = mid
-            else:
-                steps.append((mid, m, "positive"))
-                hi = mid
+    systems = _FrozenSystems(phi, x0, spec, fam, h, r_out_factor, tol, eps_list, seeds)
+    lo, hi = _bracket(systems, eps_list, seeds, workers)
+    if not lo < hi:
+        raise SolverError(f"degenerate effective-value bracket [{lo}, {hi}]")
+    certificates = {"lo": ("barrier", lo), "hi": ("zero-function", hi)}
+    for _ in range(max_steps):
+        if hi - lo <= bisect_tol:
+            break
+        mid = 0.5 * (lo + hi)
+        m = estimate_mbar(phi, x0, mid, eps_list, seeds, spec, fam, workers=workers,
+                          log=log, experiment_id="effective", systems=systems).estimate
+        if m <= theta:
+            steps.append((mid, m, "zero"))
+            lo = mid
+        else:
+            steps.append((mid, m, "positive"))
+            hi = mid
     value = 0.5 * (lo + hi)
     return EffectiveSample(phi=phi, x0=tuple(x0), bracket=(lo, hi), value=value,
                            theta=theta, eps_list=tuple(eps_list),
@@ -602,11 +570,6 @@ def abp_scaling_experiment(fam: KernelFamily, *, h=2.0**-9,
 # ---------------------------------------------------------------------------
 # convergence harness
 
-def _converge_shared(spec, fam, box, far, tol, r_out_factor):
-    """What every converge group shares: the table, built once, and the problem data."""
-    return spec, fam, box, far, tol, default_quadrature(fam, box, r_out_factor)
-
-
 def _converge_group(shared, group):
     """Dirichlet solves of one converge group as one batch.
 
@@ -632,7 +595,7 @@ def _converge_group(shared, group):
 
 
 def _exterior_from_tag(tag, dim, offset=0.0):
-    """Reproducible exterior data; must be picklable, hence tag-based.
+    """Reproducible exterior data, named by a tag so that configs can name it.
 
     "cosine": smooth bounded profile; "zero": zero.  The offset shifts
     the argument for translated-route solves.
@@ -669,9 +632,9 @@ def convergence_experiment(exterior_tag, eps_list, seeds,
     replay whose values must land bit-identically after shifting back.
     All solves share one grid (h fixed by the smallest eps), so the
     comparisons need no interpolation, and one table.  In 1d they share K
-    too, so every solve is one batch, which runs in process.  The 2d
+    too, so every solve is one batch, on the calling thread.  The 2d
     (sweep-engine) solves of one eps are one batch, with the translated
-    route (largest eps, first seed) in the first; the fold maps over these
+    route (largest eps, first seed) in the first; `_map` runs these
     fixed groups, so no number depends on the worker count.  Rows are
     logged eps by eps, seeds in order, with the translated route's row last.
     """
@@ -687,9 +650,8 @@ def convergence_experiment(exterior_tag, eps_list, seeds,
     if spec.dim == 1:
         groups = [[item for group in groups for item in group]]
     groups[0].append((seeds[0], eps_list[0], translation_shift))
-    shared = (spec, fam, box, exterior_tag, tol, r_out_factor)
-    with _Fold(_converge_shared, shared, min(workers, len(groups))) as fold:
-        out = fold.map(_converge_group, groups)
+    shared = (spec, fam, box, exterior_tag, tol, default_quadrature(fam, box, r_out_factor))
+    out = _map(_converge_group, shared, groups, workers)
     solved = [pair for group, rows in zip(groups, out) for pair in zip(group, rows)]
     solved.sort(key=lambda pair: pair[0][2] is not None)  # translated route's row last
     sols = {}

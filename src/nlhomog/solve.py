@@ -294,11 +294,12 @@ class _Lattice:
             raise ConfigurationError("rhs grid must match the domain grid")
         return rhs.reshape(self.active.shape)
 
-    def at_level(self, rhs):
-        """This lattice at another right-hand side, sharing every other (read-only) array."""
+    def at_level(self, problem):
+        """This lattice for `problem`, its own problem at another right-hand
+        side; every other (read-only) array is shared."""
         lat = copy.copy(self)
-        lat.problem = replace(self.problem, rhs=rhs)
-        lat.rhs = self._rhs_grid(rhs)
+        lat.problem = problem
+        lat.rhs = self._rhs_grid(problem.rhs)
         return lat
 
     def _read_exterior(self, shared):
@@ -560,7 +561,10 @@ def _free_solve(K, b, contact, G=None):
     if G is not None and 2 * C.size < b.size:
         u = G @ np.where(contact, 0.0, b)
         if C.size:
-            u -= G[:, C] @ np.linalg.solve(G[C[:, None], C], u[C])
+            # the contact block is solved before G[:, C] is gathered, so the
+            # two copies are never held at once
+            z = np.linalg.solve(G[C[:, None], C], u[C])
+            u -= G[:, C] @ z
             u[C] = 0.0
         return u
     if not C.size:
@@ -758,7 +762,7 @@ def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6,
     re-leveling the lattice.
     """
     t0 = time.perf_counter()
-    lat = _lattice(problem, quad) if lattice is None else lattice.at_level(problem.rhs)
+    lat = _lattice(problem, quad) if lattice is None else lattice.at_level(problem)
     if lat.linear and fixed_sweeps is None:
         method, out = "newton", lat.newton_solve(init, system)
     else:

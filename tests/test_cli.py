@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nlhomog
-from nlhomog import cli, homog
+from nlhomog import cli
 from nlhomog.cli import main
 from nlhomog.env import EnvironmentSpec
 from nlhomog.errors import ConfigurationError
@@ -118,7 +118,7 @@ def test_replay_reproduces_run_byte_for_byte(tmp_path):
 
 def test_effective_replay_is_worker_invariant(tmp_path):
     # warm starts make `iterations` depend on the level history, which the
-    # pool must reproduce exactly
+    # threads must reproduce exactly
     cfg = write_config(
         tmp_path, kind="effective", environment=MIXED_ENV,
         numerics={"eps_list": [0.25, 0.125], "seeds": [0, 1, 2],
@@ -157,8 +157,59 @@ def test_replay_bytes_do_not_depend_on_blas_threads(tmp_path, kind, numerics, ex
             assert (tmp_path / name / fname).read_bytes() == first, (name, fname)
 
 
+REPLAY_CONFIGS = {
+    "mbar": dict(kind="mbar", environment=MIXED_ENV,
+                 numerics={"eps_list": [0.25, 0.125], "seeds": [0, 1, 2]},
+                 experiment={"phi_index": 4, "level": 12.0}),
+    "effective": dict(kind="effective", environment=MIXED_ENV,
+                      numerics={"eps_list": [0.25, 0.125], "seeds": [0, 1, 2],
+                                "bisect_tol": 2.0**-4},
+                      experiment={"phi_index": 4}),
+    "converge-2d": dict(kind="converge",
+                        environment={"dim": 2, "kernel_class": "a", **MIXED_ENV},
+                        numerics={"eps_list": [1.0, 0.5], "seeds": [0, 1],
+                                  "h": 2.0**-3, "r_out_factor": 2.0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_CONFIGS))
+def test_runs_and_replays_match_at_one_two_and_three_workers(tmp_path, name):
+    # the threads of one run share the level-free parts, and each
+    # (eps, seed) keeps its warm start across levels; neither may show
+    # in the artifacts
+    cfg = write_config(tmp_path, **REPLAY_CONFIGS[name])
+    for w in ("1", "2", "3"):
+        assert main(["run", str(cfg), "--workers", w, "--out", str(tmp_path / w)]) == 0
+    assert main(["run", str(tmp_path / "3" / "replay.json"), "--workers", "2",
+                 "--out", str(tmp_path / "replay")]) == 0
+    for fname in ("rows.csv", "summary.json"):
+        first = (tmp_path / "1" / fname).read_bytes()
+        for out in ("2", "3", "replay"):
+            assert (tmp_path / out / fname).read_bytes() == first, (out, fname)
+
+
+def test_repeated_two_worker_effective_runs_are_identical(tmp_path):
+    # threads finish in any order, and a short switch interval interleaves
+    # them often; the artifacts must not notice
+    cfg = write_config(tmp_path, kind="effective", environment=MIXED_ENV,
+                       numerics={"eps_list": [0.25, 0.125], "seeds": [0, 1],
+                                 "bisect_tol": 2.0**-3},
+                       experiment={"phi_index": 4})
+    outputs = set()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for i in range(20):
+            out = tmp_path / f"run{i}"
+            assert main(["run", str(cfg), "--workers", "2", "--out", str(out)]) == 0
+            outputs.add(tuple((out / f).read_bytes() for f in ("rows.csv", "summary.json")))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(outputs) == 1
+
+
 def test_converge_replay_is_worker_invariant(tmp_path):
-    # the converge solves fan out through the same pool as the bisection
+    # a 1d converge is one batch; a 2d one maps as the bisection does
     cfg = write_config(
         tmp_path, kind="converge", environment=MIXED_ENV,
         numerics={"eps_list": [0.25, 0.125], "seeds": [0, 1], "h": 2.0**-5},
@@ -349,23 +400,24 @@ def test_non_finite_summary_numbers_are_written_as_null(
 
 
 def test_a_pool_asks_for_at_most_one_worker_per_item(tmp_path, monkeypatch):
-    # a fork pool starts all its workers at the first submit, so a fold asks
-    # for no more workers than it has items; the stand-in starts no process
+    # a map asks for no more threads than it has items, and a map of one
+    # item builds no executor; the stand-in starts no thread
     asked = []
 
     class Recorder:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             asked.append(max_workers)
-            initializer(*initargs)
 
-        def map(self, fn, items, chunksize=1):
+        def map(self, fn, items):
             return map(fn, items)
 
-        def shutdown(self):
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
             pass
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-    monkeypatch.setattr(homog, "_WORKER_STATE", None)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     converge_2d = write_config(tmp_path, name="converge2d.json", kind="converge",
                                environment={"dim": 2, "kernel_class": "a", **MIXED_ENV},
                                numerics={"eps_list": [1.0, 0.5], "seeds": [0],
@@ -377,18 +429,18 @@ def test_a_pool_asks_for_at_most_one_worker_per_item(tmp_path, monkeypatch):
                                numerics={"eps_list": [0.25, 0.125], "seeds": [0, 1],
                                          "h": 2.0**-5})
     assert main(["run", str(converge_1d), "--workers", "8"]) == 0
-    assert asked == [2]  # one K, one group, in process
+    assert asked == [2]  # one K, one group, on the calling thread
     mbar = write_config(tmp_path, name="mbar.json", kind="mbar", environment=MIXED_ENV,
                         numerics={"eps_list": [0.25], "seeds": [0]},
                         experiment={"phi_index": 4, "level": 12.0})
     assert main(["run", str(mbar), "--workers", "2"]) == 0
-    assert asked == [2]  # one item runs in process
+    assert asked == [2]  # one item runs on the calling thread
 
 
 def test_1d_converge_runs_in_process_at_any_worker_count(tmp_path):
     # every 1d converge problem shares K, so the run is one batch: a fresh
-    # interpreter at 2 workers builds no pool and loads no pool module, and
-    # writes what 1 worker writes
+    # interpreter at 2 workers builds no executor and loads neither pool
+    # module, and writes what 1 worker writes
     cfg = write_config(tmp_path, kind="converge", environment=MIXED_ENV,
                        numerics={"eps_list": [0.25, 0.125], "seeds": [0, 1], "h": 2.0**-5})
     script = (
@@ -398,18 +450,20 @@ def test_1d_converge_runs_in_process_at_any_worker_count(tmp_path):
         "    def __init__(self, *args, **kwargs):\n"
         "        built.append(kwargs.get('max_workers'))\n"
         "        raise RuntimeError('no pool expected')\n"
-        "concurrent.futures.ProcessPoolExecutor = StandIn\n"
+        "concurrent.futures.ThreadPoolExecutor = StandIn\n"
         "from nlhomog.cli import main\n"
         "cfg, out = sys.argv[1:]\n"
         "codes = [main(['run', cfg, '--workers', w, '--out', out + w]) for w in ('2', '1')]\n"
-        "print(json.dumps([codes, built, 'concurrent.futures.process' in sys.modules]))\n"
+        "print(json.dumps([codes, built, sorted(m for m in sys.modules\n"
+        "                                        if m.startswith('concurrent.futures.')\n"
+        "                                        and m != 'concurrent.futures._base')]))\n"
     )
     src = str(Path(nlhomog.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path / "w")],
                           capture_output=True, text=True, env=env, check=True)
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], [], False]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], [], []]
     two, one = tmp_path / "w2", tmp_path / "w1"
     assert [r[:-1] for r in read_rows(two)] == [r[:-1] for r in read_rows(one)]
     assert (two / "summary.json").read_bytes() == (one / "summary.json").read_bytes()
@@ -687,18 +741,21 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     assert err["error"]["type"] == "SolverError"
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("kind, experiment", [
     ("mbar", {"phi_index": 4, "level": 12.0}),
     ("effective", {"phi_index": 4}),
 ])
-def test_a_frozen_solve_failure_names_its_problem(tmp_path, capsys, kind, experiment):
+def test_a_frozen_solve_failure_names_its_problem(tmp_path, capsys, kind, experiment,
+                                                  workers):
     # the newton residual floors near 1e-13 here; the error must say which
-    # of the run's problems missed the tolerance
+    # of the run's problems missed the tolerance, on any worker thread, and
+    # carry the residual and step count of that solve as fields
     cfg = write_config(tmp_path, kind=kind, environment=MIXED_ENV,
                        numerics={"eps_list": [0.25, 0.125], "seeds": [3, 5],
                                  "solver_tol": 1e-15},
                        experiment=experiment)
-    assert main(["run", str(cfg)]) == 3
+    assert main(["run", str(cfg), "--workers", workers]) == 3
     err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
     assert err["type"] == "SolverError"
     where = re.match(r"eps=(\S+), seed=(\d+), level=(\S+): newton solver did not reach",
@@ -708,6 +765,10 @@ def test_a_frozen_solve_failure_names_its_problem(tmp_path, capsys, kind, experi
     assert eps in (0.25, 0.125) and seed in (3, 5) and math.isfinite(level)
     if kind == "mbar":
         assert level == 12.0
+    residual, iterations = err["residual"], err["iterations"]
+    assert isinstance(iterations, int) and iterations >= 1
+    assert 1e-15 < residual < 1e-9
+    assert f"(residual {residual:.3e} after {iterations} iterations;" in err["message"]
 
 
 def test_runs_load_no_scipy(tmp_path):
@@ -740,15 +801,17 @@ def test_runs_load_no_scipy(tmp_path):
 
 
 def test_import_loads_no_process_pool():
-    # the pool module is imported only when a run starts a pool
+    # the thread-pool module is imported only when a run maps on threads,
+    # and the process-pool module never
     script = ("import sys, nlhomog.cli\n"
-              "print('concurrent.futures.process' in sys.modules)\n")
+              "print('concurrent.futures.process' in sys.modules,\n"
+              "      'concurrent.futures.thread' in sys.modules)\n")
     src = str(Path(nlhomog.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.split() == ["False", "False"]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from nlhomog.env import EnvironmentSpec
-from nlhomog import solve
+from nlhomog import homog, solve
 from nlhomog.errors import ConfigurationError
 from nlhomog.homog import (
     RowLog,
@@ -156,13 +156,50 @@ def test_estimate_mbar_bookkeeping():
         estimate_mbar(PHI, np.zeros(1), 12.0, (0.25,), (), MIXED_SPEC, fam)
 
 
-def test_frozen_lattices_of_one_eps_share_one_exterior_correlation():
-    systems = _FrozenSystems(PHI, np.zeros(1), MIXED_SPEC, fam_of(MIXED_SPEC), None, 8.0, 1e-7)
-    for eps in (0.25, 0.125):
-        first, *rest = [systems.lattice(eps, seed) for seed in (0, 1, 2)]
-        assert all(lat.fixed_corr is first.fixed_corr and lat.kern is first.kern
-                   for lat in rest)
-    assert systems.lattice(0.25, 0).fixed_corr is not systems.lattice(0.125, 0).fixed_corr
+def test_frozen_lattices_of_one_eps_share_one_exterior_correlation(monkeypatch):
+    # also for lattices that worker threads build during a bisection
+    made = []
+    init = homog._FrozenSystems.__init__
+
+    def kept(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(homog._FrozenSystems, "__init__", kept)
+    eps_list, seeds = (0.25, 0.125), (0, 1, 2)
+    _FrozenSystems(PHI, np.zeros(1), MIXED_SPEC, fam_of(MIXED_SPEC), None, 8.0, 1e-7)
+    effective_value(PHI, np.zeros(1), eps_list, seeds, MIXED_SPEC, fam_of(MIXED_SPEC),
+                    bisect_tol=2.0**-3, workers=2)
+    fresh, bisection = made
+    assert len(bisection.lattices) == len(eps_list) * len(seeds)  # all built by the run
+    for systems in (fresh, bisection):
+        for eps in eps_list:
+            first, *rest = [systems.lattice(eps, seed) for seed in seeds]
+            assert all(lat.fixed_corr is first.fixed_corr and lat.kern is first.kern
+                       for lat in rest)
+        assert systems.lattice(0.25, 0).fixed_corr is not systems.lattice(0.125, 0).fixed_corr
+
+
+def test_two_worker_bisection_inverts_each_K_once_in_process(count_calls):
+    # the level-free parts of each eps are built once, before the threads
+    # start, and shared by them
+    inverses = count_calls(np.linalg, "inv")
+    eps_list = (0.25, 0.125, 0.0625)
+    s = effective_value(PHI, np.zeros(1), eps_list, (0, 1, 2), MIXED_SPEC,
+                        fam_of(MIXED_SPEC), bisect_tol=2.0**-3, workers=2)
+    assert len(s.steps) >= 3
+    assert len(inverses) == len(eps_list)
+
+
+def test_each_frozen_solve_replaces_its_problem_once(count_calls):
+    # the level is set on the frozen problem once, and the lattice takes
+    # that problem as it is
+    replaced = [count_calls(module, "replace") for module in (homog, solve)]
+    log = RowLog()
+    effective_value(PHI, np.zeros(1), (0.25, 0.125), (0, 1), MIXED_SPEC,
+                    fam_of(MIXED_SPEC), bisect_tol=2.0**-3, log=log)
+    assert len(log.rows) > 4
+    assert sum(map(len, replaced)) == len(log.rows)
 
 
 def test_estimate_mbar_worker_invariance():

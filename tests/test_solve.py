@@ -605,7 +605,7 @@ def test_schur_steps_match_direct_steps_across_contact_transition(monkeypatch):
     monkeypatch.setattr(solve, "_free_solve", recorded)
     tol, counts = 1e-10, []
     for level in (-12.0, *np.linspace(16.0, 21.5, 12)):
-        level_lat = lat.at_level(level)
+        level_lat = lat.at_level(replace(prob, rhs=level))
         direct, _, direct_res = level_lat.newton_solve(system=(K, e))
         schur, _, schur_res = level_lat.newton_solve(system=(K, e, G))
         assert direct_res[-1] <= tol and schur_res[-1] <= tol
