@@ -27,10 +27,10 @@ from .solve import (
     solve_obstacle,
 )
 from .homog import (
-    RowLog, abp_scaling_experiment,
+    RowLog, abp_scaling_experiment, _frozen_bounds, _frozen_lattices,
     check_translation_shift, comparison_measurable_experiment,
     convergence_experiment, corrector_decay_profile, effective_value,
-    estimate_mbar, fam_of, quadratic_bank, _exterior_from_tag, _FrozenSystems,
+    estimate_mbar, fam_of, quadratic_bank, _exterior_from_tag,
 )
 
 SCHEMA_VERSION = 1
@@ -568,9 +568,9 @@ def _direct_frozen_constant(resolved, spec, fam):
     """
     num, exp = resolved["numerics"], resolved["experiment"]
     phi, x0 = _phi(spec, exp)
-    systems = _FrozenSystems(phi, x0, spec, fam, num["h"], num["r_out_factor"],
-                             num["solver_tol"])
-    return systems.bounds((min(num["eps_list"]), num["seeds"][0]))[1]
+    lat, = _frozen_lattices(phi, x0, min(num["eps_list"]), num["seeds"][:1], spec, fam,
+                            num["h"], num["r_out_factor"])
+    return _frozen_bounds(lat)[1]
 
 
 def run_checks(resolved, spec, fam, summary):

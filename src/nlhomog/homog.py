@@ -13,10 +13,11 @@ Monte Carlo work is a deterministic fold over (eps, seed, level) items.
 Each problem runs the engine its lattice picks (see `solve`), on a table
 from `default_quadrature`.
 The frozen problems of one m-bar estimate or one effective-level bisection
-share their level-free parts: per eps the quadrature table, the frozen
-moment, one exterior correlation and the linear engine's (K, e, G), with
-G = inv(K), built before any solve; per (eps, seed) the lattice, which
-the barrier bracket also reads.  They are dropped when the call returns.
+share their level-free parts, built on the calling thread before any solve
+(`_FrozenSystems`) and dropped when the call returns: per eps the table
+with its stencil, the frozen moment, one exterior correlation and the
+linear engine's (K, e, G), G = inv(K); per (eps, seed) the lattice, which
+the barrier bracket also reads.
 Each level only recomputes its threshold and runs the active set, started
 from the contact set the same (eps, seed) item returned at the previous
 level, and each active-set step with less contact than free cells is a
@@ -26,9 +27,9 @@ item, so the worker threads cannot change any reported number.
 The functions that can fan out take `workers`, the number of threads
 (default 1: a plain loop, and the thread-pool module is not imported);
 nothing here reads a worker count from anywhere else.  The threads share
-one process and one copy of the level-free parts (`_map`).  `tol` is the
-solver tolerance wherever it appears; the bisection's own stopping width
-is `bisect_tol`.
+one process and one copy of the level-free parts, which they only read
+(`_map`).  `tol` is the solver tolerance wherever it appears; the
+bisection's own stopping width is `bisect_tol`.
 Dirichlet problems that share a grid are solved as one batch
 (`solve_dirichlet_many`), so each grid's K is solved once: the abp and cmi
 sweeps are one batch each.  The convergence harness makes one batch of all
@@ -200,64 +201,58 @@ def _frozen_problem(phi, x0, level, eps, env, fam, h, *, domain_half=0.5,
                             exterior=ExteriorRule.zero(), shape=shape)
 
 
+def _frozen_lattices(phi, x0, eps, seeds, spec, fam, h, r_out_factor):
+    """Level-zero lattices of the frozen problems of one eps, one per seed (h
+    defaults to eps/4), sharing one table, frozen moment and exterior correlation."""
+    he = (eps / 4.0) if h is None else h
+    lats, shared = [], {}
+    for seed in seeds:
+        prob = _frozen_problem(phi, x0, 0.0, eps, sample_environment(spec, seed=seed),
+                               fam, he)
+        if not lats:
+            quad = default_quadrature(fam, prob.domain, r_out_factor)
+            moment = unit_moment(*prob.handle.frozen, quad)
+        lats.append(_lattice(prob, quad, moment, shared))
+    return lats
+
+
+def _frozen_bounds(lat):
+    """(barrier level, zero-function level) of one frozen problem's lattice.
+
+    At or below the first the positive bump is a subsolution, so there is
+    no contact; at or above the second the zero function already satisfies
+    the level, so contact is total.
+    """
+    lo = barrier_threshold(lat.problem, +1, quad=lat.quad, lattice=lat)
+    F0, _ = lat.operator_values(np.zeros(lat.rhs.shape))
+    return lo, float(np.max(np.asarray(F0)[lat.active]))
+
+
 class _FrozenSystems:
     """Level-free parts of the frozen problems of one extraction, and its warm starts.
 
-    Per eps: the grid spacing, the quadrature table, the frozen moment, the
-    `shared` dict of its lattices (one stencil and one correlation of the
-    zero exterior) and, when the lattice runs the linear engine, the triple
-    (K, e, G) with G = inv(K) -- all seed-independent, since they depend on
-    the grid, the table and the zero exterior only.  G turns each
-    active-set step with fewer contact than free cells into a matvec and a
-    small Schur solve.  For each eps of `eps_list` these are built here,
-    on the calling thread, with the lattice of the first of `seeds`, so the
-    worker threads of a fan-out over those eps only read them.
-    Per (eps, seed): the lattice with its environment fields, built once at
-    level zero by the first item that needs it; the barrier bracket
-    evaluates the bump on that lattice.  Bracket ends and solves at any
-    level read from here.  `warm` holds the solution each (eps, seed)
-    returned at the previous level; `estimate_mbar` updates it between
-    maps, on the calling thread.
+    Everything is built here, on the calling thread, so the worker threads
+    of a fan-out only read it.  Per (eps, seed) of `eps_list` and `seeds`:
+    the lattice at level zero (`_frozen_lattices`), on which the barrier
+    bracket evaluates the bump.  Per eps: when the lattices run the linear
+    engine, the first lattice's `system()`, (K, e, G) with G = inv(K) --
+    seed-independent, since it depends on the grid, the table and the zero
+    exterior only.  G turns each active-set step with fewer contact than
+    free cells into a matvec and a small Schur solve.  `warm` holds the
+    solution each (eps, seed) returned at the previous level;
+    `estimate_mbar` updates it between maps, on the calling thread.
     """
 
-    def __init__(self, phi, x0, spec, fam, h, r_out_factor, tol, eps_list=(), seeds=()):
-        self.phi, self.x0, self.spec, self.fam = phi, x0, spec, fam
-        self.h, self.r_out_factor, self.tol = h, r_out_factor, tol
-        self.tables = {}     # eps -> (quadrature table, frozen moment, shared dict)
-        self.assembled = {}  # eps -> (K, e, inv(K)) of the linear engine
+    def __init__(self, phi, x0, spec, fam, h, r_out_factor, tol, eps_list, seeds):
+        self.tol = tol
         self.lattices = {}   # (eps, seed) -> lattice at level 0
+        self.assembled = {}  # eps -> (K, e, inv(K)) of the linear engine
         self.warm = {}       # (eps, seed) -> solution at the previous level
         for eps in sorted(set(eps_list)):
-            lat = self.lattice(eps, seeds[0])
-            if lat.linear:
-                K = lat.matrix()
-                self.assembled[eps] = (K, lat.load(), np.linalg.inv(K))
-
-    def lattice(self, eps, seed):
-        lat = self.lattices.get((eps, seed))
-        if lat is not None:
-            return lat
-        he = (eps / 4.0) if self.h is None else self.h
-        env = sample_environment(self.spec, seed=seed)
-        prob = _frozen_problem(self.phi, self.x0, 0.0, eps, env, self.fam, he)
-        if eps not in self.tables:
-            quad = default_quadrature(self.fam, prob.domain, self.r_out_factor)
-            phi, x0 = prob.handle.frozen
-            self.tables[eps] = (quad, unit_moment(phi, x0, quad), {})
-        lat = self.lattices[(eps, seed)] = _lattice(prob, *self.tables[eps])
-        return lat
-
-    def bounds(self, key):
-        """(barrier level, zero-function level) of one (eps, seed) problem.
-
-        At or below the first the positive bump is a subsolution, so there
-        is no contact; at or above the second the zero function already
-        satisfies the level, so contact is total.
-        """
-        lat = self.lattice(*key)
-        lo = barrier_threshold(lat.problem, +1, quad=lat.quad, lattice=lat)
-        F0, _ = lat.operator_values(np.zeros(lat.rhs.shape))
-        return lo, float(np.max(np.asarray(F0)[lat.active]))
+            lats = _frozen_lattices(phi, x0, eps, seeds, spec, fam, h, r_out_factor)
+            self.lattices.update(((eps, seed), lat) for seed, lat in zip(seeds, lats))
+            if lats[0].linear:
+                self.assembled[eps] = lats[0].system()
 
     def solve(self, item):
         """Obstacle solve of one (eps, seed) problem at a level, warm-started.
@@ -270,7 +265,7 @@ class _FrozenSystems:
         tolerance.
         """
         eps, seed, level, warm = item
-        lat = self.lattice(eps, seed)
+        lat = self.lattices[(eps, seed)]
         try:
             sol = solve_obstacle(replace(lat.problem, rhs=level), tol=self.tol, init=warm,
                                  lattice=lat, system=self.assembled.get(eps))
@@ -285,10 +280,9 @@ class _FrozenSystems:
 def _map(fn, state, items, workers):
     """[fn(state, item) for item in items], on min(workers, len(items)) threads.
 
-    The threads only read `state`, apart from building each (eps, seed)
-    lattice of a `_FrozenSystems` on its first use.  Every item runs the
-    same function on the same state, so results do not depend on the
-    worker count.  One thread is a plain loop on the calling thread.
+    The threads only read `state`, which is built whole before the map.
+    Every item runs the same function on the same state, so results do not
+    depend on the worker count.  One thread is a plain loop.
     """
     call = functools.partial(fn, state)
     workers = min(workers, len(items))
@@ -351,17 +345,16 @@ def estimate_mbar(phi, x0, level, eps_list, seeds, spec: EnvironmentSpec,
                         stderr=stderr).validate()
 
 
-def _bracket(systems, eps_list, seeds, workers):
+def _bracket(systems):
     """Certified starting bracket for the level bisection.
 
     Low end: below min F(P+) over every (eps, seed) the positive bump is
     a subsolution, so the least supersolution dominates it and the
     contact fraction is zero.  High end: above max F(0) the zero function
     already satisfies the level, so contact is total.  The solves of the
-    bisection use the same tables, so the certificates hold for them.
+    bisection use the same lattices, so the certificates hold for them.
     """
-    keys = [(eps, seed) for eps in eps_list for seed in seeds]
-    ends = _map(_FrozenSystems.bounds, systems, keys, workers)
+    ends = [_frozen_bounds(lat) for lat in systems.lattices.values()]
     lo = min(b[0] for b in ends)
     hi = max(b[1] for b in ends)
     margin = max(1e-9, 1e-6 * (abs(lo) + abs(hi)))
@@ -389,7 +382,7 @@ def effective_value(phi, x0, eps_list, seeds, spec: EnvironmentSpec,
     theta = theta if theta is not None else 2.0 / cells
     steps = []
     systems = _FrozenSystems(phi, x0, spec, fam, h, r_out_factor, tol, eps_list, seeds)
-    lo, hi = _bracket(systems, eps_list, seeds, workers)
+    lo, hi = _bracket(systems)
     if not lo < hi:
         raise SolverError(f"degenerate effective-value bracket [{lo}, {hi}]")
     certificates = {"lo": ("barrier", lo), "hi": ("zero-function", hi)}

@@ -73,6 +73,9 @@ class QuadratureTable:
     moments w*yhat_i*yhat_k over all cells with 0 < |center| <= r_eff
     (their sum kxx+kyy is the plain envelope stencil).
 
+    `stencil`, which every lattice on the table reads, is (w reversed, 0, w)
+    in 1d and in 2d one (3, 2J+1, 2J+1) array with views `kxx/kyy/kxy`.
+
     `c_near` is the full second moment of the envelope over the singular
     cell; applied to the axis second difference divided by h^2 it restores
     second-order consistency at the origin.  `tail` integrates the
@@ -87,13 +90,14 @@ class QuadratureTable:
     c_near: float
     tail: float
     w_total: float
+    stencil: np.ndarray
     kxx: np.ndarray | None = None
     kyy: np.ndarray | None = None
     kxy: np.ndarray | None = None
 
     @property
     def n_offsets(self):
-        return int(self.w.shape[0]) if self.dim == 1 else int((self.kxx.shape[0] - 1) // 2)
+        return int((self.stencil.shape[-1] - 1) // 2)
 
 
 def build_quadrature(dim: int, sigma: float, h: float, r_out: float) -> QuadratureTable:
@@ -114,15 +118,15 @@ def build_quadrature(dim: int, sigma: float, h: float, r_out: float) -> Quadratu
         return QuadratureTable(
             dim=1, sigma=sigma, h=h, r_eff=r_eff,
             w=w, c_near=c_near, tail=tail, w_total=2.0 * float(np.sum(w)),
+            stencil=np.concatenate((w[::-1], [0.0], w)),
         )
     if dim != 2:
         raise ConfigurationError("dim must be 1 or 2")
     J = int(round(r_out / h))
     jj = np.arange(-J, J + 1, dtype=np.float64)
     JX, JY = np.meshgrid(jj, jj, indexing="ij")
-    kxx = np.zeros_like(JX)
-    kyy = np.zeros_like(JX)
-    kxy = np.zeros_like(JX)
+    stencil = np.zeros((3,) + JX.shape)
+    kxx, kyy, kxy = stencil  # views: filling them fills the stencil
     rad = np.hypot(JX, JY) * h
     inside = (rad > 0) & (rad <= r_out + 1e-12)
     # Midpoint rule per cell; subcell refinement near the origin where the
@@ -156,5 +160,5 @@ def build_quadrature(dim: int, sigma: float, h: float, r_out: float) -> Quadratu
     return QuadratureTable(
         dim=2, sigma=sigma, h=h, r_eff=r_out,
         w=w, c_near=c_near, tail=tail, w_total=float(np.sum(w)),
-        kxx=kxx, kyy=kyy, kxy=kxy,
+        stencil=stencil, kxx=kxx, kyy=kyy, kxy=kxy,
     )

@@ -15,14 +15,14 @@ other levels make of it share its arrays.  Its one padded array holds the
 exterior data on the grid and J ghost nodes past each face, with the active
 cells zeroed.  The correlation of that array is fixed per exterior, so an
 evaluation, on its own copy of the values, correlates only the active values
-with the central taps.  The lattices of one Dirichlet batch share the 1d
-stencil, and one padded array and correlation per bitwise-distinct array.
-Each dimension keeps its stencil, its correlation and its moment formula:
-in 1d one symmetric stencil, giving the unit moment
-(and, for the pointwise extremal of the "cs" class, the positive and
-negative moments); in 2d three directional stencils, giving the symmetric
-(2, 2) moment field.  The pointwise "cs" extremal is 1d only; a 2d one is
-refused.
+with the central taps.  Every lattice reads its table's stencil; those of
+one `shared` dict (a Dirichlet batch, or the frozen problems of one eps)
+share one padded array and correlation per bitwise-distinct array.  Each
+dimension keeps its correlation and its moment formula: in 1d one
+symmetric stencil, giving the unit moment (and, for the pointwise extremal
+of the "cs" class, the positive and negative moments); in 2d three
+directional stencils, giving the symmetric (2, 2) moment field.  The
+pointwise "cs" extremal is 1d only; a 2d one is refused.
 
 Engines
 -------
@@ -63,7 +63,8 @@ sweeps   damped projected point relaxation (red-black ordering), for 2d
 
 Repeated solves of one problem at several levels can hand `solve_obstacle`
 the level-free parts built once: the lattice (environment fields, exterior
-data, frozen moment) and, for the newton engine, the triple (K, e, inv(K)).
+data, frozen moment) and, for the newton engine, its `system()`, the triple
+(K, e, inv(K)).
 The bump barriers read that same lattice: a bump vanishes outside its ball,
 which lies in the box, so its exterior data are the zero data of every
 frozen problem.
@@ -210,9 +211,9 @@ MAX_STEPS = 60      # active-set steps before a newton solve gives up
 
 
 class _Lattice:
-    """One problem on its grid: everything but the moment stencil (see Lattices).
+    """One problem on its grid (see Lattices).
 
-    A subclass sets `dim`, builds its stencil `kern` in `_stencil`,
+    A subclass sets `dim`, takes the table's stencil as `kern` in `_stencil`,
     correlates in `_correlate` and evaluates F in `operator_values`.  This
     class reads the exterior data and adds the red-black damped sweeps and
     the certified residual.
@@ -239,14 +240,13 @@ class _Lattice:
             self.active = np.ones(nodes[0].shape, dtype=bool)
         if not self.active.any():
             raise ConfigurationError("domain has no active cells")
-        # `shared` is a dict that the lattices of one table fill and read
-        shared = {} if shared is None else shared
-        self._stencil(shared)
+        self._stencil()
         # active values, zero-padded by q, only meet the central 2q+1 taps
         self.q = min(self.J, self.m - 1)
         taps = slice(self.J - self.q, self.J + self.q + 1)
         self.near_kern = self.kern[(Ellipsis,) + (taps,) * self.dim]
-        self._read_exterior(shared)
+        # `shared` is a dict that the lattices of one table fill and read
+        self._read_exterior({} if shared is None else shared)
         self.D0 = 2.0 * quad.w_total + 2.0 * quad.c_near / self.h**2 + 2.0 * quad.tail
         self.kind = "extremal" if handle.extremal_sign != 0 else "branch"
         self.is_matrix = handle.fam.kind == "a" and self.dim == 2
@@ -348,18 +348,18 @@ class _Lattice:
             r = np.maximum(r, -vals)
         return float(np.max(np.abs(r)[self.active]))
 
-    def sweep_solve(self, obstacle, tol, max_iter, fixed_sweeps=None):
+    def sweep_solve(self, obstacle, tol, fixed_sweeps=None):
         """Returns (vals, sweeps, residuals); the last residual is the final one.
 
-        The sweeps start from zero.  Unless fixed_sweeps pins the work, the
-        residual is checked every CHECK_EVERY sweeps, and the solve stops
-        early once the best of the last STALL_CHECKS checks is not 1% below
-        the best before them.
+        The sweeps start from zero.  Unless fixed_sweeps pins the work, at
+        most MAX_SWEEPS run, the residual is checked every CHECK_EVERY
+        sweeps, and the solve stops early once the best of the last
+        STALL_CHECKS checks is not 1% below the best before them.
         """
         vals = np.zeros(self.active.shape)
         parity = np.indices(self.active.shape).sum(axis=0) % 2
         colors = [self.active & (parity == 0), self.active & (parity == 1)]
-        sweeps = fixed_sweeps if fixed_sweeps is not None else max_iter
+        sweeps = fixed_sweeps if fixed_sweeps is not None else MAX_SWEEPS
         trail = []
         best_before = np.inf
         it = 0
@@ -389,11 +389,8 @@ class _Lattice1D(_Lattice):
 
     dim = 1
 
-    def _stencil(self, shared):
-        # symmetric correlation stencil, center weight zero; one per table
-        if "stencil" not in shared:
-            shared["stencil"] = np.concatenate((self.quad.w[::-1], [0.0], self.quad.w))
-        self.kern = shared["stencil"]
+    def _stencil(self):
+        self.kern = self.quad.stencil
 
     @staticmethod
     def _correlate(a, kern):
@@ -486,6 +483,11 @@ class _Lattice1D(_Lattice):
         """e of I(u) = e - K u, which is I(0): the moment of the exterior data alone."""
         return self.unit_moments(self.padded(np.zeros(self.m), 1))
 
+    def system(self):
+        """(K, e, inv(K)), the newton engine's level-free part, for solves at many levels."""
+        K = self.matrix()
+        return K, self.load(), np.linalg.inv(K)
+
     def newton_solve(self, init=None, system=None):
         """Obstacle problem K u >= e - t, u >= 0, complementary, by the primal-dual active set.
 
@@ -493,14 +495,12 @@ class _Lattice1D(_Lattice):
         each step solves on the free set and writes exact zeros on the
         contact set, until the set repeats or MAX_STEPS steps have run.  K
         is an M-matrix, so the method converges from any first set.
-        `system` is the pair (K, e) of `matrix()` and `load()`, or the
-        triple (K, e, G) with G = inv(K), when the caller holds it across
-        solves.
+        `system` is None for a one-off solve, whose steps are all direct,
+        or this lattice's `system()`, held by the caller across solves.
         """
         if not self.linear:
             raise ConfigurationError("the pointwise extremal has no dense linearization")
-        K, e, *inverse = (self.matrix(), self.load()) if system is None else system
-        G = inverse[0] if inverse else None
+        K, e, G = (self.matrix(), self.load(), None) if system is None else system
         b = e - self.threshold()
         contact = np.zeros(b.size, dtype=bool) if init is None else np.asarray(init) == 0.0
         u = _free_solve(K, b, contact, G)
@@ -582,12 +582,12 @@ class _Lattice2D(_Lattice):
     dim = 2
     linear = False
 
-    def _stencil(self, shared):
+    def _stencil(self):
         quad = self.quad
         sxx = float(np.sum(quad.kxx))
         syy = float(np.sum(quad.kyy))
         self.sums = (sxx, syy, float(np.sum(quad.kxy)))
-        self.kern = np.stack([quad.kxx, quad.kyy, quad.kxy])
+        self.kern = quad.stencil
         # directional slope bounds, for the matrix-class sweep diagonal
         self.slopes = (2.0 * sxx + quad.c_near / self.h**2 + quad.tail,
                        2.0 * syy + quad.c_near / self.h**2 + quad.tail,
@@ -644,7 +644,7 @@ def _lattice(problem: DirichletProblem, quad: QuadratureTable | None,
     """Lattice of a problem; frozen_moment, if given, is unit_moment of its frozen profile on quad.
 
     `shared`, a dict kept by the caller for lattices of this one table, lets
-    them share the 1d stencil and each bitwise-distinct exterior correlation.
+    them share each bitwise-distinct exterior array and its correlation.
     """
     if quad is None:
         quad = default_quadrature(problem.handle.fam, problem.domain)
@@ -693,9 +693,9 @@ def solve_dirichlet_many(problems, tol: float = 1e-6,
 
     The problems must share the grid and the active mask, and are solved
     on the one table `quad` (the first problem's default when None), or
-    ConfigurationError.  Their lattices share the stencil, and one exterior
-    correlation per bitwise-distinct padded exterior array.  Those on the
-    newton engine share K, so one Levinson solve on K's first column takes
+    ConfigurationError.  Their lattices read the table's stencil and share
+    one correlation per bitwise-distinct padded exterior array.  Those on
+    the newton engine share K, so one Levinson solve on K's first column takes
     each bitwise-distinct column of B = [e_i - t_i] once, in O(m n) memory;
     equal columns get equal solutions wherever they sit in the batch.
     Each column is certified with its own lattice's residual and raises
@@ -737,7 +737,7 @@ def solve_dirichlet_many(problems, tol: float = 1e-6,
             method, out = "newton", (vals, 1, [lat.residual(vals, False)])
             walls[i] += share
         else:
-            method, out = "sweeps", lat.sweep_solve(False, tol, MAX_SWEEPS, fixed_sweeps)
+            method, out = "sweeps", lat.sweep_solve(False, tol, fixed_sweeps)
         wall_ms = (walls[i] + time.perf_counter() - t0) * 1e3
         results.append(_result(lat, False, method, out, tol, wall_ms,
                                pinned=fixed_sweeps is not None))
@@ -755,18 +755,18 @@ def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6,
     and changes nothing else; the sweeps ignore it and start from zero.
     `lattice` (from `_lattice` for this problem at any level) and
     `system` skip rebuilding them when the level is all that changed.
-    `system` is the lattice's (K, e) from `matrix()` and `load()`, or
-    (K, e, inv(K)): with the inverse, active-set steps on less contact than
-    free cells are Schur steps (a matvec and a solve on the contact block)
-    instead of a solve on the free block.  wall_ms includes building or
-    re-leveling the lattice.
+    `system` is None (a one-off solve: every active-set step is a solve on
+    the free block) or the lattice's `system()`, (K, e, inv(K)): with the
+    inverse, steps on less contact than free cells are Schur steps (a
+    matvec and a solve on the contact block).  wall_ms includes building
+    or re-leveling the lattice.
     """
     t0 = time.perf_counter()
     lat = _lattice(problem, quad) if lattice is None else lattice.at_level(problem)
     if lat.linear and fixed_sweeps is None:
         method, out = "newton", lat.newton_solve(init, system)
     else:
-        method, out = "sweeps", lat.sweep_solve(True, tol, MAX_SWEEPS, fixed_sweeps)
+        method, out = "sweeps", lat.sweep_solve(True, tol, fixed_sweeps)
     wall = (time.perf_counter() - t0) * 1e3
     return _result(lat, True, method, out, tol, wall, pinned=fixed_sweeps is not None)
 

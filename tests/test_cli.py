@@ -49,6 +49,22 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return path
 
 
+def test_check_on_a_fixed_law_effective_inverts_K_only_in_the_bisection(
+        tmp_path, count_calls, capsys):
+    # the direct-constant check builds one lattice of the smallest eps and no
+    # inverse; the bisection inverts each eps's K once
+    from nlhomog import solve
+    inverses = count_calls(np.linalg, "inv")
+    lattices = count_calls(solve._Lattice1D, "__init__")
+    cfg = write_config(tmp_path, kind="effective",
+                       numerics={"eps_list": [0.25, 0.125], "seeds": [0, 1]},
+                       experiment={"phi_index": 4})
+    assert main(["run", str(cfg), "--check"]) == 0
+    assert "PASS matches-direct-constant" in capsys.readouterr().out
+    assert len(inverses) == 2
+    assert len(lattices) == 2 * 2 + 1
+
+
 def read_rows(out_dir):
     with open(out_dir / "rows.csv") as fh:
         return list(csv.reader(fh))

@@ -8,6 +8,7 @@ conductivity, whose level should approach the harmonic-mean prediction.
 
 import csv
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -157,7 +158,7 @@ def test_estimate_mbar_bookkeeping():
 
 
 def test_frozen_lattices_of_one_eps_share_one_exterior_correlation(monkeypatch):
-    # also for lattices that worker threads build during a bisection
+    # also for the lattices of a two-worker bisection
     made = []
     init = homog._FrozenSystems.__init__
 
@@ -167,17 +168,35 @@ def test_frozen_lattices_of_one_eps_share_one_exterior_correlation(monkeypatch):
 
     monkeypatch.setattr(homog._FrozenSystems, "__init__", kept)
     eps_list, seeds = (0.25, 0.125), (0, 1, 2)
-    _FrozenSystems(PHI, np.zeros(1), MIXED_SPEC, fam_of(MIXED_SPEC), None, 8.0, 1e-7)
+    _FrozenSystems(PHI, np.zeros(1), MIXED_SPEC, fam_of(MIXED_SPEC), None, 8.0, 1e-7,
+                   eps_list, seeds)
     effective_value(PHI, np.zeros(1), eps_list, seeds, MIXED_SPEC, fam_of(MIXED_SPEC),
                     bisect_tol=2.0**-3, workers=2)
     fresh, bisection = made
     assert len(bisection.lattices) == len(eps_list) * len(seeds)  # all built by the run
     for systems in (fresh, bisection):
         for eps in eps_list:
-            first, *rest = [systems.lattice(eps, seed) for seed in seeds]
+            first, *rest = [systems.lattices[(eps, seed)] for seed in seeds]
             assert all(lat.fixed_corr is first.fixed_corr and lat.kern is first.kern
                        for lat in rest)
-        assert systems.lattice(0.25, 0).fixed_corr is not systems.lattice(0.125, 0).fixed_corr
+        assert (systems.lattices[(0.25, 0)].fixed_corr
+                is not systems.lattices[(0.125, 0)].fixed_corr)
+
+
+def test_every_lattice_of_a_two_worker_bisection_is_built_on_the_calling_thread(monkeypatch):
+    # the threads only read: each (eps, seed) lattice is built before they start
+    build_threads = []
+    for cls in (solve._Lattice1D, solve._Lattice2D):
+        def recorded(self, *args, _init=cls.__init__, **kwargs):
+            build_threads.append(threading.current_thread())
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", recorded)
+    eps_list, seeds = (0.25, 0.125), (0, 1, 2)
+    s = effective_value(PHI, np.zeros(1), eps_list, seeds, MIXED_SPEC, fam_of(MIXED_SPEC),
+                        bisect_tol=2.0**-3, workers=2)
+    assert len(s.steps) >= 3
+    assert build_threads == [threading.main_thread()] * (len(eps_list) * len(seeds))
 
 
 def test_two_worker_bisection_inverts_each_K_once_in_process(count_calls):

@@ -63,14 +63,14 @@ def mixed_problem(level, h=1.0 / 16, half=0.5, eps=0.25, seed=3):
                             exterior=ExteriorRule.zero(), shape="cube")
 
 
-def sweeps(prob, quad, obstacle=False, tol=1e-6, max_iter=200000):
+def sweeps(prob, quad, obstacle=False, tol=1e-6):
     """The reference sweep engine on any problem, returned and raising as the solves do.
 
     The solves run the engine the problem picks; every lattice can also
     sweep, so the engine comparisons reach that path directly.
     """
     lat = solve._lattice(prob, quad)
-    out = lat.sweep_solve(obstacle, tol, max_iter)
+    out = lat.sweep_solve(obstacle, tol)
     return solve._result(lat, obstacle, "sweeps", out, tol)
 
 
@@ -311,6 +311,47 @@ def test_dirichlet_batch_shares_exterior_correlations(monkeypatch):
     # each distinct exterior still gives its own correlation's bits
     for lat, prob in zip(built, grid_batch()):
         assert np.array_equal(lat.fixed_corr, lattice(prob, QUAD16).fixed_corr)
+
+
+def test_2d_lattices_of_one_table_hold_its_one_stencil(monkeypatch):
+    # a 2d Dirichlet batch, and the frozen problems of one 2d eps, read the
+    # table's (3, 2J+1, 2J+1) stencil; no lattice keeps a copy
+    from nlhomog.homog import _FrozenSystems, fam_of, quadratic_bank
+    spec = EnvironmentSpec(dim=2, n_alpha=2, n_beta=2, kernel_class="a",
+                           coeff_law="uniform", forcing_law="uniform")
+    fam = fam_of(spec)
+    built = []
+    lattice = solve._lattice
+
+    def record(*args, **kwargs):
+        built.append(lattice(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(solve, "_lattice", record)
+    box = Box((0.0, 0.0), 0.5, 1.0 / 8)
+    quad = build_quadrature(2, 1.0, 1.0 / 8, 1.0)
+    problems = [DirichletProblem(handle=OperatorHandle(fam=fam, env=sample_environment(spec, s),
+                                                       eps=0.5),
+                                 domain=box, rhs=0.0, exterior=ExteriorRule.zero())
+                for s in range(3)]
+    solve_dirichlet_many(problems, tol=1e-6, quad=quad)
+    assert len(built) == 3 and all(lat.kern is quad.stencil for lat in built)
+    assert quad.stencil.shape == (3, 2 * quad.n_offsets + 1, 2 * quad.n_offsets + 1)
+    assert all(np.shares_memory(k, quad.stencil) for k in (quad.kxx, quad.kyy, quad.kxy))
+    frozen = _FrozenSystems(quadratic_bank(2)[7], np.zeros(2), spec, fam, 1.0 / 8, 1.0, 1e-6,
+                            (0.5,), (0, 1, 2))
+    first, *rest = frozen.lattices.values()
+    assert len(rest) == 2 and first.kern is first.quad.stencil
+    assert all(lat.quad is first.quad and lat.kern is first.kern for lat in rest)
+
+
+def test_system_is_the_matrix_its_load_and_the_inverse():
+    lat = solve._lattice(mixed_problem(0.05), QUAD16)
+    K, e, G = lat.system()
+    want = (lat.matrix(), lat.load(), np.linalg.inv(lat.matrix()))
+    for got, ref in zip((K, e, G), want):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -554,14 +595,13 @@ def test_prebuilt_lattice_and_system_match_a_fresh_solve():
     lat = solve._lattice(mixed_problem(0.0), QUAD16)
     arrays = {k: v.copy() for k, v in vars(lat).items() if isinstance(v, np.ndarray)}
     assert {"fixed", "fixed_corr", "active", "rhs"} <= set(arrays)
-    system = (lat.matrix(), lat.load())
     for level in (-0.05, 0.1, 0.4):
         fresh = solve_obstacle(mixed_problem(level), tol=1e-10, quad=QUAD16)
         reused = solve_obstacle(mixed_problem(level), tol=1e-10, quad=QUAD16,
-                                lattice=lat, system=system)
+                                lattice=lat, system=None)
         assert np.array_equal(fresh.u.values, reused.u.values)
         assert fresh.diagnostics.residual == reused.diagnostics.residual
-    lat.sweep_solve(True, 1e-10, solve.MAX_SWEEPS, fixed_sweeps=16)
+    lat.sweep_solve(True, 1e-10, fixed_sweeps=16)
     barrier_threshold(lat.problem, +1, quad=QUAD16, lattice=lat)
     # the held lattice is read-only: its level, its exterior and every other array
     assert np.all(lat.rhs == 0.0)
@@ -592,8 +632,7 @@ def test_schur_steps_match_direct_steps_across_contact_transition(monkeypatch):
     prob = _frozen_problem(quadratic_bank(1)[4], np.zeros(1), 0.0, 0.125, mixed_env(),
                            FAM, 1.0 / 64)
     lat = solve._lattice(prob, default_quadrature(FAM, prob.domain))
-    K, e = lat.matrix(), lat.load()
-    G = np.linalg.inv(K)
+    system = lat.system()
     steps = []
     free_solve = solve._free_solve
 
@@ -606,8 +645,8 @@ def test_schur_steps_match_direct_steps_across_contact_transition(monkeypatch):
     tol, counts = 1e-10, []
     for level in (-12.0, *np.linspace(16.0, 21.5, 12)):
         level_lat = lat.at_level(replace(prob, rhs=level))
-        direct, _, direct_res = level_lat.newton_solve(system=(K, e))
-        schur, _, schur_res = level_lat.newton_solve(system=(K, e, G))
+        direct, _, direct_res = level_lat.newton_solve(system=None)
+        schur, _, schur_res = level_lat.newton_solve(system=system)
         assert direct_res[-1] <= tol and schur_res[-1] <= tol
         assert np.array_equal(direct == 0.0, schur == 0.0)
         assert np.min(schur) >= 0.0 and np.min(direct) >= 0.0
@@ -746,10 +785,11 @@ def test_barrier_threshold_refuses_a_held_lattice_with_exterior_data(exterior):
 # ---------------------------------------------------------------------------
 # failure modes and validation
 
-def test_solver_error_carries_diagnostics():
+def test_solver_error_carries_diagnostics(monkeypatch):
     prob = mixed_problem(0.05)
+    monkeypatch.setattr(solve, "MAX_SWEEPS", 8)
     with pytest.raises(SolverError) as exc:
-        sweeps(prob, QUAD16, tol=1e-15, max_iter=8)
+        sweeps(prob, QUAD16, tol=1e-15)
     assert exc.value.iterations == 8
     assert exc.value.residual > 1e-15
 
@@ -760,7 +800,7 @@ def test_stagnating_sweeps_fail_fast():
         with pytest.raises(SolverError) as exc:
             sweeps(prob, QUAD16, obstacle, tol=1e-300)
         # the residual floors at roundoff within a few hundred sweeps; the
-        # stagnation window stops the solve long before max_iter
+        # stagnation window stops the solve long before MAX_SWEEPS
         assert exc.value.iterations <= 5000
         assert "last residuals" in str(exc.value)
 
