@@ -81,6 +81,9 @@ PROBE_H = 2.0**-9
 
 # environment fields that size arrays: JSON integers only, never 2.0 or true
 _ENV_INT_FIELDS = ("dim", "n_alpha", "n_beta", "period")
+# environment fields that are numbers; a fixed law's value may be null, as if unset
+_ENV_NUMBER_FIELDS = ("lam", "lam_big", "coeff_value", "f_bound", "forcing_value", "cell")
+_ENV_NULLABLE = ("coeff_value", "forcing_value")
 
 _REQUIRED = {
     "mbar": ("phi_index", "level"),
@@ -99,10 +102,11 @@ def _reject_unknown(block, allowed, where):
 
 
 def _number(value, where):
-    """A finite number read from the config, or a ConfigurationError."""
+    """A finite number read from the config, as a float: a JSON integer or
+    float (never "1.5" or true), or a ConfigurationError."""
     try:
-        x = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError, OverflowError):
+        x = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:
         x = math.nan
     if not math.isfinite(x):
         raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
@@ -174,10 +178,14 @@ def load_config(path):
     spec_fields = tuple(EnvironmentSpec.__dataclass_fields__)
     _reject_unknown(env_block, spec_fields, "environment")
     for key, value in env_block.items():
-        if isinstance(value, bool) or (key in _ENV_INT_FIELDS and not isinstance(value, int)):
-            raise ConfigurationError(f"environment.{key} has the wrong type, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigurationError(f"environment.{key} must be finite, got {value!r}")
+        where = f"environment.{key}"
+        if key in _ENV_INT_FIELDS:
+            _integer(value, where)
+        elif key in _ENV_NUMBER_FIELDS:
+            if value is not None or key not in _ENV_NULLABLE:
+                env_block[key] = _number(value, where)
+        elif isinstance(value, bool):
+            raise ConfigurationError(f"{where} has the wrong type, got {value!r}")
     try:
         spec = EnvironmentSpec(**env_block).validate()
     except TypeError as exc:

@@ -16,8 +16,9 @@ The frozen problems of one m-bar estimate or one effective-level bisection
 share their level-free parts, built on the calling thread before any solve
 (`_FrozenSystems`) and dropped when the call returns: per eps the table
 with its stencil, the frozen moment, one exterior correlation and the
-linear engine's (K, e, G), G = inv(K); per (eps, seed) the lattice, which
-the barrier bracket also reads.
+linear engine's (K, e, G) -- K a read-only Toeplitz view over 2m - 1
+values and G = inv(K) from Trench's recurrence, the one m x m array --
+and per (eps, seed) the lattice, which the barrier bracket also reads.
 Each level only recomputes its threshold and runs the active set, started
 from the contact set the same (eps, seed) item returned at the previous
 level, and each active-set step with less contact than free cells is a
@@ -235,18 +236,20 @@ class _FrozenSystems:
     of a fan-out only read it.  Per (eps, seed) of `eps_list` and `seeds`:
     the lattice at level zero (`_frozen_lattices`), on which the barrier
     bracket evaluates the bump.  Per eps: when the lattices run the linear
-    engine, the first lattice's `system()`, (K, e, G) with G = inv(K) --
-    seed-independent, since it depends on the grid, the table and the zero
-    exterior only.  G turns each active-set step with fewer contact than
-    free cells into a matvec and a small Schur solve.  `warm` holds the
-    solution each (eps, seed) returned at the previous level;
+    engine, the first lattice's `system()`, (K, e, G) -- seed-independent,
+    since it depends on the grid, the table and the zero exterior only.
+    It holds one m x m array, G = inv(K); K is a read-only view over its
+    2m - 1 distinct values, from which the solves gather rows.  G turns
+    each active-set step with fewer contact than free cells into a matvec
+    and a small Schur solve.  The worker threads only read both.  `warm`
+    holds the solution each (eps, seed) returned at the previous level;
     `estimate_mbar` updates it between maps, on the calling thread.
     """
 
     def __init__(self, phi, x0, spec, fam, h, r_out_factor, tol, eps_list, seeds):
         self.tol = tol
         self.lattices = {}   # (eps, seed) -> lattice at level 0
-        self.assembled = {}  # eps -> (K, e, inv(K)) of the linear engine
+        self.assembled = {}  # eps -> (K view, e, G = inv(K)) of the linear engine
         self.warm = {}       # (eps, seed) -> solution at the previous level
         for eps in sorted(set(eps_list)):
             lats = _frozen_lattices(phi, x0, eps, seeds, spec, fam, h, r_out_factor)

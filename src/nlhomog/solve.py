@@ -39,10 +39,13 @@ newton   1d linear engine, for every 1d operator but the pointwise extremal
          solve of K u_i = e_i - t_i on K's first column, in O(m n) memory
          and with no m x m matrix; a single problem is a batch of one.
          An obstacle solve is the complementarity problem K u >= e - t,
-         u >= 0, solved by the primal-dual active-set method on the dense
-         K with exact zeros on contact.
-         A caller that holds G = inv(K) across solves gets Schur steps: on
-         a contact set C smaller than the free set F, a step is one matvec
+         u >= 0, solved by the primal-dual active-set method with exact
+         zeros on contact.  K is a read-only view over its 2m - 1
+         distinct values; a step copies only the rows and the block it
+         gathers from it.
+         A caller that holds G = inv(K) across solves, built by Trench's
+         O(m^2) recurrence and exactly symmetric, gets Schur steps: on a
+         contact set C smaller than the free set F, a step is one matvec
          with G and a |C| x |C| solve on G[C, C].  Otherwise, and in every
          one-off obstacle solve, a step is one dense solve on K[F, F].
          An obstacle solve's `init`, when given, only seeds the first
@@ -64,7 +67,7 @@ sweeps   damped projected point relaxation (red-black ordering), for 2d
 Repeated solves of one problem at several levels can hand `solve_obstacle`
 the level-free parts built once: the lattice (environment fields, exterior
 data, frozen moment) and, for the newton engine, its `system()`, the triple
-(K, e, inv(K)).
+(K, e, G): the view of K, the load and G = inv(K), the one m x m array.
 The bump barriers read that same lattice: a bump vanishes outside its ball,
 which lies in the box, so its exterior data are the zero data of every
 frozen problem.
@@ -474,19 +477,25 @@ class _Lattice1D(_Lattice):
         return col[:self.m]  # a single cell has no neighbour on the grid
 
     def matrix(self):
-        """K of `column()` as a dense m x m array, for the obstacle solves."""
+        """K of `column()` as a read-only m x m view over its 2m - 1 distinct
+        values; the solves copy only the rows and blocks they gather from it."""
         col = self.column()
         # row i is col[|i - j|] over j
-        return sliding_window_view(np.concatenate((col[::-1], col[1:])), self.m)[::-1].copy()
+        return sliding_window_view(np.concatenate((col[::-1], col[1:])), self.m)[::-1]
 
     def load(self):
         """e of I(u) = e - K u, which is I(0): the moment of the exterior data alone."""
         return self.unit_moments(self.padded(np.zeros(self.m), 1))
 
     def system(self):
-        """(K, e, inv(K)), the newton engine's level-free part, for solves at many levels."""
+        """(K, e, G), the newton engine's level-free part, for solves at many levels.
+
+        K is `matrix()`, the view, built once here; e is `load()`; G =
+        inv(K) is `_toeplitz_inverse` of K's first row, which is `column()`.
+        G is the one m x m array held.
+        """
         K = self.matrix()
-        return K, self.load(), np.linalg.inv(K)
+        return K, self.load(), _toeplitz_inverse(K[0])
 
     def newton_solve(self, init=None, system=None):
         """Obstacle problem K u >= e - t, u >= 0, complementary, by the primal-dual active set.
@@ -497,6 +506,13 @@ class _Lattice1D(_Lattice):
         is an M-matrix, so the method converges from any first set.
         `system` is None for a one-off solve, whose steps are all direct,
         or this lattice's `system()`, held by the caller across solves.
+        Either way K is the view of `matrix()`.  A free cell leaves the free
+        set when its value turns negative; a contact cell leaves the contact
+        set when (K u - b) is positive there, which needs K u on the contact
+        rows only: `K[C] @ u`, or, when contact is the majority, `(u[F] @
+        K[F])[C]`, equal to it in exact arithmetic since u is zero on C and
+        K is symmetric.
+        So the test gathers at most half of K's rows.
         """
         if not self.linear:
             raise ConfigurationError("the pointwise extremal has no dense linearization")
@@ -506,7 +522,14 @@ class _Lattice1D(_Lattice):
         u = _free_solve(K, b, contact, G)
         steps = 1
         while steps < MAX_STEPS:
-            new = np.where(contact, K @ u - b > 0.0, u < 0.0)
+            new = u < 0.0
+            C = np.flatnonzero(contact)
+            if 2 * C.size <= b.size:
+                Ku = K[C] @ u
+            else:
+                F = np.flatnonzero(~contact)
+                Ku = (u[F] @ K[F])[C]
+            new[C] = Ku - b[C] > 0.0
             if not (new != contact).any():
                 break
             contact = new
@@ -515,37 +538,89 @@ class _Lattice1D(_Lattice):
         return u, steps, [self.residual(u, True)]
 
 
+def _durbin(r):
+    """Durbin's recursion (Golub & Van Loan, Matrix Computations, Alg. 4.7.1)
+    on the symmetric positive-definite Toeplitz matrix with first column
+    (1, r): yields (beta, y reversed) at k = 1, ..., r.size, y the solution of
+    the leading k x k Yule-Walker system T y = -r[:k] and beta = 1 + r[:k] y.
+
+    The yielded view is overwritten by the next step.  Its reduction sums in
+    numpy's own loop, not BLAS.
+    """
+    if not r.size:
+        return
+    y = np.empty(r.size)
+    y[0] = alpha = -r[0]
+    beta = 1.0
+    for k in range(1, r.size + 1):
+        beta *= 1.0 - alpha * alpha
+        yield beta, y[k - 1::-1]
+        if k < r.size:
+            alpha = -(r[k] + (y[k - 1::-1] * r[:k]).sum()) / beta
+            y[:k] += alpha * y[k - 1::-1]
+            y[k] = alpha
+
+
 def _toeplitz_solve(col, B):
     """X with K x = b for every row b of B, K the symmetric positive-definite
     Toeplitz matrix whose first column is col.
 
     Levinson's recursion (Golub & Van Loan, Matrix Computations, Alg. 4.7.2)
     on K / col[0]: step k extends every solution of the leading k x k system
-    by one entry, with Durbin's recursion carrying the Yule-Walker vector y
-    alongside.  That is O(m^2) flops per row in O(m n) memory, and stable on
-    positive-definite K (Cybenko, SIAM J. Sci. Stat. Comput. 1, 1980).  Each
-    reduction sums along one row of a C-ordered array in numpy's own loop,
-    not BLAS, so a row's bits depend on that row alone: not on its position,
-    the number of rows or the BLAS kernel.
+    by one entry, with Durbin's recursion (`_durbin`) carrying the
+    Yule-Walker vector y alongside.  That is O(m^2) flops per row in O(m n)
+    memory, and stable on positive-definite K (Cybenko, SIAM J. Sci. Stat.
+    Comput. 1, 1980).  Each reduction sums along one row of a C-ordered array
+    in numpy's own loop, not BLAS, so a row's bits depend on that row alone:
+    not on its position, the number of rows or the BLAS kernel.
     """
     X = np.array(B, dtype=np.float64) / col[0]  # row k of the loop reads b_k here
-    m = X.shape[1]
-    if m == 1:
-        return X
     r = col[1:] / col[0]
-    y = np.empty(m - 1)
-    y[0] = alpha = -r[0]
-    beta = 1.0
-    for k in range(1, m):
-        beta *= 1.0 - alpha * alpha
+    for k, (beta, y) in enumerate(_durbin(r), start=1):
         mu = (X[:, k] - (X[:, k - 1::-1] * r[:k]).sum(axis=1)) / beta
-        X[:, :k] += mu[:, None] * y[k - 1::-1]
+        X[:, :k] += mu[:, None] * y
         X[:, k] = mu
-        if k < m - 1:
-            alpha = -(r[k] + (y[k - 1::-1] * r[:k]).sum()) / beta
-            y[:k] += alpha * y[k - 1::-1]
-            y[k] = alpha
     return X
+
+
+def _toeplitz_inverse(col):
+    """G = inv(K), K the symmetric positive-definite Toeplitz matrix whose
+    first column is col, in O(m^2) flops and no m x m array but G.
+
+    Trench's algorithm (Trench, J. SIAM 12, 1964; Golub & Van Loan, Matrix
+    Computations, Alg. 4.7.3).  Durbin's recursion (`_durbin`) on K / col[0]
+    ends at the Yule-Walker vector y of order m - 1 and beta = 1 + r y, so
+    G's first column is g = (1, y) / (beta col[0]).  With h_i = g_{m-i}
+    (h_0 = 0) every other entry follows from the one up and to the left,
+    G[i, j] = G[i-1, j-1] + (g_i g_j - h_i h_j) / g_0.
+    G is filled layer by layer from the outside in: layer i computes row i
+    on columns i..m-1-i from layer i-1, and copies it to column i and,
+    reversed, to row and column m-1-i.  Every entry is written from one
+    computed value, so G == G.T and G == G[::-1, ::-1] bitwise.
+    """
+    m = col.size
+    g = np.zeros(m + 1)  # g[m] = 0 pads the reversal below
+    g[0] = 1.0
+    if m > 1:
+        for beta, y in _durbin(col[1:] / col[0]):
+            pass  # to the last step, of order m - 1
+        g[1:m] = y[::-1]
+        g[:m] /= beta
+    g /= col[0]
+    h = g[::-1]
+    gs, hs = g / g[0], h / g[0]
+    G = np.empty((m, m))
+    for i in range((m + 1) // 2):
+        j = m - i
+        row = G[i, i:j]
+        np.multiply(g[i:j], gs[i], out=row)
+        row -= hs[i] * h[i:j]
+        if i:
+            row += G[i - 1, i - 1:j - 1]
+        G[i + 1:j, i] = row[1:]
+        G[j - 1, i:j] = row[::-1]
+        G[i:j - 1, j - 1] = G[j - 1, i:j - 1]
+    return G
 
 
 def _free_solve(K, b, contact, G=None):
@@ -554,17 +629,19 @@ def _free_solve(K, b, contact, G=None):
     With G = inv(K) and |C| < |F| this is a Schur step (Hager, SIAM Rev.
     1989): with b zeroed on C, x = G b solves K x = b + r for r = 0, and
     u = x - G[:, C] z, with G[C, C] z = x[C], is zero on C and changes K x
-    only on the rows of C, so K u = b on F.  It costs one matvec and a
-    |C| x |C| solve; otherwise K[F, F] is solved.
+    only on the rows of C, so K u = b on F.  G is exactly symmetric
+    (`_toeplitz_inverse`), so G[:, C] z is z G[C], on contiguous rows.  It
+    costs one matvec and a |C| x |C| solve; otherwise K[F, F] is gathered
+    from K, the view of `matrix()`, and solved.
     """
     C = np.flatnonzero(contact)
     if G is not None and 2 * C.size < b.size:
         u = G @ np.where(contact, 0.0, b)
         if C.size:
-            # the contact block is solved before G[:, C] is gathered, so the
+            # the contact block is solved before G[C] is gathered, so the
             # two copies are never held at once
             z = np.linalg.solve(G[C[:, None], C], u[C])
-            u -= G[:, C] @ z
+            u -= z @ G[C]
             u[C] = 0.0
         return u
     if not C.size:
@@ -756,10 +833,12 @@ def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6,
     `lattice` (from `_lattice` for this problem at any level) and
     `system` skip rebuilding them when the level is all that changed.
     `system` is None (a one-off solve: every active-set step is a solve on
-    the free block) or the lattice's `system()`, (K, e, inv(K)): with the
-    inverse, steps on less contact than free cells are Schur steps (a
-    matvec and a solve on the contact block).  wall_ms includes building
-    or re-leveling the lattice.
+    the free block, gathered from the view of K) or the lattice's
+    `system()`, (K, e, G) with G = inv(K): with the inverse, steps on less
+    contact than free cells are Schur steps (a matvec and a solve on the
+    contact block).  Either way K stays a view: a step copies only the
+    rows it multiplies and the block it factors.  wall_ms includes
+    building or re-leveling the lattice.
     """
     t0 = time.perf_counter()
     lat = _lattice(problem, quad) if lattice is None else lattice.at_level(problem)

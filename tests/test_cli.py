@@ -52,16 +52,18 @@ def write_config(tmp_path, name="cfg.json", **overrides):
 def test_check_on_a_fixed_law_effective_inverts_K_only_in_the_bisection(
         tmp_path, count_calls, capsys):
     # the direct-constant check builds one lattice of the smallest eps and no
-    # inverse; the bisection inverts each eps's K once
+    # inverse; the bisection inverts each eps's K once, by Trench's
+    # recurrence, never by LAPACK
     from nlhomog import solve
-    inverses = count_calls(np.linalg, "inv")
+    inverses = count_calls(solve, "_toeplitz_inverse")
+    lapack = count_calls(np.linalg, "inv")
     lattices = count_calls(solve._Lattice1D, "__init__")
     cfg = write_config(tmp_path, kind="effective",
                        numerics={"eps_list": [0.25, 0.125], "seeds": [0, 1]},
                        experiment={"phi_index": 4})
     assert main(["run", str(cfg), "--check"]) == 0
     assert "PASS matches-direct-constant" in capsys.readouterr().out
-    assert len(inverses) == 2
+    assert len(inverses) == 2 and not lapack
     assert len(lattices) == 2 * 2 + 1
 
 
@@ -668,6 +670,25 @@ def test_malformed_numbers_exit_2(tmp_path, capsys, overrides):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["error"]["type"] == "ConfigurationError"
+
+
+@pytest.mark.parametrize("key, overrides", [
+    ("kernel.sigma", {"kernel": {"sigma": "1.5"}}),
+    ("numerics.eps_list", {"numerics": {"eps_list": [0.25, "0.125"]}}),
+    ("experiment.rhs", {"experiment": {"rhs": "2.0"}}),
+    ("experiment.level", {"kind": "mbar", "experiment": {"phi_index": 4, "level": "18"}}),
+    ("environment.lam", {"environment": {"lam": "1.0"}}),
+], ids=["sigma", "eps-list-entry", "rhs", "level", "lam"])
+def test_numbers_written_as_json_strings_exit_2(tmp_path, capsys, key, overrides):
+    # a number field takes a JSON integer or float; the string of a valid
+    # number is refused by the key's name, not converted
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])["error"]
+    assert error["type"] == "ConfigurationError"
+    assert key in error["message"] and "must be a finite number" in error["message"]
 
 
 def test_translation_shift_checked_at_the_eps_it_runs(tmp_path, capsys):

@@ -201,13 +201,15 @@ def test_every_lattice_of_a_two_worker_bisection_is_built_on_the_calling_thread(
 
 def test_two_worker_bisection_inverts_each_K_once_in_process(count_calls):
     # the level-free parts of each eps are built once, before the threads
-    # start, and shared by them
-    inverses = count_calls(np.linalg, "inv")
+    # start, and shared by them; K is inverted by Trench's recurrence, never
+    # by LAPACK
+    inverses = count_calls(solve, "_toeplitz_inverse")
+    lapack = count_calls(np.linalg, "inv")
     eps_list = (0.25, 0.125, 0.0625)
     s = effective_value(PHI, np.zeros(1), eps_list, (0, 1, 2), MIXED_SPEC,
                         fam_of(MIXED_SPEC), bisect_tol=2.0**-3, workers=2)
     assert len(s.steps) >= 3
-    assert len(inverses) == len(eps_list)
+    assert len(inverses) == len(eps_list) and not lapack
 
 
 def test_each_frozen_solve_replaces_its_problem_once(count_calls):

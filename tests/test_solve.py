@@ -348,10 +348,38 @@ def test_2d_lattices_of_one_table_hold_its_one_stencil(monkeypatch):
 def test_system_is_the_matrix_its_load_and_the_inverse():
     lat = solve._lattice(mixed_problem(0.05), QUAD16)
     K, e, G = lat.system()
-    want = (lat.matrix(), lat.load(), np.linalg.inv(lat.matrix()))
+    want = (lat.matrix(), lat.load(), solve._toeplitz_inverse(lat.column()))
     for got, ref in zip((K, e, G), want):
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 64, 512, 2048])
+def test_system_holds_K_as_a_view_and_an_exactly_symmetric_inverse(m):
+    # m cells on the default table, which reaches past the box, so every
+    # diagonal of K is nonzero; 2048 is the top of the 1d desk range
+    h = 2.0**-11
+    box = Box((0.0,), m * h / 2.0, h)
+    prob = DirichletProblem(handle=OperatorHandle(fam=FAM_A, extremal_sign=1), domain=box,
+                            rhs=0.0, exterior=ExteriorRule.zero())
+    lat = solve._lattice(prob, default_quadrature(FAM_A, box))
+    K, _, G = lat.system()
+    # K owns no m x m buffer: it is a read-only view over 2m - 1 doubles
+    lo, hi = np.lib.array_utils.byte_bounds(K)
+    assert hi - lo == (2 * m - 1) * K.itemsize
+    assert not K.flags.owndata and not K.flags.writeable
+    assert K.shape == (m, m) and np.array_equal(K[0], lat.column())
+    assert np.count_nonzero(K[0]) == m
+    # Trench's layers write every entry of G from one computed value
+    assert np.array_equal(G, G.T) and np.array_equal(G, G[::-1, ::-1])
+    # ||K G - I||_inf <= 16 u kappa_inf(K), u the unit roundoff.  At m = 2048
+    # the recurrence reaches 4.0 u kappa and LAPACK's inverse 2.5 u kappa
+    # (the rows are taken in blocks)
+    u = np.finfo(np.float64).eps / 2.0
+    kappa = np.abs(K).sum(axis=1).max() * np.abs(G).sum(axis=1).max()
+    residual = max(np.abs(K[i:i + 256] @ G - np.eye(min(256, m - i), m, k=i)).sum(axis=1).max()
+                   for i in range(0, m, 256))
+    assert residual <= 16.0 * u * kappa
 
 
 @settings(max_examples=60, deadline=None)

@@ -49,3 +49,8 @@ def test_traced_run_counts_lattices_and_evaluations(tmp_path, name):
     counters = json.loads(spans.read_text())["counters"]
     assert counters["solve.lattice_builds"] > 0
     assert counters["solve.F_evals"] > 0
+    if name == "effective-1d":
+        # the tracer finds the obstacle solves, their active-set steps and
+        # their dense solves by the names it wraps
+        for key in ("solve.solves", "solve.newton_steps", "solve.dense_solves"):
+            assert counters[key] > 0, key
