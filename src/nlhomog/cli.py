@@ -76,6 +76,11 @@ KINDS = tuple(_EXPERIMENT_DEFAULTS)
 # have about this many entries, so a config past it would exhaust memory.
 MAX_GRID_POINTS = 2**22
 
+# Largest sum of the m x m arrays a run holds, in bytes.  A 1d obstacle,
+# mbar or effective run holds G = inv(K), 8 m^2 bytes, per grid (per eps of
+# a bisection, all at once).  Fixed here, not a config key.
+MAX_DENSE_BYTES = 2**30
+
 # grid spacing of abp and cmi, which take no eps, unless numerics.h is given
 PROBE_H = 2.0**-9
 
@@ -324,7 +329,7 @@ def _grids(kind, num, exp):
         return [(exp["domain_half"], _grid_h(num, min(num["eps_list"])))]
     # one grid per eps: the frozen problems' box, or the corrector's unit ball
     half = 1.0 if kind == "corrector" else 0.5
-    return [(half, _grid_h(num, eps)) for eps in num["eps_list"]]
+    return [(half, _grid_h(num, eps)) for eps in sorted(set(num["eps_list"]))]
 
 
 def _cells(length, h):
@@ -340,7 +345,10 @@ def _points(side, dim):
 
 def _check_grid_sizes(kind, num, exp, dim):
     """ConfigurationError for a grid with more than MAX_GRID_POINTS points,
-    ghost nodes included, before any array is allocated."""
+    ghost nodes included, or for a 1d obstacle, mbar or effective run whose
+    inverses of K, 8 m^2 bytes per grid, sum past MAX_DENSE_BYTES, before
+    any array is allocated."""
+    sides = []
     for half, h in _grids(kind, num, exp):
         m = _cells(2.0 * half, h)
         J = _cells(num["r_out_factor"] * 2.0 * half * math.sqrt(dim), h)  # as default_quadrature
@@ -352,6 +360,14 @@ def _check_grid_sizes(kind, num, exp, dim):
                 f"than MAX_GRID_POINTS = {MAX_GRID_POINTS}; use a coarser grid or a smaller "
                 f"numerics.r_out_factor"
             )
+        sides.append(m)
+    dense = sum(8.0 * m * m for m in sides)
+    if dim == 1 and kind in ("obstacle", "mbar", "effective") and dense > MAX_DENSE_BYTES:
+        raise ConfigurationError(
+            f"a 1d {kind} run holds the inverse of K, 8 m^2 bytes, for each of its grids "
+            f"(m = {', '.join(f'{m:.0f}' for m in sides)}): {dense:.6g} bytes, more than "
+            f"MAX_DENSE_BYTES = {MAX_DENSE_BYTES}; use a coarser grid or fewer eps"
+        )
 
 
 # ---------------------------------------------------------------------------

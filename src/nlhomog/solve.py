@@ -42,12 +42,11 @@ newton   1d linear engine, for every 1d operator but the pointwise extremal
          u >= 0, solved by the primal-dual active-set method with exact
          zeros on contact.  K is a read-only view over its 2m - 1
          distinct values; a step copies only the rows and the block it
-         gathers from it.
-         A caller that holds G = inv(K) across solves, built by Trench's
-         O(m^2) recurrence and exactly symmetric, gets Schur steps: on a
-         contact set C smaller than the free set F, a step is one matvec
-         with G and a |C| x |C| solve on G[C, C].  Otherwise, and in every
-         one-off obstacle solve, a step is one dense solve on K[F, F].
+         gathers from it.  Every obstacle solve holds G = inv(K), built by
+         Trench's O(m^2) recurrence and exactly symmetric: on a contact set
+         C smaller than the free set F, a step is one matvec with G and a
+         |C| x |C| solve on G[C, C] (a Schur step); otherwise it is one
+         dense solve on K[F, F].  So no step factors more than m/2 rows.
          An obstacle solve's `init`, when given, only seeds the first
          contact set (its zeros); the final set, and so the solution, does
          not depend on it.  At most MAX_STEPS steps run.  There is no
@@ -67,10 +66,10 @@ sweeps   damped projected point relaxation (red-black ordering), for 2d
 Repeated solves of one problem at several levels can hand `solve_obstacle`
 the level-free parts built once: the lattice (environment fields, exterior
 data, frozen moment) and, for the newton engine, its `system()`, the triple
-(K, e, G): the view of K, the load and G = inv(K), the one m x m array.
-The bump barriers read that same lattice: a bump vanishes outside its ball,
-which lies in the box, so its exterior data are the zero data of every
-frozen problem.
+(K, e, G): the view of K, the load and G = inv(K), the one m x m array;
+a solve not handed them builds both.  The bump barriers read that same
+lattice: a bump vanishes outside its ball, which lies in the box, so its
+exterior data are the zero data of every frozen problem.
 
 Scaled problems read their coefficients at x / eps; the grid must resolve
 the environment cells (h <= eps/4) or construction fails.
@@ -504,9 +503,8 @@ class _Lattice1D(_Lattice):
         each step solves on the free set and writes exact zeros on the
         contact set, until the set repeats or MAX_STEPS steps have run.  K
         is an M-matrix, so the method converges from any first set.
-        `system` is None for a one-off solve, whose steps are all direct,
-        or this lattice's `system()`, held by the caller across solves.
-        Either way K is the view of `matrix()`.  A free cell leaves the free
+        `system` is this lattice's `system()`, held by the caller across
+        solves, or None, and then built here.  A free cell leaves the free
         set when its value turns negative; a contact cell leaves the contact
         set when (K u - b) is positive there, which needs K u on the contact
         rows only: `K[C] @ u`, or, when contact is the majority, `(u[F] @
@@ -516,7 +514,7 @@ class _Lattice1D(_Lattice):
         """
         if not self.linear:
             raise ConfigurationError("the pointwise extremal has no dense linearization")
-        K, e, G = (self.matrix(), self.load(), None) if system is None else system
+        K, e, G = self.system() if system is None else system
         b = e - self.threshold()
         contact = np.zeros(b.size, dtype=bool) if init is None else np.asarray(init) == 0.0
         u = _free_solve(K, b, contact, G)
@@ -623,19 +621,20 @@ def _toeplitz_inverse(col):
     return G
 
 
-def _free_solve(K, b, contact, G=None):
+def _free_solve(K, b, contact, G):
     """Solution of K u = b on the free rows F, with exact zeros on the contact set C.
 
-    With G = inv(K) and |C| < |F| this is a Schur step (Hager, SIAM Rev.
+    G = inv(K).  With |C| < |F| this is a Schur step (Hager, SIAM Rev.
     1989): with b zeroed on C, x = G b solves K x = b + r for r = 0, and
     u = x - G[:, C] z, with G[C, C] z = x[C], is zero on C and changes K x
     only on the rows of C, so K u = b on F.  G is exactly symmetric
     (`_toeplitz_inverse`), so G[:, C] z is z G[C], on contiguous rows.  It
-    costs one matvec and a |C| x |C| solve; otherwise K[F, F] is gathered
-    from K, the view of `matrix()`, and solved.
+    costs one matvec and a |C| x |C| solve (none on an empty C); otherwise
+    K[F, F] is gathered from K, the view of `matrix()`, and solved.  So no
+    dense solve has more than m/2 rows.
     """
     C = np.flatnonzero(contact)
-    if G is not None and 2 * C.size < b.size:
+    if 2 * C.size < b.size:
         u = G @ np.where(contact, 0.0, b)
         if C.size:
             # the contact block is solved before G[C] is gathered, so the
@@ -644,8 +643,6 @@ def _free_solve(K, b, contact, G=None):
             u -= z @ G[C]
             u[C] = 0.0
         return u
-    if not C.size:
-        return np.linalg.solve(K, b)
     u = np.zeros(b.size)
     F = np.flatnonzero(~contact)
     if F.size:
@@ -832,13 +829,13 @@ def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6,
     and changes nothing else; the sweeps ignore it and start from zero.
     `lattice` (from `_lattice` for this problem at any level) and
     `system` skip rebuilding them when the level is all that changed.
-    `system` is None (a one-off solve: every active-set step is a solve on
-    the free block, gathered from the view of K) or the lattice's
-    `system()`, (K, e, G) with G = inv(K): with the inverse, steps on less
-    contact than free cells are Schur steps (a matvec and a solve on the
-    contact block).  Either way K stays a view: a step copies only the
-    rows it multiplies and the block it factors.  wall_ms includes
-    building or re-leveling the lattice.
+    `system` is the lattice's `system()`, (K, e, G) with G = inv(K), or
+    None, and then the newton engine builds it, to the same bits.  Steps
+    on less contact than free cells are Schur steps (a matvec and a solve
+    on the contact block), the others solves on the free block; K stays a
+    view, so a step copies only the rows it multiplies and the block it
+    factors.  wall_ms includes building the lattice and the system, or
+    re-leveling the lattice.
     """
     t0 = time.perf_counter()
     lat = _lattice(problem, quad) if lattice is None else lattice.at_level(problem)

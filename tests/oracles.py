@@ -7,7 +7,9 @@ over the branches.  The lattices in `nlhomog.solve` evaluate every node at
 once by correlation; the tests compare them against these, so this
 brute force must stay independent of the lattice code.  The extremal
 bounds at the end take the sup or inf over the admissible kernels instead
-of the branches, in closed form from a moment or pointwise in y.
+of the branches, in closed form from a moment or pointwise in y.  Last, a
+1d obstacle active set whose every step is a dense solve on the free
+block, the reference for the lattice's Schur steps.
 """
 
 import numpy as np
@@ -196,3 +198,27 @@ def extremal(u, x, sign: int, fam: KernelFamily, quad: QuadratureTable) -> float
     core += quad.c_near * (hi * dnear if dnear > 0 else lo * dnear)
     core += quad.tail * (hi * dfar if dfar > 0 else lo * dfar)
     return core
+
+
+def direct_active_set(lat, max_steps=60):
+    """(u, steps) of a 1d obstacle lattice's complementarity problem K u >= e - t,
+    u >= 0, by the primal-dual active set with every step a dense solve on
+    K[F, F], gathered from `lat.matrix()`: no inverse and no Schur step.
+
+    The same contact rule as the lattice's own active set, on the full
+    product K u: a free cell with u < 0 enters contact, a contact cell with
+    (K u - b) > 0 leaves it, and the solve stops when the set repeats.
+    """
+    K = np.array(lat.matrix())
+    b = lat.load() - lat.threshold()
+    contact = np.zeros(b.size, dtype=bool)
+    for steps in range(1, max_steps + 1):
+        u = np.zeros(b.size)
+        F = np.flatnonzero(~contact)
+        if F.size:
+            u[F] = np.linalg.solve(K[np.ix_(F, F)], b[F])
+        new = (u < 0.0) | (contact & (K @ u - b > 0.0))
+        if np.array_equal(new, contact):
+            return u, steps
+        contact = new
+    raise AssertionError(f"the direct active set did not settle in {max_steps} steps")

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nlhomog
-from nlhomog import cli
+from nlhomog import cli, solve
 from nlhomog.cli import main
 from nlhomog.env import EnvironmentSpec
 from nlhomog.errors import ConfigurationError
@@ -54,7 +55,6 @@ def test_check_on_a_fixed_law_effective_inverts_K_only_in_the_bisection(
     # the direct-constant check builds one lattice of the smallest eps and no
     # inverse; the bisection inverts each eps's K once, by Trench's
     # recurrence, never by LAPACK
-    from nlhomog import solve
     inverses = count_calls(solve, "_toeplitz_inverse")
     lapack = count_calls(np.linalg, "inv")
     lattices = count_calls(solve._Lattice1D, "__init__")
@@ -615,6 +615,63 @@ def test_grid_limit_is_fixed_and_documented(tmp_path):
     with pytest.raises(ConfigurationError, match="unknown keys"):
         cli.load_config(write_config(tmp_path, name="key.json",
                                      numerics={"max_grid_points": 2**40}))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"kind": "obstacle", "numerics": {"eps_list": [2.0**-12]}, "experiment": {"rhs": 2.0}},
+    {"kind": "mbar", "numerics": {"eps_list": [2.0**-12]},
+     "experiment": {"phi_index": 4, "level": 1.0}},
+    {"kind": "effective", "numerics": {"eps_list": [0.25, 2.0**-12]},
+     "experiment": {"phi_index": 4}},
+    # three eps on one m = 8192 grid: each G alone is under the limit, together 1.5 GiB
+    {"kind": "mbar", "numerics": {"eps_list": [2.0**-9, 2.0**-10, 2.0**-11], "h": 2.0**-13},
+     "experiment": {"phi_index": 4, "level": 1.0}},
+], ids=["obstacle", "mbar", "effective", "mbar-three-eps"])
+def test_runs_holding_too_large_an_inverse_exit_2(tmp_path, capsys, monkeypatch, overrides):
+    # m = 16384 pads to 278528 points, under MAX_GRID_POINTS, but its G alone
+    # is 2 GiB; the run exits 2 when the config loads, before any G is built
+    def refuse(col):
+        raise AssertionError("an inverse was built")
+
+    monkeypatch.setattr(solve, "_toeplitz_inverse", refuse)
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["run", str(cfg)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "ConfigurationError"
+    assert f"MAX_DENSE_BYTES = {2**30}" in err["message"]
+
+
+def test_dense_limit_is_fixed_documented_and_clears_every_shipped_config(tmp_path,
+                                                                         monkeypatch):
+    # a constant beside MAX_GRID_POINTS, stated in the README, not a config key
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert "`MAX_DENSE_BYTES` = 2^30" in readme and cli.MAX_DENSE_BYTES == 2**30
+    with pytest.raises(ConfigurationError, match="unknown keys"):
+        cli.load_config(write_config(tmp_path, name="key.json",
+                                     numerics={"max_dense_bytes": 2**40}))
+    # the largest grid under it: one m = 8192 inverse, 512 MiB, or two (1 GiB)
+    for i, eps_list in enumerate(([2.0**-11], [2.0**-11, 2.0**-11], [2.0**-10, 2.0**-11])):
+        for kind, experiment in (("obstacle", {"eps": eps_list[0]}),
+                                 ("effective", {"phi_index": 4})):
+            cfg = write_config(tmp_path, name=f"{kind}{i}.json", kind=kind,
+                               numerics={"eps_list": eps_list, "h": 2.0**-13},
+                               experiment=experiment)
+            cli.load_config(cfg)
+    # every golden and every benchmark config loads
+    root = Path(__file__).resolve().parents[1]
+    for path in sorted((root / "tests" / "golden").glob("*/config.json")):
+        cli.load_config(path)
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclass looks it up
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        for j, config in enumerate(workload.configs(0)):
+            path = tmp_path / f"{workload.name}-{j}.json"
+            path.write_text(json.dumps(config))
+            cli.load_config(path)
 
 
 NAN, INF = float("nan"), float("inf")

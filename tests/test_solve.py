@@ -625,6 +625,7 @@ def test_prebuilt_lattice_and_system_match_a_fresh_solve():
     assert {"fixed", "fixed_corr", "active", "rhs"} <= set(arrays)
     for level in (-0.05, 0.1, 0.4):
         fresh = solve_obstacle(mixed_problem(level), tol=1e-10, quad=QUAD16)
+        # system=None: the solve builds lat.system() for itself, as the fresh one does
         reused = solve_obstacle(mixed_problem(level), tol=1e-10, quad=QUAD16,
                                 lattice=lat, system=None)
         assert np.array_equal(fresh.u.values, reused.u.values)
@@ -652,38 +653,81 @@ def test_every_1d_lattice_activates_its_whole_grid(k, m, c, shape):
     assert lat.matrix().shape == (m, m)
 
 
-def test_schur_steps_match_direct_steps_across_contact_transition(monkeypatch):
-    # one frozen problem, its level swept from no contact to full contact:
-    # holding inv(K) changes how each active-set step is solved, never the
-    # contact set or the certificate
+def frozen_transition():
+    """A frozen 1d problem (m = 64), its lattice and 13 levels from no contact to full contact."""
     from nlhomog.homog import _frozen_problem, quadratic_bank
     prob = _frozen_problem(quadratic_bank(1)[4], np.zeros(1), 0.0, 0.125, mixed_env(),
                            FAM, 1.0 / 64)
     lat = solve._lattice(prob, default_quadrature(FAM, prob.domain))
+    return prob, lat, (-12.0, *np.linspace(16.0, 21.5, 12))
+
+
+def test_schur_steps_match_direct_steps_across_contact_transition(monkeypatch):
+    # one frozen problem, its level swept from no contact to full contact:
+    # Schur steps on inv(K) change how an active-set step is solved, never
+    # the contact set or the certificate; the reference is the direct-only
+    # active set of the oracles, a dense solve on K[F, F] at every step
+    from oracles import direct_active_set
+    prob, lat, levels = frozen_transition()
     system = lat.system()
     steps = []
     free_solve = solve._free_solve
 
-    def recorded(K, b, contact, G=None):
-        if G is not None:
-            steps.append(int(np.sum(contact)) < int(np.sum(~contact)))
+    def recorded(K, b, contact, G):
+        steps.append(int(np.sum(contact)) < int(np.sum(~contact)))
         return free_solve(K, b, contact, G)
 
     monkeypatch.setattr(solve, "_free_solve", recorded)
     tol, counts = 1e-10, []
-    for level in (-12.0, *np.linspace(16.0, 21.5, 12)):
+    for level in levels:
         level_lat = lat.at_level(replace(prob, rhs=level))
-        direct, _, direct_res = level_lat.newton_solve(system=None)
+        direct, _ = direct_active_set(level_lat)
+        direct_res = level_lat.residual(direct, True)
         schur, _, schur_res = level_lat.newton_solve(system=system)
-        assert direct_res[-1] <= tol and schur_res[-1] <= tol
+        assert direct_res <= tol and schur_res[-1] <= tol
         assert np.array_equal(direct == 0.0, schur == 0.0)
         assert np.min(schur) >= 0.0 and np.min(direct) >= 0.0
         counts.append(int(np.sum(schur == 0.0)))
         assert counts[-1] == int(np.sum(direct == 0.0))
     assert counts[0] == 0 and counts[-1] == lat.m
     assert any(0 < c < lat.m / 2 for c in counts) and any(c > lat.m / 2 for c in counts)
-    # both step types ran with the inverse held: Schur steps and solves on K[F, F]
+    # both step types ran: Schur steps and solves on K[F, F]
     assert True in steps and False in steps
+
+
+def test_one_off_and_held_obstacle_solves_agree_bitwise():
+    # a one-off solve builds the system the held solve is handed, and
+    # takes the same steps on it
+    prob, lat, levels = frozen_transition()
+    system = lat.system()
+    for level in levels:
+        level_prob = replace(prob, rhs=level)
+        one_off = solve_obstacle(level_prob, tol=1e-10)
+        held = solve_obstacle(level_prob, tol=1e-10, lattice=lat, system=system)
+        assert one_off.u.values.tobytes() == held.u.values.tobytes(), level
+        assert one_off.diagnostics.iterations == held.diagnostics.iterations
+        assert one_off.diagnostics.residual == held.diagnostics.residual
+
+
+def test_no_dense_solve_of_an_obstacle_step_has_more_than_half_the_rows(monkeypatch,
+                                                                       count_calls):
+    # a Schur step solves on the contact block, under half of the rows, and
+    # a direct step on the free block, at most half; a one-off solve builds
+    # G once
+    prob, lat, levels = frozen_transition()
+    rows = []
+    dense = np.linalg.solve
+
+    def recorded(a, b):
+        rows.append(a.shape[0])
+        return dense(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    inverses = count_calls(solve, "_toeplitz_inverse")
+    for solves, level in enumerate(levels, start=1):
+        sol = solve_obstacle(replace(prob, rhs=level), tol=1e-10)
+        assert sol.diagnostics.method == "newton" and len(inverses) == solves
+    assert rows and max(rows) <= lat.m // 2
 
 
 def test_obstacle_level_monotone_exact_coupling():

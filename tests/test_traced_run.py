@@ -2,7 +2,7 @@
 
 `perfbench/traced.py` wraps functions and methods of nlhomog by name, so a
 rename under src/ breaks the benchmark while every other test passes.  These
-run the tracer as the benchmark does, on two tiny configs, and read nothing
+run the tracer as the benchmark does, on three tiny configs, and read nothing
 back but its counters; nothing under perfbench/ is changed.
 """
 
@@ -23,6 +23,13 @@ CONFIGS = {
                         "forcing_law": "uniform", "f_bound": 1.0},
         "numerics": {"eps_list": [0.125], "seeds": [0], "bisect_tol": 0.125},
         "experiment": {"phi_index": 4},
+    },
+    "obstacle-1d": {
+        "kind": "obstacle",
+        "environment": {"dim": 1, "n_alpha": 2, "n_beta": 2, "coeff_law": "uniform",
+                        "forcing_law": "uniform", "f_bound": 1.0},
+        "numerics": {"eps_list": [0.0625], "seeds": [0]},
+        "experiment": {"exterior": "cosine", "rhs": 2.0},
     },
     "solve-2d": {
         "kind": "solve",
@@ -49,8 +56,8 @@ def test_traced_run_counts_lattices_and_evaluations(tmp_path, name):
     counters = json.loads(spans.read_text())["counters"]
     assert counters["solve.lattice_builds"] > 0
     assert counters["solve.F_evals"] > 0
-    if name == "effective-1d":
+    if name in ("effective-1d", "obstacle-1d"):
         # the tracer finds the obstacle solves, their active-set steps and
-        # their dense solves by the names it wraps
+        # their dense solves by the names it wraps, held system or not
         for key in ("solve.solves", "solve.newton_steps", "solve.dense_solves"):
             assert counters[key] > 0, key
