@@ -72,8 +72,11 @@ KINDS = tuple(_EXPERIMENT_DEFAULTS)
 
 # Largest grid a run may build, counted with its ghost nodes: (m + 2J)^dim
 # points for m cells per axis and a quadrature reaching J cells past each
-# face.  Fixed here, not a config key: the exterior array and the 2d stencils
-# have about this many entries, so a config past it would exhaust memory.
+# face.  Fixed here, not a config key: the exterior array and each of the
+# three 2d stencils have about this many entries, so a config past it would
+# exhaust memory.  Building them allocates no other array of that size: the
+# 2d stencils are mirrored from a quadrant, and the exterior rule is read
+# one ghost row at a time into the exterior array.
 MAX_GRID_POINTS = 2**22
 
 # Largest sum of the m x m arrays a run holds, in bytes.  A 1d obstacle,

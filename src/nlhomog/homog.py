@@ -206,7 +206,7 @@ def _frozen_lattices(phi, x0, eps, seeds, spec, fam, h, r_out_factor):
     """Level-zero lattices of the frozen problems of one eps, one per seed (h
     defaults to eps/4), sharing one table, frozen moment and exterior correlation."""
     he = (eps / 4.0) if h is None else h
-    lats, shared = [], {}
+    lats, shared = [], []
     for seed in seeds:
         prob = _frozen_problem(phi, x0, 0.0, eps, sample_environment(spec, seed=seed),
                                fam, he)

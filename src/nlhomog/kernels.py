@@ -70,11 +70,17 @@ class QuadratureTable:
     1d: `w[j-1]` integrates the envelope over the cell centered at +j*h;
     the same weight serves -j*h through the symmetrized second difference.
     2d: `kxx/kyy/kxy` are dense convolution stencils of the directional
-    moments w*yhat_i*yhat_k over all cells with 0 < |center| <= r_eff
-    (their sum kxx+kyy is the plain envelope stencil).
+    moments envelope*yhat_i*yhat_k over all cells with 0 < |center| <= r_eff;
+    their sum kxx+kyy is the plain envelope stencil, which the table does
+    not hold (`w` is None).  kxx and kyy are even in each axis and kxy is
+    odd, so the build computes a quadrant and mirrors it.
 
     `stencil`, which every lattice on the table reads, is (w reversed, 0, w)
     in 1d and in 2d one (3, 2J+1, 2J+1) array with views `kxx/kyy/kxy`.
+    Beside it the 2d build holds only kxy's quadrant, the quadrant's mask
+    and one row's temporaries; the fixed 128 x 128 grid of `c_near` is
+    freed before the stencil is allocated.  `w_total` is the sum of w over
+    both signs in 1d and of kxx + kyy in 2d.
 
     `c_near` is the full second moment of the envelope over the singular
     cell; applied to the axis second difference divided by h^2 it restores
@@ -86,7 +92,7 @@ class QuadratureTable:
     sigma: float
     h: float
     r_eff: float
-    w: np.ndarray
+    w: np.ndarray | None
     c_near: float
     tail: float
     w_total: float
@@ -123,42 +129,71 @@ def build_quadrature(dim: int, sigma: float, h: float, r_out: float) -> Quadratu
     if dim != 2:
         raise ConfigurationError("dim must be 1 or 2")
     J = int(round(r_out / h))
-    jj = np.arange(-J, J + 1, dtype=np.float64)
-    JX, JY = np.meshgrid(jj, jj, indexing="ij")
-    stencil = np.zeros((3,) + JX.shape)
+    c_near = _singular_cell_moment_2d(sigma, h)  # its 128^2 grid is freed before the stencil
+    p = -(2.0 + sigma + 2.0) / 2.0
+    stencil = np.zeros((3, 2 * J + 1, 2 * J + 1))
     kxx, kyy, kxy = stencil  # views: filling them fills the stencil
-    rad = np.hypot(JX, JY) * h
-    inside = (rad > 0) & (rad <= r_out + 1e-12)
-    # Midpoint rule per cell; subcell refinement near the origin where the
-    # envelope varies fastest.
-    def cell_moments(cx, cy, nsub):
-        s = (np.arange(nsub) + 0.5) / nsub - 0.5
-        SX, SY = np.meshgrid(cx + s * h, cy + s * h, indexing="ij")
-        r2 = SX**2 + SY**2
-        envv = r2 ** (-(2.0 + sigma + 2.0) / 2.0) * (h / nsub) ** 2
-        return (
-            float(np.sum(SX * SX * envv)),
-            float(np.sum(SY * SY * envv)),
-            float(np.sum(SX * SY * envv)),
-        )
-
-    # single midpoint everywhere, then the refined cells |jx|, |jy| <= 4
-    cx, cy = JX[inside] * h, JY[inside] * h
-    envv = (cx**2 + cy**2) ** (-(2.0 + sigma + 2.0) / 2.0) * h**2
-    kxx[inside], kyy[inside], kxy[inside] = cx * cx * envv, cy * cy * envv, cx * cy * envv
-    near = inside & (np.maximum(np.abs(JX), np.abs(JY)) <= 4)
-    for ix, iy in zip(*np.nonzero(near)):
-        kxx[ix, iy], kyy[ix, iy], kxy[ix, iy] = cell_moments(JX[ix, iy] * h, JY[ix, iy] * h, 16)
-    # Second moment over the singular square cell, fine midpoint grid; the
-    # integrand |y|^(-sigma) stays integrable so midpoint converges.
-    s = (np.arange(128) + 0.5) / 128 - 0.5
-    SX, SY = np.meshgrid(s * h, s * h, indexing="ij")
-    r2 = SX**2 + SY**2
-    c_near = float(np.sum(r2 ** (-sigma / 2.0))) * (h / 128) ** 2
+    # The envelope is even in y, so kxx and kyy are even in each axis and kxy
+    # is odd: the midpoint moments of the quadrant jx, jy >= 0, one row at a
+    # time, fix every cell, since a sign flip is exact.  kxy's quadrant waits
+    # in `qxy`, because kxy's plane is scratch for the sum of kxx + kyy.
+    q = np.arange(J + 1, dtype=np.float64)
+    qxy = np.zeros((J + 1, J + 1))
+    inside = np.zeros((J + 1, J + 1), dtype=bool)
+    for a in range(J + 1):
+        row = inside[a]
+        rad = np.hypot(q[a], q) * h
+        row[:] = (rad > 0) & (rad <= r_out + 1e-12)
+        cx, cy = q[a] * h, q[row] * h
+        envv = (cx * cx + cy**2) ** p * h**2
+        kxx[J + a, J:][row] = cx * cx * envv
+        kyy[J + a, J:][row] = cy * cy * envv
+        qxy[a, row] = cx * cy * envv
+        # mirrored a row at a time: the two sides of one copy never share
+        # bounds, so numpy copies without a temporary
+        for k in (kxx, kyy):
+            k[J + a, :J] = k[J + a, :J:-1]
+            k[J - a] = k[J + a]
+    # The refined cells |jx|, |jy| <= 4 are each summed in full, since the
+    # subcell sum of a mirrored cell would run in another order: one row of
+    # the 9 x 9 block at a time, stored where the block meets the disc.
+    jn = np.arange(-4, 5)
+    near = np.stack([_cell_moments(sigma, h, ix * h, jn * h, 16) for ix in jn], axis=1)
+    refined = inside[np.abs(jn)[:, None], np.abs(jn)]
+    block = (slice(J - 4, J + 5),) * 2
+    kxx[block][refined], kyy[block][refined] = near[0][refined], near[1][refined]
+    w_total = float(np.sum(np.add(kxx, kyy, out=kxy)))
+    # kxy: +0.0 off the disc, and -0.0 where an axis cell's odd mirror lands
+    kxy[...] = 0.0
+    kxy[J:, J:] = qxy
+    np.negative(qxy[1:], out=kxy[J - 1::-1, J:], where=inside[1:])
+    np.negative(qxy[:, 1:], out=kxy[J:, J - 1::-1], where=inside[:, 1:])
+    kxy[J - 1::-1, J - 1::-1] = qxy[1:, 1:]
+    kxy[block][refined] = near[2][refined]
     tail = envelope_integral(2, sigma, r_out, np.inf)
-    w = kxx + kyy
     return QuadratureTable(
         dim=2, sigma=sigma, h=h, r_eff=r_out,
-        w=w, c_near=c_near, tail=tail, w_total=float(np.sum(w)),
+        w=None, c_near=c_near, tail=tail, w_total=w_total,
         stencil=stencil, kxx=kxx, kyy=kyy, kxy=kxy,
     )
+
+
+def _cell_moments(sigma, h, cx, cy, nsub):
+    """(3, n) midpoint-rule xx, yy and xy moments of the 2d envelope over the
+    n cells centered at (cx, cy[k]), each on nsub x nsub subcells."""
+    s = (np.arange(nsub) + 0.5) / nsub - 0.5
+    SX = (cx + s * h)[:, None]
+    SY = (cy[:, None] + s * h)[:, None, :]
+    r2 = SX**2 + SY**2
+    envv = r2 ** (-(2.0 + sigma + 2.0) / 2.0) * (h / nsub) ** 2
+    return np.stack([(A * B * envv).reshape(cy.size, -1).sum(axis=1)
+                     for A, B in ((SX, SX), (SY, SY), (SX, SY))])
+
+
+def _singular_cell_moment_2d(sigma, h):
+    """Second moment of the 2d envelope over the singular square cell, on a
+    fine midpoint grid; the integrand |y|^(-sigma) stays integrable, so the
+    midpoint rule converges."""
+    s = (np.arange(128) + 0.5) / 128 - 0.5
+    r2 = (s * h)[:, None] ** 2 + (s * h)[None, :] ** 2
+    return float(np.sum(np.power(r2, -sigma / 2.0, out=r2))) * (h / 128) ** 2

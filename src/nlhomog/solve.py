@@ -16,7 +16,7 @@ exterior data on the grid and J ghost nodes past each face, with the active
 cells zeroed.  The correlation of that array is fixed per exterior, so an
 evaluation, on its own copy of the values, correlates only the active values
 with the central taps.  Every lattice reads its table's stencil; those of
-one `shared` dict (a Dirichlet batch, or the frozen problems of one eps)
+one `shared` list (a Dirichlet batch, or the frozen problems of one eps)
 share one padded array and correlation per bitwise-distinct array.  Each
 dimension keeps its correlation and its moment formula: in 1d one
 symmetric stencil, giving the unit moment (and, for the pointwise extremal
@@ -247,8 +247,8 @@ class _Lattice:
         self.q = min(self.J, self.m - 1)
         taps = slice(self.J - self.q, self.J + self.q + 1)
         self.near_kern = self.kern[(Ellipsis,) + (taps,) * self.dim]
-        # `shared` is a dict that the lattices of one table fill and read
-        self._read_exterior({} if shared is None else shared)
+        # `shared` is a list that the lattices of one table fill and read
+        self._read_exterior([] if shared is None else shared)
         self.D0 = 2.0 * quad.w_total + 2.0 * quad.c_near / self.h**2 + 2.0 * quad.tail
         self.kind = "extremal" if handle.extremal_sign != 0 else "branch"
         self.is_matrix = handle.fam.kind == "a" and self.dim == 2
@@ -308,20 +308,31 @@ class _Lattice:
         """`fixed`, the exterior data on the grid and J ghost nodes past each
         face with the active cells zeroed, and its correlation `fixed_corr`.
 
-        Lattices of one `shared` dict hold one (fixed, fixed_corr) pair per
-        bitwise-distinct `fixed`, so equal exterior data are correlated once.
+        The exterior rule is evaluated one ghost row at a time into `fixed`,
+        so no point list of the whole padded grid is built.  `shared` holds
+        one (fixed, fixed_corr) pair per bitwise-distinct `fixed`; a lattice
+        whose `fixed` matches a held one takes that pair, so equal exterior
+        data are correlated once.
         """
         box, exterior = self.problem.domain, self.problem.exterior
         ghost = [c - box.half + (np.arange(-self.J, self.m + self.J) + 0.5) * self.h
                  for c in box.center]
-        pts = np.column_stack([G.ravel() for G in np.meshgrid(*ghost, indexing="ij")])
-        fixed = exterior.fn(pts).reshape((self.m + 2 * self.J,) * self.dim)
+        fixed = np.empty(tuple(g.size for g in ghost))
+        pts = np.empty((ghost[-1].size, self.dim))
+        pts[:, -1] = ghost[-1]
+        for row in np.ndindex(fixed.shape[:-1]):
+            pts[:, :-1] = [g[i] for g, i in zip(ghost, row)]
+            fixed[row] = exterior.fn(pts)
         fixed[(slice(self.J, self.J + self.m),) * self.dim][self.active] = 0.0
         self.far = exterior.far
-        key = fixed.tobytes()
-        if key not in shared:
-            shared[key] = (fixed, self._correlate(fixed, self.kern))
-        self.fixed, self.fixed_corr = shared[key]
+        bits = fixed.view(np.int64)
+        for held in shared:
+            if np.array_equal(held[0].view(np.int64), bits):
+                break
+        else:
+            held = (fixed, self._correlate(fixed, self.kern))
+            shared.append(held)
+        self.fixed, self.fixed_corr = held
 
     def _near_corr(self, u):
         """Correlation of the active values of u with the central taps;
@@ -717,7 +728,7 @@ def _lattice(problem: DirichletProblem, quad: QuadratureTable | None,
              frozen_moment=None, shared=None):
     """Lattice of a problem; frozen_moment, if given, is unit_moment of its frozen profile on quad.
 
-    `shared`, a dict kept by the caller for lattices of this one table, lets
+    `shared`, a list kept by the caller for lattices of this one table, lets
     them share each bitwise-distinct exterior array and its correlation.
     """
     if quad is None:
@@ -782,7 +793,7 @@ def solve_dirichlet_many(problems, tol: float = 1e-6,
         return []
     if quad is None:
         quad = default_quadrature(problems[0].handle.fam, problems[0].domain)
-    lats, cols, walls, shared = [], {}, [], {}
+    lats, cols, walls, shared = [], {}, [], []
     for i, problem in enumerate(problems):
         t0 = time.perf_counter()
         lat = _lattice(problem, quad, shared=shared)

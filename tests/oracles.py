@@ -9,14 +9,16 @@ brute force must stay independent of the lattice code.  The extremal
 bounds at the end take the sup or inf over the admissible kernels instead
 of the branches, in closed form from a moment or pointwise in y.  Last, a
 1d obstacle active set whose every step is a dense solve on the free
-block, the reference for the lattice's Schur steps.
+block, the reference for the lattice's Schur steps, and the 2d quadrature
+table computed on every cell of its stencil, the reference for the
+quadrant-mirrored build.
 """
 
 import numpy as np
 
 from nlhomog.env import Environment, forcing_field, matrix_field, multiplier_field
 from nlhomog.errors import ConfigurationError
-from nlhomog.kernels import KernelFamily, QuadratureTable
+from nlhomog.kernels import KernelFamily, QuadratureTable, envelope_integral
 from nlhomog.operators import _as_point, _sampler, unit_moment
 
 
@@ -194,7 +196,7 @@ def extremal(u, x, sign: int, fam: KernelFamily, quad: QuadratureTable) -> float
     ey = fn(np.array([[z[0], z[1] + h], [z[0], z[1] - h]]))
     dnear = 0.5 * (float(ex[0] + ex[1] - 2 * uz) + float(ey[0] + ey[1] - 2 * uz)) / h**2
     dfar = 2.0 * far - 2.0 * uz
-    core = float(np.sum(quad.w * np.where(dsym > 0, hi * dsym, lo * dsym)))
+    core = float(np.sum((quad.kxx + quad.kyy) * np.where(dsym > 0, hi * dsym, lo * dsym)))
     core += quad.c_near * (hi * dnear if dnear > 0 else lo * dnear)
     core += quad.tail * (hi * dfar if dfar > 0 else lo * dfar)
     return core
@@ -222,3 +224,44 @@ def direct_active_set(lat, max_steps=60):
             return u, steps
         contact = new
     raise AssertionError(f"the direct active set did not settle in {max_steps} steps")
+
+
+def full_grid_quadrature_2d(sigma, h, r_out):
+    """The 2d table of `build_quadrature`, every moment computed on the full
+    (2J+1)^2 grid of cells: single midpoint everywhere, then the cells with
+    |jx|, |jy| <= 4 refined 16 x 16."""
+    J = int(round(r_out / h))
+    jj = np.arange(-J, J + 1, dtype=np.float64)
+    JX, JY = np.meshgrid(jj, jj, indexing="ij")
+    stencil = np.zeros((3,) + JX.shape)
+    kxx, kyy, kxy = stencil
+    rad = np.hypot(JX, JY) * h
+    inside = (rad > 0) & (rad <= r_out + 1e-12)
+
+    def cell_moments(cx, cy, nsub):
+        s = (np.arange(nsub) + 0.5) / nsub - 0.5
+        SX, SY = np.meshgrid(cx + s * h, cy + s * h, indexing="ij")
+        r2 = SX**2 + SY**2
+        envv = r2 ** (-(2.0 + sigma + 2.0) / 2.0) * (h / nsub) ** 2
+        return (
+            float(np.sum(SX * SX * envv)),
+            float(np.sum(SY * SY * envv)),
+            float(np.sum(SX * SY * envv)),
+        )
+
+    cx, cy = JX[inside] * h, JY[inside] * h
+    envv = (cx**2 + cy**2) ** (-(2.0 + sigma + 2.0) / 2.0) * h**2
+    kxx[inside], kyy[inside], kxy[inside] = cx * cx * envv, cy * cy * envv, cx * cy * envv
+    near = inside & (np.maximum(np.abs(JX), np.abs(JY)) <= 4)
+    for ix, iy in zip(*np.nonzero(near)):
+        kxx[ix, iy], kyy[ix, iy], kxy[ix, iy] = cell_moments(JX[ix, iy] * h, JY[ix, iy] * h, 16)
+    s = (np.arange(128) + 0.5) / 128 - 0.5
+    SX, SY = np.meshgrid(s * h, s * h, indexing="ij")
+    r2 = SX**2 + SY**2
+    c_near = float(np.sum(r2 ** (-sigma / 2.0))) * (h / 128) ** 2
+    return QuadratureTable(
+        dim=2, sigma=sigma, h=h, r_eff=r_out,
+        w=None, c_near=c_near, tail=envelope_integral(2, sigma, r_out, np.inf),
+        w_total=float(np.sum(kxx + kyy)),
+        stencil=stencil, kxx=kxx, kyy=kyy, kxy=kxy,
+    )

@@ -1,5 +1,7 @@
 """Kernel classes and quadrature tables against independent integrals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -10,7 +12,7 @@ from nlhomog.kernels import (
     KernelFamily, build_quadrature, envelope_integral, second_moment_integral,
 )
 
-from oracles import kernel_value
+from oracles import full_grid_quadrature_2d, kernel_value
 
 FAM1 = KernelFamily(kind="cs", dim=1, sigma=1.0, lam=1.0, lam_big=2.0)
 ENV1 = sample_environment(
@@ -179,6 +181,35 @@ def test_2d_table_matches_per_cell_midpoint_loop():
     assert np.array_equal(q.kxx, want[0])
     assert np.array_equal(q.kyy, want[1])
     assert np.array_equal(q.kxy, want[2])
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("h", [2.0**-3, 2.0**-4, 0.3])
+@pytest.mark.parametrize("cells", [4.0, 4.6, None], ids=["4h", "4.6h", "solve-default"])
+def test_2d_quadrant_build_matches_the_full_grid_build(sigma, h, cells):
+    # r_out = 4h; a non-integer r_out / h, where the quadrant's last row lies
+    # off the disc; and the solve default, 8 diameters of the unit box
+    r_out = 8.0 * np.sqrt(2.0) if cells is None else cells * h
+    got = build_quadrature(2, sigma, h, r_out)
+    want = full_grid_quadrature_2d(sigma, h, r_out)
+    assert np.array_equal(got.stencil, want.stencil)
+    # bitwise, signed zeros included: kxy is -0.0 on the negative axes
+    assert got.stencil.tobytes() == want.stencil.tobytes()
+    assert (got.w_total, got.c_near, got.tail) == (want.w_total, want.c_near, want.tail)
+    assert got.w is None and got.n_offsets == int(round(r_out / h))
+
+
+def test_2d_build_holds_no_full_size_temporary():
+    # h 2^-5 with the solve default radius: J = 362, 3 x 725^2 doubles
+    h = 2.0**-5
+    tracemalloc.start()
+    try:
+        q = build_quadrature(2, 1.0, h, 8.0 * np.sqrt(2.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert q.n_offsets == 362
+    assert peak <= 1.25 * q.stencil.nbytes
 
 
 def test_2d_trace_mass_sandwiched_by_annuli():

@@ -6,6 +6,7 @@ coordinate because the diagonal dominates all branch slopes, so the
 orderings hold without any floating-point slack.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -967,6 +968,26 @@ def test_bump_profile_shape():
     assert v[2] == 0.0 and v[3] == 0.0
     neg = Bump(center=np.zeros(1), r=0.5, sign=-1.0)
     assert np.array_equal(neg(pts), -v)
+
+
+def test_2d_lattice_build_allocates_little_beyond_what_it_keeps():
+    # h 2^-5, J = 362: the padded exterior array is (32 + 2 * 362)^2 doubles
+    box = Box((0.0, 0.0), 0.5, 2.0**-5)
+    fam = KernelFamily(kind="a", dim=2, sigma=1.0, lam=1.0, lam_big=2.0)
+    env = sample_environment(EnvironmentSpec(dim=2, n_alpha=2, n_beta=2, kernel_class="a",
+                                             coeff_law="uniform", forcing_law="uniform"), seed=0)
+    quad = default_quadrature(fam, box)
+    prob = DirichletProblem(handle=OperatorHandle(fam=fam, env=env, eps=0.5), domain=box,
+                            rhs=0.0, exterior=ExteriorRule(
+                                fn=lambda pts: np.cos(2.0 * pts[:, 0] - pts[:, 1]), far=0.0))
+    tracemalloc.start()
+    try:
+        lat = solve._lattice(prob, quad)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lat.J == 362 and lat.fixed.shape == (756, 756)
+    assert peak - kept <= 0.25 * lat.fixed.nbytes
 
 
 def test_default_quadrature_radius():
