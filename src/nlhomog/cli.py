@@ -27,7 +27,7 @@ from .solve import (
     solve_obstacle,
 )
 from .homog import (
-    RowLog, abp_scaling_experiment, _frozen_bounds, _frozen_lattices,
+    RowLog, abp_scaling_experiment, _frozen_lattices, _zero_level,
     check_translation_shift, comparison_measurable_experiment,
     convergence_experiment, corrector_decay_profile, effective_value,
     estimate_mbar, fam_of, quadratic_bank, _exterior_from_tag,
@@ -597,7 +597,7 @@ def _direct_frozen_constant(resolved, spec, fam):
     phi, x0 = _phi(spec, exp)
     lat, = _frozen_lattices(phi, x0, min(num["eps_list"]), num["seeds"][:1], spec, fam,
                             num["h"], num["r_out_factor"])
-    return _frozen_bounds(lat)[1]
+    return _zero_level(lat)
 
 
 def run_checks(resolved, spec, fam, summary):

@@ -18,7 +18,9 @@ share their level-free parts, built on the calling thread before any solve
 with its stencil, the frozen moment, one exterior correlation and the
 linear engine's (K, e, G) -- K a read-only Toeplitz view over 2m - 1
 values and G = inv(K) from Trench's recurrence, the one m x m array --
-and per (eps, seed) the lattice, which the barrier bracket also reads.
+and per (eps, seed) the lattice, on which the bracket reads its two
+certificates: the bump barrier at the low end (`barrier_threshold`) and
+the zero function's level at the high end (`_zero_level`).
 Each level only recomputes its threshold and runs the active set, started
 from the contact set the same (eps, seed) item returned at the previous
 level, and each active-set step with less contact than free cells is a
@@ -217,16 +219,12 @@ def _frozen_lattices(phi, x0, eps, seeds, spec, fam, h, r_out_factor):
     return lats
 
 
-def _frozen_bounds(lat):
-    """(barrier level, zero-function level) of one frozen problem's lattice.
-
-    At or below the first the positive bump is a subsolution, so there is
-    no contact; at or above the second the zero function already satisfies
-    the level, so contact is total.
-    """
-    lo = barrier_threshold(lat.problem, +1, quad=lat.quad, lattice=lat)
+def _zero_level(lat):
+    """Max over the active cells of F(0) on one frozen problem's lattice: at
+    or above it the zero function already satisfies the level, so contact
+    is total."""
     F0, _ = lat.operator_values(np.zeros(lat.rhs.shape))
-    return lo, float(np.max(np.asarray(F0)[lat.active]))
+    return float(np.max(np.asarray(F0)[lat.active]))
 
 
 class _FrozenSystems:
@@ -351,15 +349,16 @@ def estimate_mbar(phi, x0, level, eps_list, seeds, spec: EnvironmentSpec,
 def _bracket(systems):
     """Certified starting bracket for the level bisection.
 
-    Low end: below min F(P+) over every (eps, seed) the positive bump is
-    a subsolution, so the least supersolution dominates it and the
-    contact fraction is zero.  High end: above max F(0) the zero function
-    already satisfies the level, so contact is total.  The solves of the
+    Low end: below min F(P+) over every (eps, seed) the bump P+, positive
+    on every active cell, is a subsolution, so the least supersolution
+    dominates it and the contact fraction is zero (`barrier_threshold`).
+    High end: above max F(0) the zero function already satisfies the
+    level, so contact is total (`_zero_level`).  The solves of the
     bisection use the same lattices, so the certificates hold for them.
     """
-    ends = [_frozen_bounds(lat) for lat in systems.lattices.values()]
-    lo = min(b[0] for b in ends)
-    hi = max(b[1] for b in ends)
+    lats = systems.lattices.values()
+    lo = min(barrier_threshold(lat) for lat in lats)
+    hi = max(_zero_level(lat) for lat in lats)
     margin = max(1e-9, 1e-6 * (abs(lo) + abs(hi)))
     return lo - margin, hi + margin
 

@@ -80,7 +80,9 @@ class QuadratureTable:
     Beside it the 2d build holds only kxy's quadrant, the quadrant's mask
     and one row's temporaries; the fixed 128 x 128 grid of `c_near` is
     freed before the stencil is allocated.  `w_total` is the sum of w over
-    both signs in 1d and of kxx + kyy in 2d.
+    both signs in 1d and of kxx + kyy in 2d.  The 2d table also holds the
+    stencils' `sums` (of kxx, kyy and kxy) and `abs_kxy`, the sum of |kxy|,
+    which every lattice on it reads.
 
     `c_near` is the full second moment of the envelope over the singular
     cell; applied to the axis second difference divided by h^2 it restores
@@ -100,6 +102,8 @@ class QuadratureTable:
     kxx: np.ndarray | None = None
     kyy: np.ndarray | None = None
     kxy: np.ndarray | None = None
+    sums: tuple | None = None
+    abs_kxy: float | None = None
 
     @property
     def n_offsets(self):
@@ -136,7 +140,7 @@ def build_quadrature(dim: int, sigma: float, h: float, r_out: float) -> Quadratu
     # The envelope is even in y, so kxx and kyy are even in each axis and kxy
     # is odd: the midpoint moments of the quadrant jx, jy >= 0, one row at a
     # time, fix every cell, since a sign flip is exact.  kxy's quadrant waits
-    # in `qxy`, because kxy's plane is scratch for the sum of kxx + kyy.
+    # in `qxy`, because kxy's plane is scratch for the sums of kxx + kyy and |kxy|.
     q = np.arange(J + 1, dtype=np.float64)
     qxy = np.zeros((J + 1, J + 1))
     inside = np.zeros((J + 1, J + 1), dtype=bool)
@@ -163,18 +167,24 @@ def build_quadrature(dim: int, sigma: float, h: float, r_out: float) -> Quadratu
     block = (slice(J - 4, J + 5),) * 2
     kxx[block][refined], kyy[block][refined] = near[0][refined], near[1][refined]
     w_total = float(np.sum(np.add(kxx, kyy, out=kxy)))
-    # kxy: +0.0 off the disc, and -0.0 where an axis cell's odd mirror lands
-    kxy[...] = 0.0
+    # |kxy| is qxy mirrored in every quadrant, and summed in kxy's plane
+    # before the odd quadrants are negated
     kxy[J:, J:] = qxy
+    kxy[J - 1::-1, J:] = qxy[1:]
+    kxy[J:, J - 1::-1] = qxy[:, 1:]
+    kxy[J - 1::-1, J - 1::-1] = qxy[1:, 1:]
+    kxy[block][refined] = np.abs(near[2][refined])
+    abs_kxy = float(np.sum(kxy))
+    # kxy: +0.0 off the disc, and -0.0 where an axis cell's odd mirror lands
     np.negative(qxy[1:], out=kxy[J - 1::-1, J:], where=inside[1:])
     np.negative(qxy[:, 1:], out=kxy[J:, J - 1::-1], where=inside[:, 1:])
-    kxy[J - 1::-1, J - 1::-1] = qxy[1:, 1:]
     kxy[block][refined] = near[2][refined]
     tail = envelope_integral(2, sigma, r_out, np.inf)
     return QuadratureTable(
         dim=2, sigma=sigma, h=h, r_eff=r_out,
         w=None, c_near=c_near, tail=tail, w_total=w_total,
         stencil=stencil, kxx=kxx, kyy=kyy, kxy=kxy,
+        sums=tuple(float(np.sum(k)) for k in stencil), abs_kxy=abs_kxy,
     )
 
 

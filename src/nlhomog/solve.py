@@ -21,8 +21,9 @@ share one padded array and correlation per bitwise-distinct array.  Each
 dimension keeps its correlation and its moment formula: in 1d one
 symmetric stencil, giving the unit moment (and, for the pointwise extremal
 of the "cs" class, the positive and negative moments); in 2d three
-directional stencils, giving the symmetric (2, 2) moment field.  The
-pointwise "cs" extremal is 1d only; a 2d one is refused.
+directional stencils, giving the symmetric (2, 2) moment field; their
+sums, and that of |kxy| for the sweep diagonal, are read from the table.
+The pointwise "cs" extremal is 1d only; a 2d one is refused.
 
 Engines
 -------
@@ -67,9 +68,9 @@ Repeated solves of one problem at several levels can hand `solve_obstacle`
 the level-free parts built once: the lattice (environment fields, exterior
 data, frozen moment) and, for the newton engine, its `system()`, the triple
 (K, e, G): the view of K, the load and G = inv(K), the one m x m array;
-a solve not handed them builds both.  The bump barriers read that same
-lattice: a bump vanishes outside its ball, which lies in the box, so its
-exterior data are the zero data of every frozen problem.
+a solve not handed them builds both.  The bump barrier reads that same
+lattice: its bump vanishes outside the box, so its exterior data are the
+zero data of every frozen problem.
 
 Scaled problems read their coefficients at x / eps; the grid must resolve
 the environment cells (h <= eps/4) or construction fails.
@@ -79,7 +80,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -181,22 +182,19 @@ class ObstacleSolution:
 class Bump:
     """Quartic bump (1 - |x-c|^2/r^2)^2 inside the r-ball, else 0.
 
-    sign -1 flips it; the positive bump is a subsolution at low levels and
-    the negative one a supersolution at high levels, which brackets every
-    effective-level search.
+    It is positive on the open ball; `_barrier_bump` builds from it the
+    bump whose barrier is the low end of every effective-level search.
     """
 
     center: np.ndarray
     r: float
-    sign: float = 1.0
 
     def __call__(self, pts):
         """Values at points (N, dim)."""
         pts = np.asarray(pts, dtype=np.float64)
         c = np.atleast_1d(np.asarray(self.center, dtype=np.float64))
         d2 = np.sum((pts - c) ** 2, axis=1) / self.r**2
-        v = np.where(d2 < 1.0, (1.0 - d2) ** 2, 0.0)
-        return self.sign * v
+        return np.where(d2 < 1.0, (1.0 - d2) ** 2, 0.0)
 
 
 def default_quadrature(fam: KernelFamily, box: Box, r_out_factor: float = 8.0) -> QuadratureTable:
@@ -215,10 +213,10 @@ MAX_STEPS = 60      # active-set steps before a newton solve gives up
 class _Lattice:
     """One problem on its grid (see Lattices).
 
-    A subclass sets `dim`, takes the table's stencil as `kern` in `_stencil`,
-    correlates in `_correlate` and evaluates F in `operator_values`.  This
-    class reads the exterior data and adds the red-black damped sweeps and
-    the certified residual.
+    A subclass sets `dim`, correlates in `_correlate` and evaluates F in
+    `operator_values`.  This class takes the table's stencil as `kern`,
+    reads the exterior data and adds the red-black damped sweeps and the
+    certified residual.
     """
 
     def __init__(self, problem: DirichletProblem, quad: QuadratureTable,
@@ -242,7 +240,7 @@ class _Lattice:
             self.active = np.ones(nodes[0].shape, dtype=bool)
         if not self.active.any():
             raise ConfigurationError("domain has no active cells")
-        self._stencil()
+        self.kern = quad.stencil
         # active values, zero-padded by q, only meet the central 2q+1 taps
         self.q = min(self.J, self.m - 1)
         taps = slice(self.J - self.q, self.J + self.q + 1)
@@ -272,9 +270,12 @@ class _Lattice:
             # coordinate, which the exact comparison tests require
             if self.is_matrix:
                 self.A, self.frozen_moment = coeff, frozen_moment
-                dxx, dyy, sxy_abs = self.slopes  # from the 2d stencil
+                # directional slope bounds, from the 2d table's sums
+                sxx, syy, _ = quad.sums
+                dxx = 2.0 * sxx + quad.c_near / self.h**2 + quad.tail
+                dyy = 2.0 * syy + quad.c_near / self.h**2 + quad.tail
                 bound = (coeff[..., 0, 0] * dxx + coeff[..., 1, 1] * dyy
-                         + 4.0 * np.abs(coeff[..., 0, 1]) * sxy_abs)
+                         + 4.0 * np.abs(coeff[..., 0, 1]) * quad.abs_kxy)
                 self.diag = bound.max(axis=(0, 1))
             else:
                 # the scalar classes pair the multiplier with the trace of the moment
@@ -401,9 +402,6 @@ class _Lattice1D(_Lattice):
     """1d lattice: one symmetric correlation stencil, and the linear engine."""
 
     dim = 1
-
-    def _stencil(self):
-        self.kern = self.quad.stencil
 
     @staticmethod
     def _correlate(a, kern):
@@ -667,17 +665,6 @@ class _Lattice2D(_Lattice):
     dim = 2
     linear = False
 
-    def _stencil(self):
-        quad = self.quad
-        sxx = float(np.sum(quad.kxx))
-        syy = float(np.sum(quad.kyy))
-        self.sums = (sxx, syy, float(np.sum(quad.kxy)))
-        self.kern = quad.stencil
-        # directional slope bounds, for the matrix-class sweep diagonal
-        self.slopes = (2.0 * sxx + quad.c_near / self.h**2 + quad.tail,
-                       2.0 * syy + quad.c_near / self.h**2 + quad.tail,
-                       float(np.sum(np.abs(quad.kxy))))
-
     @staticmethod
     def _correlate(a, kern):
         """Valid-mode correlation of a 2d array with each stencil of kern[k]."""
@@ -687,7 +674,7 @@ class _Lattice2D(_Lattice):
         """The (2, 2) moment field at every node of `padded(vals, 1)`."""
         u = grid[1:-1, 1:-1]
         cxx, cyy, cxy = self.fixed_corr + self._near_corr(u)
-        sxx, syy, sxy = self.sums
+        sxx, syy, sxy = self.quad.sums
         nx = grid[2:, 1:-1] + grid[:-2, 1:-1] - 2 * u
         ny = grid[1:-1, 2:] + grid[1:-1, :-2] - 2 * u
         tailterm = self.quad.tail * (2.0 * self.far - 2.0 * u)
@@ -781,7 +768,8 @@ def solve_dirichlet_many(problems, tol: float = 1e-6,
     ConfigurationError.  Their lattices read the table's stencil and share
     one correlation per bitwise-distinct padded exterior array.  Those on
     the newton engine share K, so one Levinson solve on K's first column takes
-    each bitwise-distinct column of B = [e_i - t_i] once, in O(m n) memory;
+    every column of B = [e_i - t_i], in batch order, in O(m n) memory.  A
+    column's solution depends on that column alone (`_toeplitz_solve`), so
     equal columns get equal solutions wherever they sit in the batch.
     Each column is certified with its own lattice's residual and raises
     SolverError if it misses tol.  Sweep problems are solved one by one,
@@ -809,10 +797,8 @@ def solve_dirichlet_many(problems, tol: float = 1e-6,
     solved, share = {}, 0.0
     if cols:
         t0 = time.perf_counter()
-        distinct = {b.tobytes(): b for b in cols.values()}
-        where = {key: j for j, key in enumerate(distinct)}
-        U = _toeplitz_solve(lats[next(iter(cols))].column(), list(distinct.values()))
-        solved = {i: U[where[b.tobytes()]].copy() for i, b in cols.items()}
+        U = _toeplitz_solve(lats[next(iter(cols))].column(), list(cols.values()))
+        solved = dict(zip(cols, U))
         share = (time.perf_counter() - t0) / len(cols)
     results = []
     for i, lat in enumerate(lats):
@@ -867,29 +853,29 @@ def residual_field(problem: DirichletProblem, u: GridFunction,
     return GridFunction(problem.domain, r, ExteriorRule.zero())
 
 
-def barrier_threshold(problem: DirichletProblem, side: int,
-                      quad: QuadratureTable | None = None, lattice=None) -> float:
-    """Operator level separating sub/supersolution regimes of the bumps.
-
-    side +1: min over active cells of F(P+), with P+ the quartic bump on
-    the inscribed ball; any rhs level at or below it makes the bump a
-    subsolution.  side -1: max of F(P-); levels at or above make the
-    negative bump a supersolution.  The bump vanishes outside its ball,
-    which lies in the box, so its exterior data are zero: it is evaluated
-    on `lattice`, a lattice of this problem at any level whose exterior
-    data are zero (else ConfigurationError), or on a new one under zero
-    exterior data.
-    """
-    box = problem.domain
-    bump = Bump(center=np.asarray(box.center, dtype=np.float64), r=box.half,
-                sign=float(side))
-    vals = bump(box.nodes()).reshape((box.m,) * box.dim)
-    if lattice is None:
-        lat = _lattice(replace(problem, exterior=ExteriorRule.zero()), quad)
-    elif lattice.far != 0.0 or np.any(lattice.fixed):
-        raise ConfigurationError("a bump barrier needs a lattice with zero exterior data")
+def _barrier_bump(box: Box, shape: str):
+    """P+ on the grid of `box`: positive on every active cell of the shape
+    and zero outside the box.  On a ball it is the quartic `Bump` of the
+    inscribed ball; on a cube, whose corners that bump misses, the product
+    of the 1d bumps of its axes.  In 1d the two are the same values."""
+    pts, c = box.nodes(), np.asarray(box.center, dtype=np.float64)
+    if shape == "ball":
+        vals = Bump(c, box.half)(pts)
     else:
-        lat = lattice
-    F, _ = lat.operator_values(vals)
-    Fa = F[lat.active]
-    return float(np.min(Fa)) if side > 0 else float(np.max(Fa))
+        vals = np.prod([Bump(c[a:a + 1], box.half)(pts[:, a:a + 1])
+                        for a in range(box.dim)], axis=0)
+    return vals.reshape((box.m,) * box.dim)
+
+
+def barrier_threshold(lattice) -> float:
+    """Min over the active cells of F(P+), P+ the `_barrier_bump` of the
+    lattice's domain: at any rhs level at or below it P+ is a subsolution,
+    so the least supersolution dominates it and has no contact.
+
+    P+ is zero outside the box, so it is evaluated on `lattice`, a lattice
+    at any level whose exterior data are zero (else ConfigurationError).
+    """
+    if lattice.far != 0.0 or np.any(lattice.fixed):
+        raise ConfigurationError("a bump barrier needs a lattice with zero exterior data")
+    F, _ = lattice.operator_values(_barrier_bump(lattice.problem.domain, lattice.problem.shape))
+    return float(np.min(F[lattice.active]))

@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-EXACT = "acceptance_1_ or acceptance_8 or dichotomy or translation"
+EXACT = ("acceptance_1_ or acceptance_8 or dichotomy or translation"
+         " or abp_experiment_quick_run")
 
 
 def _dynamic_openblas():

@@ -214,13 +214,14 @@ def test_two_worker_bisection_inverts_each_K_once_in_process(count_calls):
 
 def test_each_frozen_solve_replaces_its_problem_once(count_calls):
     # the level is set on the frozen problem once, and the lattice takes
-    # that problem as it is
-    replaced = [count_calls(module, "replace") for module in (homog, solve)]
+    # that problem as it is: solve builds no problem of its own
+    assert not hasattr(solve, "replace")
+    replaced = count_calls(homog, "replace")
     log = RowLog()
     effective_value(PHI, np.zeros(1), (0.25, 0.125), (0, 1), MIXED_SPEC,
                     fam_of(MIXED_SPEC), bisect_tol=2.0**-3, log=log)
     assert len(log.rows) > 4
-    assert sum(map(len, replaced)) == len(log.rows)
+    assert len(replaced) == len(log.rows)
 
 
 def test_estimate_mbar_worker_invariance():
@@ -273,8 +274,10 @@ def test_abp_experiment_quick_run(count_calls):
     # both sweeps share one grid, so all five problems are one solve
     assert len(toeplitz) == 1
     assert len(out["amplitude_ratios"]) == 1
-    # positive homogeneity: doubling the forcing doubles the bound
-    assert out["amplitude_ratios"][0] == pytest.approx(2.0, abs=0.05)
+    # positive homogeneity: doubling the forcing doubles the bound, exactly
+    # in 1d, since each Levinson row is linear in its right-hand side and
+    # doubling is exact in binary floating point
+    assert out["amplitude_ratios"][0] == 2.0
     # shrinking support shrinks the bound, with a definite rate
     sups = [r["sup_v"] for r in out["support_rows"]]
     assert all(a > b for a, b in zip(sups, sups[1:]))

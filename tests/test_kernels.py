@@ -197,6 +197,9 @@ def test_2d_quadrant_build_matches_the_full_grid_build(sigma, h, cells):
     assert got.stencil.tobytes() == want.stencil.tobytes()
     assert (got.w_total, got.c_near, got.tail) == (want.w_total, want.c_near, want.tail)
     assert got.w is None and got.n_offsets == int(round(r_out / h))
+    # the sums every 2d lattice reads, bitwise those of the full stencils
+    assert got.sums == tuple(float(np.sum(k)) for k in (want.kxx, want.kyy, want.kxy))
+    assert got.abs_kxy == float(np.sum(np.abs(want.kxy)))
 
 
 def test_2d_build_holds_no_full_size_temporary():

@@ -181,18 +181,33 @@ def grid_batch():
     return branch + extremal
 
 
-def test_batched_columns_match_per_problem_solves(count_calls):
-    problems, tol = grid_batch(), 1e-9
+def test_batched_columns_match_per_problem_solves(monkeypatch):
+    # the cosine problem comes twice, the second time after the sweep problem
+    problems, tol = grid_batch() + grid_batch()[1:2], 1e-9
     alone = [solve_dirichlet(p, tol=tol, quad=QUAD16) for p in problems]
-    toeplitz = count_calls(solve, "_toeplitz_solve")
+    columns = []
+    toeplitz = solve._toeplitz_solve
+
+    def record(col, B):
+        columns.append(np.array(B))
+        return toeplitz(col, B)
+
+    monkeypatch.setattr(solve, "_toeplitz_solve", record)
     batch = solve_dirichlet_many(problems, tol=tol, quad=QUAD16)
-    # the four problems on the newton engine are the columns of one solve
-    assert len(toeplitz) == 1
-    assert [d.method for _, d in batch] == ["newton"] * 4 + ["sweeps"]
+    # the five problems on the newton engine are the columns of one solve,
+    # every one of them, in batch order
+    assert len(columns) == 1
+    assert [d.method for _, d in batch] == ["newton"] * 4 + ["sweeps", "newton"]
+    newton = [solve._lattice(p, QUAD16) for i, p in enumerate(problems) if i != 4]
+    assert columns[0].tobytes() == np.array(
+        [lat.load() - lat.threshold() for lat in newton]).tobytes()
     for (u, d), (v, e) in zip(batch, alone):
         assert d.method == e.method and d.iterations == e.iterations
         assert d.residual <= tol
         assert np.max(np.abs(u.values - v.values)) <= 1e-14
+    # the repeat's solution is the original's, bit for bit
+    assert batch[5][0].values.tobytes() == batch[1][0].values.tobytes()
+    assert batch[5][1].residual == batch[1][1].residual
 
 
 @pytest.mark.parametrize("index", range(4))
@@ -532,7 +547,7 @@ def test_obstacle_nonnegative_and_vi_residual():
 
 def test_obstacle_below_barrier_threshold_touches_nothing():
     prob = mixed_problem(0.0)
-    thr = barrier_threshold(prob, +1, quad=QUAD16)
+    thr = barrier_threshold(solve._lattice(prob, QUAD16))
     low = mixed_problem(thr - 1.0)
     sol = solve_obstacle(low, tol=1e-9, quad=QUAD16)
     assert sol.fraction == 0.0
@@ -632,7 +647,7 @@ def test_prebuilt_lattice_and_system_match_a_fresh_solve():
         assert np.array_equal(fresh.u.values, reused.u.values)
         assert fresh.diagnostics.residual == reused.diagnostics.residual
     lat.sweep_solve(True, 1e-10, fixed_sweeps=16)
-    barrier_threshold(lat.problem, +1, quad=QUAD16, lattice=lat)
+    barrier_threshold(lat)
     # the held lattice is read-only: its level, its exterior and every other array
     assert np.all(lat.rhs == 0.0)
     for name, before in arrays.items():
@@ -802,25 +817,21 @@ def test_residual_field_reports_zero_outside_ball():
 # bump barriers
 
 def test_barrier_check_certifies_extreme_levels():
-    # both thresholds are finite, so every level far enough below (side +1)
-    # or above (side -1) is certified by the bump barrier
-    prob = mixed_problem(0.0)
-    thr = barrier_threshold(prob, +1, quad=QUAD16)
-    thr2 = barrier_threshold(prob, -1, quad=QUAD16)
-    assert -1e6 <= thr < 1e6 and -1e6 < thr2 <= 1e6
-    # with zero forcing, the positive bump's threshold is negative and the
-    # negative bump's positive
+    # the threshold is finite, so every level far enough below it is
+    # certified by the bump barrier
+    thr = barrier_threshold(solve._lattice(mixed_problem(0.0), QUAD16))
+    assert -1e6 <= thr < 1e6
+    # with zero forcing, the bump's threshold is negative
     box = Box((0.0,), 0.5, 1.0 / 16)
     flat = DirichletProblem(handle=OperatorHandle(fam=FAM, env=const_env()),
                             domain=box, rhs=0.0, exterior=ExteriorRule.zero())
-    for side in (+1, -1):
-        assert side * barrier_threshold(flat, side, quad=QUAD16) < 0.0
+    assert barrier_threshold(solve._lattice(flat, QUAD16)) < 0.0
 
 
 @pytest.mark.parametrize("dim, shape", [(1, "cube"), (1, "ball"), (2, "cube"), (2, "ball")])
-def test_barrier_threshold_on_a_held_lattice_matches_a_fresh_one(dim, shape):
-    # the bump is evaluated on the held lattice itself: its exterior data
-    # are zero, as the bump's are, so it gives the level of a fresh lattice
+def test_barrier_bump_is_positive_on_every_active_cell(dim, shape):
+    # the low certificate needs P+ > 0 wherever contact could occur; the
+    # radial bump of the inscribed disc is 0 on the 2d cube's corner cells
     if dim == 1:
         prob, quad = replace(mixed_problem(0.3), shape=shape), QUAD16
     else:
@@ -833,12 +844,38 @@ def test_barrier_threshold_on_a_held_lattice_matches_a_fresh_one(dim, shape):
             exterior=ExteriorRule.zero(), shape=shape)
         quad = build_quadrature(2, 1.0, 0.125, 2.0)
     lat = solve._lattice(prob, quad)
+    box = prob.domain
+    bump = solve._barrier_bump(box, shape)
+    assert np.all(bump[lat.active] > 0.0)
+    radial = Bump(center=np.zeros(dim), r=box.half)(box.nodes()).reshape(bump.shape)
+    if dim == 1 or shape == "ball":
+        # the radial bump, bit for bit, where it already covers the shape
+        assert bump.tobytes() == radial.tobytes()
+    else:
+        assert np.any(radial[lat.active] == 0.0)
+    # evaluated on the held lattice, which keeps its own arrays
     fixed, fixed_corr = lat.fixed.copy(), lat.fixed_corr.copy()
-    for side in (+1, -1):
-        assert (barrier_threshold(prob, side, quad=quad, lattice=lat)
-                == barrier_threshold(prob, side, quad=quad))
-    # the held lattice keeps its own exterior data
+    F, _ = lat.operator_values(bump)
+    assert barrier_threshold(lat) == np.min(F[lat.active])
     assert np.array_equal(lat.fixed, fixed) and np.array_equal(lat.fixed_corr, fixed_corr)
+
+
+def test_2d_frozen_cube_has_no_contact_at_the_certified_low_end():
+    # the frozen problems of one 2d eps, as the bisection builds them: at
+    # the barrier level of each seed's lattice its least supersolution
+    # dominates the bump, so no cell of the cube touches the obstacle
+    from nlhomog.homog import _FrozenSystems, fam_of, quadratic_bank
+    spec = EnvironmentSpec(dim=2, n_alpha=2, n_beta=2, kernel_class="a",
+                           coeff_law="uniform", forcing_law="uniform")
+    frozen = _FrozenSystems(quadratic_bank(2)[7], np.zeros(2), spec, fam_of(spec), 1.0 / 8,
+                            1.0, 1e-8, (0.5,), (0, 1))
+    for lat in frozen.lattices.values():
+        assert lat.problem.shape == "cube" and lat.active.all()
+        level = barrier_threshold(lat)
+        sol = solve_obstacle(replace(lat.problem, rhs=level), tol=1e-8, lattice=lat)
+        assert sol.fraction == 0.0
+        bump = solve._barrier_bump(lat.problem.domain, "cube")
+        assert np.min(sol.u.values - bump) >= -1e-6
 
 
 @pytest.mark.parametrize("exterior", [
@@ -851,8 +888,7 @@ def test_barrier_threshold_refuses_a_held_lattice_with_exterior_data(exterior):
     prob = replace(mixed_problem(0.3), exterior=exterior)
     lat = solve._lattice(prob, QUAD16)
     with pytest.raises(ConfigurationError):
-        barrier_threshold(prob, +1, quad=QUAD16, lattice=lat)
-    barrier_threshold(prob, +1, quad=QUAD16)  # a fresh lattice reads zero data
+        barrier_threshold(lat)
 
 
 # ---------------------------------------------------------------------------
@@ -966,8 +1002,6 @@ def test_bump_profile_shape():
     assert v[0] == 1.0
     assert v[1] == pytest.approx((1.0 - 0.25) ** 2)
     assert v[2] == 0.0 and v[3] == 0.0
-    neg = Bump(center=np.zeros(1), r=0.5, sign=-1.0)
-    assert np.array_equal(neg(pts), -v)
 
 
 def test_2d_lattice_build_allocates_little_beyond_what_it_keeps():
