@@ -19,8 +19,9 @@ with its stencil, the frozen moment, one exterior correlation and the
 linear engine's (K, e, G) -- K a read-only Toeplitz view over 2m - 1
 values and G = inv(K) from Trench's recurrence, the one m x m array --
 and per (eps, seed) the lattice, on which the bracket reads its two
-certificates: the bump barrier at the low end (`barrier_threshold`) and
-the zero function's level at the high end (`_zero_level`).
+certificates, both from F(0), the operator at the zero function: its min
+at the low end (`barrier_threshold`) and its max at the high end
+(`_zero_level`).
 Each level only recomputes its threshold and runs the active set, started
 from the contact set the same (eps, seed) item returned at the previous
 level, and each active-set step with less contact than free cells is a
@@ -232,8 +233,8 @@ class _FrozenSystems:
 
     Everything is built here, on the calling thread, so the worker threads
     of a fan-out only read it.  Per (eps, seed) of `eps_list` and `seeds`:
-    the lattice at level zero (`_frozen_lattices`), on which the barrier
-    bracket evaluates the bump.  Per eps: when the lattices run the linear
+    the lattice at level zero (`_frozen_lattices`), on which the bracket
+    evaluates F(0).  Per eps: when the lattices run the linear
     engine, the first lattice's `system()`, (K, e, G) -- seed-independent,
     since it depends on the grid, the table and the zero exterior only.
     It holds one m x m array, G = inv(K); K is a read-only view over its
@@ -349,12 +350,14 @@ def estimate_mbar(phi, x0, level, eps_list, seeds, spec: EnvironmentSpec,
 def _bracket(systems):
     """Certified starting bracket for the level bisection.
 
-    Low end: below min F(P+) over every (eps, seed) the bump P+, positive
-    on every active cell, is a subsolution, so the least supersolution
-    dominates it and the contact fraction is zero (`barrier_threshold`).
-    High end: above max F(0) the zero function already satisfies the
-    level, so contact is total (`_zero_level`).  The solves of the
-    bisection use the same lattices, so the certificates hold for them.
+    Low end: below min F(0) over every (eps, seed) no cell can touch,
+    since F(U)(x) >= F(0)(x) at a contact cell x of the least
+    supersolution U >= 0, so the contact fraction is zero
+    (`barrier_threshold`).  High end: above max F(0) the zero function
+    already satisfies the level, so contact is total (`_zero_level`).  The
+    solves of the bisection use the same lattices, so the certificates
+    hold for them; the margin covers the rounding of those comparisons
+    where they are not exact in floating point.
     """
     lats = systems.lattices.values()
     lo = min(barrier_threshold(lat) for lat in lats)

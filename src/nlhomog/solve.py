@@ -68,9 +68,9 @@ Repeated solves of one problem at several levels can hand `solve_obstacle`
 the level-free parts built once: the lattice (environment fields, exterior
 data, frozen moment) and, for the newton engine, its `system()`, the triple
 (K, e, G): the view of K, the load and G = inv(K), the one m x m array;
-a solve not handed them builds both.  The bump barrier reads that same
-lattice: its bump vanishes outside the box, so its exterior data are the
-zero data of every frozen problem.
+a solve not handed them builds both.  The low certificate of a level
+search, `barrier_threshold`, reads that same lattice: F(0) with its own
+exterior data, whose terms cancel between F(U) and F(0) at a contact cell.
 
 Scaled problems read their coefficients at x / eps; the grid must resolve
 the environment cells (h <= eps/4) or construction fails.
@@ -95,7 +95,6 @@ __all__ = [
     "DirichletProblem",
     "ObstacleSolution",
     "SolveDiagnostics",
-    "Bump",
     "solve_dirichlet",
     "solve_dirichlet_many",
     "solve_obstacle",
@@ -176,25 +175,6 @@ class ObstacleSolution:
     contact: np.ndarray
     fraction: float
     diagnostics: SolveDiagnostics
-
-
-@dataclass(frozen=True)
-class Bump:
-    """Quartic bump (1 - |x-c|^2/r^2)^2 inside the r-ball, else 0.
-
-    It is positive on the open ball; `_barrier_bump` builds from it the
-    bump whose barrier is the low end of every effective-level search.
-    """
-
-    center: np.ndarray
-    r: float
-
-    def __call__(self, pts):
-        """Values at points (N, dim)."""
-        pts = np.asarray(pts, dtype=np.float64)
-        c = np.atleast_1d(np.asarray(self.center, dtype=np.float64))
-        d2 = np.sum((pts - c) ** 2, axis=1) / self.r**2
-        return np.where(d2 < 1.0, (1.0 - d2) ** 2, 0.0)
 
 
 def default_quadrature(fam: KernelFamily, box: Box, r_out_factor: float = 8.0) -> QuadratureTable:
@@ -853,29 +833,17 @@ def residual_field(problem: DirichletProblem, u: GridFunction,
     return GridFunction(problem.domain, r, ExteriorRule.zero())
 
 
-def _barrier_bump(box: Box, shape: str):
-    """P+ on the grid of `box`: positive on every active cell of the shape
-    and zero outside the box.  On a ball it is the quartic `Bump` of the
-    inscribed ball; on a cube, whose corners that bump misses, the product
-    of the 1d bumps of its axes.  In 1d the two are the same values."""
-    pts, c = box.nodes(), np.asarray(box.center, dtype=np.float64)
-    if shape == "ball":
-        vals = Bump(c, box.half)(pts)
-    else:
-        vals = np.prod([Bump(c[a:a + 1], box.half)(pts[:, a:a + 1])
-                        for a in range(box.dim)], axis=0)
-    return vals.reshape((box.m,) * box.dim)
-
-
 def barrier_threshold(lattice) -> float:
-    """Min over the active cells of F(P+), P+ the `_barrier_bump` of the
-    lattice's domain: at any rhs level at or below it P+ is a subsolution,
-    so the least supersolution dominates it and has no contact.
+    """Min over the active cells of F(0), 0 the zero function on the active
+    cells with the lattice's own exterior data; below it contact is empty.
 
-    P+ is zero outside the box, so it is evaluated on `lattice`, a lattice
-    at any level whose exterior data are zero (else ConfigurationError).
+    At a contact cell x of the least supersolution U >= 0 the off-center
+    weights are nonnegative and the exterior terms cancel, so the moment
+    of U at x is at least that of 0, and F increases with the moment:
+    F(0)(x) <= F(U)(x) <= rhs.  `lattice` is a lattice at any level.  In 1d with zero exterior data the comparison is
+    exact in floating point: every term of the moment at x is a sum of
+    nonnegative products.  Elsewhere it holds up to the rounding of those
+    sums, which the bracket's margin (`homog._bracket`) covers.
     """
-    if lattice.far != 0.0 or np.any(lattice.fixed):
-        raise ConfigurationError("a bump barrier needs a lattice with zero exterior data")
-    F, _ = lattice.operator_values(_barrier_bump(lattice.problem.domain, lattice.problem.shape))
+    F, _ = lattice.operator_values(np.zeros(lattice.active.shape))
     return float(np.min(F[lattice.active]))

@@ -24,7 +24,7 @@ from nlhomog import cli, solve
 from nlhomog.cli import main
 from nlhomog.env import EnvironmentSpec
 from nlhomog.errors import ConfigurationError
-from nlhomog.homog import RowLog, fam_of, quadratic_bank
+from nlhomog.homog import CSV_COLUMNS, RowLog, fam_of, quadratic_bank
 from nlhomog.operators import Box, unit_moment
 from nlhomog.solve import default_quadrature
 
@@ -305,6 +305,24 @@ def test_effective_run_with_check_gate(tmp_path):
     assert summary["width"] <= 2.0**-6 * (1 + 1e-9)
     lo, hi = summary["bracket"]
     assert lo <= summary["value"] <= hi
+
+
+def test_one_eps_fixed_law_effective_needs_no_bisection(tmp_path, capsys):
+    # a constant environment makes F(0) one value on every cell, so the
+    # certified bracket is already within bisect_tol of the direct constant
+    cfg = write_config(
+        tmp_path, kind="effective",
+        environment={"coeff_value": 1.5, "forcing_value": 0.25},
+        numerics={"eps_list": [0.125], "seeds": [0, 1]},
+        experiment={"phi_index": 4},
+    )
+    assert main(["run", str(cfg), "--check"]) == 0
+    assert "PASS matches-direct-constant: gap=0.000e+00 " in capsys.readouterr().out
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["bisection_steps"] == 0
+    assert summary["bracket"] == [summary["certificates"]["lo"][1],
+                                  summary["certificates"]["hi"][1]]
+    assert read_rows(tmp_path / "out") == [list(CSV_COLUMNS)]
 
 
 def test_check_gate_fails_on_stalled_corrector(tmp_path, capsys):

@@ -19,7 +19,6 @@ from nlhomog.kernels import KernelFamily, build_quadrature
 from nlhomog.operators import Box, ExteriorRule, GridFunction, TestFunction
 from nlhomog import solve
 from nlhomog.solve import (
-    Bump,
     DirichletProblem,
     OperatorHandle,
     barrier_threshold,
@@ -551,11 +550,7 @@ def test_obstacle_below_barrier_threshold_touches_nothing():
     low = mixed_problem(thr - 1.0)
     sol = solve_obstacle(low, tol=1e-9, quad=QUAD16)
     assert sol.fraction == 0.0
-    bump = Bump(center=np.zeros(1), r=0.5)
-    pvals = bump(low.domain.nodes())
-    # the positive bump is a subsolution at this level, so the least
-    # supersolution dominates it
-    assert np.min(sol.u.values - pvals) >= -1e-9
+    assert np.min(sol.u.values) > 0.0
 
 
 def test_obstacle_above_zero_level_is_identically_zero():
@@ -814,56 +809,103 @@ def test_residual_field_reports_zero_outside_ball():
 
 
 # ---------------------------------------------------------------------------
-# bump barriers
+# the low certificate: F at the zero function
 
 def test_barrier_check_certifies_extreme_levels():
     # the threshold is finite, so every level far enough below it is
-    # certified by the bump barrier
+    # certified
     thr = barrier_threshold(solve._lattice(mixed_problem(0.0), QUAD16))
     assert -1e6 <= thr < 1e6
-    # with zero forcing, the bump's threshold is negative
+    # with zero forcing, F(0) is zero on every cell
     box = Box((0.0,), 0.5, 1.0 / 16)
     flat = DirichletProblem(handle=OperatorHandle(fam=FAM, env=const_env()),
                             domain=box, rhs=0.0, exterior=ExteriorRule.zero())
-    assert barrier_threshold(solve._lattice(flat, QUAD16)) < 0.0
+    assert barrier_threshold(solve._lattice(flat, QUAD16)) == 0.0
+
+
+def _problem_2d(shape="cube", exterior=ExteriorRule.zero()):
+    spec = EnvironmentSpec(dim=2, kernel_class="a", n_alpha=2, n_beta=2,
+                           coeff_law="uniform", forcing_law="uniform")
+    fam = KernelFamily(kind="a", dim=2, sigma=1.0, lam=1.0, lam_big=2.0)
+    prob = DirichletProblem(
+        handle=OperatorHandle(fam=fam, env=sample_environment(spec, seed=1), eps=0.5),
+        domain=Box((0.0, 0.0), 0.5, 0.125), rhs=0.3, exterior=exterior, shape=shape)
+    return prob, build_quadrature(2, 1.0, 0.125, 2.0)
 
 
 @pytest.mark.parametrize("dim, shape", [(1, "cube"), (1, "ball"), (2, "cube"), (2, "ball")])
-def test_barrier_bump_is_positive_on_every_active_cell(dim, shape):
-    # the low certificate needs P+ > 0 wherever contact could occur; the
-    # radial bump of the inscribed disc is 0 on the 2d cube's corner cells
+def test_barrier_threshold_is_the_min_of_F_at_zero_on_the_active_cells(dim, shape):
     if dim == 1:
         prob, quad = replace(mixed_problem(0.3), shape=shape), QUAD16
     else:
-        spec = EnvironmentSpec(dim=2, kernel_class="a", n_alpha=2, n_beta=2,
-                               coeff_law="uniform", forcing_law="uniform")
-        fam = KernelFamily(kind="a", dim=2, sigma=1.0, lam=1.0, lam_big=2.0)
-        prob = DirichletProblem(
-            handle=OperatorHandle(fam=fam, env=sample_environment(spec, seed=1), eps=0.5),
-            domain=Box((0.0, 0.0), 0.5, 0.125), rhs=0.3,
-            exterior=ExteriorRule.zero(), shape=shape)
-        quad = build_quadrature(2, 1.0, 0.125, 2.0)
+        prob, quad = _problem_2d(shape)
     lat = solve._lattice(prob, quad)
-    box = prob.domain
-    bump = solve._barrier_bump(box, shape)
-    assert np.all(bump[lat.active] > 0.0)
-    radial = Bump(center=np.zeros(dim), r=box.half)(box.nodes()).reshape(bump.shape)
-    if dim == 1 or shape == "ball":
-        # the radial bump, bit for bit, where it already covers the shape
-        assert bump.tobytes() == radial.tobytes()
-    else:
-        assert np.any(radial[lat.active] == 0.0)
     # evaluated on the held lattice, which keeps its own arrays
     fixed, fixed_corr = lat.fixed.copy(), lat.fixed_corr.copy()
-    F, _ = lat.operator_values(bump)
-    assert barrier_threshold(lat) == np.min(F[lat.active])
+    F, _ = lat.operator_values(np.zeros(lat.active.shape))
+    thr = barrier_threshold(lat)
+    assert np.float64(thr).tobytes() == np.min(F[lat.active]).tobytes()
     assert np.array_equal(lat.fixed, fixed) and np.array_equal(lat.fixed_corr, fixed_corr)
+
+
+def _certificates_bound_contact(frozen):
+    # strictly below each lattice's own certificate no cell touches, and at
+    # its zero level every cell does
+    from nlhomog.homog import _zero_level
+    for (eps, _), lat in frozen.lattices.items():
+        system = frozen.assembled.get(eps)
+        low = np.nextafter(barrier_threshold(lat), -np.inf)
+        sol = solve_obstacle(replace(lat.problem, rhs=low), tol=frozen.tol, lattice=lat,
+                             system=system)
+        assert sol.fraction == 0.0
+        sol = solve_obstacle(replace(lat.problem, rhs=_zero_level(lat)), tol=frozen.tol,
+                             lattice=lat, system=system)
+        assert sol.fraction == 1.0
+
+
+def test_1d_frozen_problems_have_no_contact_below_their_certificate():
+    # the lattices of the effective-1d golden's bisection (newton engine),
+    # whose zero exterior data make the 1d comparison exact in floating point
+    from nlhomog.homog import _FrozenSystems, fam_of, quadratic_bank
+    spec = EnvironmentSpec(dim=1, n_alpha=2, n_beta=2, coeff_law="uniform",
+                           forcing_law="uniform", f_bound=1.0)
+    frozen = _FrozenSystems(quadratic_bank(1)[4], np.zeros(1), spec, fam_of(spec),
+                            None, 8.0, 1e-7, (0.0625, 0.03125, 0.015625), tuple(range(8)))
+    assert frozen.assembled and all(lat.linear for lat in frozen.lattices.values())
+    _certificates_bound_contact(frozen)
+
+
+def test_2d_frozen_problems_have_no_contact_below_their_certificate():
+    from nlhomog.homog import _FrozenSystems, fam_of, quadratic_bank
+    spec = EnvironmentSpec(dim=2, n_alpha=2, n_beta=2, kernel_class="a",
+                           coeff_law="uniform", forcing_law="uniform")
+    frozen = _FrozenSystems(quadratic_bank(2)[7], np.zeros(2), spec, fam_of(spec), 1.0 / 8,
+                            1.0, 1e-8, (1.0, 0.5), (0, 1))
+    assert not frozen.assembled
+    _certificates_bound_contact(frozen)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_off_obstacle_with_exterior_data_has_no_contact_below_its_certificate(dim):
+    # the exterior terms are the same in F(U) and F(0), so the certificate
+    # holds for the lattice's own exterior data
+    cosine = ExteriorRule(fn=lambda pts: np.cos(2.0 * pts[:, 0]), far=0.0)
+    if dim == 1:
+        prob, quad = replace(mixed_problem(0.3), exterior=cosine), QUAD16
+    else:
+        prob, quad = _problem_2d(exterior=cosine)
+    lat = solve._lattice(prob, quad)
+    assert np.any(lat.fixed != 0.0)
+    low = np.nextafter(barrier_threshold(lat), -np.inf)
+    sol = solve_obstacle(replace(prob, rhs=low), tol=1e-8, quad=quad)
+    assert sol.fraction == 0.0
+    assert np.min(sol.u.values[lat.active]) > 0.0
 
 
 def test_2d_frozen_cube_has_no_contact_at_the_certified_low_end():
     # the frozen problems of one 2d eps, as the bisection builds them: at
-    # the barrier level of each seed's lattice its least supersolution
-    # dominates the bump, so no cell of the cube touches the obstacle
+    # the certified level of each seed's lattice no cell of the cube
+    # touches the obstacle
     from nlhomog.homog import _FrozenSystems, fam_of, quadratic_bank
     spec = EnvironmentSpec(dim=2, n_alpha=2, n_beta=2, kernel_class="a",
                            coeff_law="uniform", forcing_law="uniform")
@@ -874,21 +916,7 @@ def test_2d_frozen_cube_has_no_contact_at_the_certified_low_end():
         level = barrier_threshold(lat)
         sol = solve_obstacle(replace(lat.problem, rhs=level), tol=1e-8, lattice=lat)
         assert sol.fraction == 0.0
-        bump = solve._barrier_bump(lat.problem.domain, "cube")
-        assert np.min(sol.u.values - bump) >= -1e-6
-
-
-@pytest.mark.parametrize("exterior", [
-    ExteriorRule(fn=lambda pts: np.cos(2.0 * pts[:, 0]), far=0.0),
-    ExteriorRule.constant(0.5),
-], ids=["cosine", "constant"])
-def test_barrier_threshold_refuses_a_held_lattice_with_exterior_data(exterior):
-    # the bump's exterior data are zero; a lattice holding other data would
-    # evaluate another function, so it is refused rather than reread
-    prob = replace(mixed_problem(0.3), exterior=exterior)
-    lat = solve._lattice(prob, QUAD16)
-    with pytest.raises(ConfigurationError):
-        barrier_threshold(lat)
+        assert np.min(sol.u.values[lat.active]) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -994,15 +1022,6 @@ def test_quadrature_grid_mismatch_rejected():
 
 # ---------------------------------------------------------------------------
 # helpers
-
-def test_bump_profile_shape():
-    b = Bump(center=np.zeros(1), r=0.5)
-    pts = np.array([[0.0], [0.25], [0.5], [0.7]])
-    v = b(pts)
-    assert v[0] == 1.0
-    assert v[1] == pytest.approx((1.0 - 0.25) ** 2)
-    assert v[2] == 0.0 and v[3] == 0.0
-
 
 def test_2d_lattice_build_allocates_little_beyond_what_it_keeps():
     # h 2^-5, J = 362: the padded exterior array is (32 + 2 * 362)^2 doubles
