@@ -2,8 +2,11 @@
 
 Each directory under tests/golden/ holds one run config and what a run of it
 wrote: summary.json, rows.csv without its wall_ms column and, for a solve,
-solution.csv.  blas.json beside them names the OpenBLAS build and kernel
-type the artifacts were made with.  On that kernel type a replay must match
+solution.csv.  checks.json beside them holds the verdicts of the kind's
+`--check` gates on that run, as [name, passed] pairs; a gate that fails on
+its golden is recorded failing, so a verdict that flips either way shows.
+blas.json names the OpenBLAS build and kernel type the artifacts were made
+with.  On that kernel type a replay must match
 them byte for byte.  Kernels of another type round differently in the last
 bits (see test_blas_kernels.py), so there integers, strings and the exact
 identities (contact fractions, zeros, the translation gap) must still match
@@ -32,7 +35,7 @@ from nlhomog import cli
 
 GOLDEN = Path(__file__).resolve().with_name("golden")
 CASES = sorted(p.name for p in GOLDEN.iterdir() if (p / "config.json").is_file())
-ARTIFACTS = ("summary.json", "rows.csv", "solution.csv")
+ARTIFACTS = ("summary.json", "rows.csv", "solution.csv", "checks.json")
 
 REL_TOL = 1e-9   # last-bit drift of LAPACK/BLAS results, with room for its growth
 ABS_TOL = 1e-10  # residuals sit near rounding, far below every solver tolerance
@@ -58,12 +61,15 @@ def blas_identity():
 
 
 def replay(config_path):
-    """{artifact name: text} of one in-process run of the config, rows.csv without wall_ms."""
+    """{artifact name: text} of one in-process run of the config, rows.csv without
+    wall_ms, and checks.json, the [name, passed] pairs of `cli.run_checks` on it."""
     resolved, spec, fam = cli.load_config(config_path)
     summary, log, solution = cli.run_experiment(resolved, spec, fam, resolved["workers"] or 1)
     with tempfile.TemporaryDirectory() as tmp:
         cli.write_outputs(tmp, resolved, summary, log, solution)
         texts = _texts(Path(tmp))
+    verdicts = [[name, bool(ok)] for name, ok, _ in cli.run_checks(resolved, spec, fam, summary)]
+    texts["checks.json"] = json.dumps(verdicts, indent=2) + "\n"
     rows = list(csv.reader(io.StringIO(texts["rows.csv"])))
     assert rows[0][-1] == "wall_ms"
     buf = io.StringIO()
