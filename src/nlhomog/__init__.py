@@ -4,7 +4,7 @@ Modules
 -------
 env        lazily sampled random checkerboard environments
 kernels    kernel families and monotone quadrature tables
-operators  grid functions, test functions, unit moments
+operators  boxes, exterior rules, test functions, unit moments
 solve      Dirichlet and obstacle solvers on boxes and balls
 homog      contact statistics, effective levels, experiment drivers
 cli        config-driven runner with its acceptance checks

@@ -23,11 +23,11 @@ from .env import EnvironmentSpec, sample_environment
 from .errors import CheckFailure, ConfigurationError, SolverError
 from .operators import Box
 from .solve import (
-    DirichletProblem, OperatorHandle, default_quadrature, solve_dirichlet,
-    solve_obstacle,
+    DirichletProblem, OperatorHandle, barrier_threshold, default_quadrature,
+    solve_dirichlet, solve_obstacle,
 )
 from .homog import (
-    RowLog, abp_scaling_experiment, _frozen_lattices, _zero_level,
+    RowLog, abp_scaling_experiment, _frozen_lattices,
     check_translation_shift, comparison_measurable_experiment,
     convergence_experiment, corrector_decay_profile, effective_value,
     estimate_mbar, fam_of, quadratic_bank, _exterior_from_tag,
@@ -405,21 +405,21 @@ def _run_solve(resolved, spec, fam, log, workers):
     else:
         sol = solve_obstacle(prob, tol=num["solver_tol"], quad=quad)
         u, d, fraction = sol.u, sol.diagnostics, sol.fraction
-    sup = float(np.max(np.abs(u.values)))
+    sup = float(np.max(np.abs(u)))
     log.add(kind, eps=eps, seed=seed, l=exp["rhs"], contact_fraction=fraction,
             sup_norm=sup, iterations=d.iterations, residual=d.residual,
             wall_ms=d.wall_ms)
     summary = {
         "sup_norm": sup,
-        "min_value": float(np.min(u.values)),
+        "min_value": float(np.min(u)),
         "iterations": d.iterations,
         "residual": d.residual,
         "method": d.method,
-        "n_nodes": int(u.values.size),
+        "n_nodes": int(u.size),
     }
     if kind == "obstacle":
         summary["contact_fraction"] = fraction
-    return summary, u
+    return summary, (box, u)
 
 
 def _run_mbar(resolved, spec, fam, log, workers):
@@ -525,7 +525,8 @@ _RUNNERS = {"solve": _run_solve, "obstacle": _run_solve, "mbar": _run_mbar,
 
 
 def run_experiment(resolved, spec, fam, workers):
-    """Dispatch one resolved config; returns (summary, row log, solution)."""
+    """Dispatch one resolved config; returns (summary, row log, solution), the
+    solution (box, values) for a solve or an obstacle and None otherwise."""
     log = RowLog()
     summary, solution = _RUNNERS[resolved["kind"]](resolved, spec, fam, log, workers)
     return summary, log, solution
@@ -534,10 +535,10 @@ def run_experiment(resolved, spec, fam, workers):
 # ---------------------------------------------------------------------------
 # output writing
 
-def _write_solution_csv(path, u):
-    header = ("x", "y")[:u.box.dim] + ("u",)
+def _write_solution_csv(path, box, values):
+    header = ("x", "y")[:box.dim] + ("u",)
     rows = [[repr(float(c)) for c in x] + [repr(float(v))]
-            for x, v in zip(u.box.nodes(), u.values.ravel())]
+            for x, v in zip(box.nodes(), values.ravel())]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -581,7 +582,7 @@ def write_outputs(out_dir, resolved, summary, log, solution=None):
             json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     if solution is not None:
-        _write_solution_csv(os.path.join(out_dir, "solution.csv"), solution)
+        _write_solution_csv(os.path.join(out_dir, "solution.csv"), *solution)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +598,7 @@ def _direct_frozen_constant(resolved, spec, fam):
     phi, x0 = _phi(spec, exp)
     lat, = _frozen_lattices(phi, x0, min(num["eps_list"]), num["seeds"][:1], spec, fam,
                             num["h"], num["r_out_factor"])
-    return _zero_level(lat)
+    return barrier_threshold(lat)[1]
 
 
 def run_checks(resolved, spec, fam, summary):

@@ -19,9 +19,9 @@ with its stencil, the frozen moment, one exterior correlation and the
 linear engine's (K, e, G) -- K a read-only Toeplitz view over 2m - 1
 values and G = inv(K) from Trench's recurrence, the one m x m array --
 and per (eps, seed) the lattice, on which the bracket reads its two
-certificates, both from F(0), the operator at the zero function: its min
-at the low end (`barrier_threshold`) and its max at the high end
-(`_zero_level`).
+certificates from one evaluation of F(0), the operator at the zero
+function (`barrier_threshold`): its min at the low end and its max at the
+high end.
 Each level only recomputes its threshold and runs the active set, started
 from the contact set the same (eps, seed) item returned at the previous
 level, and each active-set step with less contact than free cells is a
@@ -220,14 +220,6 @@ def _frozen_lattices(phi, x0, eps, seeds, spec, fam, h, r_out_factor):
     return lats
 
 
-def _zero_level(lat):
-    """Max over the active cells of F(0) on one frozen problem's lattice: at
-    or above it the zero function already satisfies the level, so contact
-    is total."""
-    F0, _ = lat.operator_values(np.zeros(lat.rhs.shape))
-    return float(np.max(np.asarray(F0)[lat.active]))
-
-
 class _FrozenSystems:
     """Level-free parts of the frozen problems of one extraction, and its warm starts.
 
@@ -275,8 +267,8 @@ class _FrozenSystems:
             raise SolverError(f"eps={float(eps)!r}, seed={seed}, level={float(level)!r}: {exc}",
                               residual=exc.residual, iterations=exc.iterations) from exc
         d = sol.diagnostics
-        return (eps, seed, sol.fraction, float(np.max(np.abs(sol.u.values))),
-                d.iterations, d.residual, d.wall_ms, sol.u.values)
+        return (eps, seed, sol.fraction, float(np.max(np.abs(sol.u))),
+                d.iterations, d.residual, d.wall_ms, sol.u)
 
 
 def _map(fn, state, items, workers):
@@ -350,18 +342,18 @@ def estimate_mbar(phi, x0, level, eps_list, seeds, spec: EnvironmentSpec,
 def _bracket(systems):
     """Certified starting bracket for the level bisection.
 
-    Low end: below min F(0) over every (eps, seed) no cell can touch,
-    since F(U)(x) >= F(0)(x) at a contact cell x of the least
-    supersolution U >= 0, so the contact fraction is zero
-    (`barrier_threshold`).  High end: above max F(0) the zero function
-    already satisfies the level, so contact is total (`_zero_level`).  The
-    solves of the bisection use the same lattices, so the certificates
-    hold for them; the margin covers the rounding of those comparisons
-    where they are not exact in floating point.
+    Both ends come from `barrier_threshold`, one evaluation of F(0) per
+    (eps, seed).  Low end: below min F(0) over every (eps, seed) no cell
+    can touch, since F(U)(x) >= F(0)(x) at a contact cell x of the least
+    supersolution U >= 0, so the contact fraction is zero.  High end:
+    above max F(0) the zero function already satisfies the level, so
+    contact is total.  The solves of the bisection use the same lattices,
+    so the certificates hold for them; the margin covers the rounding of
+    those comparisons where they are not exact in floating point.
     """
-    lats = systems.lattices.values()
-    lo = min(barrier_threshold(lat) for lat in lats)
-    hi = max(_zero_level(lat) for lat in lats)
+    ends = [barrier_threshold(lat) for lat in systems.lattices.values()]
+    lo = min(low for low, _ in ends)
+    hi = max(high for _, high in ends)
     margin = max(1e-9, 1e-6 * (abs(lo) + abs(hi)))
     return lo - margin, hi + margin
 
@@ -431,7 +423,7 @@ def corrector_decay_profile(phi, x0, level, eps_list, seed,
                                shape="ball")
         quad = default_quadrature(fam, prob.domain, r_out_factor)
         w, d = solve_dirichlet(prob, tol=tol, quad=quad)
-        sup = float(np.max(np.abs(w.values)))
+        sup = float(np.max(np.abs(w)))
         sups.append(sup)
         if log is not None:
             log.add("corrector", eps=eps, seed=seed, l=level, sup_norm=sup,
@@ -476,7 +468,7 @@ def _extremal_forced_sups(fam, box, forcings, *, tol, quad):
     problems = [DirichletProblem(handle=handle, domain=box, rhs=-g,
                                  exterior=ExteriorRule.zero(), shape="ball")
                 for g in forcings]
-    return [(float(np.max(v.values)), d)
+    return [(float(np.max(v)), d)
             for v, d in solve_dirichlet_many(problems, tol=tol, quad=quad)]
 
 
@@ -588,7 +580,7 @@ def _converge_group(shared, group):
         g = _exterior_from_tag(far, spec.dim, eps * shift if shift is not None else 0.0)
         problems.append(DirichletProblem(handle=OperatorHandle(fam=fam, env=env, eps=eps),
                                          domain=domain, rhs=0.0, exterior=g, shape="cube"))
-    return [(u.values, d.iterations, d.residual, d.wall_ms)
+    return [(u, d.iterations, d.residual, d.wall_ms)
             for u, d in solve_dirichlet_many(problems, tol=tol, quad=quad)]
 
 

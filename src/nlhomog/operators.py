@@ -1,4 +1,4 @@
-"""Grid functions, test functions and unit moments.
+"""Boxes, exterior rules, test functions and unit moments.
 
 Conventions used throughout:
 
@@ -27,7 +27,6 @@ from .kernels import QuadratureTable
 __all__ = [
     "Box",
     "ExteriorRule",
-    "GridFunction",
     "TestFunction",
     "unit_moment",
 ]
@@ -88,90 +87,6 @@ class ExteriorRule:
     @staticmethod
     def zero() -> "ExteriorRule":
         return ExteriorRule.constant(0.0)
-
-
-@dataclass
-class GridFunction:
-    """Values on a box grid plus an exterior rule covering the complement."""
-
-    box: Box
-    values: np.ndarray
-    exterior: ExteriorRule
-
-    def __post_init__(self):
-        want = (self.box.m,) * self.box.dim
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != want:
-            raise ConfigurationError(
-                f"values shape {self.values.shape} does not match grid {want}"
-            )
-
-    @property
-    def far(self):
-        return self.exterior.far
-
-    def sample(self, pts) -> np.ndarray:
-        """Evaluate at arbitrary points: interpolation inside, rule outside.
-
-        Interpolation is multilinear between cell centers and exact at the
-        centers themselves; the half-cell ring between the last center and
-        the box face defers to the exterior rule, matching how the lattice
-        operators classify points.
-        """
-        pts = np.asarray(pts, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts[:, None] if self.box.dim == 1 else pts[None, :]
-        n = pts.shape[0]
-        out = np.empty(n)
-        b = self.box
-        rel = [(pts[:, a] - (b.center[a] - b.half)) / b.h - 0.5 for a in range(b.dim)]
-        k = [np.floor(r).astype(np.int64) for r in rel]
-        t = [r - kk for r, kk in zip(rel, k)]
-        inside = np.ones(n, dtype=bool)
-        for a in range(b.dim):
-            exact_last = (k[a] == b.m - 1) & (t[a] == 0.0)
-            inside &= ((k[a] >= 0) & (k[a] <= b.m - 2)) | exact_last
-        if np.any(~inside):
-            out[~inside] = self.exterior.fn(pts[~inside])
-        if np.any(inside):
-            idx = [np.clip(kk[inside], 0, b.m - 2) for kk in k]
-            tt = [np.where(k[a][inside] == b.m - 1, 1.0, t[a][inside]) for a in range(b.dim)]
-            if b.dim == 1:
-                v0 = self.values[idx[0]]
-                v1 = self.values[np.minimum(idx[0] + 1, b.m - 1)]
-                out[inside] = v0 * (1.0 - tt[0]) + v1 * tt[0]
-            else:
-                i0, j0 = idx
-                i1 = np.minimum(i0 + 1, b.m - 1)
-                j1 = np.minimum(j0 + 1, b.m - 1)
-                tx, ty = tt
-                out[inside] = (
-                    self.values[i0, j0] * (1 - tx) * (1 - ty)
-                    + self.values[i1, j0] * tx * (1 - ty)
-                    + self.values[i0, j1] * (1 - tx) * ty
-                    + self.values[i1, j1] * tx * ty
-                )
-        return out
-
-    def __neg__(self):
-        ext = self.exterior
-        return GridFunction(
-            box=self.box,
-            values=-self.values,
-            exterior=ExteriorRule(fn=lambda p, _f=ext.fn: -_f(p), far=-ext.far),
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, GridFunction) or other.box != self.box:
-            raise ConfigurationError("grid functions must share a box to combine")
-        ea, eb = self.exterior, other.exterior
-        return GridFunction(
-            box=self.box,
-            values=self.values - other.values,
-            exterior=ExteriorRule(
-                fn=lambda p, _a=ea.fn, _b=eb.fn: _a(p) - _b(p), far=ea.far - eb.far
-            ),
-        )
 
 
 def _smooth_step(t):
@@ -240,56 +155,47 @@ def _as_point(x, dim):
     return x
 
 
-def _sampler(u):
-    """(sample function, far value, dim) for grid functions and callables."""
-    if isinstance(u, GridFunction):
-        return u.sample, u.far, u.box.dim
-    if isinstance(u, TestFunction):
-        return u.__call__, u.far, u.dim
-    raise ConfigurationError(f"cannot evaluate object of type {type(u).__name__}")
-
-
 def unit_moment(u, z, quad: QuadratureTable):
     """Envelope moments of the second differences of u at slot z.
 
     1d: the scalar integral of d_u(z, y) against the envelope (pair sum
     with factor 2, origin compensation, analytic tail).  2d: the symmetric
     (2, 2) matrix of integrals against yhat yhat' times the envelope; its
-    trace is the plain envelope integral.
+    trace is the plain envelope integral.  u is a callable on points (N, dim)
+    with `dim` and `far`, the value it settles to far out: a TestFunction.
     """
-    fn, far, dim = _sampler(u)
-    if dim != quad.dim:
+    if u.dim != quad.dim:
         raise ConfigurationError("function and quadrature dimensions differ")
-    z = _as_point(z, dim)
+    z = _as_point(z, u.dim)
     h = quad.h
-    uz = float(fn(z[None, :])[0])
-    if dim == 1:
+    uz = float(u(z[None, :])[0])
+    if u.dim == 1:
         J = quad.w.shape[0]
         offs = (np.arange(1, J + 1, dtype=np.float64) * h)[:, None]
-        vplus = fn(z[None, :] + offs)
-        vminus = fn(z[None, :] - offs)
+        vplus = u(z[None, :] + offs)
+        vminus = u(z[None, :] - offs)
         delta = vplus + vminus - 2.0 * uz
         total = 2.0 * float(np.dot(quad.w, delta))
         total += quad.c_near * delta[0] / h**2
-        total += quad.tail * (2.0 * far - 2.0 * uz)
+        total += quad.tail * (2.0 * u.far - 2.0 * uz)
         return total
     J = quad.n_offsets
     jj = np.arange(-J, J + 1, dtype=np.float64) * h
     PX, PY = np.meshgrid(jj, jj, indexing="ij")
     pts = np.column_stack([PX.ravel() + z[0], PY.ravel() + z[1]])
-    vals = fn(pts).reshape(PX.shape)
+    vals = u(pts).reshape(PX.shape)
     # Dense stencil already covers both signs of every offset.
     dcen = vals - uz
     bxx = 2.0 * float(np.sum(quad.kxx * dcen))
     byy = 2.0 * float(np.sum(quad.kyy * dcen))
     bxy = 2.0 * float(np.sum(quad.kxy * dcen))
-    ex = fn(np.array([[z[0] + h, z[1]], [z[0] - h, z[1]]]))
-    ey = fn(np.array([[z[0], z[1] + h], [z[0], z[1] - h]]))
+    ex = u(np.array([[z[0] + h, z[1]], [z[0] - h, z[1]]]))
+    ey = u(np.array([[z[0], z[1] + h], [z[0], z[1] - h]]))
     dxx = float(ex[0] + ex[1] - 2.0 * uz) / h**2
     dyy = float(ey[0] + ey[1] - 2.0 * uz) / h**2
     bxx += 0.5 * quad.c_near * dxx
     byy += 0.5 * quad.c_near * dyy
-    t = quad.tail * (2.0 * far - 2.0 * uz)
+    t = quad.tail * (2.0 * u.far - 2.0 * uz)
     bxx += 0.5 * t
     byy += 0.5 * t
     return np.array([[bxx, bxy], [bxy, byy]])

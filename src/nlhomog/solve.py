@@ -68,9 +68,10 @@ Repeated solves of one problem at several levels can hand `solve_obstacle`
 the level-free parts built once: the lattice (environment fields, exterior
 data, frozen moment) and, for the newton engine, its `system()`, the triple
 (K, e, G): the view of K, the load and G = inv(K), the one m x m array;
-a solve not handed them builds both.  The low certificate of a level
-search, `barrier_threshold`, reads that same lattice: F(0) with its own
-exterior data, whose terms cancel between F(U) and F(0) at a contact cell.
+a solve not handed them builds both.  Both certificates of a level
+search, `barrier_threshold`, read that same lattice: the min and the max of
+F(0) with its own exterior data, whose terms cancel between F(U) and F(0)
+at a contact cell.  Every solve returns its values as an array on the grid.
 
 Scaled problems read their coefficients at x / eps; the grid must resolve
 the environment cells (h <= eps/4) or construction fails.
@@ -88,7 +89,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .env import Environment, forcing_field, matrix_field, multiplier_field
 from .errors import ConfigurationError, SolverError
 from .kernels import KernelFamily, QuadratureTable, build_quadrature
-from .operators import Box, ExteriorRule, GridFunction, unit_moment
+from .operators import Box, ExteriorRule, unit_moment
 
 __all__ = [
     "OperatorHandle",
@@ -98,7 +99,6 @@ __all__ = [
     "solve_dirichlet",
     "solve_dirichlet_many",
     "solve_obstacle",
-    "residual_field",
     "barrier_threshold",
     "default_quadrature",
 ]
@@ -171,7 +171,7 @@ class SolveDiagnostics:
 
 @dataclass
 class ObstacleSolution:
-    u: GridFunction
+    u: np.ndarray
     contact: np.ndarray
     fraction: float
     diagnostics: SolveDiagnostics
@@ -705,7 +705,7 @@ def _lattice(problem: DirichletProblem, quad: QuadratureTable | None,
 
 
 def _result(lat, obstacle, method, out, tol, wall_ms=0.0, pinned=False):
-    """(u, diagnostics), or the ObstacleSolution, of an engine's (vals, iterations, residuals).
+    """(vals, diagnostics), or the ObstacleSolution, of an engine's (vals, iterations, residuals).
 
     A residual above tol raises SolverError, unless `pinned` (fixed_sweeps).
     """
@@ -720,21 +720,21 @@ def _result(lat, obstacle, method, out, tol, wall_ms=0.0, pinned=False):
             f"{its} iterations; last residuals checked: {recent})",
             residual=res, iterations=its,
         )
-    u = GridFunction(lat.problem.domain, vals, lat.problem.exterior)
     if not obstacle:
-        return u, diag
+        return vals, diag
     contact = lat.active & (vals == 0.0)
     fraction = float(np.count_nonzero(contact)) / float(np.count_nonzero(lat.active))
-    return ObstacleSolution(u=u, contact=contact, fraction=fraction, diagnostics=diag)
+    return ObstacleSolution(u=vals, contact=contact, fraction=fraction, diagnostics=diag)
 
 
 def solve_dirichlet(problem: DirichletProblem, tol: float = 1e-6,
                     quad: QuadratureTable | None = None, fixed_sweeps=None):
     """Solve F(u) = rhs in the domain with exterior data outside.
 
-    Returns (GridFunction, SolveDiagnostics).  Raises SolverError if the
-    target residual is not reached (unless fixed_sweeps pins the work).
-    This is `solve_dirichlet_many` of one problem.
+    Returns (values, SolveDiagnostics), values the array of shape (m,) * dim
+    on the grid.  Raises SolverError if the target residual is not reached
+    (unless fixed_sweeps pins the work).  This is `solve_dirichlet_many` of
+    one problem.
     """
     return solve_dirichlet_many([problem], tol, quad, fixed_sweeps)[0]
 
@@ -824,26 +824,21 @@ def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6,
     return _result(lat, True, method, out, tol, wall, pinned=fixed_sweeps is not None)
 
 
-def residual_field(problem: DirichletProblem, u: GridFunction,
-                   quad: QuadratureTable | None = None) -> GridFunction:
-    """F(u) - rhs at every node (zero reported on inactive cells)."""
-    lat = _lattice(problem, quad)
-    F, _ = lat.operator_values(np.asarray(u.values, dtype=np.float64))
-    r = np.where(lat.active, F - lat.rhs, 0.0)
-    return GridFunction(problem.domain, r, ExteriorRule.zero())
-
-
-def barrier_threshold(lattice) -> float:
-    """Min over the active cells of F(0), 0 the zero function on the active
-    cells with the lattice's own exterior data; below it contact is empty.
+def barrier_threshold(lattice) -> tuple:
+    """(min, max) over the active cells of F(0), 0 the zero function on the
+    active cells with the lattice's own exterior data, from one evaluation:
+    below the min contact is empty, and at or above the max it is total.
 
     At a contact cell x of the least supersolution U >= 0 the off-center
     weights are nonnegative and the exterior terms cancel, so the moment
     of U at x is at least that of 0, and F increases with the moment:
-    F(0)(x) <= F(U)(x) <= rhs.  `lattice` is a lattice at any level.  In 1d with zero exterior data the comparison is
-    exact in floating point: every term of the moment at x is a sum of
-    nonnegative products.  Elsewhere it holds up to the rounding of those
-    sums, which the bracket's margin (`homog._bracket`) covers.
+    F(0)(x) <= F(U)(x) <= rhs.  At or above the max, the zero function
+    itself satisfies the level.  `lattice` is a lattice at any level.  In
+    1d with zero exterior data the comparison is exact in floating point:
+    every term of the moment at x is a sum of nonnegative products.
+    Elsewhere it holds up to the rounding of those sums, which the
+    bracket's margin (`homog._bracket`) covers.
     """
     F, _ = lattice.operator_values(np.zeros(lattice.active.shape))
-    return float(np.min(F[lattice.active]))
+    F = F[lattice.active]
+    return float(np.min(F)), float(np.max(F))

@@ -3,9 +3,12 @@
 These evaluate one point at a time, straight from the definitions:
 sample the function, take second differences and moments against the
 quadrature table, read the coefficients at the point and take the inf-sup
-over the branches.  The lattices in `nlhomog.solve` evaluate every node at
-once by correlation; the tests compare them against these, so this
-brute force must stay independent of the lattice code.  The extremal
+over the branches.  A function is a TestFunction or a `GridFunction`, grid
+values sampled by multilinear interpolation with an exterior rule outside;
+both are callables on points with `dim` and `far`, as `unit_moment` reads
+them.  The lattices in `nlhomog.solve` evaluate every node at once by
+correlation (`residual_field`); the tests compare them against these, so
+this brute force must stay independent of the lattice code.  The extremal
 bounds at the end take the sup or inf over the admissible kernels instead
 of the branches, in closed form from a moment or pointwise in y.  Last, a
 1d obstacle active set whose every step is a dense solve on the free
@@ -14,12 +17,114 @@ table computed on every cell of its stencil, the reference for the
 quadrant-mirrored build.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from nlhomog.env import Environment, forcing_field, matrix_field, multiplier_field
 from nlhomog.errors import ConfigurationError
 from nlhomog.kernels import KernelFamily, QuadratureTable, envelope_integral
-from nlhomog.operators import _as_point, _sampler, unit_moment
+from nlhomog.operators import Box, ExteriorRule, _as_point, unit_moment
+from nlhomog.solve import _lattice
+
+
+@dataclass
+class GridFunction:
+    """Values on a box grid plus an exterior rule covering the complement."""
+
+    box: Box
+    values: np.ndarray
+    exterior: ExteriorRule
+
+    def __post_init__(self):
+        want = (self.box.m,) * self.box.dim
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.shape != want:
+            raise ConfigurationError(
+                f"values shape {self.values.shape} does not match grid {want}"
+            )
+
+    @property
+    def dim(self):
+        return self.box.dim
+
+    @property
+    def far(self):
+        return self.exterior.far
+
+    def sample(self, pts) -> np.ndarray:
+        """Evaluate at arbitrary points: interpolation inside, rule outside.
+
+        Interpolation is multilinear between cell centers and exact at the
+        centers themselves; the half-cell ring between the last center and
+        the box face defers to the exterior rule, matching how the lattice
+        operators classify points.
+        """
+        pts = np.asarray(pts, dtype=np.float64)
+        if pts.ndim == 1:
+            pts = pts[:, None] if self.box.dim == 1 else pts[None, :]
+        n = pts.shape[0]
+        out = np.empty(n)
+        b = self.box
+        rel = [(pts[:, a] - (b.center[a] - b.half)) / b.h - 0.5 for a in range(b.dim)]
+        k = [np.floor(r).astype(np.int64) for r in rel]
+        t = [r - kk for r, kk in zip(rel, k)]
+        inside = np.ones(n, dtype=bool)
+        for a in range(b.dim):
+            exact_last = (k[a] == b.m - 1) & (t[a] == 0.0)
+            inside &= ((k[a] >= 0) & (k[a] <= b.m - 2)) | exact_last
+        if np.any(~inside):
+            out[~inside] = self.exterior.fn(pts[~inside])
+        if np.any(inside):
+            idx = [np.clip(kk[inside], 0, b.m - 2) for kk in k]
+            tt = [np.where(k[a][inside] == b.m - 1, 1.0, t[a][inside]) for a in range(b.dim)]
+            if b.dim == 1:
+                v0 = self.values[idx[0]]
+                v1 = self.values[np.minimum(idx[0] + 1, b.m - 1)]
+                out[inside] = v0 * (1.0 - tt[0]) + v1 * tt[0]
+            else:
+                i0, j0 = idx
+                i1 = np.minimum(i0 + 1, b.m - 1)
+                j1 = np.minimum(j0 + 1, b.m - 1)
+                tx, ty = tt
+                out[inside] = (
+                    self.values[i0, j0] * (1 - tx) * (1 - ty)
+                    + self.values[i1, j0] * tx * (1 - ty)
+                    + self.values[i0, j1] * (1 - tx) * ty
+                    + self.values[i1, j1] * tx * ty
+                )
+        return out
+
+    __call__ = sample
+
+    def __neg__(self):
+        ext = self.exterior
+        return GridFunction(
+            box=self.box,
+            values=-self.values,
+            exterior=ExteriorRule(fn=lambda p, _f=ext.fn: -_f(p), far=-ext.far),
+        )
+
+    def __sub__(self, other):
+        if not isinstance(other, GridFunction) or other.box != self.box:
+            raise ConfigurationError("grid functions must share a box to combine")
+        ea, eb = self.exterior, other.exterior
+        return GridFunction(
+            box=self.box,
+            values=self.values - other.values,
+            exterior=ExteriorRule(
+                fn=lambda p, _a=ea.fn, _b=eb.fn: _a(p) - _b(p), far=ea.far - eb.far
+            ),
+        )
+
+
+def residual_field(problem, values, quad: QuadratureTable | None = None) -> np.ndarray:
+    """F(u) - rhs at every node of the problem's grid, u the grid values
+    `values` with the problem's exterior data, by the lattice's own
+    evaluation; zero on inactive cells."""
+    lat = _lattice(problem, quad)
+    F, _ = lat.operator_values(np.asarray(values, dtype=np.float64))
+    return np.where(lat.active, F - lat.rhs, 0.0)
 
 
 def kernel_value(fam: KernelFamily, env: Environment, alpha: int, beta: int, x, y) -> float:
@@ -44,10 +149,9 @@ def kernel_value(fam: KernelFamily, env: Environment, alpha: int, beta: int, x, 
 
 def second_difference(u, x, y) -> float:
     """d_u(x, y) = u(x+y) + u(x-y) - 2 u(x), honoring the exterior rule."""
-    fn, _, dim = _sampler(u)
-    x = _as_point(x, dim)
-    y = _as_point(y, dim)
-    vals = fn(np.stack([x + y, x - y, x]))
+    x = _as_point(x, u.dim)
+    y = _as_point(y, u.dim)
+    vals = u(np.stack([x + y, x - y, x]))
     return float(vals[0] + vals[1] - 2.0 * vals[2])
 
 
@@ -85,8 +189,7 @@ def _branch_values(fam, env, x, slot_values):
 def evaluate_F(u, x, env: Environment, fam: KernelFamily, quad: QuadratureTable) -> float:
     """Full operator at a point: inf over alpha, sup over beta of branches."""
     fam.validate()
-    _, _, dim = _sampler(u)
-    x = _as_point(x, dim)
+    x = _as_point(x, u.dim)
     mom = unit_moment(u, x, quad)
 
     def slot(a, b):
@@ -108,9 +211,8 @@ def evaluate_frozen(phi, x0, v, x, env: Environment, fam: KernelFamily,
     pieces read their coefficient at the same point x.
     """
     fam.validate()
-    _, _, dim = _sampler(v)
-    x = _as_point(x, dim)
-    x0 = _as_point(x0, dim)
+    x = _as_point(x, v.dim)
+    x0 = _as_point(x0, v.dim)
     mom_phi = unit_moment(phi, x0, quad)
     mom_v = unit_moment(v, x, quad)
 
@@ -162,21 +264,20 @@ def extremal(u, x, sign: int, fam: KernelFamily, quad: QuadratureTable) -> float
     restriction of the "cs" form.
     """
     fam.validate()
-    fn, far, dim = _sampler(u)
     if fam.kind == "a":
         mom = unit_moment(u, x, quad)
         return extremal_from_moment(mom, sign, fam.lam, fam.lam_big)
     # the multiplier taken on positive and on negative second differences
     hi, lo = (fam.lam_big, fam.lam) if sign > 0 else (fam.lam, fam.lam_big)
-    if dim == 1:
+    if u.dim == 1:
         z = _as_point(x, 1)
         h = quad.h
-        uz = float(fn(z[:, None].T)[0])
+        uz = float(u(z[:, None].T)[0])
         J = quad.w.shape[0]
         offs = (np.arange(1, J + 1, dtype=np.float64) * h)[:, None]
-        delta = fn(z[None, :] + offs) + fn(z[None, :] - offs) - 2.0 * uz
+        delta = u(z[None, :] + offs) + u(z[None, :] - offs) - 2.0 * uz
         dnear = delta[0] / h**2
-        dfar = 2.0 * far - 2.0 * uz
+        dfar = 2.0 * u.far - 2.0 * uz
         core = 2.0 * float(np.dot(quad.w, np.where(delta > 0, hi * delta, lo * delta)))
         core += quad.c_near * (hi * dnear if dnear > 0 else lo * dnear)
         core += quad.tail * (hi * dfar if dfar > 0 else lo * dfar)
@@ -184,18 +285,18 @@ def extremal(u, x, sign: int, fam: KernelFamily, quad: QuadratureTable) -> float
     # 2d pointwise-in-y optimization against the plain envelope stencil.
     z = _as_point(x, 2)
     h = quad.h
-    uz = float(fn(z[None, :])[0])
+    uz = float(u(z[None, :])[0])
     J = quad.n_offsets
     jj = np.arange(-J, J + 1, dtype=np.float64) * h
     PX, PY = np.meshgrid(jj, jj, indexing="ij")
     pts = np.column_stack([PX.ravel() + z[0], PY.ravel() + z[1]])
-    dcen = fn(pts).reshape(PX.shape) - uz
+    dcen = u(pts).reshape(PX.shape) - uz
     # full second difference per cell: pair every offset with its mirror
     dsym = dcen + dcen[::-1, ::-1]
-    ex = fn(np.array([[z[0] + h, z[1]], [z[0] - h, z[1]]]))
-    ey = fn(np.array([[z[0], z[1] + h], [z[0], z[1] - h]]))
+    ex = u(np.array([[z[0] + h, z[1]], [z[0] - h, z[1]]]))
+    ey = u(np.array([[z[0], z[1] + h], [z[0], z[1] - h]]))
     dnear = 0.5 * (float(ex[0] + ex[1] - 2 * uz) + float(ey[0] + ey[1] - 2 * uz)) / h**2
-    dfar = 2.0 * far - 2.0 * uz
+    dfar = 2.0 * u.far - 2.0 * uz
     core = float(np.sum((quad.kxx + quad.kyy) * np.where(dsym > 0, hi * dsym, lo * dsym)))
     core += quad.c_near * (hi * dnear if dnear > 0 else lo * dnear)
     core += quad.tail * (hi * dfar if dfar > 0 else lo * dfar)

@@ -1,5 +1,6 @@
-"""Every module under src/ and tests/ uses each name it imports, and every
-name a package module exports exists."""
+"""Every module under src/ and tests/ uses each name it imports, every name
+a package module exports exists, and the library modules export only what
+the package itself reads."""
 
 import ast
 import importlib
@@ -44,3 +45,33 @@ def test_every_exported_name_exists():
         if gone:
             missing[name] = gone
     assert missing == {}
+
+
+LIBRARY = ("env", "kernels", "operators", "solve", "homog")
+
+
+def reads(tree):
+    """Names and attributes a module reads, a top-level definition's reads of
+    its own name left out."""
+    found = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name not in (None, own) and isinstance(node.ctx, ast.Load):
+                found.add(name)
+    return found
+
+
+def test_every_exported_name_is_read_under_src():
+    # an export only tests read belongs with the tests (see tests/oracles.py)
+    read = set()
+    for path in ROOT.glob("src/nlhomog/*.py"):
+        read |= reads(ast.parse(path.read_text(), filename=str(path)))
+    unread = {}
+    for stem in LIBRARY:
+        exported = importlib.import_module(f"nlhomog.{stem}").__all__
+        if gone := [name for name in exported if name not in read]:
+            unread[stem] = gone
+    assert unread == {}

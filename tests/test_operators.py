@@ -11,13 +11,11 @@ from nlhomog.env import (
 )
 from nlhomog.errors import ConfigurationError
 from nlhomog.kernels import KernelFamily, build_quadrature
-from nlhomog.operators import (
-    Box, ExteriorRule, GridFunction, TestFunction, unit_moment,
-)
+from nlhomog.operators import Box, ExteriorRule, TestFunction, unit_moment
 
 from oracles import (
-    apply_linear, evaluate_F, evaluate_frozen, extremal, extremal_from_moment,
-    second_difference,
+    GridFunction, apply_linear, evaluate_F, evaluate_frozen, extremal,
+    extremal_from_moment, second_difference,
 )
 
 TestFunction.__test__ = False  # imported dataclass, not a pytest class
@@ -402,7 +400,7 @@ def test_testfunction_rejects_asymmetric_P():
 
 
 # ---------------------------------------------------------------------------
-# grid function mechanics
+# grid function mechanics (the oracles' sampled-grid input)
 
 def test_gridfunction_exact_at_nodes_and_rule_outside():
     box = Box((0.0,), 1.0, 0.25)

@@ -16,20 +16,19 @@ from hypothesis import given, settings, strategies as st
 from nlhomog.env import EnvironmentSpec, sample_environment, translate
 from nlhomog.errors import ConfigurationError, SolverError
 from nlhomog.kernels import KernelFamily, build_quadrature
-from nlhomog.operators import Box, ExteriorRule, GridFunction, TestFunction
+from nlhomog.operators import Box, ExteriorRule, TestFunction
 from nlhomog import solve
 from nlhomog.solve import (
     DirichletProblem,
     OperatorHandle,
     barrier_threshold,
     default_quadrature,
-    residual_field,
     solve_dirichlet,
     solve_dirichlet_many,
     solve_obstacle,
 )
 
-from oracles import evaluate_F, evaluate_frozen, extremal
+from oracles import GridFunction, evaluate_F, evaluate_frozen, extremal, residual_field
 
 TestFunction.__test__ = False  # imported dataclass, not a pytest class
 
@@ -90,7 +89,7 @@ def test_sqrt_profile_oracle():
     u, diag = solve_dirichlet(prob, tol=1e-8, quad=quad)
     x = prob.domain.axis_nodes(0)
     exact = np.sqrt(np.maximum(1.0 - x * x, 0.0))
-    err = np.abs(u.values - exact)
+    err = np.abs(u - exact)
     assert diag.converged
     # boundary cells carry the sqrt singularity, interior is much tighter
     assert np.max(err[np.abs(x) < 1.0]) <= 0.025
@@ -106,7 +105,7 @@ def test_sqrt_profile_error_shrinks_under_refinement():
         u, _ = solve_dirichlet(prob, tol=1e-8, quad=quad)
         x = prob.domain.axis_nodes(0)
         exact = np.sqrt(np.maximum(1.0 - x * x, 0.0))
-        sups.append(float(np.max(np.abs(u.values - exact)[np.abs(x) < 1.0])))
+        sups.append(float(np.max(np.abs(u - exact)[np.abs(x) < 1.0])))
     assert sups[1] < sups[0]
 
 
@@ -119,7 +118,7 @@ def test_zero_data_gives_zero_solution_exactly():
     prob = DirichletProblem(handle=handle, domain=prob.domain, rhs=0.0,
                             exterior=ExteriorRule.zero(), shape="cube")
     u, diag = solve_dirichlet(prob, tol=1e-12, quad=QUAD16)
-    assert np.array_equal(u.values, np.zeros(prob.domain.m))
+    assert np.array_equal(u, np.zeros(prob.domain.m))
     assert diag.converged
 
 
@@ -133,7 +132,7 @@ def test_forcing_shift_equals_level_shift():
                           domain=box, rhs=0.25, exterior=ExteriorRule.zero())
     u1, _ = solve_dirichlet(p1, tol=1e-11, quad=QUAD16)
     u2, _ = solve_dirichlet(p2, tol=1e-11, quad=QUAD16)
-    assert np.max(np.abs(u1.values - u2.values)) <= 1e-9
+    assert np.max(np.abs(u1 - u2)) <= 1e-9
 
 
 def test_newton_matches_sweeps():
@@ -143,7 +142,7 @@ def test_newton_matches_sweeps():
     u1, d1 = solve_dirichlet(prob, tol=1e-10, quad=quad)
     u2, d2 = sweeps(prob, quad, tol=1e-10)
     assert d1.method == "newton" and d2.method == "sweeps"
-    assert np.max(np.abs(u1.values - u2.values)) <= 1e-9
+    assert np.max(np.abs(u1 - u2)) <= 1e-9
 
 
 @pytest.mark.parametrize("sign", [0, +1, -1])
@@ -161,7 +160,7 @@ def test_newton_dirichlet_is_one_linear_solve(sign):
     u2, d2 = sweeps(prob, QUAD16, tol=1e-10)
     assert d1.method == "newton" and d1.iterations == 1
     assert d1.residual <= 1e-10
-    assert np.max(np.abs(u1.values - u2.values)) <= 1e-9
+    assert np.max(np.abs(u1 - u2)) <= 1e-9
 
 
 def grid_batch():
@@ -203,9 +202,9 @@ def test_batched_columns_match_per_problem_solves(monkeypatch):
     for (u, d), (v, e) in zip(batch, alone):
         assert d.method == e.method and d.iterations == e.iterations
         assert d.residual <= tol
-        assert np.max(np.abs(u.values - v.values)) <= 1e-14
+        assert np.max(np.abs(u - v)) <= 1e-14
     # the repeat's solution is the original's, bit for bit
-    assert batch[5][0].values.tobytes() == batch[1][0].values.tobytes()
+    assert batch[5][0].tobytes() == batch[1][0].tobytes()
     assert batch[5][1].residual == batch[1][1].residual
 
 
@@ -216,10 +215,10 @@ def test_dirichlet_batch_of_one_is_the_single_column_solve(index):
     lat = solve._lattice(prob, QUAD16)
     want, = solve._toeplitz_solve(lat.column(), [lat.load() - lat.threshold()])
     got, d = solve_dirichlet(prob, tol=1e-9, quad=QUAD16)
-    assert np.array_equal(got.values, want)
+    assert np.array_equal(got, want)
     assert d.residual == lat.residual(want, False)
     (many, e), = solve_dirichlet_many([prob], tol=1e-9, quad=QUAD16)
-    assert np.array_equal(many.values, want) and e.residual == d.residual
+    assert np.array_equal(many, want) and e.residual == d.residual
 
 
 def test_dirichlet_batch_refuses_mixed_grids():
@@ -442,7 +441,7 @@ def test_dirichlet_2d_smoke():
     u, diag = solve_dirichlet(prob, tol=1e-6, quad=quad)
     assert diag.converged and diag.residual <= 1e-6
     r = residual_field(prob, u, quad=quad)
-    assert np.max(np.abs(r.values)) <= 1e-6
+    assert np.max(np.abs(r)) <= 1e-6
 
 
 @pytest.mark.parametrize("shape", ["cube", "ball"])
@@ -479,7 +478,7 @@ def test_lattice_2d_matches_pointwise_operator(kind, operator, shape, r_out):
     rng = np.random.default_rng(11)
     vals = np.where(active, rng.standard_normal(box.m * box.m), ext.fn(nodes))
     u = GridFunction(box, vals.reshape(box.m, box.m), ext)
-    F = residual_field(prob, u, quad=quad).values.ravel()
+    F = residual_field(prob, u.values, quad=quad).ravel()
 
     def oracle(x):
         if operator == "plain":
@@ -513,7 +512,7 @@ def test_lattice_1d_matches_pointwise_operator(fam, operator, r_out):
         handle = OperatorHandle(fam=fam, extremal_sign=operator)
     prob = DirichletProblem(handle=handle, domain=box, rhs=0.0, exterior=ext)
     u = GridFunction(box, np.random.default_rng(11).standard_normal(box.m), ext)
-    F = residual_field(prob, u, quad=quad).values
+    F = residual_field(prob, u.values, quad=quad)
 
     def oracle(x):
         if operator == "plain":
@@ -533,10 +532,10 @@ def test_obstacle_nonnegative_and_vi_residual():
     prob = mixed_problem(0.05)
     tol = 1e-9
     sol = solve_obstacle(prob, tol=tol, quad=QUAD16)
-    u = sol.u.values
+    u = sol.u
     assert np.all(u >= 0.0)
     # complementarity: max(F - l, -U) vanishes cell by cell
-    r = residual_field(prob, sol.u, quad=QUAD16).values
+    r = residual_field(prob, sol.u, quad=QUAD16)
     assert np.max(np.abs(np.maximum(r, -u))) <= tol
     # supersolution side holds everywhere, not just off contact
     assert np.max(r) <= tol
@@ -546,11 +545,11 @@ def test_obstacle_nonnegative_and_vi_residual():
 
 def test_obstacle_below_barrier_threshold_touches_nothing():
     prob = mixed_problem(0.0)
-    thr = barrier_threshold(solve._lattice(prob, QUAD16))
+    thr, _ = barrier_threshold(solve._lattice(prob, QUAD16))
     low = mixed_problem(thr - 1.0)
     sol = solve_obstacle(low, tol=1e-9, quad=QUAD16)
     assert sol.fraction == 0.0
-    assert np.min(sol.u.values) > 0.0
+    assert np.min(sol.u) > 0.0
 
 
 def test_obstacle_above_zero_level_is_identically_zero():
@@ -560,7 +559,7 @@ def test_obstacle_above_zero_level_is_identically_zero():
     f0, _ = lat.operator_values(np.zeros(lat.m))
     high = mixed_problem(float(np.max(f0)) + 1.0)
     sol = solve_obstacle(high, tol=1e-9, quad=QUAD16)
-    assert np.array_equal(sol.u.values, np.zeros(high.domain.m))
+    assert np.array_equal(sol.u, np.zeros(high.domain.m))
     assert sol.fraction == 1.0
 
 
@@ -568,7 +567,7 @@ def test_obstacle_dominates_dirichlet_solution():
     prob = mixed_problem(0.05)
     sol = solve_obstacle(prob, tol=1e-9, quad=QUAD16)
     u, _ = solve_dirichlet(prob, tol=1e-9, quad=QUAD16)
-    assert np.min(sol.u.values - u.values) >= -1e-8
+    assert np.min(sol.u - u) >= -1e-8
 
 
 @pytest.mark.parametrize("shape", ["cube", "ball"])
@@ -584,7 +583,7 @@ def test_newton_obstacle_matches_sweeps_across_contact_transition(shape):
         b = sweeps(prob, quad, obstacle=True, tol=tol)
         assert a.diagnostics.residual <= tol
         assert int(np.sum(a.contact)) == int(np.sum(b.contact))
-        assert np.max(np.abs(a.u.values - b.u.values)) <= tol
+        assert np.max(np.abs(a.u - b.u)) <= tol
         counts.append(int(np.sum(a.contact)))
     # the levels run from no contact to full contact
     assert counts[0] == 0 and counts[-1] == prob.domain.m
@@ -606,11 +605,11 @@ def test_newton_warm_start_is_exact():
     for first in (superset, subset, contact):
         warm = solve_obstacle(prob, tol=1e-10, quad=QUAD16,
                               init=np.where(first, 0.0, 1.0))
-        assert np.array_equal(warm.u.values, cold.u.values)
+        assert np.array_equal(warm.u, cold.u)
         assert int(np.sum(warm.contact)) == n
     # started from the final contact set, one step confirms it
     exact = solve_obstacle(prob, tol=1e-10, quad=QUAD16,
-                           init=cold.u.values)
+                           init=cold.u)
     assert exact.diagnostics.iterations == 1 < cold.diagnostics.iterations
 
 
@@ -626,7 +625,7 @@ def test_sweeps_obstacle_solve_ignores_init():
     cold = solve_obstacle(prob, tol=1e-8, quad=quad)
     warm = solve_obstacle(prob, tol=1e-8, quad=quad, init=np.full((8, 8), 0.5))
     assert cold.diagnostics.method == warm.diagnostics.method == "sweeps"
-    assert np.array_equal(warm.u.values, cold.u.values)
+    assert np.array_equal(warm.u, cold.u)
     assert warm.diagnostics.iterations == cold.diagnostics.iterations
 
 
@@ -639,7 +638,7 @@ def test_prebuilt_lattice_and_system_match_a_fresh_solve():
         # system=None: the solve builds lat.system() for itself, as the fresh one does
         reused = solve_obstacle(mixed_problem(level), tol=1e-10, quad=QUAD16,
                                 lattice=lat, system=None)
-        assert np.array_equal(fresh.u.values, reused.u.values)
+        assert np.array_equal(fresh.u, reused.u)
         assert fresh.diagnostics.residual == reused.diagnostics.residual
     lat.sweep_solve(True, 1e-10, fixed_sweeps=16)
     barrier_threshold(lat)
@@ -715,7 +714,7 @@ def test_one_off_and_held_obstacle_solves_agree_bitwise():
         level_prob = replace(prob, rhs=level)
         one_off = solve_obstacle(level_prob, tol=1e-10)
         held = solve_obstacle(level_prob, tol=1e-10, lattice=lat, system=system)
-        assert one_off.u.values.tobytes() == held.u.values.tobytes(), level
+        assert one_off.u.tobytes() == held.u.tobytes(), level
         assert one_off.diagnostics.iterations == held.diagnostics.iterations
         assert one_off.diagnostics.residual == held.diagnostics.residual
 
@@ -746,7 +745,7 @@ def test_obstacle_level_monotone_exact_coupling():
     hi = mixed_problem(0.35)
     s1 = solve_obstacle(lo, quad=QUAD16, fixed_sweeps=240)
     s2 = solve_obstacle(hi, quad=QUAD16, fixed_sweeps=240)
-    assert np.all(s1.u.values >= s2.u.values)
+    assert np.all(s1.u >= s2.u)
 
 
 def test_obstacle_domain_monotone():
@@ -757,8 +756,8 @@ def test_obstacle_domain_monotone():
     ss = solve_obstacle(small, tol=1e-9, quad=QUAD16)
     sb = solve_obstacle(big, tol=1e-9, quad=qbig)
     # node i of the small box is node i + 8 of the big one
-    inner = sb.u.values[8:-8]
-    assert np.min(inner - ss.u.values) >= -1e-7
+    inner = sb.u[8:-8]
+    assert np.min(inner - ss.u) >= -1e-7
 
 
 def test_extremal_forced_subadditive_coupling():
@@ -774,7 +773,7 @@ def test_extremal_forced_subadditive_coupling():
         p = DirichletProblem(handle=handle, domain=box, rhs=-g,
                              exterior=ExteriorRule.zero(), shape="ball")
         u, _ = solve_dirichlet(p, quad=quad, fixed_sweeps=200)
-        return u.values
+        return u
 
     v1, v2, v12 = forced(g1), forced(g2), forced(g1 + g2)
     assert np.max(v12 - v1 - v2) <= 1e-12
@@ -792,7 +791,7 @@ def test_obstacle_translation_covariance_bit_exact():
                           domain=box2, rhs=0.05, exterior=ExteriorRule.zero())
     s1 = solve_obstacle(p1, tol=1e-9, quad=QUAD16)
     s2 = solve_obstacle(p2, tol=1e-9, quad=QUAD16)
-    assert np.array_equal(s1.u.values, s2.u.values)
+    assert np.array_equal(s1.u, s2.u)
     assert np.array_equal(s1.contact, s2.contact)
 
 
@@ -804,8 +803,8 @@ def test_residual_field_reports_zero_outside_ball():
     r = residual_field(prob, u, quad=quad)
     x = prob.domain.axis_nodes(0)
     outside = np.abs(x) >= 1.0
-    assert np.array_equal(r.values[outside], np.zeros(np.sum(outside)))
-    assert np.max(np.abs(r.values[~outside])) <= 1e-8
+    assert np.array_equal(r[outside], np.zeros(np.sum(outside)))
+    assert np.max(np.abs(r[~outside])) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -814,13 +813,13 @@ def test_residual_field_reports_zero_outside_ball():
 def test_barrier_check_certifies_extreme_levels():
     # the threshold is finite, so every level far enough below it is
     # certified
-    thr = barrier_threshold(solve._lattice(mixed_problem(0.0), QUAD16))
+    thr, _ = barrier_threshold(solve._lattice(mixed_problem(0.0), QUAD16))
     assert -1e6 <= thr < 1e6
     # with zero forcing, F(0) is zero on every cell
     box = Box((0.0,), 0.5, 1.0 / 16)
     flat = DirichletProblem(handle=OperatorHandle(fam=FAM, env=const_env()),
                             domain=box, rhs=0.0, exterior=ExteriorRule.zero())
-    assert barrier_threshold(solve._lattice(flat, QUAD16)) == 0.0
+    assert barrier_threshold(solve._lattice(flat, QUAD16)) == (0.0, 0.0)
 
 
 def _problem_2d(shape="cube", exterior=ExteriorRule.zero()):
@@ -843,22 +842,22 @@ def test_barrier_threshold_is_the_min_of_F_at_zero_on_the_active_cells(dim, shap
     # evaluated on the held lattice, which keeps its own arrays
     fixed, fixed_corr = lat.fixed.copy(), lat.fixed_corr.copy()
     F, _ = lat.operator_values(np.zeros(lat.active.shape))
-    thr = barrier_threshold(lat)
-    assert np.float64(thr).tobytes() == np.min(F[lat.active]).tobytes()
+    low, high = barrier_threshold(lat)
+    assert np.float64(low).tobytes() == np.min(F[lat.active]).tobytes()
+    assert np.float64(high).tobytes() == np.max(F[lat.active]).tobytes()
     assert np.array_equal(lat.fixed, fixed) and np.array_equal(lat.fixed_corr, fixed_corr)
 
 
 def _certificates_bound_contact(frozen):
     # strictly below each lattice's own certificate no cell touches, and at
     # its zero level every cell does
-    from nlhomog.homog import _zero_level
     for (eps, _), lat in frozen.lattices.items():
         system = frozen.assembled.get(eps)
-        low = np.nextafter(barrier_threshold(lat), -np.inf)
-        sol = solve_obstacle(replace(lat.problem, rhs=low), tol=frozen.tol, lattice=lat,
-                             system=system)
+        low, high = barrier_threshold(lat)
+        sol = solve_obstacle(replace(lat.problem, rhs=np.nextafter(low, -np.inf)),
+                             tol=frozen.tol, lattice=lat, system=system)
         assert sol.fraction == 0.0
-        sol = solve_obstacle(replace(lat.problem, rhs=_zero_level(lat)), tol=frozen.tol,
+        sol = solve_obstacle(replace(lat.problem, rhs=high), tol=frozen.tol,
                              lattice=lat, system=system)
         assert sol.fraction == 1.0
 
@@ -896,10 +895,10 @@ def test_one_off_obstacle_with_exterior_data_has_no_contact_below_its_certificat
         prob, quad = _problem_2d(exterior=cosine)
     lat = solve._lattice(prob, quad)
     assert np.any(lat.fixed != 0.0)
-    low = np.nextafter(barrier_threshold(lat), -np.inf)
+    low = np.nextafter(barrier_threshold(lat)[0], -np.inf)
     sol = solve_obstacle(replace(prob, rhs=low), tol=1e-8, quad=quad)
     assert sol.fraction == 0.0
-    assert np.min(sol.u.values[lat.active]) > 0.0
+    assert np.min(sol.u[lat.active]) > 0.0
 
 
 def test_2d_frozen_cube_has_no_contact_at_the_certified_low_end():
@@ -913,10 +912,10 @@ def test_2d_frozen_cube_has_no_contact_at_the_certified_low_end():
                             1.0, 1e-8, (0.5,), (0, 1))
     for lat in frozen.lattices.values():
         assert lat.problem.shape == "cube" and lat.active.all()
-        level = barrier_threshold(lat)
+        level, _ = barrier_threshold(lat)
         sol = solve_obstacle(replace(lat.problem, rhs=level), tol=1e-8, lattice=lat)
         assert sol.fraction == 0.0
-        assert np.min(sol.u.values[lat.active]) > 0.0
+        assert np.min(sol.u[lat.active]) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -958,7 +957,7 @@ def test_fixed_sweeps_never_raises():
     prob = mixed_problem(0.05)
     u, diag = solve_dirichlet(prob, tol=1e-15, quad=QUAD16, fixed_sweeps=5)
     assert not diag.converged
-    assert u.values.shape == (prob.domain.m,)
+    assert u.shape == (prob.domain.m,)
 
 
 def test_the_problem_picks_the_engine():
