@@ -16,7 +16,8 @@ Refresh every golden, and blas.json, with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and name in the change log the configs whose bytes moved, and why.
+which prints, per golden, the artifacts that changed and the largest float
+move in each; name in the change log the configs whose bytes moved, and why.
 """
 
 import csv
@@ -95,9 +96,10 @@ def _csv_cell(text):
     return text
 
 
-def differences(name, got, want):
-    """Where an artifact replayed on another kernel type misses its golden, under
-    the rules of the module docstring; [] when it matches."""
+def _leaves(name, got, want):
+    """[(key, got, want, path)] of an artifact against its golden: every leaf of
+    a JSON file (a subtree whose shape differs is one pair), every cell of a
+    csv file; None when a csv's header or row count differs."""
     if name.endswith(".json"):
         pairs = []
 
@@ -112,17 +114,38 @@ def differences(name, got, want):
                 pairs.append((key, g, w, path))
 
         walk("", json.loads(got), json.loads(want), name)
-    else:
-        g_rows = list(csv.reader(io.StringIO(got)))
-        w_rows = list(csv.reader(io.StringIO(want)))
-        if len(g_rows) != len(w_rows) or g_rows[:1] != w_rows[:1]:
-            return [f"{name}: header or row count differs"]
-        header = w_rows[0]
-        pairs = [(col, _csv_cell(g), _csv_cell(w), f"{name}:{i}:{col}")
-                 for i, (g_row, w_row) in enumerate(zip(g_rows[1:], w_rows[1:]), start=2)
-                 for col, g, w in zip(header, g_row, w_row)]
+        return pairs
+    g_rows = list(csv.reader(io.StringIO(got)))
+    w_rows = list(csv.reader(io.StringIO(want)))
+    if len(g_rows) != len(w_rows) or g_rows[:1] != w_rows[:1]:
+        return None
+    header = w_rows[0]
+    return [(col, _csv_cell(g), _csv_cell(w), f"{name}:{i}:{col}")
+            for i, (g_row, w_row) in enumerate(zip(g_rows[1:], w_rows[1:]), start=2)
+            for col, g, w in zip(header, g_row, w_row)]
+
+
+def differences(name, got, want):
+    """Where an artifact replayed on another kernel type misses its golden, under
+    the rules of the module docstring; [] when it matches."""
+    pairs = _leaves(name, got, want)
+    if pairs is None:
+        return [f"{name}: header or row count differs"]
     return [f"{path}: got {g!r}, want {w!r}" for key, g, w, path in pairs
             if not _same_value(key, g, w)]
+
+
+def largest_move(name, got, want):
+    """(move, path): the largest |got - want| over the finite float leaves an
+    artifact shares with its golden, and where it is; (0.0, None) with no
+    float moved, (nan, None) when a csv's header or row count differs."""
+    pairs = _leaves(name, got, want)
+    if pairs is None:
+        return math.nan, None
+    return max(((abs(g - w), path) for _, g, w, path in pairs
+                if isinstance(g, float) and isinstance(w, float)
+                and math.isfinite(g) and math.isfinite(w) and g != w),
+               default=(0.0, None))
 
 
 def _texts(folder):
@@ -167,15 +190,37 @@ def test_golden_comparison_off_the_recorded_kernel():
                        json.dumps(summary))
 
 
+def test_largest_move_reads_the_float_leaves():
+    rows = "eps,l,sup_norm,iterations\n0.5,1.0,{},{}\n"
+    assert largest_move("rows.csv", rows.format("0.25", 3), rows.format("0.125", 3)) == (
+        0.125, "rows.csv:2:sup_norm")
+    assert largest_move("rows.csv", rows.format("0.125", 4), rows.format("0.125", 3)) == (
+        0.0, None)
+    move, path = largest_move("rows.csv", rows.format("0.125", 3) + "0.5,2.0,1.0,1\n",
+                              rows.format("0.125", 3))
+    assert math.isnan(move) and path is None
+    got, want = {"value": 1.5, "gaps": [0.0, 2.75], "method": "sweeps"}, {
+        "value": 1.0, "gaps": [0.0, 2.0], "method": "newton"}
+    assert largest_move("summary.json", json.dumps(got), json.dumps(want)) == (
+        0.75, "summary.json.gaps[1]")
+
+
 def refresh():
-    """Rewrite every golden's artifacts and blas.json from the current tree."""
+    """Rewrite every golden's artifacts and blas.json from the current tree, and
+    print per golden the artifacts that changed, each with its largest float move."""
     for case in CASES:
+        old = _texts(GOLDEN / case)
         for name in ARTIFACTS:
             (GOLDEN / case / name).unlink(missing_ok=True)
-        for name, text in replay(GOLDEN / case / "config.json").items():
+        new = replay(GOLDEN / case / "config.json")
+        for name, text in new.items():
             with open(GOLDEN / case / name, "w", newline="") as fh:
                 fh.write(text)
-        print(f"refreshed {case}")
+        moved = [name if name not in old or name not in new else
+                 "{} (largest float move {:.3e} at {})".format(
+                     name, *largest_move(name, new[name], old[name]))
+                 for name in ARTIFACTS if old.get(name) != new.get(name)]
+        print(f"{case}: " + (f"moved {', '.join(moved)}" if moved else "unchanged"))
     (GOLDEN / "blas.json").write_text(json.dumps(blas_identity(), indent=2, sort_keys=True)
                                       + "\n")
 
