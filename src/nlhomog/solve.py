@@ -54,15 +54,16 @@ newton   1d linear engine, for every 1d operator but the pointwise extremal
          fallback: a solve that misses the tolerance raises.  Every
          residual, each column of a batch's included, is certified with
          the sweep engine's evaluation.
-sweeps   damped projected point relaxation (red-black ordering), for 2d
-         operators, the pointwise "cs" extremal and every `fixed_sweeps`
-         solve.  Each update moves one value toward the root of its scalar
-         residual with all other values frozen, clamping at the obstacle.
-         The update map is monotone even in floating point (direct
-         summation, nonnegative weights, fixed order), which several exact
-         ordering tests rely on.  Sweeps start from zero in every solve;
-         an obstacle solve's `init` does not reach them.  A solve whose
-         residual stagnates stops early and raises.
+sweeps   damped projected Jacobi relaxation, for 2d operators, the
+         pointwise "cs" extremal and every `fixed_sweeps` solve.  A sweep is
+         one evaluation of F: it certifies the values' residual, then moves
+         each value toward the root of its scalar residual, clamping at the
+         obstacle.  F at a node is nondecreasing in every other value
+         (nonnegative weights) and falls no faster than the sweep diagonal
+         in its own, so the damped map is monotone, which exact ordering
+         tests rely on.  Sweeps start from zero in every solve; an obstacle
+         solve's `init` does not reach them.  A solve whose residual
+         stagnates stops early and raises.
 
 Repeated solves of one problem at several levels can hand `solve_obstacle`
 the level-free parts built once: the lattice (environment fields, exterior
@@ -81,6 +82,7 @@ from __future__ import annotations
 
 import copy
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,8 +186,7 @@ def default_quadrature(fam: KernelFamily, box: Box, r_out_factor: float = 8.0) -
 
 
 DAMPING = 0.8       # fraction of the pointwise Newton step a sweep takes
-CHECK_EVERY = 8     # sweeps between residual checks
-STALL_CHECKS = 64   # checks in the stagnation window (512 sweeps)
+STALL_SWEEPS = 640  # sweeps in the stagnation window
 MAX_SWEEPS = 200000  # sweeps before a solve gives up
 MAX_STEPS = 60      # active-set steps before a newton solve gives up
 
@@ -195,8 +196,8 @@ class _Lattice:
 
     A subclass sets `dim`, correlates in `_correlate` and evaluates F in
     `operator_values`.  This class takes the table's stencil as `kern`,
-    reads the exterior data and adds the red-black damped sweeps and the
-    certified residual.
+    reads the exterior data and adds the certified residual and the damped
+    Jacobi sweeps.
     """
 
     def __init__(self, problem: DirichletProblem, quad: QuadratureTable,
@@ -336,7 +337,10 @@ class _Lattice:
         return inner.min(axis=0)  # inf over alpha
 
     def residual(self, vals, obstacle):
-        F, _ = self.operator_values(vals)
+        return self._residual_of(self.operator_values(vals)[0], vals, obstacle)
+
+    def _residual_of(self, F, vals, obstacle):
+        """The certified residual of vals, F its `operator_values`."""
         r = F - self.rhs
         if obstacle:
             r = np.maximum(r, -vals)
@@ -345,37 +349,28 @@ class _Lattice:
     def sweep_solve(self, obstacle, tol, fixed_sweeps=None):
         """Returns (vals, sweeps, residuals); the last residual is the final one.
 
-        The sweeps start from zero.  Unless fixed_sweeps pins the work, at
-        most MAX_SWEEPS run, the residual is checked every CHECK_EVERY
-        sweeps, and the solve stops early once the best of the last
-        STALL_CHECKS checks is not 1% below the best before them.
+        The sweeps start from zero.  Each reads the residual of the values
+        from the evaluation of F that moves them.  With fixed_sweeps = n, n
+        sweeps run and the final values are certified.  Otherwise the solve
+        stops at the first values within tol, after MAX_SWEEPS sweeps, or
+        once the best of the last STALL_SWEEPS residuals, the ones kept, is
+        not 1% below the best before them.
         """
         vals = np.zeros(self.active.shape)
-        parity = np.indices(self.active.shape).sum(axis=0) % 2
-        colors = [self.active & (parity == 0), self.active & (parity == 1)]
         sweeps = fixed_sweeps if fixed_sweeps is not None else MAX_SWEEPS
-        trail = []
+        trail = deque(maxlen=STALL_SWEEPS)
         best_before = np.inf
-        it = 0
-        for it in range(1, sweeps + 1):
-            for color in colors:
-                F, diag = self.operator_values(vals)
-                step = DAMPING * (F - self.rhs) / diag
-                new = vals[color] + step[color]
-                if obstacle:
-                    new = np.maximum(new, 0.0)
-                vals[color] = new
-            if fixed_sweeps is None and (it % CHECK_EVERY == 0 or it == sweeps):
-                trail.append(self.residual(vals, obstacle))
-                if trail[-1] <= tol:
-                    break
-                if len(trail) > STALL_CHECKS:
-                    best_before = min(best_before, trail[-STALL_CHECKS - 1])
-                    if min(trail[-STALL_CHECKS:]) >= 0.99 * best_before:
-                        break
-        if not trail or fixed_sweeps is not None:
-            trail.append(self.residual(vals, obstacle))
-        return vals, it, trail
+        for it in range(sweeps + 1):
+            F, diag = self.operator_values(vals)
+            if len(trail) == STALL_SWEEPS:
+                best_before = min(best_before, trail[0])
+            trail.append(self._residual_of(F, vals, obstacle))
+            if it == sweeps or fixed_sweeps is None and (
+                    trail[-1] <= tol or min(trail) >= 0.99 * best_before):
+                break
+            new = vals + DAMPING * (F - self.rhs) / diag
+            vals[self.active] = (np.maximum(new, 0.0) if obstacle else new)[self.active]
+        return vals, it, list(trail)
 
 
 class _Lattice1D(_Lattice):

@@ -919,6 +919,83 @@ def test_2d_frozen_cube_has_no_contact_at_the_certified_low_end():
 
 
 # ---------------------------------------------------------------------------
+# the sweep engine: one evaluation of F per sweep, which also certifies
+
+def _sweep_problem(dim, shape):
+    if dim == 1:
+        return mixed_problem(0.3), QUAD16
+    return _problem_2d(shape)
+
+
+def _evaluations(monkeypatch, lat):
+    """The values of each later operator_values call on lat, copied, in call order."""
+    seen, evaluate = [], lat.operator_values
+
+    def spy(vals):
+        seen.append(vals.copy())
+        return evaluate(vals)
+
+    monkeypatch.setattr(lat, "operator_values", spy)
+    return seen
+
+
+@pytest.mark.parametrize("fixed_sweeps", [None, 24])
+@pytest.mark.parametrize("obstacle", [False, True])
+@pytest.mark.parametrize("dim, shape", [(1, "cube"), (2, "cube"), (2, "ball")])
+def test_a_sweep_solve_evaluates_F_once_per_sweep_and_once_to_certify(
+        monkeypatch, dim, shape, obstacle, fixed_sweeps):
+    lat = solve._lattice(*_sweep_problem(dim, shape))
+    seen = _evaluations(monkeypatch, lat)
+    vals, its, _ = lat.sweep_solve(obstacle, 1e-8, fixed_sweeps)
+    assert its > 0 and its == (fixed_sweeps or its)
+    assert len(seen) == its + 1
+    # the last evaluation read the values returned
+    assert np.array_equal(seen[-1], vals)
+
+
+@pytest.mark.parametrize("obstacle", [False, True])
+@pytest.mark.parametrize("dim, shape", [(1, "cube"), (2, "cube"), (2, "ball")])
+def test_sweep_residuals_are_certified_by_the_evaluation_that_moves_the_values(
+        monkeypatch, dim, shape, obstacle):
+    prob, quad = _sweep_problem(dim, shape)
+    lat = solve._lattice(prob, quad)
+    seen = _evaluations(monkeypatch, lat)
+    vals, its, trail = lat.sweep_solve(obstacle, 1e-8)
+    # every sweep evaluated F once, and its residual is in the record: the
+    # record ends with the residuals of the last evaluations, bitwise
+    certified = [lat.residual(v, obstacle) for v in seen[:its + 1]]
+    assert len(trail) > 1 and trail == certified[-len(trail):]
+    assert trail[-1] == lat.residual(vals, obstacle) <= 1e-8 < trail[-2]
+    # and the solve reports that residual
+    if dim == 2:
+        run = solve_obstacle if obstacle else solve_dirichlet
+        out = run(prob, tol=1e-8, quad=quad)
+        u, d = (out.u, out.diagnostics) if obstacle else out
+        assert d.residual == solve._lattice(prob, quad).residual(u, obstacle)
+
+
+@pytest.mark.parametrize("obstacle", [False, True])
+def test_a_sweep_solve_whose_zero_start_meets_tol_takes_no_sweep(count_calls, obstacle):
+    # zero forcing and zero exterior data: F(0) = 0 exactly, so the zero
+    # function solves level 0, and at level 1 it is the least nonnegative
+    # supersolution, touching everywhere
+    prob, quad = _problem_2d()
+    spec = EnvironmentSpec(dim=2, kernel_class="a", n_alpha=2, n_beta=2,
+                           coeff_law="uniform", forcing_law="fixed", forcing_value=0.0)
+    prob = replace(prob, handle=replace(prob.handle, env=sample_environment(spec, seed=1)))
+    calls = count_calls(solve._Lattice2D, "operator_values")
+    if obstacle:
+        sol = solve_obstacle(replace(prob, rhs=1.0), tol=1e-12, quad=quad)
+        u, d = sol.u, sol.diagnostics
+        assert sol.fraction == 1.0
+    else:
+        u, d = solve_dirichlet(replace(prob, rhs=0.0), tol=1e-12, quad=quad)
+    assert d.method == "sweeps" and d.iterations == 0 and d.residual == 0.0
+    assert len(calls) == 1
+    assert not u.any()
+
+
+# ---------------------------------------------------------------------------
 # failure modes and validation
 
 def test_solver_error_carries_diagnostics(monkeypatch):
