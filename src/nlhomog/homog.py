@@ -462,14 +462,17 @@ def _extremal_forced_sups(fam, box, forcings, *, tol, quad):
     """sup v and diagnostics of the upper extremal equation F(v) = -g per forcing g.
 
     The problems share the grid, the table and the zero exterior, so they
-    are solved as one batch.
+    are solved as one batch; each bitwise-distinct forcing is solved once,
+    and its result is given to every entry that holds it.
     """
     handle = OperatorHandle(fam=fam, extremal_sign=+1)
+    distinct = {g.tobytes(): g for g in forcings}
     problems = [DirichletProblem(handle=handle, domain=box, rhs=-g,
                                  exterior=ExteriorRule.zero(), shape="ball")
-                for g in forcings]
-    return [(float(np.max(v)), d)
-            for v, d in solve_dirichlet_many(problems, tol=tol, quad=quad)]
+                for g in distinct.values()]
+    sups = {key: (float(np.max(v)), d) for key, (v, d)
+            in zip(distinct, solve_dirichlet_many(problems, tol=tol, quad=quad))}
+    return [sups[g.tobytes()] for g in forcings]
 
 
 def _loglog_slope(rows):

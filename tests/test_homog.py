@@ -284,6 +284,27 @@ def test_abp_experiment_quick_run(count_calls):
     assert out["support_slope"] > 0.0
 
 
+def test_abp_solves_a_repeated_forcing_once(count_calls):
+    # the amplitude-1 forcing and the support-1/4 forcing are one indicator,
+    # bitwise: four sweep solves for five rows, and the two rows agree bitwise
+    fam = KernelFamily(kind="a", dim=2, sigma=1.0, lam=1.0, lam_big=2.0)
+    sweeps = count_calls(solve._Lattice, "sweep_solve")
+    log = RowLog()
+    out = abp_scaling_experiment(fam, h=0.25, amplitudes=(1.0, 2.0),
+                                 supports=(1.0, 0.25, 0.0625), base_support=0.25,
+                                 tol=1e-6, r_out_factor=2.0, log=log)
+    assert len(sweeps) == 4
+    assert out["amplitude_rows"][0]["sup_v"] == out["support_rows"][1]["sup_v"] > 0.0
+    # rows: abp-amp at 1 and 2, then abp-supp at 1, 1/4, 1/16; sup_norm,
+    # iterations and residual agree
+    assert len(log.rows) == 5 and log.rows[0][5:8] == log.rows[3][5:8]
+    # each row is the solve of its forcing alone
+    alone = abp_scaling_experiment(fam, h=0.25, amplitudes=(2.0,), supports=(0.0625,),
+                                   base_support=0.25, tol=1e-6, r_out_factor=2.0)
+    assert alone["amplitude_rows"][0]["sup_v"] == out["amplitude_rows"][1]["sup_v"]
+    assert alone["support_rows"][0]["sup_v"] == out["support_rows"][2]["sup_v"]
+
+
 def test_measures_snapping_to_one_cell_count_are_refused():
     # at h = 2^-5 both 2^-7 and 2^-9 snap to one cell: a slope fitted
     # through them would use one measure twice
