@@ -369,7 +369,7 @@ class _Lattice:
                     trail[-1] <= tol or min(trail) >= 0.99 * best_before):
                 break
             new = vals + DAMPING * (F - self.rhs) / diag
-            vals[self.active] = (np.maximum(new, 0.0) if obstacle else new)[self.active]
+            np.copyto(vals, np.maximum(new, 0.0) if obstacle else new, where=self.active)
         return vals, it, list(trail)
 
 

@@ -947,8 +947,9 @@ def test_a_sweep_solve_evaluates_F_once_per_sweep_and_once_to_certify(
     lat = solve._lattice(*_sweep_problem(dim, shape))
     seen = _evaluations(monkeypatch, lat)
     vals, its, _ = lat.sweep_solve(obstacle, 1e-8, fixed_sweeps)
-    assert its > 0 and its == (fixed_sweeps or its)
-    assert len(seen) == its + 1
+    if fixed_sweeps is not None:
+        assert its == fixed_sweeps
+    assert len(seen) == its + 1 > 1
     # the last evaluation read the values returned
     assert np.array_equal(seen[-1], vals)
 
