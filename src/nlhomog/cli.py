@@ -23,11 +23,10 @@ from .env import EnvironmentSpec, sample_environment
 from .errors import CheckFailure, ConfigurationError, SolverError
 from .operators import Box
 from .solve import (
-    DirichletProblem, OperatorHandle, barrier_threshold, default_quadrature,
-    solve_dirichlet, solve_obstacle,
+    DirichletProblem, OperatorHandle, barrier_threshold, solve_dirichlet, solve_obstacle,
 )
 from .homog import (
-    RowLog, abp_scaling_experiment, _frozen_lattices,
+    RowLog, abp_scaling_experiment, _frozen_lattices, _frozen_problem,
     check_translation_shift, comparison_measurable_experiment,
     convergence_experiment, corrector_decay_profile, effective_value,
     estimate_mbar, fam_of, quadratic_bank, _exterior_from_tag,
@@ -69,20 +68,6 @@ _EXPERIMENT_DEFAULTS = {
 }
 
 KINDS = tuple(_EXPERIMENT_DEFAULTS)
-
-# Largest grid a run may build, counted with its ghost nodes: (m + 2J)^dim
-# points for m cells per axis and a quadrature reaching J cells past each
-# face.  Fixed here, not a config key: the exterior array and each of the
-# three 2d stencils have about this many entries, so a config past it would
-# exhaust memory.  Building them allocates no other array of that size: the
-# 2d stencils are mirrored from a quadrant, and the exterior rule is read
-# one ghost row at a time into the exterior array.
-MAX_GRID_POINTS = 2**22
-
-# Largest sum of the m x m arrays a run holds, in bytes.  A 1d obstacle,
-# mbar or effective run holds G = inv(K), 8 m^2 bytes, per grid (per eps of
-# a bisection, all at once).  Fixed here, not a config key.
-MAX_DENSE_BYTES = 2**30
 
 # grid spacing of abp and cmi, which take no eps, unless numerics.h is given
 PROBE_H = 2.0**-9
@@ -283,6 +268,9 @@ def load_config(path):
                       if exp["eps"] is not None else eps_list[0])
         if num["h"] is not None and num["h"] > exp["eps"] / 4.0 + 1e-12:
             raise ConfigurationError("h violates h <= eps/4 for the solve eps")
+    tiny = [e for e in eps_list + [exp.get("eps", 1.0)] if e / 4.0 == 0.0]
+    if num["h"] is None and tiny:
+        raise ConfigurationError(f"eps {tiny} gives the grid spacing eps/4 = 0.0; set numerics.h")
     if "exterior" in exp and exp["exterior"] not in ("zero", "cosine"):
         raise ConfigurationError(f"unknown exterior tag {exp['exterior']!r}")
     if "shape" in exp and exp["shape"] not in ("cube", "ball"):
@@ -290,7 +278,6 @@ def load_config(path):
     if kind == "converge":
         check_translation_shift(eps_list, _grid_h(num, min(eps_list)),
                                 exp["translation_shift"])
-    _check_grid_sizes(kind, num, exp, spec.dim)
     if "conjecture_cs" in exp:
         exp["conjecture_cs"] = _boolean(exp["conjecture_cs"], "experiment.conjecture_cs")
     if kind == "cmi" and fam.kind == "cs" and not exp["conjecture_cs"]:
@@ -322,57 +309,6 @@ def load_config(path):
     return resolved, spec, fam
 
 
-def _grids(kind, num, exp):
-    """(half-width, spacing) of every grid a run of this kind builds."""
-    if kind in ("abp", "cmi"):
-        return [(1.0, _probe_h(num))]
-    if kind in ("solve", "obstacle"):
-        return [(exp["domain_half"], _grid_h(num, exp["eps"]))]
-    if kind == "converge":
-        return [(exp["domain_half"], _grid_h(num, min(num["eps_list"])))]
-    # one grid per eps: the frozen problems' box, or the corrector's unit ball
-    half = 1.0 if kind == "corrector" else 0.5
-    return [(half, _grid_h(num, eps)) for eps in sorted(set(num["eps_list"]))]
-
-
-def _cells(length, h):
-    """round(length / h), or inf for any count past MAX_GRID_POINTS."""
-    n = length / h
-    return float(round(n)) if n <= MAX_GRID_POINTS else math.inf
-
-
-def _points(side, dim):
-    """side**dim, or inf for any side past MAX_GRID_POINTS."""
-    return side**dim if abs(side) <= MAX_GRID_POINTS else math.inf
-
-
-def _check_grid_sizes(kind, num, exp, dim):
-    """ConfigurationError for a grid with more than MAX_GRID_POINTS points,
-    ghost nodes included, or for a 1d obstacle, mbar or effective run whose
-    inverses of K, 8 m^2 bytes per grid, sum past MAX_DENSE_BYTES, before
-    any array is allocated."""
-    sides = []
-    for half, h in _grids(kind, num, exp):
-        m = _cells(2.0 * half, h)
-        J = _cells(num["r_out_factor"] * 2.0 * half * math.sqrt(dim), h)  # as default_quadrature
-        padded = _points(m + 2.0 * J, dim)
-        if not padded <= MAX_GRID_POINTS:
-            raise ConfigurationError(
-                f"a grid of {_points(m, dim):.6g} nodes ({m:.6g} per axis) padded by "
-                f"J = {J:.6g} ghost nodes past each face has {padded:.6g} points, more "
-                f"than MAX_GRID_POINTS = {MAX_GRID_POINTS}; use a coarser grid or a smaller "
-                f"numerics.r_out_factor"
-            )
-        sides.append(m)
-    dense = sum(8.0 * m * m for m in sides)
-    if dim == 1 and kind in ("obstacle", "mbar", "effective") and dense > MAX_DENSE_BYTES:
-        raise ConfigurationError(
-            f"a 1d {kind} run holds the inverse of K, 8 m^2 bytes, for each of its grids "
-            f"(m = {', '.join(f'{m:.0f}' for m in sides)}): {dense:.6g} bytes, more than "
-            f"MAX_DENSE_BYTES = {MAX_DENSE_BYTES}; use a coarser grid or fewer eps"
-        )
-
-
 # ---------------------------------------------------------------------------
 # experiment dispatch
 
@@ -398,12 +334,11 @@ def _run_solve(resolved, spec, fam, log, workers):
     prob = DirichletProblem(handle=handle, domain=box, rhs=exp["rhs"],
                             exterior=_exterior_from_tag(exp["exterior"], spec.dim),
                             shape=exp["shape"])
-    quad = default_quadrature(fam, box, num["r_out_factor"])
     if kind == "solve":
-        u, d = solve_dirichlet(prob, tol=num["solver_tol"], quad=quad)
+        u, d = solve_dirichlet(prob, tol=num["solver_tol"], r_out_factor=num["r_out_factor"])
         fraction = ""
     else:
-        sol = solve_obstacle(prob, tol=num["solver_tol"], quad=quad)
+        sol = solve_obstacle(prob, tol=num["solver_tol"], r_out_factor=num["r_out_factor"])
         u, d, fraction = sol.u, sol.diagnostics, sol.fraction
     sup = float(np.max(np.abs(u)))
     log.add(kind, eps=eps, seed=seed, l=exp["rhs"], contact_fraction=fraction,
@@ -596,8 +531,10 @@ def _direct_frozen_constant(resolved, spec, fam):
     """
     num, exp = resolved["numerics"], resolved["experiment"]
     phi, x0 = _phi(spec, exp)
-    lat, = _frozen_lattices(phi, x0, min(num["eps_list"]), num["seeds"][:1], spec, fam,
-                            num["h"], num["r_out_factor"])
+    eps = min(num["eps_list"])
+    prob = _frozen_problem(phi, x0, 0.0, eps, sample_environment(spec, seed=num["seeds"][0]), fam,
+                           _grid_h(num, eps))
+    lat, = _frozen_lattices([prob], num["r_out_factor"])
     return barrier_threshold(lat)[1]
 
 

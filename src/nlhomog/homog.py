@@ -59,6 +59,8 @@ from .solve import (
     DirichletProblem,
     OperatorHandle,
     barrier_threshold,
+    check_grid,
+    check_inverses,
     default_quadrature,
     solve_dirichlet,
     solve_dirichlet_many,
@@ -205,26 +207,20 @@ def _frozen_problem(phi, x0, level, eps, env, fam, h, *, domain_half=0.5,
                             exterior=ExteriorRule.zero(), shape=shape)
 
 
-def _frozen_lattices(phi, x0, eps, seeds, spec, fam, h, r_out_factor):
-    """Level-zero lattices of the frozen problems of one eps, one per seed (h
-    defaults to eps/4), sharing one table, frozen moment and exterior correlation."""
-    he = (eps / 4.0) if h is None else h
-    lats, shared = [], []
-    for seed in seeds:
-        prob = _frozen_problem(phi, x0, 0.0, eps, sample_environment(spec, seed=seed),
-                               fam, he)
-        if not lats:
-            quad = default_quadrature(fam, prob.domain, r_out_factor)
-            moment = unit_moment(*prob.handle.frozen, quad)
-        lats.append(_lattice(prob, quad, moment, shared))
-    return lats
+def _frozen_lattices(problems, r_out_factor):
+    """Lattices of one eps's frozen problems, sharing one table, frozen moment and correlation."""
+    first = problems[0]
+    quad = default_quadrature(first.handle.fam, first.domain, r_out_factor)
+    moment, shared = unit_moment(*first.handle.frozen, quad), []
+    return [_lattice(prob, quad, moment, shared) for prob in problems]
 
 
 class _FrozenSystems:
     """Level-free parts of the frozen problems of one extraction, and its warm starts.
 
     Everything is built here, on the calling thread, so the worker threads
-    of a fan-out only read it.  Per (eps, seed) of `eps_list` and `seeds`:
+    of a fan-out only read it, once every grid and all G pass their checks
+    (`check_grid`, `check_inverses`).  Per (eps, seed) of `eps_list` and `seeds`:
     the lattice at level zero (`_frozen_lattices`), on which the bracket
     evaluates F(0).  Per eps: when the lattices run the linear
     engine, the first lattice's `system()`, (K, e, G) -- seed-independent,
@@ -242,8 +238,15 @@ class _FrozenSystems:
         self.lattices = {}   # (eps, seed) -> lattice at level 0
         self.assembled = {}  # eps -> (K view, e, G = inv(K)) of the linear engine
         self.warm = {}       # (eps, seed) -> solution at the previous level
-        for eps in sorted(set(eps_list)):
-            lats = _frozen_lattices(phi, x0, eps, seeds, spec, fam, h, r_out_factor)
+        # per eps, the level-zero problem of each seed (h defaults to eps/4)
+        problems = {eps: [_frozen_problem(phi, x0, 0.0, eps, sample_environment(spec, seed=seed),
+                                          fam, (eps / 4.0) if h is None else h) for seed in seeds]
+                    for eps in sorted(set(eps_list))}
+        for probs in problems.values():
+            check_grid(probs[0].domain, r_out_factor)
+        check_inverses([probs[0] for probs in problems.values()])
+        for eps, probs in problems.items():
+            lats = _frozen_lattices(probs, r_out_factor)
             self.lattices.update(((eps, seed), lat) for seed, lat in zip(seeds, lats))
             if lats[0].linear:
                 self.assembled[eps] = lats[0].system()
@@ -374,11 +377,10 @@ def effective_value(phi, x0, eps_list, seeds, spec: EnvironmentSpec,
     `max_steps` steps; theta defaults to two cells of the interior count.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
-    he = (min(eps_list) / 4.0) if h is None else h
-    cells = int(round(1.0 / he)) ** spec.dim  # interior cells of the unit box
+    systems = _FrozenSystems(phi, x0, spec, fam, h, r_out_factor, tol, eps_list, seeds)
+    cells = systems.lattices[(min(eps_list), seeds[0])].active.size  # of the unit box
     theta = theta if theta is not None else 2.0 / cells
     steps = []
-    systems = _FrozenSystems(phi, x0, spec, fam, h, r_out_factor, tol, eps_list, seeds)
     lo, hi = _bracket(systems)
     if not lo < hi:
         raise SolverError(f"degenerate effective-value bracket [{lo}, {hi}]")
@@ -416,13 +418,13 @@ def corrector_decay_profile(phi, x0, level, eps_list, seed,
     """
     eps_list = tuple(sorted(set(eps_list), reverse=True))
     env = sample_environment(spec, seed=seed)
+    problems = [_frozen_problem(phi, x0, level, eps, env, fam, (eps / 4.0) if h is None else h,
+                                domain_half=1.0, shape="ball") for eps in eps_list]
+    for prob in problems:  # every grid before the first solve
+        check_grid(prob.domain, r_out_factor)
     sups = []
-    for eps in eps_list:
-        he = (eps / 4.0) if h is None else h
-        prob = _frozen_problem(phi, x0, level, eps, env, fam, he, domain_half=1.0,
-                               shape="ball")
-        quad = default_quadrature(fam, prob.domain, r_out_factor)
-        w, d = solve_dirichlet(prob, tol=tol, quad=quad)
+    for eps, prob in zip(eps_list, problems):
+        w, d = solve_dirichlet(prob, tol=tol, r_out_factor=r_out_factor)
         sup = float(np.max(np.abs(w)))
         sups.append(sup)
         if log is not None:

@@ -44,9 +44,10 @@ class Box:
         if self.half <= 0 or self.h <= 0:
             raise ConfigurationError("box needs positive half-width and spacing")
         m = 2.0 * self.half / self.h
-        if abs(m - round(m)) > 1e-9 or round(m) < 1:
+        if not np.isfinite(m) or abs(m - round(m)) > 1e-9 or round(m) < 1:
             raise ConfigurationError(
-                f"spacing {self.h} does not tile the box of half-width {self.half}"
+                f"spacing {self.h} does not tile the box of half-width {self.half} "
+                f"with a finite number of whole cells"
             )
 
     @property

@@ -81,6 +81,7 @@ the environment cells (h <= eps/4) or construction fails.
 from __future__ import annotations
 
 import copy
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -102,6 +103,8 @@ __all__ = [
     "solve_dirichlet_many",
     "solve_obstacle",
     "barrier_threshold",
+    "check_grid",
+    "check_inverses",
     "default_quadrature",
 ]
 
@@ -179,10 +182,56 @@ class ObstacleSolution:
     diagnostics: SolveDiagnostics
 
 
+# Largest grid a lattice may have, (m + 2J)^dim points for m cells per axis
+# and a table reaching J cells past each face, and largest sum of the dense
+# arrays a solve, or the frozen problems of one extraction, hold at once, in
+# bytes: the newton engine's G = inv(K), 8 m^2 bytes per grid, or the
+# pointwise "cs" extremal's two m x J moment buffers.  Fixed, not config keys.
+MAX_GRID_POINTS = 2**22
+MAX_DENSE_BYTES = 2**30
+EXTERIOR_POINTS = 2**13  # most points one call of an exterior rule reads
+
+
+def check_grid(box: Box, r_out_factor: float = 8.0):
+    """The radius of `box`'s `default_quadrature` table, or ConfigurationError
+    if the grid, padded by the J cells the table reaches past each face, has
+    more than MAX_GRID_POINTS points (a count past it reads inf).  Allocates nothing."""
+    r_out = r_out_factor * (2.0 * box.half * math.sqrt(box.dim))
+    m, J = (float(round(n)) if n <= MAX_GRID_POINTS else math.inf
+            for n in (2.0 * box.half / box.h, r_out / box.h))
+    padded = (m + 2.0 * J) ** box.dim
+    if padded > MAX_GRID_POINTS:
+        raise ConfigurationError(
+            f"a grid of {m ** box.dim:.6g} nodes ({m:.6g} per axis) padded by J = {J:.6g} ghost "
+            f"nodes past each face has {padded:.6g} points, more than MAX_GRID_POINTS = "
+            f"{MAX_GRID_POINTS}; use a coarser grid or a smaller r_out_factor")
+    return r_out
+
+
+def _check_dense(nbytes, holds):
+    """ConfigurationError, before allocation, if the arrays `holds` names pass MAX_DENSE_BYTES."""
+    if nbytes > MAX_DENSE_BYTES:
+        raise ConfigurationError(f"{holds}: {nbytes:.6g} bytes, more than MAX_DENSE_BYTES "
+                                 f"= {MAX_DENSE_BYTES}; use a coarser grid")
+
+
+def check_inverses(problems):
+    """`_check_dense` of the G = inv(K), 8 m^2 bytes each, that the newton
+    engine's obstacle solves of `problems`, one per grid, hold at once."""
+    ms = [p.domain.m for p in problems if _newton(p)]
+    _check_dense(sum(8.0 * m * m for m in ms), "1d obstacle solves hold the inverse of K, "
+                 f"8 m^2 bytes, for each grid, here m = {', '.join(f'{m:.6g}' for m in ms)}")
+
+
+def _newton(problem):
+    """Whether `problem` runs the newton engine: in 1d, all but the pointwise "cs" extremal."""
+    handle = problem.handle
+    return problem.domain.dim == 1 and not (handle.extremal_sign and handle.fam.kind == "cs")
+
+
 def default_quadrature(fam: KernelFamily, box: Box, r_out_factor: float = 8.0) -> QuadratureTable:
-    """Table matched to a solve box: radius = factor x box diameter."""
-    diam = 2.0 * box.half * np.sqrt(box.dim)
-    return build_quadrature(fam.dim, fam.sigma, box.h, r_out_factor * diam)
+    """Table matched to a solve box: radius = factor x box diameter, from `check_grid`."""
+    return build_quadrature(fam.dim, fam.sigma, box.h, check_grid(box, r_out_factor))
 
 
 DAMPING = 0.8       # fraction of the pointwise Newton step a sweep takes
@@ -226,6 +275,9 @@ class _Lattice:
         self.q = min(self.J, self.m - 1)
         taps = slice(self.J - self.q, self.J + self.q + 1)
         self.near_kern = self.kern[(Ellipsis,) + (taps,) * self.dim]
+        if self.dim == 1 and not self.linear:
+            _check_dense(16.0 * self.m * self.J, "the pointwise cs extremal's moments hold "
+                         f"two m x J buffers of 8 bytes an entry, m = {self.m}, J = {self.J}")
         # `shared` is a list that the lattices of one table fill and read
         self._read_exterior([] if shared is None else shared)
         self.D0 = 2.0 * quad.w_total + 2.0 * quad.c_near / self.h**2 + 2.0 * quad.tail
@@ -278,6 +330,8 @@ class _Lattice:
             raise ConfigurationError("rhs grid must match the domain grid")
         return rhs.reshape(self.active.shape)
 
+    linear = property(lambda self: _newton(self.problem))
+
     def at_level(self, problem):
         """This lattice for `problem`, its own problem at another right-hand
         side; every other (read-only) array is shared."""
@@ -290,8 +344,9 @@ class _Lattice:
         """`fixed`, the exterior data on the grid and J ghost nodes past each
         face with the active cells zeroed, and its correlation `fixed_corr`.
 
-        The exterior rule is evaluated one ghost row at a time into `fixed`,
-        so no point list of the whole padded grid is built.  `shared` holds
+        The exterior rule is evaluated on blocks of consecutive ghost rows, at
+        most EXTERIOR_POINTS points (or one row) a block, into `fixed`, so no
+        point list of the whole padded grid is built.  `shared` holds
         one (fixed, fixed_corr) pair per bitwise-distinct `fixed`; a lattice
         whose `fixed` matches a held one takes that pair, so equal exterior
         data are correlated once.
@@ -300,11 +355,14 @@ class _Lattice:
         ghost = [c - box.half + (np.arange(-self.J, self.m + self.J) + 0.5) * self.h
                  for c in box.center]
         fixed = np.empty(tuple(g.size for g in ghost))
-        pts = np.empty((ghost[-1].size, self.dim))
-        pts[:, -1] = ghost[-1]
-        for row in np.ndindex(fixed.shape[:-1]):
-            pts[:, :-1] = [g[i] for g, i in zip(ghost, row)]
-            fixed[row] = exterior.fn(pts)
+        rows = fixed.reshape(-1, ghost[-1].size)  # a view: one row in 1d
+        block = max(1, EXTERIOR_POINTS // rows.shape[1])
+        for a in range(0, rows.shape[0], block):
+            pts = np.empty(rows[a:a + block].shape + (self.dim,))
+            pts[..., -1] = ghost[-1]
+            if self.dim == 2:
+                pts[..., 0] = ghost[0][a:a + block, None]
+            rows[a:a + block] = exterior.fn(pts.reshape(-1, self.dim)).reshape(len(pts), -1)
         fixed[(slice(self.J, self.J + self.m),) * self.dim][self.active] = 0.0
         self.far = exterior.far
         bits = fixed.view(np.int64)
@@ -381,11 +439,6 @@ class _Lattice1D(_Lattice):
     @staticmethod
     def _correlate(a, kern):
         return np.correlate(a, kern, mode="valid")
-
-    @property
-    def linear(self):
-        # only the pointwise "cs" extremal is not linear in the unit moment
-        return not (self.kind == "extremal" and self.problem.handle.fam.kind == "cs")
 
     # -- residual pieces ------------------------------------------------
 
@@ -638,7 +691,6 @@ class _Lattice2D(_Lattice):
     """2d lattice: three directional stencils, sweeps only (desk scale, small grids)."""
 
     dim = 2
-    linear = False
 
     @staticmethod
     def _correlate(a, kern):
@@ -687,14 +739,15 @@ class _Lattice2D(_Lattice):
 
 
 def _lattice(problem: DirichletProblem, quad: QuadratureTable | None,
-             frozen_moment=None, shared=None):
+             frozen_moment=None, shared=None, r_out_factor=8.0):
     """Lattice of a problem; frozen_moment, if given, is unit_moment of its frozen profile on quad.
 
     `shared`, a list kept by the caller for lattices of this one table, lets
     them share each bitwise-distinct exterior array and its correlation.
+    Without quad, the table is the problem's default at r_out_factor.
     """
     if quad is None:
-        quad = default_quadrature(problem.handle.fam, problem.domain)
+        quad = default_quadrature(problem.handle.fam, problem.domain, r_out_factor)
     cls = _Lattice1D if problem.domain.dim == 1 else _Lattice2D
     return cls(problem, quad, frozen_moment, shared)
 
@@ -723,7 +776,7 @@ def _result(lat, obstacle, method, out, tol, wall_ms=0.0, pinned=False):
 
 
 def solve_dirichlet(problem: DirichletProblem, tol: float = 1e-6,
-                    quad: QuadratureTable | None = None, fixed_sweeps=None):
+                    quad: QuadratureTable | None = None, fixed_sweeps=None, r_out_factor=8.0):
     """Solve F(u) = rhs in the domain with exterior data outside.
 
     Returns (values, SolveDiagnostics), values the array of shape (m,) * dim
@@ -731,17 +784,17 @@ def solve_dirichlet(problem: DirichletProblem, tol: float = 1e-6,
     (unless fixed_sweeps pins the work).  This is `solve_dirichlet_many` of
     one problem.
     """
-    return solve_dirichlet_many([problem], tol, quad, fixed_sweeps)[0]
+    return solve_dirichlet_many([problem], tol, quad, fixed_sweeps, r_out_factor)[0]
 
 
 def solve_dirichlet_many(problems, tol: float = 1e-6,
-                         quad: QuadratureTable | None = None, fixed_sweeps=None):
+                         quad: QuadratureTable | None = None, fixed_sweeps=None, r_out_factor=8.0):
     """`solve_dirichlet` of each problem, with one solve for the whole grid.
 
-    The problems must share the grid and the active mask, and are solved
-    on the one table `quad` (the first problem's default when None), or
-    ConfigurationError.  Their lattices read the table's stencil and share
-    one correlation per bitwise-distinct padded exterior array.  Those on
+    The problems must share the grid and the active mask, and are solved on
+    the one table `quad` (the first problem's default at r_out_factor when
+    None), or ConfigurationError.  Their lattices read the table's stencil
+    and share one correlation per bitwise-distinct padded exterior array.  Those on
     the newton engine share K, so one Levinson solve on K's first column takes
     every column of B = [e_i - t_i], in batch order, in O(m n) memory.  A
     column's solution depends on that column alone (`_toeplitz_solve`), so
@@ -755,7 +808,7 @@ def solve_dirichlet_many(problems, tol: float = 1e-6,
     if not problems:
         return []
     if quad is None:
-        quad = default_quadrature(problems[0].handle.fam, problems[0].domain)
+        quad = default_quadrature(problems[0].handle.fam, problems[0].domain, r_out_factor)
     lats, cols, walls, shared = [], {}, [], []
     for i, problem in enumerate(problems):
         t0 = time.perf_counter()
@@ -792,7 +845,7 @@ def solve_dirichlet_many(problems, tol: float = 1e-6,
 
 def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6,
                    quad: QuadratureTable | None = None, init=None, fixed_sweeps=None,
-                   lattice=None, system=None) -> ObstacleSolution:
+                   lattice=None, system=None, r_out_factor=8.0) -> ObstacleSolution:
     """Least nonnegative supersolution: max(F(U) - rhs, -U) = 0.
 
     Every projection writes exact zeros, so the contact mask is literally
@@ -806,11 +859,16 @@ def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6,
     on less contact than free cells are Schur steps (a matvec and a solve
     on the contact block), the others solves on the free block; K stays a
     view, so a step copies only the rows it multiplies and the block it
-    factors.  wall_ms includes building the lattice and the system, or
-    re-leveling the lattice.
+    factors; a newton solve not handed `system` runs `check_inverses` first.
+    Without `quad` or `lattice` the table is the default at r_out_factor.
+    wall_ms includes building the lattice and the system, or re-leveling the
+    lattice.
     """
     t0 = time.perf_counter()
-    lat = _lattice(problem, quad) if lattice is None else lattice.at_level(problem)
+    if system is None and fixed_sweeps is None:
+        check_inverses([problem])
+    lat = (_lattice(problem, quad, r_out_factor=r_out_factor) if lattice is None
+           else lattice.at_level(problem))
     if lat.linear and fixed_sweeps is None:
         method, out = "newton", lat.newton_solve(init, system)
     else:

@@ -600,6 +600,47 @@ def test_bad_configs_exit_2(tmp_path, capsys, overrides):
     assert err["error"]["type"] == "ConfigurationError"
 
 
+@pytest.fixture
+def refuse_builds(monkeypatch):
+    """Sentinels on every table, lattice and inverse a run could build: each
+    records its call and raises; returns the list of what was built."""
+    built = []
+
+    def sentinel(name):
+        def refuse(*args, **kwargs):
+            built.append(name)
+            raise AssertionError(f"{name} ran")
+        return refuse
+
+    monkeypatch.setattr(solve, "build_quadrature", sentinel("build_quadrature"))
+    monkeypatch.setattr(solve._Lattice1D, "__init__", sentinel("_Lattice1D.__init__"))
+    monkeypatch.setattr(solve._Lattice2D, "__init__", sentinel("_Lattice2D.__init__"))
+    monkeypatch.setattr(solve, "_toeplitz_inverse", sentinel("_toeplitz_inverse"))
+    return built
+
+
+def one_error_line(capsys):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
+class Cleared(Exception):
+    """Raised by the first exterior read of a run: every size check has passed."""
+
+
+def clears_every_size_check(monkeypatch, path):
+    # each limit is checked before the array it bounds, and the first lattice
+    # reads its exterior only after every grid and dense array of the run passed
+    def stop(self, shared):
+        raise Cleared
+
+    with monkeypatch.context() as m:
+        m.setattr(solve._Lattice, "_read_exterior", stop)
+        with pytest.raises(Cleared):
+            cli.run_experiment(*cli.load_config(path), workers=1)
+
+
 @pytest.mark.parametrize("overrides, per_axis", [
     ({"numerics": {"eps_list": [1e-300]}}, "inf per axis"),          # h = eps / 4
     ({"numerics": {"r_out_factor": 1e9}}, "J = inf"),                 # the table's reach
@@ -607,29 +648,40 @@ def test_bad_configs_exit_2(tmp_path, capsys, overrides):
       "numerics": {"eps_list": [1.0], "h": 2.0**-7}}, "16384 nodes (128 per axis)"),
     ({"kind": "corrector", "numerics": {"eps_list": [0.25, 2.0**-16]},
       "experiment": {"phi_index": 4, "level": 1.0}}, "524288 per axis"),
-], ids=["tiny-eps", "huge-r-out-factor", "2d-fine-h", "corrector-one-fine-eps"])
-def test_oversized_grids_exit_2(tmp_path, capsys, overrides, per_axis):
-    # each grid the run would build is counted with its ghost nodes when the
-    # config loads, so none of these allocates or raises a numpy error
+    # every grid is checked before the inverses of K are counted
+    ({"kind": "effective", "numerics": {"eps_list": [0.25, 2.0**-16]},
+      "experiment": {"phi_index": 4}}, "262144 per axis"),
+    ({"kind": "mbar", "environment": {"dim": 2, "kernel_class": "a"},
+      "numerics": {"eps_list": [1.0, 2.0**-5]}, "experiment": {"phi_index": 4, "level": 1.0}},
+     "16384 nodes (128 per axis)"),
+], ids=["tiny-eps", "huge-r-out-factor", "2d-fine-h", "corrector-one-fine-eps",
+        "effective-one-fine-eps", "2d-mbar-one-fine-eps"])
+def test_oversized_grids_exit_2(tmp_path, capsys, refuse_builds, count_calls, overrides,
+                                per_axis):
+    # each grid is checked with its ghost nodes before its table is built, so
+    # none of these allocates or raises a numpy error; the corrector checks
+    # its fine eps before it solves its coarse one
+    solves = count_calls(solve, "solve_dirichlet_many")
     cfg = write_config(tmp_path, **overrides)
     assert main(["run", str(cfg)]) == 2
-    err = json.loads(capsys.readouterr().err.splitlines()[-1])
-    assert err["error"]["type"] == "ConfigurationError"
-    assert "MAX_GRID_POINTS" in err["error"]["message"]
-    assert per_axis in err["error"]["message"]
+    err = one_error_line(capsys)
+    assert err["type"] == "ConfigurationError"
+    assert "MAX_GRID_POINTS" in err["message"]
+    assert per_axis in err["message"]
+    assert refuse_builds == []
+    if overrides.get("kind") == "corrector":
+        assert not solves  # not even the coarse eps 0.25
 
 
 def test_grid_limit_is_fixed_and_documented(tmp_path):
     # the limit is a constant, stated in the README; no config key sets it
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    assert f"`MAX_GRID_POINTS` = 2^22 = {cli.MAX_GRID_POINTS}" in readme
-    assert cli.MAX_GRID_POINTS == 2**22
-    # the largest desk grids stay under it: m = 2048 in 1d, and a 2d box at h = 2^-5
-    ok = write_config(tmp_path, name="ok.json", kind="effective",
-                      numerics={"eps_list": [2.0**-9]}, experiment={"phi_index": 4})
-    assert cli.load_config(ok)[0]["numerics"]["eps_list"] == [2.0**-9]
-    cli._check_grid_sizes("solve", {"r_out_factor": 8.0, "h": 2.0**-5},
-                          {"domain_half": 0.5, "eps": 0.125}, 2)
+    assert f"`MAX_GRID_POINTS` = 2^22 = {solve.MAX_GRID_POINTS}" in readme
+    assert solve.MAX_GRID_POINTS == 2**22
+    # the largest desk grids stay under it: m = 2048 in 1d (an effective run
+    # at eps 2^-9), and a 2d box at h = 2^-5; check_grid returns the table's radius
+    assert solve.check_grid(Box((0.0,), 0.5, 2.0**-11), 8.0) == 8.0
+    assert solve.check_grid(Box((0.0, 0.0), 0.5, 2.0**-5), 8.0) == 8.0 * math.sqrt(2.0)
     with pytest.raises(ConfigurationError, match="unknown keys"):
         cli.load_config(write_config(tmp_path, name="key.json",
                                      numerics={"max_grid_points": 2**40}))
@@ -645,27 +697,22 @@ def test_grid_limit_is_fixed_and_documented(tmp_path):
     {"kind": "mbar", "numerics": {"eps_list": [2.0**-9, 2.0**-10, 2.0**-11], "h": 2.0**-13},
      "experiment": {"phi_index": 4, "level": 1.0}},
 ], ids=["obstacle", "mbar", "effective", "mbar-three-eps"])
-def test_runs_holding_too_large_an_inverse_exit_2(tmp_path, capsys, monkeypatch, overrides):
+def test_runs_holding_too_large_an_inverse_exit_2(tmp_path, capsys, refuse_builds, overrides):
     # m = 16384 pads to 278528 points, under MAX_GRID_POINTS, but its G alone
-    # is 2 GiB; the run exits 2 when the config loads, before any G is built
-    def refuse(col):
-        raise AssertionError("an inverse was built")
-
-    monkeypatch.setattr(solve, "_toeplitz_inverse", refuse)
+    # is 2 GiB; the run exits 2 before any table, lattice or G is built
     cfg = write_config(tmp_path, **overrides)
     assert main(["run", str(cfg)]) == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    err = json.loads(lines[0])["error"]
+    err = one_error_line(capsys)
     assert err["type"] == "ConfigurationError"
     assert f"MAX_DENSE_BYTES = {2**30}" in err["message"]
+    assert refuse_builds == []
 
 
 def test_dense_limit_is_fixed_documented_and_clears_every_shipped_config(tmp_path,
                                                                          monkeypatch):
     # a constant beside MAX_GRID_POINTS, stated in the README, not a config key
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    assert "`MAX_DENSE_BYTES` = 2^30" in readme and cli.MAX_DENSE_BYTES == 2**30
+    assert "`MAX_DENSE_BYTES` = 2^30" in readme and solve.MAX_DENSE_BYTES == 2**30
     with pytest.raises(ConfigurationError, match="unknown keys"):
         cli.load_config(write_config(tmp_path, name="key.json",
                                      numerics={"max_dense_bytes": 2**40}))
@@ -676,11 +723,11 @@ def test_dense_limit_is_fixed_documented_and_clears_every_shipped_config(tmp_pat
             cfg = write_config(tmp_path, name=f"{kind}{i}.json", kind=kind,
                                numerics={"eps_list": eps_list, "h": 2.0**-13},
                                experiment=experiment)
-            cli.load_config(cfg)
-    # every golden and every benchmark config loads
+            clears_every_size_check(monkeypatch, cfg)
+    # every golden and every benchmark config passes every size check
     root = Path(__file__).resolve().parents[1]
     for path in sorted((root / "tests" / "golden").glob("*/config.json")):
-        cli.load_config(path)
+        clears_every_size_check(monkeypatch, path)
     spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclass looks it up
@@ -689,7 +736,63 @@ def test_dense_limit_is_fixed_documented_and_clears_every_shipped_config(tmp_pat
         for j, config in enumerate(workload.configs(0)):
             path = tmp_path / f"{workload.name}-{j}.json"
             path.write_text(json.dumps(config))
-            cli.load_config(path)
+            clears_every_size_check(monkeypatch, path)
+
+
+@pytest.mark.parametrize("h, refused", [
+    (2.0**-13, True), (2.0**-11, True), (2.0**-10, False), (2.0**-9, False),
+], ids=["h-2^-13", "h-2^-11", "h-2^-10", "h-2^-9"])
+def test_cs_extremal_moment_buffers_are_checked_before_the_lattice_reads_its_exterior(
+        tmp_path, capsys, monkeypatch, h, refused):
+    # the pointwise cs extremal's moments hold two m x J buffers of 8-byte
+    # entries: 2 x 17 GB at h 2^-13, 2 x 1.07 GB at 2^-11, 2 x 268 MB at 2^-10
+    cfg = write_config(tmp_path, kind="cmi", numerics={"h": h},
+                       experiment={"conjecture_cs": True})
+    if not refused:
+        clears_every_size_check(monkeypatch, cfg)
+        return
+    built = []
+
+    def refuse(self, *args):
+        built.append(self)
+        raise AssertionError("a lattice read its exterior or swept")
+
+    monkeypatch.setattr(solve._Lattice, "_read_exterior", refuse)
+    monkeypatch.setattr(solve._Lattice, "sweep_solve", refuse)
+    assert main(["run", str(cfg)]) == 2
+    err = one_error_line(capsys)
+    assert err["type"] == "ConfigurationError"
+    assert f"MAX_DENSE_BYTES = {2**30}" in err["message"] and "m x J" in err["message"]
+    assert built == []
+
+
+@pytest.mark.parametrize("kind, overrides", [
+    ("solve", {"numerics": {"eps_list": [1e-323]}}),
+    ("solve", {"experiment": {"eps": 1e-323}}),
+    ("effective", {"numerics": {"eps_list": [1e-323]}, "experiment": {"phi_index": 4}}),
+    ("converge", {"numerics": {"eps_list": [1e-323]}}),
+    ("converge", {"numerics": {"eps_list": [0.25, 1e-323]}}),
+], ids=["solve", "solve-experiment-eps", "effective", "converge", "converge-two-eps"])
+def test_eps_whose_default_spacing_underflows_exits_2(tmp_path, capsys, kind, overrides):
+    # eps / 4 rounds to 0.0, which no grid can take
+    cfg = write_config(tmp_path, kind=kind, **overrides)
+    assert main(["run", str(cfg)]) == 2
+    err = one_error_line(capsys)
+    assert err["type"] == "ConfigurationError" and "eps/4 = 0.0" in err["message"]
+
+
+@pytest.mark.parametrize("kind, experiment", [
+    ("solve", {}), ("effective", {"phi_index": 4}), ("corrector", {"phi_index": 4, "level": 1.0}),
+], ids=["solve", "effective", "corrector"])
+def test_eps_whose_grid_has_no_finite_cell_count_exits_2(tmp_path, capsys, refuse_builds,
+                                                         kind, experiment):
+    # eps / 4 = 2.5e-311 is positive, but 1 / 2.5e-311 overflows: the box refuses it
+    cfg = write_config(tmp_path, kind=kind, numerics={"eps_list": [1e-310]},
+                       experiment=experiment)
+    assert main(["run", str(cfg)]) == 2
+    err = one_error_line(capsys)
+    assert err["type"] == "ConfigurationError" and "finite number" in err["message"]
+    assert refuse_builds == []
 
 
 NAN, INF = float("nan"), float("inf")

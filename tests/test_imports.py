@@ -75,3 +75,22 @@ def test_every_exported_name_is_read_under_src():
         if gone := [name for name in exported if name not in read]:
             unread[stem] = gone
     assert unread == {}
+
+
+def test_each_size_limit_has_one_owner():
+    # each limit is assigned once, beside its checks, and the CLI keeps no
+    # list of the grids a run builds
+    owners = {"MAX_GRID_POINTS": [], "MAX_DENSE_BYTES": []}
+    for path in sorted(ROOT.glob("src/**/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                       else [])
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id in owners:
+                    owners[target.id].append(path.relative_to(ROOT).as_posix())
+    assert owners == {"MAX_GRID_POINTS": ["src/nlhomog/solve.py"],
+                      "MAX_DENSE_BYTES": ["src/nlhomog/solve.py"]}
+    cli = importlib.import_module("nlhomog.cli")
+    assert [name for name in ("_grids", "_cells", "_points", "_check_grid_sizes")
+            if hasattr(cli, name)] == []

@@ -429,3 +429,11 @@ def test_gridfunction_shape_checked():
 def test_box_rejects_nontiling_spacing():
     with pytest.raises(ConfigurationError):
         Box((0.0,), 1.0, 0.3)
+
+
+def test_box_rejects_a_spacing_with_no_finite_cell_count():
+    # 1.0 / 2.5e-311 overflows to inf, which no grid can have; round() of it
+    # would raise OverflowError
+    with pytest.raises(ConfigurationError, match="finite number"):
+        Box((0.0,), 0.5, 2.5e-311)
+    assert Box((0.0,), 0.5, 2.0**-20).m == 2**20

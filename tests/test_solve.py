@@ -832,6 +832,39 @@ def _problem_2d(shape="cube", exterior=ExteriorRule.zero()):
     return prob, build_quadrature(2, 1.0, 0.125, 2.0)
 
 
+@pytest.mark.parametrize("budget_rows", [None, 7, 1], ids=["default", "7-rows", "row-by-row"])
+def test_2d_exterior_is_read_in_blocks_of_rows_bitwise_as_row_by_row(monkeypatch, budget_rows):
+    # a 2d cosine lattice at h 2^-3: (8 + 2J)^2 padded points, read in blocks
+    # of whole rows under EXTERIOR_POINTS; a budget of one point reads one row
+    # a call, which is the row-by-row build
+    from nlhomog.homog import _exterior_from_tag
+    cosine = _exterior_from_tag("cosine", 2)
+    calls = []
+
+    def counted(pts):
+        calls.append(len(pts))
+        return cosine.fn(pts)
+
+    prob, _ = _problem_2d(exterior=ExteriorRule(fn=counted, far=cosine.far))
+    quad = default_quadrature(prob.handle.fam, prob.domain)
+    monkeypatch.setattr(solve, "EXTERIOR_POINTS", 1)
+    by_row = solve._lattice(prob, quad)
+    side = by_row.m + 2 * by_row.J
+    assert calls == [side] * side
+    calls.clear()
+    if budget_rows is not None:
+        monkeypatch.setattr(solve, "EXTERIOR_POINTS", budget_rows * side + side // 2)
+    else:
+        monkeypatch.undo()
+    lat = solve._lattice(prob, quad)
+    rows = max(1, solve.EXTERIOR_POINTS // side)
+    assert len(calls) == -(-side // rows) and sum(calls) == side * side
+    assert max(calls) <= max(side, solve.EXTERIOR_POINTS)
+    assert lat.fixed.tobytes() == by_row.fixed.tobytes()
+    assert lat.fixed_corr.tobytes() == by_row.fixed_corr.tobytes()
+    assert np.any(lat.fixed != 0.0)
+
+
 @pytest.mark.parametrize("dim, shape", [(1, "cube"), (1, "ball"), (2, "cube"), (2, "ball")])
 def test_barrier_threshold_is_the_min_of_F_at_zero_on_the_active_cells(dim, shape):
     if dim == 1:
