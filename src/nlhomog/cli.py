@@ -23,7 +23,8 @@ from .env import EnvironmentSpec, sample_environment
 from .errors import CheckFailure, ConfigurationError, SolverError
 from .operators import Box
 from .solve import (
-    DirichletProblem, OperatorHandle, barrier_threshold, solve_dirichlet, solve_obstacle,
+    DirichletProblem, OperatorHandle, barrier_threshold, check_inverses, default_quadrature,
+    solve_dirichlet, solve_obstacle,
 )
 from .homog import (
     RowLog, abp_scaling_experiment, _frozen_lattices, _frozen_problem,
@@ -269,7 +270,7 @@ def load_config(path):
         if num["h"] is not None and num["h"] > exp["eps"] / 4.0 + 1e-12:
             raise ConfigurationError("h violates h <= eps/4 for the solve eps")
     tiny = [e for e in eps_list + [exp.get("eps", 1.0)] if e / 4.0 == 0.0]
-    if num["h"] is None and tiny:
+    if num["h"] is None and tiny and kind not in ("abp", "cmi"):  # those grids are PROBE_H
         raise ConfigurationError(f"eps {tiny} gives the grid spacing eps/4 = 0.0; set numerics.h")
     if "exterior" in exp and exp["exterior"] not in ("zero", "cosine"):
         raise ConfigurationError(f"unknown exterior tag {exp['exterior']!r}")
@@ -334,11 +335,14 @@ def _run_solve(resolved, spec, fam, log, workers):
     prob = DirichletProblem(handle=handle, domain=box, rhs=exp["rhs"],
                             exterior=_exterior_from_tag(exp["exterior"], spec.dim),
                             shape=exp["shape"])
+    if kind == "obstacle":
+        check_inverses([prob])  # before the table
+    quad = default_quadrature(fam, box, num["r_out_factor"])
     if kind == "solve":
-        u, d = solve_dirichlet(prob, tol=num["solver_tol"], r_out_factor=num["r_out_factor"])
+        u, d = solve_dirichlet(prob, tol=num["solver_tol"], quad=quad)
         fraction = ""
     else:
-        sol = solve_obstacle(prob, tol=num["solver_tol"], r_out_factor=num["r_out_factor"])
+        sol = solve_obstacle(prob, tol=num["solver_tol"], quad=quad)
         u, d, fraction = sol.u, sol.diagnostics, sol.fraction
     sup = float(np.max(np.abs(u)))
     log.add(kind, eps=eps, seed=seed, l=exp["rhs"], contact_fraction=fraction,

@@ -420,11 +420,11 @@ def corrector_decay_profile(phi, x0, level, eps_list, seed,
     env = sample_environment(spec, seed=seed)
     problems = [_frozen_problem(phi, x0, level, eps, env, fam, (eps / 4.0) if h is None else h,
                                 domain_half=1.0, shape="ball") for eps in eps_list]
-    for prob in problems:  # every grid before the first solve
-        check_grid(prob.domain, r_out_factor)
+    check_grid(problems[-1].domain, r_out_factor)  # the finest grid, before the first solve
     sups = []
     for eps, prob in zip(eps_list, problems):
-        w, d = solve_dirichlet(prob, tol=tol, r_out_factor=r_out_factor)
+        quad = default_quadrature(fam, prob.domain, r_out_factor)
+        w, d = solve_dirichlet(prob, tol=tol, quad=quad)
         sup = float(np.max(np.abs(w)))
         sups.append(sup)
         if log is not None:

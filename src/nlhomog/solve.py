@@ -192,7 +192,7 @@ MAX_DENSE_BYTES = 2**30
 EXTERIOR_POINTS = 2**13  # most points one call of an exterior rule reads
 
 
-def check_grid(box: Box, r_out_factor: float = 8.0):
+def check_grid(box: Box, r_out_factor: float):
     """The radius of `box`'s `default_quadrature` table, or ConfigurationError
     if the grid, padded by the J cells the table reaches past each face, has
     more than MAX_GRID_POINTS points (a count past it reads inf).  Allocates nothing."""
@@ -739,15 +739,14 @@ class _Lattice2D(_Lattice):
 
 
 def _lattice(problem: DirichletProblem, quad: QuadratureTable | None,
-             frozen_moment=None, shared=None, r_out_factor=8.0):
+             frozen_moment=None, shared=None):
     """Lattice of a problem; frozen_moment, if given, is unit_moment of its frozen profile on quad.
 
     `shared`, a list kept by the caller for lattices of this one table, lets
     them share each bitwise-distinct exterior array and its correlation.
-    Without quad, the table is the problem's default at r_out_factor.
     """
     if quad is None:
-        quad = default_quadrature(problem.handle.fam, problem.domain, r_out_factor)
+        quad = default_quadrature(problem.handle.fam, problem.domain)
     cls = _Lattice1D if problem.domain.dim == 1 else _Lattice2D
     return cls(problem, quad, frozen_moment, shared)
 
@@ -776,7 +775,7 @@ def _result(lat, obstacle, method, out, tol, wall_ms=0.0, pinned=False):
 
 
 def solve_dirichlet(problem: DirichletProblem, tol: float = 1e-6,
-                    quad: QuadratureTable | None = None, fixed_sweeps=None, r_out_factor=8.0):
+                    quad: QuadratureTable | None = None, fixed_sweeps=None):
     """Solve F(u) = rhs in the domain with exterior data outside.
 
     Returns (values, SolveDiagnostics), values the array of shape (m,) * dim
@@ -784,17 +783,17 @@ def solve_dirichlet(problem: DirichletProblem, tol: float = 1e-6,
     (unless fixed_sweeps pins the work).  This is `solve_dirichlet_many` of
     one problem.
     """
-    return solve_dirichlet_many([problem], tol, quad, fixed_sweeps, r_out_factor)[0]
+    return solve_dirichlet_many([problem], tol, quad, fixed_sweeps)[0]
 
 
 def solve_dirichlet_many(problems, tol: float = 1e-6,
-                         quad: QuadratureTable | None = None, fixed_sweeps=None, r_out_factor=8.0):
+                         quad: QuadratureTable | None = None, fixed_sweeps=None):
     """`solve_dirichlet` of each problem, with one solve for the whole grid.
 
-    The problems must share the grid and the active mask, and are solved on
-    the one table `quad` (the first problem's default at r_out_factor when
-    None), or ConfigurationError.  Their lattices read the table's stencil
-    and share one correlation per bitwise-distinct padded exterior array.  Those on
+    The problems must share the grid and the active mask, and are solved
+    on the one table `quad` (the first problem's default when None), or
+    ConfigurationError.  Their lattices read the table's stencil and share
+    one correlation per bitwise-distinct padded exterior array.  Those on
     the newton engine share K, so one Levinson solve on K's first column takes
     every column of B = [e_i - t_i], in batch order, in O(m n) memory.  A
     column's solution depends on that column alone (`_toeplitz_solve`), so
@@ -808,7 +807,7 @@ def solve_dirichlet_many(problems, tol: float = 1e-6,
     if not problems:
         return []
     if quad is None:
-        quad = default_quadrature(problems[0].handle.fam, problems[0].domain, r_out_factor)
+        quad = default_quadrature(problems[0].handle.fam, problems[0].domain)
     lats, cols, walls, shared = [], {}, [], []
     for i, problem in enumerate(problems):
         t0 = time.perf_counter()
@@ -845,7 +844,7 @@ def solve_dirichlet_many(problems, tol: float = 1e-6,
 
 def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6,
                    quad: QuadratureTable | None = None, init=None, fixed_sweeps=None,
-                   lattice=None, system=None, r_out_factor=8.0) -> ObstacleSolution:
+                   lattice=None, system=None) -> ObstacleSolution:
     """Least nonnegative supersolution: max(F(U) - rhs, -U) = 0.
 
     Every projection writes exact zeros, so the contact mask is literally
@@ -860,15 +859,13 @@ def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6,
     on the contact block), the others solves on the free block; K stays a
     view, so a step copies only the rows it multiplies and the block it
     factors; a newton solve not handed `system` runs `check_inverses` first.
-    Without `quad` or `lattice` the table is the default at r_out_factor.
     wall_ms includes building the lattice and the system, or re-leveling the
     lattice.
     """
     t0 = time.perf_counter()
     if system is None and fixed_sweeps is None:
         check_inverses([problem])
-    lat = (_lattice(problem, quad, r_out_factor=r_out_factor) if lattice is None
-           else lattice.at_level(problem))
+    lat = _lattice(problem, quad) if lattice is None else lattice.at_level(problem)
     if lat.linear and fixed_sweeps is None:
         method, out = "newton", lat.newton_solve(init, system)
     else:

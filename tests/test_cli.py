@@ -781,6 +781,14 @@ def test_eps_whose_default_spacing_underflows_exits_2(tmp_path, capsys, kind, ov
     assert err["type"] == "ConfigurationError" and "eps/4 = 0.0" in err["message"]
 
 
+def test_eps_that_underflows_leaves_abp_alone(tmp_path):
+    # abp reads no eps: its grid is PROBE_H, so eps_list [1e-323] runs as before
+    cfg = write_config(tmp_path, kind="abp", environment={"kernel_class": "a"},
+                       numerics={"eps_list": [1e-323]},
+                       experiment={"amplitudes": [1.0, 2.0], "supports": [0.5, 0.125]})
+    assert main(["run", str(cfg)]) == 0
+
+
 @pytest.mark.parametrize("kind, experiment", [
     ("solve", {}), ("effective", {"phi_index": 4}), ("corrector", {"phi_index": 4, "level": 1.0}),
 ], ids=["solve", "effective", "corrector"])
