@@ -267,6 +267,8 @@ def load_config(path):
     if "eps" in exp:
         exp["eps"] = (_number(exp["eps"], "experiment.eps")
                       if exp["eps"] is not None else eps_list[0])
+        if not 0.0 < exp["eps"] <= 1.0:
+            raise ConfigurationError(f"experiment.eps must lie in (0, 1], got {exp['eps']}")
         if num["h"] is not None and num["h"] > exp["eps"] / 4.0 + 1e-12:
             raise ConfigurationError("h violates h <= eps/4 for the solve eps")
     tiny = [e for e in eps_list + [exp.get("eps", 1.0)] if e / 4.0 == 0.0]

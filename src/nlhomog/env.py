@@ -8,10 +8,19 @@ under arbitrary translations; `translate` composes the shift, which keeps
 the translation identity exact in floating point whenever the queried
 points and shifts are binary rationals (grids, scales, and sampled shifts
 in this package all are).
+
+A draw is a pure function of its counter (stream, folded cell, branch,
+channel), so the field functions read a batch of environments of one spec
+at once: each distinct (stream, folded cell) that the batch's points
+interpolate is hashed once per channel, and every point is interpolated
+from the gathered draws with the arithmetic of a call of its own, so each
+item of a batch is the bits of its batch of one.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -138,8 +147,9 @@ class EnvironmentSpec:
             raise ConfigurationError(f"unknown interpolation {self.interpolation!r}")
         if self.layout not in ("iid", "periodic"):
             raise ConfigurationError(f"unknown layout {self.layout!r}")
-        if self.layout == "periodic" and self.period < 1:
-            raise ConfigurationError("period must be >= 1")
+        if self.layout == "periodic" and not 1 <= self.period < 2**63:
+            # cell indices are int64, and they are folded modulo the period
+            raise ConfigurationError(f"period must lie in [1, 2**63), got {self.period}")
         if self.cell != 1.0:
             raise ConfigurationError("cell edge is fixed at 1.0")
         return self
@@ -205,44 +215,41 @@ def _stream(env):
     return _U64(env.seed)
 
 
-def _fold_cells(env, cells):
-    if env.spec.layout == "periodic":
-        return np.mod(cells, env.spec.period)
+def _fold_cells(spec, cells):
+    if spec.layout == "periodic":
+        return np.mod(cells, spec.period)
     return cells
 
 
-def _draw_scalar(env, alpha, beta, cells, channel, lo, hi):
-    u = _cell_uniforms(_stream(env), _fold_cells(env, cells), alpha, beta, channel)
-    return lo + u * (hi - lo)
+def _draw_scalar(stream, cells, alpha, beta, channel, lo, hi):
+    return lo + _cell_uniforms(stream, cells, alpha, beta, channel) * (hi - lo)
 
 
 def _branch_shape(alpha, beta):
     return np.broadcast_shapes(np.shape(alpha), np.shape(beta))
 
 
-def _scalar_cells(env, alpha, beta, cells, which):
+def _scalar_cells(spec, stream, cells, alpha, beta, which):
     """Per-cell scalar draws, shape (N,) + S. which: 'coeff' or 'forcing'."""
-    spec = env.spec
     shape = cells.shape[:1] + _branch_shape(alpha, beta)
     if which == "coeff":
         if spec.coeff_law == "fixed":
             return np.full(shape, float(spec.coeff_value))
-        return _draw_scalar(env, alpha, beta, cells, _CH_COEFF, spec.lam, spec.lam_big)
+        return _draw_scalar(stream, cells, alpha, beta, _CH_COEFF, spec.lam, spec.lam_big)
     if spec.forcing_law == "fixed":
         return np.full(shape, float(spec.forcing_value))
-    return _draw_scalar(
-        env, alpha, beta, cells, _CH_FORCING, -spec.f_bound, spec.f_bound
-    )
+    return _draw_scalar(stream, cells, alpha, beta, _CH_FORCING, -spec.f_bound, spec.f_bound)
 
 
-def _matrix_cells(env, alpha, beta, cells):
+def _matrix_cells(spec, stream, cells, alpha, beta):
     """Per-cell symmetric 2x2 draws for the matrix ("a") class in 2d, shape
     (N,) + S + (2, 2).
 
     Eigenvalues are uniform in [lam/2, lam_big] so the trace is >= lam and
     the top eigenvalue is <= lam_big; the eigenbasis angle is uniform.
     """
-    spec = env.spec
+    if spec.kernel_class != "a" or spec.dim != 2:
+        raise ConfigurationError("matrix_field applies to the 2d matrix class only")
     if spec.coeff_law == "fixed":
         a = float(spec.coeff_value)
         out = np.zeros(cells.shape[:1] + _branch_shape(alpha, beta) + (2, 2))
@@ -250,9 +257,9 @@ def _matrix_cells(env, alpha, beta, cells):
         out[..., 1, 1] = a
         return out
     lo = spec.lam / 2.0
-    mu1 = _draw_scalar(env, alpha, beta, cells, _CH_COEFF, lo, spec.lam_big)
-    mu2 = _draw_scalar(env, alpha, beta, cells, _CH_EIG2, lo, spec.lam_big)
-    th = _draw_scalar(env, alpha, beta, cells, _CH_ANGLE, 0.0, np.pi)
+    mu1 = _draw_scalar(stream, cells, alpha, beta, _CH_COEFF, lo, spec.lam_big)
+    mu2 = _draw_scalar(stream, cells, alpha, beta, _CH_EIG2, lo, spec.lam_big)
+    th = _draw_scalar(stream, cells, alpha, beta, _CH_ANGLE, 0.0, np.pi)
     c, s = np.cos(th), np.sin(th)
     out = np.empty(mu1.shape + (2, 2))
     out[..., 0, 0] = mu1 * c * c + mu2 * s * s
@@ -262,71 +269,115 @@ def _matrix_cells(env, alpha, beta, cells):
     return out
 
 
-def _interp(env, w, draw):
-    """Evaluate per-cell draws at warped positions w, honoring the
-    environment's interpolation flag.
+def _corners(spec, w):
+    """The cells that interpolate the warped positions w, as a list of
+    (cells, weights) with weights None for the one cell of "constant".
 
-    draw(cells) must return an array whose first axis runs over cells;
-    multilinear blending treats draws as values at cell centers.
+    Multilinear blending treats draws as values at cell centers: 2^dim
+    corners, each weighted by the product over the axes of t or 1 - t.
     """
-    if env.spec.interpolation == "constant":
-        return draw(np.floor(w).astype(np.int64))
+    if spec.interpolation == "constant":
+        return [(np.floor(w).astype(np.int64), None)]
     base = np.floor(w - 0.5).astype(np.int64)
     t = (w - 0.5) - base  # in [0,1), exact for binary-rational inputs
     dim = w.shape[1]
-    acc = None
+    corners = []
     for corner in range(2**dim):
         offs = np.array([(corner >> a) & 1 for a in range(dim)], dtype=np.int64)
-        vals = draw(base + offs)
         wt = np.ones(w.shape[0])
         for a in range(dim):
             wt = wt * (t[:, a] if offs[a] else (1.0 - t[:, a]))
-        if vals.ndim > 1:
-            wt = wt.reshape((-1,) + (1,) * (vals.ndim - 1))
-        acc = vals * wt if acc is None else acc + vals * wt
-    return acc
+        corners.append((base + offs, wt))
+    return corners
 
 
-# The fields below take the branch (alpha, beta) as two integers, or as two
-# integer arrays of one broadcast shape S for the fields of many branches
-# in one call (a call costs about the same for one branch as for all, so a
-# lattice reads each field once); the values then have shape S + (N,).
+def _distinct(cells):
+    """The distinct rows of cells (R, dim), and `inverse`, with
+    distinct[inverse] giving back every row.
 
-def _branches_first(env, alpha, beta, x, draw):
-    """_interp of draw(cells) at x, with the branch axes S moved in front."""
-    _check_branch(env, alpha, beta)
-    vals = _interp(env, _warp(env, x), draw)
-    return np.ascontiguousarray(np.moveaxis(vals, 0, len(_branch_shape(alpha, beta))))
+    A row is packed into one int64 key, its offset from min(0, lowest cell)
+    on each axis, when every key fits (any grid does); rows spread wider
+    than that are compared whole.
+    """
+    low = cells.min(axis=0, initial=0)
+    spans = [int(high) - int(lo) + 1 for lo, high in zip(low, cells.max(axis=0, initial=0))]
+    if math.prod(spans) <= 2**63:
+        key = np.zeros(len(cells), dtype=np.int64)
+        for axis, span in enumerate(spans):
+            key = key * span + (cells[:, axis] - low[axis])
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(cells, axis=0, return_index=True, return_inverse=True)
+    return cells[first], inverse.ravel()
 
 
-def multiplier_field(env: Environment, alpha, beta, x) -> np.ndarray:
+# The fields below read one environment, or a batch of environments of one
+# spec.  For one, `env` is an Environment and x its points (N, dim); for a
+# batch, `env` is a sequence of environments and x a sequence of point
+# arrays, one each.  The branch (alpha, beta) is two integers, or two integer
+# arrays of one broadcast shape S for the fields of many branches in one
+# call.  The values at one environment's points have shape S + (N,), and a
+# batch gives the list of them.  A call hashes each distinct (stream, folded
+# cell) that its points interpolate once per channel, one stream at a time,
+# and the values at every point are the same bits as in a call of their
+# own, so a batch of lattices reads each field once for all its
+# environments and branches.
+
+def _field(env, alpha, beta, x, draw):
+    """draw(spec, stream, cells, alpha, beta) interpolated at the points x
+    of env, one environment or a batch, with the branch axes S in front."""
+    single = isinstance(env, Environment)
+    envs, xs = ([env], [x]) if single else (list(env), list(x))
+    if not envs:
+        return []
+    spec = envs[0].spec
+    if len(xs) != len(envs) or any(e.spec != spec for e in envs):
+        raise ConfigurationError("a batch reads environments of one spec, "
+                                 "with one point array each")
+    _check_branch(spec, alpha, beta)
+    ws = [_warp(e, xi) for e, xi in zip(envs, xs)]
+    streams = {}  # the items of each stream, which share its draws
+    for i, e in enumerate(envs):
+        streams.setdefault(int(_stream(e)), []).append(i)
+    front = len(_branch_shape(alpha, beta))
+    out = [None] * len(envs)
+    for stream, items in streams.items():
+        corners = _corners(spec, np.concatenate([ws[i] for i in items]))
+        cells, inverse = _distinct(_fold_cells(spec, np.concatenate([c for c, _ in corners])))
+        vals = np.split(draw(spec, _U64(stream), cells, alpha, beta)[inverse], len(corners))
+        acc = None
+        for v, (_, wt) in zip(vals, corners):
+            if wt is not None:
+                v = v * wt.reshape((-1,) + (1,) * (v.ndim - 1))
+            acc = v if acc is None else acc + v
+        for i, part in zip(items, np.split(acc, np.cumsum([len(ws[i]) for i in items])[:-1])):
+            out[i] = np.ascontiguousarray(np.moveaxis(part, 0, front))
+    return out[0] if single else out
+
+
+def multiplier_field(env, alpha, beta, x):
     """Scalar kernel multipliers at points x, shape S + (N,).
 
     Valid for the "cs" class in any dimension and the "a" class in 1d.
     """
-    return _branches_first(env, alpha, beta, x,
-                           lambda cells: _scalar_cells(env, alpha, beta, cells, "coeff"))
+    return _field(env, alpha, beta, x, functools.partial(_scalar_cells, which="coeff"))
 
 
-def matrix_field(env: Environment, alpha, beta, x) -> np.ndarray:
+def matrix_field(env, alpha, beta, x):
     """Symmetric-matrix coefficients at points x, shape S + (N, 2, 2). 2d "a" class."""
-    if env.spec.kernel_class != "a" or env.dim != 2:
-        raise ConfigurationError("matrix_field applies to the 2d matrix class only")
-    return _branches_first(env, alpha, beta, x,
-                           lambda cells: _matrix_cells(env, alpha, beta, cells))
+    return _field(env, alpha, beta, x, _matrix_cells)
 
 
-def forcing_field(env: Environment, alpha, beta, x) -> np.ndarray:
+def forcing_field(env, alpha, beta, x):
     """Forcing values at points x, shape S + (N,)."""
-    return _branches_first(env, alpha, beta, x,
-                           lambda cells: _scalar_cells(env, alpha, beta, cells, "forcing"))
+    return _field(env, alpha, beta, x, functools.partial(_scalar_cells, which="forcing"))
 
 
-def _check_branch(env, alpha, beta):
+def _check_branch(spec, alpha, beta):
     alpha, beta = np.asarray(alpha), np.asarray(beta)
-    if not (np.all((0 <= alpha) & (alpha < env.spec.n_alpha))
-            and np.all((0 <= beta) & (beta < env.spec.n_beta))):
+    if not (np.all((0 <= alpha) & (alpha < spec.n_alpha))
+            and np.all((0 <= beta) & (beta < spec.n_beta))):
         raise ConfigurationError(
             f"branch ({alpha},{beta}) outside index sets "
-            f"{env.spec.n_alpha}x{env.spec.n_beta}"
+            f"{spec.n_alpha}x{spec.n_beta}"
         )

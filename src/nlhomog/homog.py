@@ -14,7 +14,9 @@ Each problem runs the engine its lattice picks (see `solve`), on a table
 from `default_quadrature`.
 The frozen problems of one m-bar estimate or one effective-level bisection
 share their level-free parts, built on the calling thread before any solve
-(`_FrozenSystems`) and dropped when the call returns: per eps the table
+(`_FrozenSystems`) and dropped when the call returns: each seed's
+environment, sampled once; per eps the lattices of one batch, which read
+the fields of every seed in one call per field, the table
 with its stencil, the frozen moment, one exterior correlation and the
 linear engine's (K, e, G) -- K a read-only Toeplitz view over 2m - 1
 values and G = inv(K) from Trench's recurrence, the one m x m array --
@@ -39,7 +41,10 @@ Dirichlet problems that share a grid are solved as one batch
 sweeps are one batch each.  The convergence harness makes one batch of all
 the problems that share K, so a 1d run is one batch and runs on the
 calling thread; a sweep-engine (2d) run makes one batch per eps, the
-translated route joining the largest, and maps them the same way.
+translated route joining the largest, and maps them the same way.  A batch
+samples each seed's environment once and builds one exterior rule per
+distinct offset, so its lattices read the fields in one call per field and
+evaluate each exterior once: the plain one, and the translated route's.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ from .solve import (
     solve_dirichlet,
     solve_dirichlet_many,
     solve_obstacle,
-    _lattice,
+    _lattices,
 )
 
 __all__ = [
@@ -208,11 +213,11 @@ def _frozen_problem(phi, x0, level, eps, env, fam, h, *, domain_half=0.5,
 
 
 def _frozen_lattices(problems, r_out_factor):
-    """Lattices of one eps's frozen problems, sharing one table, frozen moment and correlation."""
+    """Lattices of one eps's frozen problems, one batch sharing one table,
+    frozen moment and exterior correlation."""
     first = problems[0]
     quad = default_quadrature(first.handle.fam, first.domain, r_out_factor)
-    moment, shared = unit_moment(*first.handle.frozen, quad), []
-    return [_lattice(prob, quad, moment, shared) for prob in problems]
+    return _lattices(problems, quad, unit_moment(*first.handle.frozen, quad))
 
 
 class _FrozenSystems:
@@ -238,9 +243,11 @@ class _FrozenSystems:
         self.lattices = {}   # (eps, seed) -> lattice at level 0
         self.assembled = {}  # eps -> (K view, e, G = inv(K)) of the linear engine
         self.warm = {}       # (eps, seed) -> solution at the previous level
-        # per eps, the level-zero problem of each seed (h defaults to eps/4)
-        problems = {eps: [_frozen_problem(phi, x0, 0.0, eps, sample_environment(spec, seed=seed),
-                                          fam, (eps / 4.0) if h is None else h) for seed in seeds]
+        # per eps, the level-zero problem of each seed (h defaults to eps/4),
+        # all on each seed's one sampled environment
+        envs = [sample_environment(spec, seed=seed) for seed in seeds]
+        problems = {eps: [_frozen_problem(phi, x0, 0.0, eps, env, fam,
+                                          (eps / 4.0) if h is None else h) for env in envs]
                     for eps in sorted(set(eps_list))}
         for probs in problems.values():
             check_grid(probs[0].domain, r_out_factor)
@@ -570,19 +577,25 @@ def _converge_group(shared, group):
 
     The group's items (seed, eps, shift) share the grid, the table and the
     active mask; shift None is the plain route, else the translated route
-    (shifted environment, shifted domain and data).  Returns (values,
-    iterations, residual, wall_ms) per item.
+    (shifted environment, shifted domain and data).  Each seed's environment
+    is sampled once and each distinct offset of the exterior data gets one
+    rule, which the batch evaluates once.  Returns (values, iterations,
+    residual, wall_ms) per item.
     """
     spec, fam, box, far, tol, quad = shared
-    problems = []
+    envs, exteriors, problems = {}, {}, []
     for seed, eps, shift in group:
-        env = sample_environment(spec, seed=seed)
-        domain = box
+        if seed not in envs:
+            envs[seed] = sample_environment(spec, seed=seed)
+        env, domain, offset = envs[seed], box, 0.0
         if shift is not None:
             env = translate(env, np.full(spec.dim, shift))
             domain = Box(center=tuple(c - eps * shift for c in box.center),
                          half=box.half, h=box.h)
-        g = _exterior_from_tag(far, spec.dim, eps * shift if shift is not None else 0.0)
+            offset = eps * shift
+        if offset not in exteriors:
+            exteriors[offset] = _exterior_from_tag(far, spec.dim, offset)
+        g = exteriors[offset]
         problems.append(DirichletProblem(handle=OperatorHandle(fam=fam, env=env, eps=eps),
                                          domain=domain, rhs=0.0, exterior=g, shape="cube"))
     return [(u, d.iterations, d.residual, d.wall_ms)

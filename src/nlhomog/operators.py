@@ -70,6 +70,16 @@ class Box:
 
 
 @dataclass(frozen=True)
+class _Constant:
+    """The values of a constant exterior rule, equal by value."""
+
+    value: float
+
+    def __call__(self, pts):
+        return np.full(np.shape(pts)[0], self.value)
+
+
+@dataclass(frozen=True)
 class ExteriorRule:
     """Values of a function outside its grid box.
 
@@ -82,8 +92,9 @@ class ExteriorRule:
 
     @staticmethod
     def constant(value: float) -> "ExteriorRule":
+        """The constant rule; two of one value are equal, so a batch reads them once."""
         v = float(value)
-        return ExteriorRule(fn=lambda pts: np.full(np.shape(pts)[0], v), far=v)
+        return ExteriorRule(fn=_Constant(v), far=v)
 
     @staticmethod
     def zero() -> "ExteriorRule":

@@ -15,9 +15,13 @@ other levels make of it share its arrays.  Its one padded array holds the
 exterior data on the grid and J ghost nodes past each face, with the active
 cells zeroed.  The correlation of that array is fixed per exterior, so an
 evaluation, on its own copy of the values, correlates only the active values
-with the central taps.  Every lattice reads its table's stencil; those of
-one `shared` list (a Dirichlet batch, or the frozen problems of one eps)
-share one padded array and correlation per bitwise-distinct array.  Each
+with the central taps.  Every lattice reads its table's stencil.  Lattices
+are built in batches on one table (`_lattices`: a Dirichlet batch, the
+frozen problems of one eps, or a single problem as a batch of one).  A
+batch reads the fields of all its environments in one call per field
+(`env`), and evaluates and correlates each distinct exterior, an equal
+(rule, box, shape), once; its lattices share that padded array and
+correlation.  Each
 dimension keeps its correlation and its moment formula: in 1d one
 symmetric stencil, giving the unit moment (and, for the pointwise extremal
 of the "cs" class, the positive and negative moments); in 2d three
@@ -250,8 +254,7 @@ class _Lattice:
     """
 
     def __init__(self, problem: DirichletProblem, quad: QuadratureTable,
-                 frozen_moment=None, shared=None):
-        problem.validate()
+                 frozen_moment, fields, exteriors):
         box, handle = problem.domain, problem.handle
         if box.dim != self.dim:
             raise ConfigurationError(f"{type(self).__name__} is {self.dim}-dimensional")
@@ -278,20 +281,16 @@ class _Lattice:
         if self.dim == 1 and not self.linear:
             _check_dense(16.0 * self.m * self.J, "the pointwise cs extremal's moments hold "
                          f"two m x J buffers of 8 bytes an entry, m = {self.m}, J = {self.J}")
-        # `shared` is a list that the lattices of one table fill and read
-        self._read_exterior([] if shared is None else shared)
+        self._read_exterior(exteriors)
         self.D0 = 2.0 * quad.w_total + 2.0 * quad.c_near / self.h**2 + 2.0 * quad.tail
         self.kind = "extremal" if handle.extremal_sign != 0 else "branch"
         self.is_matrix = handle.fam.kind == "a" and self.dim == 2
         shape = self.active.shape
         if self.kind == "branch":
-            env = handle.env
-            na, nb = env.spec.n_alpha, env.spec.n_beta
-            P = np.column_stack([X.ravel() for X in nodes]) / handle.eps
-            field, per_node = (matrix_field, (2, 2)) if self.is_matrix else (multiplier_field, ())
-            alpha, beta = np.indices((na, nb))  # every branch in one field call
-            coeff = field(env, alpha, beta, P).reshape((na, nb) + shape + per_node)
-            self.forc = forcing_field(env, alpha, beta, P).reshape((na, nb) + shape)
+            branches = (handle.env.spec.n_alpha, handle.env.spec.n_beta)
+            coeff, forc = fields
+            coeff = coeff.reshape(branches + shape + ((2, 2) if self.is_matrix else ()))
+            self.forc = forc.reshape(branches + shape)
             if handle.frozen is not None:
                 if frozen_moment is None:
                     phi, x0 = handle.frozen
@@ -340,18 +339,24 @@ class _Lattice:
         lat.rhs = self._rhs_grid(problem.rhs)
         return lat
 
-    def _read_exterior(self, shared):
+    def _read_exterior(self, exteriors):
         """`fixed`, the exterior data on the grid and J ghost nodes past each
         face with the active cells zeroed, and its correlation `fixed_corr`.
 
-        The exterior rule is evaluated on blocks of consecutive ghost rows, at
-        most EXTERIOR_POINTS points (or one row) a block, into `fixed`, so no
-        point list of the whole padded grid is built.  `shared` holds
-        one (fixed, fixed_corr) pair per bitwise-distinct `fixed`; a lattice
-        whose `fixed` matches a held one takes that pair, so equal exterior
-        data are correlated once.
+        `exteriors` is the dict of the lattices of one batch, keyed by
+        (exterior rule, box, shape): a lattice whose key is held takes that
+        (fixed, fixed_corr) pair, so each distinct exterior is evaluated and
+        correlated once a batch.  Otherwise the rule is evaluated on blocks
+        of consecutive ghost rows, at most EXTERIOR_POINTS points (or one
+        row) a block, into `fixed`, so no point list of the whole padded
+        grid is built.
         """
         box, exterior = self.problem.domain, self.problem.exterior
+        self.far = exterior.far
+        key = (exterior, tuple(box.center), box.half, box.h, self.problem.shape)
+        if key in exteriors:
+            self.fixed, self.fixed_corr = exteriors[key]
+            return
         ghost = [c - box.half + (np.arange(-self.J, self.m + self.J) + 0.5) * self.h
                  for c in box.center]
         fixed = np.empty(tuple(g.size for g in ghost))
@@ -364,15 +369,7 @@ class _Lattice:
                 pts[..., 0] = ghost[0][a:a + block, None]
             rows[a:a + block] = exterior.fn(pts.reshape(-1, self.dim)).reshape(len(pts), -1)
         fixed[(slice(self.J, self.J + self.m),) * self.dim][self.active] = 0.0
-        self.far = exterior.far
-        bits = fixed.view(np.int64)
-        for held in shared:
-            if np.array_equal(held[0].view(np.int64), bits):
-                break
-        else:
-            held = (fixed, self._correlate(fixed, self.kern))
-            shared.append(held)
-        self.fixed, self.fixed_corr = held
+        self.fixed, self.fixed_corr = exteriors[key] = fixed, self._correlate(fixed, self.kern)
 
     def _near_corr(self, u):
         """Correlation of the active values of u with the central taps;
@@ -738,17 +735,49 @@ class _Lattice2D(_Lattice):
         return self.branch_infsup(slot), self.diag
 
 
-def _lattice(problem: DirichletProblem, quad: QuadratureTable | None,
-             frozen_moment=None, shared=None):
-    """Lattice of a problem; frozen_moment, if given, is unit_moment of its frozen profile on quad.
+def _read_fields(problems):
+    """(coefficients, forcing) of each branch problem, None for the others,
+    at its grid's nodes / eps for every branch: one call of each field
+    function per environment spec and class, for all its problems."""
+    fields = [None] * len(problems)
+    groups = {}
+    for i, problem in enumerate(problems):
+        handle = problem.handle
+        if handle.extremal_sign == 0:
+            groups.setdefault((handle.env.spec, handle.fam.kind), []).append(i)
+    for (spec, kind), batch in groups.items():
+        envs = [problems[i].handle.env for i in batch]
+        points = [problems[i].domain.nodes() / problems[i].handle.eps for i in batch]
+        alpha, beta = np.indices((spec.n_alpha, spec.n_beta))
+        coeff = matrix_field if kind == "a" and spec.dim == 2 else multiplier_field
+        for i, *pair in zip(batch, coeff(envs, alpha, beta, points),
+                            forcing_field(envs, alpha, beta, points)):
+            fields[i] = pair
+    return fields
 
-    `shared`, a list kept by the caller for lattices of this one table, lets
-    them share each bitwise-distinct exterior array and its correlation.
+
+def _lattices(problems, quad: QuadratureTable | None = None, frozen_moment=None):
+    """Lattices of a batch of problems on one table (the first problem's
+    default when None); frozen_moment, if given, is unit_moment of their
+    frozen profile on quad.
+
+    The batch reads its environment fields once (`_read_fields`), and each
+    distinct exterior once (`_Lattice._read_exterior`).
     """
+    problems = list(problems)
+    for problem in problems:
+        problem.validate()
     if quad is None:
-        quad = default_quadrature(problem.handle.fam, problem.domain)
-    cls = _Lattice1D if problem.domain.dim == 1 else _Lattice2D
-    return cls(problem, quad, frozen_moment, shared)
+        quad = default_quadrature(problems[0].handle.fam, problems[0].domain)
+    exteriors = {}
+    return [(_Lattice1D if problem.domain.dim == 1 else _Lattice2D)(
+                problem, quad, frozen_moment, fields, exteriors)
+            for problem, fields in zip(problems, _read_fields(problems))]
+
+
+def _lattice(problem: DirichletProblem, quad: QuadratureTable | None = None):
+    """Lattice of one problem: `_lattices` of a batch of one."""
+    return _lattices([problem], quad)[0]
 
 
 def _result(lat, obstacle, method, out, tol, wall_ms=0.0, pinned=False):
@@ -792,51 +821,48 @@ def solve_dirichlet_many(problems, tol: float = 1e-6,
 
     The problems must share the grid and the active mask, and are solved
     on the one table `quad` (the first problem's default when None), or
-    ConfigurationError.  Their lattices read the table's stencil and share
-    one correlation per bitwise-distinct padded exterior array.  Those on
-    the newton engine share K, so one Levinson solve on K's first column takes
-    every column of B = [e_i - t_i], in batch order, in O(m n) memory.  A
-    column's solution depends on that column alone (`_toeplitz_solve`), so
-    equal columns get equal solutions wherever they sit in the batch.
-    Each column is certified with its own lattice's residual and raises
-    SolverError if it misses tol.  Sweep problems are solved one by one,
-    from zero.  A newton problem's wall_ms is its own lattice build, load
-    and residual check plus 1/n of the shared solve.
+    ConfigurationError.  Their lattices are one batch (`_lattices`): they
+    read the table's stencil, the environment fields of one call per field,
+    and one padded array and correlation per distinct exterior.  Those on
+    the newton engine share K, so one Levinson solve on K's first column
+    takes every column of B = [e_i - t_i], in batch order, in O(m n) memory;
+    the load e is computed once per distinct exterior.  A column's solution
+    depends on that column alone (`_toeplitz_solve`), so equal columns get
+    equal solutions wherever they sit in the batch.  Each column is
+    certified with its own lattice's residual and raises SolverError if it
+    misses tol.  Sweep problems are solved one by one, from zero.  A
+    problem's wall_ms is its own sweeps, or residual check, plus 1/n of the
+    batch's build, loads and shared solve.
     """
     problems = list(problems)
     if not problems:
         return []
-    if quad is None:
-        quad = default_quadrature(problems[0].handle.fam, problems[0].domain)
-    lats, cols, walls, shared = [], {}, [], []
-    for i, problem in enumerate(problems):
-        t0 = time.perf_counter()
-        lat = _lattice(problem, quad, shared=shared)
-        if lat.linear and fixed_sweeps is None:
-            cols[i] = lat.load() - lat.threshold()
-        lats.append(lat)
-        walls.append(time.perf_counter() - t0)
+    t0 = time.perf_counter()
+    lats = _lattices(problems, quad)
     first = lats[0]
     if any(lat.m != first.m or lat.h != first.h or not np.array_equal(lat.active, first.active)
            for lat in lats):
         raise ConfigurationError("batched Dirichlet problems must share the grid "
                                  "and the active mask")
-    solved, share = {}, 0.0
+    loads, cols = {}, {}
+    for i, lat in enumerate(lats):
+        if lat.linear and fixed_sweeps is None:
+            if id(lat.fixed) not in loads:  # one per distinct exterior
+                loads[id(lat.fixed)] = lat.load()
+            cols[i] = loads[id(lat.fixed)] - lat.threshold()
     if cols:
-        t0 = time.perf_counter()
         U = _toeplitz_solve(lats[next(iter(cols))].column(), list(cols.values()))
         solved = dict(zip(cols, U))
-        share = (time.perf_counter() - t0) / len(cols)
+    share = (time.perf_counter() - t0) / len(lats)
     results = []
     for i, lat in enumerate(lats):
         t0 = time.perf_counter()
-        if i in solved:
+        if i in cols:
             vals = solved[i]
             method, out = "newton", (vals, 1, [lat.residual(vals, False)])
-            walls[i] += share
         else:
             method, out = "sweeps", lat.sweep_solve(False, tol, fixed_sweeps)
-        wall_ms = (walls[i] + time.perf_counter() - t0) * 1e3
+        wall_ms = (share + time.perf_counter() - t0) * 1e3
         results.append(_result(lat, False, method, out, tol, wall_ms,
                                pinned=fixed_sweeps is not None))
     return results

@@ -585,19 +585,41 @@ def test_missing_subcommand_is_an_argparse_error():
      "numerics": {"h": 2.0**-4}, "experiment": {"conjecture_cs": True}},
     {"numerics": {"richardson": "no"}},
     {"numerics": {"richardson": False}},  # an old replay file carries the key
+    {"environment": {"layout": "periodic", "period": 2**63}},
+    {"experiment": {"eps": 4.0}},
+    {"experiment": {"eps": -1.0}},
+    {"kind": "obstacle", "experiment": {"eps": 4.0}},
 ], ids=[
     "unknown-top-key", "schema-version", "unknown-kind", "unknown-env-key",
     "sigma-range", "empty-eps", "eps-above-one", "empty-seeds",
     "negative-seed", "repeated-seeds", "h-vs-eps", "bad-method", "method-key", "theta-range",
     "bad-shape", "bad-exterior", "zero-workers", "empty-out-dir",
     "timings-string", "timings-int", "conjecture-cs-string", "conjecture-cs-int", "cmi-2d-cs",
-    "richardson-string", "richardson-key",
+    "richardson-string", "richardson-key", "period-past-int64", "experiment-eps-above-one",
+    "experiment-eps-negative", "obstacle-experiment-eps-above-one",
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)
     assert main(["run", str(cfg)]) == 2
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err["error"]["type"] == "ConfigurationError"
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"environment": {"layout": "periodic", "period": 2**63}}, "period"),
+    ({"experiment": {"eps": 4.0}}, "experiment.eps must lie in (0, 1]"),
+    ({"experiment": {"eps": -1.0}}, "experiment.eps must lie in (0, 1]"),
+], ids=["period", "eps-above-one", "eps-negative"])
+def test_range_errors_name_their_key(tmp_path, capsys, overrides, key):
+    assert main(["run", str(write_config(tmp_path, **overrides))]) == 2
+    assert key in one_error_line(capsys)["message"]
+
+
+def test_largest_period_runs(tmp_path):
+    # 2**63 - 1 is the largest period whose fold stays in int64
+    cfg = write_config(tmp_path, environment={"layout": "periodic", "period": 2**63 - 1,
+                                              "coeff_law": "uniform", "forcing_law": "uniform"})
+    assert main(["run", str(cfg)]) == 0
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Environment law: determinism, translation, bounds, layouts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,7 +76,8 @@ def test_forcing_bounds():
                     layout="periodic", period=4),
     EnvironmentSpec(dim=2, n_alpha=2, n_beta=3, kernel_class="a", coeff_law="fixed",
                     coeff_value=1.5, forcing_law="fixed", forcing_value=-0.25),
-], ids=["1d", "2d-matrix", "1d-periodic-constant", "2d-fixed"])
+    EnvironmentSpec(dim=2, n_alpha=2, n_beta=2, interpolation="constant"),
+], ids=["1d", "2d-matrix", "1d-periodic-constant", "2d-fixed", "2d-cs-constant"])
 def test_all_branches_in_one_call_match_each_branch_bit_for_bit(spec):
     env = sample_environment(spec, seed=5)
     pts = np.random.default_rng(1).uniform(-20, 20, size=(300, spec.dim))
@@ -89,6 +92,38 @@ def test_all_branches_in_one_call_match_each_branch_bit_for_bit(spec):
                 assert np.array_equal(every[a, b], field(env, a, b, pts))
     with pytest.raises(ConfigurationError):
         forcing_field(env, alpha, beta + 1, pts)
+    # a batch of environments (distinct seeds, one translated, one repeated)
+    # at the grid points / eps of several eps: every item is the bits of its
+    # own batch of one, wherever it sits and however large the batch
+    envs = [env, sample_environment(spec, seed=6), translate(env, [0.375] * spec.dim),
+            sample_environment(spec, seed=9), env]
+    axis = (np.arange(-8, 8) + 0.5) / 16
+    grid = np.stack(np.meshgrid(*[axis] * spec.dim, indexing="ij"), -1).reshape(-1, spec.dim)
+    xs = [grid / eps for eps in (0.5, 0.25, 0.125, 0.0625, 0.25)]
+    xs[-1] = pts
+    for field in fields:
+        alone = [field(e, alpha, beta, x) for e, x in zip(envs, xs)]
+        for order in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4], [3]):
+            batch = field([envs[i] for i in order], alpha, beta, [xs[i] for i in order])
+            assert len(batch) == len(order)
+            for i, vals in zip(order, batch):
+                assert vals.flags.c_contiguous
+                assert vals.tobytes() == alone[i].tobytes() and vals.shape == alone[i].shape
+    with pytest.raises(ConfigurationError):
+        forcing_field([env, sample_environment(replace(spec, f_bound=0.5), 5)],
+                      alpha, beta, [pts, pts])
+
+
+def test_a_batch_spread_past_int64_keys_matches_its_items():
+    # cells 2^62 apart in two streams do not pack into one int64 key, so the
+    # batch compares whole rows; its values are still those of each item alone
+    envs = [sample_environment(SPEC1, seed) for seed in (1, 2)]
+    x = pts1([-2.0**61, -2.0**61 + 3.5, 0.25, 2.0**61])
+    batch = multiplier_field(envs, 1, 2, [x, x[::-1]])
+    assert np.array_equal(batch[0], multiplier_field(envs[0], 1, 2, x))
+    assert np.array_equal(batch[1], multiplier_field(envs[1], 1, 2, x[::-1]))
+    for e, vals, pts in zip(envs, batch, (x, x[::-1])):
+        assert all(vals[i] == multiplier_field(e, 1, 2, pts[i:i + 1])[0] for i in range(len(pts)))
 
 
 def test_matrix_field_admissible():
@@ -194,6 +229,7 @@ def test_fixed_laws_are_constant():
     dict(interpolation="cubic"),
     dict(layout="mosaic"),
     dict(layout="periodic", period=0),
+    dict(layout="periodic", period=2**63),  # past the int64 cell indices it folds
 ])
 def test_spec_validation_rejects(bad):
     with pytest.raises(ConfigurationError):

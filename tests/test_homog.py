@@ -9,6 +9,7 @@ conductivity, whose level should approach the harmonic-mean prediction.
 import csv
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -361,6 +362,42 @@ def test_convergence_solves_each_eps_as_one_system(count_calls):
     assert len(toeplitz) == 1
     assert len(tables) == 1
     assert out["translation_gap"] == 0.0
+
+
+def test_a_convergence_batch_hashes_each_cell_and_reads_each_exterior_once(monkeypatch):
+    # 2 eps x 2 seeds and the translated route are one batch: each distinct
+    # (stream, cell) is hashed once per channel, each seed's shift once, and
+    # each exterior rule (one per offset) is evaluated once
+    from nlhomog import env
+    hashed = []
+    uniforms = env._cell_uniforms
+
+    def counted_uniforms(seed, cells, alpha, beta, channel):
+        seeds = np.broadcast_to(np.asarray(seed, dtype=np.uint64), (len(cells),))
+        hashed.extend((int(s), tuple(c), channel) for s, c in zip(seeds, np.asarray(cells)))
+        return uniforms(seed, cells, alpha, beta, channel)
+
+    reads = {}
+    from_tag = homog._exterior_from_tag
+
+    def counted_rule(tag, dim, offset=0.0):
+        rule = from_tag(tag, dim, offset)
+
+        def fn(pts):
+            reads[offset] = reads.get(offset, 0) + 1
+            return rule.fn(pts)
+        return replace(rule, fn=fn)
+
+    monkeypatch.setattr(env, "_cell_uniforms", counted_uniforms)
+    monkeypatch.setattr(homog, "_exterior_from_tag", counted_rule)
+    out = convergence_experiment("cosine", (0.25, 0.125), (0, 1), MIXED_SPEC,
+                                 fam_of(MIXED_SPEC))
+    assert out["translation_gap"] == 0.0
+    assert len(hashed) == len(set(hashed))
+    channels = {channel for *_, channel in hashed}
+    assert channels == {env._CH_COEFF, env._CH_FORCING, env._CH_SHIFT}
+    assert sum(channel == env._CH_SHIFT for *_, channel in hashed) == 2  # one per seed
+    assert reads == {0.0: 1, 0.25 * 0.25: 1}
 
 
 def test_convergence_needs_two_eps():

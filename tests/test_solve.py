@@ -309,14 +309,15 @@ def test_dirichlet_batch_shares_exterior_correlations(monkeypatch):
     # grid_batch has zero exterior data in problems 0, 3 and 4, a cosine
     # in 1 and a constant in 2: three correlations for five lattices
     built = []
-    lattice = solve._lattice
+    lattices = solve._lattices
 
     def record(*args, **kwargs):
-        built.append(lattice(*args, **kwargs))
-        return built[-1]
+        built.extend(lattices(*args, **kwargs))
+        return built[-len(args[0]):]
 
-    monkeypatch.setattr(solve, "_lattice", record)
+    monkeypatch.setattr(solve, "_lattices", record)
     solve_dirichlet_many(grid_batch(), tol=1e-9, quad=QUAD16)
+    monkeypatch.undo()
     zero, cosine, constant, *extremal = built
     for lat in extremal:
         assert lat.fixed_corr is zero.fixed_corr and lat.fixed is zero.fixed
@@ -324,7 +325,7 @@ def test_dirichlet_batch_shares_exterior_correlations(monkeypatch):
     assert len({id(lat.kern) for lat in built}) == 1
     # each distinct exterior still gives its own correlation's bits
     for lat, prob in zip(built, grid_batch()):
-        assert np.array_equal(lat.fixed_corr, lattice(prob, QUAD16).fixed_corr)
+        assert np.array_equal(lat.fixed_corr, solve._lattice(prob, QUAD16).fixed_corr)
 
 
 def test_2d_lattices_of_one_table_hold_its_one_stencil(monkeypatch):
@@ -335,13 +336,13 @@ def test_2d_lattices_of_one_table_hold_its_one_stencil(monkeypatch):
                            coeff_law="uniform", forcing_law="uniform")
     fam = fam_of(spec)
     built = []
-    lattice = solve._lattice
+    lattices = solve._lattices
 
     def record(*args, **kwargs):
-        built.append(lattice(*args, **kwargs))
-        return built[-1]
+        built.extend(lattices(*args, **kwargs))
+        return built[-len(args[0]):]
 
-    monkeypatch.setattr(solve, "_lattice", record)
+    monkeypatch.setattr(solve, "_lattices", record)
     box = Box((0.0, 0.0), 0.5, 1.0 / 8)
     quad = build_quadrature(2, 1.0, 1.0 / 8, 1.0)
     problems = [DirichletProblem(handle=OperatorHandle(fam=fam, env=sample_environment(spec, s),
@@ -409,8 +410,8 @@ def test_threshold_is_the_root_of_the_infsup(seed, na, nb, sign):
     rhs = rng.uniform(-3.0, 3.0, box.m)
     handle = (OperatorHandle(fam=FAM_A, extremal_sign=sign) if sign
               else OperatorHandle(fam=FAM, env=mixed_env(), eps=0.25))
-    lat = solve._Lattice1D(DirichletProblem(handle=handle, domain=box, rhs=rhs,
-                                            exterior=ExteriorRule.zero()), QUAD16)
+    lat = solve._lattice(DirichletProblem(handle=handle, domain=box, rhs=rhs,
+                                          exterior=ExteriorRule.zero()), QUAD16)
     if sign:
         lam = rng.uniform(0.5, 1.5)
         lam_big = lam * rng.uniform(1.0, 3.0)

@@ -2,7 +2,7 @@
 
 `perfbench/traced.py` wraps functions and methods of nlhomog by name, so a
 rename under src/ breaks the benchmark while every other test passes.  These
-run the tracer as the benchmark does, on three tiny configs, and read nothing
+run the tracer as the benchmark does, on four tiny configs, and read nothing
 back but its counters; nothing under perfbench/ is changed.
 """
 
@@ -17,6 +17,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 CONFIGS = {
+    "converge-1d": {
+        "kind": "converge",
+        "environment": {"dim": 1, "n_alpha": 2, "n_beta": 2, "coeff_law": "uniform",
+                        "forcing_law": "uniform", "f_bound": 1.0},
+        "numerics": {"eps_list": [0.25, 0.125], "seeds": [0, 1]},
+        "experiment": {"exterior": "cosine"},
+    },
     "effective-1d": {
         "kind": "effective",
         "environment": {"dim": 1, "n_alpha": 2, "n_beta": 2, "coeff_law": "uniform",
@@ -56,6 +63,8 @@ def test_traced_run_counts_lattices_and_evaluations(tmp_path, name):
     counters = json.loads(spans.read_text())["counters"]
     assert counters["solve.lattice_builds"] > 0
     assert counters["solve.F_evals"] > 0
+    # the fields are read by their names in env, the points fourth
+    assert counters["env.field_calls"] > 0 and counters["env.field_points"] > 0
     if name in ("effective-1d", "obstacle-1d"):
         # the tracer finds the obstacle solves, their active-set steps and
         # their dense solves by the names it wraps, held system or not
