@@ -20,7 +20,6 @@ item of a batch is the bits of its batch of one.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -295,20 +294,16 @@ def _distinct(cells):
     """The distinct rows of cells (R, dim), and `inverse`, with
     distinct[inverse] giving back every row.
 
-    A row is packed into one int64 key, its offset from min(0, lowest cell)
-    on each axis, when every key fits (any grid does); rows spread wider
-    than that are compared whole.
+    The rows are sorted by their axes in turn (`np.lexsort`), so cells of
+    any int64 spread compare exactly.
     """
-    low = cells.min(axis=0, initial=0)
-    spans = [int(high) - int(lo) + 1 for lo, high in zip(low, cells.max(axis=0, initial=0))]
-    if math.prod(spans) <= 2**63:
-        key = np.zeros(len(cells), dtype=np.int64)
-        for axis, span in enumerate(spans):
-            key = key * span + (cells[:, axis] - low[axis])
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    else:
-        _, first, inverse = np.unique(cells, axis=0, return_index=True, return_inverse=True)
-    return cells[first], inverse.ravel()
+    order = np.lexsort(cells.T[::-1])
+    ordered = cells[order]
+    first = np.ones(len(cells), dtype=bool)
+    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(len(cells), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
 
 
 # The fields below read one environment, or a batch of environments of one

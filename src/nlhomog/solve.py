@@ -19,14 +19,14 @@ with the central taps.  Every lattice reads its table's stencil.  Lattices
 are built in batches on one table (`_lattices`: a Dirichlet batch, the
 frozen problems of one eps, or a single problem as a batch of one).  A
 batch reads the fields of all its environments in one call per field
-(`env`), and evaluates and correlates each distinct exterior, an equal
-(rule, box, shape), once; its lattices share that padded array and
-correlation.  Each
-dimension keeps its correlation and its moment formula: in 1d one
-symmetric stencil, giving the unit moment (and, for the pointwise extremal
-of the "cs" class, the positive and negative moments); in 2d three
-directional stencils, giving the symmetric (2, 2) moment field; their
-sums, and that of |kxy| for the sweep diagonal, are read from the table.
+(`env`), and evaluates and correlates each distinct exterior once: one
+box and shape, and one constant value or one function object; its lattices
+share that padded array and correlation.  Each dimension keeps its
+correlation and its moment formula: in 1d one symmetric stencil, giving
+the unit moment (and, for the pointwise extremal of the "cs" class, the
+positive and negative moments); in 2d three directional stencils, giving
+the symmetric (2, 2) moment field; their sums, and that of |kxy| for the
+sweep diagonal, are read from the table.
 The pointwise "cs" extremal is 1d only; a 2d one is refused.
 
 Engines
@@ -96,7 +96,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .env import Environment, forcing_field, matrix_field, multiplier_field
 from .errors import ConfigurationError, SolverError
 from .kernels import KernelFamily, QuadratureTable, build_quadrature
-from .operators import Box, ExteriorRule, unit_moment
+from .operators import Box, ExteriorRule, _Constant, unit_moment
 
 __all__ = [
     "OperatorHandle",
@@ -344,16 +344,19 @@ class _Lattice:
         face with the active cells zeroed, and its correlation `fixed_corr`.
 
         `exteriors` is the dict of the lattices of one batch, keyed by
-        (exterior rule, box, shape): a lattice whose key is held takes that
-        (fixed, fixed_corr) pair, so each distinct exterior is evaluated and
-        correlated once a batch.  Otherwise the rule is evaluated on blocks
+        (exterior values, box, shape), the values being a constant rule's
+        value or any other rule's function object: a lattice whose key is
+        held takes that (fixed, fixed_corr) pair, so each distinct exterior
+        is evaluated and correlated once a batch.  Otherwise the rule is evaluated on blocks
         of consecutive ghost rows, at most EXTERIOR_POINTS points (or one
         row) a block, into `fixed`, so no point list of the whole padded
         grid is built.
         """
         box, exterior = self.problem.domain, self.problem.exterior
         self.far = exterior.far
-        key = (exterior, tuple(box.center), box.half, box.h, self.problem.shape)
+        fn = exterior.fn
+        key = (fn if isinstance(fn, _Constant) else id(fn),
+               tuple(box.center), box.half, box.h, self.problem.shape)
         if key in exteriors:
             self.fixed, self.fixed_corr = exteriors[key]
             return

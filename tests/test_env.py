@@ -10,6 +10,7 @@ from nlhomog.env import (
     EnvironmentSpec, forcing_field, matrix_field, multiplier_field,
     sample_environment, translate,
 )
+from nlhomog import env as env_module
 from nlhomog.errors import ConfigurationError
 
 SPEC1 = EnvironmentSpec(dim=1, n_alpha=2, n_beta=3, coeff_law="uniform",
@@ -114,16 +115,25 @@ def test_all_branches_in_one_call_match_each_branch_bit_for_bit(spec):
                       alpha, beta, [pts, pts])
 
 
-def test_a_batch_spread_past_int64_keys_matches_its_items():
-    # cells 2^62 apart in two streams do not pack into one int64 key, so the
-    # batch compares whole rows; its values are still those of each item alone
-    envs = [sample_environment(SPEC1, seed) for seed in (1, 2)]
-    x = pts1([-2.0**61, -2.0**61 + 3.5, 0.25, 2.0**61])
-    batch = multiplier_field(envs, 1, 2, [x, x[::-1]])
-    assert np.array_equal(batch[0], multiplier_field(envs[0], 1, 2, x))
-    assert np.array_equal(batch[1], multiplier_field(envs[1], 1, 2, x[::-1]))
+@pytest.mark.parametrize("spec, far", [(SPEC1, 2.0**62), (SPEC2, 2.0**32)], ids=["1d", "2d"])
+def test_a_batch_spread_past_int64_offsets_matches_its_items(spec, far):
+    # the cells of one stream span more than 2^63 (1d: +-2^62; 2d: +-2^32 on
+    # each axis, 2^66 cells between the corners), more than any int64 offset
+    # from the lowest cell could index; each item is still the bits of its
+    # batch of one, and of each of its points alone
+    envs = [sample_environment(spec, 1), translate(sample_environment(spec, 1), [0.25] * spec.dim)]
+    axis = np.array([-far, -far + 2.0**11, 0.25, far - 2.0**11, far])
+    x = np.stack(np.meshgrid(*[axis] * spec.dim, indexing="ij"), -1).reshape(-1, spec.dim)
+    field = matrix_field if spec.dim == 2 else multiplier_field
+    batch = field(envs, 1, 1, [x, x[::-1]])
     for e, vals, pts in zip(envs, batch, (x, x[::-1])):
-        assert all(vals[i] == multiplier_field(e, 1, 2, pts[i:i + 1])[0] for i in range(len(pts)))
+        assert np.array_equal(vals, field(e, 1, 1, pts))
+        assert all(np.array_equal(vals[i], field(e, 1, 1, pts[i:i + 1])[0])
+                   for i in range(len(pts)))
+    cells = np.floor(np.concatenate([x, x - 1.0]) - 0.5).astype(np.int64)
+    distinct, inverse = env_module._distinct(cells)
+    assert np.array_equal(distinct, np.unique(cells, axis=0))
+    assert np.array_equal(distinct[inverse], cells)
 
 
 def test_matrix_field_admissible():

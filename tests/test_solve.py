@@ -7,7 +7,7 @@ orderings hold without any floating-point slack.
 """
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -326,6 +326,29 @@ def test_dirichlet_batch_shares_exterior_correlations(monkeypatch):
     # each distinct exterior still gives its own correlation's bits
     for lat, prob in zip(built, grid_batch()):
         assert np.array_equal(lat.fixed_corr, solve._lattice(prob, QUAD16).fixed_corr)
+
+
+def test_an_unhashable_exterior_function_is_shared_by_identity():
+    # a dataclass that defines __eq__ is unhashable; the batch keys a rule
+    # that is not constant by its function object, so it still solves, and
+    # two equal but distinct functions are read once each
+    @dataclass
+    class Cosine:
+        k: float
+
+        def __call__(self, pts):
+            return np.cos(self.k * np.asarray(pts)[:, 0])
+
+    one, other = Cosine(3.0), Cosine(3.0)
+    problems = [replace(mixed_problem(level), exterior=ExteriorRule(fn=fn, far=0.0))
+                for level, fn in ((0.05, one), (-0.2, one), (0.1, other))]
+    lats = solve._lattices(problems, QUAD16)
+    assert lats[1].fixed_corr is lats[0].fixed_corr
+    assert lats[2].fixed_corr is not lats[0].fixed_corr
+    assert np.array_equal(lats[2].fixed_corr, lats[0].fixed_corr)
+    batch = solve_dirichlet_many(problems, tol=1e-9, quad=QUAD16)
+    for problem, (vals, _) in zip(problems, batch):
+        assert np.array_equal(vals, solve_dirichlet(problem, tol=1e-9, quad=QUAD16)[0])
 
 
 def test_2d_lattices_of_one_table_hold_its_one_stencil(monkeypatch):
