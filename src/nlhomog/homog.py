@@ -37,8 +37,10 @@ one process and one copy of the level-free parts, which they only read
 (`_map`).  `tol` is the solver tolerance wherever it appears; the
 bisection's own stopping width is `bisect_tol`.
 Dirichlet problems that share a grid are solved as one batch
-(`solve_dirichlet_many`), so each grid's K is solved once: the abp and cmi
-sweeps are one batch each.  The convergence harness makes one batch of all
+(`solve_dirichlet_many`), so in 1d each grid's K is inverted once and every
+problem is one matvec with that G: the abp and cmi sweeps are one batch
+each.  Each run that holds G checks its size (`check_inverses`) after its
+grids and before its table.  The convergence harness makes one batch of all
 the problems that share K, so a 1d run is one batch and runs on the
 calling thread; a sweep-engine (2d) run makes one batch per eps, the
 translated route joining the largest, and maps them the same way.  A batch
@@ -427,7 +429,9 @@ def corrector_decay_profile(phi, x0, level, eps_list, seed,
     env = sample_environment(spec, seed=seed)
     problems = [_frozen_problem(phi, x0, level, eps, env, fam, (eps / 4.0) if h is None else h,
                                 domain_half=1.0, shape="ball") for eps in eps_list]
-    check_grid(problems[-1].domain, r_out_factor)  # the finest grid, before the first solve
+    # the finest grid, and its G in 1d, before the first solve
+    check_grid(problems[-1].domain, r_out_factor)
+    check_inverses(problems[-1:])
     sups = []
     for eps, prob in zip(eps_list, problems):
         quad = default_quadrature(fam, prob.domain, r_out_factor)
@@ -467,6 +471,21 @@ def _indicator_forcings(box: Box, measures):
     return forcings
 
 
+def _extremal_problem(fam, box, g):
+    """The upper extremal equation F(v) = -g on the ball of `box`, zero outside."""
+    return DirichletProblem(handle=OperatorHandle(fam=fam, extremal_sign=+1), domain=box,
+                            rhs=-g, exterior=ExteriorRule.zero(), shape="ball")
+
+
+def _extremal_box(fam, h, r_out_factor):
+    """The probes' box, of half-width 1 at spacing h, once its grid and, on the
+    newton engine, its G pass their size checks; and its table."""
+    box = Box(center=(0.0,) * fam.dim, half=1.0, h=h)
+    check_grid(box, r_out_factor)
+    check_inverses([_extremal_problem(fam, box, 0.0)])
+    return box, default_quadrature(fam, box, r_out_factor)
+
+
 def _extremal_forced_sups(fam, box, forcings, *, tol, quad):
     """sup v and diagnostics of the upper extremal equation F(v) = -g per forcing g.
 
@@ -474,11 +493,8 @@ def _extremal_forced_sups(fam, box, forcings, *, tol, quad):
     are solved as one batch; each bitwise-distinct forcing is solved once,
     and its result is given to every entry that holds it.
     """
-    handle = OperatorHandle(fam=fam, extremal_sign=+1)
     distinct = {g.tobytes(): g for g in forcings}
-    problems = [DirichletProblem(handle=handle, domain=box, rhs=-g,
-                                 exterior=ExteriorRule.zero(), shape="ball")
-                for g in distinct.values()]
+    problems = [_extremal_problem(fam, box, g) for g in distinct.values()]
     sups = {key: (float(np.max(v)), d) for key, (v, d)
             in zip(distinct, solve_dirichlet_many(problems, tol=tol, quad=quad))}
     return [sups[g.tobytes()] for g in forcings]
@@ -507,8 +523,7 @@ def comparison_measurable_experiment(sizes, seed, fam: KernelFamily, *,
             "measurable-ingredient comparison for the scalar class is "
             "conjecture-conditional; pass conjecture_cs=True to probe it"
         )
-    box = Box(center=(0.0,) * fam.dim, half=1.0, h=h)
-    quad = default_quadrature(fam, box, r_out_factor)
+    box, quad = _extremal_box(fam, h, r_out_factor)
     forcings = _indicator_forcings(box, sizes)
     sups = _extremal_forced_sups(fam, box, [g for g, _ in forcings], tol=tol, quad=quad)
     rows = []
@@ -531,14 +546,14 @@ def abp_scaling_experiment(fam: KernelFamily, *, h=2.0**-9,
 
     (i) amplitude sweep at fixed support: sup v must grow at most
     linearly (the exact operator is positively homogeneous, so the
-    measured ratio per doubling is 2 up to solver error);
+    measured ratio per doubling is 2: exactly in 1d, where each solve is
+    one matvec with G, and up to solver error in 2d);
     (ii) support sweep at unit amplitude: log sup v against log measure,
     fitted slope compared against sigma/2 minus a calibration margin.
     """
     if fam.kind != "a":
         raise ConfigurationError("the scaling bound is proved for the matrix class only")
-    box = Box(center=(0.0,) * fam.dim, half=1.0, h=h)
-    quad = default_quadrature(fam, box, r_out_factor)
+    box, quad = _extremal_box(fam, h, r_out_factor)
     forcings = _indicator_forcings(box, supports)
     g0, m0 = _indicator_forcing(box, base_support)
     # both sweeps share the grid: one batch, amplitudes first
@@ -652,6 +667,11 @@ def convergence_experiment(exterior_tag, eps_list, seeds,
     he = (min(eps_list) / 4.0) if h is None else h
     check_translation_shift(eps_list, he, translation_shift)
     box = Box((0.0,) * spec.dim, domain_half, he)
+    # a 1d run holds the G of its one grid, which the family and the box
+    # decide: checked after the grid and before the table
+    check_grid(box, r_out_factor)
+    check_inverses([DirichletProblem(handle=OperatorHandle(fam=fam), domain=box, rhs=0.0,
+                                     exterior=ExteriorRule.zero())])
     # one batch per K: all of a 1d run; per eps in 2d, which has no K.  The
     # translated route joins the first batch
     groups = [[(seed, eps, None) for seed in seeds] for eps in eps_list]

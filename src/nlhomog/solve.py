@@ -39,19 +39,20 @@ newton   1d linear engine, for every 1d operator but the pointwise extremal
          F(u) = rhs exactly where I(u) equals a pointwise threshold t.  A
          1d ball, like a cube, activates every cell, so K acts on the whole
          grid and depends on the table and the grid only.  K is symmetric
-         positive-definite Toeplitz, so the Dirichlet problems on one grid
-         (`solve_dirichlet_many`) are the right-hand sides of one Levinson
-         solve of K u_i = e_i - t_i on K's first column, in O(m n) memory
-         and with no m x m matrix; a single problem is a batch of one.
-         An obstacle solve is the complementarity problem K u >= e - t,
-         u >= 0, solved by the primal-dual active-set method with exact
-         zeros on contact.  K is a read-only view over its 2m - 1
-         distinct values; a step copies only the rows and the block it
-         gathers from it.  Every obstacle solve holds G = inv(K), built by
-         Trench's O(m^2) recurrence and exactly symmetric: on a contact set
-         C smaller than the free set F, a step is one matvec with G and a
-         |C| x |C| solve on G[C, C] (a Schur step); otherwise it is one
-         dense solve on K[F, F].  So no step factors more than m/2 rows.
+         positive-definite Toeplitz, and every solve holds G = inv(K), the
+         one m x m array, built by Trench's O(m^2) recurrence and exactly
+         symmetric.  The Dirichlet problems on one grid
+         (`solve_dirichlet_many`) share one G, and each solves
+         K u_i = e_i - t_i as its own matvec u_i = G (e_i - t_i): the
+         empty-contact Schur step below; a single problem is a batch of
+         one.  An obstacle solve is the complementarity problem
+         K u >= e - t, u >= 0, solved by the primal-dual active-set method
+         with exact zeros on contact.  K is a read-only view over its
+         2m - 1 distinct values; a step copies only the rows and the block
+         it gathers from it.  On a contact set C smaller than the free set
+         F, a step is one matvec with G and a |C| x |C| solve on G[C, C]
+         (a Schur step); otherwise it is one dense solve on K[F, F].  So no
+         step factors more than m/2 rows.
          An obstacle solve's `init`, when given, only seeds the first
          contact set (its zeros); the final set, and so the solution, does
          not depend on it.  At most MAX_STEPS steps run.  There is no
@@ -221,9 +222,9 @@ def _check_dense(nbytes, holds):
 
 def check_inverses(problems):
     """`_check_dense` of the G = inv(K), 8 m^2 bytes each, that the newton
-    engine's obstacle solves of `problems`, one per grid, hold at once."""
+    engine's solves of `problems`, one per grid, hold at once."""
     ms = [p.domain.m for p in problems if _newton(p)]
-    _check_dense(sum(8.0 * m * m for m in ms), "1d obstacle solves hold the inverse of K, "
+    _check_dense(sum(8.0 * m * m for m in ms), "1d solves hold the inverse of K, "
                  f"8 m^2 bytes, for each grid, here m = {', '.join(f'{m:.6g}' for m in ms)}")
 
 
@@ -524,11 +525,12 @@ class _Lattice1D(_Lattice):
         return self.unit_moments(self.padded(np.zeros(self.m), 1))
 
     def system(self):
-        """(K, e, G), the newton engine's level-free part, for solves at many levels.
+        """(K, e, G), the newton engine's level-free part, for obstacle solves at many levels.
 
         K is `matrix()`, the view, built once here; e is `load()`; G =
         inv(K) is `_toeplitz_inverse` of K's first row, which is `column()`.
-        G is the one m x m array held.
+        G is the one m x m array held.  A Dirichlet batch needs no K and
+        builds G alone (`solve_dirichlet_many`).
         """
         K = self.matrix()
         return K, self.load(), _toeplitz_inverse(K[0])
@@ -573,60 +575,18 @@ class _Lattice1D(_Lattice):
         return u, steps, [self.residual(u, True)]
 
 
-def _durbin(r):
-    """Durbin's recursion (Golub & Van Loan, Matrix Computations, Alg. 4.7.1)
-    on the symmetric positive-definite Toeplitz matrix with first column
-    (1, r): yields (beta, y reversed) at k = 1, ..., r.size, y the solution of
-    the leading k x k Yule-Walker system T y = -r[:k] and beta = 1 + r[:k] y.
-
-    The yielded view is overwritten by the next step.  Its reduction sums in
-    numpy's own loop, not BLAS.
-    """
-    if not r.size:
-        return
-    y = np.empty(r.size)
-    y[0] = alpha = -r[0]
-    beta = 1.0
-    for k in range(1, r.size + 1):
-        beta *= 1.0 - alpha * alpha
-        yield beta, y[k - 1::-1]
-        if k < r.size:
-            alpha = -(r[k] + (y[k - 1::-1] * r[:k]).sum()) / beta
-            y[:k] += alpha * y[k - 1::-1]
-            y[k] = alpha
-
-
-def _toeplitz_solve(col, B):
-    """X with K x = b for every row b of B, K the symmetric positive-definite
-    Toeplitz matrix whose first column is col.
-
-    Levinson's recursion (Golub & Van Loan, Matrix Computations, Alg. 4.7.2)
-    on K / col[0]: step k extends every solution of the leading k x k system
-    by one entry, with Durbin's recursion (`_durbin`) carrying the
-    Yule-Walker vector y alongside.  That is O(m^2) flops per row in O(m n)
-    memory, and stable on positive-definite K (Cybenko, SIAM J. Sci. Stat.
-    Comput. 1, 1980).  Each reduction sums along one row of a C-ordered array
-    in numpy's own loop, not BLAS, so a row's bits depend on that row alone:
-    not on its position, the number of rows or the BLAS kernel.
-    """
-    X = np.array(B, dtype=np.float64) / col[0]  # row k of the loop reads b_k here
-    r = col[1:] / col[0]
-    for k, (beta, y) in enumerate(_durbin(r), start=1):
-        mu = (X[:, k] - (X[:, k - 1::-1] * r[:k]).sum(axis=1)) / beta
-        X[:, :k] += mu[:, None] * y
-        X[:, k] = mu
-    return X
-
-
 def _toeplitz_inverse(col):
     """G = inv(K), K the symmetric positive-definite Toeplitz matrix whose
     first column is col, in O(m^2) flops and no m x m array but G.
 
     Trench's algorithm (Trench, J. SIAM 12, 1964; Golub & Van Loan, Matrix
-    Computations, Alg. 4.7.3).  Durbin's recursion (`_durbin`) on K / col[0]
-    ends at the Yule-Walker vector y of order m - 1 and beta = 1 + r y, so
-    G's first column is g = (1, y) / (beta col[0]).  With h_i = g_{m-i}
-    (h_0 = 0) every other entry follows from the one up and to the left,
+    Computations, Alg. 4.7.3).  Durbin's recursion (Alg. 4.7.1) on K /
+    col[0], whose first column is (1, r), solves the Yule-Walker systems
+    T_k y = -r[:k] of orders k = 1, ..., m - 1 in turn, each extending the
+    last by one entry; its reductions sum in numpy's own loop, not BLAS.
+    It ends at y of order m - 1 and beta = 1 + r y, so G's first column is
+    g = (1, y) / (beta col[0]).  With h_i = g_{m-i} (h_0 = 0) every other
+    entry follows from the one up and to the left,
     G[i, j] = G[i-1, j-1] + (g_i g_j - h_i h_j) / g_0.
     G is filled layer by layer from the outside in: layer i computes row i
     on columns i..m-1-i from layer i-1, and copies it to column i and,
@@ -637,9 +597,14 @@ def _toeplitz_inverse(col):
     g = np.zeros(m + 1)  # g[m] = 0 pads the reversal below
     g[0] = 1.0
     if m > 1:
-        for beta, y in _durbin(col[1:] / col[0]):
-            pass  # to the last step, of order m - 1
-        g[1:m] = y[::-1]
+        r, y = col[1:] / col[0], g[1:m]  # y, a view, grows in place
+        y[0] = alpha = -r[0]
+        beta = 1.0 - alpha * alpha
+        for k in range(1, m - 1):
+            alpha = -(r[k] + (y[k - 1::-1] * r[:k]).sum()) / beta
+            y[:k] += alpha * y[k - 1::-1]
+            y[k] = alpha
+            beta *= 1.0 - alpha * alpha
         g[:m] /= beta
     g /= col[0]
     h = g[::-1]
@@ -820,27 +785,31 @@ def solve_dirichlet(problem: DirichletProblem, tol: float = 1e-6,
 
 def solve_dirichlet_many(problems, tol: float = 1e-6,
                          quad: QuadratureTable | None = None, fixed_sweeps=None):
-    """`solve_dirichlet` of each problem, with one solve for the whole grid.
+    """`solve_dirichlet` of each problem, with one inverse of K for the whole grid.
 
     The problems must share the grid and the active mask, and are solved
     on the one table `quad` (the first problem's default when None), or
     ConfigurationError.  Their lattices are one batch (`_lattices`): they
     read the table's stencil, the environment fields of one call per field,
     and one padded array and correlation per distinct exterior.  Those on
-    the newton engine share K, so one Levinson solve on K's first column
-    takes every column of B = [e_i - t_i], in batch order, in O(m n) memory;
-    the load e is computed once per distinct exterior.  A column's solution
-    depends on that column alone (`_toeplitz_solve`), so equal columns get
-    equal solutions wherever they sit in the batch.  Each column is
-    certified with its own lattice's residual and raises SolverError if it
-    misses tol.  Sweep problems are solved one by one, from zero.  A
-    problem's wall_ms is its own sweeps, or residual check, plus 1/n of the
-    batch's build, loads and shared solve.
+    the newton engine share K, so the batch builds one G = inv(K)
+    (`_toeplitz_inverse`, after `check_inverses`) and solves each column
+    b_i = e_i - t_i as its own matvec G b_i, the empty-contact step of
+    `_free_solve`; the load e is computed once per distinct exterior.
+    The columns are never multiplied as one matrix, so a column's solution
+    depends on that column alone and equal columns get equal solutions
+    wherever they sit in the batch.  G is dropped before the columns are
+    certified, each with its own lattice's residual; one that misses tol
+    raises SolverError.  Sweep problems are solved one by one, from zero.
+    A problem's wall_ms is its own sweeps, or residual check, plus 1/n of
+    the batch's build, loads and shared inverse.
     """
     problems = list(problems)
     if not problems:
         return []
     t0 = time.perf_counter()
+    if fixed_sweeps is None:
+        check_inverses([p for p in problems if _newton(p)][:1])  # one G for the grid
     lats = _lattices(problems, quad)
     first = lats[0]
     if any(lat.m != first.m or lat.h != first.h or not np.array_equal(lat.active, first.active)
@@ -854,8 +823,9 @@ def solve_dirichlet_many(problems, tol: float = 1e-6,
                 loads[id(lat.fixed)] = lat.load()
             cols[i] = loads[id(lat.fixed)] - lat.threshold()
     if cols:
-        U = _toeplitz_solve(lats[next(iter(cols))].column(), list(cols.values()))
-        solved = dict(zip(cols, U))
+        G = _toeplitz_inverse(lats[next(iter(cols))].column())
+        solved = {i: G @ b for i, b in cols.items()}
+        del G
     share = (time.perf_counter() - t0) / len(lats)
     results = []
     for i, lat in enumerate(lats):

@@ -373,6 +373,7 @@ def test_converge_checks_hold_seed_and_eps_free_environments_exact(
 
 
 ONE_D_A = {"dim": 1, "kernel_class": "a"}
+TWO_D_A = {"dim": 2, "kernel_class": "a"}
 
 
 @pytest.mark.parametrize("kind, environment, experiment, summary, doctors", [
@@ -384,12 +385,19 @@ ONE_D_A = {"dim": 1, "kernel_class": "a"}
     ("abp", ONE_D_A, {}, {"amplitude_ratios": [2.0, 2.0, 2.0], "support_slope": 0.82},
      {"amplitude-doubling-linear": ("amplitude_ratios", [2.0, 2.06, 2.0]),
       "support-slope-floor": ("support_slope", 0.34)}),
+    # in 1d doubling is exact: one last bit off 2.0 fails
+    ("abp", ONE_D_A, {}, {"amplitude_ratios": [2.0, 2.0, 2.0], "support_slope": 0.82},
+     {"amplitude-doubling-linear": ("amplitude_ratios", [2.0, 2.0000000000000004, 2.0])}),
+    # in 2d the same ratio is within ABP_RATIO_TOL
+    ("abp", TWO_D_A, {}, {"amplitude_ratios": [2.0, 2.0000000000000004, 2.0],
+                          "support_slope": 0.82},
+     {"amplitude-doubling-linear": ("amplitude_ratios", [2.0, 2.06, 2.0])}),
     ("cmi", ONE_D_A, {},
      {"rows": [{"sup_v": 3.0}, {"sup_v": 2.0}, {"sup_v": 1.0}], "fitted_slope": 0.5},
      {"sup-monotone-in-measure": ("rows", [{"sup_v": 3.0}, {"sup_v": 1.0}, {"sup_v": 2.0}]),
       "positive-slope": ("fitted_slope", 0.0)}),
     ("mbar", None, {"phi_index": 0, "level": 0.0}, {}, {}),
-], ids=["solve", "obstacle", "abp", "cmi", "mbar"])
+], ids=["solve", "obstacle", "abp", "abp-1d-last-bit", "abp-2d-last-bit", "cmi", "mbar"])
 def test_checks_pass_clean_summaries_and_fail_only_the_doctored_gate(
         tmp_path, kind, environment, experiment, summary, doctors):
     overrides = {"kind": kind, "experiment": experiment}
@@ -718,7 +726,15 @@ def test_grid_limit_is_fixed_and_documented(tmp_path):
     # three eps on one m = 8192 grid: each G alone is under the limit, together 1.5 GiB
     {"kind": "mbar", "numerics": {"eps_list": [2.0**-9, 2.0**-10, 2.0**-11], "h": 2.0**-13},
      "experiment": {"phi_index": 4, "level": 1.0}},
-], ids=["obstacle", "mbar", "effective", "mbar-three-eps"])
+    # every 1d Dirichlet batch holds the G of its grid too
+    {"kind": "solve", "numerics": {"eps_list": [2.0**-12]}},
+    {"kind": "converge", "numerics": {"eps_list": [0.25, 2.0**-12]}},
+    {"kind": "abp", "environment": ONE_D_A, "numerics": {"h": 2.0**-13}},
+    # the corrector's finest grid, on the ball of half-width 1, before its coarse eps
+    {"kind": "corrector", "numerics": {"eps_list": [0.25, 2.0**-11]},
+     "experiment": {"phi_index": 4, "level": 1.0}},
+], ids=["obstacle", "mbar", "effective", "mbar-three-eps", "solve", "converge", "abp",
+        "corrector"])
 def test_runs_holding_too_large_an_inverse_exit_2(tmp_path, capsys, refuse_builds, overrides):
     # m = 16384 pads to 278528 points, under MAX_GRID_POINTS, but its G alone
     # is 2 GiB; the run exits 2 before any table, lattice or G is built

@@ -268,16 +268,16 @@ def test_abp_experiment_matrix_class_only():
 
 def test_abp_experiment_quick_run(count_calls):
     fam = KernelFamily(kind="a", dim=1, sigma=1.0, lam=1.0, lam_big=2.0)
-    toeplitz = count_calls(solve, "_toeplitz_solve")
+    inverses = count_calls(solve, "_toeplitz_inverse")
     out = abp_scaling_experiment(fam, h=2.0**-7, amplitudes=(1.0, 2.0),
                                  supports=(2.0**-1, 2.0**-3, 2.0**-5),
                                  tol=1e-7)
-    # both sweeps share one grid, so all five problems are one solve
-    assert len(toeplitz) == 1
+    # both sweeps share one grid, so all five problems read one G
+    assert len(inverses) == 1
     assert len(out["amplitude_ratios"]) == 1
     # positive homogeneity: doubling the forcing doubles the bound, exactly
-    # in 1d, since each Levinson row is linear in its right-hand side and
-    # doubling is exact in binary floating point
+    # in 1d, since each solution is one matvec with G, linear in its
+    # right-hand side, and doubling is exact in binary floating point
     assert out["amplitude_ratios"][0] == 2.0
     # shrinking support shrinks the bound, with a definite rate
     sups = [r["sup_v"] for r in out["support_rows"]]
@@ -352,14 +352,14 @@ def test_convergence_flat_environment_is_exactly_trivial():
 
 
 def test_convergence_solves_each_eps_as_one_system(count_calls):
-    # one table per fold state, and in 1d one Toeplitz solve for every eps,
+    # one table per fold state, and in 1d one inverse of K for every eps,
     # the translated route's included; its values still land bit-exact
-    toeplitz = count_calls(solve, "_toeplitz_solve")
+    inverses = count_calls(solve, "_toeplitz_inverse")
     tables = count_calls(solve, "build_quadrature")
     eps_list = (0.25, 0.125, 0.0625)
     out = convergence_experiment("cosine", eps_list, (0, 1, 2), MIXED_SPEC,
                                  fam_of(MIXED_SPEC))
-    assert len(toeplitz) == 1
+    assert len(inverses) == 1
     assert len(tables) == 1
     assert out["translation_gap"] == 0.0
 

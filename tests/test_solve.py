@@ -179,26 +179,20 @@ def grid_batch():
     return branch + extremal
 
 
-def test_batched_columns_match_per_problem_solves(monkeypatch):
+def test_batched_columns_match_per_problem_solves(count_calls):
     # the cosine problem comes twice, the second time after the sweep problem
     problems, tol = grid_batch() + grid_batch()[1:2], 1e-9
     alone = [solve_dirichlet(p, tol=tol, quad=QUAD16) for p in problems]
-    columns = []
-    toeplitz = solve._toeplitz_solve
-
-    def record(col, B):
-        columns.append(np.array(B))
-        return toeplitz(col, B)
-
-    monkeypatch.setattr(solve, "_toeplitz_solve", record)
+    inverses = count_calls(solve, "_toeplitz_inverse")
     batch = solve_dirichlet_many(problems, tol=tol, quad=QUAD16)
-    # the five problems on the newton engine are the columns of one solve,
-    # every one of them, in batch order
-    assert len(columns) == 1
+    # the five problems on the newton engine read one G, and each solution
+    # is G times its own column, bit for bit
+    assert len(inverses) == 1
     assert [d.method for _, d in batch] == ["newton"] * 4 + ["sweeps", "newton"]
     newton = [solve._lattice(p, QUAD16) for i, p in enumerate(problems) if i != 4]
-    assert columns[0].tobytes() == np.array(
-        [lat.load() - lat.threshold() for lat in newton]).tobytes()
+    G = solve._toeplitz_inverse(newton[0].column())
+    for (u, _), lat in zip(batch[:4] + batch[5:], newton):
+        assert u.tobytes() == (G @ (lat.load() - lat.threshold())).tobytes()
     for (u, d), (v, e) in zip(batch, alone):
         assert d.method == e.method and d.iterations == e.iterations
         assert d.residual <= tol
@@ -210,10 +204,10 @@ def test_batched_columns_match_per_problem_solves(monkeypatch):
 
 @pytest.mark.parametrize("index", range(4))
 def test_dirichlet_batch_of_one_is_the_single_column_solve(index):
-    # solve_dirichlet is the batch of one: the Toeplitz solve of its column
+    # solve_dirichlet is the batch of one: G times its column
     prob = grid_batch()[index]
     lat = solve._lattice(prob, QUAD16)
-    want, = solve._toeplitz_solve(lat.column(), [lat.load() - lat.threshold()])
+    want = solve._toeplitz_inverse(lat.column()) @ (lat.load() - lat.threshold())
     got, d = solve_dirichlet(prob, tol=1e-9, quad=QUAD16)
     assert np.array_equal(got, want)
     assert d.residual == lat.residual(want, False)
@@ -253,10 +247,18 @@ def extremal_lattice(m):
     return solve._lattice(prob, default_quadrature(FAM_A, box))
 
 
-# Levinson's recursion and LAPACK's LU each err by about cond(K) * m * 2^-52
-# relative, and K is strictly diagonally dominant, so cond(K) is small; the
-# gap between them is about 1.1e-14 at m = 512 and 4e-14 at m = 2048
+# Trench's recurrence with a matvec, and LAPACK's LU, each err by about
+# cond(K) * m * 2^-52 relative, and K is strictly diagonally dominant, so
+# cond(K) is small; the gap between them is about 1.2e-14 at m = 512 and
+# 3e-14 at m = 2048
 TOEPLITZ_REL_TOL = 1e-12
+
+
+def toeplitz_columns(col, B):
+    """The solution of K x = b for every row b of B, as `solve_dirichlet_many`
+    takes it: one G = inv(K), and one matvec per row."""
+    G = solve._toeplitz_inverse(col)
+    return np.array([G @ b for b in B])
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 64, 512, 2048])
@@ -264,36 +266,48 @@ def test_toeplitz_solve_agrees_with_a_dense_solve_on_K(m):
     lat = extremal_lattice(m)
     B = np.random.default_rng(m).standard_normal((3, m))
     B[0] = lat.load() - lat.threshold()
-    got = solve._toeplitz_solve(lat.column(), B)
+    got = toeplitz_columns(lat.column(), B)
     want = np.linalg.solve(lat.matrix(), B.T).T
     assert np.max(np.abs(got - want)) <= TOEPLITZ_REL_TOL * np.max(np.abs(want))
 
 
 def test_toeplitz_solve_gives_equal_rows_equal_bits_anywhere():
-    # each row is reduced on its own, so neither its position nor the
-    # number of rows in the batch reaches its bits
+    # each row is its own matvec, so neither its position in the batch, the
+    # number of rows, nor where its array starts in memory reaches its bits
     col = extremal_lattice(64).column()
     b, *others = np.random.default_rng(7).standard_normal((4, 64))
-    alone, = solve._toeplitz_solve(col, [b])
+    alone, = toeplitz_columns(col, [b])
     for rows, at in (([b] + others, 0), (others[:2] + [b], 2), ([others[0], b, b], 1)):
-        got = solve._toeplitz_solve(col, rows)
+        got = toeplitz_columns(col, rows)
         assert np.array_equal(got[at], alone)
-    twice = solve._toeplitz_solve(col, [others[0], b, b])
+    twice = toeplitz_columns(col, [others[0], b, b])
     assert np.array_equal(twice[1], twice[2])
+    # b at every 8-byte offset within a 64-byte line
+    G = solve._toeplitz_inverse(col)
+    buf = np.zeros(64 + 8)
+    for start in range(8):
+        buf[start:start + 64] = b
+        assert np.array_equal(G @ buf[start:start + 64], alone)
+    # the whole batch, with b repeated, solves each column to its own bits
+    batch = solve_dirichlet_many(grid_batch()[1:2] * 2 + grid_batch()[:2], tol=1e-9,
+                                 quad=QUAD16)
+    assert batch[0][0].tobytes() == batch[1][0].tobytes() == batch[3][0].tobytes()
 
 
 def test_toeplitz_solve_of_a_zero_row_is_exactly_zero():
     col = extremal_lattice(64).column()
-    X = solve._toeplitz_solve(col, [np.zeros(64), np.ones(64)])
+    X = toeplitz_columns(col, [np.zeros(64), np.ones(64)])
     assert np.all(X[0] == 0.0) and np.any(X[1] != 0.0)
 
 
-def test_dirichlet_batch_builds_no_dense_matrix(count_calls):
-    dense = count_calls(solve._Lattice1D, "matrix")
+def test_dirichlet_batch_builds_one_inverse_and_no_dense_solve(count_calls):
+    # G alone: no view of K and no LAPACK solve
+    inverses = count_calls(solve, "_toeplitz_inverse")
+    views = count_calls(solve._Lattice1D, "matrix")
     lapack = count_calls(np.linalg, "solve")
     assert [d.method for _, d in solve_dirichlet_many(grid_batch(), tol=1e-9, quad=QUAD16)
             ][:4] == ["newton"] * 4
-    assert dense == [] and lapack == []
+    assert len(inverses) == 1 and views == [] and lapack == []
 
 
 def test_a_lattice_reads_each_field_once_for_every_branch(count_calls):
