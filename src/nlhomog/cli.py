@@ -23,7 +23,7 @@ from .env import EnvironmentSpec, sample_environment
 from .errors import CheckFailure, ConfigurationError, SolverError
 from .operators import Box
 from .solve import (
-    DirichletProblem, OperatorHandle, barrier_threshold, check_grid, check_inverses,
+    DirichletProblem, OperatorHandle, barrier_threshold, check_grid, check_dense_arrays,
     default_quadrature, solve_dirichlet, solve_obstacle,
 )
 from .homog import (
@@ -339,7 +339,7 @@ def _run_solve(resolved, spec, fam, log, workers):
                             exterior=_exterior_from_tag(exp["exterior"], spec.dim),
                             shape=exp["shape"])
     check_grid(box, num["r_out_factor"])
-    check_inverses([prob])  # before the table
+    check_dense_arrays([prob])  # before the table
     quad = default_quadrature(fam, box, num["r_out_factor"])
     if kind == "solve":
         u, d = solve_dirichlet(prob, tol=num["solver_tol"], quad=quad)

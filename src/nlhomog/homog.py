@@ -18,18 +18,20 @@ share their level-free parts, built on the calling thread before any solve
 environment, sampled once; per eps the lattices of one batch, which read
 the fields of every seed in one call per field, the table
 with its stencil, the frozen moment, one exterior correlation and the
-linear engine's (K, e, G) -- K a read-only Toeplitz view over 2m - 1
-values and G = inv(K) from Trench's recurrence, the one m x m array --
-and per (eps, seed) the lattice, on which the bracket reads its two
+level-free system: in 1d the newton engine's (K, e, G) -- K a read-only
+Toeplitz view over 2m - 1 values and G = inv(K) from Trench's recurrence,
+the one m x m array -- and in 2d the policy engine's (L, e), the three
+moment maps and the load; and per (eps, seed) the lattice, on which the bracket reads its two
 certificates from one evaluation of F(0), the operator at the zero
 function (`barrier_threshold`): its min at the low end and its max at the
 high end.
-Each level only recomputes its threshold and runs the active set, started
-from the contact set the same (eps, seed) item returned at the previous
-level, and each active-set step with less contact than free cells is a
-Schur step on G.  That warm start (the previous solution, which only the
-linear engine reads; sweeps start from zero) belongs to its (eps, seed)
-item, so the worker threads cannot change any reported number.
+In 1d each level only recomputes its threshold and runs the active set,
+started from the contact set the same (eps, seed) item returned at the
+previous level, and each active-set step with less contact than free cells
+is a Schur step on G.  That warm start (the previous solution, which only
+the newton engine reads; the 2d policy engine starts from zero) belongs to
+its (eps, seed) item, so the worker threads cannot change any reported
+number.
 The functions that can fan out take `workers`, the number of threads
 (default 1: a plain loop, and the thread-pool module is not imported);
 nothing here reads a worker count from anywhere else.  The threads share
@@ -38,12 +40,14 @@ one process and one copy of the level-free parts, which they only read
 bisection's own stopping width is `bisect_tol`.
 Dirichlet problems that share a grid are solved as one batch
 (`solve_dirichlet_many`), so in 1d each grid's K is inverted once and every
-problem is one matvec with that G: the abp and cmi sweeps are one batch
-each.  Each run that holds G checks its size (`check_inverses`) after its
-grids and before its table.  The convergence harness makes one batch of all
-the problems that share K, so a 1d run is one batch and runs on the
-calling thread; a sweep-engine (2d) run makes one batch per eps, the
-translated route joining the largest, and maps them the same way.  A batch
+problem is one matvec with that G, and in 2d each batch builds its moment
+maps once: the abp and cmi sweeps are one batch each.  Each run that holds
+G or the maps checks their size (`check_dense_arrays`) after its grids and
+before its table.  The convergence harness makes one batch of all the
+problems that share K, so a 1d run is one batch and runs on the calling
+thread; a 2d run makes one batch per eps, each a policy-engine batch on
+the shared grid, the translated route joining the largest, and maps them
+the same way.  A batch
 samples each seed's environment once and builds one exterior rule per
 distinct offset, so its lattices read the fields in one call per field and
 evaluate each exterior once: the plain one, and the translated route's.
@@ -67,7 +71,7 @@ from .solve import (
     OperatorHandle,
     barrier_threshold,
     check_grid,
-    check_inverses,
+    check_dense_arrays,
     default_quadrature,
     solve_dirichlet,
     solve_dirichlet_many,
@@ -226,16 +230,18 @@ class _FrozenSystems:
     """Level-free parts of the frozen problems of one extraction, and its warm starts.
 
     Everything is built here, on the calling thread, so the worker threads
-    of a fan-out only read it, once every grid and all G pass their checks
-    (`check_grid`, `check_inverses`).  Per (eps, seed) of `eps_list` and `seeds`:
-    the lattice at level zero (`_frozen_lattices`), on which the bracket
-    evaluates F(0).  Per eps: when the lattices run the linear
-    engine, the first lattice's `system()`, (K, e, G) -- seed-independent,
-    since it depends on the grid, the table and the zero exterior only.
-    It holds one m x m array, G = inv(K); K is a read-only view over its
+    of a fan-out only read it, once every grid and all dense arrays pass
+    their checks (`check_grid`, `check_dense_arrays`).  Per (eps, seed) of
+    `eps_list` and `seeds`: the lattice at level zero (`_frozen_lattices`),
+    on which the bracket evaluates F(0).  Per eps: the first lattice's
+    `system()` -- seed-independent, since it depends on the grid, the table
+    and the zero exterior only.  In 1d it is (K, e, G), the newton engine's:
+    it holds one m x m array, G = inv(K); K is a read-only view over its
     2m - 1 distinct values, from which the solves gather rows.  G turns
     each active-set step with fewer contact than free cells into a matvec
-    and a small Schur solve.  The worker threads only read both.  `warm`
+    and a small Schur solve.  In 2d it is (L, e), the policy engine's three
+    n x n moment maps and the load, and every seed's branches are checked
+    on L (`premise`) here.  The worker threads only read them.  `warm`
     holds the solution each (eps, seed) returned at the previous level;
     `estimate_mbar` updates it between maps, on the calling thread.
     """
@@ -243,7 +249,7 @@ class _FrozenSystems:
     def __init__(self, phi, x0, spec, fam, h, r_out_factor, tol, eps_list, seeds):
         self.tol = tol
         self.lattices = {}   # (eps, seed) -> lattice at level 0
-        self.assembled = {}  # eps -> (K view, e, G = inv(K)) of the linear engine
+        self.assembled = {}  # eps -> (K view, e, G = inv(K)) in 1d, (L, e) in 2d
         self.warm = {}       # (eps, seed) -> solution at the previous level
         # per eps, the level-zero problem of each seed (h defaults to eps/4),
         # all on each seed's one sampled environment
@@ -253,20 +259,22 @@ class _FrozenSystems:
                     for eps in sorted(set(eps_list))}
         for probs in problems.values():
             check_grid(probs[0].domain, r_out_factor)
-        check_inverses([probs[0] for probs in problems.values()])
+        check_dense_arrays([probs[0] for probs in problems.values()])
         for eps, probs in problems.items():
             lats = _frozen_lattices(probs, r_out_factor)
             self.lattices.update(((eps, seed), lat) for seed, lat in zip(seeds, lats))
-            if lats[0].linear:
-                self.assembled[eps] = lats[0].system()
+            self.assembled[eps] = system = lats[0].system()
+            if lats[0].engine == "policy":
+                for lat in lats[1:]:
+                    lat.premise(system[0])  # every seed's branches, on the shared maps
 
     def solve(self, item):
         """Obstacle solve of one (eps, seed) problem at a level, warm-started.
 
         item = (eps, seed, level, warm), with warm the solution this item
         returned at the previous level (`self.warm`), or None.  Returns the
-        row fields and the solution, the next warm start.  Only the linear
-        engine reads a warm start; sweeps start from zero.  A SolverError
+        row fields and the solution, the next warm start.  Only the newton
+        engine reads a warm start; the policy engine starts from zero.  A SolverError
         names the eps, seed and level of the problem that missed the
         tolerance.
         """
@@ -431,7 +439,7 @@ def corrector_decay_profile(phi, x0, level, eps_list, seed,
                                 domain_half=1.0, shape="ball") for eps in eps_list]
     # the finest grid, and its G in 1d, before the first solve
     check_grid(problems[-1].domain, r_out_factor)
-    check_inverses(problems[-1:])
+    check_dense_arrays(problems[-1:])
     sups = []
     for eps, prob in zip(eps_list, problems):
         quad = default_quadrature(fam, prob.domain, r_out_factor)
@@ -482,7 +490,7 @@ def _extremal_box(fam, h, r_out_factor):
     newton engine, its G pass their size checks; and its table."""
     box = Box(center=(0.0,) * fam.dim, half=1.0, h=h)
     check_grid(box, r_out_factor)
-    check_inverses([_extremal_problem(fam, box, 0.0)])
+    check_dense_arrays([_extremal_problem(fam, box, 0.0)])
     return box, default_quadrature(fam, box, r_out_factor)
 
 
@@ -656,7 +664,7 @@ def convergence_experiment(exterior_tag, eps_list, seeds,
     All solves share one grid (h fixed by the smallest eps), so the
     comparisons need no interpolation, and one table.  In 1d they share K
     too, so every solve is one batch, on the calling thread.  The 2d
-    (sweep-engine) solves of one eps are one batch, with the translated
+    (policy-engine) solves of one eps are one batch, with the translated
     route (largest eps, first seed) in the first; `_map` runs these
     fixed groups, so no number depends on the worker count.  Rows are
     logged eps by eps, seeds in order, with the translated route's row last.
@@ -667,13 +675,15 @@ def convergence_experiment(exterior_tag, eps_list, seeds,
     he = (min(eps_list) / 4.0) if h is None else h
     check_translation_shift(eps_list, he, translation_shift)
     box = Box((0.0,) * spec.dim, domain_half, he)
-    # a 1d run holds the G of its one grid, which the family and the box
-    # decide: checked after the grid and before the table
+    # a run holds the G, in 1d, or the moment maps, in 2d, of its one grid,
+    # which the family and the box decide: checked after the grid and
+    # before the table
     check_grid(box, r_out_factor)
-    check_inverses([DirichletProblem(handle=OperatorHandle(fam=fam), domain=box, rhs=0.0,
-                                     exterior=ExteriorRule.zero())])
-    # one batch per K: all of a 1d run; per eps in 2d, which has no K.  The
-    # translated route joins the first batch
+    check_dense_arrays([DirichletProblem(handle=OperatorHandle(fam=fam), domain=box,
+                                         rhs=0.0, exterior=ExteriorRule.zero())])
+    # one batch per K: all of a 1d run; per eps in 2d, each batch building
+    # the maps of the grid for itself.  The translated route joins the first
+    # batch
     groups = [[(seed, eps, None) for seed in seeds] for eps in eps_list]
     if spec.dim == 1:
         groups = [[item for group in groups for item in group]]

@@ -59,8 +59,34 @@ newton   1d linear engine, for every 1d operator but the pointwise extremal
          fallback: a solve that misses the tolerance raises.  Every
          residual, each column of a batch's included, is certified with
          the sweep engine's evaluation.
-sweeps   damped projected Jacobi relaxation, for 2d operators, the
-         pointwise "cs" extremal and every `fixed_sweeps` solve.  A sweep is
+policy   2d engine, for every branch operator (class "a" and class "cs").
+         The moment field is affine in the active values, B(u) = B(0) + L u,
+         with the three n x n moment maps L (xx, yy, xy) gathered from the
+         table's stencil once per table, grid and active mask; a Dirichlet
+         batch, or the frozen problems of one eps, share them as 1d shares
+         G.  A policy fixes a branch (alpha, beta) per cell, and then F is
+         affine with the matrix diag(A11) Lxx + diag(A22) Lyy
+         + 2 diag(A12) Lxy (class "a") or diag(mult) (Lxx + Lyy) (class
+         "cs"), one row of some branch's matrix per cell.  Every branch's
+         matrix has nonnegative off-centre weights and strictly diagonally
+         dominant rows, checked on the assembled maps (`premise`), so each
+         policy matrix is the negative of a nonsingular M-matrix and one
+         dense solve on the free cells solves the policy.  The inf over
+         alpha of the sup over beta is a game, solved by Hoffman-Karp
+         policy iteration (Hoffman & Karp, Management Sci. 12, 1966;
+         Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009): the
+         outer loop improves alpha by the argmin of the sup over beta, and
+         the inner loop is Howard's algorithm over beta, or over beta and
+         the obstacle, since max(min_a X_a, -u) = min_a max(X_a, -u).
+         Contact cells get exact zeros and ties go to contact.  A cell's
+         policy is replaced only by a strictly better one, so the loop
+         cannot cycle; it stops when both policies repeat, after at most
+         MAX_STEPS policy solves, and the result is certified with the
+         sweep engine's evaluation.  Every solve starts from the greedy
+         policy at zero; an obstacle solve's `init` does not reach it.
+sweeps   damped projected Jacobi relaxation, for the extremal operators
+         that have no finite policy set (the 2d extremal and the pointwise
+         "cs" extremal) and every `fixed_sweeps` solve.  A sweep is
          one evaluation of F: it certifies the values' residual, then moves
          each value toward the root of its scalar residual, clamping at the
          obstacle.  F at a node is nondecreasing in every other value
@@ -72,9 +98,10 @@ sweeps   damped projected Jacobi relaxation, for 2d operators, the
 
 Repeated solves of one problem at several levels can hand `solve_obstacle`
 the level-free parts built once: the lattice (environment fields, exterior
-data, frozen moment) and, for the newton engine, its `system()`, the triple
-(K, e, G): the view of K, the load and G = inv(K), the one m x m array;
-a solve not handed them builds both.  Both certificates of a level
+data, frozen moment) and its `system()`: for the newton engine the triple
+(K, e, G), the view of K, the load and G = inv(K), the one m x m array;
+for the policy engine the pair (L, e), the moment maps and the load
+B(0); a solve not handed them builds both.  Both certificates of a level
 search, `barrier_threshold`, read that same lattice: the min and the max of
 F(0) with its own exterior data, whose terms cancel between F(U) and F(0)
 at a contact cell.  Every solve returns its values as an array on the grid.
@@ -109,7 +136,7 @@ __all__ = [
     "solve_obstacle",
     "barrier_threshold",
     "check_grid",
-    "check_inverses",
+    "check_dense_arrays",
     "default_quadrature",
 ]
 
@@ -190,8 +217,10 @@ class ObstacleSolution:
 # Largest grid a lattice may have, (m + 2J)^dim points for m cells per axis
 # and a table reaching J cells past each face, and largest sum of the dense
 # arrays a solve, or the frozen problems of one extraction, hold at once, in
-# bytes: the newton engine's G = inv(K), 8 m^2 bytes per grid, or the
-# pointwise "cs" extremal's two m x J moment buffers.  Fixed, not config keys.
+# bytes: the newton engine's G = inv(K), 8 m^2 bytes per grid, the policy
+# engine's three moment maps, policy matrix and LAPACK's copy of it, 5 x 8 n^2
+# bytes per grid of n active cells, or the pointwise "cs" extremal's two
+# m x J moment buffers.  Fixed, not config keys.
 MAX_GRID_POINTS = 2**22
 MAX_DENSE_BYTES = 2**30
 EXTERIOR_POINTS = 2**13  # most points one call of an exterior rule reads
@@ -220,18 +249,42 @@ def _check_dense(nbytes, holds):
                                  f"= {MAX_DENSE_BYTES}; use a coarser grid")
 
 
-def check_inverses(problems):
-    """`_check_dense` of the G = inv(K), 8 m^2 bytes each, that the newton
-    engine's solves of `problems`, one per grid, hold at once."""
-    ms = [p.domain.m for p in problems if _newton(p)]
-    _check_dense(sum(8.0 * m * m for m in ms), "1d solves hold the inverse of K, "
-                 f"8 m^2 bytes, for each grid, here m = {', '.join(f'{m:.6g}' for m in ms)}")
+def check_dense_arrays(problems):
+    """`_check_dense` of the dense arrays that the solves of `problems`, one
+    per grid, hold at once: the newton engine's G = inv(K), 8 m^2 bytes, and
+    the policy engine's three moment maps, its policy matrix and LAPACK's
+    copy of that, 5 x 8 n^2 bytes for n active cells.  Allocates nothing but
+    the active mask of each 2d grid."""
+    ms = [p.domain.m for p in problems if _engine(p) == "newton"]
+    ns = [int(np.count_nonzero(_active_cells(p))) for p in problems if _engine(p) == "policy"]
+    holds = []
+    if ms:
+        holds.append("1d solves hold the inverse of K, 8 m^2 bytes, for each grid, here "
+                     f"m = {', '.join(f'{m:.6g}' for m in ms)}")
+    if ns:
+        holds.append("2d solves hold three moment maps, a policy matrix and its LAPACK copy, "
+                     "5 x 8 n^2 bytes, for each grid of n active cells, here "
+                     f"n = {', '.join(f'{n:.6g}' for n in ns)}")
+    _check_dense(sum(8.0 * m * m for m in ms) + sum(40.0 * n * n for n in ns), "; ".join(holds))
 
 
-def _newton(problem):
-    """Whether `problem` runs the newton engine: in 1d, all but the pointwise "cs" extremal."""
-    handle = problem.handle
-    return problem.domain.dim == 1 and not (handle.extremal_sign and handle.fam.kind == "cs")
+def _engine(problem):
+    """The engine a tolerance-driven solve of `problem` runs (see Engines):
+    newton for 1d operators but the pointwise "cs" extremal, policy for 2d
+    branch operators, sweeps for the extremal operators left."""
+    handle, dim = problem.handle, problem.domain.dim
+    if handle.extremal_sign and (dim == 2 or handle.fam.kind == "cs"):
+        return "sweeps"
+    return "newton" if dim == 1 else "policy"
+
+
+def _active_cells(problem):
+    """The active mask on `problem`'s grid: the whole cube, or the strict interior of the ball."""
+    box = problem.domain
+    if problem.shape != "ball":
+        return np.ones((box.m,) * box.dim, dtype=bool)
+    d2 = [(box.axis_nodes(a) - c) ** 2 for a, c in enumerate(box.center)]
+    return (d2[0] if box.dim == 1 else d2[0][:, None] + d2[1]) < box.half**2
 
 
 def default_quadrature(fam: KernelFamily, box: Box, r_out_factor: float = 8.0) -> QuadratureTable:
@@ -242,7 +295,7 @@ def default_quadrature(fam: KernelFamily, box: Box, r_out_factor: float = 8.0) -
 DAMPING = 0.8       # fraction of the pointwise Newton step a sweep takes
 STALL_SWEEPS = 640  # sweeps in the stagnation window
 MAX_SWEEPS = 200000  # sweeps before a solve gives up
-MAX_STEPS = 60      # active-set steps before a newton solve gives up
+MAX_STEPS = 60      # active-set steps, or policy solves, before a newton or policy solve gives up
 
 
 class _Lattice:
@@ -266,12 +319,7 @@ class _Lattice:
         self.m = box.m
         self.h = box.h
         self.J = quad.n_offsets
-        nodes = np.meshgrid(*(box.axis_nodes(a) for a in range(self.dim)), indexing="ij")
-        # active cells: whole cube, or strict interior of the ball
-        if problem.shape == "ball":
-            self.active = sum((X - c) ** 2 for X, c in zip(nodes, box.center)) < box.half**2
-        else:
-            self.active = np.ones(nodes[0].shape, dtype=bool)
+        self.active = _active_cells(problem)
         if not self.active.any():
             raise ConfigurationError("domain has no active cells")
         self.kern = quad.stencil
@@ -279,7 +327,7 @@ class _Lattice:
         self.q = min(self.J, self.m - 1)
         taps = slice(self.J - self.q, self.J + self.q + 1)
         self.near_kern = self.kern[(Ellipsis,) + (taps,) * self.dim]
-        if self.dim == 1 and not self.linear:
+        if self.dim == 1 and self.engine == "sweeps":
             _check_dense(16.0 * self.m * self.J, "the pointwise cs extremal's moments hold "
                          f"two m x J buffers of 8 bytes an entry, m = {self.m}, J = {self.J}")
         self._read_exterior(exteriors)
@@ -330,7 +378,7 @@ class _Lattice:
             raise ConfigurationError("rhs grid must match the domain grid")
         return rhs.reshape(self.active.shape)
 
-    linear = property(lambda self: _newton(self.problem))
+    engine = property(lambda self: _engine(self.problem))
 
     def at_level(self, problem):
         """This lattice for `problem`, its own problem at another right-hand
@@ -473,7 +521,7 @@ class _Lattice1D(_Lattice):
 
     def operator_values(self, vals):
         """F at every node, with the dominating diagonal slope field."""
-        if not self.linear:
+        if self.engine == "sweeps":
             pos, neg = self.split_moments(self.padded(vals, self.J))
             return self.up * pos - self.down * neg, self.diag
         return self.infsup(self.unit_moments(self.padded(vals, 1))), self.diag
@@ -551,7 +599,7 @@ class _Lattice1D(_Lattice):
         K is symmetric.
         So the test gathers at most half of K's rows.
         """
-        if not self.linear:
+        if self.engine != "newton":
             raise ConfigurationError("the pointwise extremal has no dense linearization")
         K, e, G = self.system() if system is None else system
         b = e - self.threshold()
@@ -653,7 +701,7 @@ def _free_solve(K, b, contact, G):
 
 
 class _Lattice2D(_Lattice):
-    """2d lattice: three directional stencils, sweeps only (desk scale, small grids)."""
+    """2d lattice: three directional stencils, and the policy engine (desk scale, small grids)."""
 
     dim = 2
 
@@ -691,16 +739,205 @@ class _Lattice2D(_Lattice):
             if sign < 0:
                 F = -F
             return F, self.diag
+        return self.branch_infsup(self._slots((Bxx, Byy, Bxy), self.coeff)), self.diag
+
+    coeff = property(lambda self: self.A if self.is_matrix else self.mult)
+
+    def _slots(self, B, coeff):
+        """Every branch's slot at the moments B = (Bxx, Byy, Bxy), coeff the
+        branches' coefficients (`coeff`) on the same cells."""
+        Bxx, Byy, Bxy = B
+        fro = self.frozen_moment
         if self.is_matrix:
-            fro = self.frozen_moment
-            slot = (
-                self.A[..., 0, 0] * (Bxx + fro[0, 0])[None, None]
-                + self.A[..., 1, 1] * (Byy + fro[1, 1])[None, None]
-                + 2.0 * self.A[..., 0, 1] * (Bxy + fro[0, 1])[None, None]
-            )
-        else:
-            slot = self.mult * (Bxx + Byy + self.frozen_moment)[None, None]
-        return self.branch_infsup(slot), self.diag
+            return (coeff[..., 0, 0] * (Bxx + fro[0, 0]) + coeff[..., 1, 1] * (Byy + fro[1, 1])
+                    + 2.0 * coeff[..., 0, 1] * (Bxy + fro[0, 1]))
+        return coeff * (Bxx + Byy + fro)
+
+    # -- the policy engine ------------------------------------------------
+
+    def moment_maps(self):
+        """L, the (3, n, n) linear part of the moment field on the n active
+        cells, in `active` order: B(u) = B(0) + L u for xx, yy and xy (`moments`).
+
+        It is gathered from the table, with no evaluation: entry (r, s) of
+        L[k] is twice stencil k's central tap at the offset from cell r to
+        cell s, zero past the q cells the taps reach, plus c_near / (2 h^2)
+        where s is r's neighbour along the axis of xx or yy.  The diagonal
+        adds -2 sxx - c_near / h^2 - tail (xx), the same with syy (yy) and
+        -2 sxy (xy).  L depends on the table, the grid and the mask only.
+        """
+        m, q = self.m, self.q
+        ai, aj = np.nonzero(self.active)
+        n = ai.size
+        taps = np.zeros((3, 2 * m - 1, 2 * m - 1))
+        taps[:, m - 1 - q:m + q, m - 1 - q:m + q] = 2.0 * self.near_kern
+        # win[k, a, b, c, d] = taps[k, a + c, b + d], so L[k, r, s] reads taps[k]
+        # at (m - 1 + ai[s] - ai[r], m - 1 + aj[s] - aj[r])
+        win = sliding_window_view(taps, (m, m), axis=(1, 2))
+        L = win[:, (m - 1 - ai)[:, None], (m - 1 - aj)[:, None], ai, aj]
+        index = np.full(self.active.shape, -1)
+        index[self.active] = np.arange(n)
+        near = 0.5 * self.quad.c_near / self.h**2
+        for k in (0, 1):
+            for step in (-1, 1):
+                nbr = [ai, aj]
+                nbr[k] = nbr[k] + step
+                rows = np.flatnonzero((nbr[k] >= 0) & (nbr[k] < m))
+                cols = index[nbr[0][rows], nbr[1][rows]]
+                L[k, rows[cols >= 0], cols[cols >= 0]] += near
+        cells = np.arange(n)
+        sxx, syy, sxy = self.quad.sums
+        L[0, cells, cells] -= 2.0 * sxx + 2.0 * near + self.quad.tail
+        L[1, cells, cells] -= 2.0 * syy + 2.0 * near + self.quad.tail
+        L[2, cells, cells] -= 2.0 * sxy
+        return L
+
+    def load(self):
+        """e = B(0) on the active cells, (3, n): the moments of the exterior data alone."""
+        return np.stack(self.moments(self.padded(np.zeros(self.active.shape), 1)))[:, self.active]
+
+    def _weights(self):
+        """W, (na, nb, K, n): branch (a, b) is linear in the moments with the
+        slope W[a, b, k] in B_k on the active cells, k over xx, yy, xy for
+        the matrix class and over xx, yy for the scalar class, whose slot
+        reads the trace."""
+        coeff = self.coeff[:, :, self.active]
+        if self.is_matrix:
+            return np.stack((coeff[..., 0, 0], coeff[..., 1, 1], 2.0 * coeff[..., 0, 1]), axis=2)
+        return np.stack((coeff, coeff), axis=2)
+
+    def premise(self, L):
+        """mu, the least margin of strict diagonal dominance -(M_ab 1) over the
+        active cells and the branches, M_ab = sum_k diag(W[a, b, k]) L[k] the
+        matrix of branch (a, b) on the maps L; or ConfigurationError, naming
+        the branch, if an off-centre entry of some M_ab is negative or one of
+        its rows is not strictly diagonally dominant.  The policy engine
+        relies on both (see Engines)."""
+        W = self._weights()
+        K = W.shape[2]
+        rows = L[:K].sum(axis=2)  # L_k 1 over the active cells
+        cells = np.arange(rows.shape[1])
+        mu = np.inf
+        for a, b in np.ndindex(W.shape[:2]):
+            M = _policy_matrix(L, W[a, b])
+            M[cells, cells] = 0.0
+            low = float(M.min())
+            del M  # freed before the next branch's matrix is built
+            where = f"branch (alpha={a}, beta={b}) of the 2d {self.problem.handle.fam.kind!r} class"
+            if low < 0.0:
+                raise ConfigurationError(
+                    f"{where} has an off-centre weight {low:.6g} < 0: its coefficient field is "
+                    "not positive semi-definite, and the policy engine needs an M-matrix")
+            margin = float(np.min(-(W[a, b] * rows).sum(axis=0)))
+            if not margin > 0.0:
+                raise ConfigurationError(
+                    f"{where} has a row that is not strictly diagonally dominant (margin "
+                    f"{margin:.6g}), and the policy engine needs an M-matrix")
+            mu = min(mu, margin)
+        return mu
+
+    def system(self):
+        """(L, e), the policy engine's level-free part, for obstacle solves at
+        many levels: L is `moment_maps()`, whose `premise` this lattice's
+        branches pass, and e is `load()`.  A lattice that shares another's
+        (L, e) passes L to its own `premise`."""
+        L = self.moment_maps()
+        self.premise(L)
+        return L, self.load()
+
+    def policy_solve(self, obstacle, system=None):
+        """Returns (vals, solves, residuals) of the policy engine (see Engines).
+
+        `system` is this lattice's `system()`, held by the caller across
+        solves, or None, and then built here.  With X[a, b] = F_ab(u) - rhs,
+        affine in u through the maps, the first policy is the greedy one at
+        u = 0.  Each step solves its policy on the free cells, with exact
+        zeros on contact, and then changes a cell's beta (or its contact)
+        where another option of its alpha is strictly larger, ties going to
+        contact; once none is, it changes a cell's alpha where another alpha's
+        sup over beta (and -u) is strictly smaller, and starts that cell from
+        the greedy beta of its new alpha.  The solve stops when neither
+        changes, or after MAX_STEPS policy solves.  The residuals are those
+        of X at each policy's values, and last the certified residual of the
+        values returned.
+        """
+        L, e = self.system() if system is None else system
+        W = self._weights()
+        L = L[:W.shape[2]]
+        # X at u = 0 has the bits of `operator_values` at zero, less rhs
+        X0 = (self.forc[:, :, self.active] + self._slots(e, self.coeff[:, :, self.active])
+              - self.rhs[self.active])
+        n = X0.shape[-1]
+        cells = np.arange(n)
+
+        def branches(u):
+            """X at u, and each alpha's value, the max over beta and, for an obstacle, -u."""
+            X = X0.copy()
+            for Wk, Lu in zip(np.moveaxis(W, 2, 0), L @ u):
+                X += Wk * Lu
+            V = X.max(axis=1)
+            return X, np.maximum(V, -u) if obstacle else V
+
+        def greedy(X, u, alpha):
+            """Each cell's best option under alpha: its best beta, the option's
+            value, and whether the option is contact, which wins ties."""
+            Xa = X[alpha, :, cells]
+            beta = Xa.argmax(axis=1)
+            best = Xa[cells, beta]
+            if not obstacle:
+                return beta, best, np.zeros(n, dtype=bool)
+            return beta, np.maximum(best, -u), -u >= best
+
+        def policy_values(alpha, beta, contact):
+            u = np.zeros(n)
+            free = np.flatnonzero(~contact)
+            if free.size:
+                M = _policy_matrix(L, W[alpha, beta, :, cells].T)
+                if free.size < n:
+                    M = M[np.ix_(free, free)]
+                u[free] = np.linalg.solve(M, -X0[alpha, beta, cells][free])
+            return u
+
+        u = np.zeros(n)
+        X, V = branches(u)
+        alpha = V.argmin(axis=0)
+        beta, _, contact = greedy(X, u, alpha)
+        solves, trail = 0, []
+        while True:
+            u = policy_values(alpha, beta, contact)
+            solves += 1
+            X, V = branches(u)
+            trail.append(float(np.max(np.abs(V.min(axis=0)))))
+            if solves == MAX_STEPS:
+                break
+            best_beta, best, to_contact = greedy(X, u, alpha)
+            switch = best > np.where(contact, -u, X[alpha, beta, cells])
+            if switch.any():
+                beta = np.where(switch & ~to_contact, best_beta, beta)
+                contact = np.where(switch, to_contact, contact)
+                continue
+            best_alpha = V.argmin(axis=0)
+            switch = V[best_alpha, cells] < V[alpha, cells]
+            if not switch.any():
+                break
+            alpha = np.where(switch, best_alpha, alpha)
+            best_beta, _, to_contact = greedy(X, u, alpha)
+            beta = np.where(switch, best_beta, beta)
+            contact = np.where(switch, to_contact, contact)
+        vals = np.zeros(self.active.shape)
+        vals[self.active] = u
+        trail.append(self.residual(vals, obstacle))
+        return vals, solves, trail
+
+
+def _policy_matrix(L, w):
+    """sum over k of diag(w[k]) L[k], a product and a sum of whole arrays at a
+    time, so that equal maps and weights give equal bits wherever they sit."""
+    M = np.multiply(L[0], w[0][:, None])
+    part = np.empty_like(M)
+    for Lk, wk in zip(L[1:], w[1:]):
+        M += np.multiply(Lk, wk[:, None], out=part)
+    return M
 
 
 def _read_fields(problems):
@@ -785,7 +1022,8 @@ def solve_dirichlet(problem: DirichletProblem, tol: float = 1e-6,
 
 def solve_dirichlet_many(problems, tol: float = 1e-6,
                          quad: QuadratureTable | None = None, fixed_sweeps=None):
-    """`solve_dirichlet` of each problem, with one inverse of K for the whole grid.
+    """`solve_dirichlet` of each problem, with one inverse of K, or one set of
+    moment maps, for the whole grid.
 
     The problems must share the grid and the active mask, and are solved
     on the one table `quad` (the first problem's default when None), or
@@ -793,50 +1031,63 @@ def solve_dirichlet_many(problems, tol: float = 1e-6,
     read the table's stencil, the environment fields of one call per field,
     and one padded array and correlation per distinct exterior.  Those on
     the newton engine share K, so the batch builds one G = inv(K)
-    (`_toeplitz_inverse`, after `check_inverses`) and solves each column
+    (`_toeplitz_inverse`, after `check_dense_arrays`) and solves each column
     b_i = e_i - t_i as its own matvec G b_i, the empty-contact step of
     `_free_solve`; the load e is computed once per distinct exterior.
     The columns are never multiplied as one matrix, so a column's solution
     depends on that column alone and equal columns get equal solutions
     wherever they sit in the batch.  G is dropped before the columns are
     certified, each with its own lattice's residual; one that misses tol
-    raises SolverError.  Sweep problems are solved one by one, from zero.
-    A problem's wall_ms is its own sweeps, or residual check, plus 1/n of
-    the batch's build, loads and shared inverse.
+    raises SolverError.  Those on the policy engine share the moment maps
+    L, built once, and the load per distinct exterior; every lattice's
+    branches pass `premise` on L before the first solve, and each problem
+    is then its own policy solve.  Sweep problems are solved one by one,
+    from zero.  A problem's wall_ms is its own solve, sweeps or residual
+    check, plus 1/n of the batch's build, loads and shared inverse or maps.
     """
     problems = list(problems)
     if not problems:
         return []
     t0 = time.perf_counter()
     if fixed_sweeps is None:
-        check_inverses([p for p in problems if _newton(p)][:1])  # one G for the grid
+        # one G, or one set of maps, for the grid
+        check_dense_arrays([p for p in problems if _engine(p) != "sweeps"][:1])
     lats = _lattices(problems, quad)
     first = lats[0]
     if any(lat.m != first.m or lat.h != first.h or not np.array_equal(lat.active, first.active)
            for lat in lats):
         raise ConfigurationError("batched Dirichlet problems must share the grid "
                                  "and the active mask")
-    loads, cols = {}, {}
-    for i, lat in enumerate(lats):
-        if lat.linear and fixed_sweeps is None:
-            if id(lat.fixed) not in loads:  # one per distinct exterior
-                loads[id(lat.fixed)] = lat.load()
+    engines = [lat.engine if fixed_sweeps is None else "sweeps" for lat in lats]
+    loads, cols, systems, maps = {}, {}, {}, None
+    for i, (lat, engine) in enumerate(zip(lats, engines)):
+        if engine == "sweeps":
+            continue
+        if id(lat.fixed) not in loads:  # one per distinct exterior
+            loads[id(lat.fixed)] = lat.load()
+        if engine == "newton":
             cols[i] = loads[id(lat.fixed)] - lat.threshold()
+        else:
+            maps = lat.moment_maps() if maps is None else maps
+            lat.premise(maps)
+            systems[i] = maps, loads[id(lat.fixed)]
     if cols:
         G = _toeplitz_inverse(lats[next(iter(cols))].column())
         solved = {i: G @ b for i, b in cols.items()}
         del G
     share = (time.perf_counter() - t0) / len(lats)
     results = []
-    for i, lat in enumerate(lats):
+    for i, (lat, engine) in enumerate(zip(lats, engines)):
         t0 = time.perf_counter()
-        if i in cols:
+        if engine == "newton":
             vals = solved[i]
-            method, out = "newton", (vals, 1, [lat.residual(vals, False)])
+            out = vals, 1, [lat.residual(vals, False)]
+        elif engine == "policy":
+            out = lat.policy_solve(False, systems[i])
         else:
-            method, out = "sweeps", lat.sweep_solve(False, tol, fixed_sweeps)
+            out = lat.sweep_solve(False, tol, fixed_sweeps)
         wall_ms = (share + time.perf_counter() - t0) * 1e3
-        results.append(_result(lat, False, method, out, tol, wall_ms,
+        results.append(_result(lat, False, engine, out, tol, wall_ms,
                                pinned=fixed_sweeps is not None))
     return results
 
@@ -849,28 +1100,32 @@ def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6,
     Every projection writes exact zeros, so the contact mask is literally
     {U == 0} on active cells and contact counts are integers.  `init`,
     when given, seeds the newton engine's first contact set (its zeros)
-    and changes nothing else; the sweeps ignore it and start from zero.
-    `lattice` (from `_lattice` for this problem at any level) and
-    `system` skip rebuilding them when the level is all that changed.
-    `system` is the lattice's `system()`, (K, e, G) with G = inv(K), or
-    None, and then the newton engine builds it, to the same bits.  Steps
+    and changes nothing else; the policy engine and the sweeps ignore it
+    and start from zero.  `lattice` (from `_lattice` for this problem at
+    any level) and `system` skip rebuilding them when the level is all
+    that changed.  `system` is the lattice's `system()`, (K, e, G) with
+    G = inv(K) for the newton engine or (L, e) for the policy engine, or
+    None, and then the engine builds it, to the same bits.  Newton steps
     on less contact than free cells are Schur steps (a matvec and a solve
     on the contact block), the others solves on the free block; K stays a
     view, so a step copies only the rows it multiplies and the block it
-    factors; a newton solve not handed `system` runs `check_inverses` first.
-    wall_ms includes building the lattice and the system, or re-leveling the
-    lattice.
+    factors.  A newton or policy solve not handed `system` runs
+    `check_dense_arrays` first.  wall_ms includes building the lattice and
+    the system, or re-leveling the lattice.
     """
     t0 = time.perf_counter()
     if system is None and fixed_sweeps is None:
-        check_inverses([problem])
+        check_dense_arrays([problem])
     lat = _lattice(problem, quad) if lattice is None else lattice.at_level(problem)
-    if lat.linear and fixed_sweeps is None:
-        method, out = "newton", lat.newton_solve(init, system)
+    engine = lat.engine if fixed_sweeps is None else "sweeps"
+    if engine == "newton":
+        out = lat.newton_solve(init, system)
+    elif engine == "policy":
+        out = lat.policy_solve(True, system)
     else:
-        method, out = "sweeps", lat.sweep_solve(True, tol, fixed_sweeps)
+        out = lat.sweep_solve(True, tol, fixed_sweeps)
     wall = (time.perf_counter() - t0) * 1e3
-    return _result(lat, True, method, out, tol, wall, pinned=fixed_sweeps is not None)
+    return _result(lat, True, engine, out, tol, wall, pinned=fixed_sweeps is not None)
 
 
 def barrier_threshold(lattice) -> tuple:

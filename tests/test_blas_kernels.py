@@ -22,7 +22,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 EXACT = ("acceptance_1_ or acceptance_8 or dichotomy or translation"
          " or abp_experiment_quick_run or 1d_frozen_problems_have_no_contact"
-         " or toeplitz_solve_gives_equal_rows_equal_bits_anywhere")
+         " or toeplitz_solve_gives_equal_rows_equal_bits_anywhere"
+         " or policy_solve_gives_equal_systems_equal_bits_anywhere")
 
 
 def _dynamic_openblas():

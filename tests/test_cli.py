@@ -733,16 +733,27 @@ def test_grid_limit_is_fixed_and_documented(tmp_path):
     # the corrector's finest grid, on the ball of half-width 1, before its coarse eps
     {"kind": "corrector", "numerics": {"eps_list": [0.25, 2.0**-11]},
      "experiment": {"phi_index": 4, "level": 1.0}},
+    # a 2d grid of 128 x 128 cells with a short reach pads to 96100 points,
+    # but the policy engine's maps and policy matrix take 5 x 8 x 16384^2 bytes
+    {"kind": "solve", "environment": {"dim": 2, "kernel_class": "a"},
+     "numerics": {"eps_list": [0.5], "h": 2.0**-7, "r_out_factor": 0.5},
+     "experiment": {"eps": 0.5}},
+    {"kind": "effective", "environment": {"dim": 2, "kernel_class": "a"},
+     "numerics": {"eps_list": [0.5], "h": 2.0**-7, "r_out_factor": 0.5},
+     "experiment": {"phi_index": 4}},
 ], ids=["obstacle", "mbar", "effective", "mbar-three-eps", "solve", "converge", "abp",
-        "corrector"])
+        "corrector", "solve-2d", "effective-2d"])
 def test_runs_holding_too_large_an_inverse_exit_2(tmp_path, capsys, refuse_builds, overrides):
-    # m = 16384 pads to 278528 points, under MAX_GRID_POINTS, but its G alone
-    # is 2 GiB; the run exits 2 before any table, lattice or G is built
+    # 1d: m = 16384 pads to 278528 points, under MAX_GRID_POINTS, but its G
+    # alone is 2 GiB; 2d: the moment maps of n = 16384 active cells.  The run
+    # exits 2 before any table, lattice, G or map is built
     cfg = write_config(tmp_path, **overrides)
     assert main(["run", str(cfg)]) == 2
     err = one_error_line(capsys)
     assert err["type"] == "ConfigurationError"
     assert f"MAX_DENSE_BYTES = {2**30}" in err["message"]
+    if overrides.get("environment", {}).get("dim") == 2:
+        assert "moment maps" in err["message"] and "n = 16384" in err["message"]
     assert refuse_builds == []
 
 
@@ -989,7 +1000,7 @@ def test_unreadable_and_malformed_configs(tmp_path, capsys):
 
 
 def test_solver_failure_exits_3(tmp_path, capsys):
-    # a 2d solve runs sweeps, which stop once the residual stagnates
+    # a 2d solve's certified residual floors near rounding, far above 1e-300
     cfg = write_config(
         tmp_path,
         environment={"dim": 2, "kernel_class": "a", "n_alpha": 2, "n_beta": 2,
@@ -1000,6 +1011,10 @@ def test_solver_failure_exits_3(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 3
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err["error"]["type"] == "SolverError"
+    # the message names the engine, its policy solves and the last residuals
+    assert err["error"]["message"].startswith("policy solver did not reach tol=1e-300")
+    assert "last residuals checked: " in err["error"]["message"]
+    assert 1 <= err["error"]["iterations"] <= 12 and 0.0 < err["error"]["residual"] < 1e-12
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -1096,7 +1111,7 @@ _FUZZ_KEYS = {
     "experiment": sorted({k for d in cli._EXPERIMENT_DEFAULTS.values() for k in d}),
 }
 # small values only: a valid draw must stay a desk-second run, so no 2d
-# (dim 2, which runs sweeps) and no tiny tolerances or grids
+# and no tiny tolerances or grids
 _FUZZ_VALUES = [None, True, -1, 0, 0.5, 3, 3.0, float("nan"), float("inf"), "x",
                 "newton", [], [0.25], [0.25, 0.125], {}]
 _DELETE = object()

@@ -6,6 +6,7 @@ coordinate because the diagonal dominates all branch slopes, so the
 orderings hold without any floating-point slack.
 """
 
+import copy
 import tracemalloc
 from dataclasses import dataclass, replace
 
@@ -652,7 +653,8 @@ def test_newton_warm_start_is_exact():
 
 
 def test_sweeps_obstacle_solve_ignores_init():
-    # init only seeds the newton contact set; sweeps start from zero
+    # init only seeds the newton contact set; the 2d policy engine and the
+    # sweeps start from zero
     spec = EnvironmentSpec(dim=2, kernel_class="a", n_alpha=2, n_beta=2,
                            coeff_law="uniform", forcing_law="uniform", f_bound=1.0)
     prob = DirichletProblem(handle=OperatorHandle(fam=KernelFamily(
@@ -660,11 +662,13 @@ def test_sweeps_obstacle_solve_ignores_init():
         env=sample_environment(spec, seed=0), eps=0.5),
         domain=Box((0.0, 0.0), 0.5, 1.0 / 8), rhs=0.1, exterior=ExteriorRule.zero())
     quad = build_quadrature(2, 1.0, 1.0 / 8, 2.0)
-    cold = solve_obstacle(prob, tol=1e-8, quad=quad)
-    warm = solve_obstacle(prob, tol=1e-8, quad=quad, init=np.full((8, 8), 0.5))
-    assert cold.diagnostics.method == warm.diagnostics.method == "sweeps"
-    assert np.array_equal(warm.u, cold.u)
-    assert warm.diagnostics.iterations == cold.diagnostics.iterations
+    for fixed_sweeps, method in ((None, "policy"), (40, "sweeps")):
+        cold = solve_obstacle(prob, tol=1e-8, quad=quad, fixed_sweeps=fixed_sweeps)
+        warm = solve_obstacle(prob, tol=1e-8, quad=quad, init=np.full((8, 8), 0.5),
+                              fixed_sweeps=fixed_sweeps)
+        assert cold.diagnostics.method == warm.diagnostics.method == method
+        assert np.array_equal(warm.u, cold.u)
+        assert warm.diagnostics.iterations == cold.diagnostics.iterations
 
 
 def test_prebuilt_lattice_and_system_match_a_fresh_solve():
@@ -697,7 +701,7 @@ def test_every_1d_lattice_activates_its_whole_grid(k, m, c, shape):
     prob = DirichletProblem(handle=OperatorHandle(fam=FAM_A, extremal_sign=1), domain=box,
                             rhs=0.0, exterior=ExteriorRule.zero(), shape=shape)
     lat = solve._lattice(prob, build_quadrature(1, 1.0, h, 4.0 * h))
-    assert lat.linear and lat.active.shape == (m,) and lat.active.all()
+    assert lat.engine == "newton" and lat.active.shape == (m,) and lat.active.all()
     assert lat.matrix().shape == (m, m)
 
 
@@ -860,12 +864,12 @@ def test_barrier_check_certifies_extreme_levels():
     assert barrier_threshold(solve._lattice(flat, QUAD16)) == (0.0, 0.0)
 
 
-def _problem_2d(shape="cube", exterior=ExteriorRule.zero()):
-    spec = EnvironmentSpec(dim=2, kernel_class="a", n_alpha=2, n_beta=2,
+def _problem_2d(shape="cube", exterior=ExteriorRule.zero(), kind="a", seed=1):
+    spec = EnvironmentSpec(dim=2, kernel_class=kind, n_alpha=2, n_beta=2,
                            coeff_law="uniform", forcing_law="uniform")
-    fam = KernelFamily(kind="a", dim=2, sigma=1.0, lam=1.0, lam_big=2.0)
+    fam = KernelFamily(kind=kind, dim=2, sigma=1.0, lam=1.0, lam_big=2.0)
     prob = DirichletProblem(
-        handle=OperatorHandle(fam=fam, env=sample_environment(spec, seed=1), eps=0.5),
+        handle=OperatorHandle(fam=fam, env=sample_environment(spec, seed=seed), eps=0.5),
         domain=Box((0.0, 0.0), 0.5, 0.125), rhs=0.3, exterior=exterior, shape=shape)
     return prob, build_quadrature(2, 1.0, 0.125, 2.0)
 
@@ -941,7 +945,7 @@ def test_1d_frozen_problems_have_no_contact_below_their_certificate():
                            forcing_law="uniform", f_bound=1.0)
     frozen = _FrozenSystems(quadratic_bank(1)[4], np.zeros(1), spec, fam_of(spec),
                             None, 8.0, 1e-7, (0.0625, 0.03125, 0.015625), tuple(range(8)))
-    assert frozen.assembled and all(lat.linear for lat in frozen.lattices.values())
+    assert frozen.assembled and all(lat.engine == "newton" for lat in frozen.lattices.values())
     _certificates_bound_contact(frozen)
 
 
@@ -951,7 +955,7 @@ def test_2d_frozen_problems_have_no_contact_below_their_certificate():
                            coeff_law="uniform", forcing_law="uniform")
     frozen = _FrozenSystems(quadratic_bank(2)[7], np.zeros(2), spec, fam_of(spec), 1.0 / 8,
                             1.0, 1e-8, (1.0, 0.5), (0, 1))
-    assert not frozen.assembled
+    assert frozen.assembled and all(lat.engine == "policy" for lat in frozen.lattices.values())
     _certificates_bound_contact(frozen)
 
 
@@ -987,6 +991,162 @@ def test_2d_frozen_cube_has_no_contact_at_the_certified_low_end():
         sol = solve_obstacle(replace(lat.problem, rhs=level), tol=1e-8, lattice=lat)
         assert sol.fraction == 0.0
         assert np.min(sol.u[lat.active]) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the 2d policy engine: moment maps from the stencil, Hoffman-Karp over the branches
+
+COSINE_2D = ExteriorRule(fn=lambda pts: np.cos(2.0 * pts[:, 0] - pts[:, 1]), far=0.3)
+
+
+def _policy_lattice(kind="a", shape="cube", r_out=2.0):
+    """`_problem_2d` on cosine exterior data at level 30, where its obstacle
+    solve touches on part of the domain, for either class and shape."""
+    prob, _ = _problem_2d(shape, COSINE_2D, kind)
+    return solve._lattice(replace(prob, rhs=30.0), build_quadrature(2, 1.0, 0.125, r_out))
+
+
+@pytest.mark.parametrize("r_out", [2.0, 0.5])
+@pytest.mark.parametrize("shape", ["cube", "ball"])
+@pytest.mark.parametrize("kind", ["a", "cs"])
+def test_moment_maps_match_unit_vector_probing_of_the_moments(kind, shape, r_out):
+    # B(u) = B(0) + L u, with L gathered from the stencil; the moments of each
+    # unit vector give the same columns to rounding.  r_out 2.0 reaches past
+    # the box (J > m - 1); r_out 0.5 does not
+    lat = _policy_lattice(kind, shape, r_out)
+    L, e = lat.moment_maps(), lat.load()
+    n = int(np.count_nonzero(lat.active))
+    assert L.shape == (3, n, n) and e.shape == (3, n)
+    zero = np.zeros(lat.active.shape)
+    assert np.array_equal(e, np.stack(lat.moments(lat.padded(zero, 1)))[:, lat.active])
+    probed = np.empty_like(L)
+    for j, cell in enumerate(zip(*np.nonzero(lat.active))):
+        unit = zero.copy()
+        unit[cell] = 1.0
+        probed[:, :, j] = np.stack(lat.moments(lat.padded(unit, 1)))[:, lat.active] - e
+    assert np.max(np.abs(probed - L)) <= 1e-13 * np.max(np.abs(L))
+
+
+@pytest.mark.parametrize("obstacle", [False, True])
+@pytest.mark.parametrize("shape", ["cube", "ball"])
+@pytest.mark.parametrize("kind", ["a", "cs"])
+def test_policy_solutions_match_sweeps_within_residual_over_margin(kind, shape, obstacle):
+    # both engines solve one monotone scheme whose rows are strictly
+    # diagonally dominant by mu, so each lies within its residual / mu of the
+    # discrete solution (Varah, Linear Algebra Appl. 11, 1975)
+    lat = _policy_lattice(kind, shape)
+    L, e = lat.system()
+    mu = lat.premise(L)
+    u, solves, trail = lat.policy_solve(obstacle, (L, e))
+    w, _, sweep_trail = lat.sweep_solve(obstacle, 1e-12)
+    assert trail[-1] == lat.residual(u, obstacle) <= 1e-12 and sweep_trail[-1] <= 1e-12
+    assert mu > 1.0 and solves <= 12
+    bound = (trail[-1] + sweep_trail[-1]) / mu + 4.0 * np.finfo(float).eps * np.max(np.abs(w))
+    assert np.max(np.abs(u - w)) <= bound
+    if obstacle:
+        contact = lat.active & (u == 0.0)
+        assert 0 < np.count_nonzero(contact) < np.count_nonzero(lat.active)
+        assert np.array_equal(contact, lat.active & (w == 0.0))
+
+
+def test_policy_obstacle_contact_is_exact_zeros_and_ties_go_to_contact():
+    lat = _policy_lattice()
+    sol = solve_obstacle(lat.problem, tol=1e-12, lattice=lat)
+    assert sol.diagnostics.method == "policy"
+    free = lat.active & ~sol.contact
+    assert 0.0 < sol.fraction < 1.0 and np.min(sol.u[free]) > 0.0
+    # contact cells are written +0.0, never solved for
+    assert not np.signbit(sol.u[sol.contact]).any()
+    # zero forcing and exterior data at level zero: F(0) = 0 = -0 at every
+    # cell, a tie between every branch and the obstacle, so the first policy
+    # is all contact, and it stands
+    spec = EnvironmentSpec(dim=2, kernel_class="a", n_alpha=2, n_beta=2,
+                           coeff_law="uniform", forcing_law="fixed", forcing_value=0.0)
+    prob = replace(lat.problem, handle=replace(lat.problem.handle,
+                                               env=sample_environment(spec, seed=1)),
+                   rhs=0.0, exterior=ExteriorRule.zero())
+    sol = solve_obstacle(prob, tol=1e-12, quad=lat.quad)
+    assert sol.fraction == 1.0 and sol.diagnostics.iterations == 1
+    assert sol.diagnostics.residual == 0.0 and not np.signbit(sol.u).any()
+
+
+@pytest.mark.parametrize("obstacle", [False, True])
+def test_identical_branches_terminate_without_cycling(obstacle):
+    # every branch a copy of branch (0, 0): they tie at every cell after
+    # every solve, and a tie replaces no policy, so the game is solved as the
+    # one branch is, to its bits and in as many policy solves
+    lat = _policy_lattice()
+    one, tied = copy.copy(lat), copy.copy(lat)
+    one.A, one.forc = lat.A[:1, :1], lat.forc[:1, :1]
+    tied.A = np.broadcast_to(one.A, lat.A.shape)
+    tied.forc = np.broadcast_to(one.forc, lat.forc.shape)
+    u1, s1, _ = one.policy_solve(obstacle)
+    u2, s2, trail = tied.policy_solve(obstacle)
+    assert u1.tobytes() == u2.tobytes() and s1 == s2 < solve.MAX_STEPS
+    assert trail[-1] <= 1e-12
+
+
+def test_policy_solve_gives_equal_systems_equal_bits_anywhere():
+    # a policy solve reads its maps and load through whole-array products,
+    # matvecs and LAPACK's own copy, so neither where they start in memory
+    # nor the batch around a problem reaches its solution's bits
+    lat = _policy_lattice()
+    L, e = lat.system()
+    alone, solves, _ = lat.policy_solve(True, (L, e))
+    # L and e at every 8-byte offset within a 64-byte line
+    buf = np.zeros(L.size + e.size + 8)
+    for start in range(8):
+        Ls = buf[start:start + L.size].reshape(L.shape)
+        es = buf[start + L.size:start + L.size + e.size].reshape(e.shape)
+        Ls[...], es[...] = L, e
+        u, s, _ = lat.policy_solve(True, (Ls, es))
+        assert u.tobytes() == alone.tobytes() and s == solves
+    # a Dirichlet batch holding one problem twice, among others
+    problems = [_problem_2d(exterior=COSINE_2D, seed=seed)[0] for seed in (1, 2, 1, 3)]
+    quad = lat.quad
+    batch = solve_dirichlet_many(problems, tol=1e-12, quad=quad)
+    single = solve_dirichlet(problems[0], tol=1e-12, quad=quad)[0]
+    assert batch[0][0].tobytes() == batch[2][0].tobytes() == single.tobytes()
+    assert [d.method for _, d in batch] == ["policy"] * 4
+
+
+def test_2d_policy_obstacle_translation_covariance_bit_exact():
+    # the environment and the domain shifted by one cell on each axis: the
+    # maps, the load and the branches are the same bits, so the solution is
+    prob, quad = _problem_2d(seed=5)
+    prob = replace(prob, rhs=0.1)
+    eps, s = prob.handle.eps, 0.25
+    moved = replace(prob, handle=replace(prob.handle, env=translate(prob.handle.env, [s, s])),
+                    domain=Box((-eps * s, -eps * s), 0.5, prob.domain.h))
+    a, b = (solve_obstacle(p, tol=1e-10, quad=quad) for p in (prob, moved))
+    assert a.diagnostics.method == "policy" and 0.0 < a.fraction < 1.0
+    assert a.u.tobytes() == b.u.tobytes()
+    assert np.array_equal(a.contact, b.contact)
+
+
+@pytest.mark.parametrize("field, message", [
+    ([[1.0, 2.0], [2.0, 1.0]], "off-centre weight"),  # eigenvalues 3 and -1
+    ([[0.0, 0.0], [0.0, 0.0]], "not strictly diagonally dominant"),
+], ids=["not-psd", "zero"])
+def test_a_matrix_field_that_breaks_the_m_matrix_premise_is_refused(
+        monkeypatch, count_calls, field, message):
+    # branch (1, 0) doctored: a non-PSD A gives some offset y a negative
+    # weight y'Ay / |y|^2, and a zero A leaves its rows no dominance; the
+    # policy engine checks both on the assembled maps, before any solve
+    matrix_field = solve.matrix_field
+
+    def doctored(*args):
+        fields = matrix_field(*args)
+        for A in fields:
+            A[1, 0] = field
+        return fields
+
+    monkeypatch.setattr(solve, "matrix_field", doctored)
+    lapack = count_calls(np.linalg, "solve")
+    prob, quad = _problem_2d(exterior=COSINE_2D)
+    with pytest.raises(ConfigurationError, match=rf"branch \(alpha=1, beta=0\).*{message}"):
+        solve_dirichlet(prob, quad=quad)
+    assert lapack == []
 
 
 # ---------------------------------------------------------------------------
@@ -1055,15 +1215,20 @@ def test_a_sweep_solve_whose_zero_start_meets_tol_takes_no_sweep(count_calls, ob
     spec = EnvironmentSpec(dim=2, kernel_class="a", n_alpha=2, n_beta=2,
                            coeff_law="uniform", forcing_law="fixed", forcing_value=0.0)
     prob = replace(prob, handle=replace(prob.handle, env=sample_environment(spec, seed=1)))
+    prob = replace(prob, rhs=1.0 if obstacle else 0.0)
     calls = count_calls(solve._Lattice2D, "operator_values")
+    vals, its, trail = solve._lattice(prob, quad).sweep_solve(obstacle, 1e-12)
+    assert its == 0 and trail == [0.0] and not vals.any()
+    assert len(calls) == 1
+    # the policy engine solves the greedy policy at zero once, and certifies it
     if obstacle:
-        sol = solve_obstacle(replace(prob, rhs=1.0), tol=1e-12, quad=quad)
+        sol = solve_obstacle(prob, tol=1e-12, quad=quad)
         u, d = sol.u, sol.diagnostics
         assert sol.fraction == 1.0
     else:
-        u, d = solve_dirichlet(replace(prob, rhs=0.0), tol=1e-12, quad=quad)
-    assert d.method == "sweeps" and d.iterations == 0 and d.residual == 0.0
-    assert len(calls) == 1
+        u, d = solve_dirichlet(prob, tol=1e-12, quad=quad)
+    assert d.method == "policy" and d.iterations == 1 and d.residual == 0.0
+    assert len(calls) == 2
     assert not u.any()
 
 
@@ -1113,19 +1278,32 @@ def test_the_problem_picks_the_engine():
     # 1d operators but the pointwise "cs" extremal: the linear engine
     _, d = solve_dirichlet(mixed_problem(0.05), tol=1e-9, quad=QUAD16)
     assert d.method == "newton"
-    # the "cs" extremal, a 2d problem and any fixed_sweeps solve: sweeps
+    # 2d branch operators of either class: the policy engine
+    quad = build_quadrature(2, 1.0, 1.0 / 8, 4.0)
+    for kind in ("a", "cs"):
+        spec = EnvironmentSpec(dim=2, kernel_class=kind, coeff_law="fixed", coeff_value=1.0,
+                               forcing_law="fixed", forcing_value=0.0)
+        fam = KernelFamily(kind=kind, dim=2, sigma=1.0, lam=1.0, lam_big=2.0)
+        prob = DirichletProblem(handle=OperatorHandle(fam=fam, env=sample_environment(spec, 0),
+                                                      eps=0.5),
+                                domain=Box((0.0, 0.0), 0.5, 1.0 / 8), rhs=0.0,
+                                exterior=ExteriorRule.zero())
+        _, d = solve_dirichlet(prob, quad=quad)
+        assert d.method == "policy"
+        sol = solve_obstacle(replace(prob, rhs=0.5), quad=quad)
+        assert sol.diagnostics.method == "policy"
+    # the extremals with no finite policy set (the 1d "cs" and the 2d one)
+    # and any fixed_sweeps solve: sweeps
     box = Box((0.0,), 0.5, 1.0 / 16)
     cs_extremal = DirichletProblem(handle=OperatorHandle(fam=FAM, extremal_sign=+1),
                                    domain=box, rhs=-1.0, exterior=ExteriorRule.zero())
     _, d = solve_dirichlet(cs_extremal, tol=1e-6, quad=QUAD16)
     assert d.method == "sweeps"
-    spec = EnvironmentSpec(dim=2, kernel_class="a", coeff_law="fixed", coeff_value=1.0,
-                           forcing_law="fixed", forcing_value=0.0)
-    prob = DirichletProblem(handle=OperatorHandle(fam=KernelFamily(
-        kind="a", dim=2, sigma=1.0, lam=1.0, lam_big=2.0),
-        env=sample_environment(spec, seed=0), eps=0.5),
-        domain=Box((0.0, 0.0), 0.5, 1.0 / 8), rhs=0.0, exterior=ExteriorRule.zero())
-    _, d = solve_dirichlet(prob, quad=build_quadrature(2, 1.0, 1.0 / 8, 4.0))
+    extremal_2d = replace(prob, handle=OperatorHandle(fam=replace(fam, kind="a"),
+                                                      extremal_sign=-1), rhs=-1.0)
+    _, d = solve_dirichlet(extremal_2d, tol=1e-6, quad=quad)
+    assert d.method == "sweeps"
+    _, d = solve_dirichlet(prob, quad=quad, fixed_sweeps=5)
     assert d.method == "sweeps"
     _, d = solve_dirichlet(mixed_problem(0.05), quad=QUAD16, fixed_sweeps=5)
     assert d.method == "sweeps"
