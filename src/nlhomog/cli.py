@@ -24,10 +24,10 @@ from .errors import CheckFailure, ConfigurationError, SolverError
 from .operators import Box
 from .solve import (
     DirichletProblem, OperatorHandle, barrier_threshold, check_grid, check_dense_arrays,
-    default_quadrature, solve_dirichlet, solve_obstacle,
+    default_quadrature, solve_dirichlet, solve_obstacle, _lattices,
 )
 from .homog import (
-    RowLog, abp_scaling_experiment, _frozen_lattices, _frozen_problem,
+    RowLog, abp_scaling_experiment, _frozen_problem,
     check_translation_shift, comparison_measurable_experiment,
     convergence_experiment, corrector_decay_profile, effective_value,
     estimate_mbar, fam_of, quadratic_bank, _exterior_from_tag,
@@ -425,8 +425,7 @@ def _run_converge(resolved, spec, fam, log, workers):
                                  domain_half=exp["domain_half"], h=num["h"],
                                  tol=num["solver_tol"],
                                  r_out_factor=num["r_out_factor"],
-                                 translation_shift=exp["translation_shift"],
-                                 workers=workers, log=log)
+                                 translation_shift=exp["translation_shift"], log=log)
     return {
         "eps_list": list(rep["eps_list"]),
         "seeds": list(rep["seeds"]),
@@ -541,7 +540,8 @@ def _direct_frozen_constant(resolved, spec, fam):
     eps = min(num["eps_list"])
     prob = _frozen_problem(phi, x0, 0.0, eps, sample_environment(spec, seed=num["seeds"][0]), fam,
                            _grid_h(num, eps))
-    lat, = _frozen_lattices([prob], num["r_out_factor"])
+    # a lattice that holds no system: only barrier_threshold reads it
+    lat, = _lattices([prob], default_quadrature(fam, prob.domain, num["r_out_factor"]), dense=False)
     return barrier_threshold(lat)[1]
 
 

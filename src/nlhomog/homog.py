@@ -15,16 +15,13 @@ from `default_quadrature`.
 The frozen problems of one m-bar estimate or one effective-level bisection
 share their level-free parts, built on the calling thread before any solve
 (`_FrozenSystems`) and dropped when the call returns: each seed's
-environment, sampled once; per eps the lattices of one batch, which read
-the fields of every seed in one call per field, the table
-with its stencil, the frozen moment, one exterior correlation and the
-level-free system: in 1d the newton engine's (K, e, G) -- K a read-only
-Toeplitz view over 2m - 1 values and G = inv(K) from Trench's recurrence,
-the one m x m array -- and in 2d the policy engine's (L, e), the three
-moment maps and the load; and per (eps, seed) the lattice, on which the bracket reads its two
-certificates from one evaluation of F(0), the operator at the zero
-function (`barrier_threshold`): its min at the low end and its max at the
-high end.
+environment, sampled once; per eps one batch of lattices (`_lattices`),
+which reads the fields of every seed in one call per field and holds the
+table with its stencil, the frozen moment, one exterior correlation and
+the eps's one linear system (see `solve`, The held system); and per
+(eps, seed) the lattice, on which the bracket reads its two certificates
+from one evaluation of F(0), the operator at the zero function
+(`barrier_threshold`): its min at the low end and its max at the high end.
 In 1d each level only recomputes its threshold and runs the active set,
 started from the contact set the same (eps, seed) item returned at the
 previous level, and each active-set step with less contact than free cells
@@ -32,25 +29,22 @@ is a Schur step on G.  That warm start (the previous solution, which only
 the newton engine reads; the 2d policy engine starts from zero) belongs to
 its (eps, seed) item, so the worker threads cannot change any reported
 number.
-The functions that can fan out take `workers`, the number of threads
+The functions that fan out, over the (eps, seed) items of `estimate_mbar`
+and so of `effective_value`, take `workers`, the number of threads
 (default 1: a plain loop, and the thread-pool module is not imported);
 nothing here reads a worker count from anywhere else.  The threads share
 one process and one copy of the level-free parts, which they only read
 (`_map`).  `tol` is the solver tolerance wherever it appears; the
 bisection's own stopping width is `bisect_tol`.
 Dirichlet problems that share a grid are solved as one batch
-(`solve_dirichlet_many`), so in 1d each grid's K is inverted once and every
-problem is one matvec with that G, and in 2d each batch builds its moment
-maps once: the abp and cmi sweeps are one batch each.  Each run that holds
+(`solve_dirichlet_many`), which holds one system: the abp and cmi sweeps
+are one batch each, and so is every convergence harness, whose problems
+all share one grid, the translated route's included.  Each run that holds
 G or the maps checks their size (`check_dense_arrays`) after its grids and
-before its table.  The convergence harness makes one batch of all the
-problems that share K, so a 1d run is one batch and runs on the calling
-thread; a 2d run makes one batch per eps, each a policy-engine batch on
-the shared grid, the translated route joining the largest, and maps them
-the same way.  A batch
-samples each seed's environment once and builds one exterior rule per
-distinct offset, so its lattices read the fields in one call per field and
-evaluate each exterior once: the plain one, and the translated route's.
+before its table.  A batch samples each seed's environment once and
+builds one exterior rule per distinct offset, so its lattices read the
+fields in one call per field and evaluate each exterior once: the plain
+one, and the translated route's.
 """
 
 from __future__ import annotations
@@ -65,7 +59,7 @@ import numpy as np
 from .env import EnvironmentSpec, sample_environment, translate
 from .errors import ConfigurationError, SolverError
 from .kernels import KernelFamily
-from .operators import Box, ExteriorRule, TestFunction, unit_moment
+from .operators import Box, ExteriorRule, TestFunction
 from .solve import (
     DirichletProblem,
     OperatorHandle,
@@ -218,55 +212,38 @@ def _frozen_problem(phi, x0, level, eps, env, fam, h, *, domain_half=0.5,
                             exterior=ExteriorRule.zero(), shape=shape)
 
 
-def _frozen_lattices(problems, r_out_factor):
-    """Lattices of one eps's frozen problems, one batch sharing one table,
-    frozen moment and exterior correlation."""
-    first = problems[0]
-    quad = default_quadrature(first.handle.fam, first.domain, r_out_factor)
-    return _lattices(problems, quad, unit_moment(*first.handle.frozen, quad))
-
-
 class _FrozenSystems:
     """Level-free parts of the frozen problems of one extraction, and its warm starts.
 
     Everything is built here, on the calling thread, so the worker threads
-    of a fan-out only read it, once every grid and all dense arrays pass
-    their checks (`check_grid`, `check_dense_arrays`).  Per (eps, seed) of
-    `eps_list` and `seeds`: the lattice at level zero (`_frozen_lattices`),
-    on which the bracket evaluates F(0).  Per eps: the first lattice's
-    `system()` -- seed-independent, since it depends on the grid, the table
-    and the zero exterior only.  In 1d it is (K, e, G), the newton engine's:
-    it holds one m x m array, G = inv(K); K is a read-only view over its
-    2m - 1 distinct values, from which the solves gather rows.  G turns
-    each active-set step with fewer contact than free cells into a matvec
-    and a small Schur solve.  In 2d it is (L, e), the policy engine's three
-    n x n moment maps and the load, and every seed's branches are checked
-    on L (`premise`) here.  The worker threads only read them.  `warm`
-    holds the solution each (eps, seed) returned at the previous level;
-    `estimate_mbar` updates it between maps, on the calling thread.
+    of a fan-out only read it, once every grid and the dense arrays of all
+    eps together pass their checks (`check_grid`, `check_dense_arrays`).
+    Per eps the frozen problems of every seed are one batch (`_lattices`),
+    whose lattices hold the table, the frozen moment, the exterior and the
+    eps's one held system (see `solve`, The held system).  `lattices` holds
+    the lattice of each (eps, seed) of `eps_list` and `seeds` at level zero,
+    on which the bracket evaluates F(0).  `warm` holds the solution each
+    (eps, seed) returned at the previous level; `estimate_mbar` updates it
+    between maps, on the calling thread.
     """
 
     def __init__(self, phi, x0, spec, fam, h, r_out_factor, tol, eps_list, seeds):
         self.tol = tol
         self.lattices = {}   # (eps, seed) -> lattice at level 0
-        self.assembled = {}  # eps -> (K view, e, G = inv(K)) in 1d, (L, e) in 2d
         self.warm = {}       # (eps, seed) -> solution at the previous level
         # per eps, the level-zero problem of each seed (h defaults to eps/4),
-        # all on each seed's one sampled environment
+        # all on each seed's one sampled environment and one shifted profile
         envs = [sample_environment(spec, seed=seed) for seed in seeds]
-        problems = {eps: [_frozen_problem(phi, x0, 0.0, eps, env, fam,
+        phi = phi.shifted(np.atleast_1d(np.asarray(x0, dtype=np.float64)))
+        problems = {eps: [_frozen_problem(phi, 0.0, 0.0, eps, env, fam,
                                           (eps / 4.0) if h is None else h) for env in envs]
                     for eps in sorted(set(eps_list))}
         for probs in problems.values():
             check_grid(probs[0].domain, r_out_factor)
         check_dense_arrays([probs[0] for probs in problems.values()])
         for eps, probs in problems.items():
-            lats = _frozen_lattices(probs, r_out_factor)
-            self.lattices.update(((eps, seed), lat) for seed, lat in zip(seeds, lats))
-            self.assembled[eps] = system = lats[0].system()
-            if lats[0].engine == "policy":
-                for lat in lats[1:]:
-                    lat.premise(system[0])  # every seed's branches, on the shared maps
+            quad = default_quadrature(fam, probs[0].domain, r_out_factor)
+            self.lattices.update(zip(((eps, seed) for seed in seeds), _lattices(probs, quad)))
 
     def solve(self, item):
         """Obstacle solve of one (eps, seed) problem at a level, warm-started.
@@ -282,7 +259,7 @@ class _FrozenSystems:
         lat = self.lattices[(eps, seed)]
         try:
             sol = solve_obstacle(replace(lat.problem, rhs=level), tol=self.tol, init=warm,
-                                 lattice=lat, system=self.assembled.get(eps))
+                                 lattice=lat)
         except SolverError as exc:
             raise SolverError(f"eps={float(eps)!r}, seed={seed}, level={float(level)!r}: {exc}",
                               residual=exc.residual, iterations=exc.iterations) from exc
@@ -595,19 +572,15 @@ def abp_scaling_experiment(fam: KernelFamily, *, h=2.0**-9,
 # ---------------------------------------------------------------------------
 # convergence harness
 
-def _converge_group(shared, group):
-    """Dirichlet solves of one converge group as one batch.
-
-    The group's items (seed, eps, shift) share the grid, the table and the
-    active mask; shift None is the plain route, else the translated route
-    (shifted environment, shifted domain and data).  Each seed's environment
-    is sampled once and each distinct offset of the exterior data gets one
-    rule, which the batch evaluates once.  Returns (values, iterations,
-    residual, wall_ms) per item.
+def _converge_problems(items, spec, fam, box, far):
+    """The Dirichlet problem of each converge item (seed, eps, shift), all on
+    the grid of `box`: shift None is the plain route, else the translated
+    route (shifted environment, shifted domain and data).  Each seed's
+    environment is sampled once and each distinct offset of the exterior
+    data gets one rule, which the batch then evaluates once.
     """
-    spec, fam, box, far, tol, quad = shared
     envs, exteriors, problems = {}, {}, []
-    for seed, eps, shift in group:
+    for seed, eps, shift in items:
         if seed not in envs:
             envs[seed] = sample_environment(spec, seed=seed)
         env, domain, offset = envs[seed], box, 0.0
@@ -621,8 +594,7 @@ def _converge_group(shared, group):
         g = exteriors[offset]
         problems.append(DirichletProblem(handle=OperatorHandle(fam=fam, env=env, eps=eps),
                                          domain=domain, rhs=0.0, exterior=g, shape="cube"))
-    return [(u, d.iterations, d.residual, d.wall_ms)
-            for u, d in solve_dirichlet_many(problems, tol=tol, quad=quad)]
+    return problems
 
 
 def _exterior_from_tag(tag, dim, offset=0.0):
@@ -654,20 +626,18 @@ def check_translation_shift(eps_list, h, shift):
 def convergence_experiment(exterior_tag, eps_list, seeds,
                            spec: EnvironmentSpec, fam: KernelFamily, *,
                            domain_half=0.5, h=None, tol=1e-7, r_out_factor=8.0,
-                           translation_shift=0.25, workers=1,
-                           log: RowLog | None = None):
+                           translation_shift=0.25, log: RowLog | None = None):
     """Scaled Dirichlet solves across eps and seeds, with three diagnostics.
 
     (a) seed discrepancy per eps (sup over seed pairs), (b) Cauchy gaps
     between consecutive eps at shared grid nodes, (c) a translated-route
     replay whose values must land bit-identically after shifting back.
     All solves share one grid (h fixed by the smallest eps), so the
-    comparisons need no interpolation, and one table.  In 1d they share K
-    too, so every solve is one batch, on the calling thread.  The 2d
-    (policy-engine) solves of one eps are one batch, with the translated
-    route (largest eps, first seed) in the first; `_map` runs these
-    fixed groups, so no number depends on the worker count.  Rows are
-    logged eps by eps, seeds in order, with the translated route's row last.
+    comparisons need no interpolation, one table and one held system (the
+    inverse of K in 1d, the moment maps in 2d): every run is one batch
+    (`solve_dirichlet_many`), on the calling thread, the translated route
+    (largest eps, first seed) included.  Rows are logged eps by eps, seeds
+    in order, with the translated route's row last.
     """
     eps_list = tuple(sorted(set(eps_list), reverse=True))
     if len(eps_list) < 2:
@@ -681,25 +651,17 @@ def convergence_experiment(exterior_tag, eps_list, seeds,
     check_grid(box, r_out_factor)
     check_dense_arrays([DirichletProblem(handle=OperatorHandle(fam=fam), domain=box,
                                          rhs=0.0, exterior=ExteriorRule.zero())])
-    # one batch per K: all of a 1d run; per eps in 2d, each batch building
-    # the maps of the grid for itself.  The translated route joins the first
-    # batch
-    groups = [[(seed, eps, None) for seed in seeds] for eps in eps_list]
-    if spec.dim == 1:
-        groups = [[item for group in groups for item in group]]
-    groups[0].append((seeds[0], eps_list[0], translation_shift))
-    shared = (spec, fam, box, exterior_tag, tol, default_quadrature(fam, box, r_out_factor))
-    out = _map(_converge_group, shared, groups, workers)
-    solved = [pair for group, rows in zip(groups, out) for pair in zip(group, rows)]
-    solved.sort(key=lambda pair: pair[0][2] is not None)  # translated route's row last
+    items = [(seed, eps, None) for eps in eps_list for seed in seeds]
+    items.append((seeds[0], eps_list[0], translation_shift))
+    problems = _converge_problems(items, spec, fam, box, exterior_tag)
+    solved = solve_dirichlet_many(problems, tol, default_quadrature(fam, box, r_out_factor))
     sols = {}
-    for (seed, eps, shift), (vals, its, res, wall) in solved:
+    for (seed, eps, shift), (vals, d) in zip(items, solved):
         sols[(eps, seed, shift is not None)] = vals
         if log is not None:
             log.add("converge-shift" if shift is not None else "converge",
-                    eps=eps, seed=seed,
-                    sup_norm=float(np.max(np.abs(vals))),
-                    iterations=its, residual=res, wall_ms=wall)
+                    eps=eps, seed=seed, sup_norm=float(np.max(np.abs(vals))),
+                    iterations=d.iterations, residual=d.residual, wall_ms=d.wall_ms)
     seed_disc = {}
     for eps in eps_list:
         worst = 0.0

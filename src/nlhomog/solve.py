@@ -16,12 +16,13 @@ exterior data on the grid and J ghost nodes past each face, with the active
 cells zeroed.  The correlation of that array is fixed per exterior, so an
 evaluation, on its own copy of the values, correlates only the active values
 with the central taps.  Every lattice reads its table's stencil.  Lattices
-are built in batches on one table (`_lattices`: a Dirichlet batch, the
-frozen problems of one eps, or a single problem as a batch of one).  A
-batch reads the fields of all its environments in one call per field
-(`env`), and evaluates and correlates each distinct exterior once: one
-box and shape, and one constant value or one function object; its lattices
-share that padded array and correlation.  Each dimension keeps its
+are built in batches on one table and one grid (`_lattices`: a Dirichlet
+batch, the frozen problems of one eps, or a single problem as a batch of
+one).  A batch reads the fields of all its environments in one call per
+field (`env`), computes each distinct frozen profile's moment once, and
+evaluates and correlates each distinct exterior once: one box and shape,
+and one constant value or one function object; its lattices share that
+padded array, its correlation and its load.  Each dimension keeps its
 correlation and its moment formula: in 1d one symmetric stencil, giving
 the unit moment (and, for the pointwise extremal of the "cs" class, the
 positive and negative moments); in 2d three directional stencils, giving
@@ -29,49 +30,59 @@ the symmetric (2, 2) moment field; their sums, and that of |kxy| for the
 sweep diagonal, are read from the table.
 The pointwise "cs" extremal is 1d only; a 2d one is refused.
 
+The held system
+---------------
+Every problem of a batch shares one linear structure, which depends on the
+table, the grid and the active mask alone.  The batch builds it once, on
+the calling thread, right after `check_dense_arrays` passes it, and every
+lattice of the batch holds it, as do the copies `at_level` makes; no solve
+builds one or is handed one.
+  1d  the unit moment is I(u) = e - K u, K the symmetric positive-definite
+      Toeplitz M-matrix of `column()`; held are K, a read-only view over
+      its 2m - 1 distinct values (`matrix()`), and G = inv(K), the one
+      m x m array, from Trench's O(m^2) recurrence (`_toeplitz_inverse`),
+      exactly symmetric.
+  2d  the moment field is B(u) = B(0) + L u on the n active cells; held
+      are the three n x n moment maps L (xx, yy, xy, `moment_maps`), on
+      which every lattice's branches pass `premise`.
+The load e = I(0), or B(0) on the active cells, is held per distinct
+exterior, beside its padded array and correlation.  A batch built with
+dense=False (a fixed-sweeps solve, or a lattice that only `barrier_threshold`
+reads) holds no K, G or L and checks none.
+
 Engines
 -------
 The problem picks the engine; there is no way to override it.
 
 newton   1d linear engine, for every 1d operator but the pointwise extremal
          of the "cs" class.  Every branch slot is increasing and linear in
-         the unit moment I(u) = e - K u, with K a fixed M-matrix, so
-         F(u) = rhs exactly where I(u) equals a pointwise threshold t.  A
-         1d ball, like a cube, activates every cell, so K acts on the whole
-         grid and depends on the table and the grid only.  K is symmetric
-         positive-definite Toeplitz, and every solve holds G = inv(K), the
-         one m x m array, built by Trench's O(m^2) recurrence and exactly
-         symmetric.  The Dirichlet problems on one grid
-         (`solve_dirichlet_many`) share one G, and each solves
-         K u_i = e_i - t_i as its own matvec u_i = G (e_i - t_i): the
-         empty-contact Schur step below; a single problem is a batch of
-         one.  An obstacle solve is the complementarity problem
-         K u >= e - t, u >= 0, solved by the primal-dual active-set method
-         with exact zeros on contact.  K is a read-only view over its
-         2m - 1 distinct values; a step copies only the rows and the block
-         it gathers from it.  On a contact set C smaller than the free set
-         F, a step is one matvec with G and a |C| x |C| solve on G[C, C]
-         (a Schur step); otherwise it is one dense solve on K[F, F].  So no
+         the unit moment, so F(u) = rhs exactly where I(u) equals a
+         pointwise threshold t.  A 1d ball, like a cube, activates every
+         cell, so K acts on the whole grid.  A Dirichlet problem solves
+         K u = e - t as one matvec u = G (e - t): the empty-contact Schur
+         step below; each problem of a batch is its own matvec, never one
+         product of many columns, so its bits do not depend on the batch.
+         An obstacle solve is the complementarity problem K u >= e - t,
+         u >= 0, solved by the primal-dual active-set method with exact
+         zeros on contact; a step copies only the rows and the block it
+         gathers from K.  On a contact set C smaller than the free set F, a
+         step is one matvec with G and a |C| x |C| solve on G[C, C] (a
+         Schur step); otherwise it is one dense solve on K[F, F].  So no
          step factors more than m/2 rows.
          An obstacle solve's `init`, when given, only seeds the first
          contact set (its zeros); the final set, and so the solution, does
          not depend on it.  At most MAX_STEPS steps run.  There is no
          fallback: a solve that misses the tolerance raises.  Every
-         residual, each column of a batch's included, is certified with
-         the sweep engine's evaluation.
+         residual is certified with the sweep engine's evaluation.
 policy   2d engine, for every branch operator (class "a" and class "cs").
-         The moment field is affine in the active values, B(u) = B(0) + L u,
-         with the three n x n moment maps L (xx, yy, xy) gathered from the
-         table's stencil once per table, grid and active mask; a Dirichlet
-         batch, or the frozen problems of one eps, share them as 1d shares
-         G.  A policy fixes a branch (alpha, beta) per cell, and then F is
+         A policy fixes a branch (alpha, beta) per cell, and then F is
          affine with the matrix diag(A11) Lxx + diag(A22) Lyy
          + 2 diag(A12) Lxy (class "a") or diag(mult) (Lxx + Lyy) (class
          "cs"), one row of some branch's matrix per cell.  Every branch's
          matrix has nonnegative off-centre weights and strictly diagonally
-         dominant rows, checked on the assembled maps (`premise`), so each
-         policy matrix is the negative of a nonsingular M-matrix and one
-         dense solve on the free cells solves the policy.  The inf over
+         dominant rows (`premise`), so each policy matrix is the negative
+         of a nonsingular M-matrix and one dense solve on the free cells
+         solves the policy.  The inf over
          alpha of the sup over beta is a game, solved by Hoffman-Karp
          policy iteration (Hoffman & Karp, Management Sci. 12, 1966;
          Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009): the
@@ -96,15 +107,15 @@ sweeps   damped projected Jacobi relaxation, for the extremal operators
          solve's `init` does not reach them.  A solve whose residual
          stagnates stops early and raises.
 
-Repeated solves of one problem at several levels can hand `solve_obstacle`
-the level-free parts built once: the lattice (environment fields, exterior
-data, frozen moment) and its `system()`: for the newton engine the triple
-(K, e, G), the view of K, the load and G = inv(K), the one m x m array;
-for the policy engine the pair (L, e), the moment maps and the load
-B(0); a solve not handed them builds both.  Both certificates of a level
-search, `barrier_threshold`, read that same lattice: the min and the max of
-F(0) with its own exterior data, whose terms cancel between F(U) and F(0)
-at a contact cell.  Every solve returns its values as an array on the grid.
+Each engine is one lattice method, `newton_solve(obstacle, init)`,
+`policy_solve(obstacle)` or `sweep_solve(obstacle, tol, fixed_sweeps)`, and
+`solve_dirichlet_many` and `solve_obstacle` pick among them in one place
+(`_solve`).  Repeated solves of one problem at several levels hand
+`solve_obstacle` the lattice, built once with its system; each level only
+re-levels a copy.  Both certificates of a level search, `barrier_threshold`,
+read that same lattice: the min and the max of F(0) with its own exterior
+data, whose terms cancel between F(U) and F(0) at a contact cell.  Every
+solve returns its values as an array on the grid.
 
 Scaled problems read their coefficients at x / eps; the grid must resolve
 the environment cells (h <= eps/4) or construction fails.
@@ -301,14 +312,18 @@ MAX_STEPS = 60      # active-set steps, or policy solves, before a newton or pol
 class _Lattice:
     """One problem on its grid (see Lattices).
 
-    A subclass sets `dim`, correlates in `_correlate` and evaluates F in
-    `operator_values`.  This class takes the table's stencil as `kern`,
-    reads the exterior data and adds the certified residual and the damped
-    Jacobi sweeps.
+    A subclass sets `dim`, correlates in `_correlate`, evaluates F in
+    `operator_values` and adds its engine.  This class takes the table's
+    stencil as `kern`, reads the exterior data and adds the certified
+    residual and the damped Jacobi sweeps.  `shared` is the dict of what the
+    lattices of one batch compute once: each distinct exterior
+    (`_read_exterior`) and each distinct frozen profile's moment.  The held
+    system (see The held system) is set by `_lattices`.
     """
 
-    def __init__(self, problem: DirichletProblem, quad: QuadratureTable,
-                 frozen_moment, fields, exteriors):
+    K = G = L = None  # the held system, None for dense=False
+
+    def __init__(self, problem: DirichletProblem, quad: QuadratureTable, fields, shared):
         box, handle = problem.domain, problem.handle
         if box.dim != self.dim:
             raise ConfigurationError(f"{type(self).__name__} is {self.dim}-dimensional")
@@ -330,7 +345,7 @@ class _Lattice:
         if self.dim == 1 and self.engine == "sweeps":
             _check_dense(16.0 * self.m * self.J, "the pointwise cs extremal's moments hold "
                          f"two m x J buffers of 8 bytes an entry, m = {self.m}, J = {self.J}")
-        self._read_exterior(exteriors)
+        self._read_exterior(shared)
         self.D0 = 2.0 * quad.w_total + 2.0 * quad.c_near / self.h**2 + 2.0 * quad.tail
         self.kind = "extremal" if handle.extremal_sign != 0 else "branch"
         self.is_matrix = handle.fam.kind == "a" and self.dim == 2
@@ -341,9 +356,12 @@ class _Lattice:
             coeff = coeff.reshape(branches + shape + ((2, 2) if self.is_matrix else ()))
             self.forc = forc.reshape(branches + shape)
             if handle.frozen is not None:
-                if frozen_moment is None:
-                    phi, x0 = handle.frozen
-                    frozen_moment = unit_moment(phi, np.atleast_1d(x0), quad)
+                phi, x0 = handle.frozen
+                x0 = np.atleast_1d(x0)
+                key = id(phi), x0.tobytes()  # a profile object, alive for the batch
+                if key not in shared:
+                    shared[key] = unit_moment(phi, x0, quad)
+                frozen_moment = shared[key]
             else:
                 frozen_moment = np.zeros((self.dim, self.dim))
             # sweep diagonal dominates every branch slope, not just the
@@ -388,15 +406,16 @@ class _Lattice:
         lat.rhs = self._rhs_grid(problem.rhs)
         return lat
 
-    def _read_exterior(self, exteriors):
+    def _read_exterior(self, shared):
         """`fixed`, the exterior data on the grid and J ghost nodes past each
-        face with the active cells zeroed, and its correlation `fixed_corr`.
+        face with the active cells zeroed, its correlation `fixed_corr` and
+        the load `e` (`load()`).
 
-        `exteriors` is the dict of the lattices of one batch, keyed by
-        (exterior values, box, shape), the values being a constant rule's
-        value or any other rule's function object: a lattice whose key is
-        held takes that (fixed, fixed_corr) pair, so each distinct exterior
-        is evaluated and correlated once a batch.  Otherwise the rule is evaluated on blocks
+        `shared` is the batch's dict, keyed here by (exterior values, box,
+        shape), the values being a constant rule's value or any other rule's
+        function object: a lattice whose key is held takes that (fixed,
+        fixed_corr, e), so each distinct exterior is evaluated, correlated
+        and loaded once a batch.  Otherwise the rule is evaluated on blocks
         of consecutive ghost rows, at most EXTERIOR_POINTS points (or one
         row) a block, into `fixed`, so no point list of the whole padded
         grid is built.
@@ -406,8 +425,8 @@ class _Lattice:
         fn = exterior.fn
         key = (fn if isinstance(fn, _Constant) else id(fn),
                tuple(box.center), box.half, box.h, self.problem.shape)
-        if key in exteriors:
-            self.fixed, self.fixed_corr = exteriors[key]
+        if key in shared:
+            self.fixed, self.fixed_corr, self.e = shared[key]
             return
         ghost = [c - box.half + (np.arange(-self.J, self.m + self.J) + 0.5) * self.h
                  for c in box.center]
@@ -421,7 +440,9 @@ class _Lattice:
                 pts[..., 0] = ghost[0][a:a + block, None]
             rows[a:a + block] = exterior.fn(pts.reshape(-1, self.dim)).reshape(len(pts), -1)
         fixed[(slice(self.J, self.J + self.m),) * self.dim][self.active] = 0.0
-        self.fixed, self.fixed_corr = exteriors[key] = fixed, self._correlate(fixed, self.kern)
+        self.fixed, self.fixed_corr = fixed, self._correlate(fixed, self.kern)
+        self.e = self.load()
+        shared[key] = self.fixed, self.fixed_corr, self.e
 
     def _near_corr(self, u):
         """Correlation of the active values of u with the central taps;
@@ -563,7 +584,8 @@ class _Lattice1D(_Lattice):
 
     def matrix(self):
         """K of `column()` as a read-only m x m view over its 2m - 1 distinct
-        values; the solves copy only the rows and blocks they gather from it."""
+        values; the solves copy only the rows and blocks they gather from it.
+        `_lattices` builds it once a batch, which its lattices hold."""
         col = self.column()
         # row i is col[|i - j|] over j
         return sliding_window_view(np.concatenate((col[::-1], col[1:])), self.m)[::-1]
@@ -572,41 +594,30 @@ class _Lattice1D(_Lattice):
         """e of I(u) = e - K u, which is I(0): the moment of the exterior data alone."""
         return self.unit_moments(self.padded(np.zeros(self.m), 1))
 
-    def system(self):
-        """(K, e, G), the newton engine's level-free part, for obstacle solves at many levels.
+    def newton_solve(self, obstacle, init=None):
+        """Returns (vals, steps, residuals) of the newton engine, on the held K and G.
 
-        K is `matrix()`, the view, built once here; e is `load()`; G =
-        inv(K) is `_toeplitz_inverse` of K's first row, which is `column()`.
-        G is the one m x m array held.  A Dirichlet batch needs no K and
-        builds G alone (`solve_dirichlet_many`).
-        """
-        K = self.matrix()
-        return K, self.load(), _toeplitz_inverse(K[0])
-
-    def newton_solve(self, init=None, system=None):
-        """Obstacle problem K u >= e - t, u >= 0, complementary, by the primal-dual active set.
-
-        The first contact set is the zeros of `init`, or empty without it;
-        each step solves on the free set and writes exact zeros on the
-        contact set, until the set repeats or MAX_STEPS steps have run.  K
-        is an M-matrix, so the method converges from any first set.
-        `system` is this lattice's `system()`, held by the caller across
-        solves, or None, and then built here.  A free cell leaves the free
-        set when its value turns negative; a contact cell leaves the contact
-        set when (K u - b) is positive there, which needs K u on the contact
-        rows only: `K[C] @ u`, or, when contact is the majority, `(u[F] @
-        K[F])[C]`, equal to it in exact arithmetic since u is zero on C and
-        K is symmetric.
-        So the test gathers at most half of K's rows.
+        Without the obstacle: K u = e - t, the one step on an empty contact
+        set, u = G (e - t).  With it: K u >= e - t, u >= 0, complementary,
+        by the primal-dual active set.  The first contact set is the zeros
+        of `init`, or empty without it; each step solves on the free set
+        and writes exact zeros on the contact set, until the set repeats or
+        MAX_STEPS steps have run.  K is an M-matrix, so the method converges
+        from any first set.  A free cell leaves the free set when its value
+        turns negative; a contact cell leaves the contact set when (K u - b)
+        is positive there, which needs K u on the contact rows only:
+        `K[C] @ u`, or, when contact is the majority, `(u[F] @ K[F])[C]`,
+        equal to it in exact arithmetic since u is zero on C and K is
+        symmetric.  So the test gathers at most half of K's rows.
         """
         if self.engine != "newton":
             raise ConfigurationError("the pointwise extremal has no dense linearization")
-        K, e, G = self.system() if system is None else system
-        b = e - self.threshold()
+        K, G = self.K, self.G
+        b = self.e - self.threshold()
         contact = np.zeros(b.size, dtype=bool) if init is None else np.asarray(init) == 0.0
         u = _free_solve(K, b, contact, G)
         steps = 1
-        while steps < MAX_STEPS:
+        while obstacle and steps < MAX_STEPS:
             new = u < 0.0
             C = np.flatnonzero(contact)
             if 2 * C.size <= b.size:
@@ -620,7 +631,7 @@ class _Lattice1D(_Lattice):
             contact = new
             u = _free_solve(K, b, contact, G)
             steps += 1
-        return u, steps, [self.residual(u, True)]
+        return u, steps, [self.residual(u, obstacle)]
 
 
 def _toeplitz_inverse(col):
@@ -836,20 +847,11 @@ class _Lattice2D(_Lattice):
             mu = min(mu, margin)
         return mu
 
-    def system(self):
-        """(L, e), the policy engine's level-free part, for obstacle solves at
-        many levels: L is `moment_maps()`, whose `premise` this lattice's
-        branches pass, and e is `load()`.  A lattice that shares another's
-        (L, e) passes L to its own `premise`."""
-        L = self.moment_maps()
-        self.premise(L)
-        return L, self.load()
+    def policy_solve(self, obstacle):
+        """Returns (vals, solves, residuals) of the policy engine (see Engines),
+        on the held maps L and the load e.
 
-    def policy_solve(self, obstacle, system=None):
-        """Returns (vals, solves, residuals) of the policy engine (see Engines).
-
-        `system` is this lattice's `system()`, held by the caller across
-        solves, or None, and then built here.  With X[a, b] = F_ab(u) - rhs,
+        With X[a, b] = F_ab(u) - rhs,
         affine in u through the maps, the first policy is the greedy one at
         u = 0.  Each step solves its policy on the free cells, with exact
         zeros on contact, and then changes a cell's beta (or its contact)
@@ -861,11 +863,10 @@ class _Lattice2D(_Lattice):
         of X at each policy's values, and last the certified residual of the
         values returned.
         """
-        L, e = self.system() if system is None else system
         W = self._weights()
-        L = L[:W.shape[2]]
+        L = self.L[:W.shape[2]]
         # X at u = 0 has the bits of `operator_values` at zero, less rhs
-        X0 = (self.forc[:, :, self.active] + self._slots(e, self.coeff[:, :, self.active])
+        X0 = (self.forc[:, :, self.active] + self._slots(self.e, self.coeff[:, :, self.active])
               - self.rhs[self.active])
         n = X0.shape[-1]
         cells = np.arange(n)
@@ -961,23 +962,44 @@ def _read_fields(problems):
     return fields
 
 
-def _lattices(problems, quad: QuadratureTable | None = None, frozen_moment=None):
+def _lattices(problems, quad: QuadratureTable | None = None, dense=True):
     """Lattices of a batch of problems on one table (the first problem's
-    default when None); frozen_moment, if given, is unit_moment of their
-    frozen profile on quad.
+    default when None) and one grid and active mask, or ConfigurationError.
 
     The batch reads its environment fields once (`_read_fields`), and each
-    distinct exterior once (`_Lattice._read_exterior`).
+    distinct exterior and frozen profile once (`_Lattice`).  With `dense`
+    it builds the held system (see The held system) from its first lattice
+    off the sweep engine, after `check_dense_arrays` of that problem and
+    before any other lattice reads it, and hands it to every lattice; in 2d
+    each lattice's branches pass `premise` on the maps.  Without `dense` it
+    checks and builds no K, G or L.
     """
     problems = list(problems)
     for problem in problems:
         problem.validate()
+    linear = [p for p in problems if _engine(p) != "sweeps"][:1] if dense else []
+    check_dense_arrays(linear)  # one grid: one G, or one set of maps
     if quad is None:
         quad = default_quadrature(problems[0].handle.fam, problems[0].domain)
-    exteriors = {}
-    return [(_Lattice1D if problem.domain.dim == 1 else _Lattice2D)(
-                problem, quad, frozen_moment, fields, exteriors)
+    shared = {}
+    lats = [(_Lattice1D if problem.domain.dim == 1 else _Lattice2D)(problem, quad, fields, shared)
             for problem, fields in zip(problems, _read_fields(problems))]
+    first = lats[0]
+    if any(lat.m != first.m or lat.h != first.h or not np.array_equal(lat.active, first.active)
+           for lat in lats):
+        raise ConfigurationError("the problems of a batch must share the grid and the active mask")
+    held = [lat for lat in lats if lat.engine != "sweeps"] if linear else []
+    if held and first.dim == 1:
+        K = held[0].matrix()
+        G = _toeplitz_inverse(K[0])
+        for lat in held:
+            lat.K, lat.G = K, G
+    elif held:
+        L = held[0].moment_maps()
+        for lat in held:
+            lat.premise(L)
+            lat.L = L
+    return lats
 
 
 def _lattice(problem: DirichletProblem, quad: QuadratureTable | None = None):
@@ -1008,6 +1030,20 @@ def _result(lat, obstacle, method, out, tol, wall_ms=0.0, pinned=False):
     return ObstacleSolution(u=vals, contact=contact, fraction=fraction, diagnostics=diag)
 
 
+def _solve(lat, obstacle, tol, fixed_sweeps, t0, init=None):
+    """`_result` of the engine `lat` picks, or of the sweeps under
+    `fixed_sweeps`, with wall_ms counted from the perf_counter time t0."""
+    engine = lat.engine if fixed_sweeps is None else "sweeps"
+    if engine == "newton":
+        out = lat.newton_solve(obstacle, init)
+    elif engine == "policy":
+        out = lat.policy_solve(obstacle)
+    else:
+        out = lat.sweep_solve(obstacle, tol, fixed_sweeps)
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    return _result(lat, obstacle, engine, out, tol, wall_ms, pinned=fixed_sweeps is not None)
+
+
 def solve_dirichlet(problem: DirichletProblem, tol: float = 1e-6,
                     quad: QuadratureTable | None = None, fixed_sweeps=None):
     """Solve F(u) = rhs in the domain with exterior data outside.
@@ -1022,110 +1058,46 @@ def solve_dirichlet(problem: DirichletProblem, tol: float = 1e-6,
 
 def solve_dirichlet_many(problems, tol: float = 1e-6,
                          quad: QuadratureTable | None = None, fixed_sweeps=None):
-    """`solve_dirichlet` of each problem, with one inverse of K, or one set of
-    moment maps, for the whole grid.
+    """`solve_dirichlet` of each problem, as one batch (`_lattices`) on one
+    grid and active mask, on the one table `quad` (the first problem's
+    default when None), or ConfigurationError.
 
-    The problems must share the grid and the active mask, and are solved
-    on the one table `quad` (the first problem's default when None), or
-    ConfigurationError.  Their lattices are one batch (`_lattices`): they
-    read the table's stencil, the environment fields of one call per field,
-    and one padded array and correlation per distinct exterior.  Those on
-    the newton engine share K, so the batch builds one G = inv(K)
-    (`_toeplitz_inverse`, after `check_dense_arrays`) and solves each column
-    b_i = e_i - t_i as its own matvec G b_i, the empty-contact step of
-    `_free_solve`; the load e is computed once per distinct exterior.
-    The columns are never multiplied as one matrix, so a column's solution
-    depends on that column alone and equal columns get equal solutions
-    wherever they sit in the batch.  G is dropped before the columns are
-    certified, each with its own lattice's residual; one that misses tol
-    raises SolverError.  Those on the policy engine share the moment maps
-    L, built once, and the load per distinct exterior; every lattice's
-    branches pass `premise` on L before the first solve, and each problem
-    is then its own policy solve.  Sweep problems are solved one by one,
-    from zero.  A problem's wall_ms is its own solve, sweeps or residual
-    check, plus 1/n of the batch's build, loads and shared inverse or maps.
+    The lattices hold the batch's one system, so in 1d each problem is its
+    own matvec with the one G, and in 2d its own policy solve on the one
+    set of maps; equal problems get equal bits wherever they sit in the
+    batch.  Each is certified with its own lattice's residual; one that
+    misses tol raises SolverError.  A problem's wall_ms is its own solve
+    plus 1/n of the batch's build.
     """
     problems = list(problems)
     if not problems:
         return []
     t0 = time.perf_counter()
-    if fixed_sweeps is None:
-        # one G, or one set of maps, for the grid
-        check_dense_arrays([p for p in problems if _engine(p) != "sweeps"][:1])
-    lats = _lattices(problems, quad)
-    first = lats[0]
-    if any(lat.m != first.m or lat.h != first.h or not np.array_equal(lat.active, first.active)
-           for lat in lats):
-        raise ConfigurationError("batched Dirichlet problems must share the grid "
-                                 "and the active mask")
-    engines = [lat.engine if fixed_sweeps is None else "sweeps" for lat in lats]
-    loads, cols, systems, maps = {}, {}, {}, None
-    for i, (lat, engine) in enumerate(zip(lats, engines)):
-        if engine == "sweeps":
-            continue
-        if id(lat.fixed) not in loads:  # one per distinct exterior
-            loads[id(lat.fixed)] = lat.load()
-        if engine == "newton":
-            cols[i] = loads[id(lat.fixed)] - lat.threshold()
-        else:
-            maps = lat.moment_maps() if maps is None else maps
-            lat.premise(maps)
-            systems[i] = maps, loads[id(lat.fixed)]
-    if cols:
-        G = _toeplitz_inverse(lats[next(iter(cols))].column())
-        solved = {i: G @ b for i, b in cols.items()}
-        del G
+    lats = _lattices(problems, quad, dense=fixed_sweeps is None)
     share = (time.perf_counter() - t0) / len(lats)
-    results = []
-    for i, (lat, engine) in enumerate(zip(lats, engines)):
-        t0 = time.perf_counter()
-        if engine == "newton":
-            vals = solved[i]
-            out = vals, 1, [lat.residual(vals, False)]
-        elif engine == "policy":
-            out = lat.policy_solve(False, systems[i])
-        else:
-            out = lat.sweep_solve(False, tol, fixed_sweeps)
-        wall_ms = (share + time.perf_counter() - t0) * 1e3
-        results.append(_result(lat, False, engine, out, tol, wall_ms,
-                               pinned=fixed_sweeps is not None))
-    return results
+    return [_solve(lat, False, tol, fixed_sweeps, time.perf_counter() - share) for lat in lats]
 
 
 def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6,
                    quad: QuadratureTable | None = None, init=None, fixed_sweeps=None,
-                   lattice=None, system=None) -> ObstacleSolution:
+                   lattice=None) -> ObstacleSolution:
     """Least nonnegative supersolution: max(F(U) - rhs, -U) = 0.
 
     Every projection writes exact zeros, so the contact mask is literally
     {U == 0} on active cells and contact counts are integers.  `init`,
     when given, seeds the newton engine's first contact set (its zeros)
     and changes nothing else; the policy engine and the sweeps ignore it
-    and start from zero.  `lattice` (from `_lattice` for this problem at
-    any level) and `system` skip rebuilding them when the level is all
-    that changed.  `system` is the lattice's `system()`, (K, e, G) with
-    G = inv(K) for the newton engine or (L, e) for the policy engine, or
-    None, and then the engine builds it, to the same bits.  Newton steps
-    on less contact than free cells are Schur steps (a matvec and a solve
-    on the contact block), the others solves on the free block; K stays a
-    view, so a step copies only the rows it multiplies and the block it
-    factors.  A newton or policy solve not handed `system` runs
-    `check_dense_arrays` first.  wall_ms includes building the lattice and
-    the system, or re-leveling the lattice.
+    and start from zero.  `lattice` (of this problem at any level, with
+    its held system) skips rebuilding when the level is all that changed;
+    without it the solve builds a batch of one.  wall_ms includes building
+    the lattice, or re-leveling it.
     """
     t0 = time.perf_counter()
-    if system is None and fixed_sweeps is None:
-        check_dense_arrays([problem])
-    lat = _lattice(problem, quad) if lattice is None else lattice.at_level(problem)
-    engine = lat.engine if fixed_sweeps is None else "sweeps"
-    if engine == "newton":
-        out = lat.newton_solve(init, system)
-    elif engine == "policy":
-        out = lat.policy_solve(True, system)
+    if lattice is None:
+        lat, = _lattices([problem], quad, dense=fixed_sweeps is None)
     else:
-        out = lat.sweep_solve(True, tol, fixed_sweeps)
-    wall = (time.perf_counter() - t0) * 1e3
-    return _result(lat, True, engine, out, tol, wall, pinned=fixed_sweeps is not None)
+        lat = lattice.at_level(problem)
+    return _solve(lat, True, tol, fixed_sweeps, t0, init)
 
 
 def barrier_threshold(lattice) -> tuple:

@@ -467,13 +467,18 @@ def test_a_pool_asks_for_at_most_one_worker_per_item(tmp_path, monkeypatch):
                                numerics={"eps_list": [1.0, 0.5], "seeds": [0],
                                          "h": 2.0**-3, "r_out_factor": 2.0})
     assert main(["run", str(converge_2d), "--workers", "8"]) == 0
-    assert asked == [2]  # two eps, two groups
+    assert asked == []  # one set of maps, one batch, on the calling thread
     converge_1d = write_config(tmp_path, name="converge.json", kind="converge",
                                environment=MIXED_ENV,
                                numerics={"eps_list": [0.25, 0.125], "seeds": [0, 1],
                                          "h": 2.0**-5})
     assert main(["run", str(converge_1d), "--workers", "8"]) == 0
-    assert asked == [2]  # one K, one group, on the calling thread
+    assert asked == []  # one K, one batch, on the calling thread
+    mbar_2 = write_config(tmp_path, name="mbar2.json", kind="mbar", environment=MIXED_ENV,
+                          numerics={"eps_list": [0.25], "seeds": [0, 1]},
+                          experiment={"phi_index": 4, "level": 12.0})
+    assert main(["run", str(mbar_2), "--workers", "8"]) == 0
+    assert asked == [2]  # two (eps, seed) items, two threads
     mbar = write_config(tmp_path, name="mbar.json", kind="mbar", environment=MIXED_ENV,
                         numerics={"eps_list": [0.25], "seeds": [0]},
                         experiment={"phi_index": 4, "level": 12.0})
@@ -481,12 +486,46 @@ def test_a_pool_asks_for_at_most_one_worker_per_item(tmp_path, monkeypatch):
     assert asked == [2]  # one item runs on the calling thread
 
 
-def test_1d_converge_runs_in_process_at_any_worker_count(tmp_path):
-    # every 1d converge problem shares K, so the run is one batch: a fresh
-    # interpreter at 2 workers builds no executor and loads neither pool
-    # module, and writes what 1 worker writes
-    cfg = write_config(tmp_path, kind="converge", environment=MIXED_ENV,
-                       numerics={"eps_list": [0.25, 0.125], "seeds": [0, 1], "h": 2.0**-5})
+def test_a_2d_converge_builds_one_set_of_maps_and_reads_each_exterior_once(
+        tmp_path, monkeypatch, count_calls):
+    # two eps, two seeds and the translated route share one grid: one batch
+    # builds the moment maps once and reads each distinct exterior (the plain
+    # one and the translated route's) once, whatever the worker count
+    cfg = write_config(tmp_path, kind="converge",
+                       environment={"dim": 2, "kernel_class": "a", **MIXED_ENV},
+                       numerics={"eps_list": [1.0, 0.5], "seeds": [0, 1],
+                                 "h": 2.0**-3, "r_out_factor": 2.0})
+    maps = count_calls(solve._Lattice2D, "moment_maps")
+    read, fixed = solve._Lattice._read_exterior, []
+
+    def recorded(self, shared):
+        read(self, shared)
+        fixed.append(self.fixed)  # kept, so no two reads share an id
+
+    monkeypatch.setattr(solve._Lattice, "_read_exterior", recorded)
+    for workers in ("1", "2"):
+        assert main(["run", str(cfg), "--workers", workers, "--out", str(tmp_path / workers)]) == 0
+        assert len(maps) == 1 and len(fixed) == 5 and len({id(a) for a in fixed}) == 2
+        maps.clear()
+        fixed.clear()
+    for name in ("rows.csv", "summary.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_converge_runs_in_process_at_any_worker_count(tmp_path, dim):
+    # every converge problem shares the grid, so K in 1d, or the moment maps
+    # in 2d, and the run is one batch: a fresh interpreter at 2 workers
+    # builds no executor and loads neither pool module, and writes what
+    # 1 worker writes
+    if dim == 1:
+        cfg = write_config(tmp_path, kind="converge", environment=MIXED_ENV,
+                           numerics={"eps_list": [0.25, 0.125], "seeds": [0, 1], "h": 2.0**-5})
+    else:
+        cfg = write_config(tmp_path, kind="converge",
+                           environment={"dim": 2, "kernel_class": "a", **MIXED_ENV},
+                           numerics={"eps_list": [1.0, 0.5], "seeds": [0, 1],
+                                     "h": 2.0**-3, "r_out_factor": 2.0})
     script = (
         "import json, sys, concurrent.futures\n"
         "built = []\n"

@@ -302,13 +302,14 @@ def test_toeplitz_solve_of_a_zero_row_is_exactly_zero():
 
 
 def test_dirichlet_batch_builds_one_inverse_and_no_dense_solve(count_calls):
-    # G alone: no view of K and no LAPACK solve
+    # the batch's held system: one G and one read-only view of K, which the
+    # columns never read, and no LAPACK solve
     inverses = count_calls(solve, "_toeplitz_inverse")
     views = count_calls(solve._Lattice1D, "matrix")
     lapack = count_calls(np.linalg, "solve")
     assert [d.method for _, d in solve_dirichlet_many(grid_batch(), tol=1e-9, quad=QUAD16)
             ][:4] == ["newton"] * 4
-    assert len(inverses) == 1 and views == [] and lapack == []
+    assert len(inverses) == 1 and len(views) == 1 and lapack == []
 
 
 def test_a_lattice_reads_each_field_once_for_every_branch(count_calls):
@@ -400,7 +401,7 @@ def test_2d_lattices_of_one_table_hold_its_one_stencil(monkeypatch):
 
 def test_system_is_the_matrix_its_load_and_the_inverse():
     lat = solve._lattice(mixed_problem(0.05), QUAD16)
-    K, e, G = lat.system()
+    K, e, G = lat.K, lat.e, lat.G  # held by the lattice, built by its batch
     want = (lat.matrix(), lat.load(), solve._toeplitz_inverse(lat.column()))
     for got, ref in zip((K, e, G), want):
         assert got.dtype == ref.dtype and got.shape == ref.shape
@@ -416,7 +417,7 @@ def test_system_holds_K_as_a_view_and_an_exactly_symmetric_inverse(m):
     prob = DirichletProblem(handle=OperatorHandle(fam=FAM_A, extremal_sign=1), domain=box,
                             rhs=0.0, exterior=ExteriorRule.zero())
     lat = solve._lattice(prob, default_quadrature(FAM_A, box))
-    K, _, G = lat.system()
+    K, G = lat.K, lat.G
     # K owns no m x m buffer: it is a read-only view over 2m - 1 doubles
     lo, hi = np.lib.array_utils.byte_bounds(K)
     assert hi - lo == (2 * m - 1) * K.itemsize
@@ -677,9 +678,8 @@ def test_prebuilt_lattice_and_system_match_a_fresh_solve():
     assert {"fixed", "fixed_corr", "active", "rhs"} <= set(arrays)
     for level in (-0.05, 0.1, 0.4):
         fresh = solve_obstacle(mixed_problem(level), tol=1e-10, quad=QUAD16)
-        # system=None: the solve builds lat.system() for itself, as the fresh one does
-        reused = solve_obstacle(mixed_problem(level), tol=1e-10, quad=QUAD16,
-                                lattice=lat, system=None)
+        # the held lattice's system, which the fresh solve builds for itself
+        reused = solve_obstacle(mixed_problem(level), tol=1e-10, quad=QUAD16, lattice=lat)
         assert np.array_equal(fresh.u, reused.u)
         assert fresh.diagnostics.residual == reused.diagnostics.residual
     lat.sweep_solve(True, 1e-10, fixed_sweeps=16)
@@ -721,7 +721,6 @@ def test_schur_steps_match_direct_steps_across_contact_transition(monkeypatch):
     # active set of the oracles, a dense solve on K[F, F] at every step
     from oracles import direct_active_set
     prob, lat, levels = frozen_transition()
-    system = lat.system()
     steps = []
     free_solve = solve._free_solve
 
@@ -735,7 +734,7 @@ def test_schur_steps_match_direct_steps_across_contact_transition(monkeypatch):
         level_lat = lat.at_level(replace(prob, rhs=level))
         direct, _ = direct_active_set(level_lat)
         direct_res = level_lat.residual(direct, True)
-        schur, _, schur_res = level_lat.newton_solve(system=system)
+        schur, _, schur_res = level_lat.newton_solve(True)
         assert direct_res <= tol and schur_res[-1] <= tol
         assert np.array_equal(direct == 0.0, schur == 0.0)
         assert np.min(schur) >= 0.0 and np.min(direct) >= 0.0
@@ -748,14 +747,13 @@ def test_schur_steps_match_direct_steps_across_contact_transition(monkeypatch):
 
 
 def test_one_off_and_held_obstacle_solves_agree_bitwise():
-    # a one-off solve builds the system the held solve is handed, and
-    # takes the same steps on it
+    # a one-off solve builds the system the held lattice holds, and takes
+    # the same steps on it
     prob, lat, levels = frozen_transition()
-    system = lat.system()
     for level in levels:
         level_prob = replace(prob, rhs=level)
         one_off = solve_obstacle(level_prob, tol=1e-10)
-        held = solve_obstacle(level_prob, tol=1e-10, lattice=lat, system=system)
+        held = solve_obstacle(level_prob, tol=1e-10, lattice=lat)
         assert one_off.u.tobytes() == held.u.tobytes(), level
         assert one_off.diagnostics.iterations == held.diagnostics.iterations
         assert one_off.diagnostics.residual == held.diagnostics.residual
@@ -926,14 +924,12 @@ def test_barrier_threshold_is_the_min_of_F_at_zero_on_the_active_cells(dim, shap
 def _certificates_bound_contact(frozen):
     # strictly below each lattice's own certificate no cell touches, and at
     # its zero level every cell does
-    for (eps, _), lat in frozen.lattices.items():
-        system = frozen.assembled.get(eps)
+    for lat in frozen.lattices.values():
         low, high = barrier_threshold(lat)
         sol = solve_obstacle(replace(lat.problem, rhs=np.nextafter(low, -np.inf)),
-                             tol=frozen.tol, lattice=lat, system=system)
+                             tol=frozen.tol, lattice=lat)
         assert sol.fraction == 0.0
-        sol = solve_obstacle(replace(lat.problem, rhs=high), tol=frozen.tol,
-                             lattice=lat, system=system)
+        sol = solve_obstacle(replace(lat.problem, rhs=high), tol=frozen.tol, lattice=lat)
         assert sol.fraction == 1.0
 
 
@@ -945,7 +941,7 @@ def test_1d_frozen_problems_have_no_contact_below_their_certificate():
                            forcing_law="uniform", f_bound=1.0)
     frozen = _FrozenSystems(quadratic_bank(1)[4], np.zeros(1), spec, fam_of(spec),
                             None, 8.0, 1e-7, (0.0625, 0.03125, 0.015625), tuple(range(8)))
-    assert frozen.assembled and all(lat.engine == "newton" for lat in frozen.lattices.values())
+    assert all(lat.engine == "newton" and lat.G is not None for lat in frozen.lattices.values())
     _certificates_bound_contact(frozen)
 
 
@@ -955,7 +951,7 @@ def test_2d_frozen_problems_have_no_contact_below_their_certificate():
                            coeff_law="uniform", forcing_law="uniform")
     frozen = _FrozenSystems(quadratic_bank(2)[7], np.zeros(2), spec, fam_of(spec), 1.0 / 8,
                             1.0, 1e-8, (1.0, 0.5), (0, 1))
-    assert frozen.assembled and all(lat.engine == "policy" for lat in frozen.lattices.values())
+    assert all(lat.engine == "policy" and lat.L is not None for lat in frozen.lattices.values())
     _certificates_bound_contact(frozen)
 
 
@@ -1035,9 +1031,8 @@ def test_policy_solutions_match_sweeps_within_residual_over_margin(kind, shape, 
     # diagonally dominant by mu, so each lies within its residual / mu of the
     # discrete solution (Varah, Linear Algebra Appl. 11, 1975)
     lat = _policy_lattice(kind, shape)
-    L, e = lat.system()
-    mu = lat.premise(L)
-    u, solves, trail = lat.policy_solve(obstacle, (L, e))
+    mu = lat.premise(lat.L)
+    u, solves, trail = lat.policy_solve(obstacle)
     w, _, sweep_trail = lat.sweep_solve(obstacle, 1e-12)
     assert trail[-1] == lat.residual(u, obstacle) <= 1e-12 and sweep_trail[-1] <= 1e-12
     assert mu > 1.0 and solves <= 12
@@ -1091,15 +1086,16 @@ def test_policy_solve_gives_equal_systems_equal_bits_anywhere():
     # matvecs and LAPACK's own copy, so neither where they start in memory
     # nor the batch around a problem reaches its solution's bits
     lat = _policy_lattice()
-    L, e = lat.system()
-    alone, solves, _ = lat.policy_solve(True, (L, e))
+    L, e = lat.L, lat.e
+    alone, solves, _ = lat.policy_solve(True)
     # L and e at every 8-byte offset within a 64-byte line
     buf = np.zeros(L.size + e.size + 8)
     for start in range(8):
-        Ls = buf[start:start + L.size].reshape(L.shape)
-        es = buf[start + L.size:start + L.size + e.size].reshape(e.shape)
-        Ls[...], es[...] = L, e
-        u, s, _ = lat.policy_solve(True, (Ls, es))
+        moved = copy.copy(lat)
+        moved.L = buf[start:start + L.size].reshape(L.shape)
+        moved.e = buf[start + L.size:start + L.size + e.size].reshape(e.shape)
+        moved.L[...], moved.e[...] = L, e
+        u, s, _ = moved.policy_solve(True)
         assert u.tobytes() == alone.tobytes() and s == solves
     # a Dirichlet batch holding one problem twice, among others
     problems = [_problem_2d(exterior=COSINE_2D, seed=seed)[0] for seed in (1, 2, 1, 3)]
@@ -1132,7 +1128,7 @@ def test_a_matrix_field_that_breaks_the_m_matrix_premise_is_refused(
         monkeypatch, count_calls, field, message):
     # branch (1, 0) doctored: a non-PSD A gives some offset y a negative
     # weight y'Ay / |y|^2, and a zero A leaves its rows no dominance; the
-    # policy engine checks both on the assembled maps, before any solve
+    # policy engine checks both on the held maps, before any solve
     matrix_field = solve.matrix_field
 
     def doctored(*args):
@@ -1147,6 +1143,35 @@ def test_a_matrix_field_that_breaks_the_m_matrix_premise_is_refused(
     with pytest.raises(ConfigurationError, match=rf"branch \(alpha=1, beta=0\).*{message}"):
         solve_dirichlet(prob, quad=quad)
     assert lapack == []
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_batch_checks_its_dense_arrays_before_it_builds_them(monkeypatch, dim):
+    # MAX_DENSE_BYTES just below one grid's G (8 m^2 bytes) or the 2d maps
+    # with their policy matrix (5 x 8 n^2): each entry refuses before the
+    # array is built, and at exactly that size it runs
+    if dim == 1:
+        (prob, quad), name, need = (mixed_problem(0.05), QUAD16), "_toeplitz_inverse", 8 * 16**2
+    else:
+        (prob, quad), name, need = _problem_2d(), "moment_maps", 40 * 64**2
+    built = []
+    for owner, attr in ((solve, "_toeplitz_inverse"), (solve._Lattice2D, "moment_maps")):
+        def recorded(*args, _orig=getattr(owner, attr), _attr=attr):
+            built.append(_attr)
+            return _orig(*args)
+
+        monkeypatch.setattr(owner, attr, recorded)
+    for run in (lambda: solve._lattices([prob], quad),
+                lambda: solve_dirichlet_many([prob, prob], tol=1e-8, quad=quad),
+                lambda: solve_obstacle(prob, tol=1e-8, quad=quad)):
+        monkeypatch.setattr(solve, "MAX_DENSE_BYTES", need - 1)
+        with pytest.raises(ConfigurationError, match=f"MAX_DENSE_BYTES = {need - 1}"):
+            run()
+        assert built == []
+        monkeypatch.setattr(solve, "MAX_DENSE_BYTES", need)
+        run()
+        assert built == [name]
+        built.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -1350,7 +1375,9 @@ def test_quadrature_grid_mismatch_rejected():
 # helpers
 
 def test_2d_lattice_build_allocates_little_beyond_what_it_keeps():
-    # h 2^-5, J = 362: the padded exterior array is (32 + 2 * 362)^2 doubles
+    # h 2^-5, J = 362: the padded exterior array is (32 + 2 * 362)^2 doubles.
+    # The lattice alone is a batch without its system; the held system adds
+    # no more than the 5 x 8 n^2 bytes `check_dense_arrays` counts for it
     box = Box((0.0, 0.0), 0.5, 2.0**-5)
     fam = KernelFamily(kind="a", dim=2, sigma=1.0, lam=1.0, lam_big=2.0)
     env = sample_environment(EnvironmentSpec(dim=2, n_alpha=2, n_beta=2, kernel_class="a",
@@ -1359,14 +1386,19 @@ def test_2d_lattice_build_allocates_little_beyond_what_it_keeps():
     prob = DirichletProblem(handle=OperatorHandle(fam=fam, env=env, eps=0.5), domain=box,
                             rhs=0.0, exterior=ExteriorRule(
                                 fn=lambda pts: np.cos(2.0 * pts[:, 0] - pts[:, 1]), far=0.0))
-    tracemalloc.start()
-    try:
-        lat = solve._lattice(prob, quad)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peaks = []
+    for dense in (False, True):
+        tracemalloc.start()
+        try:
+            lat, = solve._lattices([prob], quad, dense=dense)
+            peaks.append(tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+    (kept, peak), (_, dense_peak) = peaks
     assert lat.J == 362 and lat.fixed.shape == (756, 756)
     assert peak - kept <= 0.25 * lat.fixed.nbytes
+    n = lat.L.shape[1]
+    assert n == 32 * 32 and dense_peak - kept <= 40.0 * n * n + 0.25 * lat.fixed.nbytes
 
 
 def test_default_quadrature_radius():
