@@ -2,7 +2,7 @@
 
 Every run writes three files into the output directory: rows.csv (one row
 per solve, fixed column order), summary.json (experiment-level results),
-and replay.json (the fully resolved config, timings pinned off, suitable
+and replay.json (the fully resolved config, timings set off, suitable
 for bit-identical re-runs).  With --check the run then enforces the
 acceptance thresholds of its kind.  Exit codes: 0 success, 2 config error,
 3 solver failure, 4 check failure.
@@ -511,7 +511,7 @@ def write_outputs(out_dir, resolved, summary, log, solution=None):
     os.makedirs(out_dir, exist_ok=True)
     if not resolved["timings"]:
         # Determinism contract: replayed runs must be byte-identical, so
-        # the wall-clock column is pinned to zero unless timings are on.
+        # the wall-clock column is held at zero unless timings are on.
         log.rows = [row[:-1] + (0,) for row in log.rows]
     log.write(os.path.join(out_dir, "rows.csv"))
     full_summary = {"schema_version": SCHEMA_VERSION,

@@ -7,9 +7,10 @@ at grid/eps under the given environment.
 
 The obstacle statistic is exact in three discrete senses that tests rely
 on: contact masks are literal zero sets, fractions are ratios of integer
-counts, and the fixed-sweep engine preserves orderings (in level, in
-forcing, in domain inclusion) without floating-point leakage.  All
-Monte Carlo work is a deterministic fold over (eps, seed, level) items.
+counts, and n sweeps of the sweep engine from zero (`sweep_solve`, which
+no run here calls) preserve orderings (in level, in forcing, in domain
+inclusion) without floating-point leakage.  All Monte Carlo work is a
+deterministic fold over (eps, seed, level) items.
 Each problem runs the engine its lattice picks (see `solve`), on a table
 from `default_quadrature`.
 The frozen problems of one m-bar estimate or one effective-level bisection
@@ -70,6 +71,7 @@ from .solve import (
     solve_dirichlet,
     solve_dirichlet_many,
     solve_obstacle,
+    _active_cells,
     _lattices,
 )
 
@@ -130,8 +132,6 @@ class RowLog:
 
 @dataclass
 class MbarEstimate:
-    phi: TestFunction
-    x0: tuple
     level: float
     eps_list: tuple
     fractions: dict          # (eps, seed) -> contact fraction
@@ -152,8 +152,6 @@ class MbarEstimate:
 
 @dataclass
 class EffectiveSample:
-    phi: TestFunction
-    x0: tuple
     bracket: tuple           # (l_lo, l_hi) after bisection
     value: float             # effective level estimate
     theta: float
@@ -169,8 +167,9 @@ class EffectiveSample:
         return self
 
 
-def quadratic_bank(dim: int, r_cut: float = 4.0):
-    """Fixed, reproducible family of capped quadratic test functions.
+def quadratic_bank(dim: int):
+    """Fixed, reproducible family of capped quadratic test functions, each
+    with `TestFunction.make`'s cut radius 4.0.
 
     Curvature eigenvalues run over {-2, -1, 0, 1, 2}; in 2d the bank
     holds the ordered diagonal pairs plus two rotated representatives so
@@ -181,20 +180,20 @@ def quadratic_bank(dim: int, r_cut: float = 4.0):
     if dim == 1:
         for k in levels:
             bank.append(TestFunction.make(P=np.array([[k]]), p=np.zeros(1),
-                                          const=0.0, center=np.zeros(1), r_cut=r_cut))
+                                          const=0.0, center=np.zeros(1)))
         return bank
     if dim != 2:
         raise ConfigurationError("test-function bank covers dimensions 1 and 2")
     for i, k1 in enumerate(levels):
         for k2 in levels[: i + 1]:
             bank.append(TestFunction.make(P=np.diag([k1, k2]), p=np.zeros(2),
-                                          const=0.0, center=np.zeros(2), r_cut=r_cut))
+                                          const=0.0, center=np.zeros(2)))
     c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
     R = np.array([[c, -s], [s, c]])
     for pair in ((2.0, -1.0), (1.0, -1.0)):
         P = R @ np.diag(pair) @ R.T
         bank.append(TestFunction.make(P=P, p=np.zeros(2), const=0.0,
-                                      center=np.zeros(2), r_cut=r_cut))
+                                      center=np.zeros(2)))
     return bank
 
 
@@ -330,10 +329,8 @@ def estimate_mbar(phi, x0, level, eps_list, seeds, spec: EnvironmentSpec,
     smallest = eps_list[-1]
     vals = [fractions[(smallest, s)] for s in seeds]
     stderr = float(np.std(vals) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return MbarEstimate(phi=phi, x0=tuple(np.atleast_1d(x0)), level=level,
-                        eps_list=eps_list, fractions=fractions, means=means,
-                        spreads=spreads, estimate=means[smallest],
-                        stderr=stderr).validate()
+    return MbarEstimate(level=level, eps_list=eps_list, fractions=fractions, means=means,
+                        spreads=spreads, estimate=means[smallest], stderr=stderr).validate()
 
 
 def _bracket(systems):
@@ -392,8 +389,7 @@ def effective_value(phi, x0, eps_list, seeds, spec: EnvironmentSpec,
             steps.append((mid, m, "positive"))
             hi = mid
     value = 0.5 * (lo + hi)
-    return EffectiveSample(phi=phi, x0=tuple(x0), bracket=(lo, hi), value=value,
-                           theta=theta, eps_list=tuple(eps_list),
+    return EffectiveSample(bracket=(lo, hi), value=value, theta=theta, eps_list=tuple(eps_list),
                            seeds=tuple(seeds), certificates=certificates,
                            steps=steps).validate()
 
@@ -432,23 +428,30 @@ def corrector_decay_profile(phi, x0, level, eps_list, seed,
 # ---------------------------------------------------------------------------
 # measurable-ingredient comparison and ABP scaling
 
-def _indicator_forcing(box: Box, measure: float):
+def _indicator_forcing(box: Box, active, measure: float):
     """Centered indicator with the requested support measure, snapped to cells.
 
     Returns (values at nodes, actual measure).  Support is a centered
-    interval (1d) or square (2d) made of whole cells.
+    interval (1d) or square (2d) of k whole cells a side, or
+    ConfigurationError unless those cells are all `active` cells of `box`,
+    the probe domain.
     """
     side = measure if box.dim == 1 else math.sqrt(measure)
     k = max(1, int(round(side / box.h)))
     lo = (box.m - k) // 2
-    g = np.zeros((box.m,) * box.dim)
-    g[(slice(lo, lo + k),) * box.dim] = 1.0
+    cells = (slice(lo, lo + k),) * box.dim
+    if k > box.m or not active[cells].all():
+        raise ConfigurationError(
+            f"measure {measure!r} snaps to {k} cells a side at h={box.h}, which are not all "
+            f"active cells of the probe domain, the ball of radius {box.half}; use a smaller one")
+    g = np.zeros(active.shape)
+    g[cells] = 1.0
     return g, (k * box.h) ** box.dim
 
 
-def _indicator_forcings(box: Box, measures):
+def _indicator_forcings(box: Box, active, measures):
     """`_indicator_forcing` of each measure, largest first; no two may share a cell count."""
-    forcings = [_indicator_forcing(box, m) for m in sorted(measures, reverse=True)]
+    forcings = [_indicator_forcing(box, active, m) for m in sorted(measures, reverse=True)]
     actual = [m for _, m in forcings]
     if len(set(actual)) < len(actual):
         raise ConfigurationError(f"measures {sorted(measures, reverse=True)} snap to "
@@ -464,11 +467,13 @@ def _extremal_problem(fam, box, g):
 
 def _extremal_box(fam, h, r_out_factor):
     """The probes' box, of half-width 1 at spacing h, once its grid and, on the
-    newton engine, its G pass their size checks; and its table."""
+    newton engine, its G pass their size checks; its active mask, the ball;
+    and its table."""
     box = Box(center=(0.0,) * fam.dim, half=1.0, h=h)
     check_grid(box, r_out_factor)
-    check_dense_arrays([_extremal_problem(fam, box, 0.0)])
-    return box, default_quadrature(fam, box, r_out_factor)
+    probe = _extremal_problem(fam, box, 0.0)
+    check_dense_arrays([probe])
+    return box, _active_cells(probe), default_quadrature(fam, box, r_out_factor)
 
 
 def _extremal_forced_sups(fam, box, forcings, *, tol, quad):
@@ -508,8 +513,8 @@ def comparison_measurable_experiment(sizes, seed, fam: KernelFamily, *,
             "measurable-ingredient comparison for the scalar class is "
             "conjecture-conditional; pass conjecture_cs=True to probe it"
         )
-    box, quad = _extremal_box(fam, h, r_out_factor)
-    forcings = _indicator_forcings(box, sizes)
+    box, active, quad = _extremal_box(fam, h, r_out_factor)
+    forcings = _indicator_forcings(box, active, sizes)
     sups = _extremal_forced_sups(fam, box, [g for g, _ in forcings], tol=tol, quad=quad)
     rows = []
     for (_, m_act), (sup, d) in zip(forcings, sups):
@@ -538,9 +543,9 @@ def abp_scaling_experiment(fam: KernelFamily, *, h=2.0**-9,
     """
     if fam.kind != "a":
         raise ConfigurationError("the scaling bound is proved for the matrix class only")
-    box, quad = _extremal_box(fam, h, r_out_factor)
-    forcings = _indicator_forcings(box, supports)
-    g0, m0 = _indicator_forcing(box, base_support)
+    box, active, quad = _extremal_box(fam, h, r_out_factor)
+    forcings = _indicator_forcings(box, active, supports)
+    g0, m0 = _indicator_forcing(box, active, base_support)
     # both sweeps share the grid: one batch, amplitudes first
     sups = _extremal_forced_sups(fam, box, [c * g0 for c in amplitudes]
                                  + [g for g, _ in forcings], tol=tol, quad=quad)

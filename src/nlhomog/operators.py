@@ -123,9 +123,9 @@ class TestFunction:
     r_cut: float
 
     @staticmethod
-    def make(P, p=None, const=0.0, center=None, r_cut=4.0, dim=None):
+    def make(P, p=None, const=0.0, center=None, r_cut=4.0):
         P = np.atleast_2d(np.asarray(P, dtype=np.float64))
-        d = P.shape[0] if dim is None else dim
+        d = P.shape[0]
         if P.shape != (d, d) or not np.allclose(P, P.T, atol=0.0):
             raise ConfigurationError("P must be a symmetric (dim, dim) matrix")
         p = np.zeros(d) if p is None else np.asarray(p, dtype=np.float64)

@@ -47,8 +47,8 @@ builds one or is handed one.
       which every lattice's branches pass `premise`.
 The load e = I(0), or B(0) on the active cells, is held per distinct
 exterior, beside its padded array and correlation.  A batch built with
-dense=False (a fixed-sweeps solve, or a lattice that only `barrier_threshold`
-reads) holds no K, G or L and checks none.
+dense=False (a lattice that only `barrier_threshold` reads) holds no K, G
+or L and checks none.
 
 Engines
 -------
@@ -97,15 +97,18 @@ policy   2d engine, for every branch operator (class "a" and class "cs").
          policy at zero; an obstacle solve's `init` does not reach it.
 sweeps   damped projected Jacobi relaxation, for the extremal operators
          that have no finite policy set (the 2d extremal and the pointwise
-         "cs" extremal) and every `fixed_sweeps` solve.  A sweep is
-         one evaluation of F: it certifies the values' residual, then moves
-         each value toward the root of its scalar residual, clamping at the
-         obstacle.  F at a node is nondecreasing in every other value
-         (nonnegative weights) and falls no faster than the sweep diagonal
-         in its own, so the damped map is monotone, which exact ordering
-         tests rely on.  Sweeps start from zero in every solve; an obstacle
+         "cs" extremal).  A sweep is one evaluation of F: it certifies the
+         values' residual, then moves each value toward the root of its
+         scalar residual, clamping at the obstacle.  F at a node is
+         nondecreasing in every other value (nonnegative weights) and falls
+         no faster than the sweep diagonal in its own, so the damped map is
+         monotone.  Sweeps start from zero in every solve; an obstacle
          solve's `init` does not reach them.  A solve whose residual
-         stagnates stops early and raises.
+         stagnates stops early and raises.  The engine's own method also
+         runs exactly n sweeps from zero on any lattice (`sweep_solve` with
+         fixed_sweeps = n) and returns those values whatever their
+         residual; n monotone sweeps keep every ordering of the data, which
+         the exact ordering tests read.  No solve below runs it.
 
 Each engine is one lattice method, `newton_solve(obstacle, init)`,
 `policy_solve(obstacle)` or `sweep_solve(obstacle, tol, fixed_sweeps)`, and
@@ -214,7 +217,6 @@ class SolveDiagnostics:
     residual: float = np.inf
     wall_ms: float = 0.0
     method: str = ""
-    converged: bool = False
 
 
 @dataclass
@@ -478,11 +480,12 @@ class _Lattice:
         """Returns (vals, sweeps, residuals); the last residual is the final one.
 
         The sweeps start from zero.  Each reads the residual of the values
-        from the evaluation of F that moves them.  With fixed_sweeps = n, n
-        sweeps run and the final values are certified.  Otherwise the solve
-        stops at the first values within tol, after MAX_SWEEPS sweeps, or
-        once the best of the last STALL_SWEEPS residuals, the ones kept, is
-        not 1% below the best before them.
+        from the evaluation of F that moves them.  With fixed_sweeps = n,
+        exactly n sweeps run, whatever the residuals (see Engines: no solve
+        asks for this).  Otherwise the solve stops at the first values
+        within tol, after MAX_SWEEPS sweeps, or once the best of the last
+        STALL_SWEEPS residuals, the ones kept, is not 1% below the best
+        before them.
         """
         vals = np.zeros(self.active.shape)
         sweeps = fixed_sweeps if fixed_sweeps is not None else MAX_SWEEPS
@@ -1002,21 +1005,17 @@ def _lattices(problems, quad: QuadratureTable | None = None, dense=True):
     return lats
 
 
-def _lattice(problem: DirichletProblem, quad: QuadratureTable | None = None):
-    """Lattice of one problem: `_lattices` of a batch of one."""
-    return _lattices([problem], quad)[0]
-
-
-def _result(lat, obstacle, method, out, tol, wall_ms=0.0, pinned=False):
-    """(vals, diagnostics), or the ObstacleSolution, of an engine's (vals, iterations, residuals).
-
-    A residual above tol raises SolverError, unless `pinned` (fixed_sweeps).
+def _result(lat, obstacle, method, out, tol, wall_ms=0.0):
+    """(vals, diagnostics), or the ObstacleSolution, of an engine's (vals,
+    iterations, residuals), the values certified by the last residual, or
+    SolverError if that residual is above tol.  The n sweeps that the sweep
+    engine runs on its own (`sweep_solve` with fixed_sweeps) are values no
+    tolerance certified, not a result, and no solve hands them here.
     """
     vals, its, trail = out
     res = trail[-1]
-    diag = SolveDiagnostics(iterations=its, residual=res, wall_ms=wall_ms, method=method,
-                            converged=res <= tol)
-    if not diag.converged and not pinned:
+    diag = SolveDiagnostics(iterations=its, residual=res, wall_ms=wall_ms, method=method)
+    if not res <= tol:
         recent = ", ".join(f"{r:.3e}" for r in trail[-4:])
         raise SolverError(
             f"{method} solver did not reach tol={tol} (residual {res:.3e} after "
@@ -1030,34 +1029,31 @@ def _result(lat, obstacle, method, out, tol, wall_ms=0.0, pinned=False):
     return ObstacleSolution(u=vals, contact=contact, fraction=fraction, diagnostics=diag)
 
 
-def _solve(lat, obstacle, tol, fixed_sweeps, t0, init=None):
-    """`_result` of the engine `lat` picks, or of the sweeps under
-    `fixed_sweeps`, with wall_ms counted from the perf_counter time t0."""
-    engine = lat.engine if fixed_sweeps is None else "sweeps"
+def _solve(lat, obstacle, tol, t0, init=None):
+    """`_result` of the engine `lat` picks, with wall_ms counted from the perf_counter time t0."""
+    engine = lat.engine
     if engine == "newton":
         out = lat.newton_solve(obstacle, init)
     elif engine == "policy":
         out = lat.policy_solve(obstacle)
     else:
-        out = lat.sweep_solve(obstacle, tol, fixed_sweeps)
+        out = lat.sweep_solve(obstacle, tol)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    return _result(lat, obstacle, engine, out, tol, wall_ms, pinned=fixed_sweeps is not None)
+    return _result(lat, obstacle, engine, out, tol, wall_ms)
 
 
 def solve_dirichlet(problem: DirichletProblem, tol: float = 1e-6,
-                    quad: QuadratureTable | None = None, fixed_sweeps=None):
+                    quad: QuadratureTable | None = None):
     """Solve F(u) = rhs in the domain with exterior data outside.
 
     Returns (values, SolveDiagnostics), values the array of shape (m,) * dim
-    on the grid.  Raises SolverError if the target residual is not reached
-    (unless fixed_sweeps pins the work).  This is `solve_dirichlet_many` of
-    one problem.
+    on the grid.  Raises SolverError if the target residual is not reached.
+    This is `solve_dirichlet_many` of one problem.
     """
-    return solve_dirichlet_many([problem], tol, quad, fixed_sweeps)[0]
+    return solve_dirichlet_many([problem], tol, quad)[0]
 
 
-def solve_dirichlet_many(problems, tol: float = 1e-6,
-                         quad: QuadratureTable | None = None, fixed_sweeps=None):
+def solve_dirichlet_many(problems, tol: float = 1e-6, quad: QuadratureTable | None = None):
     """`solve_dirichlet` of each problem, as one batch (`_lattices`) on one
     grid and active mask, on the one table `quad` (the first problem's
     default when None), or ConfigurationError.
@@ -1073,13 +1069,13 @@ def solve_dirichlet_many(problems, tol: float = 1e-6,
     if not problems:
         return []
     t0 = time.perf_counter()
-    lats = _lattices(problems, quad, dense=fixed_sweeps is None)
+    lats = _lattices(problems, quad)
     share = (time.perf_counter() - t0) / len(lats)
-    return [_solve(lat, False, tol, fixed_sweeps, time.perf_counter() - share) for lat in lats]
+    return [_solve(lat, False, tol, time.perf_counter() - share) for lat in lats]
 
 
 def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6,
-                   quad: QuadratureTable | None = None, init=None, fixed_sweeps=None,
+                   quad: QuadratureTable | None = None, init=None,
                    lattice=None) -> ObstacleSolution:
     """Least nonnegative supersolution: max(F(U) - rhs, -U) = 0.
 
@@ -1094,10 +1090,10 @@ def solve_obstacle(problem: DirichletProblem, tol: float = 1e-6,
     """
     t0 = time.perf_counter()
     if lattice is None:
-        lat, = _lattices([problem], quad, dense=fixed_sweeps is None)
+        lat, = _lattices([problem], quad)
     else:
         lat = lattice.at_level(problem)
-    return _solve(lat, True, tol, fixed_sweeps, t0, init)
+    return _solve(lat, True, tol, t0, init)
 
 
 def barrier_threshold(lattice) -> tuple:

@@ -7,10 +7,11 @@ over the branches.  A function is a TestFunction or a `GridFunction`, grid
 values sampled by multilinear interpolation with an exterior rule outside;
 both are callables on points with `dim` and `far`, as `unit_moment` reads
 them.  The lattices in `nlhomog.solve` evaluate every node at once by
-correlation (`residual_field`); the tests compare them against these, so
-this brute force must stay independent of the lattice code.  The extremal
-bounds at the end take the sup or inf over the admissible kernels instead
-of the branches, in closed form from a moment or pointwise in y.  Last, a
+correlation (`residual_field`, on the lattice of one problem, `_lattice`);
+the tests compare them against these, so this brute force must stay
+independent of the lattice code.  The extremal bounds at the end take the
+sup or inf over the admissible kernels instead of the branches, in closed
+form from a moment or pointwise in y.  Last, a
 1d obstacle active set whose every step is a dense solve on the free
 block, the reference for the lattice's Schur steps, and the 2d quadrature
 table computed on every cell of its stencil, the reference for the
@@ -25,7 +26,7 @@ from nlhomog.env import Environment, forcing_field, matrix_field, multiplier_fie
 from nlhomog.errors import ConfigurationError
 from nlhomog.kernels import KernelFamily, QuadratureTable, envelope_integral
 from nlhomog.operators import Box, ExteriorRule, _as_point, unit_moment
-from nlhomog.solve import _lattice
+from nlhomog.solve import _lattices
 
 
 @dataclass
@@ -116,6 +117,11 @@ class GridFunction:
                 fn=lambda p, _a=ea.fn, _b=eb.fn: _a(p) - _b(p), far=ea.far - eb.far
             ),
         )
+
+
+def _lattice(problem, quad: QuadratureTable | None = None):
+    """Lattice of one problem, with its held system: `_lattices` of a batch of one."""
+    return _lattices([problem], quad)[0]
 
 
 def residual_field(problem, values, quad: QuadratureTable | None = None) -> np.ndarray:

@@ -991,6 +991,37 @@ def test_nonpositive_forcing_measures_exit_2(tmp_path, capsys, kind, experiment)
     assert "must be positive" in err["message"]
 
 
+@pytest.mark.parametrize("key", ["sizes", "supports", "base_support"])
+@pytest.mark.parametrize("dim, h, fits, too_big", [
+    (1, 2.0**-5, 2.0, 2.03125),     # 64 cells fill the grid of [-1, 1]; 65 do not fit
+    (2, 2.0**-3, 2.25, 2.640625),   # a square of 12 cells a side lies in the disc; 13 do not
+], ids=["1d", "2d"])
+def test_forcing_measures_must_lie_on_active_cells(tmp_path, capsys, count_calls,
+                                                   dim, h, fits, too_big, key):
+    # a forcing snaps to k whole cells a side, centred in the probe domain,
+    # the ball of radius 1; past its active cells the run exits 2, before any
+    # solve, naming the measure, and a measure that exactly fits runs
+    solves = count_calls(solve, "_solve")
+    kind = "cmi" if key == "sizes" else "abp"
+    for measure, code in ((too_big, 2), (fits, 0)):
+        experiment = {"sizes": [measure, 0.25]} if kind == "cmi" else {
+            "supports": [measure, 0.125] if key == "supports" else [0.5, 0.125],
+            "base_support": measure if key == "base_support" else 0.25}
+        cfg = write_config(tmp_path, kind=kind, environment={"dim": dim, "kernel_class": "a"},
+                           numerics={"h": h, "r_out_factor": 2.0}, experiment=experiment)
+        assert main(["run", str(cfg)]) == code
+        if code == 2:
+            err = one_error_line(capsys)
+            assert err["type"] == "ConfigurationError"
+            assert f"measure {measure!r}" in err["message"] and "active" in err["message"]
+            assert not solves
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    measures = ([row["measure"] for row in summary["rows"]] if kind == "cmi"
+                else [summary["base_support"]] if key == "base_support"
+                else [row["measure"] for row in summary["support_rows"]])
+    assert fits in measures
+
+
 @pytest.mark.parametrize("kind, experiment, code", [
     ("abp", {"supports": [0.5, 0.25, 0.125]}, 0),
     ("cmi", {"sizes": [0.5, 0.25, 0.125]}, 0),

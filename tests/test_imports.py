@@ -1,9 +1,11 @@
 """Every module under src/ and tests/ uses each name it imports, every name
-a package module exports exists, and the library modules export only what
-the package itself reads."""
+a package module exports exists, the library modules export only what the
+package itself reads, and the program passes every parameter of a public
+solver."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,6 +77,30 @@ def test_every_exported_name_is_read_under_src():
         if gone := [name for name in exported if name not in read]:
             unread[stem] = gone
     assert unread == {}
+
+
+def test_every_solver_parameter_is_passed_by_the_program():
+    # one level down from the exports: a parameter of a public solver that no
+    # call in the program passes selects a mode no run takes
+    passed = {}  # callee name -> the positions and keywords some call passes
+    for stem in ("homog", "cli"):
+        tree = ast.parse((ROOT / "src" / "nlhomog" / f"{stem}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                got = passed.setdefault(name, set())
+                got.update(range(len(node.args)), (k.arg for k in node.keywords))
+    solve = importlib.import_module("nlhomog.solve")
+    unpassed = {}
+    for name in solve.__all__:
+        fn = getattr(solve, name)
+        if inspect.isfunction(fn):
+            got = passed.get(name, set())
+            params = inspect.signature(fn).parameters.values()
+            if gone := [p.name for i, p in enumerate(params)
+                        if p.name not in got and (i not in got or p.kind == p.KEYWORD_ONLY)]:
+                unpassed[name] = gone
+    assert unpassed == {}
 
 
 def test_each_size_limit_has_one_owner():

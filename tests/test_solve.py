@@ -1,9 +1,10 @@
 """Dirichlet and obstacle solver tests.
 
-The exact couplings (level monotonicity, subadditivity) run two solves
-with the same fixed sweep count; the damped update is monotone in every
-coordinate because the diagonal dominates all branch slopes, so the
-orderings hold without any floating-point slack.
+The exact couplings (level monotonicity, subadditivity) run the sweep
+engine's own n sweeps (`sweep_solve`) with the same n on each side; the
+damped update is monotone in every coordinate because the diagonal
+dominates all branch slopes, so the orderings hold without any
+floating-point slack.
 """
 
 import copy
@@ -29,7 +30,9 @@ from nlhomog.solve import (
     solve_obstacle,
 )
 
-from oracles import GridFunction, evaluate_F, evaluate_frozen, extremal, residual_field
+from oracles import (
+    GridFunction, _lattice, evaluate_F, evaluate_frozen, extremal, residual_field,
+)
 
 TestFunction.__test__ = False  # imported dataclass, not a pytest class
 
@@ -69,7 +72,7 @@ def sweeps(prob, quad, obstacle=False, tol=1e-6):
     The solves run the engine the problem picks; every lattice can also
     sweep, so the engine comparisons reach that path directly.
     """
-    lat = solve._lattice(prob, quad)
+    lat = _lattice(prob, quad)
     out = lat.sweep_solve(obstacle, tol)
     return solve._result(lat, obstacle, "sweeps", out, tol)
 
@@ -91,7 +94,7 @@ def test_sqrt_profile_oracle():
     x = prob.domain.axis_nodes(0)
     exact = np.sqrt(np.maximum(1.0 - x * x, 0.0))
     err = np.abs(u - exact)
-    assert diag.converged
+    assert diag.residual <= 1e-8
     # boundary cells carry the sqrt singularity, interior is much tighter
     assert np.max(err[np.abs(x) < 1.0]) <= 0.025
     assert np.max(err[np.abs(x) < 0.5]) <= 3e-3
@@ -120,7 +123,7 @@ def test_zero_data_gives_zero_solution_exactly():
                             exterior=ExteriorRule.zero(), shape="cube")
     u, diag = solve_dirichlet(prob, tol=1e-12, quad=QUAD16)
     assert np.array_equal(u, np.zeros(prob.domain.m))
-    assert diag.converged
+    assert diag.residual <= 1e-12
 
 
 def test_forcing_shift_equals_level_shift():
@@ -190,7 +193,7 @@ def test_batched_columns_match_per_problem_solves(count_calls):
     # is G times its own column, bit for bit
     assert len(inverses) == 1
     assert [d.method for _, d in batch] == ["newton"] * 4 + ["sweeps", "newton"]
-    newton = [solve._lattice(p, QUAD16) for i, p in enumerate(problems) if i != 4]
+    newton = [_lattice(p, QUAD16) for i, p in enumerate(problems) if i != 4]
     G = solve._toeplitz_inverse(newton[0].column())
     for (u, _), lat in zip(batch[:4] + batch[5:], newton):
         assert u.tobytes() == (G @ (lat.load() - lat.threshold())).tobytes()
@@ -207,7 +210,7 @@ def test_batched_columns_match_per_problem_solves(count_calls):
 def test_dirichlet_batch_of_one_is_the_single_column_solve(index):
     # solve_dirichlet is the batch of one: G times its column
     prob = grid_batch()[index]
-    lat = solve._lattice(prob, QUAD16)
+    lat = _lattice(prob, QUAD16)
     want = solve._toeplitz_inverse(lat.column()) @ (lat.load() - lat.threshold())
     got, d = solve_dirichlet(prob, tol=1e-9, quad=QUAD16)
     assert np.array_equal(got, want)
@@ -245,7 +248,7 @@ def extremal_lattice(m):
     box = Box((0.0,), 0.5, 1.0 / m)
     prob = DirichletProblem(handle=OperatorHandle(fam=FAM_A, extremal_sign=1), domain=box,
                             rhs=-1.0, exterior=ExteriorRule.zero())
-    return solve._lattice(prob, default_quadrature(FAM_A, box))
+    return _lattice(prob, default_quadrature(FAM_A, box))
 
 
 # Trench's recurrence with a matvec, and LAPACK's LU, each err by about
@@ -316,7 +319,7 @@ def test_a_lattice_reads_each_field_once_for_every_branch(count_calls):
     # mixed_env has 2 x 2 branches; one call per field returns all four
     mult = count_calls(solve, "multiplier_field")
     forc = count_calls(solve, "forcing_field")
-    lat = solve._lattice(mixed_problem(0.05), QUAD16)
+    lat = _lattice(mixed_problem(0.05), QUAD16)
     assert len(mult) == len(forc) == 1
     assert lat.mult.shape == lat.forc.shape == (2, 2, 16)
 
@@ -341,7 +344,7 @@ def test_dirichlet_batch_shares_exterior_correlations(monkeypatch):
     assert len({id(lat.kern) for lat in built}) == 1
     # each distinct exterior still gives its own correlation's bits
     for lat, prob in zip(built, grid_batch()):
-        assert np.array_equal(lat.fixed_corr, solve._lattice(prob, QUAD16).fixed_corr)
+        assert np.array_equal(lat.fixed_corr, _lattice(prob, QUAD16).fixed_corr)
 
 
 def test_an_unhashable_exterior_function_is_shared_by_identity():
@@ -400,7 +403,7 @@ def test_2d_lattices_of_one_table_hold_its_one_stencil(monkeypatch):
 
 
 def test_system_is_the_matrix_its_load_and_the_inverse():
-    lat = solve._lattice(mixed_problem(0.05), QUAD16)
+    lat = _lattice(mixed_problem(0.05), QUAD16)
     K, e, G = lat.K, lat.e, lat.G  # held by the lattice, built by its batch
     want = (lat.matrix(), lat.load(), solve._toeplitz_inverse(lat.column()))
     for got, ref in zip((K, e, G), want):
@@ -416,7 +419,7 @@ def test_system_holds_K_as_a_view_and_an_exactly_symmetric_inverse(m):
     box = Box((0.0,), m * h / 2.0, h)
     prob = DirichletProblem(handle=OperatorHandle(fam=FAM_A, extremal_sign=1), domain=box,
                             rhs=0.0, exterior=ExteriorRule.zero())
-    lat = solve._lattice(prob, default_quadrature(FAM_A, box))
+    lat = _lattice(prob, default_quadrature(FAM_A, box))
     K, G = lat.K, lat.G
     # K owns no m x m buffer: it is a read-only view over 2m - 1 doubles
     lo, hi = np.lib.array_utils.byte_bounds(K)
@@ -449,8 +452,8 @@ def test_threshold_is_the_root_of_the_infsup(seed, na, nb, sign):
     rhs = rng.uniform(-3.0, 3.0, box.m)
     handle = (OperatorHandle(fam=FAM_A, extremal_sign=sign) if sign
               else OperatorHandle(fam=FAM, env=mixed_env(), eps=0.25))
-    lat = solve._lattice(DirichletProblem(handle=handle, domain=box, rhs=rhs,
-                                          exterior=ExteriorRule.zero()), QUAD16)
+    lat = _lattice(DirichletProblem(handle=handle, domain=box, rhs=rhs,
+                                    exterior=ExteriorRule.zero()), QUAD16)
     if sign:
         lam = rng.uniform(0.5, 1.5)
         lam_big = lam * rng.uniform(1.0, 3.0)
@@ -479,7 +482,7 @@ def test_dirichlet_2d_smoke():
         domain=box, rhs=0.25, exterior=ExteriorRule.zero(), shape="cube")
     quad = build_quadrature(2, 1.0, h, 8.0)
     u, diag = solve_dirichlet(prob, tol=1e-6, quad=quad)
-    assert diag.converged and diag.residual <= 1e-6
+    assert diag.residual <= 1e-6
     r = residual_field(prob, u, quad=quad)
     assert np.max(np.abs(r)) <= 1e-6
 
@@ -585,7 +588,7 @@ def test_obstacle_nonnegative_and_vi_residual():
 
 def test_obstacle_below_barrier_threshold_touches_nothing():
     prob = mixed_problem(0.0)
-    thr, _ = barrier_threshold(solve._lattice(prob, QUAD16))
+    thr, _ = barrier_threshold(_lattice(prob, QUAD16))
     low = mixed_problem(thr - 1.0)
     sol = solve_obstacle(low, tol=1e-9, quad=QUAD16)
     assert sol.fraction == 0.0
@@ -594,7 +597,6 @@ def test_obstacle_below_barrier_threshold_touches_nothing():
 
 def test_obstacle_above_zero_level_is_identically_zero():
     prob = mixed_problem(0.0)
-    from nlhomog.solve import _lattice
     lat = _lattice(prob, QUAD16)
     f0, _ = lat.operator_values(np.zeros(lat.m))
     high = mixed_problem(float(np.max(f0)) + 1.0)
@@ -658,22 +660,24 @@ def test_sweeps_obstacle_solve_ignores_init():
     # sweeps start from zero
     spec = EnvironmentSpec(dim=2, kernel_class="a", n_alpha=2, n_beta=2,
                            coeff_law="uniform", forcing_law="uniform", f_bound=1.0)
-    prob = DirichletProblem(handle=OperatorHandle(fam=KernelFamily(
-        kind="a", dim=2, sigma=1.0, lam=1.0, lam_big=2.0),
-        env=sample_environment(spec, seed=0), eps=0.5),
-        domain=Box((0.0, 0.0), 0.5, 1.0 / 8), rhs=0.1, exterior=ExteriorRule.zero())
+    fam = KernelFamily(kind="a", dim=2, sigma=1.0, lam=1.0, lam_big=2.0)
+    prob = DirichletProblem(handle=OperatorHandle(fam=fam, env=sample_environment(spec, seed=0),
+                                                  eps=0.5),
+                            domain=Box((0.0, 0.0), 0.5, 1.0 / 8), rhs=0.1,
+                            exterior=ExteriorRule.zero())
+    # the 2d extremal has no finite policy set, so it sweeps to tol (515 sweeps)
+    extremal_2d = replace(prob, handle=OperatorHandle(fam=fam, extremal_sign=+1), rhs=-1.0)
     quad = build_quadrature(2, 1.0, 1.0 / 8, 2.0)
-    for fixed_sweeps, method in ((None, "policy"), (40, "sweeps")):
-        cold = solve_obstacle(prob, tol=1e-8, quad=quad, fixed_sweeps=fixed_sweeps)
-        warm = solve_obstacle(prob, tol=1e-8, quad=quad, init=np.full((8, 8), 0.5),
-                              fixed_sweeps=fixed_sweeps)
+    for problem, method in ((prob, "policy"), (extremal_2d, "sweeps")):
+        cold = solve_obstacle(problem, tol=1e-8, quad=quad)
+        warm = solve_obstacle(problem, tol=1e-8, quad=quad, init=np.full((8, 8), 0.5))
         assert cold.diagnostics.method == warm.diagnostics.method == method
         assert np.array_equal(warm.u, cold.u)
         assert warm.diagnostics.iterations == cold.diagnostics.iterations
 
 
 def test_prebuilt_lattice_and_system_match_a_fresh_solve():
-    lat = solve._lattice(mixed_problem(0.0), QUAD16)
+    lat = _lattice(mixed_problem(0.0), QUAD16)
     arrays = {k: v.copy() for k, v in vars(lat).items() if isinstance(v, np.ndarray)}
     assert {"fixed", "fixed_corr", "active", "rhs"} <= set(arrays)
     for level in (-0.05, 0.1, 0.4):
@@ -700,7 +704,7 @@ def test_every_1d_lattice_activates_its_whole_grid(k, m, c, shape):
     box = Box((c * 2.0**-4,), m * h / 2.0, h)
     prob = DirichletProblem(handle=OperatorHandle(fam=FAM_A, extremal_sign=1), domain=box,
                             rhs=0.0, exterior=ExteriorRule.zero(), shape=shape)
-    lat = solve._lattice(prob, build_quadrature(1, 1.0, h, 4.0 * h))
+    lat = _lattice(prob, build_quadrature(1, 1.0, h, 4.0 * h))
     assert lat.engine == "newton" and lat.active.shape == (m,) and lat.active.all()
     assert lat.matrix().shape == (m, m)
 
@@ -710,7 +714,7 @@ def frozen_transition():
     from nlhomog.homog import _frozen_problem, quadratic_bank
     prob = _frozen_problem(quadratic_bank(1)[4], np.zeros(1), 0.0, 0.125, mixed_env(),
                            FAM, 1.0 / 64)
-    lat = solve._lattice(prob, default_quadrature(FAM, prob.domain))
+    lat = _lattice(prob, default_quadrature(FAM, prob.domain))
     return prob, lat, (-12.0, *np.linspace(16.0, 21.5, 12))
 
 
@@ -783,9 +787,10 @@ def test_no_dense_solve_of_an_obstacle_step_has_more_than_half_the_rows(monkeypa
 def test_obstacle_level_monotone_exact_coupling():
     lo = mixed_problem(0.05)
     hi = mixed_problem(0.35)
-    s1 = solve_obstacle(lo, quad=QUAD16, fixed_sweeps=240)
-    s2 = solve_obstacle(hi, quad=QUAD16, fixed_sweeps=240)
-    assert np.all(s1.u >= s2.u)
+    # 240 sweeps of each, whatever their residual
+    u1, _, _ = _lattice(lo, QUAD16).sweep_solve(True, 1e-6, 240)
+    u2, _, _ = _lattice(hi, QUAD16).sweep_solve(True, 1e-6, 240)
+    assert np.all(u1 >= u2)
 
 
 def test_obstacle_domain_monotone():
@@ -812,7 +817,7 @@ def test_extremal_forced_subadditive_coupling():
     def forced(g):
         p = DirichletProblem(handle=handle, domain=box, rhs=-g,
                              exterior=ExteriorRule.zero(), shape="ball")
-        u, _ = solve_dirichlet(p, quad=quad, fixed_sweeps=200)
+        u, _, _ = _lattice(p, quad).sweep_solve(False, 1e-6, 200)
         return u
 
     v1, v2, v12 = forced(g1), forced(g2), forced(g1 + g2)
@@ -853,13 +858,13 @@ def test_residual_field_reports_zero_outside_ball():
 def test_barrier_check_certifies_extreme_levels():
     # the threshold is finite, so every level far enough below it is
     # certified
-    thr, _ = barrier_threshold(solve._lattice(mixed_problem(0.0), QUAD16))
+    thr, _ = barrier_threshold(_lattice(mixed_problem(0.0), QUAD16))
     assert -1e6 <= thr < 1e6
     # with zero forcing, F(0) is zero on every cell
     box = Box((0.0,), 0.5, 1.0 / 16)
     flat = DirichletProblem(handle=OperatorHandle(fam=FAM, env=const_env()),
                             domain=box, rhs=0.0, exterior=ExteriorRule.zero())
-    assert barrier_threshold(solve._lattice(flat, QUAD16)) == (0.0, 0.0)
+    assert barrier_threshold(_lattice(flat, QUAD16)) == (0.0, 0.0)
 
 
 def _problem_2d(shape="cube", exterior=ExteriorRule.zero(), kind="a", seed=1):
@@ -888,7 +893,7 @@ def test_2d_exterior_is_read_in_blocks_of_rows_bitwise_as_row_by_row(monkeypatch
     prob, _ = _problem_2d(exterior=ExteriorRule(fn=counted, far=cosine.far))
     quad = default_quadrature(prob.handle.fam, prob.domain)
     monkeypatch.setattr(solve, "EXTERIOR_POINTS", 1)
-    by_row = solve._lattice(prob, quad)
+    by_row = _lattice(prob, quad)
     side = by_row.m + 2 * by_row.J
     assert calls == [side] * side
     calls.clear()
@@ -896,7 +901,7 @@ def test_2d_exterior_is_read_in_blocks_of_rows_bitwise_as_row_by_row(monkeypatch
         monkeypatch.setattr(solve, "EXTERIOR_POINTS", budget_rows * side + side // 2)
     else:
         monkeypatch.undo()
-    lat = solve._lattice(prob, quad)
+    lat = _lattice(prob, quad)
     rows = max(1, solve.EXTERIOR_POINTS // side)
     assert len(calls) == -(-side // rows) and sum(calls) == side * side
     assert max(calls) <= max(side, solve.EXTERIOR_POINTS)
@@ -911,7 +916,7 @@ def test_barrier_threshold_is_the_min_of_F_at_zero_on_the_active_cells(dim, shap
         prob, quad = replace(mixed_problem(0.3), shape=shape), QUAD16
     else:
         prob, quad = _problem_2d(shape)
-    lat = solve._lattice(prob, quad)
+    lat = _lattice(prob, quad)
     # evaluated on the held lattice, which keeps its own arrays
     fixed, fixed_corr = lat.fixed.copy(), lat.fixed_corr.copy()
     F, _ = lat.operator_values(np.zeros(lat.active.shape))
@@ -964,7 +969,7 @@ def test_one_off_obstacle_with_exterior_data_has_no_contact_below_its_certificat
         prob, quad = replace(mixed_problem(0.3), exterior=cosine), QUAD16
     else:
         prob, quad = _problem_2d(exterior=cosine)
-    lat = solve._lattice(prob, quad)
+    lat = _lattice(prob, quad)
     assert np.any(lat.fixed != 0.0)
     low = np.nextafter(barrier_threshold(lat)[0], -np.inf)
     sol = solve_obstacle(replace(prob, rhs=low), tol=1e-8, quad=quad)
@@ -999,7 +1004,7 @@ def _policy_lattice(kind="a", shape="cube", r_out=2.0):
     """`_problem_2d` on cosine exterior data at level 30, where its obstacle
     solve touches on part of the domain, for either class and shape."""
     prob, _ = _problem_2d(shape, COSINE_2D, kind)
-    return solve._lattice(replace(prob, rhs=30.0), build_quadrature(2, 1.0, 0.125, r_out))
+    return _lattice(replace(prob, rhs=30.0), build_quadrature(2, 1.0, 0.125, r_out))
 
 
 @pytest.mark.parametrize("r_out", [2.0, 0.5])
@@ -1200,7 +1205,7 @@ def _evaluations(monkeypatch, lat):
 @pytest.mark.parametrize("dim, shape", [(1, "cube"), (2, "cube"), (2, "ball")])
 def test_a_sweep_solve_evaluates_F_once_per_sweep_and_once_to_certify(
         monkeypatch, dim, shape, obstacle, fixed_sweeps):
-    lat = solve._lattice(*_sweep_problem(dim, shape))
+    lat = _lattice(*_sweep_problem(dim, shape))
     seen = _evaluations(monkeypatch, lat)
     vals, its, _ = lat.sweep_solve(obstacle, 1e-8, fixed_sweeps)
     if fixed_sweeps is not None:
@@ -1215,7 +1220,7 @@ def test_a_sweep_solve_evaluates_F_once_per_sweep_and_once_to_certify(
 def test_sweep_residuals_are_certified_by_the_evaluation_that_moves_the_values(
         monkeypatch, dim, shape, obstacle):
     prob, quad = _sweep_problem(dim, shape)
-    lat = solve._lattice(prob, quad)
+    lat = _lattice(prob, quad)
     seen = _evaluations(monkeypatch, lat)
     vals, its, trail = lat.sweep_solve(obstacle, 1e-8)
     # every sweep evaluated F once, and its residual is in the record: the
@@ -1228,7 +1233,7 @@ def test_sweep_residuals_are_certified_by_the_evaluation_that_moves_the_values(
         run = solve_obstacle if obstacle else solve_dirichlet
         out = run(prob, tol=1e-8, quad=quad)
         u, d = (out.u, out.diagnostics) if obstacle else out
-        assert d.residual == solve._lattice(prob, quad).residual(u, obstacle)
+        assert d.residual == _lattice(prob, quad).residual(u, obstacle)
 
 
 @pytest.mark.parametrize("obstacle", [False, True])
@@ -1242,7 +1247,7 @@ def test_a_sweep_solve_whose_zero_start_meets_tol_takes_no_sweep(count_calls, ob
     prob = replace(prob, handle=replace(prob.handle, env=sample_environment(spec, seed=1)))
     prob = replace(prob, rhs=1.0 if obstacle else 0.0)
     calls = count_calls(solve._Lattice2D, "operator_values")
-    vals, its, trail = solve._lattice(prob, quad).sweep_solve(obstacle, 1e-12)
+    vals, its, trail = _lattice(prob, quad).sweep_solve(obstacle, 1e-12)
     assert its == 0 and trail == [0.0] and not vals.any()
     assert len(calls) == 1
     # the policy engine solves the greedy policy at zero once, and certifies it
@@ -1293,9 +1298,10 @@ def test_newton_missing_tol_raises_without_sweeps(run, monkeypatch):
 
 
 def test_fixed_sweeps_never_raises():
+    # the sweep engine's own n-sweep run returns its values uncertified
     prob = mixed_problem(0.05)
-    u, diag = solve_dirichlet(prob, tol=1e-15, quad=QUAD16, fixed_sweeps=5)
-    assert not diag.converged
+    u, its, trail = _lattice(prob, QUAD16).sweep_solve(False, 1e-15, 5)
+    assert its == 5 and trail[-1] > 1e-15
     assert u.shape == (prob.domain.m,)
 
 
@@ -1317,8 +1323,7 @@ def test_the_problem_picks_the_engine():
         assert d.method == "policy"
         sol = solve_obstacle(replace(prob, rhs=0.5), quad=quad)
         assert sol.diagnostics.method == "policy"
-    # the extremals with no finite policy set (the 1d "cs" and the 2d one)
-    # and any fixed_sweeps solve: sweeps
+    # the extremals with no finite policy set (the 1d "cs" and the 2d one): sweeps
     box = Box((0.0,), 0.5, 1.0 / 16)
     cs_extremal = DirichletProblem(handle=OperatorHandle(fam=FAM, extremal_sign=+1),
                                    domain=box, rhs=-1.0, exterior=ExteriorRule.zero())
@@ -1328,12 +1333,6 @@ def test_the_problem_picks_the_engine():
                                                       extremal_sign=-1), rhs=-1.0)
     _, d = solve_dirichlet(extremal_2d, tol=1e-6, quad=quad)
     assert d.method == "sweeps"
-    _, d = solve_dirichlet(prob, quad=quad, fixed_sweeps=5)
-    assert d.method == "sweeps"
-    _, d = solve_dirichlet(mixed_problem(0.05), quad=QUAD16, fixed_sweeps=5)
-    assert d.method == "sweeps"
-    sol = solve_obstacle(mixed_problem(0.05), quad=QUAD16, fixed_sweeps=5)
-    assert sol.diagnostics.method == "sweeps"
 
 
 @pytest.mark.parametrize("build", [
