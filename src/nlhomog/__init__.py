@@ -2,6 +2,7 @@
 
 Modules
 -------
+records    bases of the record types: equality, hashing, replace
 env        lazily sampled random checkerboard environments
 kernels    kernel families and monotone quadrature tables
 operators  boxes, exterior rules, test functions, unit moments

@@ -170,7 +170,7 @@ def load_config(path):
         raise ConfigurationError(f"kind must be one of {KINDS}, got {kind!r}")
 
     env_block = _dict_block(raw, "environment")
-    spec_fields = tuple(EnvironmentSpec.__dataclass_fields__)
+    spec_fields = EnvironmentSpec._fields
     _reject_unknown(env_block, spec_fields, "environment")
     for key, value in env_block.items():
         where = f"environment.{key}"

@@ -20,11 +20,11 @@ item of a batch is the bits of its batch of one.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError
+from .records import FrozenRecord, replace
 
 __all__ = [
     "EnvironmentSpec",
@@ -83,8 +83,7 @@ def _cell_uniforms(seed, cells, alpha, beta, channel):
     return (h >> _U64(11)).astype(np.float64) * 2.0**-53
 
 
-@dataclass(frozen=True)
-class EnvironmentSpec:
+class EnvironmentSpec(FrozenRecord):
     """Law of the random environment.
 
     The coefficient law feeds the kernel family: a scalar multiplier in
@@ -94,21 +93,26 @@ class EnvironmentSpec:
     are bounded by f_bound.
     """
 
-    dim: int = 1
-    n_alpha: int = 1
-    n_beta: int = 1
-    kernel_class: str = "cs"  # "cs" | "a"
-    lam: float = 1.0
-    lam_big: float = 2.0
-    coeff_law: str = "uniform"  # "uniform" | "fixed"
-    coeff_value: float | None = None
-    forcing_law: str = "uniform"  # "uniform" | "fixed"
-    f_bound: float = 1.0
-    forcing_value: float | None = None
-    interpolation: str = "multilinear"  # "multilinear" | "constant"
-    layout: str = "iid"  # "iid" | "periodic"
-    period: int = 2
-    cell: float = 1.0  # lattice cell edge; fixed at 1.0
+    _fields = ("dim", "n_alpha", "n_beta", "kernel_class", "lam", "lam_big", "coeff_law",
+               "coeff_value", "forcing_law", "f_bound", "forcing_value", "interpolation",
+               "layout", "period", "cell")
+
+    def __init__(self, dim=1, n_alpha=1, n_beta=1,
+                 kernel_class="cs",  # "cs" | "a"
+                 lam=1.0, lam_big=2.0,
+                 coeff_law="uniform",  # "uniform" | "fixed"
+                 coeff_value=None,
+                 forcing_law="uniform",  # "uniform" | "fixed"
+                 f_bound=1.0, forcing_value=None,
+                 interpolation="multilinear",  # "multilinear" | "constant"
+                 layout="iid",  # "iid" | "periodic"
+                 period=2,
+                 cell=1.0):  # lattice cell edge; fixed at 1.0
+        self.__dict__.update(
+            dim=dim, n_alpha=n_alpha, n_beta=n_beta, kernel_class=kernel_class, lam=lam,
+            lam_big=lam_big, coeff_law=coeff_law, coeff_value=coeff_value,
+            forcing_law=forcing_law, f_bound=f_bound, forcing_value=forcing_value,
+            interpolation=interpolation, layout=layout, period=period, cell=cell)
 
     def validate(self):
         if self.dim not in (1, 2):
@@ -154,17 +158,17 @@ class EnvironmentSpec:
         return self
 
 
-@dataclass(frozen=True)
-class Environment:
+class Environment(FrozenRecord):
     """One realization: a spec, a master seed, and the current shift.
 
     The shift starts uniform in [0,1)^dim (drawn on a fine binary lattice
     so later arithmetic stays exact) and accumulates every `translate`.
     """
 
-    spec: EnvironmentSpec
-    seed: int
-    shift: tuple
+    _fields = ("spec", "seed", "shift")
+
+    def __init__(self, spec, seed, shift):
+        self.__dict__.update(spec=spec, seed=seed, shift=shift)
 
     @property
     def dim(self):

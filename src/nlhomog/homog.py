@@ -53,7 +53,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,6 +60,7 @@ from .env import EnvironmentSpec, sample_environment, translate
 from .errors import ConfigurationError, SolverError
 from .kernels import KernelFamily
 from .operators import Box, ExteriorRule, TestFunction
+from .records import Record, replace
 from .solve import (
     DirichletProblem,
     OperatorHandle,
@@ -130,15 +130,17 @@ class RowLog:
 # ---------------------------------------------------------------------------
 # result types
 
-@dataclass
-class MbarEstimate:
-    level: float
-    eps_list: tuple
-    fractions: dict          # (eps, seed) -> contact fraction
-    means: dict              # eps -> seed average
-    spreads: dict            # eps -> max - min over seeds
-    estimate: float
-    stderr: float
+class MbarEstimate(Record):
+    _fields = ("level", "eps_list", "fractions", "means", "spreads", "estimate", "stderr")
+
+    def __init__(self, level, eps_list, fractions, means, spreads, estimate, stderr):
+        self.level = level
+        self.eps_list = eps_list
+        self.fractions = fractions  # (eps, seed) -> contact fraction
+        self.means = means          # eps -> seed average
+        self.spreads = spreads      # eps -> max - min over seeds
+        self.estimate = estimate
+        self.stderr = stderr
 
     def validate(self):
         if any(not (0.0 <= f <= 1.0) for f in self.fractions.values()):
@@ -150,15 +152,17 @@ class MbarEstimate:
         return self
 
 
-@dataclass
-class EffectiveSample:
-    bracket: tuple           # (l_lo, l_hi) after bisection
-    value: float             # effective level estimate
-    theta: float
-    eps_list: tuple
-    seeds: tuple
-    certificates: dict       # how the initial bracket was certified
-    steps: list              # (level, mbar estimate, side) per bisection step
+class EffectiveSample(Record):
+    _fields = ("bracket", "value", "theta", "eps_list", "seeds", "certificates", "steps")
+
+    def __init__(self, bracket, value, theta, eps_list, seeds, certificates, steps):
+        self.bracket = bracket            # (l_lo, l_hi) after bisection
+        self.value = value                # effective level estimate
+        self.theta = theta
+        self.eps_list = eps_list
+        self.seeds = seeds
+        self.certificates = certificates  # how the initial bracket was certified
+        self.steps = steps                # (level, mbar estimate, side) per bisection step
 
     def validate(self):
         lo, hi = self.bracket

@@ -13,11 +13,10 @@ operator built on the table monotone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError
+from .records import FrozenRecord
 
 __all__ = [
     "KernelFamily",
@@ -28,13 +27,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KernelFamily:
-    kind: str  # "cs" | "a"
-    dim: int
-    sigma: float
-    lam: float
-    lam_big: float
+class KernelFamily(FrozenRecord):
+    _fields = ("kind", "dim", "sigma", "lam", "lam_big")
+
+    def __init__(self, kind, dim, sigma, lam, lam_big):  # kind: "cs" | "a"
+        self.__dict__.update(kind=kind, dim=dim, sigma=sigma, lam=lam, lam_big=lam_big)
 
     def validate(self):
         if self.kind not in ("cs", "a"):
@@ -63,8 +60,7 @@ def second_moment_integral(dim: int, sigma: float, r: float) -> float:
     return surf * r ** (2.0 - sigma) / (2.0 - sigma)
 
 
-@dataclass(frozen=True)
-class QuadratureTable:
+class QuadratureTable(FrozenRecord):
     """Fixed-grid quadrature of the kernel envelope.
 
     1d: `w[j-1]` integrates the envelope over the cell centered at +j*h;
@@ -90,20 +86,14 @@ class QuadratureTable:
     envelope beyond r_eff, to be paired with exterior far-field data.
     """
 
-    dim: int
-    sigma: float
-    h: float
-    r_eff: float
-    w: np.ndarray | None
-    c_near: float
-    tail: float
-    w_total: float
-    stencil: np.ndarray
-    kxx: np.ndarray | None = None
-    kyy: np.ndarray | None = None
-    kxy: np.ndarray | None = None
-    sums: tuple | None = None
-    abs_kxy: float | None = None
+    _fields = ("dim", "sigma", "h", "r_eff", "w", "c_near", "tail", "w_total", "stencil",
+               "kxx", "kyy", "kxy", "sums", "abs_kxy")
+
+    def __init__(self, dim, sigma, h, r_eff, w, c_near, tail, w_total, stencil,
+                 kxx=None, kyy=None, kxy=None, sums=None, abs_kxy=None):
+        self.__dict__.update(dim=dim, sigma=sigma, h=h, r_eff=r_eff, w=w, c_near=c_near,
+                             tail=tail, w_total=w_total, stencil=stencil, kxx=kxx, kyy=kyy,
+                             kxy=kxy, sums=sums, abs_kxy=abs_kxy)
 
     @property
     def n_offsets(self):

@@ -16,13 +16,11 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable
-
 import numpy as np
 
 from .errors import ConfigurationError
 from .kernels import QuadratureTable
+from .records import FrozenRecord, replace
 
 __all__ = [
     "Box",
@@ -32,21 +30,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(FrozenRecord):
     """Axis-aligned cube with a cell-centered grid."""
 
-    center: tuple
-    half: float
-    h: float
+    _fields = ("center", "half", "h")
 
-    def __post_init__(self):
-        if self.half <= 0 or self.h <= 0:
+    def __init__(self, center, half, h):
+        self.__dict__.update(center=center, half=half, h=h)
+        if half <= 0 or h <= 0:
             raise ConfigurationError("box needs positive half-width and spacing")
-        m = 2.0 * self.half / self.h
+        m = 2.0 * half / h
         if not np.isfinite(m) or abs(m - round(m)) > 1e-9 or round(m) < 1:
             raise ConfigurationError(
-                f"spacing {self.h} does not tile the box of half-width {self.half} "
+                f"spacing {h} does not tile the box of half-width {half} "
                 f"with a finite number of whole cells"
             )
 
@@ -69,26 +65,29 @@ class Box:
         return np.column_stack([X.ravel() for X in grids])
 
 
-@dataclass(frozen=True)
-class _Constant:
+class _Constant(FrozenRecord):
     """The values of a constant exterior rule, equal by value."""
 
-    value: float
+    _fields = ("value",)
+
+    def __init__(self, value):
+        self.__dict__.update(value=value)
 
     def __call__(self, pts):
         return np.full(np.shape(pts)[0], self.value)
 
 
-@dataclass(frozen=True)
-class ExteriorRule:
+class ExteriorRule(FrozenRecord):
     """Values of a function outside its grid box.
 
     `fn` maps points (N, dim) to values (N,); `far` is the constant the
     rule settles to far out, used to close tail integrals analytically.
     """
 
-    fn: Callable
-    far: float
+    _fields = ("fn", "far")
+
+    def __init__(self, fn, far):
+        self.__dict__.update(fn=fn, far=far)
 
     @staticmethod
     def constant(value: float) -> "ExteriorRule":
@@ -106,8 +105,7 @@ def _smooth_step(t):
     return t * t * (3.0 - 2.0 * t)
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(FrozenRecord):
     """Quadratic profile smoothly capped to zero far from its center.
 
     value(x) = [ (x-c)'P(x-c)/2 + p.(x-c) + const ] * s(|x-c|), with s = 1
@@ -116,11 +114,10 @@ class TestFunction:
     bounded, and exactly zero far out (far field value 0).
     """
 
-    P: np.ndarray
-    p: np.ndarray
-    const: float
-    center: np.ndarray
-    r_cut: float
+    _fields = ("P", "p", "const", "center", "r_cut")
+
+    def __init__(self, P, p, const, center, r_cut):
+        self.__dict__.update(P=P, p=p, const=const, center=center, r_cut=r_cut)
 
     @staticmethod
     def make(P, p=None, const=0.0, center=None, r_cut=4.0):

@@ -130,15 +130,15 @@ import copy
 import math
 import time
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .env import Environment, forcing_field, matrix_field, multiplier_field
+from .env import forcing_field, matrix_field, multiplier_field
 from .errors import ConfigurationError, SolverError
 from .kernels import KernelFamily, QuadratureTable, build_quadrature
-from .operators import Box, ExteriorRule, _Constant, unit_moment
+from .operators import Box, _Constant, unit_moment
+from .records import FrozenRecord, Record
 
 __all__ = [
     "OperatorHandle",
@@ -155,8 +155,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OperatorHandle:
+class OperatorHandle(FrozenRecord):
     """Which nonlocal operator a problem runs.
 
     * plain branch min/max: env set, frozen None, extremal_sign 0;
@@ -166,11 +165,11 @@ class OperatorHandle:
     eps rescales the coefficient field: branch data is read at x / eps.
     """
 
-    fam: KernelFamily
-    env: Environment | None = None
-    eps: float = 1.0
-    frozen: tuple | None = None
-    extremal_sign: int = 0
+    _fields = ("fam", "env", "eps", "frozen", "extremal_sign")
+
+    def __init__(self, fam, env=None, eps=1.0, frozen=None, extremal_sign=0):
+        self.__dict__.update(fam=fam, env=env, eps=eps, frozen=frozen,
+                             extremal_sign=extremal_sign)
 
     def validate(self):
         self.fam.validate()
@@ -187,15 +186,15 @@ class OperatorHandle:
         return self
 
 
-@dataclass(frozen=True)
-class DirichletProblem:
+class DirichletProblem(FrozenRecord):
     """One solve: operator, domain, right-hand side, exterior data."""
 
-    handle: OperatorHandle
-    domain: Box
-    rhs: object  # float level or per-node array
-    exterior: ExteriorRule
-    shape: str = "cube"  # "cube" | "ball"
+    _fields = ("handle", "domain", "rhs", "exterior", "shape")
+
+    def __init__(self, handle, domain, rhs, exterior, shape="cube"):
+        # rhs: a float level or a per-node array; shape: "cube" | "ball"
+        self.__dict__.update(handle=handle, domain=domain, rhs=rhs, exterior=exterior,
+                             shape=shape)
 
     def validate(self):
         self.handle.validate()
@@ -211,20 +210,24 @@ class DirichletProblem:
         return self
 
 
-@dataclass
-class SolveDiagnostics:
-    iterations: int = 0
-    residual: float = np.inf
-    wall_ms: float = 0.0
-    method: str = ""
+class SolveDiagnostics(Record):
+    _fields = ("iterations", "residual", "wall_ms", "method")
+
+    def __init__(self, iterations=0, residual=np.inf, wall_ms=0.0, method=""):
+        self.iterations = iterations
+        self.residual = residual
+        self.wall_ms = wall_ms
+        self.method = method
 
 
-@dataclass
-class ObstacleSolution:
-    u: np.ndarray
-    contact: np.ndarray
-    fraction: float
-    diagnostics: SolveDiagnostics
+class ObstacleSolution(Record):
+    _fields = ("u", "contact", "fraction", "diagnostics")
+
+    def __init__(self, u, contact, fraction, diagnostics):
+        self.u = u
+        self.contact = contact
+        self.fraction = fraction
+        self.diagnostics = diagnostics
 
 
 # Largest grid a lattice may have, (m + 2J)^dim points for m cells per axis

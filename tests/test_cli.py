@@ -1175,7 +1175,7 @@ _FUZZ_BASE = {
 }
 _FUZZ_KEYS = {
     None: ["schema_version", "kind", "workers", "timings", "bogus"],
-    "environment": list(EnvironmentSpec.__dataclass_fields__),
+    "environment": list(EnvironmentSpec._fields),
     "kernel": ["sigma"],
     "numerics": list(cli._NUMERIC_DEFAULTS),
     "experiment": sorted({k for d in cli._EXPERIMENT_DEFAULTS.values() for k in d}),

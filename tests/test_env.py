@@ -1,7 +1,5 @@
 """Environment law: determinism, translation, bounds, layouts."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +10,7 @@ from nlhomog.env import (
 )
 from nlhomog import env as env_module
 from nlhomog.errors import ConfigurationError
+from nlhomog.records import replace
 
 SPEC1 = EnvironmentSpec(dim=1, n_alpha=2, n_beta=3, coeff_law="uniform",
                         forcing_law="uniform", f_bound=1.0)

@@ -6,11 +6,14 @@ solution.csv.  checks.json beside them holds the verdicts of the kind's
 `--check` gates on that run, as [name, passed] pairs; a gate that fails on
 its golden is recorded failing, so a verdict that flips either way shows.
 blas.json names the OpenBLAS build and kernel type the artifacts were made
-with.  On that kernel type a replay must match
-them byte for byte.  Kernels of another type round differently in the last
+with.  A replay runs numpy's OpenBLAS on one thread, as `nlhomog run` does,
+since threaded kernels sum in an order that depends on the thread count.
+On the recorded kernel type a replay must match the artifacts byte for
+byte.  Kernels of another type round differently in the last
 bits (see test_blas_kernels.py), so there integers, strings and the exact
 identities (contact fractions, zeros, the translation gap) must still match
 exactly, and every other float within REL_TOL relative or ABS_TOL absolute.
+A residual is no identity: recorded as 0.0, it too gets ABS_TOL.
 
 Refresh every golden, and blas.json, with
 
@@ -20,6 +23,7 @@ which prints, per golden, the artifacts that changed and the largest float
 move in each; name in the change log the configs whose bytes moved, and why.
 """
 
+import contextlib
 import csv
 import ctypes
 import io
@@ -41,15 +45,21 @@ ARTIFACTS = ("summary.json", "rows.csv", "solution.csv", "checks.json")
 REL_TOL = 1e-9   # last-bit drift of LAPACK/BLAS results, with room for its growth
 ABS_TOL = 1e-10  # residuals sit near rounding, far below every solver tolerance
 EXACT_KEYS = ("contact_fraction", "translation_gap")
+RESIDUAL_KEY = "residual"
+
+
+def _openblas():
+    """numpy's bundled OpenBLAS, opened through ctypes; None without one."""
+    libs = sorted(Path(np.__file__).resolve().parent.parent.joinpath("numpy.libs")
+                  .glob("libscipy_openblas*"))
+    return ctypes.CDLL(str(libs[0])) if libs else None
 
 
 def blas_identity():
-    """{"config", "corename"} of numpy's bundled OpenBLAS, read through ctypes; None without one."""
-    libs = sorted(Path(np.__file__).resolve().parent.parent.joinpath("numpy.libs")
-                  .glob("libscipy_openblas*"))
-    if not libs:
+    """{"config", "corename"} of numpy's bundled OpenBLAS; None without one."""
+    lib = _openblas()
+    if lib is None:
         return None
-    lib = ctypes.CDLL(str(libs[0]))
     out = {}
     for key, name in (("config", "scipy_openblas_get_config64_"),
                       ("corename", "scipy_openblas_get_corename64_")):
@@ -61,15 +71,39 @@ def blas_identity():
     return out
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """numpy's OpenBLAS on one thread for the block, as `nlhomog run` sets it before
+    numpy loads; a host that loaded numpy first (pytest does) runs more otherwise."""
+    lib = _openblas()
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or put is None:
+        yield
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def replay(config_path):
-    """{artifact name: text} of one in-process run of the config, rows.csv without
-    wall_ms, and checks.json, the [name, passed] pairs of `cli.run_checks` on it."""
+    """{artifact name: text} of one in-process run of the config on one BLAS thread,
+    rows.csv without wall_ms, and checks.json, the [name, passed] pairs of
+    `cli.run_checks` on it."""
     resolved, spec, fam = cli.load_config(config_path)
-    summary, log, solution = cli.run_experiment(resolved, spec, fam, resolved["workers"] or 1)
+    with one_blas_thread():
+        summary, log, solution = cli.run_experiment(resolved, spec, fam,
+                                                    resolved["workers"] or 1)
+        verdicts = [[name, bool(ok)]
+                    for name, ok, _ in cli.run_checks(resolved, spec, fam, summary)]
     with tempfile.TemporaryDirectory() as tmp:
         cli.write_outputs(tmp, resolved, summary, log, solution)
         texts = _texts(Path(tmp))
-    verdicts = [[name, bool(ok)] for name, ok, _ in cli.run_checks(resolved, spec, fam, summary)]
     texts["checks.json"] = json.dumps(verdicts, indent=2) + "\n"
     rows = list(csv.reader(io.StringIO(texts["rows.csv"])))
     assert rows[0][-1] == "wall_ms"
@@ -81,7 +115,8 @@ def replay(config_path):
 
 def _same_value(key, got, want):
     if isinstance(want, float) and isinstance(got, float):
-        if key in EXACT_KEYS or want == 0.0 or not math.isfinite(want):
+        if (key in EXACT_KEYS or (want == 0.0 and key != RESIDUAL_KEY)
+                or not math.isfinite(want)):
             return got == want
         return abs(got - want) <= max(REL_TOL * max(abs(got), abs(want)), ABS_TOL)
     return type(got) is type(want) and got == want
@@ -179,6 +214,12 @@ def test_golden_comparison_off_the_recorded_kernel():
     assert differences("rows.csv", rows.format("0.1250001", "2.5e-13"), want)
     assert differences("rows.csv", want.replace("0.25", "0.2500000000000001"), want)
     assert differences("rows.csv", want.replace(",3,", ",4,"), want)
+    # a residual recorded as 0.0 is rounding, not an identity (effective-1d-fixed
+    # reads 3.55e-15 on Haswell kernels); a zero elsewhere stays exact
+    zero = rows.format("0.125", "0.0")
+    assert differences("rows.csv", rows.format("0.125", "3.552713678800501e-15"), zero) == []
+    assert differences("rows.csv", rows.format("0.125", "2e-10"), zero)
+    assert differences("rows.csv", rows.format("1e-300", "0.0"), rows.format("0.0", "0.0"))
     summary = {"translation_gap": 0.0, "value": 1.5, "method": "newton", "gaps": [0.0, 2.0]}
     assert differences("summary.json", json.dumps({**summary, "value": 1.5 + 1e-15}),
                        json.dumps(summary)) == []

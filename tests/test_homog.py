@@ -9,7 +9,6 @@ conductivity, whose level should approach the harmonic-mean prediction.
 import csv
 import math
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from nlhomog.homog import (
 )
 from nlhomog.kernels import KernelFamily, build_quadrature
 from nlhomog.operators import unit_moment
+from nlhomog.records import replace
 
 BANK1 = quadratic_bank(1)
 PHI = BANK1[4]  # curvature +2

@@ -1,11 +1,14 @@
 """Every module under src/ and tests/ uses each name it imports, every name
 a package module exports exists, the library modules export only what the
-package itself reads, and the program passes every parameter of a public
-solver."""
+package itself reads, the program passes every parameter of a public
+solver, and importing the CLI loads no `dataclasses`."""
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,7 +52,7 @@ def test_every_exported_name_exists():
     assert missing == {}
 
 
-LIBRARY = ("env", "kernels", "operators", "solve", "homog")
+LIBRARY = ("records", "env", "kernels", "operators", "solve", "homog")
 
 
 def reads(tree):
@@ -120,3 +123,14 @@ def test_each_size_limit_has_one_owner():
     cli = importlib.import_module("nlhomog.cli")
     assert [name for name in ("_grids", "_cells", "_points", "_check_grid_sizes")
             if hasattr(cli, name)] == []
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # the record types are plain classes: a dataclass decoration generates
+    # and compiles its class's methods on every import, every run
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nlhomog.cli; print('dataclasses' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

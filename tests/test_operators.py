@@ -18,7 +18,7 @@ from oracles import (
     extremal_from_moment, second_difference,
 )
 
-TestFunction.__test__ = False  # imported dataclass, not a pytest class
+TestFunction.__test__ = False  # imported record class, not a pytest class
 
 FAM1 = KernelFamily(kind="cs", dim=1, sigma=1.0, lam=1.0, lam_big=2.0)
 FAM1A = KernelFamily(kind="a", dim=1, sigma=1.0, lam=1.0, lam_big=2.0)

@@ -9,7 +9,7 @@ floating-point slack.
 
 import copy
 import tracemalloc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from nlhomog.env import EnvironmentSpec, sample_environment, translate
 from nlhomog.errors import ConfigurationError, SolverError
 from nlhomog.kernels import KernelFamily, build_quadrature
 from nlhomog.operators import Box, ExteriorRule, TestFunction
+from nlhomog.records import replace
 from nlhomog import solve
 from nlhomog.solve import (
     DirichletProblem,
@@ -34,7 +35,7 @@ from oracles import (
     GridFunction, _lattice, evaluate_F, evaluate_frozen, extremal, residual_field,
 )
 
-TestFunction.__test__ = False  # imported dataclass, not a pytest class
+TestFunction.__test__ = False  # imported record class, not a pytest class
 
 FAM = KernelFamily(kind="cs", dim=1, sigma=1.0, lam=1.0, lam_big=2.0)
 FAM_A = KernelFamily(kind="a", dim=1, sigma=1.0, lam=1.0, lam_big=2.0)
